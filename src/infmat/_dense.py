@@ -3,11 +3,29 @@
 Elimination is hand-rolled (vectorized row updates) rather than deferred
 to LAPACK so pivot thresholds stay explicit and sign tracking across row
 swaps is visible to tests.
+
+``lu_det`` and ``echelon`` (and ``null_vector`` through it) confine each
+elimination step to the window that can still be nonzero.  The window
+comes from the array: its band ``(bl, bu)`` is measured once from the
+nonzero pattern, and partial pivoting keeps the pivot column nonzero only
+in the ``bl`` rows below the pivot and the pivot row only up to ``bl +
+bu`` columns right of the pivot column (Golub & Van Loan, *Matrix
+Computations*, sec. 4.3).  Every update left out is ``x - f*0`` or ``x -
+0*y``, so pivots, signs and returned values are bit-identical to the
+full dense sweep; for dense input the window is the whole matrix.  An
+update of that kind can only turn a ``-0.0`` into ``+0.0``, so
+``echelon``, whose array is returned, sweeps densely when its input holds
+a negative zero.
 """
 
 import numpy as np
 
 from .errors import SingularSystemError
+
+# lu_det runs on Python floats when a step's update window, ``bl`` rows
+# by ``bl + bu`` columns, has at most this many cells: below it numpy's
+# per-call overhead costs more than the arithmetic
+NARROW_WINDOW = 64
 
 
 def norm_inf(a: np.ndarray) -> float:
@@ -19,25 +37,91 @@ def norm_inf(a: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(a), axis=1)))
 
 
+def _band(a: np.ndarray) -> tuple[int, int]:
+    """Lower and upper bandwidth of the nonzero pattern of ``a``."""
+    i, j = np.nonzero(a)
+    if i.size == 0:
+        return 0, 0
+    offsets = j - i
+    return max(0, -int(offsets.min())), max(0, int(offsets.max()))
+
+
 def lu_det(a: np.ndarray) -> float:
     """Determinant via partially pivoted elimination, sign tracked on swaps."""
-    a = np.array(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("square matrix required")
+    bl, bu = _band(a)
+    if bl * (bl + bu) <= NARROW_WINDOW:
+        return _lu_det_narrow(a, bl, bu)
+    return _lu_det_window(a.copy(), bl, bu)
+
+
+def _lu_det_window(a: np.ndarray, bl: int, bu: int) -> float:
+    """:func:`lu_det` by numpy row updates, overwriting ``a``."""
+    n = a.shape[0]
     sign = 1.0
     det = 1.0
     for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
+        below = min(n, k + bl + 1)
+        right = min(n, k + bl + bu + 1)
+        p = k + int(np.argmax(np.abs(a[k:below, k])))
         if a[p, k] == 0.0:
             return 0.0
         if p != k:
             a[[k, p]] = a[[p, k]]
             sign = -sign
         det *= a[k, k]
-        if k + 1 < n:
-            f = a[k + 1:, k] / a[k, k]
-            a[k + 1:, k + 1:] -= np.outer(f, a[k, k + 1:])
+        if k + 1 < below:
+            f = a[k + 1:below, k] / a[k, k]
+            a[k + 1:below, k + 1:right] -= np.outer(f, a[k, k + 1:right])
+    return sign * det
+
+
+def _lu_det_narrow(a: np.ndarray, bl: int, bu: int) -> float:
+    """:func:`lu_det` on Python floats, for bands whose window is small.
+
+    Physical row ``i`` is a list covering columns ``start[i]`` to at least
+    ``i + bl + bu``; a row pushed down by a swap is padded with the zeros
+    it holds there.  The arithmetic is the windowed sweep's, entry by
+    entry, without numpy's per-call overhead.
+    """
+    n = a.shape[0]
+    cols = np.arange(n)[:, None] + np.arange(-bl, bl + bu + 1)
+    inside = (cols >= 0) & (cols < n)
+    rows = np.where(inside, a[np.arange(n)[:, None], cols.clip(0, n - 1)], 0.0).tolist()
+    start = list(range(-bl, n - bl))
+    sign = 1.0
+    # a numpy scalar, as the numpy path returns: dividing by a determinant
+    # that underflowed to 0 gives inf there, not ZeroDivisionError
+    det = np.float64(1.0)
+    for k in range(n):
+        below = min(n, k + bl + 1)
+        p, best = k, -1.0
+        for i in range(k, below):
+            v = abs(rows[i][k - start[i]])
+            if v > best:
+                p, best = i, v
+        if best == 0.0:
+            return 0.0
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            start[k], start[p] = start[p], start[k]
+            rows[p].extend([0.0] * (p - k))
+            sign = -sign
+        top, s0 = rows[k], start[k]
+        pivot = top[k - s0]
+        det *= pivot
+        right = min(n, k + bl + bu + 1)
+        for i in range(k + 1, below):
+            row, si = rows[i], start[i]
+            x = row[k - si]
+            if x == 0.0:
+                continue
+            f = x / pivot
+            for j in range(k + 1, right):
+                row[j - si] -= f * top[j - s0]
     return sign * det
 
 
@@ -50,20 +134,31 @@ def echelon(a: np.ndarray, pivot_tol: float) -> tuple[np.ndarray, list[int]]:
     """
     u = np.array(a, dtype=float)
     rows, cols = u.shape
+    if np.signbit(u[u == 0.0]).any():
+        bl, bu = rows - 1, cols - 1
+    else:
+        bl, bu = _band(u)
+    # rows below the current one are zero in every earlier pivot column, so
+    # left of ``c`` the pivot row can be nonzero only from the first
+    # skipped column on
+    left = cols
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        p = r + int(np.argmax(np.abs(u[r:, c])))
+        below = min(rows, c + bl + 1)
+        p = r + int(np.argmax(np.abs(u[r:below, c])))
         if abs(u[p, c]) <= pivot_tol:
+            left = min(left, c)
             continue
         if p != r:
             u[[r, p]] = u[[p, r]]
-        if r + 1 < rows:
-            f = u[r + 1:, c] / u[r, c]
-            u[r + 1:, :] -= np.outer(f, u[r, :])
-            u[r + 1:, c] = 0.0
+        if r + 1 < below:
+            lo, hi = min(left, c), min(cols, c + bl + bu + 1)
+            f = u[r + 1:below, c] / u[r, c]
+            u[r + 1:below, lo:hi] -= np.outer(f, u[r, lo:hi])
+            u[r + 1:below, c] = 0.0
         pivots.append(c)
         r += 1
     return u, pivots

@@ -108,25 +108,27 @@ def det_log_series(M: DenseMatrix, policy: ConvergencePolicy | None = None,
                      log_terms_used=rep.terms_used, report=rep)
 
 
-def det_truncation(M: MatrixSpec, n: int, policy: ConvergencePolicy | None = None,
-                   route: str = "auto") -> float:
-    """Determinant of the n-by-n truncation by the selected route.
+def det_section(T: DenseMatrix, policy: ConvergencePolicy, route: str = "auto") -> float:
+    """Determinant of a materialized square section by the selected route.
 
-    ``auto`` prefers the log-series whenever its norm precondition holds
-    at this size and falls back to elimination otherwise.
+    ``auto`` prefers the log-series whenever its norm precondition
+    ``norm_inf(T - I) < 1`` holds and falls back to elimination otherwise.
     """
-    policy = policy or ConvergencePolicy()
-    T = truncate(M, n, n)
     if route == ROUTE_LU:
         return det_oracle(T)
-    norm = norm_inf(T.data - np.eye(n))
     if route == ROUTE_LOG_SERIES:
         return det_log_series(T, policy).value
     if route != "auto":
         raise ValueError(f"unknown route {route!r}")
-    if norm < 1.0:
+    if norm_inf(T.data - np.eye(T.m)) < 1.0:
         return det_log_series(T, policy).value
     return det_oracle(T)
+
+
+def det_truncation(M: MatrixSpec, n: int, policy: ConvergencePolicy | None = None,
+                   route: str = "auto") -> float:
+    """Determinant of the n-by-n truncation by the selected route."""
+    return det_section(truncate(M, n, n), policy or ConvergencePolicy(), route)
 
 
 def det_infinite(M: MatrixSpec, schedule: TruncationSchedule | None = None,

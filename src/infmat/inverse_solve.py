@@ -13,10 +13,10 @@ import numpy as np
 
 from ._dense import norm_inf, rank_of_array
 from .algebra import Vector
-from .determinant import det_oracle, det_truncation
+from .determinant import det_oracle, det_section
 from .errors import (ConvergenceFailureError, ExtentMismatchError,
                      PreconditionError, SingularSystemError)
-from .matrix_core import (DenseMatrix, MatrixSpec, TruncationSchedule,
+from .matrix_core import (DenseMatrix, MatrixSpec, TruncationSchedule, _checked,
                           clip_extent, extents_equal, is_finite_extent, truncate)
 from .series import (ConvergencePolicy, ConvergenceReport, exact_report,
                      limit_of_sequence, stabilize_vector)
@@ -194,6 +194,11 @@ def _truncation_shape(M: MatrixSpec, n: int) -> tuple[int, int]:
     return clip_extent(M.rows, n), clip_extent(M.cols, n)
 
 
+def _dense_rank(arr: np.ndarray) -> float:
+    """Rank with pivots compared against ``1e-10`` times the array norm."""
+    return float(rank_of_array(arr, RANK_PIVOT_SCALE * norm_inf(arr)))
+
+
 def rank_of(M: MatrixSpec | DenseMatrix,
             schedule: TruncationSchedule | None = None,
             policy: ConvergencePolicy | None = None) -> ConvergenceReport:
@@ -205,17 +210,14 @@ def rank_of(M: MatrixSpec | DenseMatrix,
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
 
-    def dense_rank(arr):
-        return float(rank_of_array(arr, RANK_PIVOT_SCALE * norm_inf(arr)))
-
     if isinstance(M, DenseMatrix):
-        return exact_report(dense_rank(M.data), 1)
+        return exact_report(_dense_rank(M.data), 1)
     if is_finite_extent(M.rows) and is_finite_extent(M.cols):
-        return exact_report(dense_rank(truncate(M, M.rows, M.cols).data), 1)
+        return exact_report(_dense_rank(truncate(M, M.rows, M.cols).data), 1)
 
     def value_at(n):
         r, c = _truncation_shape(M, n)
-        return dense_rank(truncate(M, r, c).data)
+        return _dense_rank(truncate(M, r, c).data)
 
     return limit_of_sequence(value_at, schedule, policy)
 
@@ -240,15 +242,12 @@ def check_compatibility(A: MatrixSpec, b: Vector,
         block[:, c] = [b.entry(i) for i in range(1, r + 1)]
         return block
 
-    def dense_rank(arr):
-        return float(rank_of_array(arr, RANK_PIVOT_SCALE * norm_inf(arr)))
-
     if is_finite_extent(A.rows) and is_finite_extent(A.cols):
-        ra = exact_report(dense_rank(truncate(A, A.rows, A.cols).data), 1)
-        rab = exact_report(dense_rank(augmented(max(int(A.rows), int(A.cols)))), 1)
+        ra = exact_report(_dense_rank(truncate(A, A.rows, A.cols).data), 1)
+        rab = exact_report(_dense_rank(augmented(max(int(A.rows), int(A.cols)))), 1)
     else:
         ra = rank_of(A, schedule, policy)
-        rab = limit_of_sequence(lambda n: dense_rank(augmented(n)), schedule, policy)
+        rab = limit_of_sequence(lambda n: _dense_rank(augmented(n)), schedule, policy)
     ok = ra.converged and rab.converged and ra.estimate == rab.estimate
     return SolveReport(compatible=ok, rank_A=ra, rank_Ab=rab, unknowns={},
                        route=None)
@@ -275,7 +274,6 @@ def cramer_solve(A: MatrixSpec, b: Vector, wanted: list[int] | None = None,
     is recorded in ``trace_reports`` but not enforced.
     """
     from .algebra import trace_partial
-    from .determinant import det_infinite
 
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
@@ -308,21 +306,39 @@ def cramer_solve(A: MatrixSpec, b: Vector, wanted: list[int] | None = None,
                            unknowns=unknowns, route=ROUTE_CRAMER,
                            residual=residual)
 
-    overall = det_infinite(A, schedule, policy)
-    if not (overall.report is not None and overall.report.converged):
-        raise SingularSystemError(
-            f"system determinant did not stabilize ({overall.report.status})")
-    if abs(overall.value) <= policy.tol:
-        raise SingularSystemError(f"system determinant {overall.value:.6g} ~ 0")
-
+    # one section of A per schedule size serves its determinant and, with
+    # column i overwritten by b, the numerator of every unknown
+    sections: dict[int, DenseMatrix] = {}
     dets: dict[int, float] = {}
+
+    def section(n):
+        t = sections.get(n)
+        if t is None:
+            t = truncate(A, n, n)
+            sections[n] = t
+        return t
 
     def det_a_at(n):
         v = dets.get(n)
         if v is None:
-            v = det_truncation(A, n, policy)
+            v = det_section(section(n), policy)
             dets[n] = v
         return v
+
+    def det_replaced_at(n, col):
+        if col > n:
+            return det_a_at(n)
+        column = [_checked(b.entry(i), i, col) for i in range(1, n + 1)]
+        t = np.array(section(n).data)
+        t[:, col - 1] = column
+        return det_section(DenseMatrix(t), policy)
+
+    overall = limit_of_sequence(det_a_at, schedule, policy)
+    if not overall.converged:
+        raise SingularSystemError(
+            f"system determinant did not stabilize ({overall.status})")
+    if abs(overall.estimate) <= policy.tol:
+        raise SingularSystemError(f"system determinant {overall.estimate:.6g} ~ 0")
 
     idx = list(wanted) if wanted is not None else list(range(1, schedule.start + 1))
     unknowns = {}
@@ -333,19 +349,17 @@ def cramer_solve(A: MatrixSpec, b: Vector, wanted: list[int] | None = None,
                                      max_terms=min(policy.max_terms, 4096))
     traces = {"A": trace_partial(A, trace_policy)}
     for i in idx:
-        replaced = _replace_column(A, b, i)
         rep = limit_of_sequence(
-            lambda n, _r=replaced: det_truncation(_r, n, policy) / det_a_at(n),
-            schedule, policy)
+            lambda n, _i=i: det_replaced_at(n, _i) / det_a_at(n), schedule, policy)
         unknowns[i] = rep
         xs[i] = rep.estimate
-        traces[i] = trace_partial(replaced, trace_policy)
+        traces[i] = trace_partial(_replace_column(A, b, i), trace_policy)
 
     residual = None
     final = schedule.sizes()[-1]
     if set(idx) >= set(range(1, final + 1)):
         xv = np.array([xs[i] for i in range(1, final + 1)])
-        an = truncate(A, final, final).data
+        an = section(final).data
         bn = np.array([b.entry(i) for i in range(1, final + 1)])
         residual = norm_inf(np.atleast_1d(an @ xv - bn))
     return SolveReport(compatible=True, rank_A=None, rank_Ab=None,

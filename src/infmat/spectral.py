@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dense import norm_inf, null_vector
-from .algebra import Vector, shift_diagonal
-from .determinant import det_truncation
-from .errors import ExtentMismatchError, SingularSystemError
+from .algebra import Vector
+from .determinant import det_section
+from .errors import ExtentMismatchError, OracleValueError, SingularSystemError
 from .matrix_core import (DenseMatrix, MatrixSpec, TruncationSchedule,
                           clip_extent, is_finite_extent, truncate)
 from .series import ConvergencePolicy
@@ -41,16 +41,48 @@ class EigenPair:
     stable: bool = True
 
 
+def _shifted(t: np.ndarray, lam: float) -> DenseMatrix:
+    """``t - lam*I`` for a materialized section ``t``.
+
+    The diagonal gets ``+= -lam``, the same IEEE sum that
+    :func:`~infmat.algebra.shift_diagonal`'s oracle forms entry by entry.
+    """
+    out = np.array(t)
+    diag = np.arange(out.shape[0])
+    out[diag, diag] += -lam
+    bad = np.flatnonzero(~np.isfinite(out[diag, diag]))
+    if bad.size:
+        i = int(bad[0]) + 1
+        raise OracleValueError(f"oracle returned non-finite value at ({i}, {i})",
+                               index=(i, i), value=float(out[i - 1, i - 1]))
+    return DenseMatrix(out)
+
+
+def _square_spec(A: MatrixSpec | DenseMatrix) -> MatrixSpec:
+    spec = A.as_spec() if isinstance(A, DenseMatrix) else A
+    if not spec.is_square:
+        raise ExtentMismatchError(f"square matrix required, got {spec.rows}x{spec.cols}")
+    return spec
+
+
 def char_value(A: MatrixSpec | DenseMatrix, lam: float, n: int,
                route: str = "auto",
                policy: ConvergencePolicy | None = None) -> float:
     """det of the n-by-n truncation of A - lam*I by the chosen route."""
     policy = policy or ConvergencePolicy()
-    spec = A.as_spec() if isinstance(A, DenseMatrix) else A
-    if not spec.is_square:
-        raise ExtentMismatchError(f"square matrix required, got {spec.rows}x{spec.cols}")
-    shifted = shift_diagonal(spec, -lam)
-    return det_truncation(shifted, n, policy, route=route)
+    t = truncate(_square_spec(A), n, n).data
+    return det_section(_shifted(t, lam), policy, route)
+
+
+def _null_direction(shifted: np.ndarray, lam: float) -> Vector:
+    n = shifted.shape[0]
+    v = null_vector(shifted, NULL_PIVOT_SCALE * (1.0 + norm_inf(shifted)))
+    if v is None:
+        raise SingularSystemError(
+            f"no null direction at size {n}: {lam} may not be an eigenvalue here")
+    top = int(np.argmax(np.abs(v)))
+    v = v / v[top]
+    return Vector.from_values(v)
 
 
 def eigenvector_for(A: MatrixSpec | DenseMatrix, lam: float, n: int) -> Vector:
@@ -62,16 +94,8 @@ def eigenvector_for(A: MatrixSpec | DenseMatrix, lam: float, n: int) -> Vector:
     numerically full rank, i.e. ``lam`` is not an eigenvalue at this size.
     """
     spec = A.as_spec() if isinstance(A, DenseMatrix) else A
-    shifted = shift_diagonal(spec, -lam)
     n = clip_extent(spec.rows, n)
-    t = truncate(shifted, n, n).data
-    v = null_vector(t, NULL_PIVOT_SCALE * (1.0 + norm_inf(t)))
-    if v is None:
-        raise SingularSystemError(
-            f"no null direction at size {n}: {lam} may not be an eigenvalue here")
-    top = int(np.argmax(np.abs(v)))
-    v = v / v[top]
-    return Vector.from_values(v)
+    return _null_direction(_shifted(truncate(spec, n, n).data, lam).data, lam)
 
 
 def _bisect(f, lo, hi, flo, fhi):
@@ -99,6 +123,12 @@ def find_eigenvalues(A: MatrixSpec | DenseMatrix, interval: tuple[float, float],
     re-checks each root at the previous size; roots moving more than
     1e-6 between the two sizes are flagged unstable.  An interval with
     no sign change yields an empty list, not an error.
+
+    The spec is truncated once, at the largest size; the previous size is
+    its top-left corner.  Every characteristic value, eigenvector and
+    residual works on a copy of one of these two sections with the
+    diagonal shifted, so the oracle cost does not grow with
+    ``grid_points`` or the number of bisection steps.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -114,8 +144,18 @@ def find_eigenvalues(A: MatrixSpec | DenseMatrix, interval: tuple[float, float],
     n_final = sizes[-1]
     n_prev = sizes[-2] if len(sizes) >= 2 else n_final
 
+    top = truncate(_square_spec(spec), n_final, n_final).data
+    sections = {n_final: top, n_prev: top[:n_prev, :n_prev]}
+
     def f_at(size):
-        return lambda x: char_value(spec, x, size, "auto", policy)
+        return lambda x: det_section(_shifted(sections[size], x), policy)
+
+    def eigenpair(root, stable, char_at=None):
+        shifted = _shifted(top, root).data
+        vec = _null_direction(shifted, root)
+        vec_res = float(np.max(np.abs(shifted @ vec.values())))
+        char_residual = 0.0 if char_at is None else abs(char_at(root))
+        return EigenPair(root, vec, char_residual, vec_res, stable)
 
     f = f_at(n_final)
     xs = np.linspace(lo, hi, grid_points)
@@ -144,16 +184,9 @@ def find_eigenvalues(A: MatrixSpec | DenseMatrix, interval: tuple[float, float],
             else:
                 prev_root = None
             stable = prev_root is not None and abs(prev_root - root) <= ROOT_STABILITY_TOL
-        vec = eigenvector_for(spec, root, n_final)
-        shifted = truncate(shift_diagonal(spec, -root), n_final, n_final).data
-        vec_res = float(np.max(np.abs(shifted @ vec.values())))
-        pairs.append(EigenPair(root, vec, abs(f(root)), vec_res, stable))
+        pairs.append(eigenpair(root, stable, f))
     # trailing endpoint that is itself a root
     if len(pairs) < max_roots and fx[-1] == 0.0:
-        root = float(xs[-1])
-        vec = eigenvector_for(spec, root, n_final)
-        shifted = truncate(shift_diagonal(spec, -root), n_final, n_final).data
-        vec_res = float(np.max(np.abs(shifted @ vec.values())))
-        pairs.append(EigenPair(root, vec, 0.0, vec_res, True))
+        pairs.append(eigenpair(float(xs[-1]), True))
     pairs.sort(key=lambda p: p.lam)
     return pairs

@@ -106,3 +106,81 @@ def triple_loop_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 s += a[i, l] * b[l, j]
             out[i, j] = s
     return out
+
+
+# --- dense-sweep elimination references ----------------------------------------
+#
+# The kernels in ``infmat._dense`` confine elimination to the nonzero window
+# of the array.  These references sweep the whole trailing matrix with scalar
+# Python arithmetic: ``x - f*y`` with ``f = x_ik / x_kk``, the same IEEE
+# operations as a vectorized dense sweep, entry by entry.
+
+def _pivot_row(a, col, start):
+    """First row at or below ``start`` with the largest ``|a[row][col]|``."""
+    best, p = -1.0, start
+    for i in range(start, len(a)):
+        if abs(a[i][col]) > best:
+            best, p = abs(a[i][col]), i
+    return p
+
+
+def sweep_lu_det(a) -> float:
+    """Partially pivoted elimination over the full trailing matrix."""
+    a = [list(map(float, row)) for row in a]
+    n = len(a)
+    sign, det = 1.0, 1.0
+    for k in range(n):
+        p = _pivot_row(a, k, k)
+        if a[p][k] == 0.0:
+            return 0.0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, n):
+                a[i][j] = a[i][j] - f * a[k][j]
+    return sign * det
+
+
+def sweep_echelon(a, pivot_tol):
+    """Row echelon form, every row below the pivot updated in every column."""
+    u = [list(map(float, row)) for row in a]
+    rows, cols = len(u), len(u[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        p = _pivot_row(u, c, r)
+        if abs(u[p][c]) <= pivot_tol:
+            continue
+        u[r], u[p] = u[p], u[r]
+        for i in range(r + 1, rows):
+            f = u[i][c] / u[r][c]
+            for j in range(cols):
+                u[i][j] = u[i][j] - f * u[r][j]
+            u[i][c] = 0.0
+        pivots.append(c)
+        r += 1
+    return np.array(u, dtype=float).reshape(rows, cols), pivots
+
+
+def sweep_null_vector(a, pivot_tol):
+    """Null vector from :func:`sweep_echelon`: first free column set to 1.
+
+    Back-substitution uses numpy's dot product on the same slices as the
+    library, so only the elimination differs between the two.
+    """
+    u, pivots = sweep_echelon(a, pivot_tol)
+    cols = u.shape[1]
+    free = next((c for c in range(cols) if c not in pivots), None)
+    if free is None:
+        return None
+    v = np.zeros(cols)
+    v[free] = 1.0
+    for row in range(len(pivots) - 1, -1, -1):
+        pc = pivots[row]
+        v[pc] = -float(u[row, pc + 1:] @ v[pc + 1:]) / u[row, pc]
+    return v

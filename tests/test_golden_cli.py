@@ -1,0 +1,101 @@
+"""Golden CLI bytes: stdout and exit code of a fixed command list.
+
+``golden/cli.json`` holds the expected bytes, recorded from the plain
+dense-sweep elimination kernels.  Kernel and caching work must leave
+every byte in place; a change that moves output bits on purpose
+re-records the file with ``python tests/test_golden_cli.py`` and lists
+each difference in CHANGES.md.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+
+# written by the test next to the command's working directory
+TRIDIAG = {"rows": "inf", "cols": "inf", "kind": "banded",
+           "bands": {"-1": "0.25", "0": "1/i", "1": "0.25"}}
+
+_SPECS = ("harmonic_diag", "identity", "perturbation", "derivative")
+_EIG_INTERVALS = {"harmonic_diag": ("0.15", "0.6"), "identity": ("0.5", "1.5"),
+                  "perturbation": ("1.2", "1.8"), "derivative": ("-1", "1")}
+
+# (working directory, argv); "repo" runs from the checkout root with the
+# shipped specs, "tmp" from a directory holding tridiag.json
+COMMANDS = (
+    [("repo", ["det", f"specs/{s}.json", "--max-size", "64"]) for s in _SPECS]
+    + [("repo", ["rank", f"specs/{s}.json", "--max-size", "64"]) for s in _SPECS]
+    + [("repo", ["eig", f"specs/{s}.json", "--max-size", "64", "--grid", "32",
+                 "--interval", *_EIG_INTERVALS[s]]) for s in _SPECS]
+    + [("repo", ["eig", "specs/perturbation.json", "--max-size", "64", "--grid", "32",
+                 "--interval", "0.2", "0.8"]),
+       ("repo", ["solve", "specs/perturbed_system.json", "--route", "cramer",
+                 "--max-size", "64"]),
+       ("repo", ["solve", "specs/perturbed_system.json", "--route", "cramer",
+                 "--wanted", "1,2,3,4,5,6,7,8", "--max-size", "64"]),
+       ("tmp", ["det", "tridiag.json", "--max-size", "256"]),
+       ("tmp", ["rank", "tridiag.json", "--max-size", "256"]),
+       ("tmp", ["eig", "tridiag.json", "--max-size", "64", "--grid", "64",
+                "--interval", "0.3", "0.5"]),
+       ("tmp", ["eig", "tridiag.json", "--max-size", "64", "--grid", "64",
+                "--interval", "0.3", "1.3"]),
+       ("tmp", ["eig", "tridiag.json", "--max-size", "32", "--grid", "16",
+                "--max-terms", "500", "--interval", "-0.45", "0.2"])]
+)
+
+
+def _run(argv):
+    from infmat.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--quiet"])
+    return out.getvalue(), code
+
+
+def _run_in(where, argv, tmp_dir):
+    cwd = os.getcwd()
+    os.chdir(ROOT if where == "repo" else tmp_dir)
+    try:
+        return _run(argv)
+    finally:
+        os.chdir(cwd)
+
+
+def _write_tridiag(tmp_dir):
+    (Path(tmp_dir) / "tridiag.json").write_text(json.dumps(TRIDIAG))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("where,argv", COMMANDS, ids=[" ".join(a) for _, a in COMMANDS])
+def test_cli_bytes_match_golden(where, argv, golden, tmp_path):
+    _write_tridiag(tmp_path)
+    expected = golden[" ".join(argv)]
+    stdout, code = _run_in(where, argv, tmp_path)
+    assert code == expected["exit"]
+    assert stdout == expected["stdout"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    sys.path.insert(0, str(ROOT / "src"))
+    record = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_tridiag(tmp)
+        for where, argv in COMMANDS:
+            stdout, code = _run_in(where, argv, tmp)
+            record[" ".join(argv)] = {"exit": code, "stdout": stdout}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

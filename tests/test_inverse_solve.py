@@ -1,10 +1,13 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from oracles import fraction_rank
 
 from infmat.algebra import Vector
-from infmat.errors import PreconditionError, SingularSystemError
+from infmat.errors import OracleValueError, PreconditionError, SingularSystemError
 from infmat.inverse_solve import (check_compatibility, cramer_solve,
                                   neumann_inverse, rank_of, solve_via_inverse)
 from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE,
@@ -203,6 +206,32 @@ def test_cramer_infinite_full_prefix_gets_residual():
     rep = cramer_solve(perturbed_identity(), e1(),
                        wanted=list(range(1, 17)), schedule=sched)
     assert rep.residual is not None and rep.residual <= 1e-6
+
+
+def test_cramer_truncates_a_once_per_schedule_size():
+    calls = Counter()
+
+    def entry(i, j):
+        calls[(i, j)] += 1
+        if i == j:
+            return 1.5 if i == 1 else 1.0
+        return 0.5 ** (i + j) if abs(i - j) == 1 else 0.0
+
+    A = MatrixSpec(INFINITE, INFINITE, entry, structure="banded", bandwidth=1)
+    b = Vector(INFINITE, lambda i: 1.0 / i ** 2)
+    rep = cramer_solve(A, b, wanted=[1, 2, 3], schedule=SCHED)
+    assert all(r.converged for r in rep.unknowns.values())
+    # (3, 4) is off the diagonal that the trace probes read and outside
+    # every replaced column, so only sections of A evaluate it
+    assert calls[(3, 4)] == len(SCHED.sizes())
+
+
+def test_cramer_non_finite_rhs_names_row_and_column():
+    b = Vector(INFINITE, lambda i: math.inf if i == 5 else 0.0)
+    with pytest.raises(OracleValueError) as err:
+        cramer_solve(perturbed_identity(), b, wanted=[2], schedule=SCHED)
+    assert err.value.index == (5, 2)
+    assert "(5, 2)" in str(err.value)
 
 
 def test_solve_via_inverse_identity():

@@ -1,11 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from oracles import charpoly_roots
 
 from infmat.errors import PreconditionError, SingularSystemError
-from infmat.matrix_core import (DenseMatrix, TruncationSchedule, diagonal_spec,
-                                identity_spec)
+from infmat.matrix_core import (BANDED, INFINITE, DenseMatrix, MatrixSpec,
+                                TruncationSchedule, diagonal_spec, identity_spec)
 from infmat.spectral import char_value, eigenvector_for, find_eigenvalues
 
 SCHED = TruncationSchedule(8, 2, 64)
@@ -131,3 +133,23 @@ def test_eigenpair_residual_invariant():
         for p in pairs:
             assert p.vec_residual <= 1e-6 * (1.0 + abs(p.lam))
             assert np.max(np.abs(p.vector.values())) == pytest.approx(1.0)
+
+
+def test_find_eigenvalues_evaluates_each_band_cell_once():
+    # the oracle cost of a scan is one section, whatever the grid
+    calls = Counter()
+
+    def entry(i, j):
+        calls[(i, j)] += 1
+        return {-1: 0.25, 0: 1.0 / i, 1: 0.25}.get(j - i, 0.0)
+
+    spec = MatrixSpec(INFINITE, INFINITE, entry, structure=BANDED, bandwidth=1)
+    n = 32
+    band = {(i, j) for i in range(1, n + 1) for j in range(i - 1, i + 2) if 1 <= j <= n}
+    for grid in (16, 64):
+        calls.clear()
+        pairs = find_eigenvalues(spec, (0.3, 0.45), TruncationSchedule(8, 2, n),
+                                 grid_points=grid)
+        assert len(pairs) == 4
+        assert set(calls) == band
+        assert max(calls.values()) == 1
