@@ -197,12 +197,15 @@ def _series_entry(A, B, i, j, policy):
     return sum_series(term, policy, tail=_product_tail(A.decay, B.decay, i, j))
 
 
-def _exact_inner(A, B, i, j, lo, hi) -> float:
+def _exact_sum(term: Callable[[int], float],
+               span: tuple[int, int]) -> ConvergenceReport:
+    """Exact report of ``term(lo) + ... + term(hi)``, summed in ascending
+    order; an empty span (``lo > hi``) sums to 0 with no terms."""
+    lo, hi = span
     s = 0.0
-    ea, eb = A.entry, B.entry
     for l in range(lo, hi + 1):
-        s += ea(i, l) * eb(l, j)
-    return s
+        s += term(l)
+    return exact_report(s, max(0, hi - lo + 1))
 
 
 def matmul(A: MatrixSpec | DenseMatrix, B: MatrixSpec | DenseMatrix,
@@ -237,12 +240,10 @@ def matmul(A: MatrixSpec | DenseMatrix, B: MatrixSpec | DenseMatrix,
             return hit
         span = _intersect_supports(A.row_support(i), B.col_support(j), inner)
         if span is not None:
-            lo, hi = span
-            value = _exact_inner(A, B, i, j, lo, hi) if lo <= hi else 0.0
-            result = (value, exact_report(value, max(0, hi - lo + 1)))
+            rep = _exact_sum(lambda l: A.entry(i, l) * B.entry(l, j), span)
         else:
             rep = _series_entry(A, B, i, j, policy)
-            result = (rep.estimate, rep)
+        result = (rep.estimate, rep)
         cache[key] = result
         return result
 
@@ -299,19 +300,13 @@ def matvec(A: MatrixSpec | DenseMatrix, x: Vector,
         if hit is not None:
             return hit
         span = _intersect_supports(A.row_support(i), x.support(), A.cols)
-        if span is not None:
-            lo, hi = span
-            s = 0.0
-            for l in range(lo, hi + 1):
-                s += A.entry(i, l) * x.entry(l)
-            result = (s, exact_report(s, max(0, hi - lo + 1)))
-        else:
-            def term(l, _i=i):
-                return A.entry(_i, l) * x.entry(l)
 
-            # vectors carry no certificates, so the check stays empirical
-            rep = sum_series(term, policy)
-            result = (rep.estimate, rep)
+        def term(l, _i=i):
+            return A.entry(_i, l) * x.entry(l)
+
+        # vectors carry no certificates, so an unbounded sum stays empirical
+        rep = _exact_sum(term, span) if span is not None else sum_series(term, policy)
+        result = (rep.estimate, rep)
         cache[i] = result
         return result
 
@@ -325,25 +320,18 @@ def matvec(A: MatrixSpec | DenseMatrix, x: Vector,
 
 
 def trace_partial(A: MatrixSpec | DenseMatrix,
-                  policy: ConvergencePolicy | None = None,
-                  schedule=None) -> ConvergenceReport:
-    """Diagonal sum: exact for finite matrices, a checked series otherwise.
-
-    ``schedule`` is accepted for interface symmetry with the truncation
-    operations and is not consulted; the diagonal series has its own cap.
-    """
+                  policy: ConvergencePolicy | None = None) -> ConvergenceReport:
+    """Diagonal sum: exact for finite matrices, a checked series otherwise."""
     policy = policy or ConvergencePolicy()
     A = _as_spec(A)
     if not A.is_square:
         raise ExtentMismatchError(f"trace requires a square matrix, got {A.rows}x{A.cols}")
-    if is_finite_extent(A.rows):
-        s = 0.0
-        for i in range(1, A.rows + 1):
-            s += A.entry(i, i)
-        return exact_report(s, A.rows)
 
     def term(k):
         return A.entry(k, k)
+
+    if is_finite_extent(A.rows):
+        return _exact_sum(term, (1, A.rows))
 
     tail = None
     if A.decay is not None:

@@ -17,13 +17,13 @@ from typing import Callable
 import numpy as np
 
 from ._dense import gauss_solve, norm_inf
-from .algebra import Vector
+from .algebra import Vector, _exact_sum, _intersect_supports
 from .errors import (DependentRowsError, ExtentMismatchError,
                      GramConvergenceError)
 from .matrix_core import (DenseMatrix, Extent, MatrixSpec, TruncationSchedule,
                           is_finite_extent, truncate)
 from .series import (ConvergencePolicy, ConvergenceReport, GeometricTail,
-                     stabilize_vector, sum_series)
+                     exact_report, stabilize_vector, sum_series)
 
 PIVOT_SCALE = 1e-10
 
@@ -102,16 +102,9 @@ def _gram_series(A: MatrixSpec, p: int, q: int,
 
 def _row_inner(A: MatrixSpec, p: int, q: int, policy) -> float:
     """Inner product of rows p and q, exact when the support is finite."""
-    sup_p, sup_q = A.row_support(p), A.row_support(q)
-    if sup_p is not None or sup_q is not None:
-        lo, hi = 1, None
-        for s in (sup_p, sup_q):
-            if s is not None:
-                hi = s[1] if hi is None else min(hi, s[1])
-        total = 0.0
-        for j in range(lo, (hi or 0) + 1):
-            total += A.entry(p, j) * A.entry(q, j)
-        return total
+    span = _intersect_supports(A.row_support(p), A.row_support(q), A.cols)
+    if span is not None:
+        return _exact_sum(lambda j: A.entry(p, j) * A.entry(q, j), span).estimate
     rep = _gram_series(A, p, q, policy)
     if not rep.converged:
         raise GramConvergenceError(
@@ -208,10 +201,8 @@ def transition_matrix(B: BasisFamily, B_prime: BasisFamily, count: int,
     if count < 1:
         raise ValueError("count must be >= 1")
 
-    finite = True
     probe = B.vector_at(1)
-    if not is_finite_extent(probe.extent):
-        finite = False
+    finite = is_finite_extent(probe.extent)
 
     def solve_at(n, i):
         v_mat = np.empty((n, n))
@@ -223,30 +214,28 @@ def transition_matrix(B: BasisFamily, B_prime: BasisFamily, count: int,
         rhs = np.array([u.entry(row) for row in range(1, n + 1)])
         return gauss_solve(v_mat, rhs, PIVOT_SCALE * max(1.0, norm_inf(v_mat)))
 
-    out = np.zeros((count, count))
-    statuses: dict[int, str] = {}
-    reports: dict[int, ConvergenceReport] = {}
     if finite:
         n = int(probe.extent)
         if n < count:
             raise ExtentMismatchError(
                 f"ambient dimension {n} below requested count {count}")
-        for i in range(1, count + 1):
-            alpha = solve_at(n, i)
-            out[:, i - 1] = alpha[:count]
-            statuses[i] = "converged"
-            reports[i] = ConvergenceReport(float(np.max(np.abs(alpha[:count]))),
-                                           "converged", 1, 0.0, False)
+
+        def column(i):
+            alpha = solve_at(n, i)[:count]
+            return alpha, exact_report(norm_inf(alpha), 1)
     else:
         sizes = [s for s in schedule.sizes() if s >= count]
         if not sizes:
             raise ExtentMismatchError(f"schedule cap below count {count}")
-        for i in range(1, count + 1):
-            alpha, rep = stabilize_vector(
-                lambda n, _i=i: solve_at(n, _i)[:count], sizes, policy)
-            out[:, i - 1] = alpha
-            statuses[i] = rep.status
-            reports[i] = rep
+
+        def column(i):
+            return stabilize_vector(lambda n: solve_at(n, i)[:count], sizes, policy)
+
+    out = np.zeros((count, count))
+    reports: dict[int, ConvergenceReport] = {}
+    for i in range(1, count + 1):
+        out[:, i - 1], reports[i] = column(i)
+    statuses = {i: rep.status for i, rep in reports.items()}
     return TransitionResult(DenseMatrix(out), statuses, reports)
 
 

@@ -29,8 +29,8 @@ from .errors import (CertificateError, ConvergenceFailureError,
 from .expr_dsl import EvalError, ParseError
 from .inverse_solve import (check_compatibility, cramer_solve, neumann_inverse,
                             rank_of, solve_via_inverse)
-from .matrix_core import (DenseMatrix, TruncationSchedule, is_finite_extent,
-                          truncate)
+from .matrix_core import (DenseMatrix, TruncationSchedule, clip_extent,
+                          is_finite_extent, truncate)
 from .series import ConvergencePolicy, ConvergenceReport
 from .spectral import find_eigenvalues
 from .specio import load_family_file, load_matrix_file, load_system_file
@@ -259,11 +259,8 @@ def _cmd_mul(args, policy, schedule, config):
         section = product.matrix
         result["matrix"] = _matrix_doc(section)
     elif product.overall_status != "failed":
-        m = args.n if not is_finite_extent(product.matrix.rows) \
-            else min(args.n, product.matrix.rows)
-        n = args.n if not is_finite_extent(product.matrix.cols) \
-            else min(args.n, product.matrix.cols)
-        section = truncate(product.matrix, m, n)
+        section = truncate(product.matrix, clip_extent(product.matrix.rows, args.n),
+                           clip_extent(product.matrix.cols, args.n))
         result["matrix"] = _matrix_doc(section)
     exit_code = {"converged": EXIT_OK, "partial": EXIT_UNDETERMINED,
                  "failed": EXIT_ERROR}[product.overall_status]
@@ -366,8 +363,7 @@ def _cmd_truncate(args, policy, schedule, config):
             raise ExtentMismatchError("--n is required for an infinite spec")
         m, n = spec.rows, spec.cols
     else:
-        m = args.n if not is_finite_extent(spec.rows) else min(args.n, spec.rows)
-        n = args.n if not is_finite_extent(spec.cols) else min(args.n, spec.cols)
+        m, n = clip_extent(spec.rows, args.n), clip_extent(spec.cols, args.n)
     config["n"] = args.n
     section = truncate(spec, m, n)
     return {"matrix": _matrix_doc(section), "rows": m, "cols": n}, section, EXIT_OK

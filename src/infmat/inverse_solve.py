@@ -18,8 +18,8 @@ from .errors import (ConvergenceFailureError, ExtentMismatchError,
                      PreconditionError, SingularSystemError)
 from .matrix_core import (DenseMatrix, MatrixSpec, TruncationSchedule, _checked,
                           clip_extent, extents_equal, is_finite_extent, truncate)
-from .series import (ConvergencePolicy, ConvergenceReport, exact_report,
-                     limit_of_sequence, stabilize_vector)
+from .series import (DIVERGED, ConvergencePolicy, ConvergenceReport,
+                     exact_report, limit_of_sequence, stabilize_vector)
 
 RANK_PIVOT_SCALE = 1e-10
 
@@ -79,27 +79,37 @@ class SolveReport:
         return "compatible" if self.compatible else "incompatible"
 
 
-def _neumann_sum(a: np.ndarray, policy: ConvergencePolicy) -> tuple[np.ndarray, int]:
-    """Sum of powers of (I - a) until the power norm stays under tol."""
-    n = a.shape[0]
-    x = np.eye(n) - a
-    total = np.eye(n)
-    p = np.eye(n)
+def _power_sum(first: np.ndarray, step: Callable[[np.ndarray], np.ndarray],
+               policy: ConvergencePolicy) -> tuple[np.ndarray, int]:
+    """``first + step(first) + step(step(first)) + ...`` and its term count.
+
+    Stops once ``window`` successive terms have ``norm_inf <= tol``, or at
+    the first exactly zero term.
+    """
+    total = np.array(first, dtype=float)
+    term = first
     quiet = 0
     for k in range(1, policy.max_terms + 1):
-        p = p @ x
-        total += p
-        pn = norm_inf(p)
-        if pn == 0.0:
+        term = step(term)
+        total += term
+        tn = norm_inf(term)
+        if tn == 0.0:
             return total, k
-        if pn <= policy.tol:
+        if tn <= policy.tol:
             quiet += 1
             if quiet >= policy.window:
                 return total, k
         else:
             quiet = 0
     raise ConvergenceFailureError(
-        f"inverse series still moving after {policy.max_terms} terms")
+        f"power series still moving after {policy.max_terms} terms")
+
+
+def _neumann_sum(a: np.ndarray, policy: ConvergencePolicy) -> tuple[np.ndarray, int]:
+    """Sum of powers of (I - a) until the power norm stays under tol."""
+    eye = np.eye(a.shape[0])
+    x = eye - a
+    return _power_sum(eye, lambda p: p @ x, policy)
 
 
 def _norm_check_infinite(A: MatrixSpec, size: int,
@@ -210,8 +220,7 @@ def rank_of(M: MatrixSpec | DenseMatrix,
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
 
-    if isinstance(M, DenseMatrix):
-        return exact_report(_dense_rank(M.data), 1)
+    M = M.as_spec() if isinstance(M, DenseMatrix) else M
     if is_finite_extent(M.rows) and is_finite_extent(M.cols):
         return exact_report(_dense_rank(truncate(M, M.rows, M.cols).data), 1)
 
@@ -269,9 +278,13 @@ def cramer_solve(A: MatrixSpec, b: Vector, wanted: list[int] | None = None,
 
     Each requested unknown is the stabilized ratio of two truncation
     determinants (the ratio is stabilized as one quantity, since common
-    drift cancels).  The classical side condition -- convergence of the
-    diagonal series of the matrix and of each column-replaced matrix --
-    is recorded in ``trace_reports`` but not enforced.
+    drift cancels).  A system determinant that diverges or settles within
+    ``tol`` of 0 raises :class:`SingularSystemError`; one that is only
+    undetermined (a schedule too short to settle) leaves the verdict to
+    each unknown's ratio limit.  The classical side condition --
+    convergence of the diagonal series of the matrix and of each
+    column-replaced matrix -- is recorded in ``trace_reports`` but not
+    enforced.
     """
     from .algebra import trace_partial
 
@@ -334,7 +347,7 @@ def cramer_solve(A: MatrixSpec, b: Vector, wanted: list[int] | None = None,
         return det_section(DenseMatrix(t), policy)
 
     overall = limit_of_sequence(det_a_at, schedule, policy)
-    if not overall.converged:
+    if overall.status == DIVERGED:
         raise SingularSystemError(
             f"system determinant did not stabilize ({overall.status})")
     if abs(overall.estimate) <= policy.tol:
@@ -369,23 +382,8 @@ def cramer_solve(A: MatrixSpec, b: Vector, wanted: list[int] | None = None,
 
 def _apply_series(a: np.ndarray, bv: np.ndarray, policy: ConvergencePolicy) -> np.ndarray:
     """x = sum_k (I - a)^k b without materializing the inverse."""
-    x = np.array(bv, dtype=float)
-    w = np.array(bv, dtype=float)
-    quiet = 0
     eye_minus = np.eye(a.shape[0]) - a
-    for _ in range(policy.max_terms):
-        w = eye_minus @ w
-        x += w
-        wn = float(np.max(np.abs(w))) if w.size else 0.0
-        if wn == 0.0:
-            return x
-        if wn <= policy.tol:
-            quiet += 1
-            if quiet >= policy.window:
-                return x
-        else:
-            quiet = 0
-    raise ConvergenceFailureError("solution series still moving at the term cap")
+    return _power_sum(np.asarray(bv, dtype=float), lambda w: eye_minus @ w, policy)[0]
 
 
 def solve_via_inverse(A: MatrixSpec | DenseMatrix, b: Vector,

@@ -11,6 +11,15 @@ funnels through this module, so all verdicts share one stopping rule:
   produced a non-finite value;
 * undetermined -- neither rule fired before the term cap / schedule end.
 
+Scalar and vector estimates go through the same rule; a vector is
+measured by its largest absolute entry.  The operator power series of
+:mod:`infmat.inverse_solve` are the one exception: they stop when the
+norm of each term stays under ``tol`` for ``window`` terms, or at the
+first exactly zero term.  That absolute term rule fixes the term count,
+and so the bits, of every inverse and series solution, and it stops a
+nilpotent ``I - A`` at its last nonzero power, where the quiet window of
+the rule above would ask for ``window`` more terms.
+
 Verdicts are heuristic unless a :class:`GeometricTail` certificate is
 supplied, in which case ``certified`` is set and the error of the reported
 estimate is bounded by the certificate.
@@ -18,10 +27,12 @@ estimate is bounded by the certificate.
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 import numpy as np
+
+from ._dense import norm_inf
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -97,16 +108,19 @@ def exact_report(value: float, terms: int) -> ConvergenceReport:
     return ConvergenceReport(value, CONVERGED, terms, 0.0, False)
 
 
-def _stabilize(values: Iterator[float], policy: ConvergencePolicy,
-               remainder: Callable[[int], float] | None = None) -> ConvergenceReport:
+def _stabilize(values: Iterator, policy: ConvergencePolicy,
+               remainder: Callable[[int], float] | None = None,
+               norm: Callable = abs) -> ConvergenceReport:
     """Run the stopping rule over successive estimates.
 
-    ``values`` yields estimates in order; the first value never counts
-    toward the quiet streak (there is no previous value to compare to).
+    ``values`` yields estimates in order, scalars or arrays; ``norm``
+    measures an estimate and a step between two (``abs`` for scalars,
+    the max-abs entry for vectors).  The first value never counts toward
+    the quiet streak (there is no previous value to compare to).
     """
     blowup = 1.0 / policy.tol
     prev = None
-    prev_abs = None
+    prev_abs = 0.0
     estimate = math.nan
     last_delta = math.inf
     quiet = 0
@@ -114,28 +128,27 @@ def _stabilize(values: Iterator[float], policy: ConvergencePolicy,
     count = 0
     for value in values:
         count += 1
-        if not math.isfinite(value):
+        mag = norm(value)
+        if not math.isfinite(mag):
             return ConvergenceReport(estimate, DIVERGED, count, math.inf, False)
         estimate = value
         if remainder is not None:
             bound = remainder(count)
-            if bound <= policy.tol * max(1.0, abs(value)):
+            if bound <= policy.tol * max(1.0, mag):
                 return ConvergenceReport(value, CONVERGED, count, bound, True)
-        # the divergence heuristic outranks the quiet rule: past the blowup
-        # threshold a still-growing sequence is never accepted as converged
-        mag = abs(value)
-        if mag > blowup and prev_abs is not None and mag > prev_abs:
-            growing += 1
-            if growing >= policy.window:
-                if prev is not None:
-                    last_delta = abs(value - prev)
-                return ConvergenceReport(value, DIVERGED, count, last_delta, False)
-        else:
-            growing = 0
         if prev is not None:
-            last_delta = abs(value - prev)
+            last_delta = norm(value - prev)
+            # the divergence heuristic outranks the quiet rule: past the
+            # blowup threshold a still-growing sequence is never accepted
+            # as converged
+            if mag > blowup and mag > prev_abs:
+                growing += 1
+                if growing >= policy.window:
+                    return ConvergenceReport(value, DIVERGED, count, last_delta, False)
+            else:
+                growing = 0
             if remainder is None:
-                if growing == 0 and last_delta <= policy.tol * max(1.0, abs(prev)):
+                if growing == 0 and last_delta <= policy.tol * max(1.0, prev_abs):
                     quiet += 1
                     if quiet >= policy.window:
                         return ConvergenceReport(value, CONVERGED, count, last_delta, False)
@@ -207,37 +220,23 @@ def stabilize_vector(value_at: Callable[[int], "np.ndarray"], schedule,
                      ) -> tuple["np.ndarray", ConvergenceReport]:
     """Stabilize a vector-valued quantity along a schedule.
 
-    ``value_at(n)`` must return a 1-d array of fixed length; the step
-    delta is the max-abs componentwise change.  Returns the last value
-    together with a report whose ``estimate`` is that delta-checked
-    vector's max-abs entry (scalar summary).
+    ``value_at(n)`` must return a 1-d array of fixed length.  The rule is
+    that of :func:`limit_of_sequence` with the max-abs entry in place of
+    ``abs``.  Returns the last vector computed together with a report
+    whose ``estimate`` is the max-abs entry of the last finite vector.
     """
     policy = policy or ConvergencePolicy()
-    sizes = _schedule_sizes(schedule)
-    prev = None
     last = None
-    last_delta = math.inf
-    quiet = 0
-    count = 0
-    for n in sizes:
-        v = np.asarray(value_at(n), dtype=float)
-        count += 1
-        last = v
-        if not np.all(np.isfinite(v)):
-            return v, ConvergenceReport(math.nan, DIVERGED, count, math.inf, False)
-        logger.info("schedule step: size=%d block-max=%.12g", n, float(np.max(np.abs(v))) if v.size else 0.0)
-        if prev is not None:
-            last_delta = float(np.max(np.abs(v - prev))) if v.size else 0.0
-            scale = max(1.0, float(np.max(np.abs(prev))) if prev.size else 0.0)
-            if last_delta <= policy.tol * scale:
-                quiet += 1
-                if quiet >= policy.window:
-                    summary = float(np.max(np.abs(v))) if v.size else 0.0
-                    return v, ConvergenceReport(summary, CONVERGED, count, last_delta, False)
-            else:
-                quiet = 0
-        prev = v
-        if count >= policy.max_terms:
-            break
-    summary = float(np.max(np.abs(last))) if last is not None and last.size else math.nan
-    return last, ConvergenceReport(summary, UNDETERMINED, count, last_delta, False)
+
+    def values():
+        nonlocal last
+        for n in _schedule_sizes(schedule):
+            last = np.asarray(value_at(n), dtype=float)
+            logger.info("schedule step: size=%d block-max=%.12g", n, norm_inf(last))
+            yield last
+
+    rep = _stabilize(values(), policy, norm=norm_inf)
+    # the rule's estimate is the last finite vector, or nan when none came
+    if isinstance(rep.estimate, np.ndarray):
+        rep = replace(rep, estimate=norm_inf(rep.estimate))
+    return last, rep

@@ -114,6 +114,22 @@ def test_solve_cramer_closed_form(capsys):
     assert doc["config"]["wanted"] == [1, 2, 3]
 
 
+def test_solve_cramer_short_schedule_is_undetermined_not_singular(capsys):
+    # three sizes cannot fill a window of 3 quiet steps: the determinant is
+    # undetermined, which says nothing about singularity, so each unknown
+    # carries its own verdict, as on the inverse route
+    argv = ["solve", SPECS / "perturbed_system.json", "--max-size", 32, "--quiet"]
+    code, out = run_main(capsys, *argv, "--route", "cramer")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["status"] == "undetermined"
+    assert sorted(doc["result"]["unknowns"]) == ["1", "2", "3"]
+    assert {u["status"] for u in doc["result"]["unknowns"].values()} == {"undetermined"}
+    assert abs(doc["result"]["unknowns"]["1"]["estimate"] - 2.0 / 3.0) <= 1e-9
+    code, out = run_main(capsys, *argv, "--route", "inverse")
+    assert code == 2
+
+
 def test_solve_inverse_route(capsys):
     code, out = run_main(capsys, "solve", SPECS / "perturbed_system.json",
                          "--route", "inverse", "--max-size", 64, "--quiet")

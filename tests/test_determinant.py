@@ -70,24 +70,6 @@ def test_log_series_norm_precondition():
     assert err.value.measured == pytest.approx(1.3)
 
 
-def test_log_series_uncentered_variant_fails_on_identity():
-    # the uncentered power series has norm exactly 1 at the identity
-    with pytest.raises(PreconditionError):
-        det_log_series(DenseMatrix(np.eye(2)), center=False)
-
-
-def test_log_series_uncentered_variant_near_zero_matrix():
-    # uncentered series applies when M itself is a contraction, and then
-    # computes exp(tr(log(I + (M - I)))) with M in place of (M - I): both
-    # variants agree only at fixed points; here just check it runs and
-    # differs from the centered answer in general
-    m = DenseMatrix([[0.2, 0.0], [0.0, 0.1]])
-    uncentered = det_log_series(m, center=False)
-    centered = det_log_series(m)
-    assert centered.value == pytest.approx(0.02, abs=1e-10)
-    assert uncentered.value != pytest.approx(centered.value, abs=1e-3)
-
-
 def test_log_series_agrees_with_oracle_bulk():
     rng = np.random.default_rng(2)
     for _ in range(150):

@@ -40,6 +40,19 @@ COMMANDS = (
                  "--max-size", "64"]),
        ("repo", ["solve", "specs/perturbed_system.json", "--route", "cramer",
                  "--wanted", "1,2,3,4,5,6,7,8", "--max-size", "64"]),
+       ("repo", ["solve", "specs/perturbed_system.json", "--route", "inverse",
+                 "--max-size", "64"]),
+       ("repo", ["solve", "specs/perturbed_system.json", "--route", "cramer",
+                 "--check-compat", "--max-size", "64"]),
+       ("repo", ["inv", "specs/perturbation.json", "--max-size", "64"]),
+       ("repo", ["inv", "specs/geometric.json", "--max-size", "64"]),
+       ("repo", ["transition", "specs/basis_standard.json", "specs/basis_shifted.json",
+                 "--n", "6", "--max-size", "64"]),
+       ("repo", ["transition", "specs/basis_shifted.json", "specs/basis_standard.json",
+                 "--n", "6", "--max-size", "64"]),
+       ("repo", ["orth", "specs/taylor_exp_rows.json"]),
+       ("repo", ["mul", "specs/geometric.json", "specs/geometric.json"]),
+       ("repo", ["mul", "specs/derivative.json", "specs/geometric.json"]),
        ("tmp", ["det", "tridiag.json", "--max-size", "256"]),
        ("tmp", ["rank", "tridiag.json", "--max-size", "256"]),
        ("tmp", ["eig", "tridiag.json", "--max-size", "64", "--grid", "64",

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -141,8 +142,6 @@ def test_converged_delta_invariant():
 
 
 def test_stabilize_vector():
-    import numpy as np
-
     def value_at(n):
         return np.array([1.0 + 2.0 ** -n, 3.0])
 
@@ -155,3 +154,55 @@ def test_stabilize_vector():
 def test_exact_report_shape():
     rep = exact_report(2.5, 7)
     assert rep.converged and rep.terms_used == 7 and rep.last_delta == 0.0
+
+
+def test_vector_blowup_diverges_like_scalar():
+    sizes = list(range(1, 80))
+    vec, rep = stabilize_vector(lambda n: np.array([2.0 ** n, 1.0]), sizes)
+    scalar = limit_of_sequence(lambda n: 2.0 ** n, sizes)
+    assert rep.status == scalar.status == DIVERGED
+    assert rep.terms_used == scalar.terms_used
+    assert rep.estimate == scalar.estimate == vec[0]
+
+
+def test_vector_non_finite_step_keeps_last_finite_estimate():
+    steps = {1: [1.0, -3.0], 2: [1.0, -2.0], 3: [math.inf, 0.0]}
+    vec, rep = stabilize_vector(lambda n: np.array(steps[n]), [1, 2, 3])
+    assert rep.status == DIVERGED
+    assert rep.terms_used == 3 and rep.last_delta == math.inf
+    assert rep.estimate == 2.0
+    # the vector returned is the last one computed
+    assert vec[0] == math.inf
+
+
+_count = st.integers(min_value=2, max_value=40)
+_settling = st.builds(lambda a, c, r, n: [a + c * r ** k for k in range(n)],
+                      st.floats(-1e3, 1e3), st.floats(-10.0, 10.0),
+                      st.floats(0.0, 0.5), _count)
+_oscillating = st.builds(lambda a, c, n: [a + c * (-1.0) ** k for k in range(n)],
+                         st.floats(-1e3, 1e3), st.floats(1e-12, 1.0), _count)
+_growing = st.builds(lambda c, g, n: [c * g ** k for k in range(n)],
+                     st.floats(1e2, 1e12) | st.floats(-1e12, -1e2),
+                     st.floats(1.0, 4.0), _count)
+_shapes = _settling | _oscillating | _growing | st.lists(st.floats(), max_size=30)
+_with_non_finite = st.builds(lambda xs, pos, bad: xs[:pos] + [bad] + xs[pos:],
+                             _shapes, st.integers(0, 40),
+                             st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@given(_shapes | _with_non_finite, st.sampled_from([1e-10, 1e-6, 1e-3]),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=50))
+def test_scalar_and_vector_limits_agree(values, tol, window, extra_terms):
+    # a length-1 vector sequence is the scalar sequence under the max-abs
+    # norm, so both must stop at the same step with the same verdict
+    policy = ConvergencePolicy(tol=tol, window=window, max_terms=window + 1 + extra_terms)
+    sizes = list(range(1, len(values) + 1))
+    scalar = limit_of_sequence(lambda n: values[n - 1], sizes, policy)
+    _, vector = stabilize_vector(lambda n: np.array([values[n - 1]]), sizes, policy)
+    assert vector.status == scalar.status
+    assert vector.terms_used == scalar.terms_used
+    assert vector.last_delta == scalar.last_delta
+    if math.isnan(scalar.estimate):
+        assert math.isnan(vector.estimate)
+    else:
+        assert vector.estimate == abs(scalar.estimate)
