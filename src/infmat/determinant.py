@@ -16,7 +16,7 @@ import numpy as np
 from ._dense import lu_det, norm_inf
 from .algebra import matmul
 from .errors import ConvergenceFailureError, ExtentMismatchError, PreconditionError
-from .matrix_core import (DenseMatrix, MatrixSpec, TruncationSchedule,
+from .matrix_core import (DenseMatrix, MatrixSpec, Sections, TruncationSchedule,
                           is_finite_extent, truncate)
 from .series import (ConvergencePolicy, ConvergenceReport, limit_of_sequence,
                      sum_series)
@@ -142,7 +142,8 @@ def det_infinite(M: MatrixSpec, schedule: TruncationSchedule | None = None,
     if is_finite_extent(M.rows):
         return DetReport(det_oracle(truncate(M, M.rows, M.cols)), ROUTE_LU)
 
-    rep = limit_of_sequence(lambda n: det_truncation(M, n, policy), schedule, policy)
+    sections = Sections(M)
+    rep = limit_of_sequence(lambda n: det_section(sections(n), policy), schedule, policy)
     return DetReport(rep.estimate, ROUTE_LIMIT, report=rep)
 
 

@@ -7,6 +7,7 @@ reported number carries its convergence report.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -16,8 +17,8 @@ from .algebra import Vector
 from .determinant import det_oracle, det_section
 from .errors import (ConvergenceFailureError, ExtentMismatchError,
                      PreconditionError, SingularSystemError)
-from .matrix_core import (DenseMatrix, MatrixSpec, TruncationSchedule, _checked,
-                          clip_extent, extents_equal, is_finite_extent, truncate)
+from .matrix_core import (DenseMatrix, MatrixSpec, Sections, TruncationSchedule,
+                          _checked, extents_equal, is_finite_extent, truncate)
 from .series import (DIVERGED, ConvergencePolicy, ConvergenceReport,
                      exact_report, limit_of_sequence, stabilize_vector)
 
@@ -112,10 +113,9 @@ def _neumann_sum(a: np.ndarray, policy: ConvergencePolicy) -> tuple[np.ndarray, 
     return _power_sum(eye, lambda p: p @ x, policy)
 
 
-def _norm_check_infinite(A: MatrixSpec, size: int,
-                         perturbation: MatrixSpec | None) -> float:
-    """Measured norm of I - A on a truncation, plus certificate tail."""
-    t = truncate(A, size, size).data
+def _norm_check_infinite(t: np.ndarray, perturbation: MatrixSpec | None) -> float:
+    """Measured norm of I - A on the section ``t``, plus certificate tail."""
+    size = t.shape[0]
     x = np.eye(size) - t
     row_sums = np.sum(np.abs(x), axis=1)
     if perturbation is not None and perturbation.decay is not None:
@@ -156,7 +156,8 @@ def neumann_inverse(A: MatrixSpec | DenseMatrix,
     if not A.is_square:
         raise ExtentMismatchError(f"inverse of non-square {A.rows}x{A.cols}")
     largest = schedule.sizes()[-1]
-    norm = _norm_check_infinite(A, largest, perturbation)
+    sections = Sections(A)
+    norm = _norm_check_infinite(sections(largest).data, perturbation)
     if norm >= 1.0:
         raise PreconditionError(
             f"norm of I - A is {norm:.6g} >= 1 on the {largest}-truncation",
@@ -167,10 +168,11 @@ def neumann_inverse(A: MatrixSpec | DenseMatrix,
     def section(n):
         hit = sums.get(n)
         if hit is None:
-            hit = _neumann_sum(truncate(A, n, n).data, policy)
+            hit = _neumann_sum(sections(n).data, policy)
             sums[n] = hit
         return hit
 
+    @cache
     def block(m, n):
         sizes = [s for s in schedule.sizes() if s >= max(m, n)]
         if not sizes:
@@ -196,17 +198,21 @@ def neumann_inverse(A: MatrixSpec | DenseMatrix,
     _, probe_rep = block(probe, probe)
     probed = max((n for n in sums), default=largest)
     smat, terms = section(probed)
-    residual = norm_inf(truncate(A, probed, probed).data @ smat - np.eye(probed))
+    residual = norm_inf(sections(probed).data @ smat - np.eye(probed))
     return InverseReport(lazy, norm, terms, residual, _block=block)
-
-
-def _truncation_shape(M: MatrixSpec, n: int) -> tuple[int, int]:
-    return clip_extent(M.rows, n), clip_extent(M.cols, n)
 
 
 def _dense_rank(arr: np.ndarray) -> float:
     """Rank with pivots compared against ``1e-10`` times the array norm."""
     return float(rank_of_array(arr, RANK_PIVOT_SCALE * norm_inf(arr)))
+
+
+def _rank_limit(value_at: Callable[[int], float], M: MatrixSpec,
+                schedule: TruncationSchedule, policy: ConvergencePolicy):
+    """``value_at`` exactly at a finite spec's full size, else its schedule limit."""
+    if is_finite_extent(M.rows) and is_finite_extent(M.cols):
+        return exact_report(value_at(max(M.rows, M.cols)), 1)
+    return limit_of_sequence(value_at, schedule, policy)
 
 
 def rank_of(M: MatrixSpec | DenseMatrix,
@@ -221,14 +227,8 @@ def rank_of(M: MatrixSpec | DenseMatrix,
     schedule = schedule or TruncationSchedule()
 
     M = M.as_spec() if isinstance(M, DenseMatrix) else M
-    if is_finite_extent(M.rows) and is_finite_extent(M.cols):
-        return exact_report(_dense_rank(truncate(M, M.rows, M.cols).data), 1)
-
-    def value_at(n):
-        r, c = _truncation_shape(M, n)
-        return _dense_rank(truncate(M, r, c).data)
-
-    return limit_of_sequence(value_at, schedule, policy)
+    sections = Sections(M)
+    return _rank_limit(lambda n: _dense_rank(sections(n).data), M, schedule, policy)
 
 
 def check_compatibility(A: MatrixSpec, b: Vector,
@@ -244,19 +244,14 @@ def check_compatibility(A: MatrixSpec, b: Vector,
     if not extents_equal(A.rows, b.extent):
         raise ExtentMismatchError(f"rows {A.rows} vs right-hand side {b.extent}")
 
-    def augmented(n):
-        r, c = _truncation_shape(A, n)
-        block = np.zeros((r, c + 1))
-        block[:, :c] = truncate(A, r, c).data
-        block[:, c] = [b.entry(i) for i in range(1, r + 1)]
-        return block
+    sections = Sections(A)
 
-    if is_finite_extent(A.rows) and is_finite_extent(A.cols):
-        ra = exact_report(_dense_rank(truncate(A, A.rows, A.cols).data), 1)
-        rab = exact_report(_dense_rank(augmented(max(int(A.rows), int(A.cols)))), 1)
-    else:
-        ra = rank_of(A, schedule, policy)
-        rab = limit_of_sequence(lambda n: _dense_rank(augmented(n)), schedule, policy)
+    def augmented(n):
+        a = sections(n).data
+        return np.column_stack([a, [b.entry(i) for i in range(1, a.shape[0] + 1)]])
+
+    ra = _rank_limit(lambda n: _dense_rank(sections(n).data), A, schedule, policy)
+    rab = _rank_limit(lambda n: _dense_rank(augmented(n)), A, schedule, policy)
     ok = ra.converged and rab.converged and ra.estimate == rab.estimate
     return SolveReport(compatible=ok, rank_A=ra, rank_Ab=rab, unknowns={},
                        route=None)
@@ -319,30 +314,19 @@ def cramer_solve(A: MatrixSpec, b: Vector, wanted: list[int] | None = None,
                            unknowns=unknowns, route=ROUTE_CRAMER,
                            residual=residual)
 
-    # one section of A per schedule size serves its determinant and, with
-    # column i overwritten by b, the numerator of every unknown
-    sections: dict[int, DenseMatrix] = {}
-    dets: dict[int, float] = {}
+    # the sections of A grow along the schedule; each serves det A and,
+    # in a copy with column i overwritten by b, the numerator of unknown i
+    sections = Sections(A)
 
-    def section(n):
-        t = sections.get(n)
-        if t is None:
-            t = truncate(A, n, n)
-            sections[n] = t
-        return t
-
+    @cache
     def det_a_at(n):
-        v = dets.get(n)
-        if v is None:
-            v = det_section(section(n), policy)
-            dets[n] = v
-        return v
+        return det_section(sections(n), policy)
 
     def det_replaced_at(n, col):
         if col > n:
             return det_a_at(n)
         column = [_checked(b.entry(i), i, col) for i in range(1, n + 1)]
-        t = np.array(section(n).data)
+        t = np.array(sections(n).data)
         t[:, col - 1] = column
         return det_section(DenseMatrix(t), policy)
 
@@ -372,7 +356,7 @@ def cramer_solve(A: MatrixSpec, b: Vector, wanted: list[int] | None = None,
     final = schedule.sizes()[-1]
     if set(idx) >= set(range(1, final + 1)):
         xv = np.array([xs[i] for i in range(1, final + 1)])
-        an = section(final).data
+        an = sections(final).data
         bn = np.array([b.entry(i) for i in range(1, final + 1)])
         residual = norm_inf(np.atleast_1d(an @ xv - bn))
     return SolveReport(compatible=True, rank_A=None, rank_Ab=None,
@@ -418,7 +402,8 @@ def solve_via_inverse(A: MatrixSpec | DenseMatrix, b: Vector,
     if not A.is_square:
         raise ExtentMismatchError(f"square system required, got {A.rows}x{A.cols}")
     largest = schedule.sizes()[-1]
-    norm = _norm_check_infinite(A, largest, None)
+    sections = Sections(A)
+    norm = _norm_check_infinite(sections(largest).data, None)
     if norm >= 1.0:
         raise PreconditionError(
             f"norm of I - A is {norm:.6g} >= 1 on the {largest}-truncation",
@@ -429,7 +414,7 @@ def solve_via_inverse(A: MatrixSpec | DenseMatrix, b: Vector,
     def solution_at(n):
         x = solutions.get(n)
         if x is None:
-            an = truncate(A, n, n).data
+            an = sections(n).data
             bn = np.array([b.entry(i) for i in range(1, n + 1)])
             x = _apply_series(an, bn, policy)
             solutions[n] = x
@@ -446,7 +431,7 @@ def solve_via_inverse(A: MatrixSpec | DenseMatrix, b: Vector,
                                 sizes, policy)
         unknowns[i] = rep
     final = max(solutions)
-    an = truncate(A, final, final).data
+    an = sections(final).data
     bn = np.array([b.entry(i) for i in range(1, final + 1)])
     residual = float(np.max(np.abs(an @ solution_at(final) - bn)))
     return SolveReport(compatible=True, rank_A=None, rank_Ab=None,

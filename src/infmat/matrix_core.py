@@ -3,8 +3,9 @@
 An infinite matrix is a pure function ``entry(i, j)`` on 1-based indices
 together with structural metadata (band, diagonal, finite support box)
 and an optional geometric decay certificate.  Every infinite computation
-in the package factors through :func:`truncate`, which materializes the
-top-left section as a :class:`DenseMatrix`.
+in the package factors through :func:`truncate`, which materializes a
+top-left section as a :class:`DenseMatrix`, or :class:`Sections`, which
+grows one section along a limit's schedule.
 
 Extents are either a positive ``int`` or the distinguished token
 :data:`INFINITE`; operations must branch explicitly on finiteness, no
@@ -265,6 +266,21 @@ def _checked(value, i, j) -> float:
     return v
 
 
+def _grow(M: MatrixSpec, known: np.ndarray, m: int, n: int) -> np.ndarray:
+    """``M``'s top-left m-by-n section; evaluates only the cells outside the
+    ``known`` corner, row by row and inside the declared nonzero pattern."""
+    out = np.zeros((m, n))
+    km, kn = known.shape
+    out[:km, :kn] = known
+    for i in range(1, m + 1):
+        lo, hi = (1, n) if M.structure in (DENSE, EXPR) else M.row_support(i)
+        if i <= km:
+            lo = max(lo, kn + 1)
+        for j in range(lo, min(hi, n) + 1):
+            out[i - 1, j - 1] = _checked(M.entry(i, j), i, j)
+    return out
+
+
 def truncate(M: MatrixSpec | DenseMatrix, m: int, n: int) -> DenseMatrix:
     """Materialize the top-left m-by-n section of ``M``.
 
@@ -282,18 +298,32 @@ def truncate(M: MatrixSpec | DenseMatrix, m: int, n: int) -> DenseMatrix:
         raise ExtentMismatchError(f"requested {m} rows from extent {M.rows}")
     if is_finite_extent(M.cols) and n > M.cols:
         raise ExtentMismatchError(f"requested {n} cols from extent {M.cols}")
-    out = np.zeros((m, n))
-    entry = M.entry
-    if M.structure in (BANDED, DIAGONAL, FINITE_SUPPORT):
-        for i in range(1, m + 1):
-            lo, hi = M.row_support(i)
-            for j in range(lo, min(hi, n) + 1):
-                out[i - 1, j - 1] = _checked(entry(i, j), i, j)
-    else:
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                out[i - 1, j - 1] = _checked(entry(i, j), i, j)
-    return DenseMatrix(out)
+    return DenseMatrix(_grow(M, np.zeros((0, 0)), m, n))
+
+
+class Sections:
+    """The nested top-left sections of one spec, for one limit computation.
+
+    ``sections(n)`` returns (or raises) bit for bit what :func:`truncate`
+    does at the n-by-n shape clipped to the spec's extents.  The largest
+    section so far is kept, grown on demand and handed out uncopied.
+    """
+
+    def __init__(self, M: MatrixSpec):
+        self._M = M
+        self._known = np.zeros((0, 0))
+        self._largest = None
+
+    def __call__(self, n: int) -> DenseMatrix:
+        if n < 1:
+            raise ValueError("section sizes must be >= 1")
+        m, k = clip_extent(self._M.rows, n), clip_extent(self._M.cols, n)
+        if m > self._known.shape[0] or k > self._known.shape[1]:  # both rise with n
+            self._largest = DenseMatrix(_grow(self._M, self._known, m, k))
+            self._known = self._largest.data
+        if (m, k) == self._known.shape:
+            return self._largest
+        return DenseMatrix(self._known[:m, :k])
 
 
 def transpose(M: MatrixSpec) -> MatrixSpec:

@@ -184,11 +184,15 @@ def sum_series(term: Callable[[int], float],
                       remainder=tail.remainder if tail is not None else None)
 
 
-def _schedule_sizes(schedule) -> list[int]:
+def _schedule_sizes(schedule, policy: ConvergencePolicy) -> list[int]:
+    """The sizes of ``schedule``; warns when they are too few to converge."""
     sizes = getattr(schedule, "sizes", None)
-    if callable(sizes):
-        return list(sizes())
-    return [int(n) for n in schedule]
+    sizes = list(sizes()) if callable(sizes) else [int(n) for n in schedule]
+    if len(sizes) < policy.window + 1:
+        logger.warning("schedule has %d sizes but the stopping rule needs "
+                       "window + 1 = %d; the result cannot converge",
+                       len(sizes), policy.window + 1)
+    return sizes
 
 
 def limit_of_sequence(value_at: Callable[[int], float], schedule,
@@ -200,11 +204,7 @@ def limit_of_sequence(value_at: Callable[[int], float], schedule,
     the sequence of values.
     """
     policy = policy or ConvergencePolicy()
-    sizes = _schedule_sizes(schedule)
-    if len(sizes) < policy.window + 1:
-        logger.warning("schedule has %d sizes but the stopping rule needs "
-                       "window + 1 = %d; the result cannot converge",
-                       len(sizes), policy.window + 1)
+    sizes = _schedule_sizes(schedule, policy)
 
     def values():
         for n in sizes:
@@ -226,11 +226,12 @@ def stabilize_vector(value_at: Callable[[int], "np.ndarray"], schedule,
     whose ``estimate`` is the max-abs entry of the last finite vector.
     """
     policy = policy or ConvergencePolicy()
+    sizes = _schedule_sizes(schedule, policy)
     last = None
 
     def values():
         nonlocal last
-        for n in _schedule_sizes(schedule):
+        for n in sizes:
             last = np.asarray(value_at(n), dtype=float)
             logger.info("schedule step: size=%d block-max=%.12g", n, norm_inf(last))
             yield last

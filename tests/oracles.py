@@ -184,3 +184,21 @@ def sweep_null_vector(a, pivot_tol):
         pc = pivots[row]
         v[pc] = -float(u[row, pc + 1:] @ v[pc + 1:]) / u[row, pc]
     return v
+
+
+def counting(fn):
+    """``fn`` wrapped to count its calls per ``(i, j)``; returns (entry, counts)."""
+    counts = {}
+
+    def entry(i, j):
+        counts[(i, j)] = counts.get((i, j), 0) + 1
+        return fn(i, j)
+
+    return entry, counts
+
+
+def section_cells(n, bandwidth=None) -> set:
+    """1-based cells of the n-by-n section, only those within ``bandwidth``
+    of the diagonal when it is given."""
+    return {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+            if bandwidth is None or abs(i - j) <= bandwidth}

@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -197,6 +198,21 @@ def test_inv_infinite_section(capsys):
     assert abs(doc["result"]["matrix"][0][0] - 2.0 / 3.0) <= 1e-9
     assert doc["result"]["matrix"][1][1] == 1
     assert doc["result"]["residual"] <= 1e-8
+
+
+def test_inv_stabilizes_the_leading_block_once(capsys, caplog):
+    caplog.set_level(logging.INFO, logger="infmat")
+    code, _ = run_main(capsys, "inv", SPECS / "perturbation.json", "--max-size", 64)
+    assert code == 0
+    steps = [r.getMessage().split()[2] for r in caplog.records
+             if "block-max" in r.getMessage()]
+    assert steps == ["size=8", "size=16", "size=32", "size=64"]
+
+
+def test_inv_short_schedule_warns_once():
+    proc = run_cli("inv", SPECS / "perturbation.json", "--max-size", "16", "--quiet")
+    assert proc.returncode == 2
+    assert proc.stderr.decode().count("the result cannot converge") == 1
 
 
 def test_mul_geometric_section(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import cofactor_det
+from oracles import cofactor_det, counting, section_cells
 
 from infmat.determinant import (ColumnSelection, cauchy_binet,
                                 cauchy_binet_infinite, column_minor, det_infinite,
@@ -92,6 +92,23 @@ def test_det_infinite_rank_one_perturbation():
     assert rep.report.converged
     assert rep.value == pytest.approx(1.5, abs=1e-9)
     assert rep.route == "truncation-limit"
+
+
+@pytest.mark.parametrize("fn,bandwidth", [
+    (lambda i, j: float(i == j) + 2.0 ** -(i + j), None),
+    (lambda i, j: (1.5 if i == 1 else 1.0) if i == j else 0.5 ** (i + j), 1)],
+    ids=["dense", "banded"])
+def test_det_infinite_evaluates_each_cell_of_the_last_section_once(fn, bandwidth):
+    entry, counts = counting(fn)
+    structure = "expr" if bandwidth is None else "banded"
+    spec = MatrixSpec(INFINITE, INFINITE, entry, structure=structure, bandwidth=bandwidth)
+    schedule = TruncationSchedule(4, 2, 256)
+    rep = det_infinite(spec, schedule)
+    assert rep.report.converged
+    reached = schedule.sizes()[rep.report.terms_used - 1]
+    assert reached < schedule.max_size
+    assert set(counts) == section_cells(reached, bandwidth)
+    assert max(counts.values()) == 1
 
 
 def test_det_infinite_identity():

@@ -22,13 +22,19 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 # written by the test next to the command's working directory
 TRIDIAG = {"rows": "inf", "cols": "inf", "kind": "banded",
            "bands": {"-1": "0.25", "0": "1/i", "1": "0.25"}}
+DENSE_EXPR = "delta(i,j) + 0.3/(i+j+1)^2.5"
+DENSE = {"rows": "inf", "cols": "inf", "kind": "expr", "expr": DENSE_EXPR}
+DENSE6 = {"rows": 6, "cols": 6, "kind": "expr", "expr": DENSE_EXPR}
+WRITTEN = {"tridiag.json": TRIDIAG, "dense.json": DENSE, "dense6.json": DENSE6,
+           "dense_system.json": {"A": DENSE, "b": {"kind": "expr", "expr": "1/i^2"}},
+           "dense6_system.json": {"A": DENSE6, "b": {"kind": "expr", "expr": "1/i^2"}}}
 
 _SPECS = ("harmonic_diag", "identity", "perturbation", "derivative")
 _EIG_INTERVALS = {"harmonic_diag": ("0.15", "0.6"), "identity": ("0.5", "1.5"),
                   "perturbation": ("1.2", "1.8"), "derivative": ("-1", "1")}
 
 # (working directory, argv); "repo" runs from the checkout root with the
-# shipped specs, "tmp" from a directory holding tridiag.json
+# shipped specs, "tmp" from a directory holding the WRITTEN specs
 COMMANDS = (
     [("repo", ["det", f"specs/{s}.json", "--max-size", "64"]) for s in _SPECS]
     + [("repo", ["rank", f"specs/{s}.json", "--max-size", "64"]) for s in _SPECS]
@@ -60,7 +66,17 @@ COMMANDS = (
        ("tmp", ["eig", "tridiag.json", "--max-size", "64", "--grid", "64",
                 "--interval", "0.3", "1.3"]),
        ("tmp", ["eig", "tridiag.json", "--max-size", "32", "--grid", "16",
-                "--max-terms", "500", "--interval", "-0.45", "0.2"])]
+                "--max-terms", "500", "--interval", "-0.45", "0.2"]),
+       ("tmp", ["det", "dense.json", "--max-size", "128"]),
+       ("tmp", ["rank", "dense.json", "--max-size", "128"]),
+       ("tmp", ["inv", "dense.json", "--max-size", "128"]),
+       ("tmp", ["solve", "dense_system.json", "--route", "inverse", "--max-size", "128"]),
+       ("tmp", ["solve", "dense_system.json", "--route", "cramer", "--check-compat",
+                "--max-size", "128"]),
+       ("tmp", ["rank", "dense6.json"]),
+       ("tmp", ["inv", "dense6.json"]),
+       ("tmp", ["solve", "dense6_system.json", "--route", "cramer", "--check-compat"]),
+       ("tmp", ["solve", "dense6_system.json", "--route", "inverse"])]
 )
 
 
@@ -82,8 +98,9 @@ def _run_in(where, argv, tmp_dir):
         os.chdir(cwd)
 
 
-def _write_tridiag(tmp_dir):
-    (Path(tmp_dir) / "tridiag.json").write_text(json.dumps(TRIDIAG))
+def _write_specs(tmp_dir):
+    for name, obj in WRITTEN.items():
+        (Path(tmp_dir) / name).write_text(json.dumps(obj))
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +110,7 @@ def golden():
 
 @pytest.mark.parametrize("where,argv", COMMANDS, ids=[" ".join(a) for _, a in COMMANDS])
 def test_cli_bytes_match_golden(where, argv, golden, tmp_path):
-    _write_tridiag(tmp_path)
+    _write_specs(tmp_path)
     expected = golden[" ".join(argv)]
     stdout, code = _run_in(where, argv, tmp_path)
     assert code == expected["exit"]
@@ -106,7 +123,7 @@ if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
     record = {}
     with tempfile.TemporaryDirectory() as tmp:
-        _write_tridiag(tmp)
+        _write_specs(tmp)
         for where, argv in COMMANDS:
             stdout, code = _run_in(where, argv, tmp)
             record[" ".join(argv)] = {"exit": code, "stdout": stdout}

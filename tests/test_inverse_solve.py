@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import fraction_rank
+from oracles import counting, fraction_rank, section_cells
 
 from infmat.algebra import Vector
 from infmat.errors import OracleValueError, PreconditionError, SingularSystemError
@@ -16,6 +16,28 @@ from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE,
 from infmat.series import ConvergencePolicy
 
 SCHED = TruncationSchedule(8, 2, 64)
+LONG = TruncationSchedule(4, 2, 256)
+
+# contractions I - A < 1: a dense expr spec and a tridiagonal one
+CONTRACTIONS = [(lambda i, j: float(i == j) + 0.3 / (i + j + 1) ** 2.5, None),
+                (lambda i, j: 1.0 if i == j else 0.25 * (abs(i - j) == 1), 1)]
+# ranks that settle at 1 and at 3 well before the end of LONG
+LOW_RANK = [(lambda i, j: 2.0 ** -(i + j), None),
+            (lambda i, j: 1.0 / i if i == j <= 3 else 0.0, 0)]
+
+
+def counted_spec(fn, bandwidth):
+    """Infinite spec over ``fn`` counting oracle calls; banded when a
+    bandwidth is given."""
+    entry, counts = counting(fn)
+    structure = "expr" if bandwidth is None else "banded"
+    return MatrixSpec(INFINITE, INFINITE, entry, structure=structure,
+                      bandwidth=bandwidth), counts
+
+
+def assert_section_evaluated_once(counts, n, bandwidth):
+    assert set(counts) == section_cells(n, bandwidth)
+    assert max(counts.values()) == 1
 
 
 def perturbed_identity():
@@ -208,7 +230,7 @@ def test_cramer_infinite_full_prefix_gets_residual():
     assert rep.residual is not None and rep.residual <= 1e-6
 
 
-def test_cramer_truncates_a_once_per_schedule_size():
+def test_cramer_evaluates_each_a_cell_once():
     calls = Counter()
 
     def entry(i, j):
@@ -222,8 +244,44 @@ def test_cramer_truncates_a_once_per_schedule_size():
     rep = cramer_solve(A, b, wanted=[1, 2, 3], schedule=SCHED)
     assert all(r.converged for r in rep.unknowns.values())
     # (3, 4) is off the diagonal that the trace probes read and outside
-    # every replaced column, so only sections of A evaluate it
-    assert calls[(3, 4)] == len(SCHED.sizes())
+    # every replaced column, so only the growing sections of A evaluate it
+    assert calls[(3, 4)] == 1
+
+
+@pytest.mark.parametrize("fn,bandwidth", CONTRACTIONS, ids=["dense", "banded"])
+def test_neumann_inverse_evaluates_each_a_cell_once(fn, bandwidth):
+    A, counts = counted_spec(fn, bandwidth)
+    rep = neumann_inverse(A, schedule=SCHED)
+    rep.block_report(8, 8)
+    rep.block_report(16, 16)
+    assert_section_evaluated_once(counts, SCHED.sizes()[-1], bandwidth)
+
+
+@pytest.mark.parametrize("fn,bandwidth", CONTRACTIONS, ids=["dense", "banded"])
+def test_solve_via_inverse_evaluates_each_a_cell_once(fn, bandwidth):
+    A, counts = counted_spec(fn, bandwidth)
+    solve_via_inverse(A, Vector(INFINITE, lambda i: 1.0 / i ** 2), schedule=SCHED,
+                      wanted=[1, 2, 3])
+    assert_section_evaluated_once(counts, SCHED.sizes()[-1], bandwidth)
+
+
+@pytest.mark.parametrize("fn,bandwidth", LOW_RANK, ids=["dense", "banded"])
+def test_rank_of_evaluates_each_cell_of_the_last_section_once(fn, bandwidth):
+    M, counts = counted_spec(fn, bandwidth)
+    rep = rank_of(M, LONG)
+    assert rep.converged
+    reached = LONG.sizes()[rep.terms_used - 1]
+    assert reached < LONG.max_size
+    assert_section_evaluated_once(counts, reached, bandwidth)
+
+
+@pytest.mark.parametrize("fn,bandwidth", LOW_RANK, ids=["dense", "banded"])
+def test_check_compatibility_shares_a_cells_between_both_ranks(fn, bandwidth):
+    A, counts = counted_spec(fn, bandwidth)
+    rep = check_compatibility(A, Vector(INFINITE, lambda i: 2.0 ** -i), LONG)
+    assert rep.rank_A.converged and rep.rank_Ab.converged
+    used = max(rep.rank_A.terms_used, rep.rank_Ab.terms_used)
+    assert_section_evaluated_once(counts, LONG.sizes()[used - 1], bandwidth)
 
 
 def test_cramer_non_finite_rhs_names_row_and_column():

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from infmat.errors import CertificateError, ExtentMismatchError, OracleValueError
-from infmat.matrix_core import (DIAGONAL, DecayCertificate,
-                                DenseMatrix, TruncationSchedule,
-                                banded_spec, diagonal_spec, entrywise_spec,
-                                finite_support_spec, identity_spec,
-                                is_finite_extent, spot_check_decay, transpose,
-                                truncate, zero_spec)
+from infmat.matrix_core import (DIAGONAL, INFINITE, DecayCertificate,
+                                DenseMatrix, Sections, TruncationSchedule,
+                                banded_spec, clip_extent, diagonal_spec,
+                                entrywise_spec, finite_support_spec,
+                                identity_spec, is_finite_extent,
+                                spot_check_decay, transpose, truncate,
+                                zero_spec)
 
 
 def test_identity_truncation():
@@ -71,6 +72,100 @@ def test_truncation_consistency(m, n, dm, dn):
     small = truncate(spec, m, n)
     big = truncate(spec, m + dm, n + dn)
     assert np.array_equal(big.data[:m, :n], small.data)
+
+
+# cell values that tell apart every bit, signed zeros included
+_CELLS = (-0.0, 0.0, 1.5, -2.25, 1e-300, -7e12, 0.1, 3.0)
+_EXTENTS = st.one_of(st.just(INFINITE), st.integers(min_value=1, max_value=12))
+
+
+def _outcome(fill, n):
+    """Section bytes and shape, or the index of the non-finite cell."""
+    try:
+        section = fill(n)
+    except OracleValueError as exc:
+        return ("error", exc.index)
+    return (section.data.shape, section.data.tobytes())
+
+
+@st.composite
+def _specs(draw):
+    """A spec of one structure; all but dense may hold two non-finite cells."""
+    kind = draw(st.sampled_from(("expr", "dense", "banded", "diagonal", "finite-support")))
+    seed = draw(st.integers(min_value=0, max_value=len(_CELLS) - 1))
+    bad = draw(st.sets(st.tuples(st.integers(1, 20), st.integers(1, 20)), max_size=2))
+    bad_value = draw(st.sampled_from((math.inf, -math.inf, math.nan)))
+
+    def cell(i, j):
+        if (i, j) in bad:
+            return bad_value
+        return _CELLS[(3 * i + 5 * j + seed) % len(_CELLS)]
+
+    if kind == "dense":
+        m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        data = [[2.0 if (i, j) in bad else cell(i, j) for j in range(1, n + 1)]
+                for i in range(1, m + 1)]
+        return DenseMatrix(data).as_spec()
+    rows, cols = draw(_EXTENTS), draw(_EXTENTS)
+    if kind == "expr":
+        return entrywise_spec(cell, rows, cols)
+    if kind == "banded":
+        bw = draw(st.integers(0, 3))
+        return banded_spec({off: cell for off in range(-bw, bw + 1)}, rows, cols)
+    if kind == "diagonal":
+        return diagonal_spec(lambda i: cell(i, i), rows)
+    box = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    return finite_support_spec(cell, *box, rows, cols)
+
+
+@given(_specs(), st.lists(st.integers(min_value=1, max_value=24), min_size=1, max_size=8))
+def test_sections_match_truncate_bit_for_bit(spec, sizes):
+    sections = Sections(spec)
+
+    def fresh(n):
+        return truncate(spec, clip_extent(spec.rows, n), clip_extent(spec.cols, n))
+
+    for n in sizes:
+        assert _outcome(sections, n) == _outcome(fresh, n)
+
+
+def test_sections_name_the_cell_truncate_names_and_stay_usable():
+    # (2, 7) lies in the new columns of a known row, (5, 1) in a new row
+    bad = {(2, 7), (5, 1)}
+    spec = entrywise_spec(lambda i, j: math.nan if (i, j) in bad else float(j))
+    with pytest.raises(OracleValueError) as err:
+        truncate(spec, 8, 8)
+    assert err.value.index == (2, 7)
+    sections = Sections(spec)
+    small = sections(4)
+    for _ in range(2):
+        with pytest.raises(OracleValueError) as err:
+            sections(8)
+        assert err.value.index == (2, 7)
+        assert sections(3).data.tobytes() == small.data[:3, :3].tobytes()
+        assert sections(4).data.tobytes() == small.data.tobytes()
+    with pytest.raises(OracleValueError) as err:
+        Sections(spec)(8)
+    assert err.value.index == (2, 7)
+
+
+def test_sections_grow_the_columns_of_a_short_spec():
+    spec = entrywise_spec(lambda i, j: float(10 * i + j), rows=3)
+    sections = Sections(spec)
+    assert sections(2).data.shape == (2, 2)
+    assert sections(8).data.shape == (3, 8)
+    assert sections(16).data.tobytes() == truncate(spec, 3, 16).data.tobytes()
+
+
+def test_sections_evaluate_each_cell_once():
+    calls = []
+    spec = banded_spec({-1: lambda i, j: calls.append((i, j)) or 1.0,
+                        1: lambda i, j: calls.append((i, j)) or 2.0})
+    sections = Sections(spec)
+    for n in (4, 2, 8, 8, 3, 16):
+        sections(n)
+    assert sorted(calls) == sorted(set(calls))
+    assert len(calls) == 2 * 15
 
 
 @given(st.integers(min_value=0, max_value=3), st.data())
