@@ -28,8 +28,8 @@ from .matrix_core import (BANDED, DENSE, DIAGONAL, EXPR, FINITE_SUPPORT,
                           INFINITE, DecayCertificate, DenseMatrix, Extent,
                           MatrixSpec, TruncationSchedule, banded_spec,
                           diagonal_spec, entrywise_spec, finite_support_spec,
-                          from_dense, identity_spec, is_finite_extent,
-                          spot_check_decay, transpose, truncate, zero_spec)
+                          identity_spec, is_finite_extent, spot_check_decay,
+                          transpose, truncate, zero_spec)
 from .series import (CONVERGED, DIVERGED, UNDETERMINED, ConvergencePolicy,
                      ConvergenceReport, GeometricTail, limit_of_sequence,
                      sum_series)

@@ -23,7 +23,7 @@ from .errors import (DependentRowsError, ExtentMismatchError,
 from .matrix_core import (DenseMatrix, Extent, MatrixSpec, TruncationSchedule,
                           is_finite_extent, truncate)
 from .series import (ConvergencePolicy, ConvergenceReport, GeometricTail,
-                     exact_report, stabilize_vector, sum_series)
+                     section_limit_vector, sum_series)
 
 PIVOT_SCALE = 1e-10
 
@@ -193,16 +193,16 @@ def transition_matrix(B: BasisFamily, B_prime: BasisFamily, count: int,
     Column i of the result holds the coordinates of ``B_prime[i]`` with
     respect to ``B`` (entry (j, i) is the j-th coordinate), obtained by
     solving the column system on truncations; for infinite ambient
-    coordinates each column is stabilized over the schedule and flagged
-    if it fails to settle.
+    coordinates each column is stabilized over the schedule sizes of at
+    least ``count`` and flagged if it fails to settle, and finite ones are
+    solved once, exactly, at the full dimension.
     """
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
     if count < 1:
         raise ValueError("count must be >= 1")
 
-    probe = B.vector_at(1)
-    finite = is_finite_extent(probe.extent)
+    extent = B.vector_at(1).extent
 
     def solve_at(n, i):
         v_mat = np.empty((n, n))
@@ -214,22 +214,9 @@ def transition_matrix(B: BasisFamily, B_prime: BasisFamily, count: int,
         rhs = np.array([u.entry(row) for row in range(1, n + 1)])
         return gauss_solve(v_mat, rhs, PIVOT_SCALE * max(1.0, norm_inf(v_mat)))
 
-    if finite:
-        n = int(probe.extent)
-        if n < count:
-            raise ExtentMismatchError(
-                f"ambient dimension {n} below requested count {count}")
-
-        def column(i):
-            alpha = solve_at(n, i)[:count]
-            return alpha, exact_report(norm_inf(alpha), 1)
-    else:
-        sizes = [s for s in schedule.sizes() if s >= count]
-        if not sizes:
-            raise ExtentMismatchError(f"schedule cap below count {count}")
-
-        def column(i):
-            return stabilize_vector(lambda n: solve_at(n, i)[:count], sizes, policy)
+    def column(i):
+        return section_limit_vector(lambda n: solve_at(n, i)[:count], extent,
+                                    schedule, policy, least=count)
 
     out = np.zeros((count, count))
     reports: dict[int, ConvergenceReport] = {}

@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import matmul
 from .bases_orth import transition_matrix, orthogonalize, OrthogonalRows
-from .determinant import det_infinite, det_oracle
+from .determinant import det_infinite
 from .errors import (CertificateError, ConvergenceFailureError,
                      DependentRowsError, ExtentMismatchError,
                      GramConvergenceError, InfmatError, OracleValueError,
@@ -215,12 +215,6 @@ def _worst_status(statuses):
 def _cmd_det(args, policy, schedule, config):
     spec = load_matrix_file(args.matrix)
     config["inputs"] = [args.matrix]
-    if is_finite_extent(spec.rows) and is_finite_extent(spec.cols):
-        if not spec.is_square:
-            raise ExtentMismatchError("determinant of a non-square matrix")
-        value = det_oracle(truncate(spec, spec.rows, spec.cols))
-        result = {"value": value, "route": "lu-oracle"}
-        return result, None, EXIT_OK
     rep = det_infinite(spec, schedule, policy)
     result = {"value": rep.value, "route": rep.route,
               "report": _report_doc(rep.report)}
@@ -232,12 +226,8 @@ def _cmd_inv(args, policy, schedule, config):
     config["inputs"] = [args.matrix]
     config["n"] = args.n
     rep = neumann_inverse(spec, policy, schedule)
-    if isinstance(rep.matrix, DenseMatrix):
-        section = rep.matrix
-        result = {"matrix": _matrix_doc(section), "norm_check": rep.norm_check,
-                  "series_terms": rep.series_terms, "residual": rep.residual}
-        return result, section, EXIT_OK
-    section, block_rep = rep.block_report(args.n, args.n)
+    n = clip_extent(spec.rows, args.n)
+    section, block_rep = rep.block_report(n, n)
     result = {"matrix": _matrix_doc(section), "norm_check": rep.norm_check,
               "series_terms": rep.series_terms, "residual": rep.residual,
               "block_report": _report_doc(block_rep)}

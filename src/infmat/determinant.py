@@ -18,7 +18,7 @@ from .algebra import matmul
 from .errors import ConvergenceFailureError, ExtentMismatchError, PreconditionError
 from .matrix_core import (DenseMatrix, MatrixSpec, Sections, TruncationSchedule,
                           is_finite_extent, truncate)
-from .series import (ConvergencePolicy, ConvergenceReport, limit_of_sequence,
+from .series import (ConvergencePolicy, ConvergenceReport, section_limit,
                      sum_series)
 
 ROUTE_LU = "lu-oracle"
@@ -131,19 +131,19 @@ def det_infinite(M: MatrixSpec, schedule: TruncationSchedule | None = None,
     """Stabilized determinant of square truncations along a schedule.
 
     Non-stabilization is reported, not raised: the returned report has
-    status ``undetermined`` and the value is the last estimate.
+    status ``undetermined`` and the value is the last estimate.  A finite
+    matrix is its own one-size schedule, eliminated exactly.
     """
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
-    if isinstance(M, DenseMatrix):
-        return DetReport(det_oracle(M), ROUTE_LU)
+    M = M.as_spec() if isinstance(M, DenseMatrix) else M
     if not M.is_square:
         raise ExtentMismatchError(f"determinant of non-square {M.rows}x{M.cols}")
-    if is_finite_extent(M.rows):
-        return DetReport(det_oracle(truncate(M, M.rows, M.cols)), ROUTE_LU)
-
+    # a finite matrix is its own one section: eliminated, as det_oracle does
+    route = ROUTE_LU if is_finite_extent(M.rows) else "auto"
     sections = Sections(M)
-    rep = limit_of_sequence(lambda n: det_section(sections(n), policy), schedule, policy)
+    rep = section_limit(lambda n: det_section(sections(n), policy, route),
+                        M.rows, schedule, policy)
     return DetReport(rep.estimate, ROUTE_LIMIT, report=rep)
 
 

@@ -6,6 +6,7 @@ stabilized limit of finite truncations under a schedule, and each
 reported number carries its convergence report.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
@@ -14,13 +15,14 @@ import numpy as np
 
 from ._dense import norm_inf, rank_of_array
 from .algebra import Vector
-from .determinant import det_oracle, det_section
+from .determinant import ROUTE_LU, det_section
 from .errors import (ConvergenceFailureError, ExtentMismatchError,
-                     PreconditionError, SingularSystemError)
-from .matrix_core import (DenseMatrix, MatrixSpec, Sections, TruncationSchedule,
-                          _checked, extents_equal, is_finite_extent, truncate)
+                     OracleValueError, PreconditionError, SingularSystemError)
+from .matrix_core import (INFINITE, DenseMatrix, MatrixSpec, Sections,
+                          TruncationSchedule, _checked, extents_equal,
+                          is_finite_extent)
 from .series import (DIVERGED, ConvergencePolicy, ConvergenceReport,
-                     exact_report, limit_of_sequence, stabilize_vector)
+                     limit_sizes, section_limit, section_limit_vector)
 
 RANK_PIVOT_SCALE = 1e-10
 
@@ -32,24 +34,22 @@ ROUTE_INVERSE = "inverse-multiply"
 class InverseReport:
     """Outcome of a series inversion.
 
-    ``matrix`` is dense for finite input and a lazy spec (entries
-    stabilized blockwise over the schedule) for infinite input.
-    ``residual`` is the max-row-sum norm of ``A A^-1 - I`` on the block
-    that was actually evaluated.
+    ``matrix`` is a lazy spec whose entries are limits over the sections
+    of ``A``; ``block_report`` gives a top-left block with its report.
+    For a finite ``A`` both are exact, read off the inverse of the whole
+    matrix.  ``residual`` is the max-row-sum norm of ``A A^-1 - I`` on the
+    section that was actually evaluated.
     """
 
-    matrix: DenseMatrix | MatrixSpec
+    matrix: MatrixSpec
     norm_check: float
     series_terms: int
     residual: float
-    _block: Callable[[int, int], tuple[DenseMatrix, ConvergenceReport]] | None = field(
-        default=None, repr=False, compare=False)
+    _block: Callable[[int, int], tuple[DenseMatrix, ConvergenceReport]] = field(
+        repr=False, compare=False)
 
     def block_report(self, m: int, n: int) -> tuple[DenseMatrix, ConvergenceReport]:
         """Top-left section of the inverse with its stabilization report."""
-        if self._block is None:
-            dm = self.matrix if isinstance(self.matrix, DenseMatrix) else None
-            return truncate(dm, m, n), exact_report(0.0, 1)
         return self._block(m, n)
 
 
@@ -113,8 +113,9 @@ def _neumann_sum(a: np.ndarray, policy: ConvergencePolicy) -> tuple[np.ndarray, 
     return _power_sum(eye, lambda p: p @ x, policy)
 
 
-def _norm_check_infinite(t: np.ndarray, perturbation: MatrixSpec | None) -> float:
-    """Measured norm of I - A on the section ``t``, plus certificate tail."""
+def _norm_check(t: np.ndarray, perturbation: MatrixSpec | None) -> float:
+    """Measured norm of I - A on the section ``t``, plus certificate tail;
+    raises :class:`PreconditionError` unless it is below 1."""
     size = t.shape[0]
     x = np.eye(size) - t
     row_sums = np.sum(np.abs(x), axis=1)
@@ -123,8 +124,14 @@ def _norm_check_infinite(t: np.ndarray, perturbation: MatrixSpec | None) -> floa
         tails = C * r ** np.arange(1, size + 1) * r ** (size + 1) / (1 - r)
         row_sums = row_sums + tails
         unseen = C * r ** (size + 1) * r / (1 - r)
-        return float(max(np.max(row_sums), unseen))
-    return float(np.max(row_sums))
+        norm = float(max(np.max(row_sums), unseen))
+    else:
+        norm = float(np.max(row_sums))
+    if norm >= 1.0:
+        raise PreconditionError(
+            f"norm of I - A is {norm:.6g} >= 1 on the {size}-truncation",
+            measured=norm)
+    return norm
 
 
 def neumann_inverse(A: MatrixSpec | DenseMatrix,
@@ -133,35 +140,21 @@ def neumann_inverse(A: MatrixSpec | DenseMatrix,
                     perturbation: MatrixSpec | None = None) -> InverseReport:
     """Invert ``A`` by summing powers of ``I - A``.
 
-    Requires ``norm_inf(I - A) < 1``; for infinite specs the norm is
-    measured on the largest scheduled truncation, tightened by an
-    analytic tail when ``A = I + P`` and the perturbation ``P`` (passed
-    explicitly) carries a decay certificate.
+    Requires ``norm_inf(I - A) < 1``, measured on the largest section the
+    limit visits (all of a finite ``A``); for infinite specs it is
+    tightened by an analytic tail when ``A = I + P`` and the perturbation
+    ``P`` (passed explicitly) carries a decay certificate.
     """
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
-
-    if isinstance(A, DenseMatrix) or is_finite_extent(A.rows):
-        dm = A if isinstance(A, DenseMatrix) else truncate(A, A.rows, A.cols)
-        if dm.m != dm.n:
-            raise ExtentMismatchError(f"inverse of non-square {dm.m}x{dm.n}")
-        norm = norm_inf(np.eye(dm.m) - dm.data)
-        if norm >= 1.0:
-            raise PreconditionError(
-                f"norm of I - A is {norm:.6g} >= 1", measured=norm)
-        total, terms = _neumann_sum(dm.data, policy)
-        residual = norm_inf(dm.data @ total - np.eye(dm.m))
-        return InverseReport(DenseMatrix(total), norm, terms, residual)
-
+    A = A.as_spec() if isinstance(A, DenseMatrix) else A
     if not A.is_square:
         raise ExtentMismatchError(f"inverse of non-square {A.rows}x{A.cols}")
-    largest = schedule.sizes()[-1]
+    sizes = limit_sizes(A.rows, schedule)
     sections = Sections(A)
-    norm = _norm_check_infinite(sections(largest).data, perturbation)
-    if norm >= 1.0:
-        raise PreconditionError(
-            f"norm of I - A is {norm:.6g} >= 1 on the {largest}-truncation",
-            measured=norm)
+    # a finite A is seen whole, so it has no unseen tail
+    tail = None if is_finite_extent(A.rows) else perturbation
+    norm = _norm_check(sections(sizes[-1]).data, tail)
 
     sums: dict[int, tuple[np.ndarray, int]] = {}
 
@@ -174,29 +167,20 @@ def neumann_inverse(A: MatrixSpec | DenseMatrix,
 
     @cache
     def block(m, n):
-        sizes = [s for s in schedule.sizes() if s >= max(m, n)]
-        if not sizes:
-            raise ExtentMismatchError(
-                f"block {m}x{n} exceeds the schedule cap {largest}")
-        flat, rep = stabilize_vector(
-            lambda s: section(s)[0][:m, :n].ravel(), sizes, policy)
+        flat, rep = section_limit_vector(
+            lambda s: section(s)[0][:m, :n].ravel(), A.rows, schedule, policy,
+            least=max(m, n))
         return DenseMatrix(flat.reshape(m, n)), rep
 
     def entry(i, j):
-        sizes = [s for s in schedule.sizes() if s >= max(i, j)]
-        if not sizes:
-            raise ExtentMismatchError(
-                f"entry ({i}, {j}) exceeds the schedule cap {largest}")
-        rep = limit_of_sequence(lambda s: float(section(s)[0][i - 1, j - 1]),
-                                sizes, policy)
-        return rep.estimate
+        return section_limit(lambda s: float(section(s)[0][i - 1, j - 1]),
+                             A.rows, schedule, policy, least=max(i, j)).estimate
 
     lazy = MatrixSpec(A.rows, A.cols, entry)
 
     # probe the leading block once so terms and residual reflect real work
-    probe = min(schedule.start, largest)
-    _, probe_rep = block(probe, probe)
-    probed = max((n for n in sums), default=largest)
+    block(sizes[0], sizes[0])
+    probed = max(sums)
     smat, terms = section(probed)
     residual = norm_inf(sections(probed).data @ smat - np.eye(probed))
     return InverseReport(lazy, norm, terms, residual, _block=block)
@@ -207,12 +191,34 @@ def _dense_rank(arr: np.ndarray) -> float:
     return float(rank_of_array(arr, RANK_PIVOT_SCALE * norm_inf(arr)))
 
 
-def _rank_limit(value_at: Callable[[int], float], M: MatrixSpec,
-                schedule: TruncationSchedule, policy: ConvergencePolicy):
-    """``value_at`` exactly at a finite spec's full size, else its schedule limit."""
+def _section_extent(M: MatrixSpec):
+    """Size at which a finite spec's sections stop growing: max(rows, cols)."""
     if is_finite_extent(M.rows) and is_finite_extent(M.cols):
-        return exact_report(value_at(max(M.rows, M.cols)), 1)
-    return limit_of_sequence(value_at, schedule, policy)
+        return max(M.rows, M.cols)
+    return INFINITE
+
+
+def _rhs_prefix(b: Vector) -> Callable[..., np.ndarray]:
+    """``prefix(n, col=None)``: ``b(1..n)`` as an array, grown on demand so
+    each entry is evaluated once.
+
+    A non-finite entry raises :class:`OracleValueError` at ``(i, col)``,
+    the cell it fills when ``b`` replaces column ``col`` of ``A``, or at
+    row ``i`` when no column is given.
+    """
+    known: list[float] = []
+
+    def prefix(n, col=None):
+        for i in range(len(known) + 1, n + 1):
+            v = float(b.entry(i))
+            if col is None and not math.isfinite(v):
+                raise OracleValueError(
+                    f"right-hand side returned non-finite value at row {i}",
+                    index=(i,), value=v)
+            known.append(_checked(v, i, col))
+        return np.array(known[:n])
+
+    return prefix
 
 
 def rank_of(M: MatrixSpec | DenseMatrix,
@@ -228,10 +234,11 @@ def rank_of(M: MatrixSpec | DenseMatrix,
 
     M = M.as_spec() if isinstance(M, DenseMatrix) else M
     sections = Sections(M)
-    return _rank_limit(lambda n: _dense_rank(sections(n).data), M, schedule, policy)
+    return section_limit(lambda n: _dense_rank(sections(n).data),
+                         _section_extent(M), schedule, policy)
 
 
-def check_compatibility(A: MatrixSpec, b: Vector,
+def check_compatibility(A: MatrixSpec | DenseMatrix, b: Vector,
                         schedule: TruncationSchedule | None = None,
                         policy: ConvergencePolicy | None = None) -> SolveReport:
     """Compare the stabilized ranks of ``A`` and of ``A`` augmented by ``b``.
@@ -241,17 +248,20 @@ def check_compatibility(A: MatrixSpec, b: Vector,
     """
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
+    A = A.as_spec() if isinstance(A, DenseMatrix) else A
     if not extents_equal(A.rows, b.extent):
         raise ExtentMismatchError(f"rows {A.rows} vs right-hand side {b.extent}")
 
     sections = Sections(A)
+    rhs = _rhs_prefix(b)
 
     def augmented(n):
         a = sections(n).data
-        return np.column_stack([a, [b.entry(i) for i in range(1, a.shape[0] + 1)]])
+        return np.column_stack([a, rhs(a.shape[0])])
 
-    ra = _rank_limit(lambda n: _dense_rank(sections(n).data), A, schedule, policy)
-    rab = _rank_limit(lambda n: _dense_rank(augmented(n)), A, schedule, policy)
+    extent = _section_extent(A)
+    ra = section_limit(lambda n: _dense_rank(sections(n).data), extent, schedule, policy)
+    rab = section_limit(lambda n: _dense_rank(augmented(n)), extent, schedule, policy)
     ok = ra.converged and rab.converged and ra.estimate == rab.estimate
     return SolveReport(compatible=ok, rank_A=ra, rank_Ab=rab, unknowns={},
                        route=None)
@@ -266,78 +276,58 @@ def _replace_column(A: MatrixSpec, b: Vector, col: int) -> MatrixSpec:
     return MatrixSpec(A.rows, A.cols, entry)
 
 
-def cramer_solve(A: MatrixSpec, b: Vector, wanted: list[int] | None = None,
+def cramer_solve(A: MatrixSpec | DenseMatrix, b: Vector,
+                 wanted: list[int] | None = None,
                  schedule: TruncationSchedule | None = None,
                  policy: ConvergencePolicy | None = None) -> SolveReport:
     """Solve a square system through determinant ratios.
 
-    Each requested unknown is the stabilized ratio of two truncation
-    determinants (the ratio is stabilized as one quantity, since common
-    drift cancels).  A system determinant that diverges or settles within
-    ``tol`` of 0 raises :class:`SingularSystemError`; one that is only
-    undetermined (a schedule too short to settle) leaves the verdict to
-    each unknown's ratio limit.  The classical side condition --
-    convergence of the diagonal series of the matrix and of each
-    column-replaced matrix -- is recorded in ``trace_reports`` but not
-    enforced.
+    Each requested unknown (by default the indices of the first section)
+    is the ratio of two section determinants, stabilized as one quantity
+    (common drift cancels) over the sections that hold the largest
+    requested index; a finite system's ratios are exact, by elimination.
+    A system determinant that diverges or settles within ``tol`` of 0
+    raises :class:`SingularSystemError`; one that is only undetermined (a
+    schedule too short to settle) leaves the verdict to each unknown's
+    ratio limit.  The classical side condition -- convergence of the
+    diagonal series of the matrix and of each column-replaced matrix --
+    is recorded in ``trace_reports`` but not enforced.
     """
     from .algebra import trace_partial
 
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
+    A = A.as_spec() if isinstance(A, DenseMatrix) else A
     if not A.is_square:
         raise ExtentMismatchError(f"square system required, got {A.rows}x{A.cols}")
     if not extents_equal(A.rows, b.extent):
         raise ExtentMismatchError(f"rows {A.rows} vs right-hand side {b.extent}")
 
-    if is_finite_extent(A.rows):
-        n = int(A.rows)
-        base = truncate(A, n, n)
-        det_a = det_oracle(base)
-        if abs(det_a) <= policy.tol:
-            raise SingularSystemError(f"determinant {det_a:.6g} within tolerance of zero")
-        idx = list(wanted) if wanted is not None else list(range(1, n + 1))
-        bvals = np.array([b.entry(i) for i in range(1, n + 1)])
-        unknowns = {}
-        xs = {}
-        for i in idx:
-            replaced = np.array(base.data)
-            replaced[:, i - 1] = bvals
-            x = det_oracle(DenseMatrix(replaced)) / det_a
-            xs[i] = x
-            unknowns[i] = exact_report(x, 1)
-        residual = None
-        if set(idx) >= set(range(1, n + 1)):
-            xv = np.array([xs[i] for i in range(1, n + 1)])
-            residual = norm_inf(np.atleast_1d(base.data @ xv - bvals))
-        return SolveReport(compatible=True, rank_A=None, rank_Ab=None,
-                           unknowns=unknowns, route=ROUTE_CRAMER,
-                           residual=residual)
-
     # the sections of A grow along the schedule; each serves det A and,
     # in a copy with column i overwritten by b, the numerator of unknown i
+    route = ROUTE_LU if is_finite_extent(A.rows) else "auto"
     sections = Sections(A)
+    rhs = _rhs_prefix(b)
 
     @cache
     def det_a_at(n):
-        return det_section(sections(n), policy)
+        return det_section(sections(n), policy, route)
 
     def det_replaced_at(n, col):
-        if col > n:
-            return det_a_at(n)
-        column = [_checked(b.entry(i), i, col) for i in range(1, n + 1)]
         t = np.array(sections(n).data)
-        t[:, col - 1] = column
-        return det_section(DenseMatrix(t), policy)
+        t[:, col - 1] = rhs(n, col)
+        return det_section(DenseMatrix(t), policy, route)
 
-    overall = limit_of_sequence(det_a_at, schedule, policy)
+    overall = section_limit(det_a_at, A.rows, schedule, policy)
     if overall.status == DIVERGED:
         raise SingularSystemError(
             f"system determinant did not stabilize ({overall.status})")
     if abs(overall.estimate) <= policy.tol:
         raise SingularSystemError(f"system determinant {overall.estimate:.6g} ~ 0")
 
-    idx = list(wanted) if wanted is not None else list(range(1, schedule.start + 1))
+    sizes = limit_sizes(A.rows, schedule)
+    idx = list(wanted) if wanted is not None else list(range(1, sizes[0] + 1))
+    top = max(idx)
     unknowns = {}
     xs = {}
     # the diagonal-series side condition is recorded, not enforced, so its
@@ -346,19 +336,17 @@ def cramer_solve(A: MatrixSpec, b: Vector, wanted: list[int] | None = None,
                                      max_terms=min(policy.max_terms, 4096))
     traces = {"A": trace_partial(A, trace_policy)}
     for i in idx:
-        rep = limit_of_sequence(
-            lambda n, _i=i: det_replaced_at(n, _i) / det_a_at(n), schedule, policy)
+        rep = section_limit(lambda n, _i=i: det_replaced_at(n, _i) / det_a_at(n),
+                            A.rows, schedule, policy, least=top)
         unknowns[i] = rep
         xs[i] = rep.estimate
         traces[i] = trace_partial(_replace_column(A, b, i), trace_policy)
 
     residual = None
-    final = schedule.sizes()[-1]
+    final = sizes[-1]
     if set(idx) >= set(range(1, final + 1)):
         xv = np.array([xs[i] for i in range(1, final + 1)])
-        an = sections(final).data
-        bn = np.array([b.entry(i) for i in range(1, final + 1)])
-        residual = norm_inf(np.atleast_1d(an @ xv - bn))
+        residual = norm_inf(np.atleast_1d(sections(final).data @ xv - rhs(final)))
     return SolveReport(compatible=True, rank_A=None, rank_Ab=None,
                        unknowns=unknowns, route=ROUTE_CRAMER,
                        residual=residual, trace_reports=traces)
@@ -376,63 +364,38 @@ def solve_via_inverse(A: MatrixSpec | DenseMatrix, b: Vector,
                       wanted: list[int] | None = None) -> SolveReport:
     """Solve by applying the inverse series directly to the right-hand side.
 
-    Shares the norm precondition with :func:`neumann_inverse`.  For
-    infinite systems the requested unknowns are stabilized across
-    truncations; the residual is evaluated on the final truncation.
+    Shares the norm precondition with :func:`neumann_inverse`.  The
+    requested unknowns (by default the indices of the first section) are
+    stabilized over the sections that hold the largest of them; the
+    residual is evaluated on the last section solved.
     """
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
-
-    if isinstance(A, DenseMatrix) or is_finite_extent(A.rows):
-        dm = A if isinstance(A, DenseMatrix) else truncate(A, A.rows, A.cols)
-        if dm.m != dm.n:
-            raise ExtentMismatchError(f"square system required, got {dm.m}x{dm.n}")
-        norm = norm_inf(np.eye(dm.m) - dm.data)
-        if norm >= 1.0:
-            raise PreconditionError(f"norm of I - A is {norm:.6g} >= 1",
-                                    measured=norm)
-        bv = np.array([b.entry(i) for i in range(1, dm.m + 1)])
-        x = _apply_series(dm.data, bv, policy)
-        residual = float(np.max(np.abs(dm.data @ x - bv)))
-        unknowns = {i: exact_report(float(x[i - 1]), 1) for i in range(1, dm.m + 1)}
-        return SolveReport(compatible=True, rank_A=None, rank_Ab=None,
-                           unknowns=unknowns, route=ROUTE_INVERSE,
-                           residual=residual)
-
+    A = A.as_spec() if isinstance(A, DenseMatrix) else A
     if not A.is_square:
         raise ExtentMismatchError(f"square system required, got {A.rows}x{A.cols}")
-    largest = schedule.sizes()[-1]
+    if not extents_equal(A.rows, b.extent):
+        raise ExtentMismatchError(f"rows {A.rows} vs right-hand side {b.extent}")
+    sizes = limit_sizes(A.rows, schedule)
     sections = Sections(A)
-    norm = _norm_check_infinite(sections(largest).data, None)
-    if norm >= 1.0:
-        raise PreconditionError(
-            f"norm of I - A is {norm:.6g} >= 1 on the {largest}-truncation",
-            measured=norm)
+    _norm_check(sections(sizes[-1]).data, None)
 
+    rhs = _rhs_prefix(b)
     solutions: dict[int, np.ndarray] = {}
 
     def solution_at(n):
-        x = solutions.get(n)
-        if x is None:
-            an = sections(n).data
-            bn = np.array([b.entry(i) for i in range(1, n + 1)])
-            x = _apply_series(an, bn, policy)
-            solutions[n] = x
-        return x
+        if n not in solutions:
+            solutions[n] = _apply_series(sections(n).data, rhs(n), policy)
+        return solutions[n]
 
-    idx = list(wanted) if wanted is not None else list(range(1, schedule.start + 1))
+    idx = list(wanted) if wanted is not None else list(range(1, sizes[0] + 1))
     top = max(idx)
-    sizes = [s for s in schedule.sizes() if s >= top]
-    if not sizes:
-        raise ExtentMismatchError(f"requested index {top} exceeds schedule cap")
     unknowns = {}
     for i in idx:
-        rep = limit_of_sequence(lambda n, _i=i: float(solution_at(n)[_i - 1]),
-                                sizes, policy)
-        unknowns[i] = rep
+        unknowns[i] = section_limit(lambda n, _i=i: float(solution_at(n)[_i - 1]),
+                                    A.rows, schedule, policy, least=top)
     final = max(solutions)
-    an = sections(final).data
-    bn = np.array([b.entry(i) for i in range(1, final + 1)])
-    residual = float(np.max(np.abs(an @ solution_at(final) - bn)))
+    residual = float(np.max(np.abs(sections(final).data @ solution_at(final)
+                                   - rhs(final))))
     return SolveReport(compatible=True, rank_A=None, rank_Ab=None,
                        unknowns=unknowns, route=ROUTE_INVERSE, residual=residual)

@@ -401,10 +401,6 @@ def entrywise_spec(fn: Callable[[int, int], float],
     return MatrixSpec(rows, cols, entry, structure=EXPR, decay=decay)
 
 
-def from_dense(dm: DenseMatrix) -> MatrixSpec:
-    return dm.as_spec()
-
-
 def spot_check_decay(M: MatrixSpec, samples: int = 200, rng=None,
                      slack: float = 1e-15, max_index: int = 50) -> None:
     """Sample entries and verify the declared decay bound.

@@ -23,6 +23,13 @@ the rule above would ask for ``window`` more terms.
 Verdicts are heuristic unless a :class:`GeometricTail` certificate is
 supplied, in which case ``certified`` is set and the error of the reported
 estimate is bounded by the certificate.
+
+A limit over the sections of a matrix decides here, and only here, how
+it visits them (:func:`section_limit`, :func:`section_limit_vector`): a
+finite extent N is the one-size schedule ``[N]``, whose value is exact
+(``converged``, one term, ``last_delta`` 0); an infinite extent runs the
+stopping rule over the schedule sizes at least as large as the largest
+index the caller reads.
 """
 
 import logging
@@ -33,6 +40,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ._dense import norm_inf
+from .errors import ExtentMismatchError
+from .matrix_core import Extent, is_finite_extent
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -184,10 +193,15 @@ def sum_series(term: Callable[[int], float],
                       remainder=tail.remainder if tail is not None else None)
 
 
+def _sizes_of(schedule) -> list[int]:
+    """``schedule.sizes()``, or the sizes of an iterable schedule."""
+    sizes = getattr(schedule, "sizes", None)
+    return list(sizes()) if callable(sizes) else [int(n) for n in schedule]
+
+
 def _schedule_sizes(schedule, policy: ConvergencePolicy) -> list[int]:
     """The sizes of ``schedule``; warns when they are too few to converge."""
-    sizes = getattr(schedule, "sizes", None)
-    sizes = list(sizes()) if callable(sizes) else [int(n) for n in schedule]
+    sizes = _sizes_of(schedule)
     if len(sizes) < policy.window + 1:
         logger.warning("schedule has %d sizes but the stopping rule needs "
                        "window + 1 = %d; the result cannot converge",
@@ -241,3 +255,51 @@ def stabilize_vector(value_at: Callable[[int], "np.ndarray"], schedule,
     if isinstance(rep.estimate, np.ndarray):
         rep = replace(rep, estimate=norm_inf(rep.estimate))
     return last, rep
+
+
+def limit_sizes(extent: Extent, schedule, least: int = 1) -> list[int]:
+    """The section sizes a limit over a matrix of this extent visits.
+
+    A finite extent N is the one-size schedule ``[N]``; an infinite one
+    keeps the schedule sizes ``>= least``, the largest index the caller
+    reads.  Raises :class:`ExtentMismatchError` when ``least`` lies beyond
+    the extent or the schedule cap.
+    """
+    if is_finite_extent(extent):
+        if least > extent:
+            raise ExtentMismatchError(f"index {least} beyond extent {extent}")
+        return [int(extent)]
+    sizes = _sizes_of(schedule)
+    reach = [n for n in sizes if n >= least]
+    if not reach:
+        raise ExtentMismatchError(
+            f"index {least} exceeds the schedule cap {sizes[-1]}")
+    return reach
+
+
+def section_limit(value_at: Callable[[int], float], extent: Extent, schedule,
+                  policy: ConvergencePolicy | None = None,
+                  least: int = 1) -> ConvergenceReport:
+    """Limit of ``value_at(n)`` over the sections :func:`limit_sizes` gives.
+
+    At a finite extent the one value is exact; otherwise the stopping rule
+    of :func:`limit_of_sequence` decides.
+    """
+    sizes = limit_sizes(extent, schedule, least)
+    if is_finite_extent(extent):
+        return exact_report(value_at(sizes[0]), 1)
+    return limit_of_sequence(value_at, sizes, policy)
+
+
+def section_limit_vector(value_at: Callable[[int], "np.ndarray"], extent: Extent,
+                         schedule, policy: ConvergencePolicy | None = None,
+                         least: int = 1) -> tuple["np.ndarray", ConvergenceReport]:
+    """The vector form of :func:`section_limit`, by :func:`stabilize_vector`.
+
+    An exact vector's report carries its max-abs entry as ``estimate``.
+    """
+    sizes = limit_sizes(extent, schedule, least)
+    if is_finite_extent(extent):
+        value = np.asarray(value_at(sizes[0]), dtype=float)
+        return value, exact_report(norm_inf(value), 1)
+    return stabilize_vector(value_at, sizes, policy)

@@ -17,8 +17,8 @@ from .algebra import Vector
 from .determinant import det_section
 from .errors import ExtentMismatchError, OracleValueError, SingularSystemError
 from .matrix_core import (DenseMatrix, MatrixSpec, TruncationSchedule,
-                          clip_extent, is_finite_extent, truncate)
-from .series import ConvergencePolicy
+                          clip_extent, truncate)
+from .series import ConvergencePolicy, limit_sizes
 
 BISECT_WIDTH = 1e-10
 ROOT_STABILITY_TOL = 1e-6
@@ -121,8 +121,9 @@ def find_eigenvalues(A: MatrixSpec | DenseMatrix, interval: tuple[float, float],
     Scans ``grid_points`` evenly spaced arguments at the largest
     scheduled truncation size, bisects each bracket to width 1e-10, and
     re-checks each root at the previous size; roots moving more than
-    1e-6 between the two sizes are flagged unstable.  An interval with
-    no sign change yields an empty list, not an error.
+    1e-6 between the two sizes are flagged unstable.  A finite spec's
+    schedule is its one full size, so its roots are exact and stable.  An
+    interval with no sign change yields an empty list, not an error.
 
     The spec is truncated once, at the largest size; the previous size is
     its top-left corner.  Every characteristic value, eigenvector and
@@ -135,16 +136,13 @@ def find_eigenvalues(A: MatrixSpec | DenseMatrix, interval: tuple[float, float],
         raise ValueError(f"empty interval [{lo}, {hi}]")
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
-    spec = A.as_spec() if isinstance(A, DenseMatrix) else A
+    spec = _square_spec(A)
 
-    sizes = schedule.sizes()
-    if is_finite_extent(spec.rows):
-        cap = int(spec.rows)
-        sizes = sorted({min(s, cap) for s in sizes})
+    sizes = limit_sizes(spec.rows, schedule)
     n_final = sizes[-1]
     n_prev = sizes[-2] if len(sizes) >= 2 else n_final
 
-    top = truncate(_square_spec(spec), n_final, n_final).data
+    top = truncate(spec, n_final, n_final).data
     sections = {n_final: top, n_prev: top[:n_prev, :n_prev]}
 
     def f_at(size):

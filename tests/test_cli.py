@@ -248,8 +248,12 @@ def test_det_finite_dense_spec(tmp_path, capsys):
     code, out = run_main(capsys, "det", spec, "--quiet")
     assert code == 0
     doc = json.loads(out)
-    assert doc["result"]["route"] == "lu-oracle"
+    # a finite spec is its own one-size schedule: one exact elimination
+    assert doc["result"]["route"] == "truncation-limit"
     assert doc["result"]["value"] == 5
+    report = doc["result"]["report"]
+    assert (report["status"], report["terms_used"], report["last_delta"]) == \
+        ("converged", 1, 0)
 
 
 def test_eig_finite_dense_spec(tmp_path, capsys):

@@ -25,7 +25,8 @@ TRIDIAG = {"rows": "inf", "cols": "inf", "kind": "banded",
 DENSE_EXPR = "delta(i,j) + 0.3/(i+j+1)^2.5"
 DENSE = {"rows": "inf", "cols": "inf", "kind": "expr", "expr": DENSE_EXPR}
 DENSE6 = {"rows": 6, "cols": 6, "kind": "expr", "expr": DENSE_EXPR}
-WRITTEN = {"tridiag.json": TRIDIAG, "dense.json": DENSE, "dense6.json": DENSE6,
+FIN20 = dict(TRIDIAG, rows=20, cols=20)
+WRITTEN = {"tridiag.json": TRIDIAG, "fin20.json": FIN20, "dense.json": DENSE, "dense6.json": DENSE6,
            "dense_system.json": {"A": DENSE, "b": {"kind": "expr", "expr": "1/i^2"}},
            "dense6_system.json": {"A": DENSE6, "b": {"kind": "expr", "expr": "1/i^2"}}}
 
@@ -76,7 +77,12 @@ COMMANDS = (
        ("tmp", ["rank", "dense6.json"]),
        ("tmp", ["inv", "dense6.json"]),
        ("tmp", ["solve", "dense6_system.json", "--route", "cramer", "--check-compat"]),
-       ("tmp", ["solve", "dense6_system.json", "--route", "inverse"])]
+       ("tmp", ["solve", "dense6_system.json", "--route", "inverse"]),
+       ("tmp", ["det", "dense6.json"]),
+       ("tmp", ["inv", "dense6.json", "--n", "4"]),
+       ("tmp", ["eig", "fin20.json", "--interval", "0.3", "0.65", "--grid", "64"]),
+       ("repo", ["solve", "specs/perturbed_system.json", "--route", "cramer",
+                 "--wanted", "100"])]
 )
 
 

@@ -7,13 +7,17 @@ import pytest
 from oracles import counting, fraction_rank, section_cells
 
 from infmat.algebra import Vector
-from infmat.errors import OracleValueError, PreconditionError, SingularSystemError
+from infmat.determinant import det_infinite
+from infmat.errors import (ExtentMismatchError, OracleValueError,
+                           PreconditionError, SingularSystemError)
+from infmat.expr_dsl import compile_index
 from infmat.inverse_solve import (check_compatibility, cramer_solve,
                                   neumann_inverse, rank_of, solve_via_inverse)
 from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE,
                                 MatrixSpec, TruncationSchedule, diagonal_spec,
                                 entrywise_spec, identity_spec, truncate)
 from infmat.series import ConvergencePolicy
+from infmat.spectral import find_eigenvalues
 
 SCHED = TruncationSchedule(8, 2, 64)
 LONG = TruncationSchedule(4, 2, 256)
@@ -58,14 +62,14 @@ def e1():
 
 def test_neumann_nilpotent_terminates_exactly():
     rep = neumann_inverse(DenseMatrix([[1.0, 0.5], [0.0, 1.0]]))
-    assert rep.matrix.tolist() == [[1.0, -0.5], [0.0, 1.0]]
+    assert rep.block_report(2, 2)[0].tolist() == [[1.0, -0.5], [0.0, 1.0]]
     assert rep.series_terms == 2
     assert rep.residual == 0.0
 
 
 def test_neumann_identity_single_term():
     rep = neumann_inverse(DenseMatrix(np.eye(3)))
-    assert rep.matrix.tolist() == np.eye(3).tolist()
+    assert rep.block_report(3, 3)[0].tolist() == np.eye(3).tolist()
     assert rep.series_terms == 1
 
 
@@ -85,7 +89,8 @@ def test_neumann_random_contractions_residual():
         a = DenseMatrix(np.eye(n) - x)
         rep = neumann_inverse(a)
         assert rep.residual <= 100 * tol
-        assert np.max(np.abs(rep.matrix.data @ a.data - np.eye(n))) <= 1e-7
+        inverse = rep.block_report(n, n)[0]
+        assert np.max(np.abs(inverse.data @ a.data - np.eye(n))) <= 1e-7
 
 
 def test_neumann_infinite_certified():
@@ -282,6 +287,141 @@ def test_check_compatibility_shares_a_cells_between_both_ranks(fn, bandwidth):
     assert rep.rank_A.converged and rep.rank_Ab.converged
     used = max(rep.rank_A.terms_used, rep.rank_Ab.terms_used)
     assert_section_evaluated_once(counts, LONG.sizes()[used - 1], bandwidth)
+
+
+def test_cramer_unknown_beyond_the_first_section_is_solved_not_one():
+    # on sections smaller than the unknown's index the ratio is
+    # det A / det A = 1; only sections that hold x_100 may count
+    rep = cramer_solve(perturbed_identity(), e1(), wanted=[100],
+                       schedule=TruncationSchedule(8, 2, 1024))
+    assert rep.unknowns[100].estimate == pytest.approx(0.0, abs=1e-12)
+    assert rep.unknowns[100].terms_used == 4  # sizes 128 .. 1024
+
+
+def non_finite_rhs(extent):
+    """``10^(300 i)`` through the DSL, as a JSON spec gives it: inf from i = 2."""
+    return Vector(extent, compile_index("10^(300*i)"))
+
+
+SOLVERS = {
+    "cramer": lambda A, b: cramer_solve(A, b, wanted=[1], schedule=SCHED),
+    "inverse": lambda A, b: solve_via_inverse(A, b, schedule=SCHED, wanted=[1]),
+    "compatibility": lambda A, b: check_compatibility(A, b, SCHED),
+}
+
+
+@pytest.mark.parametrize("route", SOLVERS)
+@pytest.mark.parametrize("A", [identity_spec(4), perturbed_identity()],
+                         ids=["finite", "infinite"])
+def test_non_finite_rhs_is_an_oracle_error_naming_its_row(route, A):
+    with pytest.raises(OracleValueError) as err:
+        SOLVERS[route](A, non_finite_rhs(A.rows))
+    assert err.value.index[0] == 2
+    assert ("(2, 1)" if route == "cramer" else "row 2") in str(err.value)
+
+
+@pytest.mark.parametrize("route", SOLVERS)
+def test_each_rhs_entry_is_read_once(route):
+    calls = Counter()
+
+    def rhs(i):
+        calls[i] += 1
+        return 1.0 / i ** 2
+
+    A = MatrixSpec(INFINITE, INFINITE, CONTRACTIONS[1][0], structure="banded",
+                   bandwidth=1)
+    SOLVERS[route](A, Vector(INFINITE, rhs))
+    if route == "cramer":
+        calls[1] -= 1  # the trace probe of x_1 reads b(1) in its replaced column
+    assert set(calls) == set(range(1, SCHED.max_size + 1))
+    assert max(calls.values()) == 1
+
+
+def test_solve_via_inverse_checks_the_rhs_extent():
+    with pytest.raises(ExtentMismatchError):
+        solve_via_inverse(identity_spec(3), Vector.from_values([1.0, 2.0]))
+
+
+# --- finite specs: one exact section, never the schedule -----------------------
+
+FINITE_N = 12
+SHORT = TruncationSchedule(4, 2, 1024)
+
+
+def finite_contraction():
+    entry, counts = counting(CONTRACTIONS[0][0])
+    return MatrixSpec(FINITE_N, FINITE_N, entry), counts
+
+
+def assert_exact(rep):
+    assert (rep.status, rep.terms_used, rep.last_delta) == ("converged", 1, 0.0)
+
+
+def _det(A, b):
+    rep = det_infinite(A, SHORT)
+    assert_exact(rep.report)
+
+
+def _rank(A, b):
+    assert_exact(rank_of(A, SHORT))
+
+
+def _inverse(A, b):
+    rep = neumann_inverse(A, schedule=SHORT)
+    for n in (FINITE_N, 3):
+        assert_exact(rep.block_report(n, n)[1])
+    assert rep.matrix.entry(2, 3) == rep.block_report(3, 3)[0].at(2, 3)
+
+
+def _solve(A, b):
+    rep = solve_via_inverse(A, b, schedule=SHORT)
+    assert sorted(rep.unknowns) == list(range(1, FINITE_N + 1))
+    for r in rep.unknowns.values():
+        assert_exact(r)
+
+
+def _cramer(A, b):
+    rep = cramer_solve(A, b, schedule=SHORT)
+    assert sorted(rep.unknowns) == list(range(1, FINITE_N + 1))
+    for r in rep.unknowns.values():
+        assert_exact(r)
+    assert rep.residual <= 1e-12
+
+
+def _eig(A, b):
+    pairs = find_eigenvalues(A, (0.95, 1.2), SHORT, grid_points=16)
+    assert pairs and all(p.stable for p in pairs)
+
+
+@pytest.mark.parametrize("run", [_det, _rank, _inverse, _solve, _cramer, _eig],
+                         ids=["det", "rank", "inverse", "solve", "cramer", "eig"])
+def test_finite_spec_is_one_exact_section(run, monkeypatch):
+    import infmat.matrix_core as core
+    grown = []
+    grow = core._grow
+
+    def recording(M, known, m, n):
+        grown.append((known.shape, m, n))
+        return grow(M, known, m, n)
+
+    monkeypatch.setattr(core, "_grow", recording)
+    A, counts = finite_contraction()
+    b_calls = Counter()
+    b = Vector(FINITE_N, lambda i: b_calls.update([i]) or 1.0 / i ** 2)
+    run(A, b)
+    assert grown == [((0, 0), FINITE_N, FINITE_N)]
+    if run is _cramer:
+        # the trace side condition reads the diagonal through the oracle
+        counts = {c: k for c, k in counts.items() if c[0] != c[1]}
+        assert set(counts) == section_cells(FINITE_N) - {(i, i) for i in range(1, FINITE_N + 1)}
+    else:
+        assert set(counts) == section_cells(FINITE_N)
+    assert max(counts.values()) == 1
+    if run in (_solve, _cramer):
+        if run is _cramer:  # the replaced-column trace probes read b(i)
+            b_calls.subtract(range(1, FINITE_N + 1))
+        assert set(+b_calls) == set(range(1, FINITE_N + 1))
+        assert max(b_calls.values()) == 1
 
 
 def test_cramer_non_finite_rhs_names_row_and_column():

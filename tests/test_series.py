@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from infmat.errors import ExtentMismatchError
 from infmat.series import (CONVERGED, DIVERGED, UNDETERMINED, ConvergencePolicy,
                            GeometricTail, exact_report, limit_of_sequence,
+                           limit_sizes, section_limit, section_limit_vector,
                            stabilize_vector, sum_series)
-from infmat.matrix_core import TruncationSchedule
+from infmat.matrix_core import INFINITE, TruncationSchedule
 
 DEFAULT = ConvergencePolicy()
 
@@ -206,3 +208,33 @@ def test_scalar_and_vector_limits_agree(values, tol, window, extra_terms):
         assert math.isnan(vector.estimate)
     else:
         assert vector.estimate == abs(scalar.estimate)
+
+
+def test_section_limit_finite_extent_is_one_exact_size():
+    seen = []
+
+    def value_at(n):
+        seen.append(n)
+        return 1.0 / n
+
+    sched = TruncationSchedule(4, 2, 64)
+    assert section_limit(value_at, 12, sched) == exact_report(1.0 / 12, 1)
+    vec, rep = section_limit_vector(lambda n: [-2.0 * n, 1.0], 12, sched)
+    assert vec.tolist() == [-24.0, 1.0] and rep == exact_report(24.0, 1)
+    assert seen == [12]
+
+
+def test_section_limit_infinite_extent_visits_sizes_holding_the_index():
+    sched = TruncationSchedule(4, 2, 64)
+    assert limit_sizes(INFINITE, sched) == [4, 8, 16, 32, 64]
+    assert limit_sizes(INFINITE, sched, least=9) == [16, 32, 64]
+    seen = []
+    rep = section_limit(lambda n: seen.append(n) or 0.5, INFINITE, sched, least=9)
+    assert seen == [16, 32, 64] and rep.status == UNDETERMINED
+
+
+def test_limit_sizes_rejects_an_index_past_the_extent_or_the_cap():
+    with pytest.raises(ExtentMismatchError, match="index 13 beyond extent 12"):
+        limit_sizes(12, TruncationSchedule(4, 2, 64), least=13)
+    with pytest.raises(ExtentMismatchError, match="index 65 exceeds the schedule cap 64"):
+        limit_sizes(INFINITE, TruncationSchedule(4, 2, 64), least=65)

@@ -153,3 +153,18 @@ def test_find_eigenvalues_evaluates_each_band_cell_once():
         assert len(pairs) == 4
         assert set(calls) == band
         assert max(calls.values()) == 1
+
+
+def test_find_eigenvalues_finite_spec_roots_are_exact_and_stable():
+    # a finite spec is its own one-size schedule: its roots are not
+    # compared with those of a smaller section
+    def entry(i, j):
+        return {-1: 0.25, 0: 1.0 / i, 1: 0.25}.get(j - i, 0.0)
+
+    spec = MatrixSpec(20, 20, entry, structure=BANDED, bandwidth=1)
+    pairs = find_eigenvalues(spec, (0.3, 0.65), grid_points=64)
+    dense = np.array([[entry(i, j) for j in range(1, 21)] for i in range(1, 21)])
+    want = [x for x in np.linalg.eigvalsh(dense) if 0.3 <= x <= 0.65]
+    assert len(want) == 6
+    assert [p.lam for p in pairs] == pytest.approx(want, abs=1e-9)
+    assert all(p.stable for p in pairs)
