@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Oracle-layer timing: microseconds per entry of a section fill, scalar
+against block.
+
+Each spec is loaded from JSON and its top-left n-by-n section
+(clipped to the spec's extents) is filled twice from nothing: once
+through the block oracle (``MatrixSpec.block``, as ``truncate`` does)
+and once with the block removed, cell by cell through the scalar oracle.
+The specs are the dense ``expr`` of the golden CLI tests, the same
+formula as a ``finite-support`` spec whose 384-by-384 support box the
+512 section overruns, a 512-by-512 ``dense`` spec holding the values of
+that formula, and every ``expr`` spec shipped in ``specs/``.  The two
+fills must agree bit for bit; the script exits with status 1 if any of
+them does not.
+
+    PYTHONPATH=src python scripts/oracle_bench.py
+"""
+
+import dataclasses
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from infmat.matrix_core import clip_extent, truncate
+from infmat.specio import matrix_from_obj
+
+ROOT = Path(__file__).resolve().parent.parent
+# the dense formula of tests/test_golden_cli.py
+DENSE_EXPR = "delta(i,j) + 0.3/(i+j+1)^2.5"
+SIZES = (256, 512)
+REPEAT = 3  # fills per timing; the fastest one counts
+
+
+def formulas():
+    golden = {"rows": "inf", "cols": "inf", "kind": "expr", "expr": DENSE_EXPR}
+    yield "golden DENSE_EXPR", golden
+    yield "finite-support 384x384", {**golden, "kind": "finite-support",
+                                     "support": {"rows": 384, "cols": 384}}
+    yield "dense 512x512", {"kind": "dense", "data": truncate(
+        matrix_from_obj(golden), max(SIZES), max(SIZES)).data.tolist()}
+    for path in sorted((ROOT / "specs").glob("*.json")):
+        obj = json.loads(path.read_text())
+        if obj.get("kind") == "expr":
+            yield f"specs/{path.name}", obj
+
+
+def best_fill(spec, m, n):
+    best = None
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        section = truncate(spec, m, n).data
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best, section
+
+
+def main():
+    print(f"{'formula':<28} {'section':>9} {'scalar us':>10} {'block us':>9} "
+          f"{'speedup':>8}  bits")
+    differ = 0
+    for name, obj in formulas():
+        spec = matrix_from_obj(obj)
+        scalar = dataclasses.replace(spec, block=None)
+        for size in SIZES:
+            m, n = clip_extent(spec.rows, size), clip_extent(spec.cols, size)
+            t_block, by_block = best_fill(spec, m, n)
+            t_scalar, by_scalar = best_fill(scalar, m, n)
+            same = np.array_equal(by_block.view(np.int64), by_scalar.view(np.int64))
+            differ += not same
+            print(f"{name:<28} {f'{m}x{n}':>9} {1e6 * t_scalar / (m * n):>10.3f} "
+                  f"{1e6 * t_block / (m * n):>9.3f} {t_scalar / t_block:>7.1f}x  "
+                  f"{'identical' if same else 'DIFFER'}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

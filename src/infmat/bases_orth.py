@@ -203,13 +203,25 @@ def transition_matrix(B: BasisFamily, B_prime: BasisFamily, count: int,
         raise ValueError("count must be >= 1")
 
     extent = B.vector_at(1).extent
+    known = np.zeros((0, 0))
+
+    def basis_section(n):
+        # column c holds the first n coordinates of B[c]; the largest
+        # section so far is kept and grown, so each coordinate is read once
+        nonlocal known
+        k = known.shape[0]
+        if n > k:
+            grown = np.zeros((n, n))
+            grown[:k, :k] = known
+            for col in range(1, n + 1):
+                vec = B.vector_at(col)
+                for row in range(k + 1 if col <= k else 1, n + 1):
+                    grown[row - 1, col - 1] = vec.entry(row)
+            known = grown
+        return known[:n, :n]
 
     def solve_at(n, i):
-        v_mat = np.empty((n, n))
-        for col in range(1, n + 1):
-            vec = B.vector_at(col)
-            for row in range(1, n + 1):
-                v_mat[row - 1, col - 1] = vec.entry(row)
+        v_mat = basis_section(n)
         u = B_prime.vector_at(i)
         rhs = np.array([u.entry(row) for row in range(1, n + 1)])
         return gauss_solve(v_mat, rhs, PIVOT_SCALE * max(1.0, norm_inf(v_mat)))

@@ -13,11 +13,25 @@ Calls: ``if(c, t, e)`` (t when c != 0), ``delta(a, b)`` (1 when a == b),
 ``fact(n)`` (n! for integer n >= 0), ``exp``, ``ln``, ``abs``,
 ``min``, ``max``.  Comparisons yield the scalars 0/1; there is no
 boolean type.
+
+Two evaluators share each parsed formula.  :func:`eval_ast` walks the
+tree for one cell; :func:`compile_block` turns the tree once into a
+function over whole index blocks.  ``expr`` and ``finite-support``
+specs read from JSON fill their sections through the block function
+(``MatrixSpec.block``); every other read -- point reads, banded and
+diagonal specs, vectors, basis families, specs derived from others --
+is scalar.  The block function gives the same bits as the scalar one,
+and it raises nothing: a cell the scalar path could reject makes it
+return ``None``, and the caller then evaluates that fill cell by cell,
+so every error is raised by the scalar path.
 """
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InfmatError
 
@@ -310,9 +324,150 @@ def _pretty(node, context_bp) -> str:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def compile_entry(src: str):
+class _Flagged(Exception):
+    """A block holds a cell that the scalar evaluator may reject."""
+
+
+# n! for n = 0..170 as floats; n >= 171 overflows to inf, as _as_float does
+_FACTORIALS = np.array([float(math.factorial(n)) for n in range(171)] + [math.inf])
+
+
+def _saturating(fn):
+    def cell(*args):
+        try:
+            return fn(*args)
+        except OverflowError:
+            return math.inf
+
+    return cell
+
+
+def _math_map(fn, *args):
+    """``fn`` from :mod:`math` over the broadcast cells of ``args``.
+
+    numpy's own ``**``, ``exp`` and ``log`` differ from :mod:`math` in
+    the last bit on some cells, so the scalar functions are mapped.
+    Overflow gives ``inf`` as in :func:`eval_ast`; a domain error flags
+    the block.
+    """
+    try:
+        try:
+            out = np.frompyfunc(fn, len(args), 1)(*args)
+        except OverflowError:
+            out = np.frompyfunc(_saturating(fn), len(args), 1)(*args)
+    except ValueError:
+        raise _Flagged from None
+    return np.asarray(out, dtype=float)
+
+
+def _flag_if(bad):
+    if np.any(bad):
+        raise _Flagged
+
+
+def _fact_block(x):
+    _flag_if(~np.isfinite(x))
+    nearest = np.round(x)  # half to even, as round()
+    _flag_if((np.abs(x - nearest) > 1e-9) | (nearest < 0))
+    return _FACTORIALS[np.minimum(nearest, 171).astype(np.intp)]
+
+
+def _if_block(cond, then, other):
+    def run(I, J):
+        taken = cond(I, J) != 0.0
+        if np.all(taken):
+            return then(I, J)
+        if not np.any(taken):
+            return other(I, J)
+        shape = np.broadcast_shapes(np.shape(I), np.shape(J))
+        taken = np.broadcast_to(taken, shape)
+        I, J = np.broadcast_to(I, shape), np.broadcast_to(J, shape)
+        out = np.empty(shape)
+        out[taken] = then(I[taken], J[taken])
+        out[~taken] = other(I[~taken], J[~taken])
+        return out
+
+    return run
+
+
+def _divide(a, b):
+    _flag_if(b == 0.0)
+    return a / b
+
+
+_BLOCK_BINOPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
+    "==": lambda a, b: np.where(a == b, 1.0, 0.0),
+    "^": lambda a, b: _math_map(math.pow, a, b),
+}
+_BLOCK_CALLS = {
+    "delta": _BLOCK_BINOPS["=="],
+    "min": lambda a, b: np.where(b < a, b, a),  # min() keeps a unless b < a
+    "max": lambda a, b: np.where(b > a, b, a),
+    "abs": np.abs,
+    "exp": lambda a: _math_map(math.exp, a),
+    "ln": lambda a: _math_map(math.log, a),  # ValueError on a <= 0
+    "fact": _fact_block,
+}
+
+
+def _scalar_only(I, J):
+    raise _Flagged
+
+
+def _compile_block(node):
+    if isinstance(node, Num):
+        value = node.value
+        return lambda I, J: value
+    if isinstance(node, Var):
+        if node.name == "i":
+            return lambda I, J: I
+        if node.name == "j":
+            return lambda I, J: J
+        return _scalar_only  # unbound variable
+    if isinstance(node, Neg):
+        operand = _compile_block(node.operand)
+        return lambda I, J: -operand(I, J)
+    if isinstance(node, BinOp) and node.op in _BLOCK_BINOPS:
+        op = _BLOCK_BINOPS[node.op]
+        left, right = _compile_block(node.left), _compile_block(node.right)
+        return lambda I, J: op(left(I, J), right(I, J))
+    if isinstance(node, Call) and node.func in _ARITY:
+        args = [_compile_block(a) for a in node.args]
+        if node.func == "if":
+            return _if_block(*args)
+        fn = _BLOCK_CALLS[node.func]
+        return lambda I, J: fn(*(a(I, J) for a in args))
+    return _scalar_only
+
+
+def compile_block(node: ExprAst):
+    """Compile a formula in ``i`` and ``j`` into ``block(I, J)``.
+
+    ``I`` and ``J`` are float arrays of 1-based indices that broadcast
+    together (``rows[:, None]``, ``cols[None, :]``).  The result
+    broadcasts to their common shape and equals :func:`eval_ast` bit for
+    bit on every cell.  ``if`` evaluates each branch only on the cells
+    that take it.  ``None`` is returned, instead of any value, when a
+    cell may be an error of the scalar path: a zero divisor, ``ln`` of a
+    value <= 0, a domain error of ``^``, a bad ``fact`` argument, or the
+    variable ``k``.
+    """
+    fn = _compile_block(node)
+
+    def block(I, J):
+        with np.errstate(all="ignore"):
+            try:
+                return fn(I, J)
+            except _Flagged:
+                return None
+
+    return block
+
+
+def compile_entry(src: str | ExprAst):
     """Parse once, return a fast ``(i, j) -> float`` oracle."""
-    ast = parse(src)
+    ast = parse(src) if isinstance(src, str) else src
 
     def oracle(i, j, _ast=ast):
         return eval_ast(_ast, i=i, j=j)

@@ -267,15 +267,6 @@ def check_compatibility(A: MatrixSpec | DenseMatrix, b: Vector,
                        route=None)
 
 
-def _replace_column(A: MatrixSpec, b: Vector, col: int) -> MatrixSpec:
-    ea, eb = A.entry, b.entry
-
-    def entry(i, j, _ea=ea, _eb=eb, _col=col):
-        return _eb(i) if j == _col else _ea(i, j)
-
-    return MatrixSpec(A.rows, A.cols, entry)
-
-
 def cramer_solve(A: MatrixSpec | DenseMatrix, b: Vector,
                  wanted: list[int] | None = None,
                  schedule: TruncationSchedule | None = None,
@@ -331,16 +322,24 @@ def cramer_solve(A: MatrixSpec | DenseMatrix, b: Vector,
     unknowns = {}
     xs = {}
     # the diagonal-series side condition is recorded, not enforced, so its
-    # probe gets a reduced term budget
+    # probe gets a reduced term budget; A's diagonal is read once, since the
+    # matrix with column i replaced by b has b(i) at (i, i) and A's diagonal
+    # elsewhere
     trace_policy = ConvergencePolicy(tol=policy.tol, window=policy.window,
                                      max_terms=min(policy.max_terms, 4096))
-    traces = {"A": trace_partial(A, trace_policy)}
+    diag = cache(lambda k: A.entry(k, k))
+
+    def diagonal_of(term, decay=None):
+        return MatrixSpec(A.rows, A.cols, lambda k, _: term(k), decay=decay)
+
+    traces = {"A": trace_partial(diagonal_of(diag, A.decay), trace_policy)}
     for i in idx:
         rep = section_limit(lambda n, _i=i: det_replaced_at(n, _i) / det_a_at(n),
                             A.rows, schedule, policy, least=top)
         unknowns[i] = rep
         xs[i] = rep.estimate
-        traces[i] = trace_partial(_replace_column(A, b, i), trace_policy)
+        traces[i] = trace_partial(
+            diagonal_of(lambda k, _i=i: b.entry(k) if k == _i else diag(k)), trace_policy)
 
     residual = None
     final = sizes[-1]

@@ -100,6 +100,13 @@ class MatrixSpec:
     ``bandwidth`` is required for ``BANDED`` structure, ``support`` (a
     ``(rows, cols)`` box) for ``FINITE_SUPPORT``.  Structure declarations
     are promises: out-of-structure entries must be exactly zero.
+
+    ``block``, optional and used by ``DENSE``, ``EXPR`` and
+    ``FINITE_SUPPORT`` sections, maps 1-based index arrays ``rows`` and
+    ``cols`` to the values of ``entry`` on ``rows x cols`` (any array
+    that broadcasts to that shape), bit for bit, or to ``None`` when
+    those cells must be evaluated one by one through ``entry``.  It is
+    only asked for cells inside the declared pattern.
     """
 
     rows: Extent
@@ -109,6 +116,7 @@ class MatrixSpec:
     decay: DecayCertificate | None = None
     bandwidth: int | None = None
     support: tuple[int, int] | None = None
+    block: Callable[[np.ndarray, np.ndarray], np.ndarray | None] | None = None
 
     def __post_init__(self):
         check_extent(self.rows, "rows")
@@ -226,7 +234,10 @@ class DenseMatrix:
         def entry(i, j, _data=data):
             return float(_data[i - 1, j - 1])
 
-        return MatrixSpec(self.m, self.n, entry, structure=DENSE)
+        def block(rows, cols, _data=data):
+            return _data[np.ix_(rows - 1, cols - 1)]
+
+        return MatrixSpec(self.m, self.n, entry, structure=DENSE, block=block)
 
     def __repr__(self):
         return f"DenseMatrix({self.m}x{self.n})"
@@ -266,12 +277,39 @@ def _checked(value, i, j) -> float:
     return v
 
 
+def _fill_blocks(M: MatrixSpec, out: np.ndarray, km: int, kn: int) -> bool:
+    """Fill the cells of ``out`` outside its known km-by-kn corner and
+    inside the declared pattern through ``M.block``: the strip right of
+    the corner, then the rows below it.  False when the block declines a
+    rectangle or gives a non-finite value, so that the caller redoes the
+    fill cell by cell and raises what the scalar path raises."""
+    m, n = out.shape
+    if M.structure == FINITE_SUPPORT:
+        m, n = min(m, M.support[0]), min(n, M.support[1])
+    elif M.structure not in (DENSE, EXPR):
+        return False
+    for r0, r1, c0 in ((0, min(km, m), kn), (km, m, 0)):
+        if r1 <= r0 or n <= c0:
+            continue
+        values = M.block(np.arange(r0 + 1, r1 + 1), np.arange(c0 + 1, n + 1))
+        if values is None:
+            return False
+        values = np.broadcast_to(values, (r1 - r0, n - c0))
+        if not np.all(np.isfinite(values)):
+            return False
+        out[r0:r1, c0:n] = values
+    return True
+
+
 def _grow(M: MatrixSpec, known: np.ndarray, m: int, n: int) -> np.ndarray:
     """``M``'s top-left m-by-n section; evaluates only the cells outside the
-    ``known`` corner, row by row and inside the declared nonzero pattern."""
+    ``known`` corner, inside the declared nonzero pattern: as blocks when
+    ``M`` has a block oracle that accepts them, else row by row."""
     out = np.zeros((m, n))
     km, kn = known.shape
     out[:km, :kn] = known
+    if M.block is not None and _fill_blocks(M, out, km, kn):
+        return out
     for i in range(1, m + 1):
         lo, hi = (1, n) if M.structure in (DENSE, EXPR) else M.row_support(i)
         if i <= km:

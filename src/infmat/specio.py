@@ -16,6 +16,7 @@ Family file:   {"count": "inf" | int, "vectors": <matrix-like, i = vector
                 index, j = coordinate index>}
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -54,6 +55,17 @@ def _require(obj, key, ctx):
     return obj[key]
 
 
+def _formula_oracles(text):
+    """The scalar ``(i, j)`` oracle and the block oracle of one formula."""
+    ast = expr_dsl.parse(text)
+    fill = expr_dsl.compile_block(ast)
+
+    def block(rows, cols, _fill=fill):
+        return _fill(rows[:, None].astype(float), cols[None, :].astype(float))
+
+    return expr_dsl.compile_entry(ast), block
+
+
 def matrix_from_obj(obj, ctx="matrix spec") -> MatrixSpec:
     if not isinstance(obj, dict):
         raise SchemaError(f"{ctx}: expected an object")
@@ -76,8 +88,8 @@ def matrix_from_obj(obj, ctx="matrix spec") -> MatrixSpec:
         rows = _parse_extent(_require(obj, "rows", ctx), "rows")
         cols = _parse_extent(_require(obj, "cols", ctx), "cols")
         if kind == "expr":
-            oracle = expr_dsl.compile_entry(_require(obj, "expr", ctx))
-            spec = entrywise_spec(oracle, rows, cols)
+            oracle, block = _formula_oracles(_require(obj, "expr", ctx))
+            spec = dataclasses.replace(entrywise_spec(oracle, rows, cols), block=block)
         elif kind == "diag":
             entry2 = expr_dsl.compile_entry(_require(obj, "expr", ctx))
 
@@ -101,9 +113,10 @@ def matrix_from_obj(obj, ctx="matrix spec") -> MatrixSpec:
             sup = _require(obj, "support", ctx)
             if not (isinstance(sup, dict) and "rows" in sup and "cols" in sup):
                 raise SchemaError(f"{ctx}: support must carry rows and cols")
-            oracle = expr_dsl.compile_entry(_require(obj, "expr", ctx))
-            spec = finite_support_spec(oracle, int(sup["rows"]), int(sup["cols"]),
-                                       rows, cols)
+            oracle, block = _formula_oracles(_require(obj, "expr", ctx))
+            spec = dataclasses.replace(
+                finite_support_spec(oracle, int(sup["rows"]), int(sup["cols"]), rows, cols),
+                block=block)
 
     if "decay" in obj and obj["decay"] is not None:
         d = obj["decay"]
@@ -114,8 +127,7 @@ def matrix_from_obj(obj, ctx="matrix spec") -> MatrixSpec:
                                     float(_require(d, "r", ctx)))
         except Exception as exc:
             raise SchemaError(f"{ctx}: bad decay certificate ({exc})") from exc
-        spec = MatrixSpec(spec.rows, spec.cols, spec.entry, structure=spec.structure,
-                          decay=cert, bandwidth=spec.bandwidth, support=spec.support)
+        spec = dataclasses.replace(spec, decay=cert)
         spot_check_decay(spec, samples=32, rng=np.random.default_rng(12345))
     return spec
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -145,15 +147,34 @@ def test_transition_inverse_relation():
         assert np.max(np.abs(ab @ ba - np.eye(4))) <= 1e-8
 
 
-def test_transition_shifted_standard_family():
-    shifted = BasisFamily(INFINITE, lambda i: Vector(
+def shifted_basis():
+    return BasisFamily(INFINITE, lambda i: Vector(
         INFINITE, lambda j, _i=i: 1.0 if j in (_i, _i + 1) else 0.0))
-    res = transition_matrix(standard_basis(), shifted, 6, SCHED)
+
+
+def test_transition_shifted_standard_family():
+    res = transition_matrix(standard_basis(), shifted_basis(), 6, SCHED)
     m = res.matrix.data
     assert np.array_equal(np.diag(m), np.ones(6))
     assert np.array_equal(np.diag(m, -1), np.ones(5))
     assert np.max(np.abs(np.triu(m, 1))) == 0.0
     assert set(res.column_status.values()) == {"converged"}
+
+
+def test_transition_reads_each_basis_coordinate_once():
+    calls = Counter()
+
+    def coordinate(i, j):
+        calls[(i, j)] += 1
+        return 1.0 if j == i else 0.0
+
+    standard = BasisFamily(INFINITE, lambda i: Vector(
+        INFINITE, lambda j, _i=i: coordinate(_i, j)))
+    res = transition_matrix(standard, shifted_basis(), 6, SCHED)
+    assert set(res.column_status.values()) == {"converged"}
+    # every column visits the sizes 8..64, all cut from one 64-by-64 section
+    assert set(calls) == {(i, j) for i in range(1, 65) for j in range(1, 65)}
+    assert sum(calls.values()) == 4096
 
 
 def test_transformation_matrix_identity_map():

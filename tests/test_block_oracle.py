@@ -1,0 +1,189 @@
+"""The block oracle against the scalar one, bit for bit.
+
+Sections of ``expr`` and ``finite-support`` specs, and of dense specs,
+are filled through ``MatrixSpec.block``; with the block removed the
+same cells are evaluated one by one.  Both must give the same bits, or
+raise the same error (class, message and index): the block path never
+raises itself, it hands a fill back to the scalar loop.
+"""
+
+import dataclasses
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from test_expr_dsl import _asts
+from test_golden_cli import DENSE_EXPR
+
+from infmat.expr_dsl import compile_block, eval_ast, parse, pretty
+from infmat.matrix_core import DenseMatrix, Sections, clip_extent, truncate
+from infmat.specio import load_matrix_file, matrix_from_obj
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+SHIPPED = sorted(p.name for p in SPECS.glob("*.json")
+                 if json.loads(p.read_text()).get("kind") in ("expr", "finite-support"))
+
+
+def expr_spec(expr, **fields):
+    return matrix_from_obj(dict({"rows": "inf", "cols": "inf", "kind": "expr",
+                                 "expr": expr}, **fields))
+
+
+def support_spec(expr):
+    return matrix_from_obj({"rows": "inf", "cols": 12, "kind": "finite-support",
+                            "expr": expr, "support": {"rows": 5, "cols": 9}})
+
+
+def scalar(spec):
+    return dataclasses.replace(spec, block=None)
+
+
+def outcome(fill):
+    """Bits of a filled section, or the error it raised."""
+    try:
+        return ("ok", fill().data.view(np.int64).tolist())
+    except Exception as exc:  # compared, class and all, with the other path
+        return ("raised", type(exc), str(exc), getattr(exc, "index", None))
+
+
+def assert_truncations_agree(spec, m, n):
+    assert spec.block is not None
+    assert outcome(lambda: truncate(spec, m, n)) == outcome(lambda: truncate(scalar(spec), m, n))
+
+
+def assert_sections_agree(spec, sizes):
+    with_block, without = Sections(spec), Sections(scalar(spec))
+    for n in sizes:
+        assert outcome(lambda: with_block(n)) == outcome(lambda: without(n)), n
+
+
+def test_shipped_specs_are_found():
+    assert SHIPPED == ["geometric.json", "ones.json", "taylor_exp_rows.json"]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_spec_sections_agree(name):
+    spec = load_matrix_file(SPECS / name)
+    assert_truncations_agree(spec, clip_extent(spec.rows, 37), 41)
+    assert_sections_agree(spec, [8, 16, 32, 64, 128])
+
+
+def test_golden_dense_expr_sections_agree():
+    spec = expr_spec(DENSE_EXPR)
+    assert_truncations_agree(spec, 37, 41)
+    assert_sections_agree(spec, [8, 16, 32, 64, 128])
+    assert_sections_agree(spec, [3, 5, 128])
+
+
+@given(_asts)
+def test_random_formula_sections_agree(ast):
+    src = pretty(ast)
+    for spec in (expr_spec(src), support_spec(src)):
+        assert_truncations_agree(spec, 7, 6)
+        assert_sections_agree(spec, [1, 2, 4, 8, 12])
+
+
+def block_and_scalar(ast, m, n):
+    """The block function's values on the m-by-n section (None if it
+    declines), and the scalar values cell by cell (None if one raises)."""
+    rows, cols = np.arange(1.0, m + 1), np.arange(1.0, n + 1)
+    got = compile_block(ast)(rows[:, None], cols[None, :])
+    try:
+        want = np.array([[eval_ast(ast, i=i, j=j) for j in range(1, n + 1)]
+                         for i in range(1, m + 1)])
+    except Exception:
+        want = None
+    if got is not None:
+        got = np.broadcast_to(got, (m, n)).view(np.int64).tolist()
+    return got, None if want is None else want.view(np.int64).tolist()
+
+
+@given(_asts)
+def test_block_value_is_the_scalar_value(ast):
+    # the block function on its own, before any finiteness check: the
+    # values it gives are the scalar bits, inf and nan included, and it
+    # declines wherever the scalar evaluator raises
+    got, want = block_and_scalar(ast, 6, 5)
+    assert got is None or got == want
+
+
+@pytest.mark.parametrize("expr", [
+    DENSE_EXPR,
+    "delta(i,j) + if(i==j, 0.25, 0.3)*exp(-0.137*(i+j))/(i+j+1.3)^1.7",
+    "ln(i/j + 0.3)", "ln(j) * ln(i + 0.5) - abs(ln(1/i))",
+    "(i/7)^(j/3) + (0-2)^j + 0^j + 2^(0-i*j)",      # integer powers of negatives
+    "1/2^(100*(i+j)) + exp(800*i) - exp(799*j)",     # overflow saturates to inf
+    "min(1, exp(1000)-exp(1000)) + max(j, exp(1000)-exp(1000))",  # nan order
+    "min(exp(1000)-exp(1000), 1) + max(exp(1000)-exp(1000), j)",
+    "min(0, -0)*i", "min(-0, 0)*i", "max(0, -0)*j", "max(-0, 0)*j",  # signed zeros
+    "fact(i+j) + fact(j*100) + 1/fact(171+i)",       # table, and overflow to inf
+    "if(exp(1000)-exp(1000), i, j) + if(0, 1/0, 2)",  # nan is true; branch untaken
+    "if(i==j, 1, 1/(i-j)) + if(i==j, ln(i-j+1), j)",
+])
+def test_block_fills_itself_bit_for_bit(expr):
+    got, want = block_and_scalar(parse(expr), 40, 37)
+    assert got is not None and got == want
+
+
+def test_untaken_branch_is_never_evaluated():
+    spec = expr_spec("if(i==j, 1, 1/(i-j))")
+    rows, cols = np.arange(1, 9), np.arange(1, 9)
+    assert spec.block(rows, cols) is not None
+    assert_sections_agree(spec, [8, 16, 32])
+    assert compile_block(parse("if(i==j, 1/(i-j), 2)"))(
+        rows[:, None] * 1.0, cols[None, :] + 8.0) is not None
+
+
+@pytest.mark.parametrize("expr", [
+    "1/(i-3)",                 # division by zero on row 3
+    "ln(j-2)",                 # ln of a value <= 0 in columns 1 and 2
+    "(0-i)^0.5",               # domain error of ^
+    "fact(i-2.5)",             # fact of a non-integer
+    "fact(j-4)",               # fact of a negative integer
+    "i + k",                   # unbound variable
+    "exp(100*(i+j))",          # overflow: a non-finite entry
+    "if(i==5, 0-exp(1000), 1)",
+    "1/(i-j)",
+    "1/(1/(i-3))",             # a zero divisor whose quotient is lost again
+    "if(1/(i-j) == 0, 1, 2)",
+])
+def test_errors_come_from_the_scalar_path(expr):
+    spec = expr_spec(expr)
+    assert_truncations_agree(spec, 9, 8)
+    assert_sections_agree(spec, [2, 4, 8, 16])
+    assert_truncations_agree(support_spec(expr), 9, 8)
+
+
+def test_overflow_saturates_as_in_the_scalar_path():
+    # 2^(i+j) overflows past i + j = 1023; the reciprocal is then 0
+    spec = expr_spec("1/2^(i+j) + fact(i+j-2)*0 + 1/exp(i*j)")
+    assert_truncations_agree(spec, 600, 600)
+
+
+def test_min_max_keep_the_scalar_order():
+    spec = expr_spec("min(i, 0-i*0) + max(j-3, 0*j) + min(i/j, j/i) - max(0, -0)")
+    assert_sections_agree(spec, [8, 16])
+
+
+def test_finite_support_block_stays_in_the_box():
+    spec = support_spec("1/(i+j)")
+    assert_sections_agree(spec, [2, 4, 8, 12])
+    assert not np.any(truncate(spec, 12, 12).data[5:, :])
+    assert not np.any(truncate(spec, 12, 12).data[:, 9:])
+
+
+def test_decay_certificate_keeps_the_block():
+    spec = expr_spec("1/2^(i+j)", decay={"kind": "geometric", "C": 1.0, "r": 0.5})
+    assert spec.decay is not None
+    assert_sections_agree(spec, [8, 16, 32])
+
+
+@given(st.integers(1, 9), st.integers(1, 9))
+def test_dense_spec_fills_by_slicing(m, n):
+    data = np.random.default_rng(m * 10 + n).normal(size=(9, 9))
+    spec = DenseMatrix(data).as_spec()
+    assert_truncations_agree(spec, m, n)
+    assert_sections_agree(spec, [m, 9])

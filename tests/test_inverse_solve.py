@@ -253,6 +253,19 @@ def test_cramer_evaluates_each_a_cell_once():
     assert calls[(3, 4)] == 1
 
 
+@pytest.mark.parametrize("wanted", [[1], list(range(1, 9))], ids=["one", "eight"])
+def test_cramer_trace_probes_read_a_diagonal_once(wanted):
+    # the diagonal sum of a perturbed identity diverges, so every trace
+    # probe runs to its 4096-term cap
+    entry, counts = counting(perturbed_identity().entry)
+    A = MatrixSpec(INFINITE, INFINITE, entry, structure="banded", bandwidth=0)
+    rep = cramer_solve(A, e1(), wanted=wanted, schedule=SCHED)
+    assert all(rep.trace_reports[i].terms_used == 4096 for i in wanted)
+    diagonal = {k: c for (k, l), c in counts.items() if k == l}
+    # once by the trace probes, once more by the sections up to 64
+    assert diagonal == {k: 2 if k <= SCHED.max_size else 1 for k in range(1, 4097)}
+
+
 @pytest.mark.parametrize("fn,bandwidth", CONTRACTIONS, ids=["dense", "banded"])
 def test_neumann_inverse_evaluates_each_a_cell_once(fn, bandwidth):
     A, counts = counted_spec(fn, bandwidth)
