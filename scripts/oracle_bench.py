@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Oracle-layer timing: microseconds per entry of a section fill, scalar
-against block.
+against block, and microseconds per term of a series sum, scalar against
+term runs.
 
 Each spec is loaded from JSON and its top-left n-by-n section
 (clipped to the spec's extents) is filled twice from nothing: once
@@ -10,8 +11,14 @@ The specs are the dense ``expr`` of the golden CLI tests, the same
 formula as a ``finite-support`` spec whose 384-by-384 support box the
 512 section overruns, a 512-by-512 ``dense`` spec holding the values of
 that formula, and every ``expr`` spec shipped in ``specs/``.  The two
-fills must agree bit for bit; the script exits with status 1 if any of
-them does not.
+fills must agree bit for bit.
+
+The term-run line sums row 1 of ``c/(i+j+a)^p`` times column 1 of
+another such spec, an entry of an infinite product, with ``sum_series``:
+once term by term through the scalar oracles and once fed term runs read
+through the block oracles (``matrix_core.Lines``), as ``matmul`` does.
+The two reports must agree bit for bit.  The script exits with status 1
+if a fill or a report differs.
 
     PYTHONPATH=src python scripts/oracle_bench.py
 """
@@ -24,14 +31,20 @@ from pathlib import Path
 
 import numpy as np
 
-from infmat.matrix_core import clip_extent, truncate
+from infmat.algebra import _line_product
+from infmat.matrix_core import Lines, clip_extent, truncate
+from infmat.series import ConvergencePolicy, sum_series
 from infmat.specio import matrix_from_obj
 
 ROOT = Path(__file__).resolve().parent.parent
 # the dense formula of tests/test_golden_cli.py
 DENSE_EXPR = "delta(i,j) + 0.3/(i+j+1)^2.5"
 SIZES = (256, 512)
-REPEAT = 3  # fills per timing; the fastest one counts
+REPEAT = 3  # fills (or sums) per timing; the fastest one counts
+# the two algebraic factors of tests/test_golden_cli.py's mul; about a
+# thousand terms by the quiet window
+SERIES_ROW, SERIES_COL = "1.02/(i+j+0.37)^1.6", "0.95/(i+j+0.81)^1.61"
+SERIES_POLICY = ConvergencePolicy(max_terms=20000)
 
 
 def formulas():
@@ -57,6 +70,41 @@ def best_fill(spec, m, n):
     return best, section
 
 
+def best_sum(A, B, runs):
+    def term(l):
+        return A.entry(1, l) * B.entry(l, 1)
+
+    best = None
+    for _ in range(REPEAT):
+        terms = _line_product(Lines(A, [1], 0), 0, Lines(B, [1], 1), 0) if runs else None
+        start = time.perf_counter()
+        report = sum_series(term, SERIES_POLICY, terms=terms)
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best, report
+
+
+def report_bits(report):
+    return (np.float64(report.estimate).view(np.int64), report.status, report.terms_used,
+            np.float64(report.last_delta).view(np.int64), report.certified)
+
+
+def term_runs():
+    """Print the term-run line; True when both sums give the same report."""
+    A, B = (matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "expr", "expr": e})
+            for e in (SERIES_ROW, SERIES_COL))
+    t_scalar, by_scalar = best_sum(A, B, runs=False)
+    t_runs, by_runs = best_sum(A, B, runs=True)
+    same = report_bits(by_scalar) == report_bits(by_runs)
+    n = by_scalar.terms_used
+    print(f"\n{'series':<28} {'terms':>9} {'scalar us':>10} {'runs us':>9} "
+          f"{'speedup':>8}  bits")
+    print(f"{'c/(i+j+a)^p row x column':<28} {n:>9} {1e6 * t_scalar / n:>10.3f} "
+          f"{1e6 * t_runs / n:>9.3f} {t_scalar / t_runs:>7.1f}x  "
+          f"{'identical' if same else 'DIFFER'}")
+    return same
+
+
 def main():
     print(f"{'formula':<28} {'section':>9} {'scalar us':>10} {'block us':>9} "
           f"{'speedup':>8}  bits")
@@ -73,7 +121,8 @@ def main():
             print(f"{name:<28} {f'{m}x{n}':>9} {1e6 * t_scalar / (m * n):>10.3f} "
                   f"{1e6 * t_block / (m * n):>9.3f} {t_scalar / t_block:>7.1f}x  "
                   f"{'identical' if same else 'DIFFER'}")
-    return 1 if differ else 0
+    same = term_runs()
+    return 1 if differ or not same else 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import numpy as np
 from ._dense import product_ascending
 from .errors import ExtentMismatchError
 from .matrix_core import (BANDED, DENSE, DIAGONAL, EXPR, FINITE_SUPPORT, DenseMatrix,
-                          DecayCertificate, Extent, MatrixSpec, clip_extent,
+                          DecayCertificate, Extent, Lines, MatrixSpec, clip_extent,
                           extents_equal, is_finite_extent, truncate)
 from .series import (CONVERGED, DIVERGED, ConvergencePolicy, ConvergenceReport,
                      GeometricTail, exact_report, sum_series)
@@ -188,13 +188,33 @@ def _product_tail(da: DecayCertificate | None, db: DecayCertificate | None,
     return GeometricTail(da.C * db.C * da.r ** i * db.r ** j, da.r * db.r)
 
 
-def _series_entry(A, B, i, j, policy):
+def _series_entry(A, B, i, j, policy, terms=None):
     ea, eb = A.entry, B.entry
 
     def term(l, _ea=ea, _eb=eb, _i=i, _j=j):
         return _ea(_i, l) * _eb(l, _j)
 
-    return sum_series(term, policy, tail=_product_tail(A.decay, B.decay, i, j))
+    return sum_series(term, policy, tail=_product_tail(A.decay, B.decay, i, j),
+                      terms=terms)
+
+
+def _line_product(left, p: int, right, q: int):
+    """Term runs of ``left[p][l] * right[q][l]`` for :func:`sum_series`.
+
+    ``left`` and ``right`` map n to the first n entries of some lines, as
+    :class:`Lines` does, or to ``None``; ``p`` and ``q`` pick one line of
+    each (0-based).  A run is ``None`` where either side is.
+    """
+
+    def terms(k0, k1):
+        a = left(k1 - 1)
+        b = None if a is None else right(k1 - 1)
+        if b is None:
+            return None
+        with np.errstate(all="ignore"):  # a non-finite run goes back to term
+            return a[p, k0 - 1:] * b[q, k0 - 1:]
+
+    return terms
 
 
 def _exact_sum(term: Callable[[int], float],
@@ -232,6 +252,10 @@ def matmul(A: MatrixSpec | DenseMatrix, B: MatrixSpec | DenseMatrix,
                              STATUS_CONVERGED)
 
     cache: dict[tuple[int, int], tuple[float, ConvergenceReport]] = {}
+    # rows of A and columns of B read by block, each grown once for all the
+    # product entries that share it
+    a_rows: dict[int, Lines] = {}
+    b_cols: dict[int, Lines] = {}
 
     def compute(i, j):
         key = (i, j)
@@ -242,7 +266,9 @@ def matmul(A: MatrixSpec | DenseMatrix, B: MatrixSpec | DenseMatrix,
         if span is not None:
             rep = _exact_sum(lambda l: A.entry(i, l) * B.entry(l, j), span)
         else:
-            rep = _series_entry(A, B, i, j, policy)
+            row = a_rows.setdefault(i, Lines(A, [i], 0))
+            col = b_cols.setdefault(j, Lines(B, [j], 1))
+            rep = _series_entry(A, B, i, j, policy, _line_product(row, 0, col, 0))
         result = (rep.estimate, rep)
         cache[key] = result
         return result

@@ -17,10 +17,10 @@ from typing import Callable
 import numpy as np
 
 from ._dense import gauss_solve, norm_inf
-from .algebra import Vector, _exact_sum, _intersect_supports
+from .algebra import Vector, _exact_sum, _intersect_supports, _line_product
 from .errors import (DependentRowsError, ExtentMismatchError,
                      GramConvergenceError)
-from .matrix_core import (DenseMatrix, Extent, MatrixSpec, TruncationSchedule,
+from .matrix_core import (DenseMatrix, Extent, Lines, MatrixSpec, TruncationSchedule,
                           is_finite_extent, truncate)
 from .series import (ConvergencePolicy, ConvergenceReport, GeometricTail,
                      section_limit_vector, sum_series)
@@ -87,7 +87,9 @@ class TransitionResult:
 
 
 def _gram_series(A: MatrixSpec, p: int, q: int,
-                 policy: ConvergencePolicy) -> ConvergenceReport:
+                 policy: ConvergencePolicy, lines: Lines) -> ConvergenceReport:
+    """The series of the inner product of rows p and q; its term runs
+    come from ``lines``, the leading entries of all rows of ``A``."""
     ea = A.entry
 
     def term(j, _p=p, _q=q):
@@ -97,15 +99,16 @@ def _gram_series(A: MatrixSpec, p: int, q: int,
     if A.decay is not None:
         C, r = A.decay.C, A.decay.r
         tail = GeometricTail(C * C * r ** (p + q), r * r)
-    return sum_series(term, policy, tail=tail)
+    return sum_series(term, policy, tail=tail,
+                      terms=_line_product(lines, p - 1, lines, q - 1))
 
 
-def _row_inner(A: MatrixSpec, p: int, q: int, policy) -> float:
+def _row_inner(A: MatrixSpec, p: int, q: int, policy, lines: Lines) -> float:
     """Inner product of rows p and q, exact when the support is finite."""
     span = _intersect_supports(A.row_support(p), A.row_support(q), A.cols)
     if span is not None:
         return _exact_sum(lambda j: A.entry(p, j) * A.entry(q, j), span).estimate
-    rep = _gram_series(A, p, q, policy)
+    rep = _gram_series(A, p, q, policy, lines)
     if not rep.converged:
         raise GramConvergenceError(
             f"inner product of rows {p} and {q} {rep.status} "
@@ -128,11 +131,14 @@ def orthogonalize(A: MatrixSpec | DenseMatrix,
     if not is_finite_extent(spec.rows):
         raise ExtentMismatchError("row count must be finite")
     m = int(spec.rows)
+    # the leading entries of all m rows, read by block for the Gram series
+    # and the orthogonality check alike
+    lines = Lines(spec, range(1, m + 1))
 
     gram = np.empty((m, m))
     for p in range(1, m + 1):
         for q in range(p, m + 1):
-            gram[p - 1, q - 1] = gram[q - 1, p - 1] = _row_inner(spec, p, q, policy)
+            gram[p - 1, q - 1] = gram[q - 1, p - 1] = _row_inner(spec, p, q, policy, lines)
     gram_dm = DenseMatrix(gram)
 
     g = np.array(gram)
@@ -165,6 +171,25 @@ def orthogonalize(A: MatrixSpec | DenseMatrix,
                                     for q in range(m)) for p in range(m)])
         else:
             amp = None
+        known = np.zeros((m, 0))
+
+        def transformed(n):
+            # the first n entries of every transformed row: one product
+            # coeff @ column per column, as the scalar term below forms it
+            # (a product with the whole block moves last bits)
+            nonlocal known
+            block = lines(n)
+            if block is None:
+                return None
+            k = known.shape[1]
+            if n > k:
+                new = np.empty((m, n - k))
+                with np.errstate(all="ignore"):  # non-finite runs go back to term
+                    for c in range(k, n):
+                        new[:, c - k] = coeff @ np.array(block[:, c])
+                known = np.concatenate((known, new), axis=1)
+            return known[:, :n]
+
         for p in range(m):
             for q in range(p + 1, m):
                 def term(j, _p=p, _q=q):
@@ -176,7 +201,8 @@ def orthogonalize(A: MatrixSpec | DenseMatrix,
                 if amp is not None:
                     # |A'_p(j)| <= amp_p * r^j, so the term is <= amp_p amp_q (r^2)^j
                     tail = GeometricTail(float(amp[p] * amp[q]), r * r)
-                rep = sum_series(term, policy, tail=tail)
+                rep = sum_series(term, policy, tail=tail,
+                                 terms=_line_product(transformed, p, transformed, q))
                 if not rep.converged:
                     raise GramConvergenceError(
                         f"orthogonality check for rows {p + 1}, {q + 1} "

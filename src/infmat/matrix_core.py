@@ -5,7 +5,9 @@ together with structural metadata (band, diagonal, finite support box)
 and an optional geometric decay certificate.  Every infinite computation
 in the package factors through :func:`truncate`, which materializes a
 top-left section as a :class:`DenseMatrix`, or :class:`Sections`, which
-grows one section along a limit's schedule.
+grows one section along a limit's schedule; :class:`Lines` grows the
+leading entries of single rows or columns for series along an infinite
+index.
 
 Extents are either a positive ``int`` or the distinguished token
 :data:`INFINITE`; operations must branch explicitly on finiteness, no
@@ -102,7 +104,8 @@ class MatrixSpec:
     are promises: out-of-structure entries must be exactly zero.
 
     ``block``, optional and used by ``DENSE``, ``EXPR`` and
-    ``FINITE_SUPPORT`` sections, maps 1-based index arrays ``rows`` and
+    ``FINITE_SUPPORT`` sections and by ``DENSE`` and ``EXPR``
+    :class:`Lines`, maps 1-based index arrays ``rows`` and
     ``cols`` to the values of ``entry`` on ``rows x cols`` (any array
     that broadcasts to that shape), bit for bit, or to ``None`` when
     those cells must be evaluated one by one through ``entry``.  It is
@@ -362,6 +365,44 @@ class Sections:
         if (m, k) == self._known.shape:
             return self._largest
         return DenseMatrix(self._known[:m, :k])
+
+
+class Lines:
+    """Leading entries of some rows (``axis`` 0) or columns (``axis`` 1) of
+    one spec, read through its block oracle: the 1-d counterpart of
+    :class:`Sections`, for series along an infinite index.
+
+    ``lines(n)``, for n within the spec's extent along the lines, returns
+    the first n entries of each line as a ``len(indices)``-by-n array, bit
+    for bit what ``M.entry`` gives, non-finite values included.  The
+    prefix is grown on demand, as one block per request, so each cell is
+    read once; the array is handed out uncopied.  ``None`` is returned
+    when ``M`` has no block oracle for its structure, and from the first
+    request the block declines on.
+    """
+
+    def __init__(self, M: MatrixSpec, indices, axis: int = 0):
+        self._M = M
+        self._indices = np.asarray(indices, dtype=int)
+        self._axis = axis
+        self._known = np.zeros((len(self._indices), 0))
+        self._declined = M.block is None or M.structure not in (DENSE, EXPR)
+
+    def __call__(self, n: int) -> np.ndarray | None:
+        if self._declined:
+            return None
+        k = self._known.shape[1]
+        if n > k:
+            new = np.arange(k + 1, n + 1)
+            rows, cols = (self._indices, new) if self._axis == 0 else (new, self._indices)
+            values = self._M.block(rows, cols)
+            if values is None:
+                self._declined = True
+                return None
+            values = np.broadcast_to(values, (rows.size, cols.size))
+            self._known = np.concatenate((self._known, values.T if self._axis else values),
+                                         axis=1)
+        return self._known[:, :n]
 
 
 def transpose(M: MatrixSpec) -> MatrixSpec:

@@ -24,6 +24,14 @@ Verdicts are heuristic unless a :class:`GeometricTail` certificate is
 supplied, in which case ``certified`` is set and the error of the reported
 estimate is bounded by the certificate.
 
+A series may come with term runs (:func:`sum_series`'s ``terms``): whole
+chunks of terms at once, read by ``matmul`` and ``orthogonalize`` from
+the block oracle.  They change how the terms are computed, not the rule:
+the partial sums are the same bits, each goes through the same stopping
+rule one at a time, and a chunk that is declined or holds a non-finite
+term is evaluated term by term, so the report and any error raised before
+the stop are those of the scalar sum.
+
 A limit over the sections of a matrix decides here, and only here, how
 it visits them (:func:`section_limit`, :func:`section_limit_vector`): a
 finite extent N is the one-size schedule ``[N]``, whose value is exact
@@ -172,22 +180,46 @@ def _stabilize(values: Iterator, policy: ConvergencePolicy,
 
 def sum_series(term: Callable[[int], float],
                policy: ConvergencePolicy | None = None,
-               tail: GeometricTail | None = None) -> ConvergenceReport:
+               tail: GeometricTail | None = None,
+               terms: Callable[[int, int], "np.ndarray | None"] | None = None
+               ) -> ConvergenceReport:
     """Sum ``term(1) + term(2) + ...`` until the stopping rule fires.
 
     ``term`` must be a pure function on indices 1, 2, 3, ...  A non-finite
     term value yields a diverged verdict whose ``terms_used`` names the
     offending index.  Partial sums are accumulated in ascending index
     order, so results are deterministic.
+
+    ``terms(k0, k1)``, optional, returns the float64 array ``term(k0)``
+    ... ``term(k1 - 1)`` bit for bit, or ``None``.  It is asked for chunks
+    of ``window + 1`` terms, then twice as many each time, clipped at
+    ``max_terms``; a chunk's partial sums come from ``np.add.accumulate``
+    seeded with the running sum, the same bits as adding term by term, and
+    each goes through the same stopping rule.  A chunk that is declined or
+    holds a non-finite value is evaluated through ``term`` one index at a
+    time, so the report, and any error ``term`` raises before the stop,
+    are those of the scalar sum.  Runs may reach up to about twice as far
+    as the stop; ``term`` is never asked past it.
     """
     policy = policy or ConvergencePolicy()
 
     def partials():
         s = 0.0
-        for k in range(1, policy.max_terms + 1):
-            t = term(k)
-            s = s + t if math.isfinite(t) else math.nan
-            yield s
+        k0, size = 1, policy.window + 1
+        while k0 <= policy.max_terms:
+            k1 = min(k0 + size, policy.max_terms + 1)
+            run = terms(k0, k1) if terms is not None else None
+            if run is not None and np.all(np.isfinite(run)):
+                with np.errstate(over="ignore"):  # inf, as a float sum overflows
+                    sums = np.add.accumulate(np.concatenate(([s], run)))
+                yield from sums[1:].tolist()
+                s = float(sums[-1])
+            else:
+                for k in range(k0, k1):
+                    t = term(k)
+                    s = s + t if math.isfinite(t) else math.nan
+                    yield s
+            k0, size = k1, 2 * size
 
     return _stabilize(partials(), policy,
                       remainder=tail.remainder if tail is not None else None)

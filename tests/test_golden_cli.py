@@ -26,9 +26,19 @@ DENSE_EXPR = "delta(i,j) + 0.3/(i+j+1)^2.5"
 DENSE = {"rows": "inf", "cols": "inf", "kind": "expr", "expr": DENSE_EXPR}
 DENSE6 = {"rows": 6, "cols": 6, "kind": "expr", "expr": DENSE_EXPR}
 FIN20 = dict(TRIDIAG, rows=20, cols=20)
+# series specs: algebraic c/(i+j+a)^p factors stop by the quiet window after
+# about a thousand (mul) or several thousand (orth) terms; c*r^(i*j) rows
+# carry a geometric certificate (C = c/r, since r^(ij) <= r^(i+j-1))
+POLY_A = {"rows": "inf", "cols": "inf", "kind": "expr", "expr": "1.02/(i+j+0.37)^1.6"}
+POLY_B = {"rows": "inf", "cols": "inf", "kind": "expr", "expr": "0.95/(i+j+0.81)^1.61"}
+POLY_ROWS4 = {"rows": 4, "cols": "inf", "kind": "expr", "expr": "1.01/(i+j+0.42)^1.3"}
+GEO_ROWS3 = {"rows": 3, "cols": "inf", "kind": "expr", "expr": "0.9*0.45^(i*j)",
+             "decay": {"kind": "geometric", "C": 2.0, "r": 0.45}}
 WRITTEN = {"tridiag.json": TRIDIAG, "fin20.json": FIN20, "dense.json": DENSE, "dense6.json": DENSE6,
            "dense_system.json": {"A": DENSE, "b": {"kind": "expr", "expr": "1/i^2"}},
-           "dense6_system.json": {"A": DENSE6, "b": {"kind": "expr", "expr": "1/i^2"}}}
+           "dense6_system.json": {"A": DENSE6, "b": {"kind": "expr", "expr": "1/i^2"}},
+           "poly_a.json": POLY_A, "poly_b.json": POLY_B, "poly_rows4.json": POLY_ROWS4,
+           "geo_rows3.json": GEO_ROWS3}
 
 _SPECS = ("harmonic_diag", "identity", "perturbation", "derivative")
 _EIG_INTERVALS = {"harmonic_diag": ("0.15", "0.6"), "identity": ("0.5", "1.5"),
@@ -82,7 +92,10 @@ COMMANDS = (
        ("tmp", ["inv", "dense6.json", "--n", "4"]),
        ("tmp", ["eig", "fin20.json", "--interval", "0.3", "0.65", "--grid", "64"]),
        ("repo", ["solve", "specs/perturbed_system.json", "--route", "cramer",
-                 "--wanted", "100"])]
+                 "--wanted", "100"]),
+       ("tmp", ["mul", "poly_a.json", "poly_b.json", "--max-terms", "20000"]),
+       ("tmp", ["orth", "poly_rows4.json", "--max-terms", "20000"]),
+       ("tmp", ["orth", "geo_rows3.json", "--max-terms", "20000"])]
 )
 
 

@@ -1,0 +1,312 @@
+"""Term runs: series sums fed chunks of terms, against the scalar sum.
+
+``sum_series(term, policy, tail, terms=run)`` must give the report of
+``sum_series(term, policy, tail)`` bit for bit, or raise what it raises:
+the stopping rule sees the same partial sums, and a chunk the run
+declines, or one holding a non-finite term, is evaluated through
+``term``.  ``matmul`` and ``orthogonalize`` feed runs from the leading
+entries of rows and columns read through the block oracle
+(``matrix_core.Lines``); with the block removed every term is scalar.
+"""
+
+import contextlib
+import dataclasses
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from oracles import counting
+from test_block_oracle import expr_spec, scalar
+from test_expr_dsl import _asts
+from test_golden_cli import GEO_ROWS3, POLY_A, POLY_B, POLY_ROWS4
+
+from infmat import specio
+from infmat.algebra import _line_product, matmul
+from infmat.bases_orth import orthogonalize
+from infmat.cli import main
+from infmat.expr_dsl import EvalError, pretty
+from infmat.matrix_core import Lines
+from infmat.series import ConvergencePolicy, GeometricTail, sum_series
+from infmat.specio import matrix_from_obj
+
+
+def bits(report):
+    """The report with its floats as their bit patterns."""
+    return (np.float64(report.estimate).view(np.int64),
+            np.float64(report.last_delta).view(np.int64),
+            report.status, report.terms_used, report.certified)
+
+
+def outcome(run):
+    """``bits`` of what ``run()`` returns, or the error it raised."""
+    try:
+        result = run()
+    except Exception as exc:  # compared, class and all, with the other path
+        return ("raised", type(exc), str(exc))
+    return ("ok", bits(result))
+
+
+def product_outcome(A, B, policy):
+    def run():
+        product = matmul(A, B, policy)
+        return {key: bits(rep) for key, rep in product.per_entry_reports.items()}
+
+    try:
+        return ("ok", run())
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def orth_outcome(spec, policy):
+    try:
+        rep = orthogonalize(spec, policy)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+    return ("ok", rep.G.data.view(np.int64).tolist(), rep.gram.data.view(np.int64).tolist(),
+            np.float64(rep.max_offdiag_dot).view(np.int64),
+            rep.A_prime.coefficients.view(np.int64).tolist())
+
+
+policies = st.builds(lambda tol, window, max_terms: ConvergencePolicy(
+    tol, window, max(max_terms, window + 1)),
+    st.sampled_from([1e-10, 1e-6, 1e-3]), st.integers(1, 5), st.integers(4, 3000))
+tails = st.one_of(st.none(), st.builds(GeometricTail, st.floats(0.0, 10.0),
+                                       st.floats(0.05, 0.95)))
+
+
+# --- the rule on its own --------------------------------------------------
+
+@given(_asts, _asts, st.integers(1, 4), st.integers(1, 4), policies, tails)
+def test_row_times_column_runs_match_the_scalar_sum(row, col, i, j, policy, tail):
+    # rows x columns of random formulas: unbound variables, zero divisors
+    # and domain errors make the block decline, overflow gives inf and nan
+    A, B = expr_spec(pretty(row)), expr_spec(pretty(col))
+
+    def term(l):
+        return A.entry(i, l) * B.entry(l, j)
+
+    run = _line_product(Lines(A, [i], 0), 0, Lines(B, [j], 1), 0)
+    assert (outcome(lambda: sum_series(term, policy, tail, terms=run))
+            == outcome(lambda: sum_series(term, policy, tail)))
+
+
+class _Bad(Exception):
+    pass
+
+
+@st.composite
+def term_tables(draw):
+    """Terms 1..n as a list (floats, inf, nan, or an error marker) and the
+    set of chunks, by start index, the run declines; a chunk holding an
+    error is always declined, as a block oracle declines it."""
+    values = draw(st.lists(st.one_of(
+        st.floats(-1e3, 1e3),
+        st.floats(-1e-9, 1e-9),
+        st.sampled_from([math.inf, -math.inf, math.nan, 1e308, "error"])),
+        min_size=1, max_size=80))
+    declined = draw(st.sets(st.integers(1, 81)))
+    return values, declined
+
+
+@given(term_tables(), st.integers(1, 5), st.integers(4, 120), tails)
+def test_declined_and_non_finite_chunks_match_the_scalar_sum(table, window, max_terms, tail):
+    values, declined = table
+    max_terms = max(max_terms, window + 1)
+    policy = ConvergencePolicy(tol=1e-6, window=window, max_terms=max_terms)
+    evaluated = []
+
+    def value(k):
+        return values[(k - 1) % len(values)]
+
+    def term(k):
+        evaluated.append(k)
+        if value(k) == "error":
+            raise _Bad(f"term {k}")
+        return value(k)
+
+    def run(k0, k1):
+        chunk = [value(k) for k in range(k0, k1)]
+        if k0 in declined or "error" in chunk:
+            return None
+        return np.array(chunk, dtype=float)
+
+    want = outcome(lambda: sum_series(term, policy, tail))
+    evaluated.clear()
+    got = outcome(lambda: sum_series(term, policy, tail, terms=run))
+    assert got == want
+    # term is asked only up to the stop (or the index that raised)
+    stop = want[1][3] if want[0] == "ok" else int(want[2].split()[1])
+    assert all(k <= stop for k in evaluated)
+
+
+def test_runs_replace_every_term_call():
+    calls = []
+
+    def term(k):
+        calls.append(k)
+        return 1.0 / k ** 2
+
+    def run(k0, k1):
+        return 1.0 / np.arange(k0, k1, dtype=float) ** 2
+
+    policy = ConvergencePolicy(max_terms=5000)
+    assert outcome(lambda: sum_series(term, policy, terms=run)) == \
+        outcome(lambda: sum_series(term, policy))
+    calls.clear()
+    sum_series(term, policy, terms=run)
+    assert calls == []
+
+
+def test_chunks_double_from_window_plus_one():
+    asked = []
+
+    def run(k0, k1):
+        asked.append((k0, k1))
+        return np.ones(k1 - k0)
+
+    sum_series(lambda k: 1.0, ConvergencePolicy(window=2, max_terms=40), terms=run)
+    assert asked == [(1, 4), (4, 10), (10, 22), (22, 41)]
+
+
+# --- errors keep their order ----------------------------------------------
+
+LOOSE = ConvergencePolicy(tol=1e-6)   # product entries stop after 95-102 terms
+GRAM = ConvergencePolicy(tol=1e-7)    # 2-row Gram and check series stop by 58
+
+
+def recorded(spec):
+    """``spec`` whose scalar oracle records the last index it was asked."""
+    last = []
+    entry = spec.entry
+
+    def traced(i, j):
+        last[:] = [(i, j)]
+        return entry(i, j)
+
+    return dataclasses.replace(spec, entry=traced), last
+
+
+@pytest.mark.parametrize("divisor", [110, 5000])
+def test_product_error_past_the_stop_is_not_raised(divisor):
+    # 110 lies in the chunk [61, 124] that every probe entry stops in, so
+    # the block declines that chunk and the terms up to the stop are scalar
+    A, B = expr_spec(f"1/(i+j)^3 + 0/(j-{divisor})"), expr_spec("1")
+    got = product_outcome(A, B, LOOSE)
+    assert got[0] == "ok"
+    assert got == product_outcome(scalar(A), B, LOOSE)
+
+
+def test_product_error_before_the_stop_is_the_scalar_error():
+    A, B = expr_spec("1/(i+j)^3 + 0/(j-80)"), expr_spec("1")
+    traced, last = recorded(A)
+    got = product_outcome(traced, B, LOOSE)
+    at = list(last)
+    want = product_outcome(scalar(traced), B, LOOSE)
+    assert got == want == ("raised", EvalError, "division by zero")
+    assert at == last == [(1, 80)]
+
+
+def test_gram_error_past_the_stop_is_not_raised():
+    spec = expr_spec("1/(i+j)^2 + 0/(j-59)", rows=2)
+    got = orth_outcome(spec, GRAM)
+    assert got[0] == "ok"
+    assert got == orth_outcome(scalar(spec), GRAM)
+
+
+def test_gram_error_before_the_stop_is_the_scalar_error():
+    traced, last = recorded(expr_spec("1/(i+j)^2 + 0/(j-40)", rows=2))
+    got = orth_outcome(traced, GRAM)
+    at = list(last)
+    want = orth_outcome(scalar(traced), GRAM)
+    assert got == want == ("raised", EvalError, "division by zero")
+    assert at == last == [(1, 40)]
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--quiet"])
+    return out.getvalue(), code
+
+
+@pytest.mark.parametrize("command", ["mul", "orth"])
+def test_cli_errors_keep_their_document(command, tmp_path, monkeypatch):
+    # ln(0) at column 30 of every row, inside the first chunks of the sums
+    row = {"rows": 3, "cols": "inf", "kind": "expr", "expr": "ln(abs(j-30))/(i+j)^3"}
+    (tmp_path / "row.json").write_text(json.dumps(row))
+    (tmp_path / "col.json").write_text(json.dumps(
+        {"rows": "inf", "cols": 2, "kind": "expr", "expr": "1/(i+j)"}))
+    argv = ([command, str(tmp_path / "row.json")]
+            + ([str(tmp_path / "col.json")] if command == "mul" else []))
+    with_blocks = run_cli(argv)
+    oracles = specio._formula_oracles
+    monkeypatch.setattr(specio, "_formula_oracles",
+                        lambda text: (oracles(text)[0], lambda rows, cols: None))
+    assert with_blocks == run_cli(argv)
+    assert with_blocks[1] == 1 and '"code": "eval-error"' in with_blocks[0]
+
+
+# --- each cell once, no scalar reads --------------------------------------
+
+def counted(spec):
+    """``spec`` with its scalar oracle and its block counted per cell."""
+    entry, entry_counts = counting(spec.entry)
+    block_counts = {}
+    block = spec.block
+
+    def counted_block(rows, cols):
+        for i in rows.tolist():
+            for j in cols.tolist():
+                block_counts[(i, j)] = block_counts.get((i, j), 0) + 1
+        return block(rows, cols)
+
+    return (dataclasses.replace(spec, entry=entry, block=counted_block),
+            entry_counts, block_counts)
+
+
+@pytest.mark.parametrize("pair", [(POLY_A, POLY_B), (GEO_ROWS3, GEO_ROWS3)])
+def test_product_probe_reads_each_line_cell_once_by_block(pair):
+    left, right = (matrix_from_obj(dict(obj, rows="inf")) for obj in pair)
+    A, a_entries, a_cells = counted(left)
+    B, b_entries, b_cells = counted(right)
+    product = matmul(A, B, ConvergencePolicy(max_terms=20000))
+    assert len(product.per_entry_reports) == 64
+    assert a_entries == {} and b_entries == {}
+    assert set(a_cells.values()) == {1} and set(b_cells.values()) == {1}
+    # eight rows of A and eight columns of B, as far as their longest entry
+    assert {i for i, _ in a_cells} == set(range(1, 9))
+    assert {j for _, j in b_cells} == set(range(1, 9))
+
+
+@pytest.mark.parametrize("obj", [POLY_ROWS4, GEO_ROWS3])
+def test_orthogonalize_reads_each_row_cell_once_by_block(obj):
+    spec, entries, cells = counted(matrix_from_obj(obj))
+    orthogonalize(spec, ConvergencePolicy(max_terms=20000))
+    assert entries == {}
+    assert set(cells.values()) == {1}
+    longest = max(j for _, j in cells)
+    m = spec.rows
+    assert set(cells) == {(i, j) for i in range(1, m + 1) for j in range(1, longest + 1)}
+
+
+@pytest.mark.parametrize("obj", [
+    POLY_ROWS4, GEO_ROWS3,
+    {"rows": 5, "cols": "inf", "kind": "expr", "expr": "(0-1)^(i*j)*0.7/(i+2*j+0.3)^1.2"},
+    {"rows": 3, "cols": "inf", "kind": "expr", "expr": "exp(-0.3*i*j) + 1/(j+i)^2"},
+])
+def test_orthogonalize_matches_the_scalar_path_bit_for_bit(obj):
+    spec = matrix_from_obj(obj)
+    policy = ConvergencePolicy(max_terms=20000)
+    assert orth_outcome(spec, policy) == orth_outcome(scalar(spec), policy)
+
+
+@pytest.mark.parametrize("obj", [dict(POLY_A, rows=2), POLY_B])
+def test_product_matches_the_scalar_path_bit_for_bit(obj):
+    A = matrix_from_obj(obj)
+    B = matrix_from_obj(dict(POLY_B, cols=3))
+    policy = ConvergencePolicy(max_terms=20000)
+    assert product_outcome(A, B, policy) == product_outcome(scalar(A), scalar(B), policy)
