@@ -12,6 +12,7 @@ the original rows).
 """
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -20,8 +21,9 @@ from ._dense import gauss_solve, norm_inf
 from .algebra import Vector, _exact_sum, _intersect_supports, _line_product
 from .errors import (DependentRowsError, ExtentMismatchError,
                      GramConvergenceError)
-from .matrix_core import (DenseMatrix, Extent, Lines, MatrixSpec, TruncationSchedule,
-                          is_finite_extent, truncate)
+from .matrix_core import (DenseMatrix, Extent, Lines, MatrixSpec, Sections,
+                          TruncationSchedule, extents_equal, is_finite_extent,
+                          truncate)
 from .series import (ConvergencePolicy, ConvergenceReport, GeometricTail,
                      section_limit_vector, sum_series)
 
@@ -221,36 +223,33 @@ def transition_matrix(B: BasisFamily, B_prime: BasisFamily, count: int,
     solving the column system on truncations; for infinite ambient
     coordinates each column is stabilized over the schedule sizes of at
     least ``count`` and flagged if it fails to settle, and finite ones are
-    solved once, exactly, at the full dimension.
+    solved once, exactly, at the full dimension.  ``B`` needs one vector
+    per coordinate and ``B_prime`` at least ``count`` vectors of the same
+    coordinates, else :class:`ExtentMismatchError` is raised.
     """
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
     if count < 1:
         raise ValueError("count must be >= 1")
 
-    extent = B.vector_at(1).extent
-    known = np.zeros((0, 0))
-
-    def basis_section(n):
-        # column c holds the first n coordinates of B[c]; the largest
-        # section so far is kept and grown, so each coordinate is read once
-        nonlocal known
-        k = known.shape[0]
-        if n > k:
-            grown = np.zeros((n, n))
-            grown[:k, :k] = known
-            for col in range(1, n + 1):
-                vec = B.vector_at(col)
-                for row in range(k + 1 if col <= k else 1, n + 1):
-                    grown[row - 1, col - 1] = vec.entry(row)
-            known = grown
-        return known[:n, :n]
+    old_at, new_at = cache(B.vector_at), cache(B_prime.vector_at)
+    extent = old_at(1).extent
+    if not extents_equal(B.count, extent):
+        raise ExtentMismatchError(f"the old basis has {B.count} vectors of {extent} "
+                                  "coordinates; it needs one vector per coordinate")
+    if is_finite_extent(B_prime.count) and B_prime.count < count:
+        raise ExtentMismatchError(f"the new basis has {B_prime.count} vectors, "
+                                  f"fewer than the {count} asked for")
+    if not extents_equal(new_at(1).extent, extent):
+        raise ExtentMismatchError(f"the new basis has vectors of {new_at(1).extent} "
+                                  f"coordinates, the old basis {extent}")
+    # column c holds the coordinates of vector c, each read once
+    old = Sections(MatrixSpec(extent, extent, lambda i, c: old_at(c).entry(i)))
+    new = Sections(MatrixSpec(extent, count, lambda i, c: new_at(c).entry(i)))
 
     def solve_at(n, i):
-        v_mat = basis_section(n)
-        u = B_prime.vector_at(i)
-        rhs = np.array([u.entry(row) for row in range(1, n + 1)])
-        return gauss_solve(v_mat, rhs, PIVOT_SCALE * max(1.0, norm_inf(v_mat)))
+        v_mat = old(n)
+        return gauss_solve(v_mat, new(n)[:, i - 1], PIVOT_SCALE * max(1.0, norm_inf(v_mat)))
 
     def column(i):
         return section_limit_vector(lambda n: solve_at(n, i)[:count], extent,
@@ -281,7 +280,8 @@ def transformation_matrix(L: Callable[[int], Vector], m: int, n: int,
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     if target_basis is not None:
-        images = BasisFamily(m, L)
+        # the transition solves max(m, n) columns; the first m are kept
+        images = BasisFamily(max(m, n), L)
         result = transition_matrix(target_basis, images, max(m, n),
                                    schedule, policy)
         return DenseMatrix(result.matrix.data[:n, :m])

@@ -76,10 +76,14 @@ def det_log_series(M: DenseMatrix, policy: ConvergencePolicy | None = None) -> D
     the error when violated).  The power series of the trace is truncated
     by the standard window rule.
     """
-    policy = policy or ConvergencePolicy()
     if M.m != M.n:
         raise ExtentMismatchError(f"determinant of non-square {M.m}x{M.n}")
-    base = M.data - np.eye(M.m)
+    return _log_series(M.data, policy or ConvergencePolicy())
+
+
+def _log_series(t: np.ndarray, policy: ConvergencePolicy) -> DetReport:
+    """:func:`det_log_series` of the square array ``t``."""
+    base = t - np.eye(t.shape[0])
     norm = norm_inf(base)
     if norm >= 1.0:
         raise PreconditionError(
@@ -87,7 +91,7 @@ def det_log_series(M: DenseMatrix, policy: ConvergencePolicy | None = None) -> D
             measured=norm)
 
     # sum_series asks for the terms in ascending order, one power each
-    power = np.eye(M.m)
+    power = np.eye(t.shape[0])
 
     def term(k):
         nonlocal power
@@ -103,27 +107,28 @@ def det_log_series(M: DenseMatrix, policy: ConvergencePolicy | None = None) -> D
                      log_terms_used=rep.terms_used, report=rep)
 
 
-def det_section(T: DenseMatrix, policy: ConvergencePolicy, route: str = "auto") -> float:
-    """Determinant of a materialized square section by the selected route.
+def det_section(t: np.ndarray, policy: ConvergencePolicy, route: str = "auto") -> float:
+    """Determinant of a square section array by the selected route.
 
-    ``auto`` prefers the log-series whenever its norm precondition
-    ``norm_inf(T - I) < 1`` holds and falls back to elimination otherwise.
+    ``auto`` takes the log-series whenever the norm precondition it
+    measures, ``norm_inf(t - I) < 1``, holds, and elimination otherwise.
     """
     if route == ROUTE_LU:
-        return det_oracle(T)
+        return lu_det(t)
     if route == ROUTE_LOG_SERIES:
-        return det_log_series(T, policy).value
+        return _log_series(t, policy).value
     if route != "auto":
         raise ValueError(f"unknown route {route!r}")
-    if norm_inf(T.data - np.eye(T.m)) < 1.0:
-        return det_log_series(T, policy).value
-    return det_oracle(T)
+    try:
+        return _log_series(t, policy).value
+    except PreconditionError:
+        return lu_det(t)
 
 
 def det_truncation(M: MatrixSpec, n: int, policy: ConvergencePolicy | None = None,
                    route: str = "auto") -> float:
     """Determinant of the n-by-n truncation by the selected route."""
-    return det_section(truncate(M, n, n), policy or ConvergencePolicy(), route)
+    return det_section(truncate(M, n, n).data, policy or ConvergencePolicy(), route)
 
 
 def det_infinite(M: MatrixSpec, schedule: TruncationSchedule | None = None,
@@ -210,33 +215,19 @@ def cauchy_binet_infinite(A: MatrixSpec, B: MatrixSpec,
     if cap < m:
         raise ValueError(f"cap {cap} smaller than selection size {m}")
 
-    a_cols: dict[int, np.ndarray] = {}
-    b_rows: dict[int, np.ndarray] = {}
-
-    def acol(j):
-        v = a_cols.get(j)
-        if v is None:
-            v = np.array([A.entry(i, j) for i in range(1, m + 1)])
-            a_cols[j] = v
-        return v
-
-    def brow(j):
-        v = b_rows.get(j)
-        if v is None:
-            v = np.array([B.entry(j, c) for c in range(1, m + 1)])
-            b_rows[j] = v
-        return v
+    # the m-by-t and t-by-m sections hold every column of A and row of B
+    # that a selection inside {1..t} reads
+    a_sections, b_sections = Sections(A), Sections(B)
 
     def term(q):
         t = m + q - 1  # largest column index of all selections in this term
-        total = 0.0
+        a, b = a_sections(t), b_sections(t)
         if m == 1:
-            return float(acol(t)[0] * brow(t)[0])
-        for head in combinations(range(1, t), m - 1):
-            sel = head + (t,)
-            left = np.column_stack([acol(j) for j in sel])
-            right = np.vstack([brow(j) for j in sel])
-            total += lu_det(left) * lu_det(right)
+            return float(a[0, t - 1] * b[t - 1, 0])
+        total = 0.0
+        for head in combinations(range(t - 1), m - 1):
+            sel = list(head) + [t - 1]
+            total += lu_det(a[:, sel]) * lu_det(b[sel, :])
         return total
 
     capped = ConvergencePolicy(tol=policy.tol, window=policy.window,

@@ -197,19 +197,12 @@ def parse(src: str) -> ExprAst:
     return _Parser(src).parse()
 
 
-def _as_float(x) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf
-
-
 def eval_ast(node: ExprAst, i: int | None = None, j: int | None = None,
              k: int | None = None) -> float:
     """Evaluate an expression with the given variable bindings.
 
     Unbound variables, division by zero, ``ln`` of a non-positive value
-    and ``fact`` of a negative or non-integer all raise
+    and ``fact`` of a negative, non-integer or non-finite value all raise
     :class:`EvalError`.  Overflow saturates to ``inf``, which downstream
     convergence checks treat as divergence.
     """
@@ -264,10 +257,10 @@ def _eval(node, env) -> float:
             return 1.0 if args[0] == args[1] else 0.0
         if node.func == "fact":
             x = args[0]
-            nearest = round(x)
+            nearest = round(x) if math.isfinite(x) else -1
             if abs(x - nearest) > 1e-9 or nearest < 0:
                 raise EvalError(f"fact requires a non-negative integer, got {x}")
-            return _as_float(math.factorial(int(nearest)))
+            return float(_FACTORIALS[min(nearest, 171)])
         if node.func == "exp":
             try:
                 return math.exp(args[0])
@@ -328,7 +321,8 @@ class _Flagged(Exception):
     """A block holds a cell that the scalar evaluator may reject."""
 
 
-# n! for n = 0..170 as floats; n >= 171 overflows to inf, as _as_float does
+# n! for n = 0..170 as floats; n >= 171 overflows to inf.  Both the scalar
+# and the block ``fact`` read it
 _FACTORIALS = np.array([float(math.factorial(n)) for n in range(171)] + [math.inf])
 
 

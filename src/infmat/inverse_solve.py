@@ -50,6 +50,8 @@ class InverseReport:
 
     def block_report(self, m: int, n: int) -> tuple[DenseMatrix, ConvergenceReport]:
         """Top-left section of the inverse with its stabilization report."""
+        if m < 1 or n < 1:
+            raise ValueError(f"section sizes must be >= 1, got {m}x{n}")
         return self._block(m, n)
 
 
@@ -154,14 +156,14 @@ def neumann_inverse(A: MatrixSpec | DenseMatrix,
     sections = Sections(A)
     # a finite A is seen whole, so it has no unseen tail
     tail = None if is_finite_extent(A.rows) else perturbation
-    norm = _norm_check(sections(sizes[-1]).data, tail)
+    norm = _norm_check(sections(sizes[-1]), tail)
 
     sums: dict[int, tuple[np.ndarray, int]] = {}
 
     def section(n):
         hit = sums.get(n)
         if hit is None:
-            hit = _neumann_sum(sections(n).data, policy)
+            hit = _neumann_sum(sections(n), policy)
             sums[n] = hit
         return hit
 
@@ -182,7 +184,7 @@ def neumann_inverse(A: MatrixSpec | DenseMatrix,
     block(sizes[0], sizes[0])
     probed = max(sums)
     smat, terms = section(probed)
-    residual = norm_inf(sections(probed).data @ smat - np.eye(probed))
+    residual = norm_inf(sections(probed) @ smat - np.eye(probed))
     return InverseReport(lazy, norm, terms, residual, _block=block)
 
 
@@ -234,7 +236,7 @@ def rank_of(M: MatrixSpec | DenseMatrix,
 
     M = M.as_spec() if isinstance(M, DenseMatrix) else M
     sections = Sections(M)
-    return section_limit(lambda n: _dense_rank(sections(n).data),
+    return section_limit(lambda n: _dense_rank(sections(n)),
                          _section_extent(M), schedule, policy)
 
 
@@ -256,11 +258,11 @@ def check_compatibility(A: MatrixSpec | DenseMatrix, b: Vector,
     rhs = _rhs_prefix(b)
 
     def augmented(n):
-        a = sections(n).data
+        a = sections(n)
         return np.column_stack([a, rhs(a.shape[0])])
 
     extent = _section_extent(A)
-    ra = section_limit(lambda n: _dense_rank(sections(n).data), extent, schedule, policy)
+    ra = section_limit(lambda n: _dense_rank(sections(n)), extent, schedule, policy)
     rab = section_limit(lambda n: _dense_rank(augmented(n)), extent, schedule, policy)
     ok = ra.converged and rab.converged and ra.estimate == rab.estimate
     return SolveReport(compatible=ok, rank_A=ra, rank_Ab=rab, unknowns={},
@@ -305,9 +307,9 @@ def cramer_solve(A: MatrixSpec | DenseMatrix, b: Vector,
         return det_section(sections(n), policy, route)
 
     def det_replaced_at(n, col):
-        t = np.array(sections(n).data)
+        t = np.array(sections(n))
         t[:, col - 1] = rhs(n, col)
-        return det_section(DenseMatrix(t), policy, route)
+        return det_section(t, policy, route)
 
     overall = section_limit(det_a_at, A.rows, schedule, policy)
     if overall.status == DIVERGED:
@@ -345,7 +347,7 @@ def cramer_solve(A: MatrixSpec | DenseMatrix, b: Vector,
     final = sizes[-1]
     if set(idx) >= set(range(1, final + 1)):
         xv = np.array([xs[i] for i in range(1, final + 1)])
-        residual = norm_inf(np.atleast_1d(sections(final).data @ xv - rhs(final)))
+        residual = norm_inf(np.atleast_1d(sections(final) @ xv - rhs(final)))
     return SolveReport(compatible=True, rank_A=None, rank_Ab=None,
                        unknowns=unknowns, route=ROUTE_CRAMER,
                        residual=residual, trace_reports=traces)
@@ -377,14 +379,14 @@ def solve_via_inverse(A: MatrixSpec | DenseMatrix, b: Vector,
         raise ExtentMismatchError(f"rows {A.rows} vs right-hand side {b.extent}")
     sizes = limit_sizes(A.rows, schedule)
     sections = Sections(A)
-    _norm_check(sections(sizes[-1]).data, None)
+    _norm_check(sections(sizes[-1]), None)
 
     rhs = _rhs_prefix(b)
     solutions: dict[int, np.ndarray] = {}
 
     def solution_at(n):
         if n not in solutions:
-            solutions[n] = _apply_series(sections(n).data, rhs(n), policy)
+            solutions[n] = _apply_series(sections(n), rhs(n), policy)
         return solutions[n]
 
     idx = list(wanted) if wanted is not None else list(range(1, sizes[0] + 1))
@@ -394,7 +396,7 @@ def solve_via_inverse(A: MatrixSpec | DenseMatrix, b: Vector,
         unknowns[i] = section_limit(lambda n, _i=i: float(solution_at(n)[_i - 1]),
                                     A.rows, schedule, policy, least=top)
     final = max(solutions)
-    residual = float(np.max(np.abs(sections(final).data @ solution_at(final)
+    residual = float(np.max(np.abs(sections(final) @ solution_at(final)
                                    - rhs(final))))
     return SolveReport(compatible=True, rank_A=None, rank_Ab=None,
                        unknowns=unknowns, route=ROUTE_INVERSE, residual=residual)

@@ -5,9 +5,10 @@ together with structural metadata (band, diagonal, finite support box)
 and an optional geometric decay certificate.  Every infinite computation
 in the package factors through :func:`truncate`, which materializes a
 top-left section as a :class:`DenseMatrix`, or :class:`Sections`, which
-grows one section along a limit's schedule; :class:`Lines` grows the
-leading entries of single rows or columns for series along an infinite
-index.
+grows one section along a limit's schedule and hands out read-only
+arrays, the one store of sections for every truncation limit;
+:class:`Lines` grows the leading entries of single rows or columns for
+series along an infinite index.
 
 Extents are either a positive ``int`` or the distinguished token
 :data:`INFINITE`; operations must branch explicitly on finiteness, no
@@ -345,26 +346,25 @@ def truncate(M: MatrixSpec | DenseMatrix, m: int, n: int) -> DenseMatrix:
 class Sections:
     """The nested top-left sections of one spec, for one limit computation.
 
-    ``sections(n)`` returns (or raises) bit for bit what :func:`truncate`
-    does at the n-by-n shape clipped to the spec's extents.  The largest
-    section so far is kept, grown on demand and handed out uncopied.
+    ``sections(n)`` returns (or raises) bit for bit the values of
+    :func:`truncate` at the n-by-n shape clipped to the spec's extents, as
+    a plain array.  The largest section so far is kept, grown on demand,
+    and every section is a read-only view of it, so no cell is evaluated
+    or checked twice and no smaller section is copied.
     """
 
     def __init__(self, M: MatrixSpec):
         self._M = M
         self._known = np.zeros((0, 0))
-        self._largest = None
 
-    def __call__(self, n: int) -> DenseMatrix:
+    def __call__(self, n: int) -> np.ndarray:
         if n < 1:
             raise ValueError("section sizes must be >= 1")
         m, k = clip_extent(self._M.rows, n), clip_extent(self._M.cols, n)
         if m > self._known.shape[0] or k > self._known.shape[1]:  # both rise with n
-            self._largest = DenseMatrix(_grow(self._M, self._known, m, k))
-            self._known = self._largest.data
-        if (m, k) == self._known.shape:
-            return self._largest
-        return DenseMatrix(self._known[:m, :k])
+            self._known = _grow(self._M, self._known, m, k)
+            self._known.setflags(write=False)
+        return self._known[:m, :k]
 
 
 class Lines:

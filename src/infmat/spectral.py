@@ -16,7 +16,7 @@ from ._dense import norm_inf, null_vector
 from .algebra import Vector
 from .determinant import det_section
 from .errors import ExtentMismatchError, OracleValueError, SingularSystemError
-from .matrix_core import (DenseMatrix, MatrixSpec, TruncationSchedule,
+from .matrix_core import (DenseMatrix, MatrixSpec, Sections, TruncationSchedule,
                           clip_extent, truncate)
 from .series import ConvergencePolicy, limit_sizes
 
@@ -41,8 +41,8 @@ class EigenPair:
     stable: bool = True
 
 
-def _shifted(t: np.ndarray, lam: float) -> DenseMatrix:
-    """``t - lam*I`` for a materialized section ``t``.
+def _shifted(t: np.ndarray, lam: float) -> np.ndarray:
+    """``t - lam*I``, a new array, for a section array ``t``.
 
     The diagonal gets ``+= -lam``, the same IEEE sum that
     :func:`~infmat.algebra.shift_diagonal`'s oracle forms entry by entry.
@@ -55,7 +55,7 @@ def _shifted(t: np.ndarray, lam: float) -> DenseMatrix:
         i = int(bad[0]) + 1
         raise OracleValueError(f"oracle returned non-finite value at ({i}, {i})",
                                index=(i, i), value=float(out[i - 1, i - 1]))
-    return DenseMatrix(out)
+    return out
 
 
 def _square_spec(A: MatrixSpec | DenseMatrix) -> MatrixSpec:
@@ -95,7 +95,7 @@ def eigenvector_for(A: MatrixSpec | DenseMatrix, lam: float, n: int) -> Vector:
     """
     spec = A.as_spec() if isinstance(A, DenseMatrix) else A
     n = clip_extent(spec.rows, n)
-    return _null_direction(_shifted(truncate(spec, n, n).data, lam).data, lam)
+    return _null_direction(_shifted(truncate(spec, n, n).data, lam), lam)
 
 
 def _bisect(f, lo, hi, flo, fhi):
@@ -125,15 +125,17 @@ def find_eigenvalues(A: MatrixSpec | DenseMatrix, interval: tuple[float, float],
     schedule is its one full size, so its roots are exact and stable.  An
     interval with no sign change yields an empty list, not an error.
 
-    The spec is truncated once, at the largest size; the previous size is
-    its top-left corner.  Every characteristic value, eigenvector and
-    residual works on a copy of one of these two sections with the
-    diagonal shifted, so the oracle cost does not grow with
+    One :class:`Sections` of the spec is grown to the largest size; the
+    previous size is a view of its corner.  Every characteristic value,
+    eigenvector and residual works on a copy of one of these two sections
+    with the diagonal shifted, so the oracle cost does not grow with
     ``grid_points`` or the number of bisection steps.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
     spec = _square_spec(A)
@@ -142,14 +144,14 @@ def find_eigenvalues(A: MatrixSpec | DenseMatrix, interval: tuple[float, float],
     n_final = sizes[-1]
     n_prev = sizes[-2] if len(sizes) >= 2 else n_final
 
-    top = truncate(spec, n_final, n_final).data
-    sections = {n_final: top, n_prev: top[:n_prev, :n_prev]}
+    sections = Sections(spec)
+    top = sections(n_final)
 
     def f_at(size):
-        return lambda x: det_section(_shifted(sections[size], x), policy)
+        return lambda x: det_section(_shifted(sections(size), x), policy)
 
     def eigenpair(root, stable, char_at=None):
-        shifted = _shifted(top, root).data
+        shifted = _shifted(top, root)
         vec = _null_direction(shifted, root)
         vec_res = float(np.max(np.abs(shifted @ vec.values())))
         char_residual = 0.0 if char_at is None else abs(char_at(root))

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,8 @@ from oracles import gram_schmidt_rows
 from infmat.algebra import Vector
 from infmat.bases_orth import (BasisFamily, OrthogonalRows, orthogonalize,
                                transformation_matrix, transition_matrix)
-from infmat.errors import DependentRowsError, GramConvergenceError
+from infmat.errors import (DependentRowsError, GramConvergenceError,
+                           OracleValueError)
 from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE,
                                 MatrixSpec, TruncationSchedule, entrywise_spec)
 from infmat.series import ConvergencePolicy, sum_series
@@ -175,6 +177,36 @@ def test_transition_reads_each_basis_coordinate_once():
     # every column visits the sizes 8..64, all cut from one 64-by-64 section
     assert set(calls) == {(i, j) for i in range(1, 65) for j in range(1, 65)}
     assert sum(calls.values()) == 4096
+
+
+def test_transition_reads_each_new_basis_coordinate_once():
+    calls = Counter()
+
+    def coordinate(i, j):
+        calls[(i, j)] += 1
+        return 1.0 if j in (i, i + 1) else 0.0
+
+    shifted = BasisFamily(INFINITE, lambda i: Vector(
+        INFINITE, lambda j, _i=i: coordinate(_i, j)))
+    res = transition_matrix(standard_basis(), shifted, 6, SCHED)
+    assert set(res.column_status.values()) == {"converged"}
+    # the 6 wanted vectors, each to the largest size 64, each coordinate once
+    assert set(calls) == {(i, j) for i in range(1, 7) for j in range(1, 65)}
+    assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("old", [False, True])
+def test_transition_non_finite_coordinate_names_its_cell(old):
+    # coordinate 3 of vector 2 is nan, in the old basis or in the new one
+    def vector(i):
+        return Vector(INFINITE, lambda j, _i=i: math.nan if (_i, j) == (2, 3)
+                      else float(j == _i))
+
+    family = BasisFamily(INFINITE, vector)
+    args = (family, standard_basis()) if old else (standard_basis(), family)
+    with pytest.raises(OracleValueError) as err:
+        transition_matrix(*args, 4, SCHED)
+    assert err.value.index == (3, 2)
 
 
 def test_transformation_matrix_identity_map():

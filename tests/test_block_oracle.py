@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st
 from test_expr_dsl import _asts
 from test_golden_cli import DENSE_EXPR
 
+from infmat.errors import InfmatError
 from infmat.expr_dsl import compile_block, eval_ast, parse, pretty
 from infmat.matrix_core import DenseMatrix, Sections, clip_extent, truncate
 from infmat.specio import load_matrix_file, matrix_from_obj
@@ -42,11 +43,14 @@ def scalar(spec):
 
 
 def outcome(fill):
-    """Bits of a filled section, or the error it raised."""
+    """Shape and bits of a filled section (a :class:`DenseMatrix` or an
+    array), or the library error it raised; any other exception fails."""
     try:
-        return ("ok", fill().data.view(np.int64).tolist())
-    except Exception as exc:  # compared, class and all, with the other path
+        section = fill()
+    except InfmatError as exc:  # compared, class and all, with the other path
         return ("raised", type(exc), str(exc), getattr(exc, "index", None))
+    data = section.data if isinstance(section, DenseMatrix) else np.asarray(section)
+    return ("ok", data.shape, data.view(np.int64).tolist())
 
 
 def assert_truncations_agree(spec, m, n):
@@ -128,6 +132,13 @@ def test_block_fills_itself_bit_for_bit(expr):
     assert got is not None and got == want
 
 
+def test_fact_past_the_table_fills_by_block_as_the_scalar_value():
+    # a million factorial overflows to inf in both paths, from the table
+    got, want = block_and_scalar(parse("fact(1e6 + 0*i) + j"), 2, 2)
+    assert got is not None and got == want
+    assert np.all(np.array(want).view(np.float64) == np.inf)
+
+
 def test_untaken_branch_is_never_evaluated():
     spec = expr_spec("if(i==j, 1, 1/(i-j))")
     rows, cols = np.arange(1, 9), np.arange(1, 9)
@@ -149,6 +160,9 @@ def test_untaken_branch_is_never_evaluated():
     "1/(i-j)",
     "1/(1/(i-3))",             # a zero divisor whose quotient is lost again
     "if(1/(i-j) == 0, 1, 2)",
+    "fact(exp(1000*i))",       # fact of inf
+    "fact(exp(1000) - exp(1000))",  # fact of nan
+    "fact(if(i==3, 0-exp(1000), j))",  # fact of -inf on row 3 only
 ])
 def test_errors_come_from_the_scalar_path(expr):
     spec = expr_spec(expr)

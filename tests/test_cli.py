@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from infmat.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -294,3 +296,66 @@ def test_bad_wanted_flag(capsys):
                          "--wanted", "1,x", "--max-size", 64, "--quiet")
     assert code == 1
     assert json.loads(out)["error"]["code"] == "schema-error"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["eig", SPECS / "harmonic_diag.json", "--interval", 0.1, 0.6, "--grid", 0,
+      "--max-size", 16], "grid_points must be >= 1, got 0"),
+    (["inv", SPECS / "perturbation.json", "--n", 0, "--max-size", 16],
+     "section sizes must be >= 1, got 0x0"),
+    (["inv", SPECS / "perturbation.json", "--n", -3, "--max-size", 16],
+     "section sizes must be >= 1, got -3x-3"),
+])
+def test_bad_eig_and_inv_sizes_are_config_errors(capsys, args, message):
+    code, out = run_main(capsys, *args, "--quiet")
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "config-error", "message": message}
+
+
+def _family(path, count, vectors):
+    path.write_text(json.dumps({"count": count, "vectors": vectors}))
+    return path
+
+
+def _dense_family(path, rows):
+    return _family(path, len(rows), {"kind": "dense", "data": rows})
+
+
+EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("old,new,n,message", [
+    # two vectors of three coordinates cannot be a basis
+    (lambda d: _dense_family(d / "b.json", [[1, 0, 0], [0, 1, 0]]),
+     lambda d: _dense_family(d / "bp.json", EYE3), 2,
+     "the old basis has 2 vectors of 3 coordinates; it needs one vector per coordinate"),
+    # three new vectors asked of a family of two
+    (lambda d: _dense_family(d / "b.json", EYE3),
+     lambda d: _dense_family(d / "bp.json", [[1, 1, 0], [0, 1, 1]]), 3,
+     "the new basis has 2 vectors, fewer than the 3 asked for"),
+    # new vectors of two coordinates in a three-dimensional space
+    (lambda d: _dense_family(d / "b.json", EYE3),
+     lambda d: _dense_family(d / "bp.json", [[1, 1], [0, 1], [1, 0]]), 2,
+     "the new basis has vectors of 2 coordinates, the old basis 3"),
+    # three vectors of infinitely many coordinates
+    (lambda d: _family(d / "b.json", 3, {"kind": "expr", "expr": "delta(i,j)"}),
+     lambda d: SPECS / "basis_standard.json", 2,
+     "the old basis has 3 vectors of INFINITE coordinates; it needs one vector per "
+     "coordinate"),
+])
+def test_transition_families_that_do_not_fit_are_extent_mismatches(
+        tmp_path, capsys, old, new, n, message):
+    code, out = run_main(capsys, "transition", old(tmp_path), new(tmp_path), "--n", n,
+                         "--max-size", 64, "--quiet")
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "extent-mismatch", "message": message}
+
+
+def test_truncate_fact_of_overflow_is_an_eval_error(tmp_path, capsys):
+    spec = tmp_path / "fact.json"
+    spec.write_text(json.dumps({"rows": "inf", "cols": "inf", "kind": "expr",
+                                "expr": "fact(exp(1000*i))"}))
+    code, out = run_main(capsys, "truncate", spec, "--n", 3, "--quiet")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": "eval-error", "message": "fact requires a non-negative integer, got inf"}

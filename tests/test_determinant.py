@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,10 @@ from infmat.determinant import (ColumnSelection, cauchy_binet,
                                 cauchy_binet_infinite, column_minor, det_infinite,
                                 det_log_series, det_oracle, det_truncation,
                                 row_minor)
-from infmat.errors import PreconditionError
+from infmat.errors import OracleValueError, PreconditionError
 from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE,
                                 MatrixSpec, TruncationSchedule, diagonal_spec,
-                                entrywise_spec, identity_spec)
+                                entrywise_spec, identity_spec, transpose)
 from infmat.series import ConvergencePolicy
 
 
@@ -206,6 +208,11 @@ def test_multiplicativity_of_determinants():
 
 # --- infinite minor expansion --------------------------------------------------
 
+def _bits(rep):
+    """Status and the bits of the estimate and the product determinant."""
+    return rep.status, np.array([rep.estimate, rep.product_det]).view(np.int64).tolist()
+
+
 def test_cauchy_binet_infinite_row_times_column():
     a = entrywise_spec(lambda i, j: 2.0 ** -j, rows=1,
                        decay=DecayCertificate(1.0, 0.5))
@@ -215,6 +222,7 @@ def test_cauchy_binet_infinite_row_times_column():
     assert rep.status == "converged"
     assert rep.estimate == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert rep.gap <= 1e-8
+    assert _bits(rep) == ("converged", [4599676419421044736, 4599676419415474176])
 
 
 def test_cauchy_binet_infinite_embedded_identity():
@@ -223,6 +231,7 @@ def test_cauchy_binet_infinite_embedded_identity():
     rep = cauchy_binet_infinite(a, b, cap=24)
     assert rep.status == "converged"
     assert rep.estimate == pytest.approx(1.0, abs=1e-12)
+    assert _bits(rep) == ("converged", [4607182418800017408, 4607182418800017408])
 
 
 def test_cauchy_binet_infinite_rank_one_outer_product():
@@ -236,3 +245,15 @@ def test_cauchy_binet_infinite_rank_one_outer_product():
     # product entries are series estimates, so their 2x2 det only
     # vanishes to within the entry tolerance
     assert abs(rep.product_det) <= 1e-10
+    assert _bits(rep) == ("converged", [0, -4785825204024639488])
+
+
+@pytest.mark.parametrize("left", [False, True])
+def test_cauchy_binet_infinite_non_finite_factor_names_its_cell(left):
+    good = entrywise_spec(lambda i, j: 2.0 ** -(i + j), rows=2)
+    bad = entrywise_spec(lambda i, j: math.nan if (i, j) == (1, 3) else 1.0, rows=2)
+    a = bad if left else good
+    b = transpose(good) if left else transpose(bad)
+    with pytest.raises(OracleValueError) as err:
+        cauchy_binet_infinite(a, b, cap=16)
+    assert err.value.index == ((1, 3) if left else (3, 1))

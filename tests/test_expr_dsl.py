@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -81,6 +83,19 @@ def test_division_by_zero_raises():
 def test_unbound_variable_raises():
     with pytest.raises(EvalError):
         ev("i + k", i=1)
+
+
+@pytest.mark.parametrize("src,shown", [("fact(exp(1000*i))", "inf"),
+                                       ("fact(0-exp(1000))", "-inf"),
+                                       ("fact(exp(1000) - exp(1000))", "nan")])
+def test_fact_of_a_non_finite_value_is_an_eval_error(src, shown):
+    with pytest.raises(EvalError, match=f"got {shown}$"):
+        ev(src, i=1)
+
+
+def test_fact_past_the_table_is_inf_at_once():
+    assert eval_ast(parse("fact(1e6)")) == math.inf
+    assert eval_ast(parse("fact(170)")) == float(math.factorial(170))
 
 
 def test_fact_domain_errors():

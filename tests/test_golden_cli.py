@@ -34,11 +34,16 @@ POLY_B = {"rows": "inf", "cols": "inf", "kind": "expr", "expr": "0.95/(i+j+0.81)
 POLY_ROWS4 = {"rows": 4, "cols": "inf", "kind": "expr", "expr": "1.01/(i+j+0.42)^1.3"}
 GEO_ROWS3 = {"rows": 3, "cols": "inf", "kind": "expr", "expr": "0.9*0.45^(i*j)",
              "decay": {"kind": "geometric", "C": 2.0, "r": 0.45}}
+# finite dense families: transition takes them as one exact section
+FAM_B = {"count": 3, "vectors": {"kind": "dense",
+                                 "data": [[2, 1, 0], [1, 3, 1], [0, 1, 4]]}}
+FAM_B_PRIME = {"count": 3, "vectors": {"kind": "dense",
+                                       "data": [[1, 0, 0.5], [0.25, 1, 0], [1, 1, 1]]}}
 WRITTEN = {"tridiag.json": TRIDIAG, "fin20.json": FIN20, "dense.json": DENSE, "dense6.json": DENSE6,
            "dense_system.json": {"A": DENSE, "b": {"kind": "expr", "expr": "1/i^2"}},
            "dense6_system.json": {"A": DENSE6, "b": {"kind": "expr", "expr": "1/i^2"}},
            "poly_a.json": POLY_A, "poly_b.json": POLY_B, "poly_rows4.json": POLY_ROWS4,
-           "geo_rows3.json": GEO_ROWS3}
+           "geo_rows3.json": GEO_ROWS3, "fam_b.json": FAM_B, "fam_b_prime.json": FAM_B_PRIME}
 
 _SPECS = ("harmonic_diag", "identity", "perturbation", "derivative")
 _EIG_INTERVALS = {"harmonic_diag": ("0.15", "0.6"), "identity": ("0.5", "1.5"),
@@ -95,7 +100,8 @@ COMMANDS = (
                  "--wanted", "100"]),
        ("tmp", ["mul", "poly_a.json", "poly_b.json", "--max-terms", "20000"]),
        ("tmp", ["orth", "poly_rows4.json", "--max-terms", "20000"]),
-       ("tmp", ["orth", "geo_rows3.json", "--max-terms", "20000"])]
+       ("tmp", ["orth", "geo_rows3.json", "--max-terms", "20000"]),
+       ("tmp", ["transition", "fam_b.json", "fam_b_prime.json", "--n", "3"])]
 )
 
 

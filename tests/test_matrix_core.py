@@ -80,12 +80,12 @@ _EXTENTS = st.one_of(st.just(INFINITE), st.integers(min_value=1, max_value=12))
 
 
 def _outcome(fill, n):
-    """Section bytes and shape, or the index of the non-finite cell."""
+    """Section array bytes and shape, or the index of the non-finite cell."""
     try:
         section = fill(n)
     except OracleValueError as exc:
         return ("error", exc.index)
-    return (section.data.shape, section.data.tobytes())
+    return (section.shape, section.tobytes())
 
 
 @st.composite
@@ -123,7 +123,7 @@ def test_sections_match_truncate_bit_for_bit(spec, sizes):
     sections = Sections(spec)
 
     def fresh(n):
-        return truncate(spec, clip_extent(spec.rows, n), clip_extent(spec.cols, n))
+        return truncate(spec, clip_extent(spec.rows, n), clip_extent(spec.cols, n)).data
 
     for n in sizes:
         assert _outcome(sections, n) == _outcome(fresh, n)
@@ -142,8 +142,8 @@ def test_sections_name_the_cell_truncate_names_and_stay_usable():
         with pytest.raises(OracleValueError) as err:
             sections(8)
         assert err.value.index == (2, 7)
-        assert sections(3).data.tobytes() == small.data[:3, :3].tobytes()
-        assert sections(4).data.tobytes() == small.data.tobytes()
+        assert sections(3).tobytes() == small[:3, :3].tobytes()
+        assert sections(4).tobytes() == small.tobytes()
     with pytest.raises(OracleValueError) as err:
         Sections(spec)(8)
     assert err.value.index == (2, 7)
@@ -152,9 +152,20 @@ def test_sections_name_the_cell_truncate_names_and_stay_usable():
 def test_sections_grow_the_columns_of_a_short_spec():
     spec = entrywise_spec(lambda i, j: float(10 * i + j), rows=3)
     sections = Sections(spec)
-    assert sections(2).data.shape == (2, 2)
-    assert sections(8).data.shape == (3, 8)
-    assert sections(16).data.tobytes() == truncate(spec, 3, 16).data.tobytes()
+    assert sections(2).shape == (2, 2)
+    assert sections(8).shape == (3, 8)
+    assert sections(16).tobytes() == truncate(spec, 3, 16).data.tobytes()
+
+
+def test_sections_hand_out_read_only_views_of_one_array():
+    sections = Sections(entrywise_spec(lambda i, j: float(i - j)))
+    big = sections(8)
+    small = sections(4)
+    for section in (big, small):
+        assert isinstance(section, np.ndarray) and not section.flags.writeable
+    assert np.shares_memory(small, big)
+    with pytest.raises(ValueError):
+        small[0, 0] = 1.0
 
 
 def test_sections_evaluate_each_cell_once():
