@@ -39,11 +39,18 @@ FAM_B = {"count": 3, "vectors": {"kind": "dense",
                                  "data": [[2, 1, 0], [1, 3, 1], [0, 1, 4]]}}
 FAM_B_PRIME = {"count": 3, "vectors": {"kind": "dense",
                                        "data": [[1, 0, 0.5], [0.25, 1, 0], [1, 1, 1]]}}
+# a finite dense-kind spec and a finite-support one, and a copy of the shipped
+# diagonal spec to multiply with the written tridiagonal one
+DENSE3 = {"kind": "dense", "data": [[2, 1, 0], [1, 3, 1], [0, 1, 4]]}
+FINSUP = {"rows": "inf", "cols": "inf", "kind": "finite-support", "expr": "1/(i+2*j)",
+          "support": {"rows": 3, "cols": 2}}
+HARMONIC = json.loads((ROOT / "specs" / "harmonic_diag.json").read_text())
 WRITTEN = {"tridiag.json": TRIDIAG, "fin20.json": FIN20, "dense.json": DENSE, "dense6.json": DENSE6,
            "dense_system.json": {"A": DENSE, "b": {"kind": "expr", "expr": "1/i^2"}},
            "dense6_system.json": {"A": DENSE6, "b": {"kind": "expr", "expr": "1/i^2"}},
            "poly_a.json": POLY_A, "poly_b.json": POLY_B, "poly_rows4.json": POLY_ROWS4,
-           "geo_rows3.json": GEO_ROWS3, "fam_b.json": FAM_B, "fam_b_prime.json": FAM_B_PRIME}
+           "geo_rows3.json": GEO_ROWS3, "fam_b.json": FAM_B, "fam_b_prime.json": FAM_B_PRIME,
+           "dense3.json": DENSE3, "finsup.json": FINSUP, "harmonic_diag.json": HARMONIC}
 
 _SPECS = ("harmonic_diag", "identity", "perturbation", "derivative")
 _EIG_INTERVALS = {"harmonic_diag": ("0.15", "0.6"), "identity": ("0.5", "1.5"),
@@ -101,7 +108,14 @@ COMMANDS = (
        ("tmp", ["mul", "poly_a.json", "poly_b.json", "--max-terms", "20000"]),
        ("tmp", ["orth", "poly_rows4.json", "--max-terms", "20000"]),
        ("tmp", ["orth", "geo_rows3.json", "--max-terms", "20000"]),
-       ("tmp", ["transition", "fam_b.json", "fam_b_prime.json", "--n", "3"])]
+       ("tmp", ["transition", "fam_b.json", "fam_b_prime.json", "--n", "3"]),
+       ("repo", ["mul", "specs/harmonic_diag.json", "specs/harmonic_diag.json", "--n", "4"]),
+       ("tmp", ["mul", "harmonic_diag.json", "tridiag.json", "--n", "4"]),
+       ("tmp", ["mul", "dense3.json", "dense3.json"]),
+       ("tmp", ["orth", "dense3.json"]),
+       ("tmp", ["eig", "dense3.json", "--interval", "0", "6"]),
+       ("tmp", ["truncate", "finsup.json", "--n", "5"]),
+       ("tmp", ["mul", "finsup.json", "finsup.json", "--n", "4"])]
 )
 
 
