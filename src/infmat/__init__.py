@@ -24,8 +24,8 @@ from .expr_dsl import EvalError, ParseError, eval_ast, parse, pretty
 from .inverse_solve import (InverseReport, SolveReport, check_compatibility,
                             cramer_solve, neumann_inverse, rank_of,
                             solve_via_inverse)
-from .matrix_core import (BANDED, DENSE, DIAGONAL, EXPR, FINITE_SUPPORT,
-                          INFINITE, DecayCertificate, DenseMatrix, Extent,
+from .matrix_core import (BANDED, EXPR, FINITE_SUPPORT, INFINITE,
+                          DecayCertificate, DenseMatrix, Extent,
                           MatrixSpec, TruncationSchedule, banded_spec,
                           diagonal_spec, entrywise_spec, finite_support_spec,
                           identity_spec, is_finite_extent, spot_check_decay,

@@ -11,15 +11,16 @@ their individual reports available on demand.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from ._dense import product_ascending
 from .errors import ExtentMismatchError
-from .matrix_core import (BANDED, DENSE, DIAGONAL, EXPR, FINITE_SUPPORT, DenseMatrix,
-                          DecayCertificate, Extent, Lines, MatrixSpec, clip_extent,
-                          extents_equal, is_finite_extent, truncate)
+from .matrix_core import (BANDED, EXPR, FINITE_SUPPORT, DenseMatrix, DecayCertificate,
+                          Extent, Lines, MatrixSpec, clip_extent, extents_equal,
+                          is_finite_extent, truncate)
 from .series import (CONVERGED, DIVERGED, ConvergencePolicy, ConvergenceReport,
                      GeometricTail, exact_report, sum_series)
 
@@ -74,7 +75,7 @@ class ProductResult:
     dimensions; ``entry_report`` recomputes the report for any index.
     """
 
-    matrix: MatrixSpec | DenseMatrix
+    matrix: MatrixSpec
     per_entry_reports: dict[tuple[int, int], ConvergenceReport]
     overall_status: str
     _reporter: Callable[[int, int], ConvergenceReport] | None = field(
@@ -82,21 +83,12 @@ class ProductResult:
 
     def entry_report(self, i: int, j: int) -> ConvergenceReport:
         if self._reporter is None:
-            return exact_report(_entry_of(self.matrix, i, j), 1)
+            return exact_report(self.matrix.at(i, j), 1)
         return self._reporter(i, j)
-
-
-def _entry_of(M, i, j) -> float:
-    return M.at(i, j) if isinstance(M, DenseMatrix) else float(M.entry(i, j))
-
-
-def _as_spec(M) -> MatrixSpec:
-    return M.as_spec() if isinstance(M, DenseMatrix) else M
 
 
 def add(A: MatrixSpec, B: MatrixSpec) -> MatrixSpec:
     """Entrywise sum; structures join, certificates combine when possible."""
-    A, B = _as_spec(A), _as_spec(B)
     if not (extents_equal(A.rows, B.rows) and extents_equal(A.cols, B.cols)):
         raise ExtentMismatchError(
             f"cannot add {A.rows}x{A.cols} and {B.rows}x{B.cols}")
@@ -114,23 +106,16 @@ def add(A: MatrixSpec, B: MatrixSpec) -> MatrixSpec:
 
 
 def _join_structure(A, B):
-    banded_like = {BANDED: lambda s: s.bandwidth, DIAGONAL: lambda s: 0}
-    if A.structure == DIAGONAL and B.structure == DIAGONAL:
-        return DIAGONAL, None, None
-    if A.structure in banded_like and B.structure in banded_like:
-        bw = max(banded_like[A.structure](A), banded_like[B.structure](B))
-        return BANDED, bw, None
-    if A.structure == FINITE_SUPPORT and B.structure == FINITE_SUPPORT:
+    if A.structure == B.structure == BANDED:
+        return BANDED, max(A.bandwidth, B.bandwidth), None
+    if A.structure == B.structure == FINITE_SUPPORT:
         box = (max(A.support[0], B.support[0]), max(A.support[1], B.support[1]))
         return FINITE_SUPPORT, None, box
-    if A.structure == B.structure == DENSE:
-        return DENSE, None, None
     return EXPR, None, None
 
 
 def scale(c: float, A: MatrixSpec) -> MatrixSpec:
     """Scalar multiple; the decay certificate rescales with ``|c|``."""
-    A = _as_spec(A)
     c = float(c)
     ea = A.entry
 
@@ -146,23 +131,18 @@ def scale(c: float, A: MatrixSpec) -> MatrixSpec:
 
 def shift_diagonal(A: MatrixSpec, c: float) -> MatrixSpec:
     """``A + c * identity``; used for characteristic-value shifts."""
-    A = _as_spec(A)
     ea = A.entry
 
     def entry(i, j, _ea=ea, _c=float(c)):
         v = _ea(i, j)
         return v + _c if i == j else v
 
-    if A.structure == DIAGONAL:
-        return MatrixSpec(A.rows, A.cols, entry, structure=DIAGONAL)
     if A.structure == BANDED:
         return MatrixSpec(A.rows, A.cols, entry, structure=BANDED,
                           bandwidth=A.bandwidth)
     if A.structure == FINITE_SUPPORT:
         bw = max(A.support) - 1
         return MatrixSpec(A.rows, A.cols, entry, structure=BANDED, bandwidth=bw)
-    if A.structure == DENSE:
-        return MatrixSpec(A.rows, A.cols, entry, structure=DENSE)
     return MatrixSpec(A.rows, A.cols, entry, structure=EXPR)
 
 
@@ -228,7 +208,7 @@ def _exact_sum(term: Callable[[int], float],
     return exact_report(s, max(0, hi - lo + 1))
 
 
-def matmul(A: MatrixSpec | DenseMatrix, B: MatrixSpec | DenseMatrix,
+def matmul(A: MatrixSpec, B: MatrixSpec,
            policy: ConvergencePolicy | None = None) -> ProductResult:
     """Product of two oracle matrices.
 
@@ -239,7 +219,6 @@ def matmul(A: MatrixSpec | DenseMatrix, B: MatrixSpec | DenseMatrix,
     ``failed`` (data remains available for inspection).
     """
     policy = policy or ConvergencePolicy()
-    A, B = _as_spec(A), _as_spec(B)
     if not extents_equal(A.cols, B.rows):
         raise ExtentMismatchError(f"inner extents differ: {A.cols} vs {B.rows}")
     inner = A.cols
@@ -251,43 +230,23 @@ def matmul(A: MatrixSpec | DenseMatrix, B: MatrixSpec | DenseMatrix,
         return ProductResult(DenseMatrix(product_ascending(da, db)), {},
                              STATUS_CONVERGED)
 
-    cache: dict[tuple[int, int], tuple[float, ConvergenceReport]] = {}
     # rows of A and columns of B read by block, each grown once for all the
     # product entries that share it
-    a_rows: dict[int, Lines] = {}
-    b_cols: dict[int, Lines] = {}
+    a_row, b_col = cache(lambda i: Lines(A, [i], 0)), cache(lambda j: Lines(B, [j], 1))
 
-    def compute(i, j):
-        key = (i, j)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+    @cache
+    def reporter(i, j):
         span = _intersect_supports(A.row_support(i), B.col_support(j), inner)
         if span is not None:
-            rep = _exact_sum(lambda l: A.entry(i, l) * B.entry(l, j), span)
-        else:
-            row = a_rows.setdefault(i, Lines(A, [i], 0))
-            col = b_cols.setdefault(j, Lines(B, [j], 1))
-            rep = _series_entry(A, B, i, j, policy, _line_product(row, 0, col, 0))
-        result = (rep.estimate, rep)
-        cache[key] = result
-        return result
+            return _exact_sum(lambda l: A.entry(i, l) * B.entry(l, j), span)
+        return _series_entry(A, B, i, j, policy, _line_product(a_row(i), 0, b_col(j), 0))
 
     def entry(i, j):
-        return compute(i, j)[0]
-
-    def reporter(i, j):
-        return compute(i, j)[1]
+        return reporter(i, j).estimate
 
     structure, bandwidth = EXPR, None
-    banded_like = {BANDED, DIAGONAL}
-    if A.structure in banded_like and B.structure in banded_like:
-        if A.structure == DIAGONAL and B.structure == DIAGONAL:
-            structure = DIAGONAL
-        else:
-            structure = BANDED
-            bandwidth = ((A.bandwidth or 0) if A.structure == BANDED else 0) + \
-                        ((B.bandwidth or 0) if B.structure == BANDED else 0)
+    if A.structure == B.structure == BANDED:
+        structure, bandwidth = BANDED, A.bandwidth + B.bandwidth
     decay = None
     if A.decay is not None and B.decay is not None and not is_finite_extent(inner):
         ra, rb = A.decay.r, B.decay.r
@@ -309,47 +268,38 @@ def matmul(A: MatrixSpec | DenseMatrix, B: MatrixSpec | DenseMatrix,
     return ProductResult(out, reports, overall, _reporter=reporter)
 
 
-def matvec(A: MatrixSpec | DenseMatrix, x: Vector,
+def matvec(A: MatrixSpec, x: Vector,
            policy: ConvergencePolicy | None = None
            ) -> tuple[Vector, dict[int, ConvergenceReport]]:
     """Apply ``A`` to a vector; entries are convergence-checked when the
     column extent is infinite and structure does not bound the sum."""
     policy = policy or ConvergencePolicy()
-    A = _as_spec(A)
     if not extents_equal(A.cols, x.extent):
         raise ExtentMismatchError(f"extents differ: {A.cols} vs {x.extent}")
 
-    cache: dict[int, tuple[float, ConvergenceReport]] = {}
-
-    def compute(i):
-        hit = cache.get(i)
-        if hit is not None:
-            return hit
+    @cache
+    def report(i):
         span = _intersect_supports(A.row_support(i), x.support(), A.cols)
 
         def term(l, _i=i):
             return A.entry(_i, l) * x.entry(l)
 
         # vectors carry no certificates, so an unbounded sum stays empirical
-        rep = _exact_sum(term, span) if span is not None else sum_series(term, policy)
-        result = (rep.estimate, rep)
-        cache[i] = result
-        return result
+        return _exact_sum(term, span) if span is not None else sum_series(term, policy)
 
     def entry(i):
-        return compute(i)[0]
+        return report(i).estimate
 
     out = Vector(A.rows, entry)
-    reports = {i: compute(i)[1]
+    reports = {i: report(i)
                for i in range(1, clip_extent(A.rows, PROBE_SIDE) + 1)}
     return out, reports
 
 
-def trace_partial(A: MatrixSpec | DenseMatrix,
+def trace_partial(A: MatrixSpec,
                   policy: ConvergencePolicy | None = None) -> ConvergenceReport:
     """Diagonal sum: exact for finite matrices, a checked series otherwise."""
     policy = policy or ConvergencePolicy()
-    A = _as_spec(A)
     if not A.is_square:
         raise ExtentMismatchError(f"trace requires a square matrix, got {A.rows}x{A.cols}")
 

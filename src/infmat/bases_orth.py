@@ -118,7 +118,7 @@ def _row_inner(A: MatrixSpec, p: int, q: int, policy, lines: Lines) -> float:
     return rep.estimate
 
 
-def orthogonalize(A: MatrixSpec | DenseMatrix,
+def orthogonalize(A: MatrixSpec,
                   policy: ConvergencePolicy | None = None) -> OrthReport:
     """Bring [Gram | A] to [G | A'] by lower eliminations only.
 
@@ -129,18 +129,17 @@ def orthogonalize(A: MatrixSpec | DenseMatrix,
     otherwise) and reported as ``max_offdiag_dot``.
     """
     policy = policy or ConvergencePolicy()
-    spec = A.as_spec() if isinstance(A, DenseMatrix) else A
-    if not is_finite_extent(spec.rows):
+    if not is_finite_extent(A.rows):
         raise ExtentMismatchError("row count must be finite")
-    m = int(spec.rows)
+    m = int(A.rows)
     # the leading entries of all m rows, read by block for the Gram series
     # and the orthogonality check alike
-    lines = Lines(spec, range(1, m + 1))
+    lines = Lines(A, range(1, m + 1))
 
     gram = np.empty((m, m))
     for p in range(1, m + 1):
         for q in range(p, m + 1):
-            gram[p - 1, q - 1] = gram[q - 1, p - 1] = _row_inner(spec, p, q, policy, lines)
+            gram[p - 1, q - 1] = gram[q - 1, p - 1] = _row_inner(A, p, q, policy, lines)
     gram_dm = DenseMatrix(gram)
 
     g = np.array(gram)
@@ -157,18 +156,18 @@ def orthogonalize(A: MatrixSpec | DenseMatrix,
                 coeff[l, :] -= factor * coeff[k, :]
             g[l, k] = 0.0
 
-    finite_cols = is_finite_extent(spec.cols)
+    finite_cols = is_finite_extent(A.cols)
     if finite_cols:
-        rows = coeff @ truncate(spec, m, int(spec.cols)).data
+        rows = coeff @ truncate(A, m, int(A.cols)).data
         a_prime: DenseMatrix | OrthogonalRows = DenseMatrix(rows)
         prods = rows @ rows.T
         off = prods - np.diag(np.diag(prods))
         max_off = float(np.max(np.abs(off))) if m > 1 else 0.0
     else:
-        a_prime = OrthogonalRows(coeff, spec)
+        a_prime = OrthogonalRows(coeff, A)
         max_off = 0.0
-        if spec.decay is not None:
-            C, r = spec.decay.C, spec.decay.r
+        if A.decay is not None:
+            C, r = A.decay.C, A.decay.r
             amp = np.array([C * sum(abs(coeff[p, q]) * r ** (q + 1)
                                     for q in range(m)) for p in range(m)])
         else:
@@ -195,7 +194,7 @@ def orthogonalize(A: MatrixSpec | DenseMatrix,
         for p in range(m):
             for q in range(p + 1, m):
                 def term(j, _p=p, _q=q):
-                    col = [spec.entry(t + 1, j) for t in range(m)]
+                    col = [A.entry(t + 1, j) for t in range(m)]
                     w = coeff @ np.array(col)
                     return float(w[_p] * w[_q])
 
@@ -280,8 +279,14 @@ def transformation_matrix(L: Callable[[int], Vector], m: int, n: int,
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     if target_basis is not None:
-        # the transition solves max(m, n) columns; the first m are kept
-        images = BasisFamily(max(m, n), L)
+        # the transition solves max(m, n) columns and the first m are kept;
+        # past the domain it is fed zero images, so L is asked for 1..m only
+        image = cache(L)
+
+        def padded(i):
+            return image(i) if i <= m else Vector(image(1).extent, lambda j: 0.0)
+
+        images = BasisFamily(max(m, n), padded)
         result = transition_matrix(target_basis, images, max(m, n),
                                    schedule, policy)
         return DenseMatrix(result.matrix.data[:n, :m])

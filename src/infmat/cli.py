@@ -298,6 +298,8 @@ def _cmd_rank(args, policy, schedule, config):
 
 
 def _cmd_eig(args, policy, schedule, config):
+    if args.n < 0:
+        raise ValueError(f"--n must be >= 0, got {args.n}")
     spec = load_matrix_file(args.matrix)
     config["inputs"] = [args.matrix]
     config["interval"] = list(args.interval)

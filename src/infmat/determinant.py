@@ -141,7 +141,6 @@ def det_infinite(M: MatrixSpec, schedule: TruncationSchedule | None = None,
     """
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
-    M = M.as_spec() if isinstance(M, DenseMatrix) else M
     if not M.is_square:
         raise ExtentMismatchError(f"determinant of non-square {M.rows}x{M.cols}")
     # a finite matrix is its own one section: eliminated, as det_oracle does

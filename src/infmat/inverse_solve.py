@@ -136,7 +136,7 @@ def _norm_check(t: np.ndarray, perturbation: MatrixSpec | None) -> float:
     return norm
 
 
-def neumann_inverse(A: MatrixSpec | DenseMatrix,
+def neumann_inverse(A: MatrixSpec,
                     policy: ConvergencePolicy | None = None,
                     schedule: TruncationSchedule | None = None,
                     perturbation: MatrixSpec | None = None) -> InverseReport:
@@ -149,7 +149,6 @@ def neumann_inverse(A: MatrixSpec | DenseMatrix,
     """
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
-    A = A.as_spec() if isinstance(A, DenseMatrix) else A
     if not A.is_square:
         raise ExtentMismatchError(f"inverse of non-square {A.rows}x{A.cols}")
     sizes = limit_sizes(A.rows, schedule)
@@ -223,7 +222,7 @@ def _rhs_prefix(b: Vector) -> Callable[..., np.ndarray]:
     return prefix
 
 
-def rank_of(M: MatrixSpec | DenseMatrix,
+def rank_of(M: MatrixSpec,
             schedule: TruncationSchedule | None = None,
             policy: ConvergencePolicy | None = None) -> ConvergenceReport:
     """Numerical rank; for infinite specs, the stabilized truncation rank.
@@ -233,14 +232,12 @@ def rank_of(M: MatrixSpec | DenseMatrix,
     """
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
-
-    M = M.as_spec() if isinstance(M, DenseMatrix) else M
     sections = Sections(M)
     return section_limit(lambda n: _dense_rank(sections(n)),
                          _section_extent(M), schedule, policy)
 
 
-def check_compatibility(A: MatrixSpec | DenseMatrix, b: Vector,
+def check_compatibility(A: MatrixSpec, b: Vector,
                         schedule: TruncationSchedule | None = None,
                         policy: ConvergencePolicy | None = None) -> SolveReport:
     """Compare the stabilized ranks of ``A`` and of ``A`` augmented by ``b``.
@@ -250,7 +247,6 @@ def check_compatibility(A: MatrixSpec | DenseMatrix, b: Vector,
     """
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
-    A = A.as_spec() if isinstance(A, DenseMatrix) else A
     if not extents_equal(A.rows, b.extent):
         raise ExtentMismatchError(f"rows {A.rows} vs right-hand side {b.extent}")
 
@@ -269,7 +265,7 @@ def check_compatibility(A: MatrixSpec | DenseMatrix, b: Vector,
                        route=None)
 
 
-def cramer_solve(A: MatrixSpec | DenseMatrix, b: Vector,
+def cramer_solve(A: MatrixSpec, b: Vector,
                  wanted: list[int] | None = None,
                  schedule: TruncationSchedule | None = None,
                  policy: ConvergencePolicy | None = None) -> SolveReport:
@@ -290,7 +286,6 @@ def cramer_solve(A: MatrixSpec | DenseMatrix, b: Vector,
 
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
-    A = A.as_spec() if isinstance(A, DenseMatrix) else A
     if not A.is_square:
         raise ExtentMismatchError(f"square system required, got {A.rows}x{A.cols}")
     if not extents_equal(A.rows, b.extent):
@@ -359,7 +354,7 @@ def _apply_series(a: np.ndarray, bv: np.ndarray, policy: ConvergencePolicy) -> n
     return _power_sum(np.asarray(bv, dtype=float), lambda w: eye_minus @ w, policy)[0]
 
 
-def solve_via_inverse(A: MatrixSpec | DenseMatrix, b: Vector,
+def solve_via_inverse(A: MatrixSpec, b: Vector,
                       policy: ConvergencePolicy | None = None,
                       schedule: TruncationSchedule | None = None,
                       wanted: list[int] | None = None) -> SolveReport:
@@ -372,7 +367,6 @@ def solve_via_inverse(A: MatrixSpec | DenseMatrix, b: Vector,
     """
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
-    A = A.as_spec() if isinstance(A, DenseMatrix) else A
     if not A.is_square:
         raise ExtentMismatchError(f"square system required, got {A.rows}x{A.cols}")
     if not extents_equal(A.rows, b.extent):

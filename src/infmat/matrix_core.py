@@ -1,14 +1,15 @@
-"""Finite dense matrices and infinite matrices as element oracles.
+"""Matrices of finite or infinite extent as element oracles.
 
-An infinite matrix is a pure function ``entry(i, j)`` on 1-based indices
-together with structural metadata (band, diagonal, finite support box)
-and an optional geometric decay certificate.  Every infinite computation
-in the package factors through :func:`truncate`, which materializes a
-top-left section as a :class:`DenseMatrix`, or :class:`Sections`, which
-grows one section along a limit's schedule and hands out read-only
-arrays, the one store of sections for every truncation limit;
-:class:`Lines` grows the leading entries of single rows or columns for
-series along an infinite index.
+A matrix is a :class:`MatrixSpec`: a pure function ``entry(i, j)`` on
+1-based indices together with structural metadata (a band, a finite
+support box) and an optional geometric decay certificate.  Finite
+arrays are no separate kind: :class:`DenseMatrix` is the spec whose
+oracle reads a frozen array.  Every infinite computation in the package
+factors through :func:`truncate`, which materializes a top-left section
+as a :class:`DenseMatrix`, or :class:`Sections`, which grows one section
+along a limit's schedule and hands out read-only arrays, the one store
+of sections for every truncation limit; :class:`Lines` grows the leading
+entries of single rows or columns for series along an infinite index.
 
 Extents are either a positive ``int`` or the distinguished token
 :data:`INFINITE`; operations must branch explicitly on finiteness, no
@@ -24,13 +25,11 @@ import numpy as np
 from .errors import CertificateError, ExtentMismatchError, OracleValueError
 
 # structure classes
-DENSE = "dense-finite"
 EXPR = "expr"
 BANDED = "banded"
-DIAGONAL = "diagonal"
 FINITE_SUPPORT = "finite-support"
 
-_STRUCTURES = (DENSE, EXPR, BANDED, DIAGONAL, FINITE_SUPPORT)
+_STRUCTURES = (EXPR, BANDED, FINITE_SUPPORT)
 
 
 class _Infinite:
@@ -100,17 +99,17 @@ class MatrixSpec:
     """A matrix of finite or infinite extent defined by an element oracle.
 
     ``entry`` must be pure and total on the declared index range (1-based).
-    ``bandwidth`` is required for ``BANDED`` structure, ``support`` (a
-    ``(rows, cols)`` box) for ``FINITE_SUPPORT``.  Structure declarations
+    ``structure`` is ``EXPR`` (no pattern), ``BANDED`` (``bandwidth``
+    required; a diagonal is bandwidth 0) or ``FINITE_SUPPORT`` (a
+    ``(rows, cols)`` ``support`` box required).  Structure declarations
     are promises: out-of-structure entries must be exactly zero.
 
-    ``block``, optional and used by ``DENSE``, ``EXPR`` and
-    ``FINITE_SUPPORT`` sections and by ``DENSE`` and ``EXPR``
-    :class:`Lines`, maps 1-based index arrays ``rows`` and
-    ``cols`` to the values of ``entry`` on ``rows x cols`` (any array
-    that broadcasts to that shape), bit for bit, or to ``None`` when
-    those cells must be evaluated one by one through ``entry``.  It is
-    only asked for cells inside the declared pattern.
+    ``block``, optional and used by ``EXPR`` and ``FINITE_SUPPORT``
+    sections and by ``EXPR`` :class:`Lines`, maps 1-based index arrays
+    ``rows`` and ``cols`` to the values of ``entry`` on ``rows x cols``
+    (any array that broadcasts to that shape), bit for bit, or to
+    ``None`` when those cells must be evaluated one by one through
+    ``entry``.  It is only asked for cells inside the declared pattern.
     """
 
     rows: Extent
@@ -131,8 +130,6 @@ class MatrixSpec:
             raise ValueError("banded structure requires a non-negative bandwidth")
         if self.structure == FINITE_SUPPORT and self.support is None:
             raise ValueError("finite-support structure requires a support box")
-        if self.structure == DENSE and not (is_finite_extent(self.rows) and is_finite_extent(self.cols)):
-            raise ValueError("dense-finite structure requires finite extents")
 
     @property
     def is_square(self) -> bool:
@@ -152,50 +149,31 @@ class MatrixSpec:
 
         ``None`` means unbounded; an empty range is returned as (1, 0).
         """
-        if self.structure == DIAGONAL:
-            return (i, clip_extent(self.cols, i))
-        if self.structure == BANDED:
-            lo = max(1, i - self.bandwidth)
-            hi = i + self.bandwidth
-            if is_finite_extent(self.cols):
-                hi = min(hi, self.cols)
-            return (lo, hi)
-        if self.structure == FINITE_SUPPORT:
-            box_rows, box_cols = self.support
-            if i > box_rows:
-                return (1, 0)
-            return (1, clip_extent(self.cols, box_cols))
-        if is_finite_extent(self.cols):
-            return (1, self.cols)
-        return None
+        return self._line_support(i, 0)
 
     def col_support(self, j: int) -> tuple[int, int] | None:
         """Inclusive row range outside which column ``j`` is zero."""
-        if self.structure == DIAGONAL:
-            return (j, clip_extent(self.rows, j))
+        return self._line_support(j, 1)
+
+    def _line_support(self, k: int, axis: int) -> tuple[int, int] | None:
+        """Support of row (``axis`` 0) or column (``axis`` 1) ``k``."""
+        extent = self.cols if axis == 0 else self.rows
         if self.structure == BANDED:
-            lo = max(1, j - self.bandwidth)
-            hi = j + self.bandwidth
-            if is_finite_extent(self.rows):
-                hi = min(hi, self.rows)
-            return (lo, hi)
+            return (max(1, k - self.bandwidth), clip_extent(extent, k + self.bandwidth))
         if self.structure == FINITE_SUPPORT:
-            box_rows, box_cols = self.support
-            if j > box_cols:
+            if k > self.support[axis]:
                 return (1, 0)
-            return (1, clip_extent(self.rows, box_rows))
-        if is_finite_extent(self.rows):
-            return (1, self.rows)
-        return None
+            return (1, clip_extent(extent, self.support[1 - axis]))
+        return (1, extent) if is_finite_extent(extent) else None
 
 
-class DenseMatrix:
-    """Finite m-by-n array of scalars, 1-based in all interfaces.
+@dataclass(frozen=True, init=False, repr=False)
+class DenseMatrix(MatrixSpec):
+    """Finite m-by-n array of scalars, 1-based in all interfaces: the
+    ``EXPR`` spec whose ``entry`` and ``block`` read the array.
 
-    All entries must be finite; the backing array is frozen.
+    All entries must be finite; the backing array ``data`` is frozen.
     """
-
-    __slots__ = ("_data",)
 
     def __init__(self, data):
         arr = np.array(data, dtype=float)
@@ -207,41 +185,34 @@ class DenseMatrix:
                 f"non-finite entry at ({bad[0] + 1}, {bad[1] + 1})",
                 index=(int(bad[0]) + 1, int(bad[1]) + 1))
         arr.setflags(write=False)
-        self._data = arr
 
-    @property
-    def data(self) -> np.ndarray:
-        return self._data
+        def entry(i, j, _data=arr):
+            return float(_data[i - 1, j - 1])
+
+        def block(rows, cols, _data=arr):
+            return _data[np.ix_(rows - 1, cols - 1)]
+
+        super().__init__(arr.shape[0], arr.shape[1], entry, block=block)
+        object.__setattr__(self, "data", arr)
 
     @property
     def m(self) -> int:
-        return self._data.shape[0]
+        return self.rows
 
     @property
     def n(self) -> int:
-        return self._data.shape[1]
+        return self.cols
 
     def at(self, i: int, j: int) -> float:
         if not (1 <= i <= self.m and 1 <= j <= self.n):
             raise IndexError(f"({i}, {j}) outside {self.m}x{self.n}")
-        return float(self._data[i - 1, j - 1])
+        return float(self.data[i - 1, j - 1])
 
     def tolist(self) -> list[list[float]]:
-        return self._data.tolist()
+        return self.data.tolist()
 
     def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(self._data.T)
-
-    def as_spec(self) -> MatrixSpec:
-        data = self._data
-
-        def entry(i, j, _data=data):
-            return float(_data[i - 1, j - 1])
-
-        def block(rows, cols, _data=data):
-            return _data[np.ix_(rows - 1, cols - 1)]
-
-        return MatrixSpec(self.m, self.n, entry, structure=DENSE, block=block)
+        return DenseMatrix(self.data.T)
 
     def __repr__(self):
         return f"DenseMatrix({self.m}x{self.n})"
@@ -290,7 +261,7 @@ def _fill_blocks(M: MatrixSpec, out: np.ndarray, km: int, kn: int) -> bool:
     m, n = out.shape
     if M.structure == FINITE_SUPPORT:
         m, n = min(m, M.support[0]), min(n, M.support[1])
-    elif M.structure not in (DENSE, EXPR):
+    elif M.structure == BANDED:
         return False
     for r0, r1, c0 in ((0, min(km, m), kn), (km, m, 0)):
         if r1 <= r0 or n <= c0:
@@ -315,7 +286,7 @@ def _grow(M: MatrixSpec, known: np.ndarray, m: int, n: int) -> np.ndarray:
     if M.block is not None and _fill_blocks(M, out, km, kn):
         return out
     for i in range(1, m + 1):
-        lo, hi = (1, n) if M.structure in (DENSE, EXPR) else M.row_support(i)
+        lo, hi = (1, n) if M.structure == EXPR else M.row_support(i)
         if i <= km:
             lo = max(lo, kn + 1)
         for j in range(lo, min(hi, n) + 1):
@@ -323,17 +294,13 @@ def _grow(M: MatrixSpec, known: np.ndarray, m: int, n: int) -> np.ndarray:
     return out
 
 
-def truncate(M: MatrixSpec | DenseMatrix, m: int, n: int) -> DenseMatrix:
+def truncate(M: MatrixSpec, m: int, n: int) -> DenseMatrix:
     """Materialize the top-left m-by-n section of ``M``.
 
     For structured specs only the declared nonzero pattern is evaluated.
     Raises :class:`OracleValueError`, naming the index, if the oracle
     produces a non-finite value.
     """
-    if isinstance(M, DenseMatrix):
-        if m > M.m or n > M.n:
-            raise ExtentMismatchError(f"requested {m}x{n} from {M.m}x{M.n} matrix")
-        return DenseMatrix(M.data[:m, :n])
     if m < 1 or n < 1:
         raise ValueError("section sizes must be >= 1")
     if is_finite_extent(M.rows) and m > M.rows:
@@ -386,7 +353,7 @@ class Lines:
         self._indices = np.asarray(indices, dtype=int)
         self._axis = axis
         self._known = np.zeros((len(self._indices), 0))
-        self._declined = M.block is None or M.structure not in (DENSE, EXPR)
+        self._declined = M.block is None or M.structure != EXPR
 
     def __call__(self, n: int) -> np.ndarray | None:
         if self._declined:
@@ -408,7 +375,7 @@ class Lines:
 def transpose(M: MatrixSpec) -> MatrixSpec:
     """Swap row/column roles; structure metadata transposes with it."""
     if isinstance(M, DenseMatrix):
-        return M.transpose().as_spec()
+        return M.transpose()
     entry = M.entry
 
     def flipped(i, j, _entry=entry):
@@ -444,7 +411,7 @@ def diagonal_spec(diag: Callable[[int], float], extent: Extent = INFINITE) -> Ma
     def entry(i, j, _diag=diag):
         return float(_diag(i)) if i == j else 0.0
 
-    return MatrixSpec(extent, extent, entry, structure=DIAGONAL)
+    return MatrixSpec(extent, extent, entry, structure=BANDED, bandwidth=0)
 
 
 def banded_spec(bands: dict[int, Callable[[int, int], float]],

@@ -72,8 +72,8 @@ class ConvergencePolicy:
     max_terms: int = 100_000
 
     def __post_init__(self):
-        if not (self.tol > 0):
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.max_terms < self.window + 1:

@@ -83,7 +83,7 @@ def matrix_from_obj(obj, ctx="matrix spec") -> MatrixSpec:
             if axis in obj and obj[axis] != declared:
                 raise SchemaError(f"{ctx}: {axis} = {obj[axis]} does not match "
                                   f"data shape {dm.m}x{dm.n}")
-        spec = dm.as_spec()
+        spec = dm
     else:
         rows = _parse_extent(_require(obj, "rows", ctx), "rows")
         cols = _parse_extent(_require(obj, "cols", ctx), "cols")
@@ -127,7 +127,9 @@ def matrix_from_obj(obj, ctx="matrix spec") -> MatrixSpec:
                                     float(_require(d, "r", ctx)))
         except Exception as exc:
             raise SchemaError(f"{ctx}: bad decay certificate ({exc})") from exc
-        spec = dataclasses.replace(spec, decay=cert)
+        # a new spec over the same oracles: a DenseMatrix is built from its array
+        spec = MatrixSpec(spec.rows, spec.cols, spec.entry, spec.structure, cert,
+                          spec.bandwidth, spec.support, spec.block)
         spot_check_decay(spec, samples=32, rng=np.random.default_rng(12345))
     return spec
 

@@ -8,6 +8,7 @@ infinite matrix but no claim beyond stabilization is made.  Double roots
 produce no sign change and are missed by design.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +17,7 @@ from ._dense import norm_inf, null_vector
 from .algebra import Vector
 from .determinant import det_section
 from .errors import ExtentMismatchError, OracleValueError, SingularSystemError
-from .matrix_core import (DenseMatrix, MatrixSpec, Sections, TruncationSchedule,
-                          clip_extent, truncate)
+from .matrix_core import MatrixSpec, Sections, TruncationSchedule, clip_extent, truncate
 from .series import ConvergencePolicy, limit_sizes
 
 BISECT_WIDTH = 1e-10
@@ -58,14 +58,13 @@ def _shifted(t: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
-def _square_spec(A: MatrixSpec | DenseMatrix) -> MatrixSpec:
-    spec = A.as_spec() if isinstance(A, DenseMatrix) else A
-    if not spec.is_square:
-        raise ExtentMismatchError(f"square matrix required, got {spec.rows}x{spec.cols}")
-    return spec
+def _square_spec(A: MatrixSpec) -> MatrixSpec:
+    if not A.is_square:
+        raise ExtentMismatchError(f"square matrix required, got {A.rows}x{A.cols}")
+    return A
 
 
-def char_value(A: MatrixSpec | DenseMatrix, lam: float, n: int,
+def char_value(A: MatrixSpec, lam: float, n: int,
                route: str = "auto",
                policy: ConvergencePolicy | None = None) -> float:
     """det of the n-by-n truncation of A - lam*I by the chosen route."""
@@ -85,7 +84,7 @@ def _null_direction(shifted: np.ndarray, lam: float) -> Vector:
     return Vector.from_values(v)
 
 
-def eigenvector_for(A: MatrixSpec | DenseMatrix, lam: float, n: int) -> Vector:
+def eigenvector_for(A: MatrixSpec, lam: float, n: int) -> Vector:
     """Nonzero null vector of the n-truncation of A - lam*I.
 
     Elimination pivots below ``1e-8 * (1 + norm)`` mark a free column;
@@ -93,9 +92,8 @@ def eigenvector_for(A: MatrixSpec | DenseMatrix, lam: float, n: int) -> Vector:
     Raises :class:`SingularSystemError` when the truncation is
     numerically full rank, i.e. ``lam`` is not an eigenvalue at this size.
     """
-    spec = A.as_spec() if isinstance(A, DenseMatrix) else A
-    n = clip_extent(spec.rows, n)
-    return _null_direction(_shifted(truncate(spec, n, n).data, lam), lam)
+    n = clip_extent(A.rows, n)
+    return _null_direction(_shifted(truncate(A, n, n).data, lam), lam)
 
 
 def _bisect(f, lo, hi, flo, fhi):
@@ -111,7 +109,7 @@ def _bisect(f, lo, hi, flo, fhi):
     return 0.5 * (lo + hi)
 
 
-def find_eigenvalues(A: MatrixSpec | DenseMatrix, interval: tuple[float, float],
+def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
                      schedule: TruncationSchedule | None = None,
                      policy: ConvergencePolicy | None = None,
                      max_roots: int = 32,
@@ -123,7 +121,9 @@ def find_eigenvalues(A: MatrixSpec | DenseMatrix, interval: tuple[float, float],
     re-checks each root at the previous size; roots moving more than
     1e-6 between the two sizes are flagged unstable.  A finite spec's
     schedule is its one full size, so its roots are exact and stable.  An
-    interval with no sign change yields an empty list, not an error.
+    interval with no sign change yields an empty list, not an error; a
+    non-finite or empty interval, or ``grid_points`` or ``max_roots``
+    below 1, raises :class:`ValueError`.
 
     One :class:`Sections` of the spec is grown to the largest size; the
     previous size is a view of its corner.  Every characteristic value,
@@ -132,10 +132,14 @@ def find_eigenvalues(A: MatrixSpec | DenseMatrix, interval: tuple[float, float],
     ``grid_points`` or the number of bisection steps.
     """
     lo, hi = float(interval[0]), float(interval[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"interval endpoints must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if grid_points < 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points}")
+    if max_roots < 1:
+        raise ValueError(f"max_roots must be >= 1, got {max_roots}")
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
     spec = _square_spec(A)

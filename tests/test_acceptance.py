@@ -156,7 +156,7 @@ def test_criterion_05_solve_route_agreement():
         n = int(rng.integers(2, 9))
         a = DenseMatrix(np.eye(n) + _contraction(rng, n, 0.6))
         b = Vector.from_values(rng.uniform(-2.0, 2.0, n))
-        cram = cramer_solve(a.as_spec(), b)
+        cram = cramer_solve(a, b)
         inv = solve_via_inverse(a, b)
         gap = max(abs(cram.unknowns[i].estimate - inv.unknowns[i].estimate)
                   for i in range(1, n + 1))

@@ -31,8 +31,8 @@ def hashed_certified(seed, C=1.0, r=0.5):
 # --- add / scale -----------------------------------------------------------
 
 def test_add_dense_values():
-    a = DenseMatrix([[1, 2], [3, 4]]).as_spec()
-    b = DenseMatrix([[4, 3], [2, 1]]).as_spec()
+    a = DenseMatrix([[1, 2], [3, 4]])
+    b = DenseMatrix([[4, 3], [2, 1]])
     assert truncate(add(a, b), 2, 2).tolist() == [[5, 5], [5, 5]]
 
 
@@ -60,7 +60,7 @@ def test_scale_values_and_certificate():
     doubled = scale(2.0, a)
     assert doubled.entry(2, 3) == 2.0 * a.entry(2, 3)
     assert doubled.decay.C == 2.0 * a.decay.C
-    assert truncate(scale(2.0, DenseMatrix([[1, 2], [3, 4]]).as_spec()), 2, 2).tolist() \
+    assert truncate(scale(2.0, DenseMatrix([[1, 2], [3, 4]])), 2, 2).tolist() \
         == [[2, 4], [6, 8]]
     assert scale(0.0, a).decay is None
     assert scale(1.0, a).entry(3, 3) == a.entry(3, 3)
@@ -72,7 +72,7 @@ def test_structure_join_banded():
     joined = add(a, b)
     assert joined.structure == "banded" and joined.bandwidth == 1
     d = add(diagonal_spec(lambda i: 1.0), diagonal_spec(lambda i: 2.0))
-    assert d.structure == "diagonal"
+    assert (d.structure, d.bandwidth) == ("banded", 0)
 
 
 # --- matmul ----------------------------------------------------------------
@@ -191,6 +191,38 @@ def test_matvec_finite():
     a = DenseMatrix([[2, 0], [0, 3]])
     out, _ = matvec(a, Vector.from_values([1, 1]))
     assert out.values().tolist() == [2.0, 3.0]
+
+
+def _counted(fn):
+    calls = []
+
+    def entry(*index):
+        calls.append(index)
+        return fn(*index)
+
+    return entry, calls
+
+
+def test_product_and_matvec_entries_are_read_once():
+    a_entry, a_calls = _counted(lambda i, j: 0.5 ** (i + j))
+    product = matmul(entrywise_spec(a_entry), geometric_spec())
+    probed = len(a_calls)
+    assert product.matrix.entry(2, 3) == product.entry_report(2, 3).estimate
+    assert len(a_calls) == probed  # inside the probe: no new reads
+    first = product.matrix.entry(11, 2)
+    grown = len(a_calls)
+    assert grown > probed
+    assert product.matrix.entry(11, 2) == first
+    assert product.entry_report(11, 2).estimate == first
+    assert len(a_calls) == grown
+
+    x_entry, x_calls = _counted(lambda j: 1.0 / j ** 2)
+    out, reports = matvec(entrywise_spec(a_entry), Vector(INFINITE, x_entry))
+    probed = len(x_calls)
+    assert out.entry(3) == reports[3].estimate
+    value = out.entry(12)
+    grown = len(x_calls)
+    assert out.entry(12) == value and len(x_calls) == grown > probed
 
 
 def test_vector_accessors():

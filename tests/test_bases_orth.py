@@ -244,3 +244,34 @@ def test_transformation_matrix_with_target_basis():
 
     tm = transformation_matrix(image, 3, 3, target_basis=target)
     assert np.max(np.abs(tm.data - 0.5 * np.eye(3))) <= 1e-12
+
+
+def _skew_target():
+    rows = [[2.0, 1.0, 0.0], [0.5, 3.0, 1.0], [0.0, 1.0, 4.0]]
+    return BasisFamily(3, lambda i: Vector.from_values(rows[i - 1]))
+
+
+def _skew_image(i):
+    return Vector.from_values([[1.0, 0.25, 2.0], [0.5, 1.0, -1.0], [3.0, 0.0, 1.0]][i - 1])
+
+
+def test_transformation_matrix_asks_only_for_domain_images():
+    calls = []
+
+    def partial(i):
+        calls.append(i)
+        if i > 2:
+            raise IndexError(f"the map has a 2-dimensional domain, asked for {i}")
+        return _skew_image(i)
+
+    tm = transformation_matrix(partial, 2, 3, target_basis=_skew_target())
+    assert tm.data.shape == (3, 2)
+    assert calls == [1, 2]
+
+
+def test_transformation_matrix_rectangular_columns_are_the_square_ones():
+    # columns 1..2 of the 3-by-3 matrix solve the same systems bit for bit
+    target = _skew_target()
+    tm = transformation_matrix(_skew_image, 2, 3, target_basis=target)
+    square = transformation_matrix(_skew_image, 3, 3, target_basis=target)
+    assert tm.data.tobytes() == np.ascontiguousarray(square.data[:, :2]).tobytes()

@@ -7,7 +7,6 @@ raise the same error (class, message and index): the block path never
 raises itself, it hands a fill back to the scalar loop.
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from test_golden_cli import DENSE_EXPR
 
 from infmat.errors import InfmatError
 from infmat.expr_dsl import compile_block, eval_ast, parse, pretty
-from infmat.matrix_core import DenseMatrix, Sections, clip_extent, truncate
+from infmat.matrix_core import DenseMatrix, MatrixSpec, Sections, clip_extent, truncate
 from infmat.specio import load_matrix_file, matrix_from_obj
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -39,7 +38,8 @@ def support_spec(expr):
 
 
 def scalar(spec):
-    return dataclasses.replace(spec, block=None)
+    return MatrixSpec(spec.rows, spec.cols, spec.entry, spec.structure, spec.decay,
+                      spec.bandwidth, spec.support)
 
 
 def outcome(fill):
@@ -198,6 +198,6 @@ def test_decay_certificate_keeps_the_block():
 @given(st.integers(1, 9), st.integers(1, 9))
 def test_dense_spec_fills_by_slicing(m, n):
     data = np.random.default_rng(m * 10 + n).normal(size=(9, 9))
-    spec = DenseMatrix(data).as_spec()
+    spec = DenseMatrix(data)
     assert_truncations_agree(spec, m, n)
     assert_sections_agree(spec, [m, 9])

@@ -312,6 +312,26 @@ def test_bad_eig_and_inv_sizes_are_config_errors(capsys, args, message):
     assert json.loads(out)["error"] == {"code": "config-error", "message": message}
 
 
+_EIG = ["eig", SPECS / "harmonic_diag.json", "--max-size", 64]
+
+
+@pytest.mark.parametrize("args,message", [
+    (_EIG + ["--interval", 0.4, 0.6, "--max-roots", 0], "max_roots must be >= 1, got 0"),
+    (_EIG + ["--interval", 0.4, 0.6, "--max-roots", -2], "max_roots must be >= 1, got -2"),
+    (_EIG + ["--interval", 0.4, 0.6, "--n", -3], "--n must be >= 0, got -3"),
+    (_EIG + ["--interval", 0.4, "inf"], "interval endpoints must be finite, got [0.4, inf]"),
+    (_EIG + ["--interval", 0.4, "nan"], "interval endpoints must be finite, got [0.4, nan]"),
+    (["det", SPECS / "perturbation.json", "--tol", "inf"],
+     "tol must be positive and finite, got inf"),
+    (["det", SPECS / "perturbation.json", "--tol", "nan"],
+     "tol must be positive and finite, got nan"),
+])
+def test_bad_eig_arguments_and_tol_are_config_errors(capsys, args, message):
+    code, out = run_main(capsys, *args, "--quiet")
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "config-error", "message": message}
+
+
 def _family(path, count, vectors):
     path.write_text(json.dumps({"count": count, "vectors": vectors}))
     return path

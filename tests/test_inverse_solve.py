@@ -148,7 +148,7 @@ def test_rank_matches_exact_oracle_and_transpose():
 # --- compatibility -------------------------------------------------------------
 
 def test_compatibility_worked_examples():
-    a = DenseMatrix([[1.0, 2.0], [2.0, 4.0]]).as_spec()
+    a = DenseMatrix([[1.0, 2.0], [2.0, 4.0]])
     ok = check_compatibility(a, Vector.from_values([1.0, 2.0]))
     assert ok.compatible and ok.verdict == "compatible"
     assert ok.rank_A.estimate == ok.rank_Ab.estimate == 1.0
@@ -199,7 +199,7 @@ def test_compatibility_infinite_rank_one():
 # --- solving -------------------------------------------------------------------
 
 def test_cramer_worked_two_by_two():
-    a = DenseMatrix([[2.0, 1.0], [1.0, 3.0]]).as_spec()
+    a = DenseMatrix([[2.0, 1.0], [1.0, 3.0]])
     rep = cramer_solve(a, Vector.from_values([3.0, 5.0]))
     assert rep.unknowns[1].estimate == pytest.approx(4.0 / 5.0, abs=1e-12)
     assert rep.unknowns[2].estimate == pytest.approx(7.0 / 5.0, abs=1e-12)
@@ -214,7 +214,7 @@ def test_cramer_identity_returns_rhs():
 
 def test_cramer_singular_rejected():
     with pytest.raises(SingularSystemError):
-        cramer_solve(DenseMatrix([[1.0, 2.0], [2.0, 4.0]]).as_spec(),
+        cramer_solve(DenseMatrix([[1.0, 2.0], [2.0, 4.0]]),
                      Vector.from_values([1.0, 2.0]))
 
 
@@ -473,7 +473,7 @@ def test_solve_routes_agree_on_contractions():
         x *= 0.5 / max(np.max(np.sum(np.abs(x), axis=1)), 1e-9)
         a = DenseMatrix(np.eye(n) + x)
         b = Vector.from_values(rng.uniform(-2, 2, n))
-        cram = cramer_solve(a.as_spec(), b)
+        cram = cramer_solve(a, b)
         inv = solve_via_inverse(a, b)
         for i in range(1, n + 1):
             assert cram.unknowns[i].estimate == pytest.approx(

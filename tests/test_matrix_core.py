@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from infmat.errors import CertificateError, ExtentMismatchError, OracleValueError
-from infmat.matrix_core import (DIAGONAL, INFINITE, DecayCertificate,
+from infmat.matrix_core import (BANDED, INFINITE, DecayCertificate,
                                 DenseMatrix, Sections, TruncationSchedule,
                                 banded_spec, clip_extent, diagonal_spec,
                                 entrywise_spec, finite_support_spec,
@@ -41,7 +41,7 @@ def test_truncate_rejects_nonfinite_oracle():
 def test_truncate_respects_finite_extents():
     dm = DenseMatrix([[1, 2], [3, 4]])
     with pytest.raises(ExtentMismatchError):
-        truncate(dm.as_spec(), 3, 2)
+        truncate(dm, 3, 2)
 
 
 def test_transpose_is_involution_on_samples():
@@ -62,7 +62,7 @@ def test_transpose_diagonal_identical():
     t = transpose(spec)
     for i, j in [(1, 1), (3, 3), (2, 7), (6, 2)]:
         assert t.entry(i, j) == spec.entry(i, j)
-    assert t.structure == DIAGONAL
+    assert (t.structure, t.bandwidth) == (BANDED, 0)
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
@@ -105,7 +105,7 @@ def _specs(draw):
         m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
         data = [[2.0 if (i, j) in bad else cell(i, j) for j in range(1, n + 1)]
                 for i in range(1, m + 1)]
-        return DenseMatrix(data).as_spec()
+        return DenseMatrix(data)
     rows, cols = draw(_EXTENTS), draw(_EXTENTS)
     if kind == "expr":
         return entrywise_spec(cell, rows, cols)

@@ -39,7 +39,7 @@ def test_dense_shape_mismatch_rejected():
 def test_load_diag_spec():
     spec = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "diag",
                             "expr": "1/i"})
-    assert spec.structure == "diagonal"
+    assert (spec.structure, spec.bandwidth) == ("banded", 0)
     assert spec.entry(4, 4) == 0.25
     assert spec.entry(4, 5) == 0.0
 

@@ -59,16 +59,14 @@ def _catalog():
                 dict(rows=r, cols=c, kind=kind, **extra))
         if r != "inf":
             data = np.arange(1.0, r * c + 1).reshape(r, c)
-            out[f"dense {name}"] = DenseMatrix(data).as_spec()
+            out[f"dense {name}"] = DenseMatrix(data)
             out[f"json-dense {name}"] = matrix_from_obj({"kind": "dense",
                                                          "data": data.tolist()})
     return out
 
 
 def _fingerprint(M):
-    from infmat.matrix_core import DenseMatrix, clip_extent
-
-    M = M.as_spec() if isinstance(M, DenseMatrix) else M
+    from infmat.matrix_core import clip_extent
 
     def span(s):
         return None if s is None else [int(s[0]), int(s[1])]
