@@ -186,6 +186,40 @@ def sweep_null_vector(a, pivot_tol):
     return v
 
 
+def sweep_gauss_solve(a, b, pivot_tol):
+    """Solution of ``a x = b`` by elimination over the full trailing matrix,
+    or None when some column has no pivot above ``pivot_tol``.
+
+    ``b`` holds one right-hand side (1-d) or several (columns of a 2-d
+    array).  Each column is back-substituted on its own with numpy's dot
+    product on contiguous slices, as :func:`sweep_null_vector` does.
+    """
+    a = [list(map(float, row)) for row in a]
+    rhs = np.array(b, dtype=float)
+    one = rhs.ndim == 1
+    rhs = [list(map(float, row)) for row in (rhs[:, None] if one else rhs)]
+    n = len(a)
+    for k in range(n):
+        p = _pivot_row(a, k, k)
+        if abs(a[p][k]) <= pivot_tol:
+            return None
+        a[k], a[p] = a[p], a[k]
+        rhs[k], rhs[p] = rhs[p], rhs[k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, n):
+                a[i][j] = a[i][j] - f * a[k][j]
+            rhs[i] = [x - f * y for x, y in zip(rhs[i], rhs[k])]
+            a[i][k] = 0.0
+    out = np.zeros((n, len(rhs[0])))
+    for c in range(out.shape[1]):
+        x = np.zeros(n)
+        for k in range(n - 1, -1, -1):
+            x[k] = (rhs[k][c] - float(np.array(a[k][k + 1:]) @ x[k + 1:])) / a[k][k]
+        out[:, c] = x
+    return out[:, 0] if one else out
+
+
 def counting(fn):
     """``fn`` wrapped to count its calls per ``(i, j)``; returns (entry, counts)."""
     counts = {}

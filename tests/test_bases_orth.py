@@ -1,11 +1,13 @@
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import gram_schmidt_rows
 
+from infmat import bases_orth
 from infmat.algebra import Vector
 from infmat.bases_orth import (BasisFamily, OrthogonalRows, orthogonalize,
                                transformation_matrix, transition_matrix)
@@ -14,6 +16,9 @@ from infmat.errors import (DependentRowsError, GramConvergenceError,
 from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE,
                                 MatrixSpec, TruncationSchedule, entrywise_spec)
 from infmat.series import ConvergencePolicy, sum_series
+from infmat.specio import load_family_file
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 SCHED = TruncationSchedule(8, 2, 64)
 
@@ -193,6 +198,21 @@ def test_transition_reads_each_new_basis_coordinate_once():
     # the 6 wanted vectors, each to the largest size 64, each coordinate once
     assert set(calls) == {(i, j) for i in range(1, 7) for j in range(1, 65)}
     assert max(calls.values()) == 1
+
+
+def test_transition_eliminates_each_section_once(monkeypatch):
+    sizes = []
+
+    def counting_solve(a, b, pivot_tol=0.0, _solve=bases_orth.gauss_solve):
+        sizes.append(a.shape[0])
+        return _solve(a, b, pivot_tol)
+
+    monkeypatch.setattr(bases_orth, "gauss_solve", counting_solve)
+    res = transition_matrix(load_family_file(SPECS / "basis_shifted.json"),
+                            load_family_file(SPECS / "basis_standard.json"), 6, SCHED)
+    assert set(res.column_status.values()) == {"converged"}
+    # all 6 columns at each size 8..64 from one elimination of that section
+    assert sizes == [8, 16, 32, 64]
 
 
 @pytest.mark.parametrize("old", [False, True])

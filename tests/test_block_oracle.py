@@ -19,7 +19,8 @@ from test_golden_cli import DENSE_EXPR
 
 from infmat.errors import InfmatError
 from infmat.expr_dsl import compile_block, eval_ast, parse, pretty
-from infmat.matrix_core import DenseMatrix, MatrixSpec, Sections, clip_extent, truncate
+from infmat.matrix_core import (DenseMatrix, MatrixSpec, Sections, clip_extent,
+                                transpose, truncate)
 from infmat.specio import load_matrix_file, matrix_from_obj
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -201,3 +202,29 @@ def test_dense_spec_fills_by_slicing(m, n):
     spec = DenseMatrix(data)
     assert_truncations_agree(spec, m, n)
     assert_sections_agree(spec, [m, 9])
+
+
+def test_transpose_keeps_the_block_oracle():
+    spec = load_matrix_file(SPECS / "geometric.json")
+    reads = []
+
+    def entry(i, j):
+        reads.append((i, j))
+        return spec.entry(i, j)
+
+    counted = MatrixSpec(spec.rows, spec.cols, entry, spec.structure, spec.decay,
+                         spec.bandwidth, spec.support, spec.block)
+    section = truncate(transpose(counted), 256, 256).data
+    assert section.tobytes() == truncate(spec, 256, 256).data.T.tobytes()
+    assert reads == []
+    # a declined block is declined transposed, and the cells come from entry
+    declining = MatrixSpec(3, 2, lambda i, j: 10.0 * i + j, block=lambda rows, cols: None)
+    assert truncate(transpose(declining), 2, 3).tolist() == [[11.0, 21.0, 31.0],
+                                                             [12.0, 22.0, 32.0]]
+
+
+def test_transposed_block_agrees_with_the_scalar_path():
+    spec = transpose(expr_spec("1/(i + 2*j)^1.5 + if(i == j + 1, i, 0)"))
+    assert spec.block is not None
+    assert_truncations_agree(spec, 37, 41)
+    assert_sections_agree(spec, [8, 16, 32])

@@ -332,6 +332,26 @@ def test_bad_eig_arguments_and_tol_are_config_errors(capsys, args, message):
     assert json.loads(out)["error"] == {"code": "config-error", "message": message}
 
 
+@pytest.mark.parametrize("args,message", [
+    (_EIG + ["--interval", "-inf", 0.6], "argument --interval: expected 2 arguments"),
+    (["det", SPECS / "geometric.json", "--bogus"], "unrecognized arguments: --bogus"),
+    (["det", SPECS / "geometric.json", "--tol", "abc"],
+     "argument --tol: invalid float value: 'abc'"),
+    (["det"], "the following arguments are required: matrix"),
+])
+def test_usage_errors_are_config_error_documents(capsys, args, message):
+    code, out = run_main(capsys, *args)
+    assert code == 1
+    assert json.loads(out) == {"error": {"code": "config-error", "message": message}}
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["det", "--help"])
+    assert exc.value.code == 0
+    assert "usage: infmat det" in capsys.readouterr().out
+
+
 def _family(path, count, vectors):
     path.write_text(json.dumps({"count": count, "vectors": vectors}))
     return path

@@ -1,12 +1,14 @@
 """The windowed elimination kernels against a full dense sweep, bit for bit."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import sweep_echelon, sweep_lu_det, sweep_null_vector
+from oracles import sweep_echelon, sweep_gauss_solve, sweep_lu_det, sweep_null_vector
 
 from infmat import _dense
-from infmat._dense import echelon, lu_det, null_vector
+from infmat._dense import NARROW_WINDOW, echelon, gauss_solve, lu_det, null_vector
+from infmat.errors import SingularSystemError
 
 # exact zeros of both signs, ties and cancellations, tiny pivots
 VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0, 1e-12]),
@@ -37,20 +39,42 @@ def matrices(draw, square=False):
     return a
 
 
+@st.composite
+def wide_matrices(draw):
+    """Square banded arrays whose elimination window, ``bl`` rows by ``bl +
+    bu`` columns, exceeds ``NARROW_WINDOW``, so ``lu_det`` sweeps them in
+    numpy; the band stays narrower than the array."""
+    n = draw(st.integers(10, 16))
+    bl, bu = draw(st.integers(6, n - 2)), draw(st.integers(5, n - 2))
+    a = np.array(draw(st.lists(VALUES, min_size=n * n, max_size=n * n)),
+                 dtype=float).reshape(n, n)
+    i, j = np.indices((n, n))
+    a = np.where((j - i <= bu) & (i - j <= bl), a, 0.0)
+    a[bl, 0], a[0, bu] = 1.0, -1.0  # the band's outermost diagonals
+    if draw(st.booleans()):
+        a = np.where(i > j, 16.0 * a, a)
+    column = draw(st.none() | st.integers(0, n - 1))
+    if column is not None:
+        a[:, column] *= draw(st.sampled_from([0.0, 1e-13]))
+    lower, upper = _dense._band(a)
+    assume(lower * (lower + upper) > NARROW_WINDOW)
+    return a
+
+
 def same_bits(x, y) -> bool:
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 @settings(max_examples=150)
-@given(matrices(square=True))
-def test_lu_det_bit_identical_to_dense_sweep(a):
+@given(matrices(square=True), wide_matrices())
+def test_lu_det_bit_identical_to_dense_sweep(a, wide):
     expected = sweep_lu_det(a)
     assert same_bits(lu_det(a), expected)
-    # both paths, whichever one the band selects
-    band = _dense._band(a)
-    assert same_bits(_dense._lu_det_window(a.copy(), *band), expected)
-    assert same_bits(_dense._lu_det_narrow(a, *band), expected)
+    # the narrow path, whichever one the band selects
+    assert same_bits(_dense._lu_det_narrow(a, *_dense._band(a)), expected)
+    # the numpy path, through lu_det on a window too wide for the narrow one
+    assert same_bits(lu_det(wide), sweep_lu_det(wide))
 
 
 @settings(max_examples=150)
@@ -90,3 +114,19 @@ def test_negative_zero_changes_like_the_dense_sweep():
     ref_u, ref_pivots = sweep_echelon(a, 0.0)
     assert not np.signbit(ref_u[1, 1])
     assert pivots == ref_pivots and same_bits(u, ref_u)
+
+
+@settings(max_examples=150)
+@given(matrices(square=True), st.integers(0, 3), st.data(), PIVOT_TOLS)
+def test_gauss_solve_bit_identical_to_dense_sweep(a, columns, data, tol):
+    # no columns: one right-hand side as a 1-d array
+    n = a.shape[0]
+    size = n * max(columns, 1)
+    b = np.array(data.draw(st.lists(VALUES, min_size=size, max_size=size)), dtype=float)
+    b = b.reshape(n, columns) if columns else b
+    ref = sweep_gauss_solve(a, b, tol)
+    if ref is None:
+        with pytest.raises(SingularSystemError):
+            gauss_solve(a, b, tol)
+    else:
+        assert same_bits(gauss_solve(a, b, tol), ref)
