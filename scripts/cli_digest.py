@@ -12,7 +12,7 @@ SHA-256 of the stdout, stderr and exit code (or raised exception) of all
 its operations in order.  Two checkouts print the same nine lines exactly
 when every operation gives the same bytes.
 
-    PYTHONPATH=src python scripts/cli_digest.py
+    python scripts/cli_digest.py
 """
 
 import contextlib
@@ -25,7 +25,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402  (from perfbench/, put on the path above)
 

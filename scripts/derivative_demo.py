@@ -9,8 +9,12 @@ differentiates the geometric function 1/(1 - x/2).
 """
 
 import math
+import sys
+from pathlib import Path
 
-from infmat import INFINITE, Vector, banded_spec, matvec
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from infmat import INFINITE, Vector, banded_spec, matvec  # noqa: E402
 
 
 def show(title, vec, out, expected, count=10):

@@ -9,8 +9,12 @@ needs depth; the identity never stabilizes its rank.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from infmat import (ConvergencePolicy, TruncationSchedule, det_infinite,
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from infmat import (ConvergencePolicy, TruncationSchedule, det_infinite,  # noqa: E402
                     diagonal_spec, entrywise_spec, identity_spec, rank_of,
                     MatrixSpec, INFINITE, BANDED)
 

@@ -4,19 +4,22 @@ Elimination is hand-rolled (vectorized row updates) rather than deferred
 to LAPACK so pivot thresholds stay explicit and sign tracking across row
 swaps is visible to tests.
 
-``lu_det`` and ``echelon`` (and ``null_vector`` through it) confine each
-elimination step to the window that can still be nonzero.  The window
-comes from the array: its band ``(bl, bu)`` is measured once from the
-nonzero pattern, and partial pivoting keeps the pivot column nonzero only
-in the ``bl`` rows below the pivot and the pivot row only up to ``bl +
-bu`` columns right of the pivot column (Golub & Van Loan, *Matrix
-Computations*, sec. 4.3).  Every update left out is ``x - f*0`` or ``x -
-0*y``, so pivots, signs and returned values are bit-identical to the
-full dense sweep; for dense input the window is the whole matrix.  An
-update of that kind can only turn a ``-0.0`` into ``+0.0``, so
-``echelon``, whose array is returned, sweeps densely when its input holds
-a negative zero.
+One sweep, :func:`_sweep`, eliminates for ``echelon``, ``null_vector``,
+``gauss_solve`` (on ``[a | b]``) and ``lu_det``.  It confines each step
+to the window that can still be nonzero.  The window comes from the
+array: its band ``(bl, bu)`` is measured once from the nonzero pattern,
+and partial pivoting keeps the pivot column nonzero only in the ``bl``
+rows below the pivot and the pivot row only up to ``bl + bu`` columns
+right of the pivot column (Golub & Van Loan, *Matrix Computations*, sec.
+4.3).  Every update left out is ``x - f*0`` or ``x - 0*y``, so pivots,
+signs and returned values are bit-identical to the full dense sweep; for
+dense input the window is the whole matrix.  An update of that kind can
+only turn a ``-0.0`` into ``+0.0``, so the sweep runs densely when its
+input holds a negative zero.  ``lu_det`` runs the same arithmetic on
+Python floats when the window is small (``_lu_det_narrow``).
 """
+
+import math
 
 import numpy as np
 
@@ -55,28 +58,9 @@ def lu_det(a: np.ndarray) -> float:
     bl, bu = _band(a)
     if bl * (bl + bu) <= NARROW_WINDOW:
         return _lu_det_narrow(a, bl, bu)
-    return _lu_det_window(a.copy(), bl, bu)
-
-
-def _lu_det_window(a: np.ndarray, bl: int, bu: int) -> float:
-    """:func:`lu_det` by numpy row updates, overwriting ``a``."""
-    n = a.shape[0]
-    sign = 1.0
-    det = 1.0
-    for k in range(n):
-        below = min(n, k + bl + 1)
-        right = min(n, k + bl + bu + 1)
-        p = k + int(np.argmax(np.abs(a[k:below, k])))
-        if a[p, k] == 0.0:
-            return 0.0
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            sign = -sign
-        det *= a[k, k]
-        if k + 1 < below:
-            f = a[k + 1:below, k] / a[k, k]
-            a[k + 1:below, k + 1:right] -= np.outer(f, a[k, k + 1:right])
-    return sign * det
+    u, pivots, sign = _sweep(a, 0.0)
+    # the pivots' product in column order; 0 when a column has none
+    return sign * math.prod(np.diag(u)) if len(pivots) == n else 0.0
 
 
 def _lu_det_narrow(a: np.ndarray, bl: int, bu: int) -> float:
@@ -125,12 +109,12 @@ def _lu_det_narrow(a: np.ndarray, bl: int, bu: int) -> float:
     return sign * det
 
 
-def echelon(a: np.ndarray, pivot_tol: float) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form with partial pivoting.
+def _sweep(a: np.ndarray, pivot_tol: float) -> tuple[np.ndarray, list[int], float]:
+    """Row echelon form of a copy of ``a`` by the windowed sweep.
 
-    Returns the reduced array and the list of pivot column indices
-    (0-based).  Columns whose best remaining pivot is <= ``pivot_tol``
-    in magnitude are skipped.
+    Returns the reduced array, the pivot column indices (0-based) and the
+    sign of the row permutation.  Columns whose best remaining pivot is
+    <= ``pivot_tol`` in magnitude are skipped.
     """
     u = np.array(a, dtype=float)
     rows, cols = u.shape
@@ -143,6 +127,7 @@ def echelon(a: np.ndarray, pivot_tol: float) -> tuple[np.ndarray, list[int]]:
     # skipped column on
     left = cols
     pivots = []
+    sign = 1.0
     r = 0
     for c in range(cols):
         if r == rows:
@@ -154,6 +139,7 @@ def echelon(a: np.ndarray, pivot_tol: float) -> tuple[np.ndarray, list[int]]:
             continue
         if p != r:
             u[[r, p]] = u[[p, r]]
+            sign = -sign
         if r + 1 < below:
             lo, hi = min(left, c), min(cols, c + bl + bu + 1)
             f = u[r + 1:below, c] / u[r, c]
@@ -161,7 +147,13 @@ def echelon(a: np.ndarray, pivot_tol: float) -> tuple[np.ndarray, list[int]]:
             u[r + 1:below, c] = 0.0
         pivots.append(c)
         r += 1
-    return u, pivots
+    return u, pivots, sign
+
+
+def echelon(a: np.ndarray, pivot_tol: float) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form with partial pivoting: the reduced array and the
+    pivot column indices of :func:`_sweep`."""
+    return _sweep(a, pivot_tol)[:2]
 
 
 def rank_of_array(a: np.ndarray, pivot_tol: float) -> int:
@@ -190,28 +182,25 @@ def null_vector(a: np.ndarray, pivot_tol: float) -> np.ndarray | None:
 
 
 def gauss_solve(a: np.ndarray, b: np.ndarray, pivot_tol: float = 0.0) -> np.ndarray:
-    """Solve a square system by elimination with partial pivoting."""
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
+    """Solve a square system by elimination with partial pivoting.
+
+    ``b`` holds one right-hand side, or several as the columns of a 2-d
+    array; the solution has the shape of ``b``.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape[0] != n:
         raise ValueError("square system required")
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) <= pivot_tol:
-            raise SingularSystemError(f"pivot {abs(a[p, k])} at column {k + 1}")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        if k + 1 < n:
-            f = a[k + 1:, k] / a[k, k]
-            a[k + 1:, k + 1:] -= np.outer(f, a[k, k + 1:])
-            b[k + 1:] -= f * b[k]
-            a[k + 1:, k] = 0.0
-    x = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - float(a[k, k + 1:] @ x[k + 1:])) / a[k, k]
-    return x
+    u, pivots, _ = _sweep(np.column_stack((a, b)), pivot_tol)
+    missing = set(range(n)).difference(pivots)
+    if missing:
+        raise SingularSystemError(f"no pivot above {pivot_tol} at column {min(missing) + 1}")
+    x = np.zeros((u.shape[1] - n, n))  # one contiguous row per right-hand side
+    for c, row in enumerate(x):
+        for k in range(n - 1, -1, -1):
+            row[k] = (u[k, n + c] - float(u[k, k + 1:n] @ row[k + 1:])) / u[k, k]
+    return x.T.reshape(b.shape)
 
 
 def product_ascending(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -246,12 +246,14 @@ def transition_matrix(B: BasisFamily, B_prime: BasisFamily, count: int,
     old = Sections(MatrixSpec(extent, extent, lambda i, c: old_at(c).entry(i)))
     new = Sections(MatrixSpec(extent, count, lambda i, c: new_at(c).entry(i)))
 
-    def solve_at(n, i):
+    @cache
+    def solve_at(n):
+        # the coordinates of all ``count`` vectors from one elimination
         v_mat = old(n)
-        return gauss_solve(v_mat, new(n)[:, i - 1], PIVOT_SCALE * max(1.0, norm_inf(v_mat)))
+        return gauss_solve(v_mat, new(n), PIVOT_SCALE * max(1.0, norm_inf(v_mat)))
 
     def column(i):
-        return section_limit_vector(lambda n: solve_at(n, i)[:count], extent,
+        return section_limit_vector(lambda n: solve_at(n)[:count, i - 1], extent,
                                     schedule, policy, least=count)
 
     out = np.zeros((count, count))

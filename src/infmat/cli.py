@@ -119,12 +119,24 @@ def _matrix_doc(dm: DenseMatrix) -> list:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+class _UsageError(ValueError):
+    """A command line the parser rejects: a ``config-error``."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`_UsageError` with argparse's message instead of
+    printing the usage and exiting 2, the ``undetermined`` status."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="infmat",
         description="operations on finite and infinite matrices defined by "
                     "JSON specs")
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-10)
     common.add_argument("--window", type=int, default=3)
     common.add_argument("--max-terms", type=int, default=100_000)
@@ -383,7 +395,11 @@ def _write(text, path):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        _write(render_document({"error": {"code": "config-error", "message": str(exc)}}), None)
+        return EXIT_ERROR
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(message)s")
     if args.quiet:

@@ -14,16 +14,17 @@ Calls: ``if(c, t, e)`` (t when c != 0), ``delta(a, b)`` (1 when a == b),
 ``min``, ``max``.  Comparisons yield the scalars 0/1; there is no
 boolean type.
 
-Two evaluators share each parsed formula.  :func:`eval_ast` walks the
-tree for one cell; :func:`compile_block` turns the tree once into a
-function over whole index blocks.  ``expr`` and ``finite-support``
-specs read from JSON fill their sections through the block function
-(``MatrixSpec.block``); every other read -- point reads, banded and
-diagonal specs, vectors, basis families, specs derived from others --
-is scalar.  The block function gives the same bits as the scalar one,
-and it raises nothing: a cell the scalar path could reject makes it
-return ``None``, and the caller then evaluates that fill cell by cell,
-so every error is raised by the scalar path.
+One tree walker evaluates a parsed formula over one of two operation
+tables.  :func:`eval_ast` walks it with the scalar table for one cell;
+:func:`compile_block` walks it with the block table over whole index
+arrays.  ``expr`` and ``finite-support`` specs read from JSON fill their
+sections through the block function (``MatrixSpec.block``); every other
+read -- point reads, banded specs, vectors, basis families, specs
+derived from others -- is scalar.  The block table gives the same bits
+as the scalar one, and it raises nothing: a cell the scalar path could
+reject makes the block function return ``None``, and the caller then
+evaluates that fill cell by cell, so every error is raised by the scalar
+path.
 """
 
 import math
@@ -213,70 +214,26 @@ def eval_ast(node: ExprAst, i: int | None = None, j: int | None = None,
         env["j"] = float(j)
     if k is not None:
         env["k"] = float(k)
-    return _eval(node, env)
+    return _walk(node, env, _SCALAR)
 
 
-def _eval(node, env) -> float:
+def _walk(node, env, ops):
+    """Value of ``node`` with variables from ``env``; each operator and
+    function is ``ops[name]``, ``if`` gets the unevaluated branches."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
-        if node.name not in env:
-            raise EvalError(f"unbound variable {node.name!r}")
-        return env[node.name]
+        try:
+            return env[node.name]
+        except KeyError:
+            return ops["unbound"](node.name)
     if isinstance(node, Neg):
-        return -_eval(node.operand, env)
+        return -_walk(node.operand, env, ops)
     if isinstance(node, BinOp):
-        a = _eval(node.left, env)
-        if node.op == "==":
-            return 1.0 if a == _eval(node.right, env) else 0.0
-        b = _eval(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b == 0.0:
-                raise EvalError("division by zero")
-            return a / b
-        if node.op == "^":
-            try:
-                return math.pow(a, b)
-            except OverflowError:
-                return math.inf
-            except ValueError as exc:
-                raise EvalError(f"domain error in {a} ^ {b}") from exc
-        raise EvalError(f"unknown operator {node.op!r}")
-    if isinstance(node, Call):
-        if node.func == "if":
-            cond = _eval(node.args[0], env)
-            return _eval(node.args[1] if cond != 0.0 else node.args[2], env)
-        args = [_eval(a, env) for a in node.args]
-        if node.func == "delta":
-            return 1.0 if args[0] == args[1] else 0.0
-        if node.func == "fact":
-            x = args[0]
-            nearest = round(x) if math.isfinite(x) else -1
-            if abs(x - nearest) > 1e-9 or nearest < 0:
-                raise EvalError(f"fact requires a non-negative integer, got {x}")
-            return float(_FACTORIALS[min(nearest, 171)])
-        if node.func == "exp":
-            try:
-                return math.exp(args[0])
-            except OverflowError:
-                return math.inf
-        if node.func == "ln":
-            if args[0] <= 0.0:
-                raise EvalError(f"ln of non-positive value {args[0]}")
-            return math.log(args[0])
-        if node.func == "abs":
-            return abs(args[0])
-        if node.func == "min":
-            return min(args)
-        if node.func == "max":
-            return max(args)
-    raise EvalError(f"cannot evaluate node {node!r}")
+        return ops[node.op](_walk(node.left, env, ops), _walk(node.right, env, ops))
+    if node.func == "if":
+        return ops["if"](node.args, env, ops)
+    return ops[node.func](*[_walk(a, env, ops) for a in node.args])
 
 
 def _num_text(value: float) -> str:
@@ -359,6 +316,55 @@ def _flag_if(bad):
         raise _Flagged
 
 
+def _unbound(name):
+    raise EvalError(f"unbound variable {name!r}")
+
+
+def _divide(a, b):
+    if b == 0.0:
+        raise EvalError("division by zero")
+    return a / b
+
+
+def _pow(a, b):
+    try:
+        return math.pow(a, b)
+    except OverflowError:
+        return math.inf
+    except ValueError as exc:
+        raise EvalError(f"domain error in {a} ^ {b}") from exc
+
+
+def _fact(x):
+    nearest = round(x) if math.isfinite(x) else -1
+    if abs(x - nearest) > 1e-9 or nearest < 0:
+        raise EvalError(f"fact requires a non-negative integer, got {x}")
+    return float(_FACTORIALS[min(nearest, 171)])
+
+
+def _ln(x):
+    if x <= 0.0:
+        raise EvalError(f"ln of non-positive value {x}")
+    return math.log(x)
+
+
+# one cell: Python floats, errors raised as EvalError
+_SCALAR = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _pow,
+    "==": lambda a, b: 1.0 if a == b else 0.0,
+    "abs": abs, "min": min, "max": max, "exp": _saturating(math.exp), "ln": _ln,
+    "fact": _fact, "unbound": _unbound,
+    "if": lambda args, env, ops: _walk(args[1] if _walk(args[0], env, ops) != 0.0
+                                       else args[2], env, ops),
+}
+_SCALAR["delta"] = _SCALAR["=="]
+
+
+def _divide_block(a, b):
+    _flag_if(b == 0.0)
+    return a / b
+
+
 def _fact_block(x):
     _flag_if(~np.isfinite(x))
     nearest = np.round(x)  # half to even, as round()
@@ -366,77 +372,40 @@ def _fact_block(x):
     return _FACTORIALS[np.minimum(nearest, 171).astype(np.intp)]
 
 
-def _if_block(cond, then, other):
-    def run(I, J):
-        taken = cond(I, J) != 0.0
-        if np.all(taken):
-            return then(I, J)
-        if not np.any(taken):
-            return other(I, J)
-        shape = np.broadcast_shapes(np.shape(I), np.shape(J))
-        taken = np.broadcast_to(taken, shape)
-        I, J = np.broadcast_to(I, shape), np.broadcast_to(J, shape)
-        out = np.empty(shape)
-        out[taken] = then(I[taken], J[taken])
-        out[~taken] = other(I[~taken], J[~taken])
-        return out
-
-    return run
+def _masked_if(args, env, ops):
+    """``if`` over a block: each branch is walked on the cells that take it."""
+    taken = _walk(args[0], env, ops) != 0.0
+    if np.all(taken):
+        return _walk(args[1], env, ops)
+    if not np.any(taken):
+        return _walk(args[2], env, ops)
+    shape = np.broadcast_shapes(*map(np.shape, env.values()))
+    taken = np.broadcast_to(taken, shape)
+    cells = {name: np.broadcast_to(v, shape) for name, v in env.items()}
+    out = np.empty(shape)
+    out[taken] = _walk(args[1], {name: v[taken] for name, v in cells.items()}, ops)
+    out[~taken] = _walk(args[2], {name: v[~taken] for name, v in cells.items()}, ops)
+    return out
 
 
-def _divide(a, b):
-    _flag_if(b == 0.0)
-    return a / b
-
-
-_BLOCK_BINOPS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
-    "==": lambda a, b: np.where(a == b, 1.0, 0.0),
+# index arrays: the same bits cell by cell, a cell the scalar table may
+# reject flags the block
+_BLOCK = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide_block,
     "^": lambda a, b: _math_map(math.pow, a, b),
-}
-_BLOCK_CALLS = {
-    "delta": _BLOCK_BINOPS["=="],
+    "==": lambda a, b: np.where(a == b, 1.0, 0.0),
+    "abs": np.abs,
     "min": lambda a, b: np.where(b < a, b, a),  # min() keeps a unless b < a
     "max": lambda a, b: np.where(b > a, b, a),
-    "abs": np.abs,
     "exp": lambda a: _math_map(math.exp, a),
     "ln": lambda a: _math_map(math.log, a),  # ValueError on a <= 0
-    "fact": _fact_block,
+    "fact": _fact_block, "unbound": lambda name: _flag_if(True), "if": _masked_if,
 }
-
-
-def _scalar_only(I, J):
-    raise _Flagged
-
-
-def _compile_block(node):
-    if isinstance(node, Num):
-        value = node.value
-        return lambda I, J: value
-    if isinstance(node, Var):
-        if node.name == "i":
-            return lambda I, J: I
-        if node.name == "j":
-            return lambda I, J: J
-        return _scalar_only  # unbound variable
-    if isinstance(node, Neg):
-        operand = _compile_block(node.operand)
-        return lambda I, J: -operand(I, J)
-    if isinstance(node, BinOp) and node.op in _BLOCK_BINOPS:
-        op = _BLOCK_BINOPS[node.op]
-        left, right = _compile_block(node.left), _compile_block(node.right)
-        return lambda I, J: op(left(I, J), right(I, J))
-    if isinstance(node, Call) and node.func in _ARITY:
-        args = [_compile_block(a) for a in node.args]
-        if node.func == "if":
-            return _if_block(*args)
-        fn = _BLOCK_CALLS[node.func]
-        return lambda I, J: fn(*(a(I, J) for a in args))
-    return _scalar_only
+_BLOCK["delta"] = _BLOCK["=="]
 
 
 def compile_block(node: ExprAst):
-    """Compile a formula in ``i`` and ``j`` into ``block(I, J)``.
+    """The block function ``block(I, J)`` of a formula in ``i`` and ``j``.
 
     ``I`` and ``J`` are float arrays of 1-based indices that broadcast
     together (``rows[:, None]``, ``cols[None, :]``).  The result
@@ -447,12 +416,10 @@ def compile_block(node: ExprAst):
     value <= 0, a domain error of ``^``, a bad ``fact`` argument, or the
     variable ``k``.
     """
-    fn = _compile_block(node)
-
     def block(I, J):
         with np.errstate(all="ignore"):
             try:
-                return fn(I, J)
+                return _walk(node, {"i": I, "j": J}, _BLOCK)
             except _Flagged:
                 return None
 

@@ -373,7 +373,8 @@ class Lines:
 
 
 def transpose(M: MatrixSpec) -> MatrixSpec:
-    """Swap row/column roles; structure metadata transposes with it."""
+    """Swap row/column roles; structure metadata and the block oracle
+    transpose with it."""
     if isinstance(M, DenseMatrix):
         return M.transpose()
     entry = M.entry
@@ -381,11 +382,17 @@ def transpose(M: MatrixSpec) -> MatrixSpec:
     def flipped(i, j, _entry=entry):
         return _entry(j, i)
 
+    block = None
+    if M.block is not None:
+        def block(rows, cols, _block=M.block):
+            values = _block(cols, rows)
+            return None if values is None else np.broadcast_to(values, (len(cols), len(rows))).T
+
     support = None
     if M.support is not None:
         support = (M.support[1], M.support[0])
     return MatrixSpec(M.cols, M.rows, flipped, structure=M.structure,
-                      decay=M.decay, bandwidth=M.bandwidth, support=support)
+                      decay=M.decay, bandwidth=M.bandwidth, support=support, block=block)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,16 @@ def eigenvector_for(A: MatrixSpec, lam: float, n: int) -> Vector:
     return _null_direction(_shifted(truncate(A, n, n).data, lam), lam)
 
 
+def _root_in(f, a, b, fa, fb):
+    """The root of ``f`` bracketed by ``[a, b]``: ``a`` when ``f(a)`` is 0,
+    bisected on a sign change, else None."""
+    if fa == 0.0:
+        return a
+    if (fa < 0) != (fb < 0):
+        return _bisect(f, a, b, fa, fb)
+    return None
+
+
 def _bisect(f, lo, hi, flo, fhi):
     while hi - lo > BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
@@ -170,23 +180,13 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
         if len(pairs) >= max_roots:
             break
         a, b = float(xs[t]), float(xs[t + 1])
-        fa, fb = fx[t], fx[t + 1]
-        if fa == 0.0:
-            root = a
-        elif (fa < 0) != (fb < 0):
-            root = _bisect(f, a, b, fa, fb)
-        else:
+        root = _root_in(f, a, b, fx[t], fx[t + 1])
+        if root is None:
             continue
         stable = True
         if n_prev != n_final:
             g = f_at(n_prev)
-            ga, gb = g(a), g(b)
-            if ga == 0.0:
-                prev_root = a
-            elif (ga < 0) != (gb < 0):
-                prev_root = _bisect(g, a, b, ga, gb)
-            else:
-                prev_root = None
+            prev_root = _root_in(g, a, b, g(a), g(b))
             stable = prev_root is not None and abs(prev_root - root) <= ROOT_STABILITY_TOL
         pairs.append(eigenpair(root, stable, f))
     # trailing endpoint that is itself a root
