@@ -398,7 +398,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except _UsageError as exc:
-        _write(render_document({"error": {"code": "config-error", "message": str(exc)}}), None)
+        doc = {"error": {"code": "config-error", "message": str(exc)}}
+        _write(render_document(doc), None)
         return EXIT_ERROR
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(message)s")

@@ -218,8 +218,9 @@ def eval_ast(node: ExprAst, i: int | None = None, j: int | None = None,
 
 
 def _walk(node, env, ops):
-    """Value of ``node`` with variables from ``env``; each operator and
-    function is ``ops[name]``, ``if`` gets the unevaluated branches."""
+    """Value of ``node`` with variables from ``env``.  Each operator and
+    function is ``ops[name]``; ``ops["if"]`` gets the unevaluated branches
+    and ``ops["unbound"]`` the name of a variable missing from ``env``."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):

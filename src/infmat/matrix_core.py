@@ -386,7 +386,9 @@ def transpose(M: MatrixSpec) -> MatrixSpec:
     if M.block is not None:
         def block(rows, cols, _block=M.block):
             values = _block(cols, rows)
-            return None if values is None else np.broadcast_to(values, (len(cols), len(rows))).T
+            if values is None:
+                return None
+            return np.broadcast_to(values, (len(cols), len(rows))).T
 
     support = None
     if M.support is not None:
