@@ -45,12 +45,17 @@ DENSE3 = {"kind": "dense", "data": [[2, 1, 0], [1, 3, 1], [0, 1, 4]]}
 FINSUP = {"rows": "inf", "cols": "inf", "kind": "finite-support", "expr": "1/(i+2*j)",
           "support": {"rows": 3, "cols": 2}}
 HARMONIC = json.loads((ROOT / "specs" / "harmonic_diag.json").read_text())
+# I + diag(1/i): sum |a_ij - delta_ij| is the harmonic series, so Cramer's
+# normal-determinant condition cannot converge
+HARMONIC_SYSTEM = {"A": {"rows": "inf", "cols": "inf", "kind": "diag", "expr": "1 + 1/i"},
+                   "b": {"kind": "expr", "expr": "delta(i,1)"}}
 WRITTEN = {"tridiag.json": TRIDIAG, "fin20.json": FIN20, "dense.json": DENSE, "dense6.json": DENSE6,
            "dense_system.json": {"A": DENSE, "b": {"kind": "expr", "expr": "1/i^2"}},
            "dense6_system.json": {"A": DENSE6, "b": {"kind": "expr", "expr": "1/i^2"}},
            "poly_a.json": POLY_A, "poly_b.json": POLY_B, "poly_rows4.json": POLY_ROWS4,
            "geo_rows3.json": GEO_ROWS3, "fam_b.json": FAM_B, "fam_b_prime.json": FAM_B_PRIME,
-           "dense3.json": DENSE3, "finsup.json": FINSUP, "harmonic_diag.json": HARMONIC}
+           "dense3.json": DENSE3, "finsup.json": FINSUP, "harmonic_diag.json": HARMONIC,
+           "harmonic_system.json": HARMONIC_SYSTEM}
 
 _SPECS = ("harmonic_diag", "identity", "perturbation", "derivative")
 _EIG_INTERVALS = {"harmonic_diag": ("0.15", "0.6"), "identity": ("0.5", "1.5"),
@@ -115,7 +120,8 @@ COMMANDS = (
        ("tmp", ["orth", "dense3.json"]),
        ("tmp", ["eig", "dense3.json", "--interval", "0", "6"]),
        ("tmp", ["truncate", "finsup.json", "--n", "5"]),
-       ("tmp", ["mul", "finsup.json", "finsup.json", "--n", "4"])]
+       ("tmp", ["mul", "finsup.json", "finsup.json", "--n", "4"]),
+       ("tmp", ["solve", "harmonic_system.json", "--route", "cramer", "--max-size", "64"])]
 )
 
 
