@@ -6,15 +6,13 @@ a deterministic report document: sorted keys, floats rendered with 17
 significant digits, so identical inputs give byte-identical output.
 
 Exit status contract: 0 converged/success, 2 undetermined, 1 error /
-diverged / precondition failure.  The environment variable
-INFMAT_MAX_SIZE caps the schedule size globally.
+diverged / precondition failure.
 """
 
 import argparse
 import json
 import logging
 import math
-import os
 import sys
 
 import numpy as np
@@ -27,8 +25,7 @@ from .errors import (CertificateError, ConvergenceFailureError,
                      GramConvergenceError, InfmatError, OracleValueError,
                      PreconditionError, SchemaError, SingularSystemError)
 from .expr_dsl import EvalError, ParseError
-from .inverse_solve import (check_compatibility, cramer_solve, neumann_inverse,
-                            rank_of, solve_via_inverse)
+from .inverse_solve import cramer_solve, neumann_inverse, rank_of, solve_via_inverse
 from .matrix_core import (DenseMatrix, TruncationSchedule, clip_extent,
                           is_finite_extent, truncate)
 from .series import ConvergencePolicy, ConvergenceReport
@@ -201,12 +198,8 @@ def _build_parser():
 def _resolve(args):
     policy = ConvergencePolicy(tol=args.tol, window=args.window,
                                max_terms=args.max_terms)
-    max_size = args.max_size
-    env_cap = os.environ.get("INFMAT_MAX_SIZE")
-    if env_cap:
-        max_size = min(max_size, int(env_cap))
     schedule = TruncationSchedule(start=args.start, growth=args.growth,
-                                  max_size=max_size)
+                                  max_size=args.max_size)
     config = {"tol": policy.tol, "window": policy.window,
               "max_terms": policy.max_terms, "start": schedule.start,
               "growth": schedule.growth, "max_size": schedule.max_size,
@@ -289,11 +282,10 @@ def _cmd_solve(args, policy, schedule, config):
     unknowns = {str(i): _report_doc(r) for i, r in rep.unknowns.items()}
     result = {"route": rep.route, "unknowns": unknowns,
               "residual": rep.residual}
-    if rep.trace_reports is not None:
-        result["trace_condition"] = {str(k): _report_doc(v)
-                                     for k, v in rep.trace_reports.items()}
+    if rep.condition is not None:
+        result["normal_condition"] = _report_doc(rep.condition)
     if args.check_compat:
-        compat = check_compatibility(A, b, schedule, policy)
+        compat = rep.compatibility()
         result["compatibility"] = {
             "verdict": compat.verdict,
             "rank_A": _report_doc(compat.rank_A),

@@ -62,7 +62,8 @@ class SolveReport:
     Which fields are populated depends on the question asked:
     compatibility checks fill the rank reports, solution routes fill
     ``unknowns`` (requested index -> report) and, when the full final
-    truncation was solved, ``residual``.
+    truncation was solved, ``residual``; the Cramer route also fills
+    ``condition``, von Koch's normal-determinant condition on ``A``.
     """
 
     compatible: bool | None
@@ -71,7 +72,15 @@ class SolveReport:
     unknowns: dict[int, ConvergenceReport]
     route: str | None
     residual: float | None = None
-    trace_reports: dict | None = None
+    condition: ConvergenceReport | None = None
+    _compat: Callable[[], "SolveReport"] | None = field(
+        default=None, repr=False, compare=False)
+
+    def compatibility(self) -> "SolveReport":
+        """:func:`check_compatibility` of the solved system, read from the
+        sections of ``A`` and prefix of ``b`` the solve holds; a report of
+        :func:`check_compatibility` returns itself."""
+        return self if self._compat is None else self._compat()
 
     @property
     def verdict(self) -> str:
@@ -249,10 +258,11 @@ def check_compatibility(A: MatrixSpec, b: Vector,
     schedule = schedule or TruncationSchedule()
     if not extents_equal(A.rows, b.extent):
         raise ExtentMismatchError(f"rows {A.rows} vs right-hand side {b.extent}")
+    return _compare_ranks(A, Sections(A), _rhs_prefix(b), schedule, policy)
 
-    sections = Sections(A)
-    rhs = _rhs_prefix(b)
 
+def _compare_ranks(A, sections, rhs, schedule, policy) -> SolveReport:
+    """:func:`check_compatibility` over a section store and prefix of ``b``."""
     def augmented(n):
         a = sections(n)
         return np.column_stack([a, rhs(a.shape[0])])
@@ -263,6 +273,20 @@ def check_compatibility(A: MatrixSpec, b: Vector,
     ok = ra.converged and rab.converged and ra.estimate == rab.estimate
     return SolveReport(compatible=ok, rank_A=ra, rank_Ab=rab, unknowns={},
                        route=None)
+
+
+def _square_system(A: MatrixSpec, b: Vector, wanted, schedule):
+    """Checks a square system; returns its section sizes, the requested
+    unknowns, and a section store of ``A`` and prefix of ``b``."""
+    if not A.is_square:
+        raise ExtentMismatchError(f"square system required, got {A.rows}x{A.cols}")
+    if not extents_equal(A.rows, b.extent):
+        raise ExtentMismatchError(f"rows {A.rows} vs right-hand side {b.extent}")
+    sizes = limit_sizes(A.rows, schedule)
+    idx = list(wanted) if wanted is not None else list(range(1, sizes[0] + 1))
+    if not idx:
+        raise ValueError("wanted must name at least one unknown")
+    return sizes, idx, Sections(A), _rhs_prefix(b)
 
 
 def cramer_solve(A: MatrixSpec, b: Vector,
@@ -278,28 +302,27 @@ def cramer_solve(A: MatrixSpec, b: Vector,
     A system determinant that diverges or settles within ``tol`` of 0
     raises :class:`SingularSystemError`; one that is only undetermined (a
     schedule too short to settle) leaves the verdict to each unknown's
-    ratio limit.  The classical side condition -- convergence of the
-    diagonal series of the matrix and of each column-replaced matrix --
-    is recorded in ``trace_reports`` but not enforced.
-    """
-    from .algebra import trace_partial
+    ratio limit.
 
+    Von Koch's condition for the rule, a normal determinant (``sum
+    |a_ij - delta_ij| < inf``; with a bounded ``b`` the ratios are then
+    the bounded solution), is recorded in ``condition``, not enforced: the
+    limit of ``sum |T_n - I|`` over the sections the determinant and ratio
+    limits grew.  It is never certified: a decay certificate bounds ``A``,
+    not ``A - I``.
+    """
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
-    if not A.is_square:
-        raise ExtentMismatchError(f"square system required, got {A.rows}x{A.cols}")
-    if not extents_equal(A.rows, b.extent):
-        raise ExtentMismatchError(f"rows {A.rows} vs right-hand side {b.extent}")
-
+    sizes, idx, sections, rhs = _square_system(A, b, wanted, schedule)
     # the sections of A grow along the schedule; each serves det A and,
     # in a copy with column i overwritten by b, the numerator of unknown i
     route = ROUTE_LU if is_finite_extent(A.rows) else "auto"
-    sections = Sections(A)
-    rhs = _rhs_prefix(b)
+    dets: dict[int, float] = {}
 
-    @cache
     def det_a_at(n):
-        return det_section(sections(n), policy, route)
+        if n not in dets:
+            dets[n] = det_section(sections(n), policy, route)
+        return dets[n]
 
     def det_replaced_at(n, col):
         t = np.array(sections(n))
@@ -313,39 +336,24 @@ def cramer_solve(A: MatrixSpec, b: Vector,
     if abs(overall.estimate) <= policy.tol:
         raise SingularSystemError(f"system determinant {overall.estimate:.6g} ~ 0")
 
-    sizes = limit_sizes(A.rows, schedule)
-    idx = list(wanted) if wanted is not None else list(range(1, sizes[0] + 1))
     top = max(idx)
     unknowns = {}
-    xs = {}
-    # the diagonal-series side condition is recorded, not enforced, so its
-    # probe gets a reduced term budget; A's diagonal is read once, since the
-    # matrix with column i replaced by b has b(i) at (i, i) and A's diagonal
-    # elsewhere
-    trace_policy = ConvergencePolicy(tol=policy.tol, window=policy.window,
-                                     max_terms=min(policy.max_terms, 4096))
-    diag = cache(lambda k: A.entry(k, k))
-
-    def diagonal_of(term, decay=None):
-        return MatrixSpec(A.rows, A.cols, lambda k, _: term(k), decay=decay)
-
-    traces = {"A": trace_partial(diagonal_of(diag, A.decay), trace_policy)}
     for i in idx:
-        rep = section_limit(lambda n, _i=i: det_replaced_at(n, _i) / det_a_at(n),
-                            A.rows, schedule, policy, least=top)
-        unknowns[i] = rep
-        xs[i] = rep.estimate
-        traces[i] = trace_partial(
-            diagonal_of(lambda k, _i=i: b.entry(k) if k == _i else diag(k)), trace_policy)
+        unknowns[i] = section_limit(lambda n, _i=i: det_replaced_at(n, _i) / det_a_at(n),
+                                    A.rows, schedule, policy, least=top)
+    grown = [n for n in sizes if n <= max(dets)]
+    condition = section_limit(lambda n: float(np.abs(sections(n) - np.eye(n)).sum()),
+                              A.rows, grown, policy)
 
     residual = None
     final = sizes[-1]
     if set(idx) >= set(range(1, final + 1)):
-        xv = np.array([xs[i] for i in range(1, final + 1)])
+        xv = np.array([unknowns[i].estimate for i in range(1, final + 1)])
         residual = norm_inf(np.atleast_1d(sections(final) @ xv - rhs(final)))
     return SolveReport(compatible=True, rank_A=None, rank_Ab=None,
-                       unknowns=unknowns, route=ROUTE_CRAMER,
-                       residual=residual, trace_reports=traces)
+                       unknowns=unknowns, route=ROUTE_CRAMER, residual=residual,
+                       condition=condition,
+                       _compat=lambda: _compare_ranks(A, sections, rhs, schedule, policy))
 
 
 def _apply_series(a: np.ndarray, bv: np.ndarray, policy: ConvergencePolicy) -> np.ndarray:
@@ -367,15 +375,8 @@ def solve_via_inverse(A: MatrixSpec, b: Vector,
     """
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
-    if not A.is_square:
-        raise ExtentMismatchError(f"square system required, got {A.rows}x{A.cols}")
-    if not extents_equal(A.rows, b.extent):
-        raise ExtentMismatchError(f"rows {A.rows} vs right-hand side {b.extent}")
-    sizes = limit_sizes(A.rows, schedule)
-    sections = Sections(A)
+    sizes, idx, sections, rhs = _square_system(A, b, wanted, schedule)
     _norm_check(sections(sizes[-1]), None)
-
-    rhs = _rhs_prefix(b)
     solutions: dict[int, np.ndarray] = {}
 
     def solution_at(n):
@@ -383,7 +384,6 @@ def solve_via_inverse(A: MatrixSpec, b: Vector,
             solutions[n] = _apply_series(sections(n), rhs(n), policy)
         return solutions[n]
 
-    idx = list(wanted) if wanted is not None else list(range(1, sizes[0] + 1))
     top = max(idx)
     unknowns = {}
     for i in idx:
@@ -393,4 +393,5 @@ def solve_via_inverse(A: MatrixSpec, b: Vector,
     residual = float(np.max(np.abs(sections(final) @ solution_at(final)
                                    - rhs(final))))
     return SolveReport(compatible=True, rank_A=None, rank_Ab=None,
-                       unknowns=unknowns, route=ROUTE_INVERSE, residual=residual)
+                       unknowns=unknowns, route=ROUTE_INVERSE, residual=residual,
+                       _compat=lambda: _compare_ranks(A, sections, rhs, schedule, policy))

@@ -168,10 +168,10 @@ def load_system_file(path):
     b = vector_from_obj(_require(obj, "b", str(path)), A.rows, ctx=f"{path}: b")
     wanted = obj.get("wanted")
     if wanted is not None:
-        if (not isinstance(wanted, list) or
+        if (not isinstance(wanted, list) or not wanted or
                 any(not isinstance(w, int) or isinstance(w, bool) or w < 1
                     for w in wanted)):
-            raise SchemaError(f"{path}: wanted must be a list of indices >= 1")
+            raise SchemaError(f"{path}: wanted must be a non-empty list of indices >= 1")
     return A, b, wanted
 
 

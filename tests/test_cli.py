@@ -2,11 +2,15 @@ import json
 import logging
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import infmat.cli as cli
+from infmat.algebra import Vector
 from infmat.cli import main
+from infmat.matrix_core import INFINITE, MatrixSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -115,6 +119,9 @@ def test_solve_cramer_closed_form(capsys):
     assert abs(doc["result"]["unknowns"]["1"]["estimate"] - 2.0 / 3.0) <= 1e-9
     assert doc["result"]["unknowns"]["2"]["estimate"] == 0.0
     assert doc["config"]["wanted"] == [1, 2, 3]
+    # von Koch's sum of |a_ij - delta_ij|: A - I = 0.5 e1 e1^T
+    condition = doc["result"]["normal_condition"]
+    assert (condition["estimate"], condition["status"]) == (0.5, "converged")
 
 
 def test_solve_cramer_short_schedule_is_undetermined_not_singular(capsys):
@@ -226,15 +233,6 @@ def test_mul_geometric_section(capsys):
     assert abs(doc["result"]["matrix"][0][0] - 1.0 / 12.0) <= 1e-8
 
 
-def test_env_cap_limits_schedule(capsys, monkeypatch):
-    monkeypatch.setenv("INFMAT_MAX_SIZE", "16")
-    code, out = run_main(capsys, "rank", SPECS / "identity.json", "--quiet")
-    assert code == 2
-    doc = json.loads(out)
-    assert doc["config"]["max_size"] == 16
-    assert doc["result"]["rank"]["estimate"] == 16
-
-
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run_main(capsys, "det", SPECS / "perturbation.json",
@@ -274,6 +272,41 @@ def test_solve_check_compat_flag(capsys):
     doc = json.loads(out)
     # full-rank truncations keep growing, so the rank comparison stays open
     assert doc["result"]["compatibility"]["verdict"] == "undetermined"
+
+
+@pytest.mark.parametrize("route", ["cramer", "inverse"])
+def test_solve_check_compat_reads_each_cell_once(route, capsys, monkeypatch):
+    # the rank check reads the sections of A and the prefix of b that the
+    # route already holds
+    a_calls, b_calls = Counter(), Counter()
+
+    def entry(i, j):
+        a_calls[(i, j)] += 1
+        return float(i == j) + 0.3 / (i + j + 1) ** 2.5
+
+    def rhs(i):
+        b_calls[i] += 1
+        return 1.0 / i ** 2
+
+    system = (MatrixSpec(INFINITE, INFINITE, entry), Vector(INFINITE, rhs), None)
+    monkeypatch.setattr(cli, "load_system_file", lambda path: system)
+    _, out = run_main(capsys, "solve", "system.json", "--route", route,
+                      "--check-compat", "--max-size", 128, "--quiet")
+    assert "compatibility" in json.loads(out)["result"]
+    assert set(a_calls.values()) == {1} and len(a_calls) == 128 ** 2
+    assert b_calls == Counter(range(1, 129))
+
+
+def test_solve_empty_wanted_is_a_schema_error(tmp_path, capsys):
+    # the file is rejected at load, before either route runs
+    system = json.loads((SPECS / "perturbed_system.json").read_text())
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(dict(system, wanted=[])))
+    code, out = run_main(capsys, "solve", path, "--quiet")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "schema-error"
+    assert "wanted must be a non-empty list" in error["message"]
 
 
 def test_schedule_progress_lines_on_stderr():

@@ -224,8 +224,23 @@ def test_cramer_infinite_closed_form():
     assert rep.unknowns[1].converged
     assert rep.unknowns[1].estimate == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert rep.unknowns[2].estimate == pytest.approx(0.0, abs=1e-12)
-    assert rep.trace_reports is not None
-    assert "A" in rep.trace_reports
+    # A - I = 0.5 e1 e1^T: von Koch's sum is 0.5 on every section
+    assert rep.condition.converged and not rep.condition.certified
+    assert rep.condition.estimate == 0.5
+
+
+def test_cramer_condition_of_a_harmonic_diagonal_does_not_converge():
+    # sum |a_ij - delta_ij| = sum 1/i, the harmonic series
+    A = diagonal_spec(lambda i: 1.0 + 1.0 / i)
+    rep = cramer_solve(A, e1(), wanted=[1], schedule=SCHED)
+    assert not rep.condition.converged
+    assert rep.condition.estimate == pytest.approx(sum(1.0 / i for i in range(1, 65)))
+
+
+def test_cramer_condition_of_a_finite_system_is_exact():
+    rep = cramer_solve(DenseMatrix([[2.0, 1.0], [-1.0, 3.0]]), Vector.from_values([3.0, 5.0]))
+    assert (rep.condition.status, rep.condition.terms_used) == ("converged", 1)
+    assert rep.condition.estimate == 1.0 + 1.0 + 1.0 + 2.0
 
 
 def test_cramer_infinite_full_prefix_gets_residual():
@@ -248,22 +263,29 @@ def test_cramer_evaluates_each_a_cell_once():
     b = Vector(INFINITE, lambda i: 1.0 / i ** 2)
     rep = cramer_solve(A, b, wanted=[1, 2, 3], schedule=SCHED)
     assert all(r.converged for r in rep.unknowns.values())
-    # (3, 4) is off the diagonal that the trace probes read and outside
-    # every replaced column, so only the growing sections of A evaluate it
+    # (3, 4) lies outside every replaced column, so only the growing
+    # sections of A evaluate it
     assert calls[(3, 4)] == 1
 
 
-@pytest.mark.parametrize("wanted", [[1], list(range(1, 9))], ids=["one", "eight"])
-def test_cramer_trace_probes_read_a_diagonal_once(wanted):
-    # the diagonal sum of a perturbed identity diverges, so every trace
-    # probe runs to its 4096-term cap
-    entry, counts = counting(perturbed_identity().entry)
-    A = MatrixSpec(INFINITE, INFINITE, entry, structure="banded", bandwidth=0)
-    rep = cramer_solve(A, e1(), wanted=wanted, schedule=SCHED)
-    assert all(rep.trace_reports[i].terms_used == 4096 for i in wanted)
-    diagonal = {k: c for (k, l), c in counts.items() if k == l}
-    # once by the trace probes, once more by the sections up to 64
-    assert diagonal == {k: 2 if k <= SCHED.max_size else 1 for k in range(1, 4097)}
+@pytest.mark.parametrize("wanted", [[1], list(range(1, 9)), [20]],
+                         ids=["one", "eight", "past-first-section"])
+@pytest.mark.parametrize("fn,bandwidth", [(perturbed_identity().entry, 0)] + CONTRACTIONS,
+                         ids=["diagonal", "dense", "banded"])
+def test_cramer_reads_only_its_largest_section_and_that_prefix_of_b(wanted, fn, bandwidth):
+    # the normal-determinant condition reads the sections the determinant
+    # and ratio limits grew; nothing else of A or b is evaluated
+    A, counts = counted_spec(fn, bandwidth)
+    b_calls = Counter()
+    b = Vector(INFINITE, lambda i: b_calls.update([i]) or 1.0 / i ** 2)
+    rep = cramer_solve(A, b, wanted=wanted, schedule=LONG)
+    assert rep.condition is not None
+    grown = max(i for i, _ in counts)
+    reach = [n for n in LONG.sizes() if n >= max(wanted)]
+    assert all(reach[u.terms_used - 1] <= grown for u in rep.unknowns.values())
+    assert_section_evaluated_once(counts, grown, bandwidth)
+    # b is read once per row, as far as the largest replaced section
+    assert b_calls == Counter(range(1, max(b_calls) + 1)) and max(b_calls) <= grown
 
 
 @pytest.mark.parametrize("fn,bandwidth", CONTRACTIONS, ids=["dense", "banded"])
@@ -317,8 +339,9 @@ def non_finite_rhs(extent):
 
 
 SOLVERS = {
-    "cramer": lambda A, b: cramer_solve(A, b, wanted=[1], schedule=SCHED),
-    "inverse": lambda A, b: solve_via_inverse(A, b, schedule=SCHED, wanted=[1]),
+    "cramer": lambda A, b, wanted=[1]: cramer_solve(A, b, wanted=wanted, schedule=SCHED),
+    "inverse": lambda A, b, wanted=[1]: solve_via_inverse(A, b, schedule=SCHED,
+                                                          wanted=wanted),
     "compatibility": lambda A, b: check_compatibility(A, b, SCHED),
 }
 
@@ -344,10 +367,24 @@ def test_each_rhs_entry_is_read_once(route):
     A = MatrixSpec(INFINITE, INFINITE, CONTRACTIONS[1][0], structure="banded",
                    bandwidth=1)
     SOLVERS[route](A, Vector(INFINITE, rhs))
-    if route == "cramer":
-        calls[1] -= 1  # the trace probe of x_1 reads b(1) in its replaced column
     assert set(calls) == set(range(1, SCHED.max_size + 1))
     assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("route", ["cramer", "inverse"])
+def test_empty_wanted_is_rejected_by_name(route):
+    with pytest.raises(ValueError, match="wanted"):
+        SOLVERS[route](perturbed_identity(), e1(), wanted=[])
+
+
+@pytest.mark.parametrize("route", ["cramer", "inverse"])
+def test_solve_report_compatibility_matches_check_compatibility(route):
+    A = MatrixSpec(INFINITE, INFINITE, CONTRACTIONS[0][0])
+    b = Vector(INFINITE, lambda i: 1.0 / i ** 2)
+    solved = SOLVERS[route](A, b, wanted=[1])
+    rep = solved.compatibility()
+    assert rep == check_compatibility(A, b, SCHED)
+    assert rep.compatibility() is rep
 
 
 def test_solve_via_inverse_checks_the_rhs_extent():
@@ -423,18 +460,10 @@ def test_finite_spec_is_one_exact_section(run, monkeypatch):
     b = Vector(FINITE_N, lambda i: b_calls.update([i]) or 1.0 / i ** 2)
     run(A, b)
     assert grown == [((0, 0), FINITE_N, FINITE_N)]
-    if run is _cramer:
-        # the trace side condition reads the diagonal through the oracle
-        counts = {c: k for c, k in counts.items() if c[0] != c[1]}
-        assert set(counts) == section_cells(FINITE_N) - {(i, i) for i in range(1, FINITE_N + 1)}
-    else:
-        assert set(counts) == section_cells(FINITE_N)
+    assert set(counts) == section_cells(FINITE_N)
     assert max(counts.values()) == 1
     if run in (_solve, _cramer):
-        if run is _cramer:  # the replaced-column trace probes read b(i)
-            b_calls.subtract(range(1, FINITE_N + 1))
-        assert set(+b_calls) == set(range(1, FINITE_N + 1))
-        assert max(b_calls.values()) == 1
+        assert b_calls == Counter(range(1, FINITE_N + 1))
 
 
 def test_cramer_non_finite_rhs_names_row_and_column():

@@ -111,6 +111,16 @@ def test_system_wanted_validation(tmp_path):
         load_system_file(path)
 
 
+def test_system_empty_wanted_is_rejected(tmp_path):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({
+        "A": {"kind": "dense", "data": [[1.0]]},
+        "b": {"kind": "dense", "data": [1.0]},
+        "wanted": []}))
+    with pytest.raises(SchemaError, match="wanted must be a non-empty list"):
+        load_system_file(path)
+
+
 def test_family_expr_and_dense():
     fam = family_from_obj({"count": "inf",
                            "vectors": {"kind": "expr", "expr": "delta(j,i)"}})
