@@ -7,11 +7,10 @@ every limit carries a convergence report.
 
 __version__ = "0.1.0"
 
-from .algebra import (ProductResult, Vector, add, matmul, matvec, scale,
-                      shift_diagonal, trace_partial)
-from .bases_orth import (BasisFamily, OrthReport, OrthogonalRows,
-                         TransitionResult, orthogonalize,
-                         transformation_matrix, transition_matrix)
+from .algebra import (ProductResult, add, matmul, matvec, scale, shift_diagonal,
+                      trace_partial)
+from .bases_orth import (OrthReport, OrthogonalRows, TransitionResult,
+                         orthogonalize, transformation_matrix, transition_matrix)
 from .determinant import (CauchyBinetReport, ColumnSelection, DetReport,
                           cauchy_binet, cauchy_binet_infinite, column_minor,
                           det_infinite, det_log_series, det_oracle,

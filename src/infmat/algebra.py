@@ -32,42 +32,6 @@ STATUS_FAILED = "failed"
 
 
 @dataclass(frozen=True)
-class Vector:
-    """A finite or infinite vector as a pure index oracle (1-based)."""
-
-    extent: Extent
-    entry: Callable[[int], float]
-
-    @classmethod
-    def from_values(cls, values) -> "Vector":
-        arr = np.array(values, dtype=float).ravel()
-        if arr.size < 1:
-            raise ValueError("empty vector")
-
-        def entry(i, _arr=arr):
-            return float(_arr[i - 1])
-
-        return cls(int(arr.size), entry)
-
-    def at(self, i: int) -> float:
-        if i < 1:
-            raise IndexError("indices are 1-based")
-        if is_finite_extent(self.extent) and i > self.extent:
-            raise IndexError(f"index {i} beyond extent {self.extent}")
-        return float(self.entry(i))
-
-    def values(self, count: int | None = None) -> np.ndarray:
-        if count is None:
-            if not is_finite_extent(self.extent):
-                raise ValueError("count required for an infinite vector")
-            count = self.extent
-        return np.array([self.at(i) for i in range(1, count + 1)])
-
-    def support(self) -> tuple[int, int] | None:
-        return (1, self.extent) if is_finite_extent(self.extent) else None
-
-
-@dataclass(frozen=True)
 class ProductResult:
     """A product plus the evidence that its entries exist.
 
@@ -268,32 +232,16 @@ def matmul(A: MatrixSpec, B: MatrixSpec,
     return ProductResult(out, reports, overall, _reporter=reporter)
 
 
-def matvec(A: MatrixSpec, x: Vector,
+def matvec(A: MatrixSpec, x: MatrixSpec,
            policy: ConvergencePolicy | None = None
-           ) -> tuple[Vector, dict[int, ConvergenceReport]]:
-    """Apply ``A`` to a vector; entries are convergence-checked when the
-    column extent is infinite and structure does not bound the sum."""
-    policy = policy or ConvergencePolicy()
-    if not extents_equal(A.cols, x.extent):
-        raise ExtentMismatchError(f"extents differ: {A.cols} vs {x.extent}")
-
-    @cache
-    def report(i):
-        span = _intersect_supports(A.row_support(i), x.support(), A.cols)
-
-        def term(l, _i=i):
-            return A.entry(_i, l) * x.entry(l)
-
-        # vectors carry no certificates, so an unbounded sum stays empirical
-        return _exact_sum(term, span) if span is not None else sum_series(term, policy)
-
-    def entry(i):
-        return report(i).estimate
-
-    out = Vector(A.rows, entry)
-    reports = {i: report(i)
+           ) -> tuple[MatrixSpec, dict[int, ConvergenceReport]]:
+    """``A x`` for a vector ``x``, a spec with one column: the one-column
+    :func:`matmul`, with the reports of its first ``PROBE_SIDE`` entries
+    by row index."""
+    product = matmul(A, x, policy)
+    reports = {i: product.entry_report(i, 1)
                for i in range(1, clip_extent(A.rows, PROBE_SIDE) + 1)}
-    return out, reports
+    return product.matrix, reports
 
 
 def trace_partial(A: MatrixSpec,

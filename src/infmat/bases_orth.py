@@ -13,34 +13,20 @@ the original rows).
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
 
 import numpy as np
 
 from ._dense import gauss_solve, norm_inf
-from .algebra import Vector, _exact_sum, _intersect_supports, _line_product
+from .algebra import _exact_sum, _intersect_supports, _line_product
 from .errors import (DependentRowsError, ExtentMismatchError,
                      GramConvergenceError)
-from .matrix_core import (DenseMatrix, Extent, Lines, MatrixSpec, Sections,
+from .matrix_core import (DenseMatrix, Lines, MatrixSpec, Sections,
                           TruncationSchedule, extents_equal, is_finite_extent,
                           truncate)
 from .series import (ConvergencePolicy, ConvergenceReport, GeometricTail,
                      section_limit_vector, sum_series)
 
 PIVOT_SCALE = 1e-10
-
-
-@dataclass(frozen=True)
-class BasisFamily:
-    """Countably many vectors in a fixed ambient coordinate system.
-
-    ``vector_at(i)`` returns the i-th vector (1-based).  Linear
-    independence is the caller's promise; violations surface as pivot
-    failures when coordinates are solved for.
-    """
-
-    count: Extent
-    vector_at: Callable[[int], Vector]
 
 
 class OrthogonalRows:
@@ -212,39 +198,42 @@ def orthogonalize(A: MatrixSpec,
     return OrthReport(DenseMatrix(g), a_prime, max_off, gram_dm)
 
 
-def transition_matrix(B: BasisFamily, B_prime: BasisFamily, count: int,
+def transition_matrix(B: MatrixSpec, B_prime: MatrixSpec, count: int,
                       schedule: TruncationSchedule | None = None,
                       policy: ConvergencePolicy | None = None) -> TransitionResult:
     """Coordinates of each new-basis vector in the old basis.
 
-    Column i of the result holds the coordinates of ``B_prime[i]`` with
-    respect to ``B`` (entry (j, i) is the j-th coordinate), obtained by
-    solving the column system on truncations; for infinite ambient
-    coordinates each column is stabilized over the schedule sizes of at
-    least ``count`` and flagged if it fails to settle, and finite ones are
-    solved once, exactly, at the full dimension.  ``B`` needs one vector
-    per coordinate and ``B_prime`` at least ``count`` vectors of the same
-    coordinates, else :class:`ExtentMismatchError` is raised.
+    A basis is the matrix whose column c holds the coordinates of vector
+    c.  Column i of the result holds the coordinates of vector i of
+    ``B_prime`` with respect to ``B`` (entry (j, i) is the j-th
+    coordinate), obtained by solving the column system on truncations;
+    for infinite ambient coordinates each column is stabilized over the
+    schedule sizes of at least ``count`` and flagged if it fails to
+    settle, and finite ones are solved once, exactly, at the full
+    dimension.  ``B`` needs one vector per coordinate and ``B_prime`` at
+    least ``count`` vectors of the same coordinates, else
+    :class:`ExtentMismatchError` is raised.
     """
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
     if count < 1:
         raise ValueError("count must be >= 1")
 
-    old_at, new_at = cache(B.vector_at), cache(B_prime.vector_at)
-    extent = old_at(1).extent
-    if not extents_equal(B.count, extent):
-        raise ExtentMismatchError(f"the old basis has {B.count} vectors of {extent} "
+    extent = B.rows
+    if not extents_equal(B.cols, extent):
+        raise ExtentMismatchError(f"the old basis has {B.cols} vectors of {extent} "
                                   "coordinates; it needs one vector per coordinate")
-    if is_finite_extent(B_prime.count) and B_prime.count < count:
-        raise ExtentMismatchError(f"the new basis has {B_prime.count} vectors, "
+    if is_finite_extent(B_prime.cols) and B_prime.cols < count:
+        raise ExtentMismatchError(f"the new basis has {B_prime.cols} vectors, "
                                   f"fewer than the {count} asked for")
-    if not extents_equal(new_at(1).extent, extent):
-        raise ExtentMismatchError(f"the new basis has vectors of {new_at(1).extent} "
+    if not extents_equal(B_prime.rows, extent):
+        raise ExtentMismatchError(f"the new basis has vectors of {B_prime.rows} "
                                   f"coordinates, the old basis {extent}")
-    # column c holds the coordinates of vector c, each read once
-    old = Sections(MatrixSpec(extent, extent, lambda i, c: old_at(c).entry(i)))
-    new = Sections(MatrixSpec(extent, count, lambda i, c: new_at(c).entry(i)))
+    # each coordinate read once; of B', the first ``count`` vectors only
+    old = Sections(B)
+    new = Sections(MatrixSpec(extent, count, B_prime.entry, B_prime.structure,
+                              B_prime.decay, B_prime.bandwidth, B_prime.support,
+                              B_prime.block))
 
     @cache
     def solve_at(n):
@@ -264,37 +253,31 @@ def transition_matrix(B: BasisFamily, B_prime: BasisFamily, count: int,
     return TransitionResult(DenseMatrix(out), statuses, reports)
 
 
-def transformation_matrix(L: Callable[[int], Vector], m: int, n: int,
-                          target_basis: BasisFamily | None = None,
+def transformation_matrix(L: MatrixSpec, m: int, n: int,
+                          target_basis: MatrixSpec | None = None,
                           schedule: TruncationSchedule | None = None,
                           policy: ConvergencePolicy | None = None) -> DenseMatrix:
     """Matrix of a linear map: column i holds the coordinates of the image
     of the i-th domain basis vector, rows indexed by the target basis.
 
-    ``L(i)`` must supply those coordinates directly; when ``target_basis``
-    is given, ``L(i)`` is instead an ambient vector whose coordinates are
-    solved for with the transition machinery.
+    Column i of ``L`` must supply those coordinates directly; when
+    ``target_basis`` (a basis as in :func:`transition_matrix`) is given,
+    it is instead the ambient image vector whose coordinates are solved
+    for with the transition machinery.
     """
     if not isinstance(m, (int, np.integer)):
         raise ExtentMismatchError("a finite column count is required to assemble "
                                   "the matrix; request a finite section")
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    if target_basis is not None:
+    if target_basis is None:
+        return truncate(L, n, m)
+
+    def padded(i, c):
         # the transition solves max(m, n) columns and the first m are kept;
-        # past the domain it is fed zero images, so L is asked for 1..m only
-        image = cache(L)
+        # past the domain it is fed zero images, so L is read in columns 1..m
+        return L.entry(i, c) if c <= m else 0.0
 
-        def padded(i):
-            return image(i) if i <= m else Vector(image(1).extent, lambda j: 0.0)
-
-        images = BasisFamily(max(m, n), padded)
-        result = transition_matrix(target_basis, images, max(m, n),
-                                   schedule, policy)
-        return DenseMatrix(result.matrix.data[:n, :m])
-    out = np.empty((n, m))
-    for i in range(1, m + 1):
-        vec = L(i)
-        for j in range(1, n + 1):
-            out[j - 1, i - 1] = vec.entry(j)
-    return DenseMatrix(out)
+    result = transition_matrix(target_basis, MatrixSpec(L.rows, max(m, n), padded),
+                               max(m, n), schedule, policy)
+    return DenseMatrix(result.matrix.data[:n, :m])

@@ -240,6 +240,8 @@ def _cmd_inv(args, policy, schedule, config):
 
 
 def _cmd_mul(args, policy, schedule, config):
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     left = load_matrix_file(args.left)
     right = load_matrix_file(args.right)
     config["inputs"] = [args.left, args.right]
@@ -250,10 +252,7 @@ def _cmd_mul(args, policy, schedule, config):
     result = {"overall_status": product.overall_status,
               "per_entry_reports": reports}
     section = None
-    if isinstance(product.matrix, DenseMatrix):
-        section = product.matrix
-        result["matrix"] = _matrix_doc(section)
-    elif product.overall_status != "failed":
+    if product.overall_status != "failed":
         section = truncate(product.matrix, clip_extent(product.matrix.rows, args.n),
                            clip_extent(product.matrix.cols, args.n))
         result["matrix"] = _matrix_doc(section)
@@ -311,12 +310,12 @@ def _cmd_eig(args, policy, schedule, config):
                              max_roots=args.max_roots, grid_points=args.grid)
     roots = []
     for pair in pairs:
-        shown = min(args.n, pair.vector.extent)
+        shown = min(args.n, pair.vector.rows)
         roots.append({"lambda": pair.lam,
                       "char_residual": pair.char_residual,
                       "vec_residual": pair.vec_residual,
                       "stable": pair.stable,
-                      "vector": [pair.vector.at(i) for i in range(1, shown + 1)]})
+                      "vector": [pair.vector.entry(i, 1) for i in range(1, shown + 1)]})
     result = {"roots": roots, "count": len(roots)}
     exit_code = EXIT_OK if all(p.stable for p in pairs) else EXIT_UNDETERMINED
     return result, None, exit_code
@@ -378,12 +377,20 @@ def _error_code(exc) -> str:
     return "error"
 
 
-def _write(text, path):
+def _write(text, path, exit_code) -> int:
+    """Writes ``text`` to ``path`` (stdout when None) and returns
+    ``exit_code``; a path that cannot be written gets an ``io-error``
+    document on stdout instead, and exit 1."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return exit_code
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        doc = {"error": {"code": "io-error", "message": str(exc)}}
+        return _write(render_document(doc), None, EXIT_ERROR)
+    return exit_code
 
 
 def main(argv=None) -> int:
@@ -391,8 +398,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         doc = {"error": {"code": "config-error", "message": str(exc)}}
-        _write(render_document(doc), None)
-        return EXIT_ERROR
+        return _write(render_document(doc), None, EXIT_ERROR)
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(message)s")
     if args.quiet:
@@ -412,24 +418,20 @@ def main(argv=None) -> int:
             doc["error"]["code"] = "io-error"
         elif isinstance(exc, ValueError) and not isinstance(exc, InfmatError):
             doc["error"]["code"] = "config-error"
-        _write(render_document(doc), getattr(args, "output", None))
-        return EXIT_ERROR
+        return _write(render_document(doc), args.output, EXIT_ERROR)
 
     if args.format == "csv":
         if block is None:
             doc = {"error": {"code": "format-error",
                              "message": f"{args.command} has no dense block to "
                                         "export as csv"}}
-            _write(render_document(doc), args.output)
-            return EXIT_ERROR
-        _write(render_csv(block), args.output)
-        return exit_code
+            return _write(render_document(doc), args.output, EXIT_ERROR)
+        return _write(render_csv(block), args.output, exit_code)
 
     doc = {"command": args.command, "config": config, "result": result,
            "status": {EXIT_OK: "ok", EXIT_UNDETERMINED: "undetermined",
                       EXIT_ERROR: "failed"}[exit_code]}
-    _write(render_document(doc), args.output)
-    return exit_code
+    return _write(render_document(doc), args.output, exit_code)
 
 
 if __name__ == "__main__":

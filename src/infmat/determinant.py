@@ -107,28 +107,29 @@ def _log_series(t: np.ndarray, policy: ConvergencePolicy) -> DetReport:
                      log_terms_used=rep.terms_used, report=rep)
 
 
-def det_section(t: np.ndarray, policy: ConvergencePolicy, route: str = "auto") -> float:
-    """Determinant of a square section array by the selected route.
+def det_section(t: np.ndarray, policy: ConvergencePolicy, route: str = "auto") -> DetReport:
+    """Determinant of a square section array by the selected route, with
+    the route it took.
 
     ``auto`` takes the log-series whenever the norm precondition it
     measures, ``norm_inf(t - I) < 1``, holds, and elimination otherwise.
     """
-    if route == ROUTE_LU:
-        return lu_det(t)
     if route == ROUTE_LOG_SERIES:
-        return _log_series(t, policy).value
-    if route != "auto":
+        return _log_series(t, policy)
+    if route == "auto":
+        try:
+            return _log_series(t, policy)
+        except PreconditionError:
+            pass
+    elif route != ROUTE_LU:
         raise ValueError(f"unknown route {route!r}")
-    try:
-        return _log_series(t, policy).value
-    except PreconditionError:
-        return lu_det(t)
+    return DetReport(lu_det(t), ROUTE_LU)
 
 
 def det_truncation(M: MatrixSpec, n: int, policy: ConvergencePolicy | None = None,
                    route: str = "auto") -> float:
     """Determinant of the n-by-n truncation by the selected route."""
-    return det_section(truncate(M, n, n).data, policy or ConvergencePolicy(), route)
+    return det_section(truncate(M, n, n).data, policy or ConvergencePolicy(), route).value
 
 
 def det_infinite(M: MatrixSpec, schedule: TruncationSchedule | None = None,
@@ -146,7 +147,7 @@ def det_infinite(M: MatrixSpec, schedule: TruncationSchedule | None = None,
     # a finite matrix is its own one section: eliminated, as det_oracle does
     route = ROUTE_LU if is_finite_extent(M.rows) else "auto"
     sections = Sections(M)
-    rep = section_limit(lambda n: det_section(sections(n), policy, route),
+    rep = section_limit(lambda n: det_section(sections(n), policy, route).value,
                         M.rows, schedule, policy)
     return DetReport(rep.estimate, ROUTE_LIMIT, report=rep)
 

@@ -414,13 +414,14 @@ def compile_block(node: ExprAst):
     bit on every cell.  ``if`` evaluates each branch only on the cells
     that take it.  ``None`` is returned, instead of any value, when a
     cell may be an error of the scalar path: a zero divisor, ``ln`` of a
-    value <= 0, a domain error of ``^``, a bad ``fact`` argument, or the
-    variable ``k``.
+    value <= 0, a domain error of ``^``, a bad ``fact`` argument, the
+    variable ``k``, or ``j`` when ``J`` is ``None`` (a vector's formula).
     """
     def block(I, J):
+        env = {"i": I} if J is None else {"i": I, "j": J}
         with np.errstate(all="ignore"):
             try:
-                return _walk(node, {"i": I, "j": J}, _BLOCK)
+                return _walk(node, env, _BLOCK)
             except _Flagged:
                 return None
 
@@ -433,15 +434,5 @@ def compile_entry(src: str | ExprAst):
 
     def oracle(i, j, _ast=ast):
         return eval_ast(_ast, i=i, j=j)
-
-    return oracle
-
-
-def compile_index(src: str):
-    """Parse once, return a fast ``(i) -> float`` oracle for vectors."""
-    ast = parse(src)
-
-    def oracle(i, _ast=ast):
-        return eval_ast(_ast, i=i)
 
     return oracle

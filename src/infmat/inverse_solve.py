@@ -14,8 +14,7 @@ from typing import Callable
 import numpy as np
 
 from ._dense import norm_inf, rank_of_array
-from .algebra import Vector
-from .determinant import ROUTE_LU, det_section
+from .determinant import ROUTE_LU, DetReport, det_section
 from .errors import (ConvergenceFailureError, ExtentMismatchError,
                      OracleValueError, PreconditionError, SingularSystemError)
 from .matrix_core import (INFINITE, DenseMatrix, MatrixSpec, Sections,
@@ -208,9 +207,10 @@ def _section_extent(M: MatrixSpec):
     return INFINITE
 
 
-def _rhs_prefix(b: Vector) -> Callable[..., np.ndarray]:
-    """``prefix(n, col=None)``: ``b(1..n)`` as an array, grown on demand so
-    each entry is evaluated once.
+def _rhs_prefix(b: MatrixSpec) -> Callable[..., np.ndarray]:
+    """``prefix(n, col=None)``: entries 1..n of the vector ``b``, a spec with
+    one column, as an array, grown on demand so each entry is evaluated
+    once.
 
     A non-finite entry raises :class:`OracleValueError` at ``(i, col)``,
     the cell it fills when ``b`` replaces column ``col`` of ``A``, or at
@@ -220,7 +220,7 @@ def _rhs_prefix(b: Vector) -> Callable[..., np.ndarray]:
 
     def prefix(n, col=None):
         for i in range(len(known) + 1, n + 1):
-            v = float(b.entry(i))
+            v = float(b.entry(i, 1))
             if col is None and not math.isfinite(v):
                 raise OracleValueError(
                     f"right-hand side returned non-finite value at row {i}",
@@ -246,7 +246,7 @@ def rank_of(M: MatrixSpec,
                          _section_extent(M), schedule, policy)
 
 
-def check_compatibility(A: MatrixSpec, b: Vector,
+def check_compatibility(A: MatrixSpec, b: MatrixSpec,
                         schedule: TruncationSchedule | None = None,
                         policy: ConvergencePolicy | None = None) -> SolveReport:
     """Compare the stabilized ranks of ``A`` and of ``A`` augmented by ``b``.
@@ -256,8 +256,8 @@ def check_compatibility(A: MatrixSpec, b: Vector,
     """
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
-    if not extents_equal(A.rows, b.extent):
-        raise ExtentMismatchError(f"rows {A.rows} vs right-hand side {b.extent}")
+    if not extents_equal(A.rows, b.rows):
+        raise ExtentMismatchError(f"rows {A.rows} vs right-hand side {b.rows}")
     return _compare_ranks(A, Sections(A), _rhs_prefix(b), schedule, policy)
 
 
@@ -275,13 +275,13 @@ def _compare_ranks(A, sections, rhs, schedule, policy) -> SolveReport:
                        route=None)
 
 
-def _square_system(A: MatrixSpec, b: Vector, wanted, schedule):
+def _square_system(A: MatrixSpec, b: MatrixSpec, wanted, schedule):
     """Checks a square system; returns its section sizes, the requested
     unknowns, and a section store of ``A`` and prefix of ``b``."""
     if not A.is_square:
         raise ExtentMismatchError(f"square system required, got {A.rows}x{A.cols}")
-    if not extents_equal(A.rows, b.extent):
-        raise ExtentMismatchError(f"rows {A.rows} vs right-hand side {b.extent}")
+    if not extents_equal(A.rows, b.rows):
+        raise ExtentMismatchError(f"rows {A.rows} vs right-hand side {b.rows}")
     sizes = limit_sizes(A.rows, schedule)
     idx = list(wanted) if wanted is not None else list(range(1, sizes[0] + 1))
     if not idx:
@@ -289,14 +289,15 @@ def _square_system(A: MatrixSpec, b: Vector, wanted, schedule):
     return sizes, idx, Sections(A), _rhs_prefix(b)
 
 
-def cramer_solve(A: MatrixSpec, b: Vector,
+def cramer_solve(A: MatrixSpec, b: MatrixSpec,
                  wanted: list[int] | None = None,
                  schedule: TruncationSchedule | None = None,
                  policy: ConvergencePolicy | None = None) -> SolveReport:
     """Solve a square system through determinant ratios.
 
     Each requested unknown (by default the indices of the first section)
-    is the ratio of two section determinants, stabilized as one quantity
+    is the ratio of two section determinants, the numerator eliminated
+    wherever the system determinant was, stabilized as one quantity
     (common drift cancels) over the sections that hold the largest
     requested index; a finite system's ratios are exact, by elimination.
     A system determinant that diverges or settles within ``tol`` of 0
@@ -317,7 +318,7 @@ def cramer_solve(A: MatrixSpec, b: Vector,
     # the sections of A grow along the schedule; each serves det A and,
     # in a copy with column i overwritten by b, the numerator of unknown i
     route = ROUTE_LU if is_finite_extent(A.rows) else "auto"
-    dets: dict[int, float] = {}
+    dets: dict[int, DetReport] = {}
 
     def det_a_at(n):
         if n not in dets:
@@ -327,9 +328,12 @@ def cramer_solve(A: MatrixSpec, b: Vector,
     def det_replaced_at(n, col):
         t = np.array(sections(n))
         t[:, col - 1] = rhs(n, col)
-        return det_section(t, policy, route)
+        # the route det A took at n; after a series det A, auto, since a
+        # replaced section may fail the series' norm rule
+        same = ROUTE_LU if det_a_at(n).route == ROUTE_LU else route
+        return det_section(t, policy, same).value
 
-    overall = section_limit(det_a_at, A.rows, schedule, policy)
+    overall = section_limit(lambda n: det_a_at(n).value, A.rows, schedule, policy)
     if overall.status == DIVERGED:
         raise SingularSystemError(
             f"system determinant did not stabilize ({overall.status})")
@@ -339,7 +343,7 @@ def cramer_solve(A: MatrixSpec, b: Vector,
     top = max(idx)
     unknowns = {}
     for i in idx:
-        unknowns[i] = section_limit(lambda n, _i=i: det_replaced_at(n, _i) / det_a_at(n),
+        unknowns[i] = section_limit(lambda n, _i=i: det_replaced_at(n, _i) / det_a_at(n).value,
                                     A.rows, schedule, policy, least=top)
     grown = [n for n in sizes if n <= max(dets)]
     condition = section_limit(lambda n: float(np.abs(sections(n) - np.eye(n)).sum()),
@@ -362,7 +366,7 @@ def _apply_series(a: np.ndarray, bv: np.ndarray, policy: ConvergencePolicy) -> n
     return _power_sum(np.asarray(bv, dtype=float), lambda w: eye_minus @ w, policy)[0]
 
 
-def solve_via_inverse(A: MatrixSpec, b: Vector,
+def solve_via_inverse(A: MatrixSpec, b: MatrixSpec,
                       policy: ConvergencePolicy | None = None,
                       schedule: TruncationSchedule | None = None,
                       wanted: list[int] | None = None) -> SolveReport:

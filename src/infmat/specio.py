@@ -10,10 +10,11 @@ Matrix-spec object:
       "decay": {"kind": "geometric", "C": num, "r": num}   (optional) }
 
 Vector object: {"kind": "expr", "expr": "<formula in i>"} or
-               {"kind": "dense", "data": [...]}
+               {"kind": "dense", "data": [...]}, loaded as a one-column spec
 System file:   {"A": <matrix>, "b": <vector>, "wanted": [ints]?}
 Family file:   {"count": "inf" | int, "vectors": <matrix-like, i = vector
-                index, j = coordinate index>}
+                index, j = coordinate index>}, loaded as the matrix whose
+                column c is vector c
 """
 
 import dataclasses
@@ -22,13 +23,11 @@ import json
 import numpy as np
 
 from . import expr_dsl
-from .algebra import Vector
-from .bases_orth import BasisFamily
 from .errors import SchemaError
 from .matrix_core import (DecayCertificate, DenseMatrix, Extent, INFINITE,
                           MatrixSpec, banded_spec, diagonal_spec,
                           entrywise_spec, finite_support_spec,
-                          is_finite_extent, spot_check_decay)
+                          is_finite_extent, spot_check_decay, transpose)
 
 _MATRIX_KINDS = ("dense", "expr", "banded", "diag", "finite-support")
 
@@ -138,25 +137,37 @@ def load_matrix_file(path) -> MatrixSpec:
     return matrix_from_obj(_load_json(path), ctx=str(path))
 
 
-def vector_from_obj(obj, extent: Extent, ctx="vector spec") -> Vector:
+def vector_from_obj(obj, extent: Extent, ctx="vector spec") -> MatrixSpec:
+    """A vector object as the spec of ``extent`` rows and one column.
+
+    Dense data load as a matrix spec's do, one entry per row, and are
+    padded with zeros when ``extent`` is infinite.  A formula names ``i``
+    alone: ``j`` is left unbound, as ``k`` is in a matrix formula.
+    """
     if not isinstance(obj, dict):
         raise SchemaError(f"{ctx}: expected an object")
     kind = _require(obj, "kind", ctx)
     if kind == "dense":
-        data = list(_require(obj, "data", ctx))
-        if is_finite_extent(extent):
-            if len(data) != extent:
-                raise SchemaError(f"{ctx}: expected {extent} entries, got {len(data)}")
-            return Vector.from_values(data)
-        values = np.array(data, dtype=float)
-
-        def entry(i, _v=values):
-            return float(_v[i - 1]) if i <= len(_v) else 0.0
-
-        return Vector(INFINITE, entry)
+        data = _require(obj, "data", ctx)
+        column = matrix_from_obj({"kind": "dense", "data": [[v] for v in data]
+                                  if isinstance(data, list) else data}, ctx)
+        if not is_finite_extent(extent):
+            return dataclasses.replace(
+                finite_support_spec(column.entry, column.rows, 1, INFINITE, 1),
+                block=column.block)
+        if column.rows != extent:
+            raise SchemaError(f"{ctx}: expected {extent} entries, got {column.rows}")
+        return column
     if kind == "expr":
-        oracle = expr_dsl.compile_index(_require(obj, "expr", ctx))
-        return Vector(extent, oracle)
+        ast = expr_dsl.parse(_require(obj, "expr", ctx))
+
+        def entry(i, j, _ast=ast):
+            return expr_dsl.eval_ast(_ast, i=i)
+
+        def block(rows, cols, _fill=expr_dsl.compile_block(ast)):
+            return _fill(rows[:, None].astype(float), None)
+
+        return MatrixSpec(extent, 1, entry, block=block)
     raise SchemaError(f"{ctx}: unknown vector kind {kind!r}")
 
 
@@ -175,35 +186,22 @@ def load_system_file(path):
     return A, b, wanted
 
 
-def family_from_obj(obj, ctx="family spec") -> BasisFamily:
+def family_from_obj(obj, ctx="family spec") -> MatrixSpec:
+    """A basis family as the matrix whose column c is vector c: its
+    row-per-vector ``vectors`` object loaded as a matrix spec, of
+    ``count`` rows and infinitely many coordinates unless it is dense,
+    and transposed."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{ctx}: expected an object")
     count = _parse_extent(_require(obj, "count", ctx), "count")
     vectors = _require(obj, "vectors", ctx)
-    if not isinstance(vectors, dict):
-        raise SchemaError(f"{ctx}: vectors must be an object")
-    kind = _require(vectors, "kind", ctx)
-    if kind == "dense":
-        dm = DenseMatrix(_require(vectors, "data", ctx))
-        if is_finite_extent(count) and dm.m != count:
-            raise SchemaError(f"{ctx}: count {count} does not match {dm.m} rows")
-
-        def vec_at_dense(i, _dm=dm):
-            return Vector.from_values(_dm.data[i - 1])
-
-        return BasisFamily(dm.m, vec_at_dense)
-    if kind == "expr":
-        oracle = expr_dsl.compile_entry(_require(vectors, "expr", ctx))
-
-        def vec_at(i, _o=oracle):
-            def entry(j, _i=i):
-                return _o(_i, j)
-
-            return Vector(INFINITE, entry)
-
-        return BasisFamily(count, vec_at)
-    raise SchemaError(f"{ctx}: unknown vectors kind {kind!r}")
+    if isinstance(vectors, dict) and vectors.get("kind") != "dense":
+        vectors = dict(vectors, rows=obj["count"], cols="inf")
+    spec = matrix_from_obj(vectors, ctx=f"{ctx}: vectors")
+    if is_finite_extent(count) and spec.rows != count:
+        raise SchemaError(f"{ctx}: count {count} does not match {spec.rows} rows")
+    return transpose(spec)
 
 
-def load_family_file(path) -> BasisFamily:
+def load_family_file(path) -> MatrixSpec:
     return family_from_obj(_load_json(path), ctx=str(path))

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dense import norm_inf, null_vector
-from .algebra import Vector
 from .determinant import det_section
 from .errors import ExtentMismatchError, OracleValueError, SingularSystemError
-from .matrix_core import MatrixSpec, Sections, TruncationSchedule, clip_extent, truncate
+from .matrix_core import (DenseMatrix, MatrixSpec, Sections, TruncationSchedule,
+                          clip_extent, truncate)
 from .series import ConvergencePolicy, limit_sizes
 
 BISECT_WIDTH = 1e-10
@@ -29,13 +29,14 @@ NULL_PIVOT_SCALE = 1e-8
 class EigenPair:
     """An eigenvalue estimate with its extracted eigenvector section.
 
-    The vector is normalized so its largest-magnitude entry equals 1.
+    The vector, a one-column :class:`DenseMatrix`, is normalized so its
+    largest-magnitude entry equals 1.
     ``stable`` records whether the root persisted across the last two
     truncation sizes.
     """
 
     lam: float
-    vector: Vector
+    vector: DenseMatrix
     char_residual: float
     vec_residual: float
     stable: bool = True
@@ -70,22 +71,21 @@ def char_value(A: MatrixSpec, lam: float, n: int,
     """det of the n-by-n truncation of A - lam*I by the chosen route."""
     policy = policy or ConvergencePolicy()
     t = truncate(_square_spec(A), n, n).data
-    return det_section(_shifted(t, lam), policy, route)
+    return det_section(_shifted(t, lam), policy, route).value
 
 
-def _null_direction(shifted: np.ndarray, lam: float) -> Vector:
+def _null_direction(shifted: np.ndarray, lam: float) -> DenseMatrix:
     n = shifted.shape[0]
     v = null_vector(shifted, NULL_PIVOT_SCALE * (1.0 + norm_inf(shifted)))
     if v is None:
         raise SingularSystemError(
             f"no null direction at size {n}: {lam} may not be an eigenvalue here")
     top = int(np.argmax(np.abs(v)))
-    v = v / v[top]
-    return Vector.from_values(v)
+    return DenseMatrix((v / v[top])[:, None])
 
 
-def eigenvector_for(A: MatrixSpec, lam: float, n: int) -> Vector:
-    """Nonzero null vector of the n-truncation of A - lam*I.
+def eigenvector_for(A: MatrixSpec, lam: float, n: int) -> DenseMatrix:
+    """Nonzero null vector of the n-truncation of A - lam*I, one column.
 
     Elimination pivots below ``1e-8 * (1 + norm)`` mark a free column;
     the first free column is set to 1 and later free columns to 0.
@@ -162,12 +162,12 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
     top = sections(n_final)
 
     def f_at(size):
-        return lambda x: det_section(_shifted(sections(size), x), policy)
+        return lambda x: det_section(_shifted(sections(size), x), policy).value
 
     def eigenpair(root, stable, char_at=None):
         shifted = _shifted(top, root)
         vec = _null_direction(shifted, root)
-        vec_res = float(np.max(np.abs(shifted @ vec.values())))
+        vec_res = float(np.max(np.abs(shifted @ vec.data[:, 0])))
         char_residual = 0.0 if char_at is None else abs(char_at(root))
         return EigenPair(root, vec, char_residual, vec_res, stable)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from oracles import charpoly_roots, fraction_rank, gram_schmidt_rows
 
-from infmat.algebra import Vector, add, matmul, matvec, scale
+from infmat.algebra import add, matmul, matvec, scale
 from infmat.bases_orth import orthogonalize
 from infmat.determinant import cauchy_binet, det_log_series, det_oracle
 from infmat.errors import PreconditionError
@@ -155,7 +155,7 @@ def test_criterion_05_solve_route_agreement():
     for _ in range(50):
         n = int(rng.integers(2, 9))
         a = DenseMatrix(np.eye(n) + _contraction(rng, n, 0.6))
-        b = Vector.from_values(rng.uniform(-2.0, 2.0, n))
+        b = DenseMatrix(rng.uniform(-2.0, 2.0, (n, 1)))
         cram = cramer_solve(a, b)
         inv = solve_via_inverse(a, b)
         gap = max(abs(cram.unknowns[i].estimate - inv.unknowns[i].estimate)
@@ -164,7 +164,7 @@ def test_criterion_05_solve_route_agreement():
         worst_residual = max(worst_residual, cram.residual, inv.residual)
 
     sched = TruncationSchedule(8, 2, 64)
-    e1 = Vector(INFINITE, lambda i: 1.0 if i == 1 else 0.0)
+    e1 = MatrixSpec(INFINITE, 1, lambda i, _: 1.0 if i == 1 else 0.0)
     spec = _perturbed_identity()
     cram = cramer_solve(spec, e1, wanted=[1, 2], schedule=sched)
     inv = solve_via_inverse(spec, e1, schedule=sched, wanted=[1, 2])
@@ -194,7 +194,7 @@ def test_criterion_06_rank_compatibility():
         want = fraction_rank(a.tolist()) == fraction_rank(
             np.column_stack([a, b]).tolist())
         spec = MatrixSpec(m, n, lambda i, j, _a=a: float(_a[i - 1, j - 1]))
-        got = check_compatibility(spec, Vector.from_values(b))
+        got = check_compatibility(spec, DenseMatrix(b[:, None]))
         matched += int(got.compatible == want)
 
     geo = entrywise_spec(lambda i, j: 2.0 ** -(i + j),
@@ -210,9 +210,9 @@ def test_criterion_06_rank_compatibility():
 
 def test_criterion_07_derivative_operator():
     deriv = banded_spec({1: lambda i, j: float(j)})
-    coeffs = Vector(INFINITE, lambda j: 1.0 / math.factorial(j))
+    coeffs = MatrixSpec(INFINITE, 1, lambda j, _: 1.0 / math.factorial(j))
     out, reports = matvec(deriv, coeffs)
-    worst = max(abs(out.entry(i) - coeffs.entry(i)) for i in range(1, 21))
+    worst = max(abs(out.entry(i, 1) - coeffs.entry(i, 1)) for i in range(1, 21))
     exact = all(r.converged for r in reports.values())
     _verdict(7, "differentiation fixes the exponential coefficients",
              worst <= 1e-12 and exact, f"worst abs err {worst:.3g}")
@@ -272,7 +272,7 @@ def test_criterion_09_spectral_roots():
 
     spec = diagonal_spec(lambda i: 1.0 / i)
     pairs = find_eigenvalues(spec, (0.4, 0.6), TruncationSchedule(8, 2, 64))
-    v = pairs[0].vector.values()
+    v = pairs[0].vector.data[:, 0]
     diag_ok = (len(pairs) == 1 and abs(pairs[0].lam - 0.5) <= 1e-8
                and abs(v[1] - 1.0) <= 1e-8
                and max(abs(x) for k, x in enumerate(v) if k != 1) <= 1e-8

@@ -5,11 +5,11 @@ import pytest
 
 from oracles import triple_loop_product
 
-from infmat.algebra import (Vector, add, matmul, matvec, scale,
-                            shift_diagonal, trace_partial)
+from infmat.algebra import (add, matmul, matvec, scale, shift_diagonal,
+                            trace_partial)
 from infmat.errors import ExtentMismatchError
 from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE,
-                                banded_spec, diagonal_spec, entrywise_spec,
+                                MatrixSpec, banded_spec, diagonal_spec, entrywise_spec,
                                 identity_spec, transpose, truncate, zero_spec)
 from infmat.series import CONVERGED, ConvergencePolicy
 
@@ -171,26 +171,26 @@ def test_derivative_operator_fixes_exponential_coefficients():
     # position j holds the coefficient of x^j in exp, so differentiation
     # maps the sequence to itself: (i+1) * 1/(i+1)! = 1/i!
     deriv = banded_spec({1: lambda i, j: float(j)})
-    taylor = Vector(INFINITE, lambda j: 1.0 / math.factorial(j))
+    taylor = MatrixSpec(INFINITE, 1, lambda j, _: 1.0 / math.factorial(j))
     out, reports = matvec(deriv, taylor)
     for i in range(1, 21):
-        assert out.entry(i) == pytest.approx(taylor.entry(i), abs=1e-12)
+        assert out.entry(i, 1) == pytest.approx(taylor.entry(i, 1), abs=1e-12)
     assert all(r.converged for r in reports.values())
 
 
 def test_matvec_identity_and_zero():
-    x = Vector(INFINITE, lambda j: 1.0 / j)
+    x = MatrixSpec(INFINITE, 1, lambda j, _: 1.0 / j)
     out, _ = matvec(identity_spec(), x)
     for i in (1, 4, 9):
-        assert out.entry(i) == x.entry(i)
+        assert out.entry(i, 1) == x.entry(i, 1)
     out0, _ = matvec(zero_spec(), x)
-    assert out0.entry(3) == 0.0
+    assert out0.entry(3, 1) == 0.0
 
 
 def test_matvec_finite():
     a = DenseMatrix([[2, 0], [0, 3]])
-    out, _ = matvec(a, Vector.from_values([1, 1]))
-    assert out.values().tolist() == [2.0, 3.0]
+    out, _ = matvec(a, DenseMatrix([[1], [1]]))
+    assert out.tolist() == [[2.0], [3.0]]
 
 
 def _counted(fn):
@@ -217,21 +217,22 @@ def test_product_and_matvec_entries_are_read_once():
     assert len(a_calls) == grown
 
     x_entry, x_calls = _counted(lambda j: 1.0 / j ** 2)
-    out, reports = matvec(entrywise_spec(a_entry), Vector(INFINITE, x_entry))
+    out, reports = matvec(entrywise_spec(a_entry),
+                          MatrixSpec(INFINITE, 1, lambda j, _: x_entry(j)))
     probed = len(x_calls)
-    assert out.entry(3) == reports[3].estimate
-    value = out.entry(12)
+    assert out.entry(3, 1) == reports[3].estimate
+    value = out.entry(12, 1)
     grown = len(x_calls)
-    assert out.entry(12) == value and len(x_calls) == grown > probed
+    assert out.entry(12, 1) == value and len(x_calls) == grown > probed
 
 
 def test_vector_accessors():
-    v = Vector.from_values([1.0, 2.0, 3.0])
-    assert v.at(2) == 2.0
+    v = DenseMatrix([[1.0], [2.0], [3.0]])
+    assert v.at(2, 1) == 2.0
     with pytest.raises(IndexError):
-        v.at(4)
+        v.at(4, 1)
     with pytest.raises(IndexError):
-        v.at(0)
+        v.at(0, 1)
 
 
 # --- trace -----------------------------------------------------------------

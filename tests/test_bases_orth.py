@@ -8,13 +8,13 @@ import pytest
 from oracles import gram_schmidt_rows
 
 from infmat import bases_orth
-from infmat.algebra import Vector
-from infmat.bases_orth import (BasisFamily, OrthogonalRows, orthogonalize,
+from infmat.bases_orth import (OrthogonalRows, orthogonalize,
                                transformation_matrix, transition_matrix)
 from infmat.errors import (DependentRowsError, GramConvergenceError,
                            OracleValueError)
 from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE,
-                                MatrixSpec, TruncationSchedule, entrywise_spec)
+                                MatrixSpec, TruncationSchedule, entrywise_spec,
+                                transpose)
 from infmat.series import ConvergencePolicy, sum_series
 from infmat.specio import load_family_file
 
@@ -24,8 +24,8 @@ SCHED = TruncationSchedule(8, 2, 64)
 
 
 def standard_basis():
-    return BasisFamily(INFINITE, lambda i: Vector(
-        INFINITE, lambda j, _i=i: 1.0 if j == _i else 0.0))
+    # column i holds vector i, row j its j-th coordinate
+    return MatrixSpec(INFINITE, INFINITE, lambda j, i: 1.0 if j == i else 0.0)
 
 
 # --- orthogonalization --------------------------------------------------------
@@ -127,8 +127,8 @@ def test_orthogonal_rows_section_matches_entries():
 # --- transition matrices --------------------------------------------------------
 
 def test_transition_worked_pair():
-    B = BasisFamily(2, lambda i: Vector.from_values([1.0, 0.0] if i == 1 else [0.0, 1.0]))
-    Bp = BasisFamily(2, lambda i: Vector.from_values([1.0, 1.0] if i == 1 else [1.0, -1.0]))
+    B = transpose(DenseMatrix([[1.0, 0.0], [0.0, 1.0]]))
+    Bp = transpose(DenseMatrix([[1.0, 1.0], [1.0, -1.0]]))
     res = transition_matrix(B, Bp, 2)
     assert res.matrix.tolist() == [[1.0, 1.0], [1.0, -1.0]]
     assert set(res.column_status.values()) == {"converged"}
@@ -137,7 +137,7 @@ def test_transition_worked_pair():
 def test_transition_same_basis_is_identity():
     rng = np.random.default_rng(2)
     v = rng.uniform(-2, 2, (3, 3)) + 4 * np.eye(3)
-    B = BasisFamily(3, lambda i: Vector.from_values(v[i - 1]))
+    B = transpose(DenseMatrix(v))
     res = transition_matrix(B, B, 3)
     assert np.max(np.abs(res.matrix.data - np.eye(3))) <= 1e-12
 
@@ -147,16 +147,15 @@ def test_transition_inverse_relation():
     for _ in range(20):
         v = rng.uniform(-2, 2, (4, 4)) + 5 * np.eye(4)
         w = rng.uniform(-2, 2, (4, 4)) + 5 * np.eye(4)
-        B = BasisFamily(4, lambda i, _v=v: Vector.from_values(_v[i - 1]))
-        Bp = BasisFamily(4, lambda i, _w=w: Vector.from_values(_w[i - 1]))
+        B = transpose(DenseMatrix(v))
+        Bp = transpose(DenseMatrix(w))
         ab = transition_matrix(B, Bp, 4).matrix.data
         ba = transition_matrix(Bp, B, 4).matrix.data
         assert np.max(np.abs(ab @ ba - np.eye(4))) <= 1e-8
 
 
 def shifted_basis():
-    return BasisFamily(INFINITE, lambda i: Vector(
-        INFINITE, lambda j, _i=i: 1.0 if j in (_i, _i + 1) else 0.0))
+    return MatrixSpec(INFINITE, INFINITE, lambda j, i: 1.0 if j in (i, i + 1) else 0.0)
 
 
 def test_transition_shifted_standard_family():
@@ -175,8 +174,7 @@ def test_transition_reads_each_basis_coordinate_once():
         calls[(i, j)] += 1
         return 1.0 if j == i else 0.0
 
-    standard = BasisFamily(INFINITE, lambda i: Vector(
-        INFINITE, lambda j, _i=i: coordinate(_i, j)))
+    standard = MatrixSpec(INFINITE, INFINITE, lambda j, i: coordinate(i, j))
     res = transition_matrix(standard, shifted_basis(), 6, SCHED)
     assert set(res.column_status.values()) == {"converged"}
     # every column visits the sizes 8..64, all cut from one 64-by-64 section
@@ -191,8 +189,7 @@ def test_transition_reads_each_new_basis_coordinate_once():
         calls[(i, j)] += 1
         return 1.0 if j in (i, i + 1) else 0.0
 
-    shifted = BasisFamily(INFINITE, lambda i: Vector(
-        INFINITE, lambda j, _i=i: coordinate(_i, j)))
+    shifted = MatrixSpec(INFINITE, INFINITE, lambda j, i: coordinate(i, j))
     res = transition_matrix(standard_basis(), shifted, 6, SCHED)
     assert set(res.column_status.values()) == {"converged"}
     # the 6 wanted vectors, each to the largest size 64, each coordinate once
@@ -218,11 +215,10 @@ def test_transition_eliminates_each_section_once(monkeypatch):
 @pytest.mark.parametrize("old", [False, True])
 def test_transition_non_finite_coordinate_names_its_cell(old):
     # coordinate 3 of vector 2 is nan, in the old basis or in the new one
-    def vector(i):
-        return Vector(INFINITE, lambda j, _i=i: math.nan if (_i, j) == (2, 3)
-                      else float(j == _i))
+    def coordinate(j, i):
+        return math.nan if (i, j) == (2, 3) else float(j == i)
 
-    family = BasisFamily(INFINITE, vector)
+    family = MatrixSpec(INFINITE, INFINITE, coordinate)
     args = (family, standard_basis()) if old else (standard_basis(), family)
     with pytest.raises(OracleValueError) as err:
         transition_matrix(*args, 4, SCHED)
@@ -230,19 +226,18 @@ def test_transition_non_finite_coordinate_names_its_cell(old):
 
 
 def test_transformation_matrix_identity_map():
-    tm = transformation_matrix(
-        lambda i: Vector.from_values([1.0 if j == i else 0.0 for j in range(1, 4)]),
-        3, 3)
+    # column i of the map's matrix holds the image of domain vector i
+    tm = transformation_matrix(DenseMatrix(np.eye(3)), 3, 3)
     assert np.array_equal(tm.data, np.eye(3))
 
 
 def test_transformation_matrix_monomial_derivative():
     def image(i):
         # derivative of x^(i-1) expressed in the monomial basis
-        return Vector.from_values(
-            [float(i - 1) if j == i - 1 else 0.0 for j in range(1, 5)])
+        return [float(i - 1) if j == i - 1 else 0.0 for j in range(1, 5)]
 
-    tm = transformation_matrix(image, 4, 4)
+    tm = transformation_matrix(transpose(DenseMatrix([image(i) for i in range(1, 5)])),
+                               4, 4)
     want = np.zeros((4, 4))
     for i in range(2, 5):
         want[i - 2, i - 1] = i - 1
@@ -250,48 +245,44 @@ def test_transformation_matrix_monomial_derivative():
 
 
 def test_transformation_matrix_zero_map():
-    tm = transformation_matrix(
-        lambda i: Vector.from_values([0.0, 0.0]), 3, 2)
+    tm = transformation_matrix(DenseMatrix(np.zeros((2, 3))), 3, 2)
     assert np.array_equal(tm.data, np.zeros((2, 3)))
 
 
 def test_transformation_matrix_with_target_basis():
-    target = BasisFamily(3, lambda i: Vector.from_values(
-        [2.0 if j == i else 0.0 for j in range(1, 4)]))
-
-    def image(i):
-        return Vector.from_values([1.0 if j == i else 0.0 for j in range(1, 4)])
-
-    tm = transformation_matrix(image, 3, 3, target_basis=target)
+    target = DenseMatrix(2.0 * np.eye(3))
+    tm = transformation_matrix(DenseMatrix(np.eye(3)), 3, 3, target_basis=target)
     assert np.max(np.abs(tm.data - 0.5 * np.eye(3))) <= 1e-12
 
 
 def _skew_target():
-    rows = [[2.0, 1.0, 0.0], [0.5, 3.0, 1.0], [0.0, 1.0, 4.0]]
-    return BasisFamily(3, lambda i: Vector.from_values(rows[i - 1]))
+    return transpose(DenseMatrix([[2.0, 1.0, 0.0], [0.5, 3.0, 1.0], [0.0, 1.0, 4.0]]))
 
 
-def _skew_image(i):
-    return Vector.from_values([[1.0, 0.25, 2.0], [0.5, 1.0, -1.0], [3.0, 0.0, 1.0]][i - 1])
+def _skew_images():
+    return transpose(DenseMatrix([[1.0, 0.25, 2.0], [0.5, 1.0, -1.0], [3.0, 0.0, 1.0]]))
 
 
 def test_transformation_matrix_asks_only_for_domain_images():
+    images = _skew_images()
     calls = []
 
-    def partial(i):
+    def partial(j, i):
         calls.append(i)
         if i > 2:
             raise IndexError(f"the map has a 2-dimensional domain, asked for {i}")
-        return _skew_image(i)
+        return images.entry(j, i)
 
-    tm = transformation_matrix(partial, 2, 3, target_basis=_skew_target())
+    tm = transformation_matrix(MatrixSpec(3, 3, partial), 2, 3,
+                               target_basis=_skew_target())
     assert tm.data.shape == (3, 2)
-    assert calls == [1, 2]
+    # the 3 coordinates of images 1 and 2, each read once
+    assert sorted(calls) == [1, 1, 1, 2, 2, 2]
 
 
 def test_transformation_matrix_rectangular_columns_are_the_square_ones():
     # columns 1..2 of the 3-by-3 matrix solve the same systems bit for bit
     target = _skew_target()
-    tm = transformation_matrix(_skew_image, 2, 3, target_basis=target)
-    square = transformation_matrix(_skew_image, 3, 3, target_basis=target)
+    tm = transformation_matrix(_skew_images(), 2, 3, target_basis=target)
+    square = transformation_matrix(_skew_images(), 3, 3, target_basis=target)
     assert tm.data.tobytes() == np.ascontiguousarray(square.data[:, :2]).tobytes()

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import infmat.cli as cli
-from infmat.algebra import Vector
 from infmat.cli import main
 from infmat.matrix_core import INFINITE, MatrixSpec
 
@@ -288,7 +287,8 @@ def test_solve_check_compat_reads_each_cell_once(route, capsys, monkeypatch):
         b_calls[i] += 1
         return 1.0 / i ** 2
 
-    system = (MatrixSpec(INFINITE, INFINITE, entry), Vector(INFINITE, rhs), None)
+    system = (MatrixSpec(INFINITE, INFINITE, entry),
+              MatrixSpec(INFINITE, 1, lambda i, _: rhs(i)), None)
     monkeypatch.setattr(cli, "load_system_file", lambda path: system)
     _, out = run_main(capsys, "solve", "system.json", "--route", route,
                       "--check-compat", "--max-size", 128, "--quiet")
@@ -432,3 +432,68 @@ def test_truncate_fact_of_overflow_is_an_eval_error(tmp_path, capsys):
     assert code == 1
     assert json.loads(out)["error"] == {
         "code": "eval-error", "message": "fact requires a non-negative integer, got inf"}
+
+
+# --- --output paths that cannot be written ---------------------------------------
+
+@pytest.mark.parametrize("args", [
+    ["det", SPECS / "identity.json", "--max-size", 64],
+    ["truncate", SPECS / "derivative.json", "--n", 3, "--format", "csv"],
+    ["det", "missing.json"],
+], ids=["success", "csv", "error"])
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_unwritable_output_is_an_io_error_document(tmp_path, capsys, args, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+    code, out = run_main(capsys, *args, "--output", target, "--quiet")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "io-error" and str(target) in error["message"]
+
+
+# --- malformed dense vectors -------------------------------------------------------
+
+EYE2 = {"kind": "dense", "data": [[1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("command,obj", [
+    ("solve", {"A": EYE2, "b": {"kind": "dense", "data": [1, "x"]}}),
+    ("transition", {"count": 2, "vectors": {"kind": "dense", "data": [[1, 0], [0]]}}),
+    ("transition", {"count": 2, "vectors": {"kind": "dense",
+                                            "data": [[1, float("nan")], [0, 1]]}}),
+], ids=["rhs-string", "family-ragged", "family-nan"])
+def test_malformed_dense_vectors_are_schema_errors_naming_the_file(
+        tmp_path, capsys, command, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    args = [path] if command == "solve" else [path, path, "--n", 2]
+    code, out = run_main(capsys, command, *args, "--quiet")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "schema-error"
+    assert error["message"].startswith(f"{path}: ")
+
+
+# --- mul --n --------------------------------------------------------------------
+
+DENSE3 = {"kind": "dense", "data": [[2, 1, 0], [1, 3, 1], [0, 1, 4]]}
+
+
+def test_mul_honours_n_on_a_finite_product(tmp_path, capsys):
+    spec = tmp_path / "d3.json"
+    spec.write_text(json.dumps(DENSE3))
+    code, out = run_main(capsys, "mul", spec, spec, "--n", 2, "--quiet")
+    assert code == 0
+    assert json.loads(out)["result"]["matrix"] == [[5, 5], [5, 11]]
+
+
+@pytest.mark.parametrize("spec", ["d3", "geometric", "ones"])
+@pytest.mark.parametrize("n", [0, -2])
+def test_mul_n_below_one_is_a_config_error(tmp_path, capsys, spec, n):
+    path = tmp_path / "d3.json"
+    path.write_text(json.dumps(DENSE3))
+    if spec != "d3":
+        path = SPECS / f"{spec}.json"
+    code, out = run_main(capsys, "mul", path, path, "--n", n, "--quiet")
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "config-error",
+                                        "message": f"--n must be >= 1, got {n}"}

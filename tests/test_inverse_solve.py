@@ -6,17 +6,16 @@ import pytest
 
 from oracles import counting, fraction_rank, section_cells
 
-from infmat.algebra import Vector
 from infmat.determinant import det_infinite
 from infmat.errors import (ExtentMismatchError, OracleValueError,
                            PreconditionError, SingularSystemError)
-from infmat.expr_dsl import compile_index
 from infmat.inverse_solve import (check_compatibility, cramer_solve,
                                   neumann_inverse, rank_of, solve_via_inverse)
 from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE,
                                 MatrixSpec, TruncationSchedule, diagonal_spec,
                                 entrywise_spec, identity_spec, truncate)
 from infmat.series import ConvergencePolicy
+from infmat.specio import vector_from_obj
 from infmat.spectral import find_eigenvalues
 
 SCHED = TruncationSchedule(8, 2, 64)
@@ -55,7 +54,7 @@ def perturbed_identity():
 
 
 def e1():
-    return Vector(INFINITE, lambda i: 1.0 if i == 1 else 0.0)
+    return MatrixSpec(INFINITE, 1, lambda i, _: 1.0 if i == 1 else 0.0)
 
 
 # --- inversion ---------------------------------------------------------------
@@ -149,17 +148,17 @@ def test_rank_matches_exact_oracle_and_transpose():
 
 def test_compatibility_worked_examples():
     a = DenseMatrix([[1.0, 2.0], [2.0, 4.0]])
-    ok = check_compatibility(a, Vector.from_values([1.0, 2.0]))
+    ok = check_compatibility(a, DenseMatrix([[1.0], [2.0]]))
     assert ok.compatible and ok.verdict == "compatible"
     assert ok.rank_A.estimate == ok.rank_Ab.estimate == 1.0
-    bad = check_compatibility(a, Vector.from_values([1.0, 3.0]))
+    bad = check_compatibility(a, DenseMatrix([[1.0], [3.0]]))
     assert not bad.compatible and bad.verdict == "incompatible"
     assert bad.rank_Ab.estimate == 2.0
 
 
 def test_compatibility_identity_always():
     rep = check_compatibility(identity_spec(4),
-                              Vector.from_values([5.0, -1.0, 0.0, 2.0]))
+                              DenseMatrix([[5.0], [-1.0], [0.0], [2.0]]))
     assert rep.compatible
 
 
@@ -180,7 +179,7 @@ def test_compatibility_matches_fraction_oracle():
         want = fraction_rank(a.tolist()) == fraction_rank(
             np.column_stack([a, b]).tolist())
         spec = MatrixSpec(m, n, lambda i, j, _a=a: float(_a[i - 1, j - 1]))
-        got = check_compatibility(spec, Vector.from_values(b))
+        got = check_compatibility(spec, DenseMatrix(b[:, None]))
         assert got.compatible == want
         agree += 1
     assert agree == 200
@@ -188,10 +187,10 @@ def test_compatibility_matches_fraction_oracle():
 
 def test_compatibility_infinite_rank_one():
     spec = entrywise_spec(lambda i, j: 2.0 ** -(i + j))
-    inside = Vector(INFINITE, lambda i: 2.0 ** -i)       # equals column 1 scaled
+    inside = MatrixSpec(INFINITE, 1, lambda i, _: 2.0 ** -i)  # equals column 1 scaled
     rep = check_compatibility(spec, inside, SCHED)
     assert rep.compatible and rep.verdict == "compatible"
-    outside = Vector(INFINITE, lambda i: 1.0 if i == 1 else 0.0)
+    outside = MatrixSpec(INFINITE, 1, lambda i, _: 1.0 if i == 1 else 0.0)
     rep2 = check_compatibility(spec, outside, SCHED)
     assert not rep2.compatible and rep2.verdict == "incompatible"
 
@@ -200,7 +199,7 @@ def test_compatibility_infinite_rank_one():
 
 def test_cramer_worked_two_by_two():
     a = DenseMatrix([[2.0, 1.0], [1.0, 3.0]])
-    rep = cramer_solve(a, Vector.from_values([3.0, 5.0]))
+    rep = cramer_solve(a, DenseMatrix([[3.0], [5.0]]))
     assert rep.unknowns[1].estimate == pytest.approx(4.0 / 5.0, abs=1e-12)
     assert rep.unknowns[2].estimate == pytest.approx(7.0 / 5.0, abs=1e-12)
     assert rep.residual <= 1e-12
@@ -208,14 +207,14 @@ def test_cramer_worked_two_by_two():
 
 
 def test_cramer_identity_returns_rhs():
-    rep = cramer_solve(identity_spec(3), Vector.from_values([1.0, 2.0, 3.0]))
+    rep = cramer_solve(identity_spec(3), DenseMatrix([[1.0], [2.0], [3.0]]))
     assert [rep.unknowns[i].estimate for i in (1, 2, 3)] == [1.0, 2.0, 3.0]
 
 
 def test_cramer_singular_rejected():
     with pytest.raises(SingularSystemError):
         cramer_solve(DenseMatrix([[1.0, 2.0], [2.0, 4.0]]),
-                     Vector.from_values([1.0, 2.0]))
+                     DenseMatrix([[1.0], [2.0]]))
 
 
 def test_cramer_infinite_closed_form():
@@ -238,7 +237,7 @@ def test_cramer_condition_of_a_harmonic_diagonal_does_not_converge():
 
 
 def test_cramer_condition_of_a_finite_system_is_exact():
-    rep = cramer_solve(DenseMatrix([[2.0, 1.0], [-1.0, 3.0]]), Vector.from_values([3.0, 5.0]))
+    rep = cramer_solve(DenseMatrix([[2.0, 1.0], [-1.0, 3.0]]), DenseMatrix([[3.0], [5.0]]))
     assert (rep.condition.status, rep.condition.terms_used) == ("converged", 1)
     assert rep.condition.estimate == 1.0 + 1.0 + 1.0 + 2.0
 
@@ -260,7 +259,7 @@ def test_cramer_evaluates_each_a_cell_once():
         return 0.5 ** (i + j) if abs(i - j) == 1 else 0.0
 
     A = MatrixSpec(INFINITE, INFINITE, entry, structure="banded", bandwidth=1)
-    b = Vector(INFINITE, lambda i: 1.0 / i ** 2)
+    b = MatrixSpec(INFINITE, 1, lambda i, _: 1.0 / i ** 2)
     rep = cramer_solve(A, b, wanted=[1, 2, 3], schedule=SCHED)
     assert all(r.converged for r in rep.unknowns.values())
     # (3, 4) lies outside every replaced column, so only the growing
@@ -277,7 +276,7 @@ def test_cramer_reads_only_its_largest_section_and_that_prefix_of_b(wanted, fn, 
     # and ratio limits grew; nothing else of A or b is evaluated
     A, counts = counted_spec(fn, bandwidth)
     b_calls = Counter()
-    b = Vector(INFINITE, lambda i: b_calls.update([i]) or 1.0 / i ** 2)
+    b = MatrixSpec(INFINITE, 1, lambda i, _: b_calls.update([i]) or 1.0 / i ** 2)
     rep = cramer_solve(A, b, wanted=wanted, schedule=LONG)
     assert rep.condition is not None
     grown = max(i for i, _ in counts)
@@ -300,8 +299,8 @@ def test_neumann_inverse_evaluates_each_a_cell_once(fn, bandwidth):
 @pytest.mark.parametrize("fn,bandwidth", CONTRACTIONS, ids=["dense", "banded"])
 def test_solve_via_inverse_evaluates_each_a_cell_once(fn, bandwidth):
     A, counts = counted_spec(fn, bandwidth)
-    solve_via_inverse(A, Vector(INFINITE, lambda i: 1.0 / i ** 2), schedule=SCHED,
-                      wanted=[1, 2, 3])
+    solve_via_inverse(A, MatrixSpec(INFINITE, 1, lambda i, _: 1.0 / i ** 2),
+                      schedule=SCHED, wanted=[1, 2, 3])
     assert_section_evaluated_once(counts, SCHED.sizes()[-1], bandwidth)
 
 
@@ -318,10 +317,19 @@ def test_rank_of_evaluates_each_cell_of_the_last_section_once(fn, bandwidth):
 @pytest.mark.parametrize("fn,bandwidth", LOW_RANK, ids=["dense", "banded"])
 def test_check_compatibility_shares_a_cells_between_both_ranks(fn, bandwidth):
     A, counts = counted_spec(fn, bandwidth)
-    rep = check_compatibility(A, Vector(INFINITE, lambda i: 2.0 ** -i), LONG)
+    rep = check_compatibility(A, MatrixSpec(INFINITE, 1, lambda i, _: 2.0 ** -i), LONG)
     assert rep.rank_A.converged and rep.rank_Ab.converged
     used = max(rep.rank_A.terms_used, rep.rank_Ab.terms_used)
     assert_section_evaluated_once(counts, LONG.sizes()[used - 1], bandwidth)
+
+
+def test_cramer_numerators_take_the_route_of_the_system_determinant():
+    # I + diag(1/i) fails the log series' norm rule, so det A is eliminated;
+    # the section with column 1 replaced by e_1 passes it, yet is eliminated
+    # too, so every ratio is exactly (n + 1)/2 over n + 1
+    rep = cramer_solve(diagonal_spec(lambda i: 1.0 + 1.0 / i), e1(), wanted=[1],
+                       schedule=SCHED)
+    assert rep.unknowns[1].estimate == 0.5
 
 
 def test_cramer_unknown_beyond_the_first_section_is_solved_not_one():
@@ -335,7 +343,7 @@ def test_cramer_unknown_beyond_the_first_section_is_solved_not_one():
 
 def non_finite_rhs(extent):
     """``10^(300 i)`` through the DSL, as a JSON spec gives it: inf from i = 2."""
-    return Vector(extent, compile_index("10^(300*i)"))
+    return vector_from_obj({"kind": "expr", "expr": "10^(300*i)"}, extent)
 
 
 SOLVERS = {
@@ -366,7 +374,7 @@ def test_each_rhs_entry_is_read_once(route):
 
     A = MatrixSpec(INFINITE, INFINITE, CONTRACTIONS[1][0], structure="banded",
                    bandwidth=1)
-    SOLVERS[route](A, Vector(INFINITE, rhs))
+    SOLVERS[route](A, MatrixSpec(INFINITE, 1, lambda i, _: rhs(i)))
     assert set(calls) == set(range(1, SCHED.max_size + 1))
     assert max(calls.values()) == 1
 
@@ -380,7 +388,7 @@ def test_empty_wanted_is_rejected_by_name(route):
 @pytest.mark.parametrize("route", ["cramer", "inverse"])
 def test_solve_report_compatibility_matches_check_compatibility(route):
     A = MatrixSpec(INFINITE, INFINITE, CONTRACTIONS[0][0])
-    b = Vector(INFINITE, lambda i: 1.0 / i ** 2)
+    b = MatrixSpec(INFINITE, 1, lambda i, _: 1.0 / i ** 2)
     solved = SOLVERS[route](A, b, wanted=[1])
     rep = solved.compatibility()
     assert rep == check_compatibility(A, b, SCHED)
@@ -389,7 +397,7 @@ def test_solve_report_compatibility_matches_check_compatibility(route):
 
 def test_solve_via_inverse_checks_the_rhs_extent():
     with pytest.raises(ExtentMismatchError):
-        solve_via_inverse(identity_spec(3), Vector.from_values([1.0, 2.0]))
+        solve_via_inverse(identity_spec(3), DenseMatrix([[1.0], [2.0]]))
 
 
 # --- finite specs: one exact section, never the schedule -----------------------
@@ -457,7 +465,7 @@ def test_finite_spec_is_one_exact_section(run, monkeypatch):
     monkeypatch.setattr(core, "_grow", recording)
     A, counts = finite_contraction()
     b_calls = Counter()
-    b = Vector(FINITE_N, lambda i: b_calls.update([i]) or 1.0 / i ** 2)
+    b = MatrixSpec(FINITE_N, 1, lambda i, _: b_calls.update([i]) or 1.0 / i ** 2)
     run(A, b)
     assert grown == [((0, 0), FINITE_N, FINITE_N)]
     assert set(counts) == section_cells(FINITE_N)
@@ -467,7 +475,7 @@ def test_finite_spec_is_one_exact_section(run, monkeypatch):
 
 
 def test_cramer_non_finite_rhs_names_row_and_column():
-    b = Vector(INFINITE, lambda i: math.inf if i == 5 else 0.0)
+    b = MatrixSpec(INFINITE, 1, lambda i, _: math.inf if i == 5 else 0.0)
     with pytest.raises(OracleValueError) as err:
         cramer_solve(perturbed_identity(), b, wanted=[2], schedule=SCHED)
     assert err.value.index == (5, 2)
@@ -475,7 +483,7 @@ def test_cramer_non_finite_rhs_names_row_and_column():
 
 
 def test_solve_via_inverse_identity():
-    rep = solve_via_inverse(identity_spec(3), Vector.from_values([4.0, 5.0, 6.0]))
+    rep = solve_via_inverse(identity_spec(3), DenseMatrix([[4.0], [5.0], [6.0]]))
     assert [rep.unknowns[i].estimate for i in (1, 2, 3)] == [4.0, 5.0, 6.0]
     assert rep.residual == 0.0
 
@@ -486,7 +494,7 @@ def test_solve_via_inverse_nilpotent_exact():
     upper = np.triu(np.full((n, n), 0.2), 1)
     a = DenseMatrix(np.eye(n) - upper)
     b = np.arange(1.0, n + 1.0)
-    rep = solve_via_inverse(a, Vector.from_values(b))
+    rep = solve_via_inverse(a, DenseMatrix(b[:, None]))
     x = np.array([rep.unknowns[i].estimate for i in range(1, n + 1)])
     # forward-substitution oracle
     want = np.linalg.solve(a.data, b)
@@ -501,7 +509,7 @@ def test_solve_routes_agree_on_contractions():
         x = rng.uniform(-1, 1, (n, n))
         x *= 0.5 / max(np.max(np.sum(np.abs(x), axis=1)), 1e-9)
         a = DenseMatrix(np.eye(n) + x)
-        b = Vector.from_values(rng.uniform(-2, 2, n))
+        b = DenseMatrix(rng.uniform(-2, 2, (n, 1)))
         cram = cramer_solve(a, b)
         inv = solve_via_inverse(a, b)
         for i in range(1, n + 1):

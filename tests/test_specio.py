@@ -1,10 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from infmat.errors import CertificateError, SchemaError
-from infmat.matrix_core import INFINITE, is_finite_extent
+from infmat.expr_dsl import EvalError
+from infmat.matrix_core import INFINITE, is_finite_extent, truncate
 from infmat.specio import (family_from_obj, load_matrix_file, load_system_file,
                            matrix_from_obj, vector_from_obj)
 
@@ -85,11 +87,11 @@ def test_bad_json_is_schema_error(tmp_path):
 
 def test_vector_expr_and_dense():
     v = vector_from_obj({"kind": "expr", "expr": "delta(i,1)"}, INFINITE)
-    assert v.entry(1) == 1.0 and v.entry(2) == 0.0
+    assert v.entry(1, 1) == 1.0 and v.entry(2, 1) == 0.0
     w = vector_from_obj({"kind": "dense", "data": [1.0, 2.0]}, 2)
-    assert w.values().tolist() == [1.0, 2.0]
+    assert w.tolist() == [[1.0], [2.0]]
     padded = vector_from_obj({"kind": "dense", "data": [1.0]}, INFINITE)
-    assert padded.entry(1) == 1.0 and padded.entry(9) == 0.0
+    assert padded.entry(1, 1) == 1.0 and padded.entry(9, 1) == 0.0
     with pytest.raises(SchemaError):
         vector_from_obj({"kind": "dense", "data": [1.0]}, 3)
 
@@ -97,7 +99,7 @@ def test_vector_expr_and_dense():
 def test_load_system_file():
     A, b, wanted = load_system_file(SPECS / "perturbed_system.json")
     assert not is_finite_extent(A.rows)
-    assert b.entry(1) == 1.0
+    assert b.entry(1, 1) == 1.0
     assert wanted == [1, 2, 3]
 
 
@@ -124,8 +126,32 @@ def test_system_empty_wanted_is_rejected(tmp_path):
 def test_family_expr_and_dense():
     fam = family_from_obj({"count": "inf",
                            "vectors": {"kind": "expr", "expr": "delta(j,i)"}})
-    assert fam.vector_at(3).entry(3) == 1.0
+    assert fam.entry(3, 3) == 1.0  # coordinate 3 of vector 3
     dense = family_from_obj({"count": 2,
                              "vectors": {"kind": "dense",
                                          "data": [[1.0, 0.0], [0.0, 1.0]]}})
-    assert dense.vector_at(2).values().tolist() == [0.0, 1.0]
+    assert dense.data[:, 1].tolist() == [0.0, 1.0]  # column 2 holds vector 2
+
+
+@pytest.mark.parametrize("formula", ["i + j", "1/k"])
+def test_vector_formula_naming_j_or_k_is_an_eval_error(formula):
+    b = vector_from_obj({"kind": "expr", "expr": formula}, INFINITE)
+    with pytest.raises(EvalError, match="unbound variable"):
+        b.entry(2, 1)
+    # the block path declines, so a section falls back to the scalar error
+    assert b.block(np.arange(1, 5), np.array([1])) is None
+    with pytest.raises(EvalError, match="unbound variable"):
+        truncate(b, 4, 1)
+
+
+def test_vector_formula_block_matches_its_entries():
+    b = vector_from_obj({"kind": "expr", "expr": "1/i^2 + delta(i,3)"}, INFINITE)
+    assert truncate(b, 6, 1).data[:, 0].tolist() == [b.entry(i, 1) for i in range(1, 7)]
+
+
+def test_family_columns_are_its_vectors():
+    # vector i of the shifted family is e_i + e_(i+1)
+    fam = family_from_obj({"count": "inf", "vectors": {
+        "kind": "expr", "expr": "delta(j,i) + delta(j,i+1)"}})
+    assert truncate(fam, 3, 3).tolist() == [[1, 0, 0], [1, 1, 0], [0, 1, 1]]
+    assert fam.block is not None

@@ -46,7 +46,7 @@ def test_find_eigenvalues_two_by_two():
     assert len(pairs) == 2
     assert pairs[0].lam == pytest.approx(1.0, abs=1e-8)
     assert pairs[1].lam == pytest.approx(3.0, abs=1e-8)
-    v = pairs[1].vector.values()
+    v = pairs[1].vector.data[:, 0]
     assert v.tolist() == pytest.approx([1.0, 1.0], abs=1e-8)
 
 
@@ -62,7 +62,7 @@ def test_find_eigenvalues_reciprocal_diagonal():
     pair = pairs[0]
     assert pair.lam == pytest.approx(0.5, abs=1e-9)
     assert pair.stable
-    vec = pair.vector.values()
+    vec = pair.vector.data[:, 0]
     assert abs(vec[1] - 1.0) <= 1e-9
     assert max(abs(v) for k, v in enumerate(vec) if k != 1) <= 1e-9
     assert pair.vec_residual <= 1e-8
@@ -100,22 +100,22 @@ def test_eigenvalue_scaling_invariance():
 
 def test_eigenvector_for_shared_eigenvalue():
     a = DenseMatrix([[2.0, 1.0], [1.0, 2.0]])
-    v = eigenvector_for(a, 3.0, 2).values()
+    v = eigenvector_for(a, 3.0, 2).data[:, 0]
     assert v.tolist() == pytest.approx([1.0, 1.0], abs=1e-10)
-    w = eigenvector_for(a, 1.0, 2).values()
+    w = eigenvector_for(a, 1.0, 2).data[:, 0]
     assert abs(w[0] + w[1]) <= 1e-10
 
 
 def test_eigenvector_diagonal_basis_vector():
     spec = diagonal_spec(lambda i: 1.0 / i)
-    v = eigenvector_for(spec, 1.0 / 3.0, 6).values()
+    v = eigenvector_for(spec, 1.0 / 3.0, 6).data[:, 0]
     want = np.zeros(6)
     want[2] = 1.0
     assert np.max(np.abs(v - want)) <= 1e-12
 
 
 def test_eigenvector_identity_first_free_convention():
-    v = eigenvector_for(identity_spec(), 1.0, 4).values()
+    v = eigenvector_for(identity_spec(), 1.0, 4).data[:, 0]
     assert v.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
@@ -132,7 +132,7 @@ def test_eigenpair_residual_invariant():
         pairs = find_eigenvalues(DenseMatrix(a), (-4.0, 4.0), grid_points=1024)
         for p in pairs:
             assert p.vec_residual <= 1e-6 * (1.0 + abs(p.lam))
-            assert np.max(np.abs(p.vector.values())) == pytest.approx(1.0)
+            assert np.max(np.abs(p.vector.data[:, 0])) == pytest.approx(1.0)
 
 
 def test_find_eigenvalues_evaluates_each_band_cell_once():
