@@ -47,6 +47,14 @@ FINSUP = {"rows": "inf", "cols": "inf", "kind": "finite-support", "expr": "1/(i+
 HARMONIC = json.loads((ROOT / "specs" / "harmonic_diag.json").read_text())
 # I + diag(1/i): sum |a_ij - delta_ij| is the harmonic series, so Cramer's
 # normal-determinant condition cannot converge
+# verdicts other than converged: a quiet window out of reach of --max-terms
+# (partial), terms 1.5^l that blow up (failed), terms that turn nan at l = 40,
+# inside the chunk [29, 61) of a run (failed), and a Gram series sum 1/j
+# that cannot converge (divergence)
+RISING = {"rows": "inf", "cols": "inf", "kind": "expr", "expr": "1.5^j/(i+1)"}
+RECIP_COL = {"rows": "inf", "cols": "inf", "kind": "expr", "expr": "1/j"}
+NAN_ROWS = {"rows": "inf", "cols": "inf", "kind": "expr", "expr": "1/(i+j)^2 + 0*2^(26*i)"}
+SLOW_ROWS2 = {"rows": 2, "cols": "inf", "kind": "expr", "expr": "1/(i+j)^0.5"}
 HARMONIC_SYSTEM = {"A": {"rows": "inf", "cols": "inf", "kind": "diag", "expr": "1 + 1/i"},
                    "b": {"kind": "expr", "expr": "delta(i,1)"}}
 WRITTEN = {"tridiag.json": TRIDIAG, "fin20.json": FIN20, "dense.json": DENSE, "dense6.json": DENSE6,
@@ -55,7 +63,9 @@ WRITTEN = {"tridiag.json": TRIDIAG, "fin20.json": FIN20, "dense.json": DENSE, "d
            "poly_a.json": POLY_A, "poly_b.json": POLY_B, "poly_rows4.json": POLY_ROWS4,
            "geo_rows3.json": GEO_ROWS3, "fam_b.json": FAM_B, "fam_b_prime.json": FAM_B_PRIME,
            "dense3.json": DENSE3, "finsup.json": FINSUP, "harmonic_diag.json": HARMONIC,
-           "harmonic_system.json": HARMONIC_SYSTEM}
+           "harmonic_system.json": HARMONIC_SYSTEM, "rising.json": RISING,
+           "recip_col.json": RECIP_COL, "nan_rows.json": NAN_ROWS,
+           "slow_rows2.json": SLOW_ROWS2}
 
 _SPECS = ("harmonic_diag", "identity", "perturbation", "derivative")
 _EIG_INTERVALS = {"harmonic_diag": ("0.15", "0.6"), "identity": ("0.5", "1.5"),
@@ -121,7 +131,11 @@ COMMANDS = (
        ("tmp", ["eig", "dense3.json", "--interval", "0", "6"]),
        ("tmp", ["truncate", "finsup.json", "--n", "5"]),
        ("tmp", ["mul", "finsup.json", "finsup.json", "--n", "4"]),
-       ("tmp", ["solve", "harmonic_system.json", "--route", "cramer", "--max-size", "64"])]
+       ("tmp", ["solve", "harmonic_system.json", "--route", "cramer", "--max-size", "64"]),
+       ("tmp", ["mul", "poly_a.json", "poly_b.json", "--max-terms", "200"]),
+       ("tmp", ["mul", "rising.json", "recip_col.json"]),
+       ("tmp", ["mul", "poly_a.json", "nan_rows.json"]),
+       ("tmp", ["orth", "slow_rows2.json", "--max-terms", "2000"])]
 )
 
 
