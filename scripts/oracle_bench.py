@@ -14,9 +14,10 @@ that formula, and every ``expr`` spec shipped in ``specs/``.  The two
 fills must agree bit for bit.
 
 The term-run line sums row 1 of ``c/(i+j+a)^p`` times column 1 of
-another such spec, an entry of an infinite product, with ``sum_series``:
-once term by term through the scalar oracles and once fed term runs read
-through the block oracles (``matrix_core.Lines``), as ``matmul`` does.
+another such spec, an entry of an infinite product: once term by term
+through the scalar oracles with ``sum_series``, and once as a batch of
+one fed term runs read through the block oracles (``matrix_core.Lines``),
+as ``matmul`` does.
 The two reports must agree bit for bit.  The script exits with status 1
 if a fill or a report differs.
 
@@ -35,7 +36,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from infmat.algebra import _line_product  # noqa: E402  (from src/, put on the path above)
 from infmat.matrix_core import Lines, MatrixSpec, clip_extent, truncate  # noqa: E402
-from infmat.series import ConvergencePolicy, sum_series  # noqa: E402
+from infmat.series import ConvergencePolicy, sum_series, sum_series_batch  # noqa: E402
 from infmat.specio import matrix_from_obj  # noqa: E402
 
 # the dense formula of tests/test_golden_cli.py
@@ -81,11 +82,13 @@ def best_sum(A, B, runs):
     def term(l):
         return A.entry(1, l) * B.entry(l, 1)
 
+    first = np.zeros(1, dtype=int)
     best = None
     for _ in range(REPEAT):
-        terms = _line_product(Lines(A, [1], 0), 0, Lines(B, [1], 1), 0) if runs else None
+        batch = sum_series_batch([(term, None)], SERIES_POLICY, _line_product(
+            Lines(A, [1], 0), first, Lines(B, [1], 1), first)) if runs else None
         start = time.perf_counter()
-        report = sum_series(term, SERIES_POLICY, terms=terms)
+        report = next(batch) if runs else sum_series(term, SERIES_POLICY)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return best, report

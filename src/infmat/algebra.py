@@ -7,11 +7,13 @@ structure (bands, finite support, a diagonal) the inner index set is
 finite and entries are computed exactly instead.  A product over an
 infinite inner dimension is returned lazily with a sampled certification
 pass over a fixed index probe; whatever the probe finds, entries keep
-their individual reports available on demand.
+their individual reports available on demand.  The probe, and every
+block of entries a section reads (the product's ``block`` oracle), is
+summed as one batch of series whose terms come from the leading entries
+of the rows and columns involved, read once by block.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -22,7 +24,7 @@ from .matrix_core import (BANDED, EXPR, FINITE_SUPPORT, DenseMatrix, DecayCertif
                           Extent, Lines, MatrixSpec, clip_extent, extents_equal,
                           is_finite_extent, truncate)
 from .series import (CONVERGED, DIVERGED, ConvergencePolicy, ConvergenceReport,
-                     GeometricTail, exact_report, sum_series)
+                     GeometricTail, exact_report, sum_series, sum_series_batch)
 
 PROBE_SIDE = 8
 
@@ -132,33 +134,39 @@ def _product_tail(da: DecayCertificate | None, db: DecayCertificate | None,
     return GeometricTail(da.C * db.C * da.r ** i * db.r ** j, da.r * db.r)
 
 
-def _series_entry(A, B, i, j, policy, terms=None):
+def _series_entry(A, B, pairs, policy):
+    """The series of the product entries at ``pairs``, ``(i, j)`` each,
+    summed as one batch (:func:`sum_series_batch`, whose reports it yields
+    in order): their term runs come from the leading entries of rows i of
+    ``A`` and columns j of ``B``, each read once by block."""
+    rows, p = np.unique([i for i, _ in pairs], return_inverse=True)
+    cols, q = np.unique([j for _, j in pairs], return_inverse=True)
     ea, eb = A.entry, B.entry
-
-    def term(l, _ea=ea, _eb=eb, _i=i, _j=j):
-        return _ea(_i, l) * _eb(l, _j)
-
-    return sum_series(term, policy, tail=_product_tail(A.decay, B.decay, i, j),
-                      terms=terms)
+    series = [(lambda l, _i=i, _j=j: ea(_i, l) * eb(l, _j),
+               _product_tail(A.decay, B.decay, i, j)) for i, j in pairs]
+    yield from sum_series_batch(series, policy,
+                                _line_product(Lines(A, rows, 0), p, Lines(B, cols, 1), q))
 
 
-def _line_product(left, p: int, right, q: int):
-    """Term runs of ``left[p][l] * right[q][l]`` for :func:`sum_series`.
+def _line_product(left, p, right, q):
+    """Term runs of ``left[p[s]][l] * right[q[s]][l]`` for the series s of a
+    :func:`sum_series_batch`.
 
     ``left`` and ``right`` map n to the first n entries of some lines, as
-    :class:`Lines` does, or to ``None``; ``p`` and ``q`` pick one line of
-    each (0-based).  A run is ``None`` where either side is.
+    :class:`Lines` does, or to ``None``; the index arrays ``p`` and ``q``
+    pick, for each series, one line of each (0-based).  A run is ``None``
+    where either side is.
     """
 
-    def terms(k0, k1):
+    def runs(k0, k1, rows):
         a = left(k1 - 1)
         b = None if a is None else right(k1 - 1)
         if b is None:
             return None
         with np.errstate(all="ignore"):  # a non-finite run goes back to term
-            return a[p, k0 - 1:] * b[q, k0 - 1:]
+            return a[p[rows], k0 - 1:] * b[q[rows], k0 - 1:]
 
-    return terms
+    return runs
 
 
 def _exact_sum(term: Callable[[int], float],
@@ -194,19 +202,34 @@ def matmul(A: MatrixSpec, B: MatrixSpec,
         return ProductResult(DenseMatrix(product_ascending(da, db)), {},
                              STATUS_CONVERGED)
 
-    # rows of A and columns of B read by block, each grown once for all the
-    # product entries that share it
-    a_row, b_col = cache(lambda i: Lines(A, [i], 0)), cache(lambda j: Lines(B, [j], 1))
+    reports: dict[tuple[int, int], ConvergenceReport] = {}
 
-    @cache
+    def fill(pairs):
+        # the reports of the entries at ``pairs`` not known yet, in order:
+        # exact span sums, and the series summed as one batch
+        todo = [pair for pair in dict.fromkeys(pairs) if pair not in reports]
+        spans = {(i, j): _intersect_supports(A.row_support(i), B.col_support(j), inner)
+                 for i, j in todo}
+        sums = _series_entry(A, B, [pair for pair in todo if spans[pair] is None], policy)
+        for i, j in todo:
+            span = spans[(i, j)]
+            reports[(i, j)] = (next(sums) if span is None else
+                               _exact_sum(lambda l: A.entry(i, l) * B.entry(l, j), span))
+
     def reporter(i, j):
-        span = _intersect_supports(A.row_support(i), B.col_support(j), inner)
-        if span is not None:
-            return _exact_sum(lambda l: A.entry(i, l) * B.entry(l, j), span)
-        return _series_entry(A, B, i, j, policy, _line_product(a_row(i), 0, b_col(j), 0))
+        fill([(i, j)])
+        return reports[(i, j)]
 
     def entry(i, j):
         return reporter(i, j).estimate
+
+    def block(rows, cols):
+        pairs = [(i, j) for i in rows.tolist() for j in cols.tolist()]
+        try:
+            fill(pairs)
+        except Exception:  # noqa: BLE001  (entry raises it where a reader asks for the cell)
+            return None  # a block may be read past where its reader stops
+        return np.array([reports[pair].estimate for pair in pairs]).reshape(rows.size, cols.size)
 
     structure, bandwidth = EXPR, None
     if A.structure == B.structure == BANDED:
@@ -217,19 +240,20 @@ def matmul(A: MatrixSpec, B: MatrixSpec,
         decay = DecayCertificate(A.decay.C * B.decay.C * ra * rb / (1 - ra * rb),
                                  max(ra, rb))
     out = MatrixSpec(A.rows, B.cols, entry, structure=structure,
-                     decay=decay, bandwidth=bandwidth)
+                     decay=decay, bandwidth=bandwidth, block=block)
 
-    probe_rows = range(1, clip_extent(A.rows, PROBE_SIDE) + 1)
-    probe_cols = range(1, clip_extent(B.cols, PROBE_SIDE) + 1)
-    reports = {(i, j): reporter(i, j) for i in probe_rows for j in probe_cols}
-    statuses = {rep.status for rep in reports.values()}
+    probe = [(i, j) for i in range(1, clip_extent(A.rows, PROBE_SIDE) + 1)
+             for j in range(1, clip_extent(B.cols, PROBE_SIDE) + 1)]
+    fill(probe)
+    probed = {pair: reports[pair] for pair in probe}
+    statuses = {rep.status for rep in probed.values()}
     if statuses <= {CONVERGED}:
         overall = STATUS_CONVERGED
     elif DIVERGED in statuses:
         overall = STATUS_FAILED
     else:
         overall = STATUS_PARTIAL
-    return ProductResult(out, reports, overall, _reporter=reporter)
+    return ProductResult(out, probed, overall, _reporter=reporter)
 
 
 def matvec(A: MatrixSpec, x: MatrixSpec,

@@ -24,7 +24,7 @@ from .matrix_core import (DenseMatrix, Lines, MatrixSpec, Sections,
                           TruncationSchedule, extents_equal, is_finite_extent,
                           truncate)
 from .series import (ConvergencePolicy, ConvergenceReport, GeometricTail,
-                     section_limit_vector, sum_series)
+                     section_limit_vector, sum_series_batch)
 
 PIVOT_SCALE = 1e-10
 
@@ -74,34 +74,31 @@ class TransitionResult:
     column_reports: dict[int, ConvergenceReport]
 
 
-def _gram_series(A: MatrixSpec, p: int, q: int,
-                 policy: ConvergencePolicy, lines: Lines) -> ConvergenceReport:
-    """The series of the inner product of rows p and q; its term runs
-    come from ``lines``, the leading entries of all rows of ``A``."""
+def _gram_series(A: MatrixSpec, pairs, policy: ConvergencePolicy,
+                 lines: Lines):
+    """The series of the inner products of the row pairs ``(p, q)`` in
+    ``pairs``, summed as one batch whose reports it yields in order; their
+    term runs come from ``lines``, the leading entries of all rows of
+    ``A``."""
     ea = A.entry
+    series = []
+    for p, q in pairs:
+        tail = None
+        if A.decay is not None:
+            C, r = A.decay.C, A.decay.r
+            tail = GeometricTail(C * C * r ** (p + q), r * r)
+        series.append((lambda j, _p=p, _q=q: ea(_p, j) * ea(_q, j), tail))
+    first, second = (np.array([pair[k] - 1 for pair in pairs], dtype=int) for k in (0, 1))
+    return sum_series_batch(series, policy, _line_product(lines, first, lines, second))
 
-    def term(j, _p=p, _q=q):
-        return ea(_p, j) * ea(_q, j)
 
-    tail = None
-    if A.decay is not None:
-        C, r = A.decay.C, A.decay.r
-        tail = GeometricTail(C * C * r ** (p + q), r * r)
-    return sum_series(term, policy, tail=tail,
-                      terms=_line_product(lines, p - 1, lines, q - 1))
-
-
-def _row_inner(A: MatrixSpec, p: int, q: int, policy, lines: Lines) -> float:
-    """Inner product of rows p and q, exact when the support is finite."""
-    span = _intersect_supports(A.row_support(p), A.row_support(q), A.cols)
-    if span is not None:
-        return _exact_sum(lambda j: A.entry(p, j) * A.entry(q, j), span).estimate
-    rep = _gram_series(A, p, q, policy, lines)
-    if not rep.converged:
-        raise GramConvergenceError(
-            f"inner product of rows {p} and {q} {rep.status} "
-            f"after {rep.terms_used} terms", pair=(p, q), status=rep.status)
-    return rep.estimate
+def _checked_sums(pairs, sums, message):
+    """The estimates of ``sums``, one per pair, in order; the first that
+    did not converge raises :class:`GramConvergenceError`."""
+    for (p, q), rep in zip(pairs, sums):
+        if not rep.converged:
+            raise GramConvergenceError(message(p, q, rep), pair=(p, q), status=rep.status)
+        yield rep.estimate
 
 
 def orthogonalize(A: MatrixSpec,
@@ -122,10 +119,19 @@ def orthogonalize(A: MatrixSpec,
     # and the orthogonality check alike
     lines = Lines(A, range(1, m + 1))
 
+    pairs = [(p, q) for p in range(1, m + 1) for q in range(p, m + 1)]
+    spans = {(p, q): _intersect_supports(A.row_support(p), A.row_support(q), A.cols)
+             for p, q in pairs}
+    series = [pair for pair in pairs if spans[pair] is None]
+    inner = _checked_sums(series, _gram_series(A, series, policy, lines),
+                          lambda p, q, rep: f"inner product of rows {p} and {q} "
+                                            f"{rep.status} after {rep.terms_used} terms")
     gram = np.empty((m, m))
-    for p in range(1, m + 1):
-        for q in range(p, m + 1):
-            gram[p - 1, q - 1] = gram[q - 1, p - 1] = _row_inner(A, p, q, policy, lines)
+    for p, q in pairs:
+        span = spans[(p, q)]
+        gram[p - 1, q - 1] = gram[q - 1, p - 1] = (
+            next(inner) if span is None else
+            _exact_sum(lambda j: A.entry(p, j) * A.entry(q, j), span).estimate)
     gram_dm = DenseMatrix(gram)
 
     g = np.array(gram)
@@ -177,24 +183,26 @@ def orthogonalize(A: MatrixSpec,
                 known = np.concatenate((known, new), axis=1)
             return known[:, :n]
 
-        for p in range(m):
-            for q in range(p + 1, m):
-                def term(j, _p=p, _q=q):
-                    col = [A.entry(t + 1, j) for t in range(m)]
-                    w = coeff @ np.array(col)
-                    return float(w[_p] * w[_q])
+        pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
+        series = []
+        for p, q in pairs:
+            def term(j, _p=p, _q=q):
+                col = [A.entry(t + 1, j) for t in range(m)]
+                w = coeff @ np.array(col)
+                return float(w[_p] * w[_q])
 
-                tail = None
-                if amp is not None:
-                    # |A'_p(j)| <= amp_p * r^j, so the term is <= amp_p amp_q (r^2)^j
-                    tail = GeometricTail(float(amp[p] * amp[q]), r * r)
-                rep = sum_series(term, policy, tail=tail,
-                                 terms=_line_product(transformed, p, transformed, q))
-                if not rep.converged:
-                    raise GramConvergenceError(
-                        f"orthogonality check for rows {p + 1}, {q + 1} "
-                        f"{rep.status}", pair=(p + 1, q + 1), status=rep.status)
-                max_off = max(max_off, abs(rep.estimate))
+            tail = None
+            if amp is not None:
+                # |A'_p(j)| <= amp_p * r^j, so the term is <= amp_p amp_q (r^2)^j
+                tail = GeometricTail(float(amp[p] * amp[q]), r * r)
+            series.append((term, tail))
+        first, second = (np.array([pair[k] for pair in pairs], dtype=int) for k in (0, 1))
+        sums = sum_series_batch(series, policy,
+                                _line_product(transformed, first, transformed, second))
+        for dot in _checked_sums([(p + 1, q + 1) for p, q in pairs], sums,
+                                 lambda p, q, rep: f"orthogonality check for rows {p}, {q} "
+                                                   f"{rep.status}"):
+            max_off = max(max_off, abs(dot))
     return OrthReport(DenseMatrix(g), a_prime, max_off, gram_dm)
 
 

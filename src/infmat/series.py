@@ -24,13 +24,21 @@ Verdicts are heuristic unless a :class:`GeometricTail` certificate is
 supplied, in which case ``certified`` is set and the error of the reported
 estimate is bounded by the certificate.
 
-A series may come with term runs (:func:`sum_series`'s ``terms``): whole
-chunks of terms at once, read by ``matmul`` and ``orthogonalize`` from
-the block oracle.  They change how the terms are computed, not the rule:
-the partial sums are the same bits, each goes through the same stopping
-rule one at a time, and a chunk that is declined or holds a non-finite
-term is evaluated term by term, so the report and any error raised before
-the stop are those of the scalar sum.
+The rule runs over arrays: a chunk of steps of many sequences at once,
+shaped (sequences, steps).  The quiet and growing streaks are run lengths
+carried from chunk to chunk, the non-finite stop, the certificate bound
+and the ``max_terms`` cap are masks, and each sequence stops at its own
+first firing step, with no loop over steps.  Series summed together
+(:func:`sum_series_batch`, as ``matmul`` sums its probe and
+``orthogonalize`` its Gram entries) come with term runs read from the
+block oracle and advance through shared, doubling chunks of terms.  A
+series whose run is declined or holds a non-finite term, a series with
+no runs, and every sequence of values (:func:`limit_of_sequence`,
+:func:`stabilize_vector`) is drawn one value at a time, in chunks only as
+long as the rule's streaks allow, so no term or value past the stop is
+ever asked for.  The partial sums are the same bits either way, so every
+report, and any error raised before the stop, are those of the scalar
+sum.
 
 A limit over the sections of a matrix decides here, and only here, how
 it visits them (:func:`section_limit`, :func:`section_limit_vector`): a
@@ -40,6 +48,7 @@ stopping rule over the schedule sizes at least as large as the largest
 index the caller reads.
 """
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -125,104 +134,304 @@ def exact_report(value: float, terms: int) -> ConvergenceReport:
     return ConvergenceReport(value, CONVERGED, terms, 0.0, False)
 
 
-def _stabilize(values: Iterator, policy: ConvergencePolicy,
-               remainder: Callable[[int], float] | None = None,
-               norm: Callable = abs) -> ConvergenceReport:
-    """Run the stopping rule over successive estimates.
+# why the rule stopped a sequence, or that it did not (_GOING)
+_GOING, _NON_FINITE, _CERTIFIED, _BLOWUP, _QUIET, _CAP = range(6)
 
-    ``values`` yields estimates in order, scalars or arrays; ``norm``
-    measures an estimate and a step between two (``abs`` for scalars,
-    the max-abs entry for vectors).  The first value never counts toward
-    the quiet streak (there is no previous value to compare to).
+# most cells a batch's chunk of terms holds, so that its arrays stay small
+BATCH_CELLS = 8_192
+
+
+class _Rule:
+    """The stopping rule, for a batch of sequences fed chunks of steps.
+
+    Per sequence it keeps, as a column, the steps taken, the magnitude of
+    the last value, and the kind (0 neither, 1 growing, 2 quiet) and length
+    of the streak of steps that ends there.  :meth:`feed` takes a chunk of
+    steps as arrays and finds where each sequence stops, with no loop over
+    steps.
     """
-    blowup = 1.0 / policy.tol
-    prev = None
-    prev_abs = 0.0
-    estimate = math.nan
-    last_delta = math.inf
-    quiet = 0
-    growing = 0
-    count = 0
-    for value in values:
-        count += 1
-        mag = norm(value)
-        if not math.isfinite(mag):
-            return ConvergenceReport(estimate, DIVERGED, count, math.inf, False)
-        estimate = value
-        if remainder is not None:
-            bound = remainder(count)
-            if bound <= policy.tol * max(1.0, mag):
-                return ConvergenceReport(value, CONVERGED, count, bound, True)
-        if prev is not None:
-            last_delta = norm(value - prev)
-            # the divergence heuristic outranks the quiet rule: past the
-            # blowup threshold a still-growing sequence is never accepted
-            # as converged
-            if mag > blowup and mag > prev_abs:
-                growing += 1
-                if growing >= policy.window:
-                    return ConvergenceReport(value, DIVERGED, count, last_delta, False)
-            else:
-                growing = 0
-            if remainder is None:
-                if growing == 0 and last_delta <= policy.tol * max(1.0, prev_abs):
-                    quiet += 1
-                    if quiet >= policy.window:
-                        return ConvergenceReport(value, CONVERGED, count, last_delta, False)
-                else:
-                    quiet = 0
-        prev = value
-        prev_abs = mag
-        if count >= policy.max_terms:
+
+    _STATE = ("quiet_counts", "steps", "mag", "kind", "run")
+
+    def __init__(self, policy: ConvergencePolicy, certified):
+        self.policy = policy
+        # with a certificate the quiet rule is off: the certificate decides
+        self.quiet_counts = ~np.asarray(certified, dtype=bool).reshape(-1, 1)
+        column = (self.quiet_counts.size, 1)
+        self.steps = np.zeros(column, dtype=np.int64)
+        self.mag = np.full(column, np.nan)
+        self.kind = np.zeros(column, dtype=np.uint8)
+        self.run = np.zeros(column, dtype=np.int64)
+
+    def take(self, rows) -> "_Rule":
+        """The state of the sequences at ``rows``, an index array or mask."""
+        return self._with([getattr(self, name)[rows] for name in _Rule._STATE])
+
+    @staticmethod
+    def stack(parts: list["_Rule"]) -> "_Rule":
+        """One state holding the sequences of ``parts``, in order."""
+        return parts[0]._with([np.concatenate([getattr(part, name) for part in parts])
+                               for name in _Rule._STATE])
+
+    def _with(self, arrays) -> "_Rule":
+        other = object.__new__(_Rule)
+        other.policy = self.policy
+        for name, array in zip(_Rule._STATE, arrays):
+            setattr(other, name, array)
+        return other
+
+    def lookahead(self) -> int:
+        """How many steps every sequence can take before its streak could
+        reach ``window`` or it could reach the ``max_terms`` cap."""
+        p = self.policy
+        streak = int((self.run * (self.kind > 0)).max())
+        return min(p.window - streak, p.max_terms - int(self.steps.max()))
+
+    def feed(self, mag, delta, bound):
+        """Advance every sequence through one chunk of n steps.
+
+        ``mag``, ``delta`` and ``bound`` are (sequences, n) arrays: the
+        magnitude of each value, its step from the value before (``inf``
+        at a sequence's first value) and the certificate's bound on the
+        remainder (``inf`` without one).  Returns ``(at, why, used)`` per
+        sequence: the position in the chunk of the step it stopped at, why
+        (``_GOING``, at the last position, where it did not stop), and the
+        steps it had taken by then.
+        """
+        p = self.policy
+        n = mag.shape[1]
+        pos = np.arange(n)
+        before = np.concatenate((self.mag, mag[:, :-1]), axis=1)
+        # the divergence heuristic outranks the quiet rule: past the blowup
+        # threshold a still-growing sequence is never accepted as converged
+        grow = (mag > 1.0 / p.tol) & (mag > before)
+        quiet = np.greater((delta <= p.tol * np.maximum(1.0, before)) & self.quiet_counts, grow)
+        kind = (quiet.view(np.uint8) << 1) | grow.view(np.uint8)
+        fresh = kind != np.concatenate((self.kind, kind[:, :-1]), axis=1)
+        # a streak starts where the kind changes; the carried one at -run
+        run = pos + 1 - np.maximum.accumulate(np.where(fresh, pos, -self.run), axis=1)
+        streak = (run >= p.window) & (kind > 0)
+        bad = ~np.isfinite(mag)
+        certified = bound <= p.tol * np.maximum(1.0, mag)
+        stop = streak | bad | certified
+        if self.steps.max() + n >= p.max_terms:
+            stop |= self.steps + pos >= p.max_terms - 1
+        hit = stop.any(axis=1)
+        at = np.where(hit, np.argmax(stop, axis=1), n - 1)
+        why = np.full(at.size, _GOING)
+        for r in np.flatnonzero(hit).tolist():
+            a = at[r]
+            # the reasons in order of precedence; a streak's kind + 2 is
+            # _BLOWUP or _QUIET
+            why[r] = (_NON_FINITE if bad[r, a] else _CERTIFIED if certified[r, a]
+                      else kind[r, a] + 2 if streak[r, a] else _CAP)
+        used = self.steps[:, 0] + at + 1
+        self.steps = self.steps + n
+        self.mag, self.kind, self.run = mag[:, -1:], kind[:, -1:], run[:, -1:]
+        return at, why, used
+
+
+def _report(why, terms, value, before, delta, bound) -> ConvergenceReport:
+    """The report of a sequence the rule stopped at ``value``, its
+    ``terms``-th, for the reason ``why``; ``before`` is the value before it
+    (nan at the first), ``delta`` and ``bound`` those of its step."""
+    terms = int(terms)
+    if why == _NON_FINITE:
+        return ConvergenceReport(before, DIVERGED, terms, math.inf, False)
+    if why == _CERTIFIED:
+        return ConvergenceReport(value, CONVERGED, terms, float(bound), True)
+    status = {_BLOWUP: DIVERGED, _QUIET: CONVERGED}.get(why, UNDETERMINED)
+    return ConvergenceReport(value, status, terms, float(delta), False)
+
+
+def _feed(sources: list[Iterator], rule: _Rule, last: list, remainders: list,
+          norm: Callable = abs) -> list:
+    """Run the stopping rule over sequences given as iterators of estimates.
+
+    Sequence s is drawn from ``sources[s]`` and is ``rule``'s sequence s;
+    ``last[s]`` is the value before its first one (``None`` at its start)
+    and ``remainders[s]`` its certificate's bound, or ``None``.  ``norm``
+    measures an estimate and a step between two (``abs`` for scalars, the
+    max-abs entry for vectors).  The first value never counts toward the
+    quiet streak (there is no previous value to compare to).  All
+    sequences advance together, in chunks as long as the shortest
+    :meth:`_Rule.lookahead`, and a sequence's chunk ends at a non-finite
+    value, so no value is drawn past a stop.
+
+    Returns per sequence its report, or the exception its iterator
+    raised, kept to be raised in its place in the order; the sequences
+    after one that raised are dropped, with outcome ``None``.
+    """
+    estimate = [math.nan if value is None else value for value in last]
+    last_delta = [math.inf] * len(sources)
+    outcome: list = [None] * len(sources)
+    rows = list(range(len(sources)))
+    tol = rule.policy.tol
+    while rows:
+        width = rule.lookahead()
+        drawn, mag, delta, bound = [], [], [], []
+        steps = rule.steps[:, 0].tolist()
+        for r, row in enumerate(rows):
+            values, mags, deltas, bounds = [], [], [], []
+            before, remainder = last[row], remainders[row]
+            try:
+                for k, value in enumerate(itertools.islice(sources[row], width), steps[r] + 1):
+                    size = norm(value)
+                    values.append(value)
+                    mags.append(size)
+                    deltas.append(math.inf if before is None else norm(value - before))
+                    bounds.append(math.inf if remainder is None else remainder(k))
+                    # a value that may stop the sequence by itself ends its chunk
+                    if not math.isfinite(size):
+                        break
+                    before = value
+                    if bounds[-1] <= tol * max(1.0, size):
+                        break
+            except Exception as exc:  # noqa: BLE001  (raised again by the caller, in order)
+                outcome[row] = exc
+                rows, rule = rows[:r], rule.take(slice(r))
+                break
+            last[row] = before
+            drawn.append((values, deltas))
+            pad = width - len(values)
+            mag.append(mags + [math.nan] * pad)  # nan past a sequence's end
+            delta.append(deltas + [math.inf] * pad)
+            bound.append(bounds + [math.inf] * pad)
+        if not rows:
             break
-    return ConvergenceReport(estimate, UNDETERMINED, count, last_delta, False)
+        mag, delta, bound = np.array((mag, delta, bound))
+        at, why, used = (part.tolist() for part in rule.feed(mag, delta, bound))
+        going = []
+        for r, row in enumerate(rows):
+            (values, deltas), a = drawn[r], at[r]
+            if why[r] == _GOING:
+                going.append(r)
+                estimate[row], last_delta[row] = values[-1], deltas[-1]
+            elif a < len(values):
+                outcome[row] = _report(why[r], used[r], values[a],
+                                       values[a - 1] if a else estimate[row],
+                                       deltas[a], bound[r][a])
+            else:  # the sequence ended before the rule stopped it
+                outcome[row] = ConvergenceReport(
+                    values[-1] if values else estimate[row], UNDETERMINED, used[r] - 1,
+                    deltas[-1] if values else last_delta[row], False)
+        if len(going) < len(rows):
+            rule, rows = rule.take(going), [rows[r] for r in going]
+    return outcome
+
+
+def _stabilize(values: Iterator, policy: ConvergencePolicy,
+               norm: Callable = abs) -> ConvergenceReport:
+    """Run the stopping rule over successive estimates of one sequence (see
+    :func:`_feed`); an error raised while drawing them propagates."""
+    outcome, = _feed([iter(values)], _Rule(policy, [False]), [None], [None], norm)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _partials(term: Callable[[int], float], s: float, k: int) -> Iterator[float]:
+    """The partial sums ``s + term(k)``, ``... + term(k + 1)``, ... one at
+    a time; nan from the first non-finite term on."""
+    while True:
+        t = term(k)
+        s = s + t if math.isfinite(t) else math.nan
+        yield s
+        k += 1
 
 
 def sum_series(term: Callable[[int], float],
                policy: ConvergencePolicy | None = None,
-               tail: GeometricTail | None = None,
-               terms: Callable[[int, int], "np.ndarray | None"] | None = None
-               ) -> ConvergenceReport:
+               tail: GeometricTail | None = None) -> ConvergenceReport:
     """Sum ``term(1) + term(2) + ...`` until the stopping rule fires.
 
     ``term`` must be a pure function on indices 1, 2, 3, ...  A non-finite
     term value yields a diverged verdict whose ``terms_used`` names the
     offending index.  Partial sums are accumulated in ascending index
-    order, so results are deterministic.
+    order, so results are deterministic.  This is the batch of one of
+    :func:`sum_series_batch`, with no term runs.
+    """
+    return next(sum_series_batch([(term, tail)], policy))
 
-    ``terms(k0, k1)``, optional, returns the float64 array ``term(k0)``
-    ... ``term(k1 - 1)`` bit for bit, or ``None``.  It is asked for chunks
-    of ``window + 1`` terms, then twice as many each time, clipped at
-    ``max_terms``; a chunk's partial sums come from ``np.add.accumulate``
-    seeded with the running sum, the same bits as adding term by term, and
-    each goes through the same stopping rule.  A chunk that is declined or
-    holds a non-finite value is evaluated through ``term`` one index at a
-    time, so the report, and any error ``term`` raises before the stop,
-    are those of the scalar sum.  Runs may reach up to about twice as far
-    as the stop; ``term`` is never asked past it.
+
+def sum_series_batch(series, policy: ConvergencePolicy | None = None,
+                     runs: Callable[[int, int, np.ndarray], "np.ndarray | None"] | None = None
+                     ) -> Iterator[ConvergenceReport]:
+    """Sum several series together; yields their reports in order.
+
+    ``series`` holds ``(term, tail)`` pairs, each as :func:`sum_series`
+    takes them.  ``runs(k0, k1, rows)``, optional, returns the terms
+    ``k0`` ... ``k1 - 1`` of the series at positions ``rows`` (an index
+    array) as a ``len(rows)``-by-``(k1 - k0)`` float64 array, bit for bit
+    what ``term`` gives, or ``None``.  The series advance through shared
+    chunks of ``window + 1`` terms, then twice as many each time, clipped
+    at ``max_terms`` and at :data:`BATCH_CELLS` cells: a chunk's partial
+    sums are ``np.add.accumulate`` seeded with the running sums, the same
+    bits as adding term by term, and one pass of the stopping rule stops
+    each series at its own first firing step.  A series whose chunk is
+    declined or holds a non-finite term leaves the batch and is summed on
+    through ``term`` from its own state, one index at a time, together with
+    the others that left, before the first report is yielded.  So every
+    report, and any error ``term`` raises before the stop, are those of the
+    series summed alone; an error is raised in its place in the order, and
+    the series after it are not summed on.  Runs may reach up to about
+    twice as far as the stop; ``term`` is never asked past it.
     """
     policy = policy or ConvergencePolicy()
-
-    def partials():
-        s = 0.0
-        k0, size = 1, policy.window + 1
-        while k0 <= policy.max_terms:
-            k1 = min(k0 + size, policy.max_terms + 1)
-            run = terms(k0, k1) if terms is not None else None
-            if run is not None and np.all(np.isfinite(run)):
-                with np.errstate(over="ignore"):  # inf, as a float sum overflows
-                    sums = np.add.accumulate(np.concatenate(([s], run)))
-                yield from sums[1:].tolist()
-                s = float(sums[-1])
-            else:
-                for k in range(k0, k1):
-                    t = term(k)
-                    s = s + t if math.isfinite(t) else math.nan
-                    yield s
-            k0, size = k1, 2 * size
-
-    return _stabilize(partials(), policy,
-                      remainder=tail.remainder if tail is not None else None)
+    series = list(series)
+    tails = [tail for _, tail in series]
+    rule = _Rule(policy, [tail is not None for tail in tails])
+    rows = np.arange(len(series))       # the series still in the batch
+    sums = np.zeros(len(series))        # and their running sums
+    outcome: list = [None] * len(series)
+    left = []                           # (state, series, sums, k0) of those that left
+    k0, size = 1, policy.window + 1
+    while rows.size:
+        width = min(size, max(policy.window + 1, BATCH_CELLS // rows.size))
+        k1 = min(k0 + width, policy.max_terms + 1)
+        run = runs(k0, k1, rows) if runs is not None else None
+        stay = (np.all(np.isfinite(run), axis=1) if run is not None
+                else np.zeros(rows.size, dtype=bool))
+        if not stay.all():
+            left.append((rule.take(~stay), rows[~stay], sums[~stay], k0))
+            rule, rows, sums = rule.take(stay), rows[stay], sums[stay]
+            if not rows.size:
+                break
+            run = run[stay]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, as a float sum overflows
+            partial = np.add.accumulate(np.concatenate((sums[:, None], run), axis=1), axis=1)
+            delta = np.abs(np.diff(partial, axis=1))
+        if k0 == 1:
+            delta[:, 0] = math.inf
+        bound = np.full(run.shape, math.inf)
+        for r in np.flatnonzero(~rule.quiet_counts[:, 0]):
+            bound[r] = [tails[rows[r]].remainder(k) for k in range(k0, k1)]
+        at, why, used = rule.feed(np.abs(partial[:, 1:]), delta, bound)
+        for r in np.flatnonzero(why != _GOING):
+            a = at[r]
+            before = float(partial[r, a]) if k0 + a > 1 else math.nan
+            outcome[rows[r]] = _report(why[r], used[r], float(partial[r, a + 1]), before,
+                                       delta[r, a], bound[r, a])
+        going = why == _GOING
+        rule, rows, sums = rule.take(going), rows[going], partial[going, -1]
+        k0, size = k1, 2 * size
+    if left:
+        # the series that left go on through ``term``, together, in order
+        index = np.concatenate([part[1] for part in left])
+        order = np.argsort(index)
+        state = _Rule.stack([part[0] for part in left]).take(order)
+        sums = np.concatenate([part[2] for part in left])[order].tolist()
+        starts = np.concatenate([np.full(part[1].size, part[3]) for part in left])[order]
+        index, starts = index[order].tolist(), starts.tolist()
+        resumed = _feed([_partials(series[i][0], s, k) for i, s, k in zip(index, sums, starts)],
+                        state, [s if k > 1 else None for s, k in zip(sums, starts)],
+                        [tails[i].remainder if tails[i] is not None else None for i in index])
+        for i, result in zip(index, resumed):
+            outcome[i] = result
+    for result in outcome:
+        if isinstance(result, Exception):
+            raise result
+        yield result
 
 
 def _sizes_of(schedule) -> list[int]:

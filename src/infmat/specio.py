@@ -26,7 +26,7 @@ from . import expr_dsl
 from .errors import SchemaError
 from .matrix_core import (DecayCertificate, DenseMatrix, Extent, INFINITE,
                           MatrixSpec, banded_spec, diagonal_spec,
-                          entrywise_spec, finite_support_spec,
+                          entrywise_spec, extents_equal, finite_support_spec,
                           is_finite_extent, spot_check_decay, transpose)
 
 _MATRIX_KINDS = ("dense", "expr", "banded", "diag", "finite-support")
@@ -84,12 +84,15 @@ def matrix_from_obj(obj, ctx="matrix spec") -> MatrixSpec:
                                   f"data shape {dm.m}x{dm.n}")
         spec = dm
     else:
-        rows = _parse_extent(_require(obj, "rows", ctx), "rows")
-        cols = _parse_extent(_require(obj, "cols", ctx), "cols")
+        rows = _parse_extent(_require(obj, "rows", ctx), f"{ctx}: rows")
+        cols = _parse_extent(_require(obj, "cols", ctx), f"{ctx}: cols")
         if kind == "expr":
             oracle, block = _formula_oracles(_require(obj, "expr", ctx))
             spec = dataclasses.replace(entrywise_spec(oracle, rows, cols), block=block)
         elif kind == "diag":
+            if not extents_equal(rows, cols):
+                raise SchemaError(f"{ctx}: a diag spec is square, but rows = "
+                                  f"{obj['rows']!r} and cols = {obj['cols']!r}")
             entry2 = expr_dsl.compile_entry(_require(obj, "expr", ctx))
 
             def diag_fn(i, _e=entry2):
@@ -112,9 +115,14 @@ def matrix_from_obj(obj, ctx="matrix spec") -> MatrixSpec:
             sup = _require(obj, "support", ctx)
             if not (isinstance(sup, dict) and "rows" in sup and "cols" in sup):
                 raise SchemaError(f"{ctx}: support must carry rows and cols")
+            for axis in ("rows", "cols"):
+                size = sup[axis]
+                if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+                    raise SchemaError(f"{ctx}: support {axis} must be a positive "
+                                      f"integer, got {size!r}")
             oracle, block = _formula_oracles(_require(obj, "expr", ctx))
             spec = dataclasses.replace(
-                finite_support_spec(oracle, int(sup["rows"]), int(sup["cols"]), rows, cols),
+                finite_support_spec(oracle, sup["rows"], sup["cols"], rows, cols),
                 block=block)
 
     if "decay" in obj and obj["decay"] is not None:
@@ -193,7 +201,7 @@ def family_from_obj(obj, ctx="family spec") -> MatrixSpec:
     and transposed."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{ctx}: expected an object")
-    count = _parse_extent(_require(obj, "count", ctx), "count")
+    count = _parse_extent(_require(obj, "count", ctx), f"{ctx}: count")
     vectors = _require(obj, "vectors", ctx)
     if isinstance(vectors, dict) and vectors.get("kind") != "dense":
         vectors = dict(vectors, rows=obj["count"], cols="inf")

@@ -3,10 +3,12 @@
 Each oracle deliberately takes a different route than the library code it
 checks: cofactor expansion against pivoted elimination, exact rational
 elimination against floating-point rank, classical Gram-Schmidt against
-the Gram-block elimination, and an exact characteristic polynomial
-against root bracketing.
+the Gram-block elimination, an exact characteristic polynomial
+against root bracketing, and the stopping rule as a loop over steps
+against the rule over arrays of steps.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -236,3 +238,46 @@ def section_cells(n, bandwidth=None) -> set:
     of the diagonal when it is given."""
     return {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
             if bandwidth is None or abs(i - j) <= bandwidth}
+
+
+def stopping_rule(values, tol, window, max_terms, remainder=None):
+    """The stopping rule stepped one value at a time, as a plain loop.
+
+    ``values`` are successive scalar estimates and ``remainder(count)``
+    an optional certificate's bound.  Returns ``(estimate, status,
+    terms_used, last_delta, certified)``, the fields of the library's
+    report, with the statuses as strings.
+    """
+    blowup = 1.0 / tol
+    prev, prev_abs = None, 0.0
+    estimate, last_delta = math.nan, math.inf
+    quiet = growing = count = 0
+    for value in values:
+        count += 1
+        mag = abs(value)
+        if not math.isfinite(mag):
+            return estimate, "diverged", count, math.inf, False
+        estimate = value
+        if remainder is not None:
+            bound = remainder(count)
+            if bound <= tol * max(1.0, mag):
+                return value, "converged", count, bound, True
+        if prev is not None:
+            last_delta = abs(value - prev)
+            if mag > blowup and mag > prev_abs:
+                growing += 1
+                if growing >= window:
+                    return value, "diverged", count, last_delta, False
+            else:
+                growing = 0
+            if remainder is None:
+                if growing == 0 and last_delta <= tol * max(1.0, prev_abs):
+                    quiet += 1
+                    if quiet >= window:
+                        return value, "converged", count, last_delta, False
+                else:
+                    quiet = 0
+        prev, prev_abs = value, mag
+        if count >= max_terms:
+            break
+    return estimate, "undetermined", count, last_delta, False

@@ -155,3 +155,24 @@ def test_family_columns_are_its_vectors():
         "kind": "expr", "expr": "delta(j,i) + delta(j,i+1)"}})
     assert truncate(fam, 3, 3).tolist() == [[1, 0, 0], [1, 1, 0], [0, 1, 1]]
     assert fam.block is not None
+
+
+@pytest.mark.parametrize("obj", [
+    {"rows": 3, "cols": 5, "kind": "diag", "expr": "1"},
+    {"rows": 3, "cols": "inf", "kind": "diag", "expr": "1"},
+    {"rows": "inf", "cols": "inf", "kind": "finite-support", "expr": "1/(i+j)",
+     "support": {"rows": -2, "cols": 2}},
+    {"rows": "inf", "cols": "inf", "kind": "finite-support", "expr": "1/(i+j)",
+     "support": {"rows": "x", "cols": 2}},
+    {"rows": "inf", "cols": "inf", "kind": "finite-support", "expr": "1/(i+j)",
+     "support": {"rows": 2, "cols": 1.5}},
+])
+def test_bad_shape_is_a_schema_error_naming_the_file(obj, tmp_path, capsys):
+    from infmat.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["truncate", str(path), "--n", "3", "--quiet"]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == "schema-error"
+    assert str(path) in err["message"]

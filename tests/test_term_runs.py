@@ -1,11 +1,12 @@
-"""Term runs: series sums fed chunks of terms, against the scalar sum.
+"""Term runs: series summed as a batch fed chunks of terms, against the
+scalar sum.
 
-``sum_series(term, policy, tail, terms=run)`` must give the report of
-``sum_series(term, policy, tail)`` bit for bit, or raise what it raises:
-the stopping rule sees the same partial sums, and a chunk the run
-declines, or one holding a non-finite term, is evaluated through
-``term``.  ``matmul`` and ``orthogonalize`` feed runs from the leading
-entries of rows and columns read through the block oracle
+Each report of ``sum_series_batch(series, policy, runs)`` must be that of
+``sum_series(term, policy, tail)`` for its series, bit for bit, or raise
+what it raises: the stopping rule sees the same partial sums, and a series
+whose chunk the runs decline, or whose chunk holds a non-finite term, is
+summed on through ``term``.  ``matmul`` and ``orthogonalize`` feed runs
+from the leading entries of rows and columns read through the block oracle
 (``matrix_core.Lines``); with the block removed every term is scalar.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import counting
+from oracles import counting, stopping_rule
 from test_block_oracle import expr_spec, scalar
 from test_expr_dsl import _asts
 from test_golden_cli import GEO_ROWS3, POLY_A, POLY_B, POLY_ROWS4
@@ -30,7 +31,8 @@ from infmat.bases_orth import orthogonalize
 from infmat.cli import main
 from infmat.expr_dsl import EvalError, pretty
 from infmat.matrix_core import Lines
-from infmat.series import ConvergencePolicy, GeometricTail, sum_series
+from infmat.series import (ConvergencePolicy, ConvergenceReport, GeometricTail, sum_series,
+                           sum_series_batch)
 from infmat.specio import matrix_from_obj
 
 
@@ -71,6 +73,15 @@ def orth_outcome(spec, policy):
             rep.A_prime.coefficients.view(np.int64).tolist())
 
 
+def summed(term, policy, tail, run):
+    """``term``'s sum as a batch of one, with the 1-d runs ``run(k0, k1)``."""
+    def runs(k0, k1, rows):
+        chunk = run(k0, k1)
+        return None if chunk is None else chunk[None, :]
+
+    return next(sum_series_batch([(term, tail)], policy, runs))
+
+
 policies = st.builds(lambda tol, window, max_terms: ConvergencePolicy(
     tol, window, max(max_terms, window + 1)),
     st.sampled_from([1e-10, 1e-6, 1e-3]), st.integers(1, 5), st.integers(4, 3000))
@@ -89,8 +100,9 @@ def test_row_times_column_runs_match_the_scalar_sum(row, col, i, j, policy, tail
     def term(l):
         return A.entry(i, l) * B.entry(l, j)
 
-    run = _line_product(Lines(A, [i], 0), 0, Lines(B, [j], 1), 0)
-    assert (outcome(lambda: sum_series(term, policy, tail, terms=run))
+    first = np.zeros(1, dtype=int)
+    runs = _line_product(Lines(A, [i], 0), first, Lines(B, [j], 1), first)
+    assert (outcome(lambda: next(sum_series_batch([(term, tail)], policy, runs)))
             == outcome(lambda: sum_series(term, policy, tail)))
 
 
@@ -136,11 +148,95 @@ def test_declined_and_non_finite_chunks_match_the_scalar_sum(table, window, max_
 
     want = outcome(lambda: sum_series(term, policy, tail))
     evaluated.clear()
-    got = outcome(lambda: sum_series(term, policy, tail, terms=run))
+    got = outcome(lambda: summed(term, policy, tail, run))
     assert got == want
     # term is asked only up to the stop (or the index that raised)
     stop = want[1][3] if want[0] == "ok" else int(want[2].split()[1])
     assert all(k <= stop for k in evaluated)
+
+
+_entries = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(-1e-9, 1e-9),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, 3e10, "error"]))
+_growing = st.builds(lambda c, g, n: [c * g ** k for k in range(n)],
+                     st.floats(1e2, 1e8) | st.floats(-1e8, -1e2), st.floats(1.5, 4.0),
+                     st.integers(1, 40))
+_tables = st.lists(_entries, min_size=1, max_size=60) | _growing | st.builds(
+    lambda xs, at, bad: xs[:at] + [bad] + xs[at:], _growing, st.integers(0, 40),
+    st.sampled_from([math.nan, math.inf, "error"]))
+
+
+@given(st.lists(st.tuples(_tables, tails), min_size=1, max_size=6),
+       st.sets(st.integers(1, 200)), st.sampled_from([1e-10, 1e-6, 1e-3]),
+       st.integers(1, 4), st.integers(2, 90))
+def test_batch_reports_match_one_at_a_time_sums(drawn, declined, tol, window, max_terms):
+    # each series of a batch, whatever the others do, must end as it ends
+    # summed alone: same report bits, or the same error in its place
+    policy = ConvergencePolicy(tol, window, max(max_terms, window + 1))
+    asked = [[] for _ in drawn]
+
+    def value(s, k):
+        table = drawn[s][0]
+        return table[(k - 1) % len(table)]
+
+    def term_of(s):
+        def term(k):
+            asked[s].append(k)
+            if value(s, k) == "error":
+                raise _Bad(f"series {s} term {k}")
+            return value(s, k)
+
+        return term
+
+    def runs(k0, k1, rows):
+        chunk = [[value(s, k) for k in range(k0, k1)] for s in rows.tolist()]
+        if k0 in declined or any("error" in line for line in chunk):
+            return None
+        return np.array(chunk, dtype=float)
+
+    series = [(term_of(s), tail) for s, (_, tail) in enumerate(drawn)]
+    alone = [outcome(lambda term=term, tail=tail: sum_series(term, policy, tail))
+             for term, tail in series]
+    for lines in asked:
+        lines.clear()
+    got, raised = [], None
+    try:
+        for rep in sum_series_batch(series, policy, runs):
+            got.append(("ok", bits(rep)))
+    except _Bad as exc:
+        raised = ("raised", type(exc), str(exc))
+    failed = next((s for s, want in enumerate(alone) if want[0] == "raised"), None)
+    assert got == alone[:failed]
+    assert raised == (alone[failed] if failed is not None else None)
+    # no term is asked past the stop of its series, or the term that raised
+    for s, want in enumerate(alone):
+        stop = want[1][3] if want[0] == "ok" else int(want[2].split()[-1])
+        assert all(k <= stop for k in asked[s])
+
+
+@given(st.lists(_entries.filter(lambda v: v != "error"), min_size=1, max_size=60),
+       st.sampled_from([1e-10, 1e-6, 1e-3]), st.integers(1, 4), st.integers(2, 90), tails)
+def test_sum_matches_the_rule_stepped_one_term_at_a_time(table, tol, window, max_terms, tail):
+    # the array rule against the plain loop of tests/oracles.py, over the
+    # same partial sums
+    policy = ConvergencePolicy(tol, window, max(max_terms, window + 1))
+
+    def term(k):
+        return table[(k - 1) % len(table)]
+
+    def partials():
+        s, k = 0.0, 1
+        while True:
+            t = term(k)
+            s = s + t if math.isfinite(t) else math.nan
+            yield s
+            k += 1
+
+    rep = sum_series(term, policy, tail)
+    want = stopping_rule(partials(), policy.tol, policy.window, policy.max_terms,
+                         tail.remainder if tail is not None else None)
+    assert bits(rep) == bits(ConvergenceReport(*want))
 
 
 def test_runs_replace_every_term_call():
@@ -154,10 +250,10 @@ def test_runs_replace_every_term_call():
         return 1.0 / np.arange(k0, k1, dtype=float) ** 2
 
     policy = ConvergencePolicy(max_terms=5000)
-    assert outcome(lambda: sum_series(term, policy, terms=run)) == \
+    assert outcome(lambda: summed(term, policy, None, run)) == \
         outcome(lambda: sum_series(term, policy))
     calls.clear()
-    sum_series(term, policy, terms=run)
+    summed(term, policy, None, run)
     assert calls == []
 
 
@@ -168,7 +264,7 @@ def test_chunks_double_from_window_plus_one():
         asked.append((k0, k1))
         return np.ones(k1 - k0)
 
-    sum_series(lambda k: 1.0, ConvergencePolicy(window=2, max_terms=40), terms=run)
+    summed(lambda k: 1.0, ConvergencePolicy(window=2, max_terms=40), None, run)
     assert asked == [(1, 4), (4, 10), (10, 22), (22, 41)]
 
 
@@ -224,6 +320,16 @@ def test_gram_error_before_the_stop_is_the_scalar_error():
     want = orth_outcome(scalar(traced), GRAM)
     assert got == want == ("raised", EvalError, "division by zero")
     assert at == last == [(1, 40)]
+
+
+def test_nested_product_error_past_the_stop_is_not_raised():
+    # (XY)Z reads rows of XY by block in runs that reach past its stop
+    # (22 terms), into the column 25 where every entry of XY raises
+    XY = matmul(expr_spec("1/(i+j)^3"), expr_spec("1/(i+j)^2 + 0/(j-25)"), LOOSE).matrix
+    Z = expr_spec("1/(i+j)^2")
+    got = product_outcome(XY, Z, LOOSE)
+    assert got[0] == "ok"
+    assert got == product_outcome(scalar(XY), Z, LOOSE)
 
 
 def run_cli(argv):
