@@ -82,11 +82,10 @@ def best_sum(A, B, runs):
     def term(l):
         return A.entry(1, l) * B.entry(l, 1)
 
-    first = np.zeros(1, dtype=int)
     best = None
     for _ in range(REPEAT):
         batch = sum_series_batch([(term, None)], SERIES_POLICY, _line_product(
-            Lines(A, [1], 0), first, Lines(B, [1], 1), first)) if runs else None
+            Lines(A, [1], 0), Lines(B, [1], 1), [(0, 0)])) if runs else None
         start = time.perf_counter()
         report = next(batch) if runs else sum_series(term, SERIES_POLICY)
         elapsed = time.perf_counter() - start

@@ -144,19 +144,19 @@ def _series_entry(A, B, pairs, policy):
     ea, eb = A.entry, B.entry
     series = [(lambda l, _i=i, _j=j: ea(_i, l) * eb(l, _j),
                _product_tail(A.decay, B.decay, i, j)) for i, j in pairs]
-    yield from sum_series_batch(series, policy,
-                                _line_product(Lines(A, rows, 0), p, Lines(B, cols, 1), q))
+    yield from sum_series_batch(series, policy, _line_product(
+        Lines(A, rows, 0), Lines(B, cols, 1), list(zip(p, q))))
 
 
-def _line_product(left, p, right, q):
-    """Term runs of ``left[p[s]][l] * right[q[s]][l]`` for the series s of a
-    :func:`sum_series_batch`.
+def _line_product(left, right, pairs):
+    """Term runs of ``left[p][l] * right[q][l]`` for the series of a
+    :func:`sum_series_batch`, one per ``(p, q)`` in ``pairs``.
 
     ``left`` and ``right`` map n to the first n entries of some lines, as
-    :class:`Lines` does, or to ``None``; the index arrays ``p`` and ``q``
-    pick, for each series, one line of each (0-based).  A run is ``None``
-    where either side is.
+    :class:`Lines` does, or to ``None``; ``p`` and ``q`` pick one line of
+    each (0-based).  A run is ``None`` where either side is.
     """
+    p, q = np.array(pairs, dtype=int).reshape(-1, 2).T
 
     def runs(k0, k1, rows):
         a = left(k1 - 1)

@@ -88,8 +88,8 @@ def _gram_series(A: MatrixSpec, pairs, policy: ConvergencePolicy,
             C, r = A.decay.C, A.decay.r
             tail = GeometricTail(C * C * r ** (p + q), r * r)
         series.append((lambda j, _p=p, _q=q: ea(_p, j) * ea(_q, j), tail))
-    first, second = (np.array([pair[k] - 1 for pair in pairs], dtype=int) for k in (0, 1))
-    return sum_series_batch(series, policy, _line_product(lines, first, lines, second))
+    return sum_series_batch(series, policy,
+                            _line_product(lines, lines, [(p - 1, q - 1) for p, q in pairs]))
 
 
 def _checked_sums(pairs, sums, message):
@@ -196,9 +196,7 @@ def orthogonalize(A: MatrixSpec,
                 # |A'_p(j)| <= amp_p * r^j, so the term is <= amp_p amp_q (r^2)^j
                 tail = GeometricTail(float(amp[p] * amp[q]), r * r)
             series.append((term, tail))
-        first, second = (np.array([pair[k] for pair in pairs], dtype=int) for k in (0, 1))
-        sums = sum_series_batch(series, policy,
-                                _line_product(transformed, first, transformed, second))
+        sums = sum_series_batch(series, policy, _line_product(transformed, transformed, pairs))
         for dot in _checked_sums([(p + 1, q + 1) for p, q in pairs], sums,
                                  lambda p, q, rep: f"orthogonality check for rows {p}, {q} "
                                                    f"{rep.status}"):

@@ -100,8 +100,7 @@ def test_row_times_column_runs_match_the_scalar_sum(row, col, i, j, policy, tail
     def term(l):
         return A.entry(i, l) * B.entry(l, j)
 
-    first = np.zeros(1, dtype=int)
-    runs = _line_product(Lines(A, [i], 0), first, Lines(B, [j], 1), first)
+    runs = _line_product(Lines(A, [i], 0), Lines(B, [j], 1), [(0, 0)])
     assert (outcome(lambda: next(sum_series_batch([(term, tail)], policy, runs)))
             == outcome(lambda: sum_series(term, policy, tail)))
 
