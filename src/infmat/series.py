@@ -255,8 +255,9 @@ def _feed(sources: list[Iterator], rule: _Rule, last: list, remainders: list,
     max-abs entry for vectors).  The first value never counts toward the
     quiet streak (there is no previous value to compare to).  All
     sequences advance together, in chunks as long as the shortest
-    :meth:`_Rule.lookahead`, and a sequence's chunk ends at a non-finite
-    value, so no value is drawn past a stop.
+    :meth:`_Rule.lookahead`, and a sequence's chunk ends at a value that
+    may stop it by itself (a non-finite one, or one its certificate
+    bounds), so no value is drawn past a stop.
 
     Returns per sequence its report, or the exception its iterator
     raised, kept to be raised in its place in the order; the sequences
@@ -363,22 +364,33 @@ def sum_series_batch(series, policy: ConvergencePolicy | None = None,
     takes them.  ``runs(k0, k1, rows)``, optional, returns the terms
     ``k0`` ... ``k1 - 1`` of the series at positions ``rows`` (an index
     array) as a ``len(rows)``-by-``(k1 - k0)`` float64 array, bit for bit
-    what ``term`` gives, or ``None``.  The series advance through shared
-    chunks of ``window + 1`` terms, then twice as many each time, clipped
-    at ``max_terms`` and at :data:`BATCH_CELLS` cells: a chunk's partial
-    sums are ``np.add.accumulate`` seeded with the running sums, the same
-    bits as adding term by term, and one pass of the stopping rule stops
-    each series at its own first firing step.  A series whose chunk is
-    declined or holds a non-finite term leaves the batch and is summed on
-    through ``term`` from its own state, one index at a time, together with
-    the others that left, before the first report is yielded.  So every
-    report, and any error ``term`` raises before the stop, are those of the
-    series summed alone; an error is raised in its place in the order, and
-    the series after it are not summed on.  Runs may reach up to about
-    twice as far as the stop; ``term`` is never asked past it.
+    what ``term`` gives, or ``None``.  The series are summed in batches of
+    ``BATCH_CELLS // (window + 1)``, each when its first report is due.
+    The series of a batch advance through shared chunks of ``window + 1``
+    terms, then twice as many each time, clipped at ``max_terms`` and at
+    :data:`BATCH_CELLS` cells: a chunk's partial sums are
+    ``np.add.accumulate`` seeded with the running sums, the same bits as
+    adding term by term, and one pass of the stopping rule stops each
+    series at its own first firing step.  A series whose chunk is declined
+    or holds a non-finite term leaves the batch and is summed on through
+    ``term`` from its own state, one index at a time, together with the
+    others that left, before the batch's first report is yielded.  So
+    every report, and any error ``term`` raises before the stop, are those
+    of the series summed alone; an error is raised in its place in the
+    order, and the series after it are not summed on.  Runs may reach up
+    to about twice as far as the stop; ``term`` is never asked past it.
     """
     policy = policy or ConvergencePolicy()
     series = list(series)
+    most = max(1, BATCH_CELLS // (policy.window + 1))
+    for start in range(0, len(series), most):
+        yield from _sum_batch(series[start:start + most], policy, None if runs is None else (
+            lambda k0, k1, rows, _start=start: runs(k0, k1, rows + _start)))
+
+
+def _sum_batch(series: list, policy: ConvergencePolicy, runs) -> Iterator[ConvergenceReport]:
+    """:func:`sum_series_batch` of at most ``BATCH_CELLS // (window + 1)``
+    series."""
     tails = [tail for _, tail in series]
     rule = _Rule(policy, [tail is not None for tail in tails])
     rows = np.arange(len(series))       # the series still in the batch
@@ -387,7 +399,7 @@ def sum_series_batch(series, policy: ConvergencePolicy | None = None,
     left = []                           # (state, series, sums, k0) of those that left
     k0, size = 1, policy.window + 1
     while rows.size:
-        width = min(size, max(policy.window + 1, BATCH_CELLS // rows.size))
+        width = min(size, BATCH_CELLS // rows.size)
         k1 = min(k0 + width, policy.max_terms + 1)
         run = runs(k0, k1, rows) if runs is not None else None
         stay = (np.all(np.isfinite(run), axis=1) if run is not None

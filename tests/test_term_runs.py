@@ -28,6 +28,7 @@ from test_golden_cli import GEO_ROWS3, POLY_A, POLY_B, POLY_ROWS4
 from infmat import specio
 from infmat.algebra import _line_product, matmul
 from infmat.bases_orth import orthogonalize
+from infmat import series as series_module
 from infmat.cli import main
 from infmat.expr_dsl import EvalError, pretty
 from infmat.matrix_core import Lines
@@ -212,6 +213,38 @@ def test_batch_reports_match_one_at_a_time_sums(drawn, declined, tol, window, ma
     for s, want in enumerate(alone):
         stop = want[1][3] if want[0] == "ok" else int(want[2].split()[-1])
         assert all(k <= stop for k in asked[s])
+
+
+def test_series_past_one_batch_are_summed_in_the_next(monkeypatch):
+    # with 8 cells a batch at window 1 holds 4 series: ten series make three
+    # batches, and an error in the second (series 4-7) stops the third from
+    # being summed
+    monkeypatch.setattr(series_module, "BATCH_CELLS", 8)
+    policy = ConvergencePolicy(tol=1e-6, window=1, max_terms=50)
+    table = np.array([[(-1.0) ** k / (k + s) ** 2 for k in range(1, 51)] for s in range(10)])
+    asked = []
+
+    def term_of(s):
+        def term(k):
+            asked.append(s)
+            if s == 5 and k == 3:
+                raise _Bad(f"series {s} term {k}")
+            return float(table[s, k - 1])
+
+        return term
+
+    def runs(k0, k1, rows):
+        return None if k0 == 1 else table[rows, k0 - 1:k1 - 1]
+
+    series = [(term_of(s), None) for s in range(10)]
+    alone = [outcome(lambda s=s: sum_series(series[s][0], policy)) for s in range(10)]
+    asked.clear()
+    got = []
+    with pytest.raises(_Bad, match="series 5 term 3"):
+        for rep in sum_series_batch(series, policy, runs):
+            got.append(("ok", bits(rep)))
+    assert got == alone[:5] and alone[5][0] == "raised"
+    assert set(asked) == set(range(8))
 
 
 @given(st.lists(_entries.filter(lambda v: v != "error"), min_size=1, max_size=60),
