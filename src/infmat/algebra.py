@@ -145,7 +145,7 @@ def _series_entry(A, B, pairs, policy):
     series = [(lambda l, _i=i, _j=j: ea(_i, l) * eb(l, _j),
                _product_tail(A.decay, B.decay, i, j)) for i, j in pairs]
     yield from sum_series_batch(series, policy, _line_product(
-        Lines(A, rows, 0), Lines(B, cols, 1), list(zip(p, q))))
+        Lines(A, rows, 0), Lines(B, cols, 1), np.column_stack((p, q))))
 
 
 def _line_product(left, right, pairs):
@@ -207,7 +207,7 @@ def matmul(A: MatrixSpec, B: MatrixSpec,
     def fill(pairs):
         # the reports of the entries at ``pairs`` not known yet, in order:
         # exact span sums, and the series summed as one batch
-        todo = [pair for pair in dict.fromkeys(pairs) if pair not in reports]
+        todo = [pair for pair in pairs if pair not in reports]
         spans = {(i, j): _intersect_supports(A.row_support(i), B.col_support(j), inner)
                  for i, j in todo}
         sums = _series_entry(A, B, [pair for pair in todo if spans[pair] is None], policy)
