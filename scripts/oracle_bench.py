@@ -36,7 +36,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from infmat.algebra import _line_product  # noqa: E402  (from src/, put on the path above)
 from infmat.matrix_core import Lines, MatrixSpec, clip_extent, truncate  # noqa: E402
-from infmat.series import ConvergencePolicy, sum_series, sum_series_batch  # noqa: E402
+from infmat.series import ConvergencePolicy, SeriesBatch, sum_series  # noqa: E402
 from infmat.specio import matrix_from_obj  # noqa: E402
 
 # the dense formula of tests/test_golden_cli.py
@@ -84,10 +84,10 @@ def best_sum(A, B, runs):
 
     best = None
     for _ in range(REPEAT):
-        batch = sum_series_batch([(term, None)], SERIES_POLICY, _line_product(
-            Lines(A, [1], 0), Lines(B, [1], 1), [(0, 0)])) if runs else None
+        batch = (SeriesBatch([None], SERIES_POLICY, _line_product(
+            Lines(A, [1], 0), Lines(B, [1], 1), [(0, 0)])), 0) if runs else None
         start = time.perf_counter()
-        report = next(batch) if runs else sum_series(term, SERIES_POLICY)
+        report = sum_series(term, SERIES_POLICY, None, batch)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return best, report

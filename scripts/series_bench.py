@@ -10,10 +10,10 @@ hold the stopping rule and the feeding of it, not the oracle.  The
 series are then summed three ways:
 
 * one at a time: ``sum_series`` through the scalar term, one series after
-  another, so the rule is fed in chunks no longer than its window;
+  another, so the rule takes one value at a time, on plain floats;
 * term runs: one series after another, each a batch of one fed chunks of
   terms from the table;
-* batch: all 64 series as one ``sum_series_batch`` over shared chunks of
+* batch: all 64 series as one ``SeriesBatch`` over shared chunks of
   terms, as ``matmul`` sums its probe.
 
 Each line gives the steps of all series (their ``terms_used``), the
@@ -34,7 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from infmat.matrix_core import Lines  # noqa: E402  (from src/, put on the path above)
-from infmat.series import ConvergencePolicy, sum_series, sum_series_batch  # noqa: E402
+from infmat.series import ConvergencePolicy, SeriesBatch, sum_series  # noqa: E402
 from infmat.specio import matrix_from_obj  # noqa: E402
 
 # the factors of the golden ``mul poly_a.json poly_b.json`` (tests/test_golden_cli.py)
@@ -63,16 +63,17 @@ def term_runs(table, policy):
         return lambda k0, k1, rows: table[s:s + 1, k0 - 1:k1 - 1]
 
     lines = table.tolist()
-    return [next(sum_series_batch([(lambda k, line=line: line[k - 1], None)], policy,
-                                  runs_of(s)))
+    return [sum_series(lambda k, line=line: line[k - 1], policy, None,
+                       (SeriesBatch([None], policy, runs_of(s)), 0))
             for s, line in enumerate(lines)]
 
 
 def batch(table, policy):
     lines = table.tolist()
-    series = [(lambda k, line=line: line[k - 1], None) for line in lines]
-    return list(sum_series_batch(series, policy,
-                                 lambda k0, k1, rows: table[rows, k0 - 1:k1 - 1]))
+    group = SeriesBatch([None] * len(lines), policy,
+                        lambda k0, k1, rows: table[rows, k0 - 1:k1 - 1])
+    return [sum_series(lambda k, line=line: line[k - 1], policy, None, (group, s))
+            for s, line in enumerate(lines)]
 
 
 WAYS = (("one at a time", one_at_a_time), ("term runs", term_runs), ("batch", batch))

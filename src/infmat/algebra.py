@@ -7,13 +7,15 @@ structure (bands, finite support, a diagonal) the inner index set is
 finite and entries are computed exactly instead.  A product over an
 infinite inner dimension is returned lazily with a sampled certification
 pass over a fixed index probe; whatever the probe finds, entries keep
-their individual reports available on demand.  The probe, and every
-block of entries a section reads (the product's ``block`` oracle), is
-summed as one batch of series whose terms come from the leading entries
-of the rows and columns involved, read once by block.
+their individual reports available on demand.  The probe is summed as
+one batch of series (:class:`~infmat.series.SeriesBatch`); the terms of
+every series entry come from the leading entries of its row of the left
+factor and its column of the right one, each read once by block for the
+whole product.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -24,7 +26,7 @@ from .matrix_core import (BANDED, EXPR, FINITE_SUPPORT, DenseMatrix, DecayCertif
                           Extent, Lines, MatrixSpec, clip_extent, extents_equal,
                           is_finite_extent, truncate)
 from .series import (CONVERGED, DIVERGED, ConvergencePolicy, ConvergenceReport,
-                     GeometricTail, exact_report, sum_series, sum_series_batch)
+                     GeometricTail, SeriesBatch, exact_report, sum_series)
 
 PROBE_SIDE = 8
 
@@ -134,23 +136,21 @@ def _product_tail(da: DecayCertificate | None, db: DecayCertificate | None,
     return GeometricTail(da.C * db.C * da.r ** i * db.r ** j, da.r * db.r)
 
 
-def _series_entry(A, B, pairs, policy):
-    """The series of the product entries at ``pairs``, ``(i, j)`` each,
-    summed as one batch (:func:`sum_series_batch`, whose reports it yields
-    in order): their term runs come from the leading entries of rows i of
-    ``A`` and columns j of ``B``, each read once by block."""
-    rows, p = np.unique([i for i, _ in pairs], return_inverse=True)
-    cols, q = np.unique([j for _, j in pairs], return_inverse=True)
+def _series_entry(A, B, i, j, policy, batch):
+    """The report of product entry (i, j), a series: series ``k`` of the
+    batch ``batch = (group, k)`` (see :func:`sum_series`)."""
     ea, eb = A.entry, B.entry
-    series = [(lambda l, _i=i, _j=j: ea(_i, l) * eb(l, _j),
-               _product_tail(A.decay, B.decay, i, j)) for i, j in pairs]
-    yield from sum_series_batch(series, policy, _line_product(
-        Lines(A, rows, 0), Lines(B, cols, 1), np.column_stack((p, q))))
+
+    def term(l, _ea=ea, _eb=eb, _i=i, _j=j):
+        return _ea(_i, l) * _eb(l, _j)
+
+    return sum_series(term, policy, _product_tail(A.decay, B.decay, i, j), batch)
 
 
 def _line_product(left, right, pairs):
-    """Term runs of ``left[p][l] * right[q][l]`` for the series of a
-    :func:`sum_series_batch`, one per ``(p, q)`` in ``pairs``.
+    """Term runs of ``left[p][l] * right[q][l]`` for a
+    :class:`~infmat.series.SeriesBatch`, one series per ``(p, q)`` in
+    ``pairs``.
 
     ``left`` and ``right`` map n to the first n entries of some lines, as
     :class:`Lines` does, or to ``None``; ``p`` and ``q`` pick one line of
@@ -202,34 +202,43 @@ def matmul(A: MatrixSpec, B: MatrixSpec,
         return ProductResult(DenseMatrix(product_ascending(da, db)), {},
                              STATUS_CONVERGED)
 
-    reports: dict[tuple[int, int], ConvergenceReport] = {}
+    # one reader per row of A and per column of B for the whole product,
+    # each grown once for all the entries that share it: the probe's rows
+    # and columns read as one block each, the others one line at a time
+    pr, pc = clip_extent(A.rows, PROBE_SIDE), clip_extent(B.cols, PROBE_SIDE)
+    probe_rows, probe_cols = Lines(A, range(1, pr + 1), 0), Lines(B, range(1, pc + 1), 1)
+    a_row = cache(lambda i: (probe_rows, i - 1) if i <= pr else (Lines(A, [i], 0), 0))
+    b_col = cache(lambda j: (probe_cols, j - 1) if j <= pc else (Lines(B, [j], 1), 0))
 
-    def fill(pairs):
-        # the reports of the entries at ``pairs`` not known yet, in order:
-        # exact span sums, and the series summed as one batch
-        todo = [pair for pair in pairs if pair not in reports]
-        spans = {(i, j): _intersect_supports(A.row_support(i), B.col_support(j), inner)
-                 for i, j in todo}
-        sums = _series_entry(A, B, [pair for pair in todo if spans[pair] is None], policy)
-        for i, j in todo:
-            span = spans[(i, j)]
-            reports[(i, j)] = (next(sums) if span is None else
-                               _exact_sum(lambda l: A.entry(i, l) * B.entry(l, j), span))
+    def report(i, j, batch=None):
+        span = _intersect_supports(A.row_support(i), B.col_support(j), inner)
+        if span is not None:
+            return _exact_sum(lambda l: A.entry(i, l) * B.entry(l, j), span)
+        if batch is None:
+            (left, p), (right, q) = a_row(i), b_col(j)
+            batch = SeriesBatch([_product_tail(A.decay, B.decay, i, j)], policy,
+                                _line_product(left, right, [(p, q)])), 0
+        return _series_entry(A, B, i, j, policy, batch)
+
+    # the probe's series entries are summed as one batch
+    probe = [(i, j) for i in range(1, pr + 1) for j in range(1, pc + 1)]
+    series = [(i, j) for i, j in probe
+              if _intersect_supports(A.row_support(i), B.col_support(j), inner) is None]
+    group = SeriesBatch([_product_tail(A.decay, B.decay, i, j) for i, j in series], policy,
+                        _line_product(probe_rows, probe_cols,
+                                      [(i - 1, j - 1) for i, j in series]))
+    at = {pair: k for k, pair in enumerate(series)}
+    reports: dict[tuple[int, int], ConvergenceReport] = {}
+    for i, j in probe:
+        reports[(i, j)] = report(i, j, (group, at[(i, j)]) if (i, j) in at else None)
 
     def reporter(i, j):
-        fill([(i, j)])
+        if (i, j) not in reports:
+            reports[(i, j)] = report(i, j)
         return reports[(i, j)]
 
     def entry(i, j):
         return reporter(i, j).estimate
-
-    def block(rows, cols):
-        pairs = [(i, j) for i in rows.tolist() for j in cols.tolist()]
-        try:
-            fill(pairs)
-        except Exception:  # noqa: BLE001  (entry raises it where a reader asks for the cell)
-            return None  # a block may be read past where its reader stops
-        return np.array([reports[pair].estimate for pair in pairs]).reshape(rows.size, cols.size)
 
     structure, bandwidth = EXPR, None
     if A.structure == B.structure == BANDED:
@@ -240,12 +249,9 @@ def matmul(A: MatrixSpec, B: MatrixSpec,
         decay = DecayCertificate(A.decay.C * B.decay.C * ra * rb / (1 - ra * rb),
                                  max(ra, rb))
     out = MatrixSpec(A.rows, B.cols, entry, structure=structure,
-                     decay=decay, bandwidth=bandwidth, block=block)
+                     decay=decay, bandwidth=bandwidth)
 
-    probe = [(i, j) for i in range(1, clip_extent(A.rows, PROBE_SIDE) + 1)
-             for j in range(1, clip_extent(B.cols, PROBE_SIDE) + 1)]
-    fill(probe)
-    probed = {pair: reports[pair] for pair in probe}
+    probed = dict(reports)
     statuses = {rep.status for rep in probed.values()}
     if statuses <= {CONVERGED}:
         overall = STATUS_CONVERGED

@@ -24,7 +24,7 @@ from .matrix_core import (DenseMatrix, Lines, MatrixSpec, Sections,
                           TruncationSchedule, extents_equal, is_finite_extent,
                           truncate)
 from .series import (ConvergencePolicy, ConvergenceReport, GeometricTail,
-                     section_limit_vector, sum_series_batch)
+                     SeriesBatch, section_limit_vector, sum_series)
 
 PIVOT_SCALE = 1e-10
 
@@ -74,31 +74,38 @@ class TransitionResult:
     column_reports: dict[int, ConvergenceReport]
 
 
-def _gram_series(A: MatrixSpec, pairs, policy: ConvergencePolicy,
-                 lines: Lines):
-    """The series of the inner products of the row pairs ``(p, q)`` in
-    ``pairs``, summed as one batch whose reports it yields in order; their
-    term runs come from ``lines``, the leading entries of all rows of
-    ``A``."""
+def _gram_tail(A: MatrixSpec, p: int, q: int) -> GeometricTail | None:
+    """The certificate of the inner product series of rows p and q."""
+    if A.decay is None:
+        return None
+    C, r = A.decay.C, A.decay.r
+    return GeometricTail(C * C * r ** (p + q), r * r)
+
+
+def _gram_series(A: MatrixSpec, p: int, q: int,
+                 policy: ConvergencePolicy, batch) -> ConvergenceReport:
+    """The series of the inner product of rows p and q: series ``k`` of
+    the batch ``batch = (group, k)`` (see :func:`sum_series`)."""
     ea = A.entry
-    series = []
-    for p, q in pairs:
-        tail = None
-        if A.decay is not None:
-            C, r = A.decay.C, A.decay.r
-            tail = GeometricTail(C * C * r ** (p + q), r * r)
-        series.append((lambda j, _p=p, _q=q: ea(_p, j) * ea(_q, j), tail))
-    return sum_series_batch(series, policy,
-                            _line_product(lines, lines, [(p - 1, q - 1) for p, q in pairs]))
+
+    def term(j, _p=p, _q=q):
+        return ea(_p, j) * ea(_q, j)
+
+    return sum_series(term, policy, _gram_tail(A, p, q), batch)
 
 
-def _checked_sums(pairs, sums, message):
-    """The estimates of ``sums``, one per pair, in order; the first that
-    did not converge raises :class:`GramConvergenceError`."""
-    for (p, q), rep in zip(pairs, sums):
-        if not rep.converged:
-            raise GramConvergenceError(message(p, q, rep), pair=(p, q), status=rep.status)
-        yield rep.estimate
+def _row_inner(A: MatrixSpec, p: int, q: int, policy, batch) -> float:
+    """Inner product of rows p and q, exact when the support is finite,
+    else the Gram series summed in ``batch``."""
+    span = _intersect_supports(A.row_support(p), A.row_support(q), A.cols)
+    if span is not None:
+        return _exact_sum(lambda j: A.entry(p, j) * A.entry(q, j), span).estimate
+    rep = _gram_series(A, p, q, policy, batch)
+    if not rep.converged:
+        raise GramConvergenceError(
+            f"inner product of rows {p} and {q} {rep.status} "
+            f"after {rep.terms_used} terms", pair=(p, q), status=rep.status)
+    return rep.estimate
 
 
 def orthogonalize(A: MatrixSpec,
@@ -119,19 +126,17 @@ def orthogonalize(A: MatrixSpec,
     # and the orthogonality check alike
     lines = Lines(A, range(1, m + 1))
 
+    # the Gram series are summed as one batch
     pairs = [(p, q) for p in range(1, m + 1) for q in range(p, m + 1)]
-    spans = {(p, q): _intersect_supports(A.row_support(p), A.row_support(q), A.cols)
-             for p, q in pairs}
-    series = [pair for pair in pairs if spans[pair] is None]
-    inner = _checked_sums(series, _gram_series(A, series, policy, lines),
-                          lambda p, q, rep: f"inner product of rows {p} and {q} "
-                                            f"{rep.status} after {rep.terms_used} terms")
+    series = [(p, q) for p, q in pairs
+              if _intersect_supports(A.row_support(p), A.row_support(q), A.cols) is None]
+    group = SeriesBatch([_gram_tail(A, p, q) for p, q in series], policy,
+                        _line_product(lines, lines, [(p - 1, q - 1) for p, q in series]))
+    at = {pair: k for k, pair in enumerate(series)}
     gram = np.empty((m, m))
     for p, q in pairs:
-        span = spans[(p, q)]
-        gram[p - 1, q - 1] = gram[q - 1, p - 1] = (
-            next(inner) if span is None else
-            _exact_sum(lambda j: A.entry(p, j) * A.entry(q, j), span).estimate)
+        batch = (group, at[(p, q)]) if (p, q) in at else None
+        gram[p - 1, q - 1] = gram[q - 1, p - 1] = _row_inner(A, p, q, policy, batch)
     gram_dm = DenseMatrix(gram)
 
     g = np.array(gram)
@@ -183,24 +188,24 @@ def orthogonalize(A: MatrixSpec,
                 known = np.concatenate((known, new), axis=1)
             return known[:, :n]
 
+        # the orthogonality-check series are summed as one batch
         pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
-        series = []
-        for p, q in pairs:
+        # |A'_p(j)| <= amp_p * r^j, so the term is <= amp_p amp_q (r^2)^j
+        tails = [None if amp is None else GeometricTail(float(amp[p] * amp[q]), r * r)
+                 for p, q in pairs]
+        group = SeriesBatch(tails, policy, _line_product(transformed, transformed, pairs))
+        for k, (p, q) in enumerate(pairs):
             def term(j, _p=p, _q=q):
                 col = [A.entry(t + 1, j) for t in range(m)]
                 w = coeff @ np.array(col)
                 return float(w[_p] * w[_q])
 
-            tail = None
-            if amp is not None:
-                # |A'_p(j)| <= amp_p * r^j, so the term is <= amp_p amp_q (r^2)^j
-                tail = GeometricTail(float(amp[p] * amp[q]), r * r)
-            series.append((term, tail))
-        sums = sum_series_batch(series, policy, _line_product(transformed, transformed, pairs))
-        for dot in _checked_sums([(p + 1, q + 1) for p, q in pairs], sums,
-                                 lambda p, q, rep: f"orthogonality check for rows {p}, {q} "
-                                                   f"{rep.status}"):
-            max_off = max(max_off, abs(dot))
+            rep = sum_series(term, policy, tails[k], (group, k))
+            if not rep.converged:
+                raise GramConvergenceError(
+                    f"orthogonality check for rows {p + 1}, {q + 1} "
+                    f"{rep.status}", pair=(p + 1, q + 1), status=rep.status)
+            max_off = max(max_off, abs(rep.estimate))
     return OrthReport(DenseMatrix(g), a_prime, max_off, gram_dm)
 
 

@@ -28,17 +28,17 @@ The rule runs over arrays: a chunk of steps of many sequences at once,
 shaped (sequences, steps).  The quiet and growing streaks are run lengths
 carried from chunk to chunk, the non-finite stop, the certificate bound
 and the ``max_terms`` cap are masks, and each sequence stops at its own
-first firing step, with no loop over steps.  Series summed together
-(:func:`sum_series_batch`, as ``matmul`` sums its probe and
-``orthogonalize`` its Gram entries) come with term runs read from the
-block oracle and advance through shared, doubling chunks of terms.  A
-series whose run is declined or holds a non-finite term, a series with
-no runs, and every sequence of values (:func:`limit_of_sequence`,
-:func:`stabilize_vector`) is drawn one value at a time, in chunks only as
-long as the rule's streaks allow, so no term or value past the stop is
-ever asked for.  The partial sums are the same bits either way, so every
-report, and any error raised before the stop, are those of the scalar
-sum.
+first firing step, with no loop over steps.  Series summed together (a
+:class:`SeriesBatch`, as ``matmul`` sums its probe and ``orthogonalize``
+its Gram entries) come with term runs read from the block oracle and
+advance through shared, doubling chunks of terms.  A value drawn one at a
+time (a series with no runs, or one whose run is declined or holds a
+non-finite term, and every sequence of :func:`limit_of_sequence` and
+:func:`stabilize_vector`) takes the same rule as a chunk of one step of
+one sequence, on plain floats, so no term or value past the stop is ever
+asked for and a step costs well under a microsecond.  The partial sums
+are the same bits either way, so every report, and any error raised
+before the stop, are those of the scalar sum.
 
 A limit over the sections of a matrix decides here, and only here, how
 it visits them (:func:`section_limit`, :func:`section_limit_vector`): a
@@ -48,7 +48,6 @@ stopping rule over the schedule sizes at least as large as the largest
 index the caller reads.
 """
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -141,14 +140,87 @@ _GOING, _NON_FINITE, _CERTIFIED, _BLOWUP, _QUIET, _CAP = range(6)
 BATCH_CELLS = 8_192
 
 
+@dataclass(frozen=True)
+class _Start:
+    """Where a sequence stands for the stopping rule: the steps taken, the
+    last value (``None`` before the first) and its magnitude, and the kind
+    (0 neither, 1 growing, 2 quiet) and length of the streak ending there."""
+
+    steps: int = 0
+    last: object = None
+    mag: float = math.nan
+    kind: int = 0
+    run: int = 0
+
+
+def _report(why, terms, value, before, delta, bound) -> ConvergenceReport:
+    """The report of a sequence the rule stopped at ``value``, its
+    ``terms``-th, for the reason ``why``; ``before`` is the value before it
+    (nan at the first), ``delta`` and ``bound`` those of its step."""
+    terms = int(terms)
+    if why == _NON_FINITE:
+        return ConvergenceReport(before, DIVERGED, terms, math.inf, False)
+    if why == _CERTIFIED:
+        return ConvergenceReport(value, CONVERGED, terms, float(bound), True)
+    status = {_BLOWUP: DIVERGED, _QUIET: CONVERGED}.get(why, UNDETERMINED)
+    return ConvergenceReport(value, status, terms, float(delta), False)
+
+
+def _draw(values: Iterator, policy: ConvergencePolicy, start: _Start = _Start(),
+          remainder: Callable[[int], float] | None = None,
+          norm: Callable = abs) -> ConvergenceReport:
+    """The stopping rule over estimates drawn one at a time from ``values``.
+
+    This is :meth:`_Rule.feed` for one sequence and a chunk of one step,
+    on plain floats: a chunk of one through numpy costs about 18 µs, the
+    step below well under one.  The sequence goes on from ``start``;
+    ``remainder(count)`` is its certificate's bound, and ``norm``
+    measures an estimate and a step between two (``abs`` for scalars, the
+    max-abs entry for vectors).  The first value never counts toward a
+    streak (there is no previous value to compare to).  No value is drawn
+    past the stop, and an error raised while drawing one propagates.
+    """
+    tol, window, cap = policy.tol, policy.window, policy.max_terms
+    blowup = 1.0 / tol
+    steps, before, mag, kind, run = start.steps, start.last, start.mag, start.kind, start.run
+    estimate = math.nan if before is None else before
+    delta = bound = math.inf
+    for value in values:
+        steps += 1
+        size = norm(value)
+        if not math.isfinite(size):
+            why = _NON_FINITE
+        else:
+            if remainder is not None:
+                bound = remainder(steps)
+            if before is not None:
+                delta = norm(value - before)
+            if bound <= tol * max(1.0, size):
+                why = _CERTIFIED
+            else:
+                # the divergence heuristic outranks the quiet rule: past the
+                # blowup threshold a still-growing sequence is never accepted
+                now = (1 if size > blowup and size > mag else
+                       2 if remainder is None and delta <= tol * max(1.0, mag) else 0)
+                run = run + 1 if now == kind else 1
+                kind = now
+                why = (kind + 2 if kind and run >= window else
+                       _CAP if steps >= cap else _GOING)
+        if why != _GOING:
+            return _report(why, steps, value, estimate, delta, bound)
+        before = estimate = value
+        mag = size
+    return ConvergenceReport(estimate, UNDETERMINED, steps, delta, False)
+
+
 class _Rule:
     """The stopping rule, for a batch of sequences fed chunks of steps.
 
     Per sequence it keeps, as a column, the steps taken, the magnitude of
-    the last value, and the kind (0 neither, 1 growing, 2 quiet) and length
-    of the streak of steps that ends there.  :meth:`feed` takes a chunk of
-    steps as arrays and finds where each sequence stops, with no loop over
-    steps.
+    the last value, and the kind and length of the streak of steps that
+    ends there (see :class:`_Start`).  :meth:`feed` takes a chunk of steps
+    as arrays and finds where each sequence stops, with no loop over
+    steps; :func:`_draw` is the same rule on one value of one sequence.
     """
 
     _STATE = ("quiet_counts", "steps", "mag", "kind", "run")
@@ -165,27 +237,17 @@ class _Rule:
 
     def take(self, rows) -> "_Rule":
         """The state of the sequences at ``rows``, an index array or mask."""
-        return self._with([getattr(self, name)[rows] for name in _Rule._STATE])
-
-    @staticmethod
-    def stack(parts: list["_Rule"]) -> "_Rule":
-        """One state holding the sequences of ``parts``, in order."""
-        return parts[0]._with([np.concatenate([getattr(part, name) for part in parts])
-                               for name in _Rule._STATE])
-
-    def _with(self, arrays) -> "_Rule":
         other = object.__new__(_Rule)
         other.policy = self.policy
-        for name, array in zip(_Rule._STATE, arrays):
-            setattr(other, name, array)
+        for name in _Rule._STATE:
+            setattr(other, name, getattr(self, name)[rows])
         return other
 
-    def lookahead(self) -> int:
-        """How many steps every sequence can take before its streak could
-        reach ``window`` or it could reach the ``max_terms`` cap."""
-        p = self.policy
-        streak = int((self.run * (self.kind > 0)).max())
-        return min(p.window - streak, p.max_terms - int(self.steps.max()))
+    def start(self, r: int, last: float) -> _Start:
+        """Where sequence ``r`` stands, ``last`` being its last value."""
+        steps = int(self.steps[r, 0])
+        return _Start(steps, last if steps else None, float(self.mag[r, 0]),
+                      int(self.kind[r, 0]), int(self.run[r, 0]))
 
     def feed(self, mag, delta, bound):
         """Advance every sequence through one chunk of n steps.
@@ -218,122 +280,21 @@ class _Rule:
             stop |= self.steps + pos >= p.max_terms - 1
         hit = stop.any(axis=1)
         at = np.where(hit, np.argmax(stop, axis=1), n - 1)
-        why = np.full(at.size, _GOING)
-        for r in np.flatnonzero(hit).tolist():
-            a = at[r]
-            # the reasons in order of precedence; a streak's kind + 2 is
-            # _BLOWUP or _QUIET
-            why[r] = (_NON_FINITE if bad[r, a] else _CERTIFIED if certified[r, a]
-                      else kind[r, a] + 2 if streak[r, a] else _CAP)
+        cell = (np.arange(at.size), at)
+        # the reasons in order of precedence; a streak's kind + 2 is
+        # _BLOWUP or _QUIET
+        why = np.select([~hit, bad[cell], certified[cell], streak[cell]],
+                        [_GOING, _NON_FINITE, _CERTIFIED, kind[cell].astype(np.int64) + 2], _CAP)
         used = self.steps[:, 0] + at + 1
         self.steps = self.steps + n
         self.mag, self.kind, self.run = mag[:, -1:], kind[:, -1:], run[:, -1:]
         return at, why, used
 
 
-def _report(why, terms, value, before, delta, bound) -> ConvergenceReport:
-    """The report of a sequence the rule stopped at ``value``, its
-    ``terms``-th, for the reason ``why``; ``before`` is the value before it
-    (nan at the first), ``delta`` and ``bound`` those of its step."""
-    terms = int(terms)
-    if why == _NON_FINITE:
-        return ConvergenceReport(before, DIVERGED, terms, math.inf, False)
-    if why == _CERTIFIED:
-        return ConvergenceReport(value, CONVERGED, terms, float(bound), True)
-    status = {_BLOWUP: DIVERGED, _QUIET: CONVERGED}.get(why, UNDETERMINED)
-    return ConvergenceReport(value, status, terms, float(delta), False)
-
-
-def _feed(sources: list[Iterator], rule: _Rule, last: list, remainders: list,
-          norm: Callable = abs) -> list:
-    """Run the stopping rule over sequences given as iterators of estimates.
-
-    Sequence s is drawn from ``sources[s]`` and is ``rule``'s sequence s;
-    ``last[s]`` is the value before its first one (``None`` at its start)
-    and ``remainders[s]`` its certificate's bound, or ``None``.  ``norm``
-    measures an estimate and a step between two (``abs`` for scalars, the
-    max-abs entry for vectors).  The first value never counts toward the
-    quiet streak (there is no previous value to compare to).  All
-    sequences advance together, in chunks as long as the shortest
-    :meth:`_Rule.lookahead`, and a sequence's chunk ends at a value that
-    may stop it by itself (a non-finite one, or one its certificate
-    bounds), so no value is drawn past a stop.
-
-    Returns per sequence its report, or the exception its iterator
-    raised, kept to be raised in its place in the order; the sequences
-    after one that raised are dropped, with outcome ``None``.
-    """
-    estimate = [math.nan if value is None else value for value in last]
-    last_delta = [math.inf] * len(sources)
-    outcome: list = [None] * len(sources)
-    rows = list(range(len(sources)))
-    tol = rule.policy.tol
-    while rows:
-        width = rule.lookahead()
-        drawn, mag, delta, bound = [], [], [], []
-        steps = rule.steps[:, 0].tolist()
-        for r, row in enumerate(rows):
-            values, mags, deltas, bounds = [], [], [], []
-            before, remainder = last[row], remainders[row]
-            try:
-                for k, value in enumerate(itertools.islice(sources[row], width), steps[r] + 1):
-                    size = norm(value)
-                    values.append(value)
-                    mags.append(size)
-                    deltas.append(math.inf if before is None else norm(value - before))
-                    bounds.append(math.inf if remainder is None else remainder(k))
-                    # a value that may stop the sequence by itself ends its chunk
-                    if not math.isfinite(size):
-                        break
-                    before = value
-                    if bounds[-1] <= tol * max(1.0, size):
-                        break
-            except Exception as exc:  # noqa: BLE001  (raised again by the caller, in order)
-                outcome[row] = exc
-                rows, rule = rows[:r], rule.take(slice(r))
-                break
-            last[row] = before
-            drawn.append((values, deltas))
-            pad = width - len(values)
-            mag.append(mags + [math.nan] * pad)  # nan past a sequence's end
-            delta.append(deltas + [math.inf] * pad)
-            bound.append(bounds + [math.inf] * pad)
-        if not rows:
-            break
-        mag, delta, bound = np.array((mag, delta, bound))
-        at, why, used = (part.tolist() for part in rule.feed(mag, delta, bound))
-        going = []
-        for r, row in enumerate(rows):
-            (values, deltas), a = drawn[r], at[r]
-            if why[r] == _GOING:
-                going.append(r)
-                estimate[row], last_delta[row] = values[-1], deltas[-1]
-            elif a < len(values):
-                outcome[row] = _report(why[r], used[r], values[a],
-                                       values[a - 1] if a else estimate[row],
-                                       deltas[a], bound[r][a])
-            else:  # the sequence ended before the rule stopped it
-                outcome[row] = ConvergenceReport(
-                    values[-1] if values else estimate[row], UNDETERMINED, used[r] - 1,
-                    deltas[-1] if values else last_delta[row], False)
-        if len(going) < len(rows):
-            rule, rows = rule.take(going), [rows[r] for r in going]
-    return outcome
-
-
-def _stabilize(values: Iterator, policy: ConvergencePolicy,
-               norm: Callable = abs) -> ConvergenceReport:
-    """Run the stopping rule over successive estimates of one sequence (see
-    :func:`_feed`); an error raised while drawing them propagates."""
-    outcome, = _feed([iter(values)], _Rule(policy, [False]), [None], [None], norm)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
-def _partials(term: Callable[[int], float], s: float, k: int) -> Iterator[float]:
-    """The partial sums ``s + term(k)``, ``... + term(k + 1)``, ... one at
-    a time; nan from the first non-finite term on."""
+def _partials(term: Callable[[int], float], start: _Start) -> Iterator[float]:
+    """The partial sums of ``term`` from ``start`` on, one at a time; nan
+    from the first non-finite term on."""
+    s, k = (0.0 if start.last is None else start.last), start.steps + 1
     while True:
         t = term(k)
         s = s + t if math.isfinite(t) else math.nan
@@ -341,109 +302,109 @@ def _partials(term: Callable[[int], float], s: float, k: int) -> Iterator[float]
         k += 1
 
 
+class SeriesBatch:
+    """Series summed together, through shared chunks of term runs.
+
+    ``tails`` holds each series' :class:`GeometricTail`, or ``None``, and
+    ``runs(k0, k1, rows)`` returns the terms ``k0`` ... ``k1 - 1`` of the
+    series at positions ``rows`` (an index array) as a
+    ``len(rows)``-by-``(k1 - k0)`` float64 array, bit for bit what their
+    terms give, or ``None``.  The batch asks for chunks of ``window + 1``
+    terms, then twice as many each time, clipped at ``max_terms`` and at
+    :data:`BATCH_CELLS` cells: a chunk's partial sums are
+    ``np.add.accumulate`` seeded with the running sums, the same bits as
+    adding term by term, and one pass of :meth:`_Rule.feed` stops each
+    series at its own first firing step.  A series whose chunk is declined
+    or holds a non-finite term leaves the batch where it stands.  Runs may
+    reach up to about twice as far as a stop.
+
+    The batch never calls a term.  It is summed the first time
+    :func:`sum_series` asks for the report of one of its series, and
+    ``sum_series`` sums on, through its ``term``, a series that left it.
+    """
+
+    def __init__(self, tails, policy: ConvergencePolicy | None = None,
+                 runs: Callable[[int, int, np.ndarray], "np.ndarray | None"] | None = None):
+        self.tails = list(tails)
+        self.policy = policy or ConvergencePolicy()
+        self._runs = runs
+        self._outcome = None
+
+    def outcome(self, k: int) -> "ConvergenceReport | _Start":
+        """The report of series ``k``, or where it left the batch."""
+        if self._outcome is None:
+            self._outcome = self._sum()
+        return self._outcome[k]
+
+    def _sum(self) -> list:
+        policy, runs = self.policy, self._runs
+        outcome: list = [_Start()] * len(self.tails)
+        if runs is None:
+            return outcome
+        rule = _Rule(policy, [tail is not None for tail in self.tails])
+        rows = np.arange(len(self.tails))  # the series still in the batch
+        sums = np.zeros(rows.size)          # and their running sums
+        k0, size = 1, policy.window + 1
+        while rows.size:
+            k1 = min(k0 + min(size, max(1, BATCH_CELLS // rows.size)), policy.max_terms + 1)
+            run = runs(k0, k1, rows)
+            stay = (np.all(np.isfinite(run), axis=1) if run is not None
+                    else np.zeros(rows.size, dtype=bool))
+            if not stay.all():
+                for r in np.flatnonzero(~stay).tolist():
+                    outcome[rows[r]] = rule.start(r, float(sums[r]))
+                rule, rows, sums = rule.take(stay), rows[stay], sums[stay]
+                if not rows.size:
+                    break
+                run = run[stay]
+            with np.errstate(over="ignore", invalid="ignore"):  # inf, as a float sum overflows
+                partial = np.add.accumulate(np.concatenate((sums[:, None], run), axis=1), axis=1)
+                delta = np.abs(np.diff(partial, axis=1))
+            if k0 == 1:
+                delta[:, 0] = math.inf
+            bound = np.full(run.shape, math.inf)
+            for r in np.flatnonzero(~rule.quiet_counts[:, 0]).tolist():
+                bound[r] = [self.tails[rows[r]].remainder(k) for k in range(k0, k1)]
+            at, why, used = rule.feed(np.abs(partial[:, 1:]), delta, bound)
+            for r in np.flatnonzero(why != _GOING).tolist():
+                a = at[r]
+                before = float(partial[r, a]) if k0 + a > 1 else math.nan
+                outcome[rows[r]] = _report(why[r], used[r], float(partial[r, a + 1]), before,
+                                           delta[r, a], bound[r, a])
+            going = why == _GOING
+            rule, rows, sums = rule.take(going), rows[going], partial[going, -1]
+            k0, size = k1, 2 * size
+        return outcome
+
+
 def sum_series(term: Callable[[int], float],
                policy: ConvergencePolicy | None = None,
-               tail: GeometricTail | None = None) -> ConvergenceReport:
+               tail: GeometricTail | None = None,
+               batch: tuple[SeriesBatch, int] | None = None) -> ConvergenceReport:
     """Sum ``term(1) + term(2) + ...`` until the stopping rule fires.
 
     ``term`` must be a pure function on indices 1, 2, 3, ...  A non-finite
     term value yields a diverged verdict whose ``terms_used`` names the
     offending index.  Partial sums are accumulated in ascending index
-    order, so results are deterministic.  This is the batch of one of
-    :func:`sum_series_batch`, with no term runs.
-    """
-    return next(sum_series_batch([(term, tail)], policy))
+    order, so results are deterministic.
 
-
-def sum_series_batch(series, policy: ConvergencePolicy | None = None,
-                     runs: Callable[[int, int, np.ndarray], "np.ndarray | None"] | None = None
-                     ) -> Iterator[ConvergenceReport]:
-    """Sum several series together; yields their reports in order.
-
-    ``series`` holds ``(term, tail)`` pairs, each as :func:`sum_series`
-    takes them.  ``runs(k0, k1, rows)``, optional, returns the terms
-    ``k0`` ... ``k1 - 1`` of the series at positions ``rows`` (an index
-    array) as a ``len(rows)``-by-``(k1 - k0)`` float64 array, bit for bit
-    what ``term`` gives, or ``None``.  The series are summed in batches of
-    ``BATCH_CELLS // (window + 1)``, each when its first report is due.
-    The series of a batch advance through shared chunks of ``window + 1``
-    terms, then twice as many each time, clipped at ``max_terms`` and at
-    :data:`BATCH_CELLS` cells: a chunk's partial sums are
-    ``np.add.accumulate`` seeded with the running sums, the same bits as
-    adding term by term, and one pass of the stopping rule stops each
-    series at its own first firing step.  A series whose chunk is declined
-    or holds a non-finite term leaves the batch and is summed on through
-    ``term`` from its own state, one index at a time, together with the
-    others that left, before the batch's first report is yielded.  So
-    every report, and any error ``term`` raises before the stop, are those
-    of the series summed alone; an error is raised in its place in the
-    order, and the series after it are not summed on.  Runs may reach up
-    to about twice as far as the stop; ``term`` is never asked past it.
+    ``batch``, optional, is ``(group, k)``: this series, with this
+    ``tail`` and ``policy``, is series ``k`` of the :class:`SeriesBatch`
+    ``group``, which sums it through term runs.  Its report is the
+    group's, or, if it left the group, the sum goes on through ``term``
+    from where it left, one index at a time.  Either way the report, and
+    any error ``term`` raises before the stop, are those of the sum
+    without the batch, and ``term`` is never asked past the stop.
     """
     policy = policy or ConvergencePolicy()
-    series = list(series)
-    most = max(1, BATCH_CELLS // (policy.window + 1))
-    for start in range(0, len(series), most):
-        yield from _sum_batch(series[start:start + most], policy, None if runs is None else (
-            lambda k0, k1, rows, _start=start: runs(k0, k1, rows + _start)))
-
-
-def _sum_batch(series: list, policy: ConvergencePolicy, runs) -> Iterator[ConvergenceReport]:
-    """:func:`sum_series_batch` of at most ``BATCH_CELLS // (window + 1)``
-    series."""
-    tails = [tail for _, tail in series]
-    rule = _Rule(policy, [tail is not None for tail in tails])
-    rows = np.arange(len(series))       # the series still in the batch
-    sums = np.zeros(len(series))        # and their running sums
-    outcome: list = [None] * len(series)
-    left = []                           # (state, series, sums, k0) of those that left
-    k0, size = 1, policy.window + 1
-    while rows.size:
-        width = min(size, BATCH_CELLS // rows.size)
-        k1 = min(k0 + width, policy.max_terms + 1)
-        run = runs(k0, k1, rows) if runs is not None else None
-        stay = (np.all(np.isfinite(run), axis=1) if run is not None
-                else np.zeros(rows.size, dtype=bool))
-        if not stay.all():
-            left.append((rule.take(~stay), rows[~stay], sums[~stay], k0))
-            rule, rows, sums = rule.take(stay), rows[stay], sums[stay]
-            if not rows.size:
-                break
-            run = run[stay]
-        with np.errstate(over="ignore", invalid="ignore"):  # inf, as a float sum overflows
-            partial = np.add.accumulate(np.concatenate((sums[:, None], run), axis=1), axis=1)
-            delta = np.abs(np.diff(partial, axis=1))
-        if k0 == 1:
-            delta[:, 0] = math.inf
-        bound = np.full(run.shape, math.inf)
-        for r in np.flatnonzero(~rule.quiet_counts[:, 0]):
-            bound[r] = [tails[rows[r]].remainder(k) for k in range(k0, k1)]
-        at, why, used = rule.feed(np.abs(partial[:, 1:]), delta, bound)
-        for r in np.flatnonzero(why != _GOING):
-            a = at[r]
-            before = float(partial[r, a]) if k0 + a > 1 else math.nan
-            outcome[rows[r]] = _report(why[r], used[r], float(partial[r, a + 1]), before,
-                                       delta[r, a], bound[r, a])
-        going = why == _GOING
-        rule, rows, sums = rule.take(going), rows[going], partial[going, -1]
-        k0, size = k1, 2 * size
-    if left:
-        # the series that left go on through ``term``, together, in order
-        index = np.concatenate([part[1] for part in left])
-        order = np.argsort(index)
-        state = _Rule.stack([part[0] for part in left]).take(order)
-        sums = np.concatenate([part[2] for part in left])[order].tolist()
-        starts = np.concatenate([np.full(part[1].size, part[3]) for part in left])[order]
-        index, starts = index[order].tolist(), starts.tolist()
-        resumed = _feed([_partials(series[i][0], s, k) for i, s, k in zip(index, sums, starts)],
-                        state, [s if k > 1 else None for s, k in zip(sums, starts)],
-                        [tails[i].remainder if tails[i] is not None else None for i in index])
-        for i, result in zip(index, resumed):
-            outcome[i] = result
-    for result in outcome:
-        if isinstance(result, Exception):
-            raise result
-        yield result
+    start = _Start()
+    if batch is not None:
+        group, k = batch
+        start = group.outcome(k)
+        if isinstance(start, ConvergenceReport):
+            return start
+    return _draw(_partials(term, start), policy, start,
+                 tail.remainder if tail is not None else None)
 
 
 def _sizes_of(schedule) -> list[int]:
@@ -479,7 +440,7 @@ def limit_of_sequence(value_at: Callable[[int], float], schedule,
             logger.info("schedule step: size=%d value=%.12g", n, v)
             yield v
 
-    return _stabilize(values(), policy)
+    return _draw(values(), policy)
 
 
 def stabilize_vector(value_at: Callable[[int], "np.ndarray"], schedule,
@@ -503,7 +464,7 @@ def stabilize_vector(value_at: Callable[[int], "np.ndarray"], schedule,
             logger.info("schedule step: size=%d block-max=%.12g", n, norm_inf(last))
             yield last
 
-    rep = _stabilize(values(), policy, norm=norm_inf)
+    rep = _draw(values(), policy, norm=norm_inf)
     # the rule's estimate is the last finite vector, or nan when none came
     if isinstance(rep.estimate, np.ndarray):
         rep = replace(rep, estimate=norm_inf(rep.estimate))

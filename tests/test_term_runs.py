@@ -1,12 +1,13 @@
 """Term runs: series summed as a batch fed chunks of terms, against the
 scalar sum.
 
-Each report of ``sum_series_batch(series, policy, runs)`` must be that of
-``sum_series(term, policy, tail)`` for its series, bit for bit, or raise
-what it raises: the stopping rule sees the same partial sums, and a series
-whose chunk the runs decline, or whose chunk holds a non-finite term, is
-summed on through ``term``.  ``matmul`` and ``orthogonalize`` feed runs
-from the leading entries of rows and columns read through the block oracle
+``sum_series(term, policy, tail, (group, k))``, the series k of the
+:class:`SeriesBatch` ``group``, must give the report of
+``sum_series(term, policy, tail)`` bit for bit, or raise what it raises:
+the stopping rule sees the same partial sums, and a series whose chunk the
+runs decline, or whose chunk holds a non-finite term, is summed on through
+``term``.  ``matmul`` and ``orthogonalize`` feed runs from the leading
+entries of rows and columns read through the block oracle
 (``matrix_core.Lines``); with the block removed every term is scalar.
 """
 
@@ -28,12 +29,12 @@ from test_golden_cli import GEO_ROWS3, POLY_A, POLY_B, POLY_ROWS4
 from infmat import specio
 from infmat.algebra import _line_product, matmul
 from infmat.bases_orth import orthogonalize
-from infmat import series as series_module
 from infmat.cli import main
 from infmat.expr_dsl import EvalError, pretty
 from infmat.matrix_core import Lines
-from infmat.series import (ConvergencePolicy, ConvergenceReport, GeometricTail, sum_series,
-                           sum_series_batch)
+from infmat.matrix_core import truncate
+from infmat.series import (ConvergencePolicy, ConvergenceReport, GeometricTail, SeriesBatch,
+                           sum_series)
 from infmat.specio import matrix_from_obj
 
 
@@ -80,7 +81,7 @@ def summed(term, policy, tail, run):
         chunk = run(k0, k1)
         return None if chunk is None else chunk[None, :]
 
-    return next(sum_series_batch([(term, tail)], policy, runs))
+    return sum_series(term, policy, tail, (SeriesBatch([tail], policy, runs), 0))
 
 
 policies = st.builds(lambda tol, window, max_terms: ConvergencePolicy(
@@ -102,7 +103,8 @@ def test_row_times_column_runs_match_the_scalar_sum(row, col, i, j, policy, tail
         return A.entry(i, l) * B.entry(l, j)
 
     runs = _line_product(Lines(A, [i], 0), Lines(B, [j], 1), [(0, 0)])
-    assert (outcome(lambda: next(sum_series_batch([(term, tail)], policy, runs)))
+    batch = SeriesBatch([tail], policy, runs), 0
+    assert (outcome(lambda: sum_series(term, policy, tail, batch))
             == outcome(lambda: sum_series(term, policy, tail)))
 
 
@@ -172,7 +174,7 @@ _tables = st.lists(_entries, min_size=1, max_size=60) | _growing | st.builds(
        st.integers(1, 4), st.integers(2, 90))
 def test_batch_reports_match_one_at_a_time_sums(drawn, declined, tol, window, max_terms):
     # each series of a batch, whatever the others do, must end as it ends
-    # summed alone: same report bits, or the same error in its place
+    # summed alone: same report bits, or the same error
     policy = ConvergencePolicy(tol, window, max(max_terms, window + 1))
     asked = [[] for _ in drawn]
 
@@ -190,61 +192,25 @@ def test_batch_reports_match_one_at_a_time_sums(drawn, declined, tol, window, ma
         return term
 
     def runs(k0, k1, rows):
-        chunk = [[value(s, k) for k in range(k0, k1)] for s in rows.tolist()]
-        if k0 in declined or any("error" in line for line in chunk):
+        if k0 in declined:
             return None
-        return np.array(chunk, dtype=float)
+        # a chunk holding an error is nan: its series leaves the batch
+        return np.array([[math.nan if value(s, k) == "error" else value(s, k)
+                          for k in range(k0, k1)] for s in rows.tolist()])
 
     series = [(term_of(s), tail) for s, (_, tail) in enumerate(drawn)]
     alone = [outcome(lambda term=term, tail=tail: sum_series(term, policy, tail))
              for term, tail in series]
     for lines in asked:
         lines.clear()
-    got, raised = [], None
-    try:
-        for rep in sum_series_batch(series, policy, runs):
-            got.append(("ok", bits(rep)))
-    except _Bad as exc:
-        raised = ("raised", type(exc), str(exc))
-    failed = next((s for s, want in enumerate(alone) if want[0] == "raised"), None)
-    assert got == alone[:failed]
-    assert raised == (alone[failed] if failed is not None else None)
+    group = SeriesBatch([tail for _, tail in series], policy, runs)
+    got = [outcome(lambda s=s, term=term, tail=tail: sum_series(term, policy, tail, (group, s)))
+           for s, (term, tail) in enumerate(series)]
+    assert got == alone
     # no term is asked past the stop of its series, or the term that raised
     for s, want in enumerate(alone):
         stop = want[1][3] if want[0] == "ok" else int(want[2].split()[-1])
         assert all(k <= stop for k in asked[s])
-
-
-def test_series_past_one_batch_are_summed_in_the_next(monkeypatch):
-    # with 8 cells a batch at window 1 holds 4 series: ten series make three
-    # batches, and an error in the second (series 4-7) stops the third from
-    # being summed
-    monkeypatch.setattr(series_module, "BATCH_CELLS", 8)
-    policy = ConvergencePolicy(tol=1e-6, window=1, max_terms=50)
-    table = np.array([[(-1.0) ** k / (k + s) ** 2 for k in range(1, 51)] for s in range(10)])
-    asked = []
-
-    def term_of(s):
-        def term(k):
-            asked.append(s)
-            if s == 5 and k == 3:
-                raise _Bad(f"series {s} term {k}")
-            return float(table[s, k - 1])
-
-        return term
-
-    def runs(k0, k1, rows):
-        return None if k0 == 1 else table[rows, k0 - 1:k1 - 1]
-
-    series = [(term_of(s), None) for s in range(10)]
-    alone = [outcome(lambda s=s: sum_series(series[s][0], policy)) for s in range(10)]
-    asked.clear()
-    got = []
-    with pytest.raises(_Bad, match="series 5 term 3"):
-        for rep in sum_series_batch(series, policy, runs):
-            got.append(("ok", bits(rep)))
-    assert got == alone[:5] and alone[5][0] == "raised"
-    assert set(asked) == set(range(8))
 
 
 @given(st.lists(_entries.filter(lambda v: v != "error"), min_size=1, max_size=60),
@@ -354,16 +320,6 @@ def test_gram_error_before_the_stop_is_the_scalar_error():
     assert at == last == [(1, 40)]
 
 
-def test_nested_product_error_past_the_stop_is_not_raised():
-    # (XY)Z reads rows of XY by block in runs that reach past its stop
-    # (22 terms), into the column 25 where every entry of XY raises
-    XY = matmul(expr_spec("1/(i+j)^3"), expr_spec("1/(i+j)^2 + 0/(j-25)"), LOOSE).matrix
-    Z = expr_spec("1/(i+j)^2")
-    got = product_outcome(XY, Z, LOOSE)
-    assert got[0] == "ok"
-    assert got == product_outcome(scalar(XY), Z, LOOSE)
-
-
 def run_cli(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -418,6 +374,45 @@ def test_product_probe_reads_each_line_cell_once_by_block(pair):
     # eight rows of A and eight columns of B, as far as their longest entry
     assert {i for i, _ in a_cells} == set(range(1, 9))
     assert {j for _, j in b_cells} == set(range(1, 9))
+
+
+def counted_product():
+    """The product of the golden algebraic pair, its factors' block reads
+    counted per cell, and its factors' scalar reads."""
+    left, right = (matrix_from_obj(obj) for obj in (POLY_A, POLY_B))
+    A, a_entries, a_cells = counted(left)
+    B, b_entries, b_cells = counted(right)
+    product = matmul(A, B, ConvergencePolicy(max_terms=20000))
+    return product, (a_entries, b_entries), (a_cells, b_cells)
+
+
+def test_product_entries_past_the_probe_read_each_cell_once():
+    # an entry past the probe reads its row through the probe's reader when
+    # the row is a probe row, and through a reader of its own otherwise,
+    # kept for the entries after it
+    product, entries, cells = counted_product()
+    grown = [dict(counts) for counts in cells]
+    for i, j in [(3, 11), (3, 12), (11, 3), (12, 12), (11, 12)]:
+        first = product.matrix.entry(i, j)
+        assert product.entry_report(i, j).estimate == first
+    assert entries == ({}, {})
+    for counts, before in zip(cells, grown):
+        assert set(counts.values()) == {1}
+        assert set(before) <= set(counts)
+    a_cells, b_cells = cells
+    assert {i for i, _ in a_cells} == set(range(1, 9)) | {11, 12}
+    assert {j for _, j in b_cells} == set(range(1, 9)) | {11, 12}
+
+
+def test_product_section_past_the_probe_reads_each_cell_once():
+    # the 16 x 16 section ``mul --n 16`` exports
+    product, entries, cells = counted_product()
+    truncate(product.matrix, 16, 16)
+    assert entries == ({}, {})
+    a_cells, b_cells = cells
+    assert set(a_cells.values()) == {1} and set(b_cells.values()) == {1}
+    assert {i for i, _ in a_cells} == set(range(1, 17))
+    assert {j for _, j in b_cells} == set(range(1, 17))
 
 
 @pytest.mark.parametrize("obj", [POLY_ROWS4, GEO_ROWS3])
