@@ -189,25 +189,29 @@ def _draw(values: Iterator, policy: ConvergencePolicy, start: _Start = _Start(),
         steps += 1
         size = norm(value)
         if not math.isfinite(size):
-            why = _NON_FINITE
-        else:
-            if remainder is not None:
-                bound = remainder(steps)
-            if before is not None:
-                delta = norm(value - before)
+            return _report(_NON_FINITE, steps, value, estimate, delta, bound)
+        if remainder is not None:
+            bound = remainder(steps)
             if bound <= tol * max(1.0, size):
-                why = _CERTIFIED
-            else:
-                # the divergence heuristic outranks the quiet rule: past the
-                # blowup threshold a still-growing sequence is never accepted
-                now = (1 if size > blowup and size > mag else
-                       2 if remainder is None and delta <= tol * max(1.0, mag) else 0)
-                run = run + 1 if now == kind else 1
-                kind = now
-                why = (kind + 2 if kind and run >= window else
-                       _CAP if steps >= cap else _GOING)
-        if why != _GOING:
-            return _report(why, steps, value, estimate, delta, bound)
+                return _report(_CERTIFIED, steps, value, estimate, delta, bound)
+        if before is not None:
+            delta = norm(value - before)
+        # the divergence heuristic outranks the quiet rule: past the blowup
+        # threshold a still-growing sequence is never accepted as converged
+        if size > blowup and size > mag:
+            now = 1
+        elif remainder is None and delta <= tol * max(1.0, mag):
+            now = 2
+        else:
+            now = 0
+        if now == kind:
+            run += 1
+        else:
+            kind, run = now, 1
+        if kind and run >= window:
+            return _report(kind + 2, steps, value, estimate, delta, bound)
+        if steps >= cap:
+            return _report(_CAP, steps, value, estimate, delta, bound)
         before = estimate = value
         mag = size
     return ConvergenceReport(estimate, UNDETERMINED, steps, delta, False)
