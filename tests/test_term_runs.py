@@ -31,8 +31,7 @@ from infmat.algebra import _line_product, matmul
 from infmat.bases_orth import orthogonalize
 from infmat.cli import main
 from infmat.expr_dsl import EvalError, pretty
-from infmat.matrix_core import Lines
-from infmat.matrix_core import truncate
+from infmat.matrix_core import Lines, truncate
 from infmat.series import (ConvergencePolicy, ConvergenceReport, GeometricTail, SeriesBatch,
                            sum_series)
 from infmat.specio import matrix_from_obj
