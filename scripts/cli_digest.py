@@ -22,6 +22,7 @@ import logging
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,11 +69,12 @@ def main_digest() -> int:
                 count = workloads.op_count(workload, RUN_SECONDS)
                 for seed in SEEDS:
                     ops = workloads.build(workload, seed, f"{workload}-{seed}", count)
-                    digest = hashlib.sha256()
+                    digests, counts = {}, Counter(op.kind for op in ops)
                     for op in ops:
-                        digest.update(_run(op.argv))
-                    print(f"{workload} seed {seed} ops {len(ops)} {digest.hexdigest()}",
-                          flush=True)
+                        digests.setdefault(op.kind, hashlib.sha256()).update(_run(op.argv))
+                    for kind in sorted(digests):
+                        print(f"{workload} seed {seed} {kind} ops {counts[kind]} "
+                              f"{digests[kind].hexdigest()}", flush=True)
         finally:
             os.chdir(cwd)
     return 0
