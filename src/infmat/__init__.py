@@ -11,10 +11,9 @@ from .algebra import (ProductResult, add, matmul, matvec, scale, shift_diagonal,
                       trace_partial)
 from .bases_orth import (OrthReport, OrthogonalRows, TransitionResult,
                          orthogonalize, transformation_matrix, transition_matrix)
-from .determinant import (CauchyBinetReport, ColumnSelection, DetReport,
-                          cauchy_binet, cauchy_binet_infinite, column_minor,
-                          det_infinite, det_log_series, det_oracle,
-                          det_truncation, row_minor)
+from .determinant import (CauchyBinetReport, DetReport, cauchy_binet,
+                          cauchy_binet_infinite, det_infinite, det_log_series,
+                          det_oracle, det_truncation)
 from .errors import (CertificateError, ConvergenceFailureError,
                      DependentRowsError, ExtentMismatchError,
                      GramConvergenceError, InfmatError, OracleValueError,

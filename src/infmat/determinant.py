@@ -34,34 +34,6 @@ class DetReport:
     report: ConvergenceReport | None = None
 
 
-@dataclass(frozen=True)
-class ColumnSelection:
-    """Strictly increasing 1-based column indices."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = self.indices
-        if len(idx) == 0:
-            raise ValueError("empty selection")
-        if idx[0] < 1 or any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ValueError(f"indices must be strictly increasing and >= 1: {idx}")
-
-
-def column_minor(M: DenseMatrix, selection: ColumnSelection) -> DenseMatrix:
-    cols = [j - 1 for j in selection.indices]
-    if cols[-1] >= M.n:
-        raise ExtentMismatchError(f"column {cols[-1] + 1} beyond {M.n}")
-    return DenseMatrix(M.data[:, cols])
-
-
-def row_minor(M: DenseMatrix, selection: ColumnSelection) -> DenseMatrix:
-    rows = [j - 1 for j in selection.indices]
-    if rows[-1] >= M.m:
-        raise ExtentMismatchError(f"row {rows[-1] + 1} beyond {M.m}")
-    return DenseMatrix(M.data[rows, :])
-
-
 def det_oracle(M: DenseMatrix) -> float:
     """Exact-as-floating-point determinant by pivoted elimination."""
     if M.m != M.n:
@@ -107,29 +79,28 @@ def _log_series(t: np.ndarray, policy: ConvergencePolicy) -> DetReport:
                      log_terms_used=rep.terms_used, report=rep)
 
 
-def det_section(t: np.ndarray, policy: ConvergencePolicy, route: str = "auto") -> DetReport:
-    """Determinant of a square section array by the selected route, with
-    the route it took.
+def det_section(t: np.ndarray, policy: ConvergencePolicy, route: str = "auto") -> float:
+    """Determinant of a square section array by the selected route.
 
     ``auto`` takes the log-series whenever the norm precondition it
     measures, ``norm_inf(t - I) < 1``, holds, and elimination otherwise.
     """
     if route == ROUTE_LOG_SERIES:
-        return _log_series(t, policy)
+        return _log_series(t, policy).value
     if route == "auto":
         try:
-            return _log_series(t, policy)
+            return _log_series(t, policy).value
         except PreconditionError:
             pass
     elif route != ROUTE_LU:
         raise ValueError(f"unknown route {route!r}")
-    return DetReport(lu_det(t), ROUTE_LU)
+    return lu_det(t)
 
 
 def det_truncation(M: MatrixSpec, n: int, policy: ConvergencePolicy | None = None,
                    route: str = "auto") -> float:
     """Determinant of the n-by-n truncation by the selected route."""
-    return det_section(truncate(M, n, n).data, policy or ConvergencePolicy(), route).value
+    return det_section(truncate(M, n, n).data, policy or ConvergencePolicy(), route)
 
 
 def det_infinite(M: MatrixSpec, schedule: TruncationSchedule | None = None,
@@ -147,7 +118,7 @@ def det_infinite(M: MatrixSpec, schedule: TruncationSchedule | None = None,
     # a finite matrix is its own one section: eliminated, as det_oracle does
     route = ROUTE_LU if is_finite_extent(M.rows) else "auto"
     sections = Sections(M)
-    rep = section_limit(lambda n: det_section(sections(n), policy, route).value,
+    rep = section_limit(lambda n: det_section(sections(n), policy, route),
                         M.rows, schedule, policy)
     return DetReport(rep.estimate, ROUTE_LIMIT, report=rep)
 

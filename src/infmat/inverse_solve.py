@@ -1,5 +1,6 @@
-"""Inversion by geometric operator series, determinant-ratio solving,
-numerical rank, and rank-comparison compatibility verdicts.
+"""Inversion by geometric operator series, finite-section solving (Cramer's
+rule by elimination, or the inverse series applied to the right-hand
+side), numerical rank, and rank-comparison compatibility verdicts.
 
 Infinite systems are never solved "at infinity": every quantity is the
 stabilized limit of finite truncations under a schedule, and each
@@ -13,14 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from ._dense import norm_inf, rank_of_array
-from .determinant import ROUTE_LU, DetReport, det_section
+from ._dense import gauss_solve, norm_inf, rank_of_array
 from .errors import (ConvergenceFailureError, ExtentMismatchError,
-                     OracleValueError, PreconditionError, SingularSystemError)
+                     OracleValueError, PreconditionError)
 from .matrix_core import (INFINITE, DenseMatrix, MatrixSpec, Sections,
-                          TruncationSchedule, _checked, extents_equal,
-                          is_finite_extent)
-from .series import (DIVERGED, ConvergencePolicy, ConvergenceReport,
+                          TruncationSchedule, extents_equal, is_finite_extent)
+from .series import (ConvergencePolicy, ConvergenceReport,
                      limit_sizes, section_limit, section_limit_vector)
 
 RANK_PIVOT_SCALE = 1e-10
@@ -60,9 +59,9 @@ class SolveReport:
 
     Which fields are populated depends on the question asked:
     compatibility checks fill the rank reports, solution routes fill
-    ``unknowns`` (requested index -> report) and, when the full final
-    truncation was solved, ``residual``; the Cramer route also fills
-    ``condition``, von Koch's normal-determinant condition on ``A``.
+    ``unknowns`` (requested index -> report) and ``residual``, the
+    max-abs residual on the last section solved; the Cramer route also
+    fills ``condition``, von Koch's normal-determinant condition on ``A``.
     """
 
     compatible: bool | None
@@ -207,25 +206,22 @@ def _section_extent(M: MatrixSpec):
     return INFINITE
 
 
-def _rhs_prefix(b: MatrixSpec) -> Callable[..., np.ndarray]:
-    """``prefix(n, col=None)``: entries 1..n of the vector ``b``, a spec with
-    one column, as an array, grown on demand so each entry is evaluated
-    once.
+def _rhs_prefix(b: MatrixSpec) -> Callable[[int], np.ndarray]:
+    """``prefix(n)``: entries 1..n of the vector ``b``, a spec with one
+    column, as an array, grown on demand so each entry is evaluated once.
 
-    A non-finite entry raises :class:`OracleValueError` at ``(i, col)``,
-    the cell it fills when ``b`` replaces column ``col`` of ``A``, or at
-    row ``i`` when no column is given.
+    A non-finite entry raises :class:`OracleValueError` naming its row.
     """
     known: list[float] = []
 
-    def prefix(n, col=None):
+    def prefix(n):
         for i in range(len(known) + 1, n + 1):
             v = float(b.entry(i, 1))
-            if col is None and not math.isfinite(v):
+            if not math.isfinite(v):
                 raise OracleValueError(
                     f"right-hand side returned non-finite value at row {i}",
                     index=(i,), value=v)
-            known.append(_checked(v, i, col))
+            known.append(v)
         return np.array(known[:n])
 
     return prefix
@@ -275,9 +271,19 @@ def _compare_ranks(A, sections, rhs, schedule, policy) -> SolveReport:
                        route=None)
 
 
-def _square_system(A: MatrixSpec, b: MatrixSpec, wanted, schedule):
-    """Checks a square system; returns its section sizes, the requested
-    unknowns, and a section store of ``A`` and prefix of ``b``."""
+def _section_solve(A: MatrixSpec, b: MatrixSpec, wanted, schedule, policy,
+                   route: str) -> SolveReport:
+    """Solve a square system section by section and take the limits.
+
+    Each section the limits visit is solved whole, ``A_n x_n = b_n``: on
+    the Cramer route by one elimination of ``[A_n | b_n]``, which raises
+    :class:`SingularSystemError` on a section with no pivot above ``1e-10``
+    times its norm; on the inverse route by the inverse series applied to
+    ``b_n``, after its norm precondition is checked on the largest section.
+    The requested unknowns (by default the indices of the first section)
+    are stabilized over the sections that hold the largest of them; the
+    residual is ``norm_inf(A_n x_n - b_n)`` on the last section solved.
+    """
     if not A.is_square:
         raise ExtentMismatchError(f"square system required, got {A.rows}x{A.cols}")
     if not extents_equal(A.rows, b.rows):
@@ -286,78 +292,57 @@ def _square_system(A: MatrixSpec, b: MatrixSpec, wanted, schedule):
     idx = list(wanted) if wanted is not None else list(range(1, sizes[0] + 1))
     if not idx:
         raise ValueError("wanted must name at least one unknown")
-    return sizes, idx, Sections(A), _rhs_prefix(b)
+    sections, rhs = Sections(A), _rhs_prefix(b)
+    if route == ROUTE_INVERSE:
+        _norm_check(sections(sizes[-1]), None)
+    solutions: dict[int, np.ndarray] = {}
+
+    def solution_at(n):
+        if n not in solutions:
+            a, bv = sections(n), rhs(n)
+            solutions[n] = (_apply_series(a, bv, policy) if route == ROUTE_INVERSE else
+                            gauss_solve(a, bv, RANK_PIVOT_SCALE * max(1.0, norm_inf(a))))
+        return solutions[n]
+
+    top = max(idx)
+    unknowns = {}
+    for i in idx:
+        unknowns[i] = section_limit(lambda n, _i=i: float(solution_at(n)[_i - 1]),
+                                    A.rows, schedule, policy, least=top)
+    final = max(solutions)
+    residual = float(np.max(np.abs(sections(final) @ solution_at(final)
+                                   - rhs(final))))
+    condition = None
+    if route == ROUTE_CRAMER:
+        grown = [n for n in sizes if n <= final]
+        condition = section_limit(lambda n: float(np.abs(sections(n) - np.eye(n)).sum()),
+                                  A.rows, grown, policy)
+    return SolveReport(compatible=True, rank_A=None, rank_Ab=None,
+                       unknowns=unknowns, route=route, residual=residual,
+                       condition=condition,
+                       _compat=lambda: _compare_ranks(A, sections, rhs, schedule, policy))
 
 
 def cramer_solve(A: MatrixSpec, b: MatrixSpec,
                  wanted: list[int] | None = None,
                  schedule: TruncationSchedule | None = None,
                  policy: ConvergencePolicy | None = None) -> SolveReport:
-    """Solve a square system through determinant ratios.
+    """Solve a square system by Cramer's rule over its finite sections.
 
-    Each requested unknown (by default the indices of the first section)
-    is the ratio of two section determinants, the numerator eliminated
-    wherever the system determinant was, stabilized as one quantity
-    (common drift cancels) over the sections that hold the largest
-    requested index; a finite system's ratios are exact, by elimination.
-    A system determinant that diverges or settles within ``tol`` of 0
-    raises :class:`SingularSystemError`; one that is only undetermined (a
-    schedule too short to settle) leaves the verdict to each unknown's
-    ratio limit.
+    On a section the ratio ``det(A_n with column i replaced by b_n) /
+    det(A_n)`` is ``(A_n^-1 b_n)_i``, so each section is solved by one
+    elimination of ``[A_n | b_n]``, which gives every requested unknown at
+    once; each unknown is the limit of its section values (see
+    :func:`_section_solve`).  A finite system is one exact section.
 
     Von Koch's condition for the rule, a normal determinant (``sum
     |a_ij - delta_ij| < inf``; with a bounded ``b`` the ratios are then
     the bounded solution), is recorded in ``condition``, not enforced: the
-    limit of ``sum |T_n - I|`` over the sections the determinant and ratio
-    limits grew.  It is never certified: a decay certificate bounds ``A``,
-    not ``A - I``.
+    limit of ``sum |T_n - I|`` over the sections the solve grew.  It is
+    never certified: a decay certificate bounds ``A``, not ``A - I``.
     """
-    policy = policy or ConvergencePolicy()
-    schedule = schedule or TruncationSchedule()
-    sizes, idx, sections, rhs = _square_system(A, b, wanted, schedule)
-    # the sections of A grow along the schedule; each serves det A and,
-    # in a copy with column i overwritten by b, the numerator of unknown i
-    route = ROUTE_LU if is_finite_extent(A.rows) else "auto"
-    dets: dict[int, DetReport] = {}
-
-    def det_a_at(n):
-        if n not in dets:
-            dets[n] = det_section(sections(n), policy, route)
-        return dets[n]
-
-    def det_replaced_at(n, col):
-        t = np.array(sections(n))
-        t[:, col - 1] = rhs(n, col)
-        # the route det A took at n; after a series det A, auto, since a
-        # replaced section may fail the series' norm rule
-        same = ROUTE_LU if det_a_at(n).route == ROUTE_LU else route
-        return det_section(t, policy, same).value
-
-    overall = section_limit(lambda n: det_a_at(n).value, A.rows, schedule, policy)
-    if overall.status == DIVERGED:
-        raise SingularSystemError(
-            f"system determinant did not stabilize ({overall.status})")
-    if abs(overall.estimate) <= policy.tol:
-        raise SingularSystemError(f"system determinant {overall.estimate:.6g} ~ 0")
-
-    top = max(idx)
-    unknowns = {}
-    for i in idx:
-        unknowns[i] = section_limit(lambda n, _i=i: det_replaced_at(n, _i) / det_a_at(n).value,
-                                    A.rows, schedule, policy, least=top)
-    grown = [n for n in sizes if n <= max(dets)]
-    condition = section_limit(lambda n: float(np.abs(sections(n) - np.eye(n)).sum()),
-                              A.rows, grown, policy)
-
-    residual = None
-    final = sizes[-1]
-    if set(idx) >= set(range(1, final + 1)):
-        xv = np.array([unknowns[i].estimate for i in range(1, final + 1)])
-        residual = norm_inf(np.atleast_1d(sections(final) @ xv - rhs(final)))
-    return SolveReport(compatible=True, rank_A=None, rank_Ab=None,
-                       unknowns=unknowns, route=ROUTE_CRAMER, residual=residual,
-                       condition=condition,
-                       _compat=lambda: _compare_ranks(A, sections, rhs, schedule, policy))
+    return _section_solve(A, b, wanted, schedule or TruncationSchedule(),
+                          policy or ConvergencePolicy(), ROUTE_CRAMER)
 
 
 def _apply_series(a: np.ndarray, bv: np.ndarray, policy: ConvergencePolicy) -> np.ndarray:
@@ -372,30 +357,8 @@ def solve_via_inverse(A: MatrixSpec, b: MatrixSpec,
                       wanted: list[int] | None = None) -> SolveReport:
     """Solve by applying the inverse series directly to the right-hand side.
 
-    Shares the norm precondition with :func:`neumann_inverse`.  The
-    requested unknowns (by default the indices of the first section) are
-    stabilized over the sections that hold the largest of them; the
-    residual is evaluated on the last section solved.
+    Shares the norm precondition with :func:`neumann_inverse`; the
+    sections are solved and their limits taken as in :func:`_section_solve`.
     """
-    policy = policy or ConvergencePolicy()
-    schedule = schedule or TruncationSchedule()
-    sizes, idx, sections, rhs = _square_system(A, b, wanted, schedule)
-    _norm_check(sections(sizes[-1]), None)
-    solutions: dict[int, np.ndarray] = {}
-
-    def solution_at(n):
-        if n not in solutions:
-            solutions[n] = _apply_series(sections(n), rhs(n), policy)
-        return solutions[n]
-
-    top = max(idx)
-    unknowns = {}
-    for i in idx:
-        unknowns[i] = section_limit(lambda n, _i=i: float(solution_at(n)[_i - 1]),
-                                    A.rows, schedule, policy, least=top)
-    final = max(solutions)
-    residual = float(np.max(np.abs(sections(final) @ solution_at(final)
-                                   - rhs(final))))
-    return SolveReport(compatible=True, rank_A=None, rank_Ab=None,
-                       unknowns=unknowns, route=ROUTE_INVERSE, residual=residual,
-                       _compat=lambda: _compare_ranks(A, sections, rhs, schedule, policy))
+    return _section_solve(A, b, wanted, schedule or TruncationSchedule(),
+                          policy or ConvergencePolicy(), ROUTE_INVERSE)

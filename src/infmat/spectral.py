@@ -71,7 +71,7 @@ def char_value(A: MatrixSpec, lam: float, n: int,
     """det of the n-by-n truncation of A - lam*I by the chosen route."""
     policy = policy or ConvergencePolicy()
     t = truncate(_square_spec(A), n, n).data
-    return det_section(_shifted(t, lam), policy, route).value
+    return det_section(_shifted(t, lam), policy, route)
 
 
 def _null_direction(shifted: np.ndarray, lam: float) -> DenseMatrix:
@@ -162,7 +162,7 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
     top = sections(n_final)
 
     def f_at(size):
-        return lambda x: det_section(_shifted(sections(size), x), policy).value
+        return lambda x: det_section(_shifted(sections(size), x), policy)
 
     def eigenpair(root, stable, char_at=None):
         shifted = _shifted(top, root)

@@ -139,6 +139,22 @@ def test_solve_cramer_short_schedule_is_undetermined_not_singular(capsys):
     assert code == 2
 
 
+def test_solve_cramer_on_a_growing_determinant_converges(tmp_path, capsys):
+    # tri(1, 4, 1): det A_n grows like 3.73^n, yet the section solutions
+    # agree to the last bit from n = 32 on
+    system = {"A": {"rows": "inf", "cols": "inf", "kind": "banded",
+                    "bands": {"0": "4", "-1": "1", "1": "1"}},
+              "b": {"kind": "expr", "expr": "1/i"}, "wanted": [1, 2, 3]}
+    path = tmp_path / "tri141_system.json"
+    path.write_text(json.dumps(system))
+    code, out = run_main(capsys, "solve", path, "--route", "cramer",
+                         "--max-size", 1024, "--quiet")
+    assert code == 0
+    x1 = json.loads(out)["result"]["unknowns"]["1"]
+    assert x1["status"] == "converged"
+    assert abs(x1["estimate"] - 0.2374007861516) <= 1e-12
+
+
 def test_solve_inverse_route(capsys):
     code, out = run_main(capsys, "solve", SPECS / "perturbed_system.json",
                          "--route", "inverse", "--max-size", 64, "--quiet")

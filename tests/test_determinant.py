@@ -5,10 +5,8 @@ import pytest
 
 from oracles import cofactor_det, counting, section_cells
 
-from infmat.determinant import (ColumnSelection, cauchy_binet,
-                                cauchy_binet_infinite, column_minor, det_infinite,
-                                det_log_series, det_oracle, det_truncation,
-                                row_minor)
+from infmat.determinant import (cauchy_binet, cauchy_binet_infinite, det_infinite,
+                                det_log_series, det_oracle, det_truncation)
 from infmat.errors import OracleValueError, PreconditionError
 from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE,
                                 MatrixSpec, TruncationSchedule, diagonal_spec,
@@ -147,18 +145,6 @@ def test_det_truncation_route_fallback():
 
 
 # --- minor expansion ----------------------------------------------------------
-
-def test_column_selection_validation():
-    with pytest.raises(ValueError):
-        ColumnSelection((2, 2))
-    with pytest.raises(ValueError):
-        ColumnSelection((0, 1))
-    sel = ColumnSelection((1, 3))
-    m = DenseMatrix([[1, 2, 3], [4, 5, 6]])
-    assert column_minor(m, sel).tolist() == [[1, 3], [4, 6]]
-    assert row_minor(DenseMatrix([[1, 2], [3, 4], [5, 6]]), sel).tolist() \
-        == [[1, 2], [5, 6]]
-
 
 def test_cauchy_binet_worked_case():
     a = DenseMatrix([[1, 1, 0], [0, 1, 1]])

@@ -55,6 +55,10 @@ RISING = {"rows": "inf", "cols": "inf", "kind": "expr", "expr": "1.5^j/(i+1)"}
 RECIP_COL = {"rows": "inf", "cols": "inf", "kind": "expr", "expr": "1/j"}
 NAN_ROWS = {"rows": "inf", "cols": "inf", "kind": "expr", "expr": "1/(i+j)^2 + 0*2^(26*i)"}
 SLOW_ROWS2 = {"rows": 2, "cols": "inf", "kind": "expr", "expr": "1/(i+j)^0.5"}
+# tri(1, 4, 1): its determinant grows like 3.73^n, its section solutions settle
+TRI141_SYSTEM = {"A": {"rows": "inf", "cols": "inf", "kind": "banded",
+                       "bands": {"0": "4", "-1": "1", "1": "1"}},
+                 "b": {"kind": "expr", "expr": "1/i"}, "wanted": [1, 2, 3]}
 HARMONIC_SYSTEM = {"A": {"rows": "inf", "cols": "inf", "kind": "diag", "expr": "1 + 1/i"},
                    "b": {"kind": "expr", "expr": "delta(i,1)"}}
 WRITTEN = {"tridiag.json": TRIDIAG, "fin20.json": FIN20, "dense.json": DENSE, "dense6.json": DENSE6,
@@ -65,7 +69,7 @@ WRITTEN = {"tridiag.json": TRIDIAG, "fin20.json": FIN20, "dense.json": DENSE, "d
            "dense3.json": DENSE3, "finsup.json": FINSUP, "harmonic_diag.json": HARMONIC,
            "harmonic_system.json": HARMONIC_SYSTEM, "rising.json": RISING,
            "recip_col.json": RECIP_COL, "nan_rows.json": NAN_ROWS,
-           "slow_rows2.json": SLOW_ROWS2}
+           "slow_rows2.json": SLOW_ROWS2, "tri141_system.json": TRI141_SYSTEM}
 
 _SPECS = ("harmonic_diag", "identity", "perturbation", "derivative")
 _EIG_INTERVALS = {"harmonic_diag": ("0.15", "0.6"), "identity": ("0.5", "1.5"),
@@ -135,7 +139,8 @@ COMMANDS = (
        ("tmp", ["mul", "poly_a.json", "poly_b.json", "--max-terms", "200"]),
        ("tmp", ["mul", "rising.json", "recip_col.json"]),
        ("tmp", ["mul", "poly_a.json", "nan_rows.json"]),
-       ("tmp", ["orth", "slow_rows2.json", "--max-terms", "2000"])]
+       ("tmp", ["orth", "slow_rows2.json", "--max-terms", "2000"]),
+       ("tmp", ["solve", "tri141_system.json", "--route", "cramer", "--max-size", "1024"])]
 )
 
 
