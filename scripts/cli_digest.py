@@ -7,10 +7,11 @@ banded-spectral, series-sums) at seeds 1-3, with the operation count of a
 ``infmat.cli.main`` with ``--quiet``, as the benchmark worker does.  The
 spec files are written into a temporary directory, which is also the
 working directory of the runs, so the paths in every output are the same
-from one checkout to the next.  Prints one line per (workload, seed): the
-SHA-256 of the stdout, stderr and exit code (or raised exception) of all
-its operations in order.  Two checkouts print the same nine lines exactly
-when every operation gives the same bytes.
+from one checkout to the next.  Prints one line per (workload, seed,
+operation kind), ``<workload> seed <seed> <kind> ops <count> <digest>``:
+the number of operations of that kind and the SHA-256 of their stdout,
+stderr and exit code (or raised exception), in order.  Two checkouts
+print the same lines exactly when every operation gives the same bytes.
 
     python scripts/cli_digest.py
 """

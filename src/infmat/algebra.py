@@ -11,11 +11,15 @@ their individual reports available on demand.  The probe is summed as
 one batch of series (:class:`~infmat.series.SeriesBatch`); the terms of
 every series entry come from the leading entries of its row of the left
 factor and its column of the right one, each read once by block for the
-whole product.
+whole product.  One function, :func:`_product_entries`, gives the
+probe, every later entry, and the Gram entries of ``A Aᵀ`` that
+:func:`~infmat.bases_orth.orthogonalize` reads: an inner product of rows
+is a product entry.
 """
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import count
 from typing import Callable
 
 import numpy as np
@@ -23,7 +27,7 @@ import numpy as np
 from ._dense import product_ascending
 from .errors import ExtentMismatchError
 from .matrix_core import (BANDED, EXPR, FINITE_SUPPORT, DenseMatrix, DecayCertificate,
-                          Extent, Lines, MatrixSpec, clip_extent, extents_equal,
+                          Lines, MatrixSpec, clip_extent, extents_equal,
                           is_finite_extent, truncate)
 from .series import (CONVERGED, DIVERGED, ConvergencePolicy, ConvergenceReport,
                      GeometricTail, SeriesBatch, exact_report, sum_series)
@@ -40,7 +44,8 @@ class ProductResult:
     """A product plus the evidence that its entries exist.
 
     ``per_entry_reports`` holds the probe sample for infinite inner
-    dimensions; ``entry_report`` recomputes the report for any index.
+    dimensions; ``entry_report`` gives the report for any index of the
+    matrix, and raises :class:`IndexError` outside it, as ``at`` does.
     """
 
     matrix: MatrixSpec
@@ -50,8 +55,9 @@ class ProductResult:
         default=None, repr=False, compare=False)
 
     def entry_report(self, i: int, j: int) -> ConvergenceReport:
+        self.matrix.check_index(i, j)
         if self._reporter is None:
-            return exact_report(self.matrix.at(i, j), 1)
+            return exact_report(self.matrix.entry(i, j), 1)
         return self._reporter(i, j)
 
 
@@ -114,18 +120,14 @@ def shift_diagonal(A: MatrixSpec, c: float) -> MatrixSpec:
     return MatrixSpec(A.rows, A.cols, entry, structure=EXPR)
 
 
-def _intersect_supports(sa, sb, inner: Extent) -> tuple[int, int] | None:
-    """Finite inner index range implied by structure, or None if unbounded."""
-    lo, hi = 1, None
-    if is_finite_extent(inner):
-        hi = int(inner)
-    for s in (sa, sb):
-        if s is not None:
-            lo = max(lo, s[0])
-            hi = s[1] if hi is None else min(hi, s[1])
-    if hi is None:
+def _intersect_supports(sa, sb) -> tuple[int, int] | None:
+    """The inner index range of a row support ``sa`` and a column support
+    ``sb``, or None if both are unbounded (a finite inner extent bounds
+    both)."""
+    spans = [s for s in (sa, sb) if s is not None]
+    if not spans:
         return None
-    return (lo, hi)
+    return max(s[0] for s in spans), min(s[1] for s in spans)
 
 
 def _product_tail(da: DecayCertificate | None, db: DecayCertificate | None,
@@ -180,6 +182,24 @@ def _exact_sum(term: Callable[[int], float],
     return exact_report(s, max(0, hi - lo + 1))
 
 
+def _product_entries(A, B, wanted, left, right, policy):
+    """The reports of the entries (i, j) of A B, one per ``(i, j, p, q)`` of
+    ``wanted``, in order; row i of A is line p of ``left``, column j of B
+    line q of ``right`` (readers as :func:`_line_product` takes them).  An
+    entry with a finite inner span is its exact ascending sum, the others
+    series summed as one :class:`SeriesBatch`."""
+    spans = [_intersect_supports(A.row_support(i), B.col_support(j)) for i, j, _, _ in wanted]
+    series = [w for w, span in zip(wanted, spans) if span is None]
+    group = SeriesBatch([_product_tail(A.decay, B.decay, i, j) for i, j, _, _ in series],
+                        policy, _line_product(left, right, [(p, q) for _, _, p, q in series]))
+    k = count()
+    for (i, j, _, _), span in zip(wanted, spans):
+        if span is not None:
+            yield _exact_sum(lambda l: A.entry(i, l) * B.entry(l, j), span)
+        else:
+            yield _series_entry(A, B, i, j, policy, (group, next(k)))
+
+
 def matmul(A: MatrixSpec, B: MatrixSpec,
            policy: ConvergencePolicy | None = None) -> ProductResult:
     """Product of two oracle matrices.
@@ -210,31 +230,14 @@ def matmul(A: MatrixSpec, B: MatrixSpec,
     a_row = cache(lambda i: (probe_rows, i - 1) if i <= pr else (Lines(A, [i], 0), 0))
     b_col = cache(lambda j: (probe_cols, j - 1) if j <= pc else (Lines(B, [j], 1), 0))
 
-    def report(i, j, batch=None):
-        span = _intersect_supports(A.row_support(i), B.col_support(j), inner)
-        if span is not None:
-            return _exact_sum(lambda l: A.entry(i, l) * B.entry(l, j), span)
-        if batch is None:
-            (left, p), (right, q) = a_row(i), b_col(j)
-            batch = SeriesBatch([_product_tail(A.decay, B.decay, i, j)], policy,
-                                _line_product(left, right, [(p, q)])), 0
-        return _series_entry(A, B, i, j, policy, batch)
-
-    # the probe's series entries are summed as one batch
     probe = [(i, j) for i in range(1, pr + 1) for j in range(1, pc + 1)]
-    series = [(i, j) for i, j in probe
-              if _intersect_supports(A.row_support(i), B.col_support(j), inner) is None]
-    group = SeriesBatch([_product_tail(A.decay, B.decay, i, j) for i, j in series], policy,
-                        _line_product(probe_rows, probe_cols,
-                                      [(i - 1, j - 1) for i, j in series]))
-    at = {pair: k for k, pair in enumerate(series)}
-    reports: dict[tuple[int, int], ConvergenceReport] = {}
-    for i, j in probe:
-        reports[(i, j)] = report(i, j, (group, at[(i, j)]) if (i, j) in at else None)
+    reports = dict(zip(probe, _product_entries(
+        A, B, [(i, j, i - 1, j - 1) for i, j in probe], probe_rows, probe_cols, policy)))
 
     def reporter(i, j):
         if (i, j) not in reports:
-            reports[(i, j)] = report(i, j)
+            (left, p), (right, q) = a_row(i), b_col(j)
+            reports[(i, j)], = _product_entries(A, B, [(i, j, p, q)], left, right, policy)
         return reports[(i, j)]
 
     def entry(i, j):

@@ -5,10 +5,11 @@ Orthogonalization forms the block [G0 | A] with G0 the Gram matrix of
 pairwise row inner products, then eliminates using only "add a multiple
 of an earlier row to a later row".  Swaps or scalings would break the
 orthogonality of the transformed right block, so they are deliberately
-unavailable; a zero pivot therefore means dependent rows.  For matrices
-with infinitely many columns the Gram entries are convergence-checked
-series and the transformed rows stay lazy (coefficient combinations over
-the original rows).
+unavailable; a zero pivot therefore means dependent rows.  A Gram entry
+is an entry of the product A Aᵀ, summed by :mod:`infmat.algebra`'s one
+product-entry path: exact for finitely many columns, else a
+convergence-checked series, and the transformed rows then stay lazy
+(coefficient combinations over the original rows).
 """
 
 from dataclasses import dataclass
@@ -17,12 +18,12 @@ from functools import cache
 import numpy as np
 
 from ._dense import gauss_solve, norm_inf
-from .algebra import _exact_sum, _intersect_supports, _line_product
+from .algebra import _line_product, _product_entries
 from .errors import (DependentRowsError, ExtentMismatchError,
                      GramConvergenceError)
 from .matrix_core import (DenseMatrix, Lines, MatrixSpec, Sections,
                           TruncationSchedule, extents_equal, is_finite_extent,
-                          truncate)
+                          transpose, truncate)
 from .series import (ConvergencePolicy, ConvergenceReport, GeometricTail,
                      SeriesBatch, section_limit_vector, sum_series)
 
@@ -41,6 +42,7 @@ class OrthogonalRows:
         return self.coefficients.shape[0]
 
     def entry(self, p: int, j: int) -> float:
+        self.source.check_index(p, j)
         row = self.coefficients[p - 1]
         return float(sum(row[q] * self.source.entry(q + 1, j)
                          for q in range(len(row)) if row[q] != 0.0))
@@ -74,40 +76,6 @@ class TransitionResult:
     column_reports: dict[int, ConvergenceReport]
 
 
-def _gram_tail(A: MatrixSpec, p: int, q: int) -> GeometricTail | None:
-    """The certificate of the inner product series of rows p and q."""
-    if A.decay is None:
-        return None
-    C, r = A.decay.C, A.decay.r
-    return GeometricTail(C * C * r ** (p + q), r * r)
-
-
-def _gram_series(A: MatrixSpec, p: int, q: int,
-                 policy: ConvergencePolicy, batch) -> ConvergenceReport:
-    """The series of the inner product of rows p and q: series ``k`` of
-    the batch ``batch = (group, k)`` (see :func:`sum_series`)."""
-    ea = A.entry
-
-    def term(j, _p=p, _q=q):
-        return ea(_p, j) * ea(_q, j)
-
-    return sum_series(term, policy, _gram_tail(A, p, q), batch)
-
-
-def _row_inner(A: MatrixSpec, p: int, q: int, policy, batch) -> float:
-    """Inner product of rows p and q, exact when the support is finite,
-    else the Gram series summed in ``batch``."""
-    span = _intersect_supports(A.row_support(p), A.row_support(q), A.cols)
-    if span is not None:
-        return _exact_sum(lambda j: A.entry(p, j) * A.entry(q, j), span).estimate
-    rep = _gram_series(A, p, q, policy, batch)
-    if not rep.converged:
-        raise GramConvergenceError(
-            f"inner product of rows {p} and {q} {rep.status} "
-            f"after {rep.terms_used} terms", pair=(p, q), status=rep.status)
-    return rep.estimate
-
-
 def orthogonalize(A: MatrixSpec,
                   policy: ConvergencePolicy | None = None) -> OrthReport:
     """Bring [Gram | A] to [G | A'] by lower eliminations only.
@@ -126,17 +94,17 @@ def orthogonalize(A: MatrixSpec,
     # and the orthogonality check alike
     lines = Lines(A, range(1, m + 1))
 
-    # the Gram series are summed as one batch
+    # Gram entry (p, q) is entry (p, q) of the product A Aᵀ, its rows and
+    # columns read through ``lines``; entries p <= q, in order
     pairs = [(p, q) for p in range(1, m + 1) for q in range(p, m + 1)]
-    series = [(p, q) for p, q in pairs
-              if _intersect_supports(A.row_support(p), A.row_support(q), A.cols) is None]
-    group = SeriesBatch([_gram_tail(A, p, q) for p, q in series], policy,
-                        _line_product(lines, lines, [(p - 1, q - 1) for p, q in series]))
-    at = {pair: k for k, pair in enumerate(series)}
     gram = np.empty((m, m))
-    for p, q in pairs:
-        batch = (group, at[(p, q)]) if (p, q) in at else None
-        gram[p - 1, q - 1] = gram[q - 1, p - 1] = _row_inner(A, p, q, policy, batch)
+    for (p, q), rep in zip(pairs, _product_entries(
+            A, transpose(A), [(p, q, p - 1, q - 1) for p, q in pairs], lines, lines, policy)):
+        if not rep.converged:
+            raise GramConvergenceError(
+                f"inner product of rows {p} and {q} {rep.status} "
+                f"after {rep.terms_used} terms", pair=(p, q), status=rep.status)
+        gram[p - 1, q - 1] = gram[q - 1, p - 1] = rep.estimate
     gram_dm = DenseMatrix(gram)
 
     g = np.array(gram)

@@ -136,13 +136,17 @@ class MatrixSpec:
         return extents_equal(self.rows, self.cols)
 
     def at(self, i: int, j: int) -> float:
+        self.check_index(i, j)
+        return self.entry(i, j)
+
+    def check_index(self, i: int, j: int) -> None:
+        """Raise :class:`IndexError` unless (i, j) lies in the matrix."""
         if i < 1 or j < 1:
             raise IndexError("indices are 1-based")
         if is_finite_extent(self.rows) and i > self.rows:
             raise IndexError(f"row {i} beyond extent {self.rows}")
         if is_finite_extent(self.cols) and j > self.cols:
             raise IndexError(f"col {j} beyond extent {self.cols}")
-        return self.entry(i, j)
 
     def row_support(self, i: int) -> tuple[int, int] | None:
         """Inclusive column range outside which row ``i`` is zero.
@@ -202,11 +206,6 @@ class DenseMatrix(MatrixSpec):
     @property
     def n(self) -> int:
         return self.cols
-
-    def at(self, i: int, j: int) -> float:
-        if not (1 <= i <= self.m and 1 <= j <= self.n):
-            raise IndexError(f"({i}, {j}) outside {self.m}x{self.n}")
-        return float(self.data[i - 1, j - 1])
 
     def tolist(self) -> list[list[float]]:
         return self.data.tolist()

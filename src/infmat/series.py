@@ -25,15 +25,16 @@ supplied, in which case ``certified`` is set and the error of the reported
 estimate is bounded by the certificate.
 
 The rule runs over arrays: a chunk of steps of many sequences at once,
-shaped (sequences, steps).  The quiet and growing streaks are run lengths
-carried from chunk to chunk, the non-finite stop, the certificate bound
-and the ``max_terms`` cap are masks, and each sequence stops at its own
-first firing step, with no loop over steps.  Series summed together (a
-:class:`SeriesBatch`, as ``matmul`` sums its probe and ``orthogonalize``
-its Gram entries) come with term runs read from the block oracle and
-advance through shared, doubling chunks of terms.  A value drawn one at a
-time (a series with no runs, or one whose run is declined or holds a
-non-finite term, and every sequence of :func:`limit_of_sequence` and
+shaped (sequences, steps).  The quiet and growing streaks are run
+lengths carried from chunk to chunk, the non-finite stop, the
+certificate bound and the ``max_terms`` cap are masks, and each sequence
+stops at its own first firing step, with no loop over steps.  Series
+summed together (a :class:`SeriesBatch`, as ``matmul`` sums its probe,
+and the Gram entries ``orthogonalize`` reads as entries of the product A
+Aᵀ) come with term runs read from the block oracle and advance through
+shared, doubling chunks of terms.  A value drawn one at a time (a series
+with no runs, or one whose run is declined or holds a non-finite term,
+and every sequence of :func:`limit_of_sequence` and
 :func:`stabilize_vector`) takes the same rule as a chunk of one step of
 one sequence, on plain floats, so no term or value past the stop is ever
 asked for and a step costs well under a microsecond.  The partial sums

@@ -12,6 +12,7 @@ from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE,
                                 MatrixSpec, banded_spec, diagonal_spec, entrywise_spec,
                                 identity_spec, transpose, truncate, zero_spec)
 from infmat.series import CONVERGED, ConvergencePolicy
+from infmat.specio import matrix_from_obj
 
 
 def geometric_spec(scale_=1.0, r=0.5):
@@ -234,6 +235,26 @@ def test_vector_accessors():
     with pytest.raises(IndexError):
         v.at(0, 1)
 
+
+@pytest.mark.parametrize("i,j", [(0, 1), (-1, 2), (4, 1), (5, 1), (1, 0), (2, -3)])
+def test_lazy_product_reports_no_entry_outside_it(i, j):
+    # 3 rows over an infinite inner index: a line index of -1 would wrap to
+    # the last probe row, and rows past 3 would read A's formula past A
+    hilbert = {"kind": "expr", "expr": "1/(i+j)^2", "rows": "inf", "cols": "inf"}
+    A = matrix_from_obj(dict(hilbert, rows=3))
+    product = matmul(A, matrix_from_obj(hilbert))
+    with pytest.raises(IndexError):
+        product.entry_report(i, j)
+    assert product.entry_report(3, 1) == product.per_entry_reports[(3, 1)]
+    assert product.entry_report(3, 9).estimate == product.matrix.entry(3, 9)
+
+
+def test_finite_product_reports_no_entry_outside_it():
+    product = matmul(DenseMatrix([[1.0, 2.0]]), DenseMatrix([[3.0], [4.0]]))
+    assert product.entry_report(1, 1).estimate == 11.0
+    for i, j in [(0, 1), (2, 1), (1, 2)]:
+        with pytest.raises(IndexError):
+            product.entry_report(i, j)
 
 # --- trace -----------------------------------------------------------------
 

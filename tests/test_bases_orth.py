@@ -4,10 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import gram_schmidt_rows
 
 from infmat import bases_orth
+from infmat.algebra import matmul
 from infmat.bases_orth import (OrthogonalRows, orthogonalize,
                                transformation_matrix, transition_matrix)
 from infmat.errors import (DependentRowsError, GramConvergenceError,
@@ -16,7 +18,7 @@ from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE,
                                 MatrixSpec, TruncationSchedule, entrywise_spec,
                                 transpose)
 from infmat.series import ConvergencePolicy, sum_series
-from infmat.specio import load_family_file
+from infmat.specio import load_family_file, matrix_from_obj
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -122,6 +124,58 @@ def test_orthogonal_rows_section_matches_entries():
     for p in (1, 2):
         for j in (1, 3, 5):
             assert sec.at(p, j) == pytest.approx(rep.A_prime.entry(p, j), abs=1e-14)
+
+
+@pytest.mark.parametrize("p,j", [(0, 1), (-1, 1), (3, 1), (1, 0), (2, -1)])
+def test_orthogonal_rows_have_no_entry_outside_them(p, j):
+    # coefficients[-1] is row 2's, and the formula reads j = 0 as a column
+    spec = matrix_from_obj({"kind": "expr", "expr": "1/(i+j)^2", "rows": 2, "cols": "inf"})
+    rows = orthogonalize(spec).A_prime
+    with pytest.raises(IndexError):
+        rows.entry(p, j)
+    assert rows.entry(2, 1) == pytest.approx(rows.section(1).at(2, 1), abs=1e-15)
+
+
+@st.composite
+def gram_rows(draw):
+    """Up to 8 independent rows over infinitely many columns: an ``expr``
+    spec with its block oracle, a ``banded`` or ``finite-support`` one, or
+    dense rows read through a scalar oracle alone, each with or without a
+    decay certificate."""
+    m = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["expr", "banded", "finite-support", "dense"]))
+    # a row's leading zeros would read as a quiet window and stop its sum
+    c = draw(st.floats(0.05, 0.45))
+    r = draw(st.sampled_from([None, 0.6, 0.75, 0.9]))
+    # the diagonal keeps the rows independent; the rest couples them
+    if r is None:
+        p = draw(st.floats(1.5, 3.0))
+        formula = f"delta(i,j) + {c}*(0-1)^(i*j)/(i+2*j)^{p}"
+    else:
+        formula = f"{r}^(i+j)*(delta(i,j) + {c}*(0-1)^(i*j)/(i+j))"
+    obj = {"rows": m, "cols": "inf", "kind": "expr", "expr": formula}
+    if kind == "banded":
+        obj = dict(obj, kind="banded", bands={str(d): formula for d in range(-2, 3)})
+    elif kind == "finite-support":
+        obj = dict(obj, support={"rows": m, "cols": m + draw(st.integers(0, 5))})
+    if r is not None:
+        obj["decay"] = {"kind": "geometric", "C": 1 + c, "r": r}
+    spec = matrix_from_obj(obj)
+    if kind == "dense":
+        spec = MatrixSpec(spec.rows, spec.cols, spec.entry, decay=spec.decay)
+    return spec
+
+
+@given(gram_rows())
+def test_gram_entries_are_the_product_entries(spec):
+    # the Gram block's inner products are the entries of A Aᵀ, bit for bit
+    policy = ConvergencePolicy(max_terms=20000)
+    gram = orthogonalize(spec, policy).gram.data
+    reports = matmul(spec, transpose(spec), policy).per_entry_reports
+    m = spec.rows
+    assert set(reports) == {(p, q) for p in range(1, m + 1) for q in range(1, m + 1)}
+    want = [[reports[(p, q)].estimate for q in range(1, m + 1)] for p in range(1, m + 1)]
+    assert gram.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
 
 # --- transition matrices --------------------------------------------------------
