@@ -17,6 +17,12 @@ dense input the window is the whole matrix.  An update of that kind can
 only turn a ``-0.0`` into ``+0.0``, so the sweep runs densely when its
 input holds a negative zero.  ``lu_det`` runs the same arithmetic on
 Python floats when the window is small (``_lu_det_narrow``).
+
+``lu_det_shifts`` runs that arithmetic once for a whole grid of diagonal
+shifts, with the shifts as the lanes of numpy arrays, as ``eig`` scans
+its grid.  Each of its steps costs numpy's per-call overhead whatever the
+number of lanes, so one value at a time (a bisection step, a ``det``
+schedule) stays on ``_lu_det_narrow``.
 """
 
 import math
@@ -107,6 +113,83 @@ def _lu_det_narrow(a: np.ndarray, bl: int, bu: int) -> float:
             for j in range(k + 1, right):
                 row[j - si] -= f * top[j - s0]
     return sign * det
+
+
+def lu_det_shifts(t: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """``lu_det(t - x*I)`` for each shift ``x``, bit for bit.
+
+    The diagonal is ``t_ii + -x``, as a shifted copy holds it.  A shift
+    leaves the band of ``t`` as it is, since the band counts the diagonal
+    anyway, so it is measured once.  For a narrow band, one elimination
+    runs :func:`_lu_det_narrow`'s arithmetic with the shifts as lanes: a
+    lane holds a sliding window of the ``bl + 1`` rows and ``bl + bu + 1``
+    columns that step k can touch, takes the first row with the strictly
+    largest ``|x|`` as pivot (never a NaN, unless all are), skips rows
+    whose ``x`` is 0, and is 0.0 from a step whose best pivot is 0.  The
+    cost per step is numpy's call overhead whatever the lane count, so
+    this pays off for a grid of shifts, not for one value.  A wide band
+    takes :func:`lu_det` once per shift.
+    """
+    t = np.asarray(t, dtype=float)
+    shifts = np.asarray(shifts, dtype=float)
+    n = t.shape[0]
+    with np.errstate(all="ignore"):
+        diag = np.diagonal(t) + -shifts[:, None]
+    bl, bu = _band(t)
+    if bl * (bl + bu) > NARROW_WINDOW:
+        out = []
+        for d in diag:
+            a = np.array(t)
+            a[np.diag_indices(n)] = d
+            out.append(lu_det(a))
+        return np.array(out, dtype=float)
+    lanes, width = np.arange(shifts.size), bl + bu + 1
+    # row i's entries in columns i - bl .. i + bu, the diagonal at bl
+    cols = np.arange(n)[:, None] + np.arange(-bl, bu + 1)
+    band = np.where((cols >= 0) & (cols < n), t[np.arange(n)[:, None], cols.clip(0, n - 1)], 0.0)
+
+    # window[:, r, c] holds the entry (k + r, k + c) at step k
+    window = np.zeros((shifts.size, bl + 1, width))
+
+    def enter(r, i):
+        """Row i into window row r, at step i - r <= 0 (the first rows)
+        or i - bl (a row entering from below)."""
+        window[:, r, :bu + r + 1] = band[i, bl - r:]
+        window[:, r, r] = diag[:, i]
+
+    for r in range(min(n, bl + 1)):
+        enter(r, r)
+    sign = np.ones(shifts.size)
+    det = np.ones(shifts.size)
+    dead = np.zeros(shifts.size, dtype=bool)
+    with np.errstate(all="ignore"):  # lanes go on past a zero pivot, unread
+        for k in range(n):
+            m, right = min(bl + 1, n - k), min(width, n - k)
+            if m > 1:
+                mag = np.abs(window[:, :m, 0])
+                mag[np.isnan(mag)] = -1.0
+                p = np.argmax(mag, axis=1)
+                dead |= mag[lanes, p] == 0.0
+                top = window[lanes, p]
+                window[lanes, p] = window[:, 0]
+                window[:, 0] = top
+                sign[p != 0] *= -1.0
+            else:
+                dead |= window[:, 0, 0] == 0.0
+            pivot = window[:, 0, 0]
+            det *= pivot
+            if m > 1:
+                x = window[:, 1:m, :1]
+                rest = window[:, 1:m, 1:right]
+                rest[...] = np.where(x == 0.0, rest, rest - x / pivot[:, None, None]
+                                     * window[:, :1, 1:right])
+            window[:, :-1, :-1] = window[:, 1:, 1:]
+            window[:, :-1, -1] = 0.0
+            if k + bl + 1 < n:
+                enter(bl, k + bl + 1)
+            else:
+                window[:, -1] = 0.0
+    return np.where(dead, 0.0, sign * det)
 
 
 def _sweep(a: np.ndarray, pivot_tol: float) -> tuple[np.ndarray, list[int], float]:

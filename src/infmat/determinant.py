@@ -79,19 +79,32 @@ def _log_series(t: np.ndarray, policy: ConvergencePolicy) -> DetReport:
                      log_terms_used=rep.terms_used, report=rep)
 
 
+def log_series_may_apply(diag: np.ndarray) -> np.ndarray:
+    """False where one diagonal entry already fails the log series' norm
+    test: ``|t_ii - 1| >= 1`` for some i of the last axis of ``diag``.
+
+    ``norm_inf(t - I)`` is a floating-point sum of non-negative terms,
+    which is at least each of its terms, so there it is >= 1 for certain.
+    A NaN on the diagonal leaves the test to the series, as its norm does.
+    """
+    return ~(np.max(np.abs(diag - 1.0), axis=-1, initial=0.0) >= 1.0)
+
+
 def det_section(t: np.ndarray, policy: ConvergencePolicy, route: str = "auto") -> float:
     """Determinant of a square section array by the selected route.
 
     ``auto`` takes the log-series whenever the norm precondition it
-    measures, ``norm_inf(t - I) < 1``, holds, and elimination otherwise.
+    measures, ``norm_inf(t - I) < 1``, holds, and elimination otherwise;
+    it attempts no series that :func:`log_series_may_apply` rules out.
     """
     if route == ROUTE_LOG_SERIES:
         return _log_series(t, policy).value
     if route == "auto":
-        try:
-            return _log_series(t, policy).value
-        except PreconditionError:
-            pass
+        if log_series_may_apply(np.diagonal(t)):
+            try:
+                return _log_series(t, policy).value
+            except PreconditionError:
+                pass
     elif route != ROUTE_LU:
         raise ValueError(f"unknown route {route!r}")
     return lu_det(t)

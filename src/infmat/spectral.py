@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dense import norm_inf, null_vector
-from .determinant import det_section
+from ._dense import lu_det_shifts, norm_inf, null_vector
+from .determinant import det_section, log_series_may_apply
 from .errors import ExtentMismatchError, OracleValueError, SingularSystemError
 from .matrix_core import (DenseMatrix, MatrixSpec, Sections, TruncationSchedule,
                           clip_extent, truncate)
@@ -96,12 +96,32 @@ def eigenvector_for(A: MatrixSpec, lam: float, n: int) -> DenseMatrix:
     return _null_direction(_shifted(truncate(A, n, n).data, lam), lam)
 
 
+def _grid_values(t: np.ndarray, xs: np.ndarray, policy: ConvergencePolicy) -> list:
+    """``det_section(_shifted(t, x), policy)`` for each grid point x.
+
+    Every x whose shifted diagonal is finite and rules out the log series
+    is one lane of :func:`~infmat._dense.lu_det_shifts`.  The others are
+    evaluated one at a time in grid order, so an error is raised at the
+    grid point, and with the type and message, of the one-at-a-time scan.
+    """
+    diag = np.diagonal(t) + -xs[:, None]
+    lanes = np.all(np.isfinite(diag), axis=1) & ~log_series_may_apply(diag)
+    values = np.zeros(xs.size)
+    if lanes.any():
+        values[lanes] = lu_det_shifts(t, xs[lanes])
+    out = values.tolist()
+    for i in np.flatnonzero(~lanes):
+        out[i] = det_section(_shifted(t, xs[i]), policy)
+    return out
+
+
 def _root_in(f, a, b, fa, fb):
     """The root of ``f`` bracketed by ``[a, b]``: ``a`` when ``f(a)`` is 0,
-    bisected on a sign change, else None."""
+    bisected on a sign change, else None.  A bracket with ``f(b)`` 0 is
+    left to the next one, or to the trailing endpoint, which report b."""
     if fa == 0.0:
         return a
-    if (fa < 0) != (fb < 0):
+    if fb != 0.0 and (fa < 0) != (fb < 0):
         return _bisect(f, a, b, fa, fb)
     return None
 
@@ -129,17 +149,20 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
     Scans ``grid_points`` evenly spaced arguments at the largest
     scheduled truncation size, bisects each bracket to width 1e-10, and
     re-checks each root at the previous size; roots moving more than
-    1e-6 between the two sizes are flagged unstable.  A finite spec's
+    1e-6 between the two sizes are flagged unstable.  A grid point whose
+    value is exactly 0 is itself a root, reported once.  A finite spec's
     schedule is its one full size, so its roots are exact and stable.  An
     interval with no sign change yields an empty list, not an error; a
     non-finite or empty interval, or ``grid_points`` or ``max_roots``
     below 1, raises :class:`ValueError`.
 
     One :class:`Sections` of the spec is grown to the largest size; the
-    previous size is a view of its corner.  Every characteristic value,
-    eigenvector and residual works on a copy of one of these two sections
-    with the diagonal shifted, so the oracle cost does not grow with
-    ``grid_points`` or the number of bisection steps.
+    previous size is a view of its corner, so the oracle cost does not grow
+    with ``grid_points`` or the number of bisection steps.  The grid's
+    values come from one elimination whose lanes are the grid points
+    (``_grid_values``), which copies no section.  Each bisection step,
+    eigenvector and residual works on a copy of one of the two sections
+    with the diagonal shifted.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -173,7 +196,7 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
 
     f = f_at(n_final)
     xs = np.linspace(lo, hi, grid_points)
-    fx = [f(x) for x in xs]
+    fx = _grid_values(top, xs, policy)
 
     pairs: list[EigenPair] = []
     for t in range(len(xs) - 1):

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import sweep_echelon, sweep_gauss_solve, sweep_lu_det, sweep_null_vector
 
 from infmat import _dense
-from infmat._dense import NARROW_WINDOW, echelon, gauss_solve, lu_det, null_vector
+from infmat._dense import (NARROW_WINDOW, echelon, gauss_solve, lu_det, lu_det_shifts,
+                           null_vector)
 from infmat.errors import SingularSystemError
 
 # exact zeros of both signs, ties and cancellations, tiny pivots
@@ -130,3 +131,56 @@ def test_gauss_solve_bit_identical_to_dense_sweep(a, columns, data, tol):
             gauss_solve(a, b, tol)
     else:
         assert same_bits(gauss_solve(a, b, tol), ref)
+
+
+# every band whose elimination window fits NARROW_WINDOW, the diagonal
+# (0, 0) included, with bu at most 63 when bl is 0
+NARROW_BANDS = [(bl, bu) for bl in range(9) for bu in range(64)
+                if bl * (bl + bu) <= NARROW_WINDOW]
+
+
+# exact zeros of both signs, tiny pivots, and entries near the largest
+# float, whose elimination overflows to inf and then to NaN
+SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 1e-12, 1e300, 1.5e308, -1.5e308])
+
+
+@st.composite
+def shifted_sections(draw):
+    """A banded section of special and random entries, and shifts among
+    which some equal a diagonal entry, so that a lane's pivot is 0."""
+    n = draw(st.integers(1, 150))
+    bl, bu = draw(st.sampled_from(NARROW_BANDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    i, j = np.indices((n, n))
+    special = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    t = np.where(special, rng.choice(SPECIAL, (n, n)), rng.standard_normal((n, n)))
+    t = np.where((j - i <= bu) & (i - j <= bl), t, 0.0)
+    shifts = [0.0, -0.0, *np.diagonal(t)[rng.integers(0, n, 3)],
+              *(rng.standard_normal(3) * draw(st.sampled_from([1.0, 1e-3, 1e300])))]
+    return t, np.array(shifts)
+
+
+def lu_dets_of_copies(t, shifts):
+    """``lu_det`` of a copy of ``t`` with ``-x`` added to the diagonal, per shift."""
+    want = []
+    with np.errstate(all="ignore"):
+        for x in shifts:
+            a = np.array(t)
+            a[np.diag_indices(t.shape[0])] += -x
+            want.append(lu_det(a))
+    return np.array(want, dtype=float)
+
+
+@settings(max_examples=120)
+@given(shifted_sections())
+def test_lu_det_shifts_bit_identical_to_lu_det(case):
+    t, shifts = case
+    got = lu_det_shifts(t, shifts)
+    assert np.array_equal(got.view(np.int64), lu_dets_of_copies(t, shifts).view(np.int64))
+
+
+def test_lu_det_shifts_of_a_wide_band_is_lu_det():
+    t = np.random.default_rng(3).standard_normal((14, 14))
+    shifts = np.array([0.0, t[2, 2], -1.5])
+    got = lu_det_shifts(t, shifts)
+    assert np.array_equal(got.view(np.int64), lu_dets_of_copies(t, shifts).view(np.int64))

@@ -5,8 +5,11 @@ import pytest
 
 from oracles import cofactor_det, counting, section_cells
 
+from infmat import determinant
+from infmat._dense import lu_det
 from infmat.determinant import (cauchy_binet, cauchy_binet_infinite, det_infinite,
-                                det_log_series, det_oracle, det_truncation)
+                                det_log_series, det_oracle, det_section, det_truncation,
+                                log_series_may_apply)
 from infmat.errors import OracleValueError, PreconditionError
 from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE,
                                 MatrixSpec, TruncationSchedule, diagonal_spec,
@@ -142,6 +145,27 @@ def test_det_truncation_route_fallback():
     with pytest.raises(PreconditionError):
         det_truncation(spec, 3, route="log-series")
     assert det_truncation(spec, 3, route="lu-oracle") == pytest.approx(27.0)
+
+
+def test_auto_route_attempts_no_series_a_diagonal_entry_rules_out(monkeypatch):
+    # |t_ii - 1| >= 1 on one diagonal entry puts norm_inf(t - I) at >= 1,
+    # so the auto route goes straight to elimination
+    attempts = []
+    series = determinant._log_series
+    monkeypatch.setattr(determinant, "_log_series",
+                        lambda t, policy: attempts.append(t) or series(t, policy))
+    policy = ConvergencePolicy()
+    t = np.array([[1.2, 0.1], [0.3, 0.9]])
+    det_section(t, policy)
+    assert len(attempts) == 1
+    for diag in ([1.2, 2.0], [1.2, 0.0], [-0.5, 1.0]):
+        t[np.diag_indices(2)] = diag
+        assert det_section(t, policy) == lu_det(t)
+    assert len(attempts) == 1
+    # a NaN diagonal entry leaves the test to the series, as its norm does
+    assert log_series_may_apply(np.array([np.nan, 5.0]))
+    assert list(log_series_may_apply(np.array([[0.5, 1.9], [0.5, 2.0], [0.0, 1.0]]))) == [
+        True, False, False]
 
 
 # --- minor expansion ----------------------------------------------------------

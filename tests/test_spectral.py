@@ -5,9 +5,13 @@ import pytest
 
 from oracles import charpoly_roots
 
-from infmat.errors import PreconditionError, SingularSystemError
+from infmat import spectral
+from infmat.determinant import det_section
+from infmat.errors import (ConvergenceFailureError, InfmatError, OracleValueError,
+                           PreconditionError, SingularSystemError)
 from infmat.matrix_core import (BANDED, INFINITE, DenseMatrix, MatrixSpec,
                                 TruncationSchedule, diagonal_spec, identity_spec)
+from infmat.series import ConvergencePolicy
 from infmat.spectral import char_value, eigenvector_for, find_eigenvalues
 
 SCHED = TruncationSchedule(8, 2, 64)
@@ -168,3 +172,45 @@ def test_find_eigenvalues_finite_spec_roots_are_exact_and_stable():
     assert len(want) == 6
     assert [p.lam for p in pairs] == pytest.approx(want, abs=1e-9)
     assert all(p.stable for p in pairs)
+
+
+@pytest.mark.parametrize("hi, grid", [(1.0 / 3.0, 2), (1.0 / 3.0 + 1.0 / 30.0, 3)])
+def test_root_on_a_grid_point_is_reported_once(hi, grid):
+    # the grid point 1/3 is a root; the bracket ending there has a negative
+    # left value, and is left to the next bracket or the trailing endpoint
+    spec = diagonal_spec(lambda i: 1.0 / i)
+    assert 1.0 / 3.0 in np.linspace(0.3, hi, grid).tolist()
+    pairs = find_eigenvalues(spec, (0.3, hi), SCHED, grid_points=grid)
+    assert [p.lam for p in pairs] == [1.0 / 3.0]
+
+
+def _first_scalar_error(t, xs, policy):
+    """The grid point and error at which the one-at-a-time scan stops."""
+    for x in xs:
+        try:
+            det_section(spectral._shifted(t, x), policy)
+        except InfmatError as exc:
+            return x, exc
+    raise AssertionError("the scan raises nothing")
+
+
+@pytest.mark.parametrize("data, interval, policy, error", [
+    # the shifted diagonal overflows at entry (2, 2) part way along the grid
+    ([[-1e308, 1.0, 0.0], [1.0, -1.5e308, 1.0], [0.0, 1.0, 2.0]], (0.0, 1e308),
+     ConvergencePolicy(), OracleValueError),
+    # the first grid points take the log series (norm 0.982) and hit its cap
+    ([[0.02, 0.001, 0.0], [0.001, 0.02, 0.001], [0.0, 0.001, 0.02]], (0.0, 0.5),
+     ConvergencePolicy(max_terms=20), ConvergenceFailureError),
+], ids=["non-finite-shift", "series-cap"])
+def test_grid_scan_raises_where_the_scalar_scan_raises(monkeypatch, data, interval, policy,
+                                                       error):
+    xs = np.linspace(*interval, 16)
+    x_err, err = _first_scalar_error(DenseMatrix(data).data, xs, policy)
+    assert type(err) is error and x_err != xs[-1]
+    seen = []
+    shifted = spectral._shifted
+    monkeypatch.setattr(spectral, "_shifted", lambda t, x: shifted(t, seen.append(x) or x))
+    with pytest.raises(error) as info:
+        find_eigenvalues(DenseMatrix(data), interval, policy=policy, grid_points=16)
+    assert str(info.value) == str(err)
+    assert seen[-1] == x_err
