@@ -10,8 +10,9 @@ and once with the block removed, cell by cell through the scalar oracle.
 The specs are the dense ``expr`` of the golden CLI tests, the same
 formula as a ``finite-support`` spec whose 384-by-384 support box the
 512 section overruns, a 512-by-512 ``dense`` spec holding the values of
-that formula, and every ``expr`` spec shipped in ``specs/``.  The two
-fills must agree bit for bit.
+that formula, a Toeplitz formula, one whose powers are constant along
+no diagonal line (so ``^`` is mapped cell by cell), and every ``expr``
+spec shipped in ``specs/``.  The two fills must agree bit for bit.
 
 The term-run line sums row 1 of ``c/(i+j+a)^p`` times column 1 of
 another such spec, an entry of an infinite product: once term by term
@@ -56,6 +57,10 @@ def formulas():
                                      "support": {"rows": 384, "cols": 384}}
     yield "dense 512x512", {"kind": "dense", "data": truncate(
         matrix_from_obj(golden), max(SIZES), max(SIZES)).data.tolist()}
+    # constant along diagonals, so ^ and exp are mapped once per line; and
+    # series-sums' geometric family, constant along no line: one call a cell
+    yield "toeplitz exp(-0.1*(i-j)^2)", {**golden, "expr": "exp(-0.1*(i-j)^2)"}
+    yield "cell path 0.9^(i*j)", {**golden, "expr": "0.9^(i*j)"}
     for path in sorted((ROOT / "specs").glob("*.json")):
         obj = json.loads(path.read_text())
         if obj.get("kind") == "expr":

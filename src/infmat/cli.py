@@ -10,6 +10,7 @@ diverged / precondition failure.
 """
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -128,6 +129,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # one parser per process: argparse keeps no state between parses
 def _build_parser():
     parser = _Parser(
         prog="infmat",

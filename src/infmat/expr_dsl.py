@@ -33,6 +33,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InfmatError
 
@@ -301,7 +302,25 @@ def _math_map(fn, *args):
     the last bit on some cells, so the scalar functions are mapped.
     Overflow gives ``inf`` as in :func:`eval_ast`; a domain error flags
     the block.
+
+    A 2-d block of at least 2 rows and 2 columns whose every argument is
+    constant, bit for bit, along each anti-diagonal (a Hankel block, such
+    as ``i+j``) or along each diagonal (Toeplitz, such as ``i-j``) is
+    mapped once per line: ``fn`` runs over the n + m - 1 argument values
+    of its first row and last column (of the block upside down, for
+    Toeplitz), and the block is a read-only strided view of that line.
+    The line holds exactly the block's argument values, so it raises a
+    domain error exactly when the block would.
     """
+    shape = np.broadcast_shapes(*map(np.shape, args))
+    if len(shape) == 2 and min(shape) >= 2:
+        # a Toeplitz block is a Hankel block upside down
+        for rows in (slice(None), slice(None, None, -1)):
+            cells = [np.broadcast_to(a, shape)[rows] for a in args]
+            bits = [c.view(np.int64) for c in cells if c.strides != (0, 0)]
+            if all(np.array_equal(b[1:, :-1], b[:-1, 1:]) for b in bits):
+                line = _math_map(fn, *[np.concatenate((c[0], c[1:, -1])) for c in cells])
+                return sliding_window_view(line, shape[1])[rows]
     try:
         try:
             out = np.frompyfunc(fn, len(args), 1)(*args)
@@ -412,7 +431,9 @@ def compile_block(node: ExprAst):
     together (``rows[:, None]``, ``cols[None, :]``).  The result
     broadcasts to their common shape and equals :func:`eval_ast` bit for
     bit on every cell.  ``if`` evaluates each branch only on the cells
-    that take it.  ``None`` is returned, instead of any value, when a
+    that take it.  ``^``, ``exp`` and ``ln`` call :mod:`math` once per
+    diagonal line of a Hankel or Toeplitz block (``i+j``, ``i-j``), else
+    once per cell.  ``None`` is returned, instead of any value, when a
     cell may be an error of the scalar path: a zero divisor, ``ln`` of a
     value <= 0, a domain error of ``^``, a bad ``fact`` argument, the
     variable ``k``, or ``j`` when ``J`` is ``None`` (a vector's formula).

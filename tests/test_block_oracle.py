@@ -8,6 +8,7 @@ raises itself, it hands a fill back to the scalar loop.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import given, strategies as st
 from test_expr_dsl import _asts
 from test_golden_cli import DENSE_EXPR
 
+from infmat import expr_dsl
 from infmat.errors import InfmatError
 from infmat.expr_dsl import compile_block, eval_ast, parse, pretty
 from infmat.matrix_core import (DenseMatrix, MatrixSpec, Sections, clip_extent,
@@ -228,3 +230,89 @@ def test_transposed_block_agrees_with_the_scalar_path():
     assert spec.block is not None
     assert_truncations_agree(spec, 37, 41)
     assert_sections_agree(spec, [8, 16, 32])
+
+
+# ^, exp and ln are mapped once per diagonal line when every argument is
+# constant along anti-diagonals (Hankel) or along diagonals (Toeplitz)
+HANKEL, TOEPLITZ, MIXED = ("0.3/(i+j+1)^2.5 + exp(-0.137*(i+j)) * ln(i+j)",
+                           "exp(-0.1*(i-j)^2) + 2^(j-i) + ln(abs(i-j) + 0.5)",
+                           "(i+j)^(i-j) + 0.9^(i*j)")
+
+
+def counting(fn):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return counted, calls
+
+
+def cell_map(fn, *args):
+    return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=float)
+
+
+@pytest.mark.parametrize("expr", [HANKEL, TOEPLITZ, MIXED])
+def test_diagonal_lines_fill_bit_for_bit(expr):
+    got, want = block_and_scalar(parse(expr), 40, 37)
+    assert got is not None and got == want
+    spec = expr_spec(expr)
+    assert_truncations_agree(spec, 37, 41)
+    # offset strips: the right strip and the bottom strip of each growth
+    assert_sections_agree(spec, [3, 5, 128])
+
+
+@pytest.mark.parametrize("m,n", [(256, 256), (2, 7), (9, 2)])
+def test_a_line_maps_n_plus_m_minus_1_cells(m, n):
+    I, J = np.arange(1.0, m + 1)[:, None], np.arange(1.0, n + 1)[None, :]
+    for args, cells in [((I + J, 2.5), m + n - 1), ((0.5, J - I), m + n - 1),
+                        ((1 + 1 / (I + J), I - J), m * n), ((I * J, 0.9), m * n)]:
+        pow_, calls = counting(math.pow)
+        got = expr_dsl._math_map(pow_, *args)
+        assert len(calls) == cells
+        assert got.shape == (m, n)
+        assert got.tobytes() == cell_map(math.pow, *args).tobytes()
+
+
+def test_equal_is_not_bitwise_equal_on_a_line():
+    # -0.0 on row 1 and 0.0 below: every cell == 0, yet no line is constant
+    # bit for bit, so each cell is mapped and pow(-0.0, 3) stays -0.0
+    got, want = block_and_scalar(parse("((i-2)*0*j)^3"), 6, 5)
+    assert got is not None and got == want
+    signs = np.signbit(np.array(got).view(np.float64))
+    assert signs[0].all() and not signs[1:].any()
+    # two NaN payloads on one anti-diagonal are two arguments, not one
+    nans = np.full((3, 3), 0.5)
+    nans[0, 1], nans[1, 0] = np.array([0x7FF8000000000001, 0x7FF8000000000002]).view(float)
+    ident, calls = counting(lambda x: x)
+    assert expr_dsl._math_map(ident, nans).tobytes() == nans.tobytes()
+    assert len(calls) == 9
+
+
+def test_ln_of_a_line_with_a_non_positive_value_declines():
+    I, J = np.arange(1.0, 9)[:, None], np.arange(1.0, 9)[None, :]
+    for expr in ("ln(i+j-5)", "ln(i-j+3)", "(i+j-5)^0.5"):
+        block = compile_block(parse(expr))
+        assert block(I, J) is None, expr
+        assert block(I + 8, J) is not None, expr
+    assert_sections_agree(expr_spec("ln(i+j-5)"), [2, 4, 8])
+
+
+def test_overflow_saturates_over_the_line_only(monkeypatch):
+    # 1/2^(i+j) overflows past i + j = 1023: the saturating rerun maps the
+    # 1023 values of one line, not the 512 * 512 cells
+    spec = load_matrix_file(SPECS / "geometric.json")
+    saturating, wrapped = expr_dsl._saturating, []
+
+    def counted_saturating(fn):
+        cell, calls = counting(saturating(fn))
+        wrapped.append(calls)
+        return cell
+
+    monkeypatch.setattr(expr_dsl, "_saturating", counted_saturating)
+    by_block = truncate(spec, 512, 512).data
+    assert [len(calls) for calls in wrapped] == [512 + 512 - 1]
+    monkeypatch.undo()
+    assert by_block.tobytes() == truncate(scalar(spec), 512, 512).data.tobytes()
+    assert by_block[-1, -1] == 0.0

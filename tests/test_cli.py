@@ -394,6 +394,17 @@ def test_usage_errors_are_config_error_documents(capsys, args, message):
     assert json.loads(out) == {"error": {"code": "config-error", "message": message}}
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    good = _EIG + ["--interval", 0.4, 0.6, "--quiet"]
+    first = run_main(capsys, *good)
+    code, out = run_main(capsys, *good, "--grid", "x")
+    assert code == 1
+    assert json.loads(out) == {"error": {
+        "code": "config-error", "message": "argument --grid: invalid int value: 'x'"}}
+    assert run_main(capsys, *good) == first
+    assert first[0] == 0
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["det", "--help"])
