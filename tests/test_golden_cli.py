@@ -55,6 +55,12 @@ RISING = {"rows": "inf", "cols": "inf", "kind": "expr", "expr": "1.5^j/(i+1)"}
 RECIP_COL = {"rows": "inf", "cols": "inf", "kind": "expr", "expr": "1/j"}
 NAN_ROWS = {"rows": "inf", "cols": "inf", "kind": "expr", "expr": "1/(i+j)^2 + 0*2^(26*i)"}
 SLOW_ROWS2 = {"rows": 2, "cols": "inf", "kind": "expr", "expr": "1/(i+j)^0.5"}
+# rows that no block oracle reads (banded, finite-support): every term of the
+# orthogonality check comes from the scalar oracle
+BANDED_ROWS3 = {"rows": 3, "cols": "inf", "kind": "banded",
+                "bands": {"-1": "0.5", "0": "2+1/i", "1": "0.5", "2": "0.25"}}
+FINSUP_ROWS3 = {"rows": 3, "cols": "inf", "kind": "finite-support", "expr": "1/(i+2*j)",
+                "support": {"rows": 3, "cols": 5}}
 # tri(1, 4, 1): its determinant grows like 3.73^n, its section solutions settle
 TRI141_SYSTEM = {"A": {"rows": "inf", "cols": "inf", "kind": "banded",
                        "bands": {"0": "4", "-1": "1", "1": "1"}},
@@ -69,7 +75,8 @@ WRITTEN = {"tridiag.json": TRIDIAG, "fin20.json": FIN20, "dense.json": DENSE, "d
            "dense3.json": DENSE3, "finsup.json": FINSUP, "harmonic_diag.json": HARMONIC,
            "harmonic_system.json": HARMONIC_SYSTEM, "rising.json": RISING,
            "recip_col.json": RECIP_COL, "nan_rows.json": NAN_ROWS,
-           "slow_rows2.json": SLOW_ROWS2, "tri141_system.json": TRI141_SYSTEM}
+           "slow_rows2.json": SLOW_ROWS2, "tri141_system.json": TRI141_SYSTEM,
+           "banded_rows3.json": BANDED_ROWS3, "finsup_rows3.json": FINSUP_ROWS3}
 
 _SPECS = ("harmonic_diag", "identity", "perturbation", "derivative")
 _EIG_INTERVALS = {"harmonic_diag": ("0.15", "0.6"), "identity": ("0.5", "1.5"),
@@ -140,7 +147,9 @@ COMMANDS = (
        ("tmp", ["mul", "rising.json", "recip_col.json"]),
        ("tmp", ["mul", "poly_a.json", "nan_rows.json"]),
        ("tmp", ["orth", "slow_rows2.json", "--max-terms", "2000"]),
-       ("tmp", ["solve", "tri141_system.json", "--route", "cramer", "--max-size", "1024"])]
+       ("tmp", ["solve", "tri141_system.json", "--route", "cramer", "--max-size", "1024"]),
+       ("tmp", ["orth", "banded_rows3.json"]),
+       ("tmp", ["orth", "finsup_rows3.json"])]
 )
 
 
