@@ -12,9 +12,9 @@ one batch of series (:class:`~infmat.series.SeriesBatch`); the terms of
 every series entry come from the leading entries of its row of the left
 factor and its column of the right one, each read once by block for the
 whole product.  One function, :func:`_product_entries`, gives the
-probe, every later entry, and the Gram entries of ``A Aᵀ`` that
-:func:`~infmat.bases_orth.orthogonalize` reads: an inner product of rows
-is a product entry.
+probe, every later entry, and the entries of ``A Aᵀ`` and ``A′A′ᵀ`` that
+:func:`~infmat.bases_orth.orthogonalize` reads (Gram block, check): an
+inner product of rows is a product entry.
 """
 
 from dataclasses import dataclass, field
@@ -130,23 +130,25 @@ def _intersect_supports(sa, sb) -> tuple[int, int] | None:
     return max(s[0] for s in spans), min(s[1] for s in spans)
 
 
-def _product_tail(da: DecayCertificate | None, db: DecayCertificate | None,
-                  i: int, j: int) -> GeometricTail | None:
+def _product_tail(A: MatrixSpec, B: MatrixSpec) -> Callable[[int, int], GeometricTail | None]:
+    """``tail(i, j)``, the bound that the decay certificates give on the
+    terms of entry (i, j) of A B, or None without both."""
+    da, db = A.decay, B.decay
     if da is None or db is None:
-        return None
+        return lambda i, j: None
     # |A(i,l) B(l,j)| <= Ca Cb ra^i rb^j (ra rb)^l
-    return GeometricTail(da.C * db.C * da.r ** i * db.r ** j, da.r * db.r)
+    return lambda i, j: GeometricTail(da.C * db.C * da.r ** i * db.r ** j, da.r * db.r)
 
 
-def _series_entry(A, B, i, j, policy, batch):
-    """The report of product entry (i, j), a series: series ``k`` of the
-    batch ``batch = (group, k)`` (see :func:`sum_series`)."""
+def _series_entry(A, B, i, j, policy, tail, batch):
+    """The report of product entry (i, j), a series with the tail bound
+    ``tail``: series ``k`` of the batch ``batch = (group, k)``."""
     ea, eb = A.entry, B.entry
 
     def term(l, _ea=ea, _eb=eb, _i=i, _j=j):
         return _ea(_i, l) * _eb(l, _j)
 
-    return sum_series(term, policy, _product_tail(A.decay, B.decay, i, j), batch)
+    return sum_series(term, policy, tail, batch)
 
 
 def _line_product(left, right, pairs):
@@ -182,22 +184,23 @@ def _exact_sum(term: Callable[[int], float],
     return exact_report(s, max(0, hi - lo + 1))
 
 
-def _product_entries(A, B, wanted, left, right, policy):
+def _product_entries(A, B, wanted, left, right, policy, tail):
     """The reports of the entries (i, j) of A B, one per ``(i, j, p, q)`` of
     ``wanted``, in order; row i of A is line p of ``left``, column j of B
     line q of ``right`` (readers as :func:`_line_product` takes them).  An
     entry with a finite inner span is its exact ascending sum, the others
-    series summed as one :class:`SeriesBatch`."""
+    series summed as one :class:`SeriesBatch`, the terms of entry (i, j)
+    bounded by ``tail(i, j)`` (see :func:`_product_tail`)."""
     spans = [_intersect_supports(A.row_support(i), B.col_support(j)) for i, j, _, _ in wanted]
     series = [w for w, span in zip(wanted, spans) if span is None]
-    group = SeriesBatch([_product_tail(A.decay, B.decay, i, j) for i, j, _, _ in series],
+    group = SeriesBatch([tail(i, j) for i, j, _, _ in series],
                         policy, _line_product(left, right, [(p, q) for _, _, p, q in series]))
     k = count()
     for (i, j, _, _), span in zip(wanted, spans):
         if span is not None:
             yield _exact_sum(lambda l: A.entry(i, l) * B.entry(l, j), span)
         else:
-            yield _series_entry(A, B, i, j, policy, (group, next(k)))
+            yield _series_entry(A, B, i, j, policy, tail(i, j), (group, next(k)))
 
 
 def matmul(A: MatrixSpec, B: MatrixSpec,
@@ -230,14 +233,15 @@ def matmul(A: MatrixSpec, B: MatrixSpec,
     a_row = cache(lambda i: (probe_rows, i - 1) if i <= pr else (Lines(A, [i], 0), 0))
     b_col = cache(lambda j: (probe_cols, j - 1) if j <= pc else (Lines(B, [j], 1), 0))
 
+    tail = _product_tail(A, B)
     probe = [(i, j) for i in range(1, pr + 1) for j in range(1, pc + 1)]
     reports = dict(zip(probe, _product_entries(
-        A, B, [(i, j, i - 1, j - 1) for i, j in probe], probe_rows, probe_cols, policy)))
+        A, B, [(i, j, i - 1, j - 1) for i, j in probe], probe_rows, probe_cols, policy, tail)))
 
     def reporter(i, j):
         if (i, j) not in reports:
             (left, p), (right, q) = a_row(i), b_col(j)
-            reports[(i, j)], = _product_entries(A, B, [(i, j, p, q)], left, right, policy)
+            reports[(i, j)], = _product_entries(A, B, [(i, j, p, q)], left, right, policy, tail)
         return reports[(i, j)]
 
     def entry(i, j):

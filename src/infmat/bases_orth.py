@@ -7,9 +7,9 @@ of an earlier row to a later row".  Swaps or scalings would break the
 orthogonality of the transformed right block, so they are deliberately
 unavailable; a zero pivot therefore means dependent rows.  A Gram entry
 is an entry of the product A Aᵀ, summed by :mod:`infmat.algebra`'s one
-product-entry path: exact for finitely many columns, else a
-convergence-checked series, and the transformed rows then stay lazy
-(coefficient combinations over the original rows).
+product-entry path: exact for finitely many columns, else a convergence-
+checked series; the transformed rows A′ then stay a lazy spec, and the
+orthogonality check sums entries of A′A′ᵀ through the same path.
 """
 
 from dataclasses import dataclass
@@ -18,37 +18,49 @@ from functools import cache
 import numpy as np
 
 from ._dense import gauss_solve, norm_inf
-from .algebra import _line_product, _product_entries
+from .algebra import _product_entries, _product_tail
 from .errors import (DependentRowsError, ExtentMismatchError,
                      GramConvergenceError)
 from .matrix_core import (DenseMatrix, Lines, MatrixSpec, Sections,
                           TruncationSchedule, extents_equal, is_finite_extent,
                           transpose, truncate)
 from .series import (ConvergencePolicy, ConvergenceReport, GeometricTail,
-                     SeriesBatch, section_limit_vector, sum_series)
+                     section_limit_vector)
 
 PIVOT_SCALE = 1e-10
 
 
-class OrthogonalRows:
-    """Lazy transformed rows: explicit combinations of the source rows."""
+@dataclass(frozen=True, init=False, repr=False)
+class OrthogonalRows(MatrixSpec):
+    """Lazy transformed rows, explicit combinations of the source rows: the
+    ``expr`` spec whose column j is the product ``coefficients @ column_j``,
+    its block read through ``_lines``, a :class:`Lines` of all source rows."""
 
-    def __init__(self, coefficients: np.ndarray, source: MatrixSpec):
-        self.coefficients = np.array(coefficients, dtype=float)
-        self.source = source
+    def __init__(self, coefficients: np.ndarray, source: MatrixSpec, _lines: Lines | None = None):
+        coeff = np.array(coefficients, dtype=float)
+        m = coeff.shape[0]
+        lines = _lines or Lines(source, range(1, m + 1))
 
-    @property
-    def count(self) -> int:
-        return self.coefficients.shape[0]
+        def entry(p, j):
+            source.check_index(p, j)
+            return float((coeff @ np.array([source.entry(t, j) for t in range(1, m + 1)]))[p - 1])
 
-    def entry(self, p: int, j: int) -> float:
-        self.source.check_index(p, j)
-        row = self.coefficients[p - 1]
-        return float(sum(row[q] * self.source.entry(q + 1, j)
-                         for q in range(len(row)) if row[q] != 0.0))
+        def block(rows, cols):
+            values = lines(int(cols.max()))
+            if values is None:
+                return None
+            out = np.empty((m, cols.size))
+            with np.errstate(all="ignore"):  # non-finite values, as entry gives them
+                for c, j in enumerate(cols.tolist()):
+                    out[:, c] = coeff @ np.array(values[:, j - 1])
+            return out if np.array_equal(rows, np.arange(1, m + 1)) else out[rows - 1]
+
+        super().__init__(m, source.cols, entry, block=block)
+        object.__setattr__(self, "coefficients", coeff)
+        object.__setattr__(self, "source", source)
 
     def section(self, cols: int) -> DenseMatrix:
-        base = truncate(self.source, self.count, cols).data
+        base = truncate(self.source, self.rows, cols).data
         return DenseMatrix(self.coefficients @ base)
 
 
@@ -99,7 +111,8 @@ def orthogonalize(A: MatrixSpec,
     pairs = [(p, q) for p in range(1, m + 1) for q in range(p, m + 1)]
     gram = np.empty((m, m))
     for (p, q), rep in zip(pairs, _product_entries(
-            A, transpose(A), [(p, q, p - 1, q - 1) for p, q in pairs], lines, lines, policy)):
+            A, transpose(A), [(p, q, p - 1, q - 1) for p, q in pairs], lines, lines, policy,
+            _product_tail(A, transpose(A)))):
         if not rep.converged:
             raise GramConvergenceError(
                 f"inner product of rows {p} and {q} {rep.status} "
@@ -129,50 +142,27 @@ def orthogonalize(A: MatrixSpec,
         off = prods - np.diag(np.diag(prods))
         max_off = float(np.max(np.abs(off))) if m > 1 else 0.0
     else:
-        a_prime = OrthogonalRows(coeff, A)
-        max_off = 0.0
+        a_prime = OrthogonalRows(coeff, A, lines)
+        amp = None
         if A.decay is not None:
             C, r = A.decay.C, A.decay.r
             amp = np.array([C * sum(abs(coeff[p, q]) * r ** (q + 1)
                                     for q in range(m)) for p in range(m)])
-        else:
-            amp = None
-        known = np.zeros((m, 0))
 
-        def transformed(n):
-            # the first n entries of every transformed row: one product
-            # coeff @ column per column, as the scalar term below forms it
-            # (a product with the whole block moves last bits)
-            nonlocal known
-            block = lines(n)
-            if block is None:
-                return None
-            k = known.shape[1]
-            if n > k:
-                new = np.empty((m, n - k))
-                with np.errstate(all="ignore"):  # non-finite runs go back to term
-                    for c in range(k, n):
-                        new[:, c - k] = coeff @ np.array(block[:, c])
-                known = np.concatenate((known, new), axis=1)
-            return known[:, :n]
+        def tail(p, q):
+            # |A'_p(j)| <= amp_p * r^j, so the term is <= amp_p amp_q (r^2)^j
+            return None if amp is None else GeometricTail(float(amp[p - 1] * amp[q - 1]), r * r)
 
-        # the orthogonality-check series are summed as one batch
-        pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
-        # |A'_p(j)| <= amp_p * r^j, so the term is <= amp_p amp_q (r^2)^j
-        tails = [None if amp is None else GeometricTail(float(amp[p] * amp[q]), r * r)
-                 for p, q in pairs]
-        group = SeriesBatch(tails, policy, _line_product(transformed, transformed, pairs))
-        for k, (p, q) in enumerate(pairs):
-            def term(j, _p=p, _q=q):
-                col = [A.entry(t + 1, j) for t in range(m)]
-                w = coeff @ np.array(col)
-                return float(w[_p] * w[_q])
-
-            rep = sum_series(term, policy, tails[k], (group, k))
+        # the check sums the entries p < q of A'A'ᵀ, the rows of A' read by block
+        pairs = [(p, q) for p in range(1, m + 1) for q in range(p + 1, m + 1)]
+        prime_lines = Lines(a_prime, range(1, m + 1))
+        max_off = 0.0
+        for (p, q), rep in zip(pairs, _product_entries(
+                a_prime, transpose(a_prime), [(p, q, p - 1, q - 1) for p, q in pairs],
+                prime_lines, prime_lines, policy, tail)):
             if not rep.converged:
-                raise GramConvergenceError(
-                    f"orthogonality check for rows {p + 1}, {q + 1} "
-                    f"{rep.status}", pair=(p + 1, q + 1), status=rep.status)
+                raise GramConvergenceError(f"orthogonality check for rows {p}, {q} {rep.status}",
+                                           pair=(p, q), status=rep.status)
             max_off = max(max_off, abs(rep.estimate))
     return OrthReport(DenseMatrix(g), a_prime, max_off, gram_dm)
 

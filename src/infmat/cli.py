@@ -14,6 +14,7 @@ import functools
 import json
 import logging
 import math
+import re
 import sys
 
 import numpy as np
@@ -124,6 +125,11 @@ class _UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     """Raises :class:`_UsageError` with argparse's message instead of
     printing the usage and exiting 2, the ``undetermined`` status."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes -1e-3 for an option; a number in exponent notation is one
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         raise _UsageError(message)

@@ -76,15 +76,12 @@ def clip_extent(extent: Extent, n: int) -> int:
 
 @dataclass(frozen=True)
 class DecayCertificate:
-    """Declared bound ``|entry(i, j)| <= C * r**(i + j)``, geometric kind."""
+    """Declared geometric bound ``|entry(i, j)| <= C * r**(i + j)``."""
 
     C: float
     r: float
-    kind: str = "geometric"
 
     def __post_init__(self):
-        if self.kind != "geometric":
-            raise CertificateError(f"unsupported certificate kind {self.kind!r}")
         if not (self.C > 0):
             raise CertificateError("C must be positive")
         if not (0 < self.r < 1):

@@ -328,10 +328,10 @@ class SeriesBatch:
     ``sum_series`` sums on, through its ``term``, a series that left it.
     """
 
-    def __init__(self, tails, policy: ConvergencePolicy | None = None,
-                 runs: Callable[[int, int, np.ndarray], "np.ndarray | None"] | None = None):
+    def __init__(self, tails, policy: ConvergencePolicy,
+                 runs: Callable[[int, int, np.ndarray], "np.ndarray | None"]):
         self.tails = list(tails)
-        self.policy = policy or ConvergencePolicy()
+        self.policy = policy
         self._runs = runs
         self._outcome = None
 
@@ -344,8 +344,6 @@ class SeriesBatch:
     def _sum(self) -> list:
         policy, runs = self.policy, self._runs
         outcome: list = [_Start()] * len(self.tails)
-        if runs is None:
-            return outcome
         rule = _Rule(policy, [tail is not None for tail in self.tails])
         rows = np.arange(len(self.tails))  # the series still in the batch
         sums = np.zeros(rows.size)          # and their running sums

@@ -14,7 +14,7 @@ from infmat.bases_orth import (OrthogonalRows, orthogonalize,
                                transformation_matrix, transition_matrix)
 from infmat.errors import (DependentRowsError, GramConvergenceError,
                            OracleValueError)
-from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE,
+from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE, Lines,
                                 MatrixSpec, TruncationSchedule, entrywise_spec,
                                 transpose)
 from infmat.series import ConvergencePolicy, sum_series
@@ -176,6 +176,24 @@ def test_gram_entries_are_the_product_entries(spec):
     assert set(reports) == {(p, q) for p in range(1, m + 1) for q in range(1, m + 1)}
     want = [[reports[(p, q)].estimate for q in range(1, m + 1)] for p in range(1, m + 1)]
     assert gram.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
+@given(gram_rows())
+def test_transformed_rows_are_a_spec_whose_block_reads_its_entries(spec):
+    # column j of A' is the one product coefficients @ column_j, through
+    # entry and through the block that Lines reads, bit for bit
+    rows = orthogonalize(spec, ConvergencePolicy(max_terms=20000)).A_prime
+    m, n = spec.rows, 12
+    columns = [[spec.entry(t, j) for t in range(1, m + 1)] for j in range(1, n + 1)]
+    want = np.array([rows.coefficients @ np.array(col) for col in columns]).T
+    got = np.array([[rows.entry(p, j) for j in range(1, n + 1)] for p in range(1, m + 1)])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    for order in (range(1, m + 1), range(m, 0, -1)):
+        read = Lines(rows, order)(n)
+        assert (read is None) == (spec.block is None or spec.structure != "expr")
+        if read is not None:
+            picked = want[np.array(order) - 1]
+            assert read.view(np.int64).tolist() == picked.view(np.int64).tolist()
 
 
 # --- transition matrices --------------------------------------------------------

@@ -394,6 +394,14 @@ def test_usage_errors_are_config_error_documents(capsys, args, message):
     assert json.loads(out) == {"error": {"code": "config-error", "message": message}}
 
 
+@pytest.mark.parametrize("low", ["-1e-3", "-1E-3", "-1.e-3", "-.1e-2"])
+def test_eig_takes_negative_endpoints_in_exponent_notation(capsys, low):
+    # the same bytes as the plain decimal -0.001, the endpoint included
+    want = run_main(capsys, *_EIG, "--interval", "-0.001", 0.6, "--quiet")
+    assert json.loads(want[1])["config"]["interval"] == [-0.001, 0.6]
+    assert run_main(capsys, *_EIG, "--interval", low, 0.6, "--quiet") == want
+
+
 def test_one_parser_serves_every_call_in_a_process(capsys):
     good = _EIG + ["--interval", 0.4, 0.6, "--quiet"]
     first = run_main(capsys, *good)
