@@ -69,8 +69,8 @@ def formulas():
 
 def scalar_twin(spec):
     """``spec`` without its block oracle: every cell through ``entry``."""
-    return MatrixSpec(spec.rows, spec.cols, spec.entry, spec.structure, spec.decay,
-                      spec.bandwidth, spec.support)
+    return MatrixSpec(spec.rows, spec.cols, spec.entry, decay=spec.decay,
+                      bandwidth=spec.bandwidth, support=spec.support)
 
 
 def best_fill(spec, m, n):

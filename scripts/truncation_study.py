@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from infmat import (ConvergencePolicy, TruncationSchedule, det_infinite,  # noqa: E402
                     diagonal_spec, entrywise_spec, identity_spec, rank_of,
-                    MatrixSpec, INFINITE, BANDED)
+                    MatrixSpec, INFINITE)
 
 
 def perturbed_identity():
@@ -26,7 +26,7 @@ def perturbed_identity():
             v = 1.5
         return v
 
-    return MatrixSpec(INFINITE, INFINITE, entry, structure=BANDED, bandwidth=0)
+    return MatrixSpec(INFINITE, INFINITE, entry, bandwidth=0)
 
 
 CASES = [

@@ -26,9 +26,8 @@ import numpy as np
 
 from ._dense import product_ascending
 from .errors import ExtentMismatchError
-from .matrix_core import (BANDED, EXPR, FINITE_SUPPORT, DenseMatrix, DecayCertificate,
-                          Lines, MatrixSpec, clip_extent, extents_equal,
-                          is_finite_extent, truncate)
+from .matrix_core import (DenseMatrix, DecayCertificate, Lines, MatrixSpec, clip_extent,
+                          extents_equal, is_finite_extent, truncate)
 from .series import (CONVERGED, DIVERGED, ConvergencePolicy, ConvergenceReport,
                      GeometricTail, SeriesBatch, exact_report, sum_series)
 
@@ -62,7 +61,7 @@ class ProductResult:
 
 
 def add(A: MatrixSpec, B: MatrixSpec) -> MatrixSpec:
-    """Entrywise sum; structures join, certificates combine when possible."""
+    """Entrywise sum; patterns join, certificates combine when possible."""
     if not (extents_equal(A.rows, B.rows) and extents_equal(A.cols, B.cols)):
         raise ExtentMismatchError(
             f"cannot add {A.rows}x{A.cols} and {B.rows}x{B.cols}")
@@ -71,21 +70,17 @@ def add(A: MatrixSpec, B: MatrixSpec) -> MatrixSpec:
     def entry(i, j, _ea=ea, _eb=eb):
         return _ea(i, j) + _eb(i, j)
 
-    structure, bandwidth, support = _join_structure(A, B)
+    # the wider of two bands, the box spanning two boxes, else no pattern
+    bandwidth = support = None
+    if A.bandwidth is not None and B.bandwidth is not None:
+        bandwidth = max(A.bandwidth, B.bandwidth)
+    elif A.support is not None and B.support is not None:
+        support = (max(A.support[0], B.support[0]), max(A.support[1], B.support[1]))
     decay = None
     if A.decay is not None and B.decay is not None:
         decay = DecayCertificate(A.decay.C + B.decay.C, max(A.decay.r, B.decay.r))
-    return MatrixSpec(A.rows, A.cols, entry, structure=structure, decay=decay,
-                      bandwidth=bandwidth, support=support)
-
-
-def _join_structure(A, B):
-    if A.structure == B.structure == BANDED:
-        return BANDED, max(A.bandwidth, B.bandwidth), None
-    if A.structure == B.structure == FINITE_SUPPORT:
-        box = (max(A.support[0], B.support[0]), max(A.support[1], B.support[1]))
-        return FINITE_SUPPORT, None, box
-    return EXPR, None, None
+    return MatrixSpec(A.rows, A.cols, entry, decay=decay, bandwidth=bandwidth,
+                      support=support)
 
 
 def scale(c: float, A: MatrixSpec) -> MatrixSpec:
@@ -99,8 +94,8 @@ def scale(c: float, A: MatrixSpec) -> MatrixSpec:
     decay = None
     if A.decay is not None and c != 0.0:
         decay = DecayCertificate(abs(c) * A.decay.C, A.decay.r)
-    return MatrixSpec(A.rows, A.cols, entry, structure=A.structure, decay=decay,
-                      bandwidth=A.bandwidth, support=A.support)
+    return MatrixSpec(A.rows, A.cols, entry, decay=decay, bandwidth=A.bandwidth,
+                      support=A.support)
 
 
 def shift_diagonal(A: MatrixSpec, c: float) -> MatrixSpec:
@@ -111,13 +106,9 @@ def shift_diagonal(A: MatrixSpec, c: float) -> MatrixSpec:
         v = _ea(i, j)
         return v + _c if i == j else v
 
-    if A.structure == BANDED:
-        return MatrixSpec(A.rows, A.cols, entry, structure=BANDED,
-                          bandwidth=A.bandwidth)
-    if A.structure == FINITE_SUPPORT:
-        bw = max(A.support) - 1
-        return MatrixSpec(A.rows, A.cols, entry, structure=BANDED, bandwidth=bw)
-    return MatrixSpec(A.rows, A.cols, entry, structure=EXPR)
+    # a box of r rows and c columns lies within the band max(r, c) - 1
+    bandwidth = A.bandwidth if A.support is None else max(A.support) - 1
+    return MatrixSpec(A.rows, A.cols, entry, bandwidth=bandwidth)
 
 
 def _intersect_supports(sa, sb) -> tuple[int, int] | None:
@@ -247,16 +238,14 @@ def matmul(A: MatrixSpec, B: MatrixSpec,
     def entry(i, j):
         return reporter(i, j).estimate
 
-    structure, bandwidth = EXPR, None
-    if A.structure == B.structure == BANDED:
-        structure, bandwidth = BANDED, A.bandwidth + B.bandwidth
+    bands = (A.bandwidth, B.bandwidth)
+    bandwidth = None if None in bands else sum(bands)
     decay = None
     if A.decay is not None and B.decay is not None and not is_finite_extent(inner):
         ra, rb = A.decay.r, B.decay.r
         decay = DecayCertificate(A.decay.C * B.decay.C * ra * rb / (1 - ra * rb),
                                  max(ra, rb))
-    out = MatrixSpec(A.rows, B.cols, entry, structure=structure,
-                     decay=decay, bandwidth=bandwidth)
+    out = MatrixSpec(A.rows, B.cols, entry, decay=decay, bandwidth=bandwidth)
 
     probed = dict(reports)
     statuses = {rep.status for rep in probed.values()}

@@ -200,9 +200,9 @@ def transition_matrix(B: MatrixSpec, B_prime: MatrixSpec, count: int,
                                   f"coordinates, the old basis {extent}")
     # each coordinate read once; of B', the first ``count`` vectors only
     old = Sections(B)
-    new = Sections(MatrixSpec(extent, count, B_prime.entry, B_prime.structure,
-                              B_prime.decay, B_prime.bandwidth, B_prime.support,
-                              B_prime.block))
+    new = Sections(MatrixSpec(extent, count, B_prime.entry, decay=B_prime.decay,
+                              bandwidth=B_prime.bandwidth, support=B_prime.support,
+                              block=B_prime.block))
 
     @cache
     def solve_at(n):

@@ -36,8 +36,8 @@ class DetReport:
 
 def det_oracle(M: DenseMatrix) -> float:
     """Exact-as-floating-point determinant by pivoted elimination."""
-    if M.m != M.n:
-        raise ExtentMismatchError(f"determinant of non-square {M.m}x{M.n}")
+    if not M.is_square:
+        raise ExtentMismatchError(f"determinant of non-square {M.rows}x{M.cols}")
     return lu_det(M.data)
 
 
@@ -48,8 +48,8 @@ def det_log_series(M: DenseMatrix, policy: ConvergencePolicy | None = None) -> D
     the error when violated).  The power series of the trace is truncated
     by the standard window rule.
     """
-    if M.m != M.n:
-        raise ExtentMismatchError(f"determinant of non-square {M.m}x{M.n}")
+    if not M.is_square:
+        raise ExtentMismatchError(f"determinant of non-square {M.rows}x{M.cols}")
     return _log_series(M.data, policy or ConvergencePolicy())
 
 
@@ -143,10 +143,10 @@ def cauchy_binet(A: DenseMatrix, B: DenseMatrix) -> float:
     ``A`` is m-by-n, ``B`` is n-by-m with m <= n; for m > n the value is
     0 by rank deficiency (a warning is emitted).
     """
-    m, n = A.m, A.n
-    if B.m != n or B.n != m:
+    m, n = A.rows, A.cols
+    if B.rows != n or B.cols != m:
         raise ExtentMismatchError(
-            f"need shapes m x n and n x m, got {A.m}x{A.n} and {B.m}x{B.n}")
+            f"need shapes m x n and n x m, got {m}x{n} and {B.rows}x{B.cols}")
     if m > n:
         warnings.warn("more rows than columns: det(AB) = 0 by rank deficiency",
                       stacklevel=2)

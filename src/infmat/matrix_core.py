@@ -24,12 +24,13 @@ import numpy as np
 
 from .errors import CertificateError, ExtentMismatchError, OracleValueError
 
-# structure classes
+# structure labels, read off a spec's pattern
 EXPR = "expr"
 BANDED = "banded"
 FINITE_SUPPORT = "finite-support"
 
-_STRUCTURES = (EXPR, BANDED, FINITE_SUPPORT)
+DECAY_SLACK = 1e-15
+DECAY_MAX_INDEX = 50
 
 
 class _Infinite:
@@ -96,10 +97,15 @@ class MatrixSpec:
     """A matrix of finite or infinite extent defined by an element oracle.
 
     ``entry`` must be pure and total on the declared index range (1-based).
-    ``structure`` is ``EXPR`` (no pattern), ``BANDED`` (``bandwidth``
-    required; a diagonal is bandwidth 0) or ``FINITE_SUPPORT`` (a
-    ``(rows, cols)`` ``support`` box required).  Structure declarations
-    are promises: out-of-structure entries must be exactly zero.
+    The nonzero pattern is stated once, as a ``bandwidth`` (entries with
+    ``|i - j| > bandwidth`` vanish; a diagonal is bandwidth 0) or a
+    ``(rows, cols)`` ``support`` box (entries outside it vanish), or
+    neither.  Patterns are promises: entries outside them must be exactly
+    zero.  ``structure`` is read off the pattern: ``BANDED`` with a
+    bandwidth, ``FINITE_SUPPORT`` with a box, else ``EXPR``.  A negative
+    bandwidth, a bandwidth with a box, or a ``structure`` passed in that
+    is not this label (as ``dataclasses.replace`` passes the old label
+    with a new pattern) raises :class:`ValueError`.
 
     ``block``, optional and used by ``EXPR`` and ``FINITE_SUPPORT``
     sections and by ``EXPR`` :class:`Lines`, maps 1-based index arrays
@@ -112,7 +118,7 @@ class MatrixSpec:
     rows: Extent
     cols: Extent
     entry: Callable[[int, int], float]
-    structure: str = EXPR
+    structure: str | None = None
     decay: DecayCertificate | None = None
     bandwidth: int | None = None
     support: tuple[int, int] | None = None
@@ -121,12 +127,16 @@ class MatrixSpec:
     def __post_init__(self):
         check_extent(self.rows, "rows")
         check_extent(self.cols, "cols")
-        if self.structure not in _STRUCTURES:
-            raise ValueError(f"unknown structure {self.structure!r}")
-        if self.structure == BANDED and (self.bandwidth is None or self.bandwidth < 0):
-            raise ValueError("banded structure requires a non-negative bandwidth")
-        if self.structure == FINITE_SUPPORT and self.support is None:
-            raise ValueError("finite-support structure requires a support box")
+        if self.bandwidth is not None and self.support is not None:
+            raise ValueError("a spec declares a bandwidth or a support box, not both")
+        if self.bandwidth is not None and self.bandwidth < 0:
+            raise ValueError(f"bandwidth must be non-negative, got {self.bandwidth}")
+        label = (BANDED if self.bandwidth is not None
+                 else FINITE_SUPPORT if self.support is not None else EXPR)
+        if self.structure not in (None, label):
+            raise ValueError(f"structure {self.structure!r} contradicts the declared "
+                             f"pattern, which is {label!r}")
+        object.__setattr__(self, "structure", label)
 
     @property
     def is_square(self) -> bool:
@@ -159,9 +169,9 @@ class MatrixSpec:
     def _line_support(self, k: int, axis: int) -> tuple[int, int] | None:
         """Support of row (``axis`` 0) or column (``axis`` 1) ``k``."""
         extent = self.cols if axis == 0 else self.rows
-        if self.structure == BANDED:
+        if self.bandwidth is not None:
             return (max(1, k - self.bandwidth), clip_extent(extent, k + self.bandwidth))
-        if self.structure == FINITE_SUPPORT:
+        if self.support is not None:
             if k > self.support[axis]:
                 return (1, 0)
             return (1, clip_extent(extent, self.support[1 - axis]))
@@ -170,8 +180,9 @@ class MatrixSpec:
 
 @dataclass(frozen=True, init=False, repr=False)
 class DenseMatrix(MatrixSpec):
-    """Finite m-by-n array of scalars, 1-based in all interfaces: the
-    ``EXPR`` spec whose ``entry`` and ``block`` read the array.
+    """Finite array of scalars, 1-based in all interfaces: the spec of
+    ``rows`` by ``cols`` with no pattern (``EXPR``) whose ``entry`` and
+    ``block`` read the array.
 
     All entries must be finite; the backing array ``data`` is frozen.
     """
@@ -196,14 +207,6 @@ class DenseMatrix(MatrixSpec):
         super().__init__(arr.shape[0], arr.shape[1], entry, block=block)
         object.__setattr__(self, "data", arr)
 
-    @property
-    def m(self) -> int:
-        return self.rows
-
-    @property
-    def n(self) -> int:
-        return self.cols
-
     def tolist(self) -> list[list[float]]:
         return self.data.tolist()
 
@@ -211,7 +214,7 @@ class DenseMatrix(MatrixSpec):
         return DenseMatrix(self.data.T)
 
     def __repr__(self):
-        return f"DenseMatrix({self.m}x{self.n})"
+        return f"DenseMatrix({self.rows}x{self.cols})"
 
 
 @dataclass(frozen=True)
@@ -255,10 +258,10 @@ def _fill_blocks(M: MatrixSpec, out: np.ndarray, km: int, kn: int) -> bool:
     rectangle or gives a non-finite value, so that the caller redoes the
     fill cell by cell and raises what the scalar path raises."""
     m, n = out.shape
-    if M.structure == FINITE_SUPPORT:
-        m, n = min(m, M.support[0]), min(n, M.support[1])
-    elif M.structure == BANDED:
+    if M.bandwidth is not None:
         return False
+    if M.support is not None:
+        m, n = min(m, M.support[0]), min(n, M.support[1])
     for r0, r1, c0 in ((0, min(km, m), kn), (km, m, 0)):
         if r1 <= r0 or n <= c0:
             continue
@@ -282,7 +285,7 @@ def _grow(M: MatrixSpec, known: np.ndarray, m: int, n: int) -> np.ndarray:
     if M.block is not None and _fill_blocks(M, out, km, kn):
         return out
     for i in range(1, m + 1):
-        lo, hi = (1, n) if M.structure == EXPR else M.row_support(i)
+        lo, hi = M.row_support(i) or (1, n)
         if i <= km:
             lo = max(lo, kn + 1)
         for j in range(lo, min(hi, n) + 1):
@@ -386,52 +389,39 @@ def transpose(M: MatrixSpec) -> MatrixSpec:
                 return None
             return np.broadcast_to(values, (len(cols), len(rows))).T
 
-    support = None
-    if M.support is not None:
-        support = (M.support[1], M.support[0])
-    return MatrixSpec(M.cols, M.rows, flipped, structure=M.structure,
-                      decay=M.decay, bandwidth=M.bandwidth, support=support, block=block)
+    support = None if M.support is None else M.support[::-1]
+    return MatrixSpec(M.cols, M.rows, flipped, decay=M.decay, bandwidth=M.bandwidth,
+                      support=support, block=block)
 
 
 # ---------------------------------------------------------------------------
 # constructors
 
 def identity_spec(extent: Extent = INFINITE) -> MatrixSpec:
-    check_extent(extent)
-
-    def entry(i, j):
-        return 1.0 if i == j else 0.0
-
-    return MatrixSpec(extent, extent, entry, structure=BANDED, bandwidth=0)
+    return banded_spec({0: lambda i, j: 1.0}, extent, extent)
 
 
 def zero_spec(rows: Extent = INFINITE, cols: Extent = INFINITE) -> MatrixSpec:
-    def entry(i, j):
-        return 0.0
-
-    return MatrixSpec(rows, cols, entry, structure=BANDED, bandwidth=0)
+    return banded_spec({}, rows, cols)
 
 
 def diagonal_spec(diag: Callable[[int], float], extent: Extent = INFINITE) -> MatrixSpec:
-    def entry(i, j, _diag=diag):
-        return float(_diag(i)) if i == j else 0.0
-
-    return MatrixSpec(extent, extent, entry, structure=BANDED, bandwidth=0)
+    """The square matrix with ``diag(i)`` at (i, i): one band at offset 0."""
+    return banded_spec({0: lambda i, j, _diag=diag: _diag(i)}, extent, extent)
 
 
 def banded_spec(bands: dict[int, Callable[[int, int], float]],
                 rows: Extent = INFINITE, cols: Extent = INFINITE) -> MatrixSpec:
-    """Matrix whose entry at offset ``j - i`` comes from ``bands[offset]``."""
-    if not bands:
-        return zero_spec(rows, cols)
+    """Matrix whose entry at offset ``j - i`` comes from ``bands[offset]``,
+    and is 0 off the given bands; no bands is the zero matrix."""
     bands = dict(bands)
-    bandwidth = max(abs(off) for off in bands)
+    bandwidth = max((abs(off) for off in bands), default=0)
 
     def entry(i, j, _bands=bands):
         fn = _bands.get(j - i)
         return float(fn(i, j)) if fn is not None else 0.0
 
-    return MatrixSpec(rows, cols, entry, structure=BANDED, bandwidth=bandwidth)
+    return MatrixSpec(rows, cols, entry, bandwidth=bandwidth)
 
 
 def finite_support_spec(fn: Callable[[int, int], float], box_rows: int, box_cols: int,
@@ -439,8 +429,7 @@ def finite_support_spec(fn: Callable[[int, int], float], box_rows: int, box_cols
     def entry(i, j, _fn=fn, _r=box_rows, _c=box_cols):
         return float(_fn(i, j)) if (i <= _r and j <= _c) else 0.0
 
-    return MatrixSpec(rows, cols, entry, structure=FINITE_SUPPORT,
-                      support=(box_rows, box_cols))
+    return MatrixSpec(rows, cols, entry, support=(box_rows, box_cols))
 
 
 def entrywise_spec(fn: Callable[[int, int], float],
@@ -449,24 +438,24 @@ def entrywise_spec(fn: Callable[[int, int], float],
     def entry(i, j, _fn=fn):
         return float(_fn(i, j))
 
-    return MatrixSpec(rows, cols, entry, structure=EXPR, decay=decay)
+    return MatrixSpec(rows, cols, entry, decay=decay)
 
 
-def spot_check_decay(M: MatrixSpec, samples: int = 200, rng=None,
-                     slack: float = 1e-15, max_index: int = 50) -> None:
-    """Sample entries and verify the declared decay bound.
+def spot_check_decay(M: MatrixSpec, samples: int = 200, rng=None) -> None:
+    """Sample entries of rows and columns 1..``DECAY_MAX_INDEX`` and verify
+    the declared decay bound, up to ``DECAY_SLACK``.
 
     Raises :class:`CertificateError` on the first violated sample.
     """
     if M.decay is None:
         raise CertificateError("spec carries no decay certificate")
     rng = rng if rng is not None else np.random.default_rng(0)
-    hi_r = clip_extent(M.rows, max_index)
-    hi_c = clip_extent(M.cols, max_index)
+    hi_r = clip_extent(M.rows, DECAY_MAX_INDEX)
+    hi_c = clip_extent(M.cols, DECAY_MAX_INDEX)
     for _ in range(samples):
         i = int(rng.integers(1, hi_r + 1))
         j = int(rng.integers(1, hi_c + 1))
         v = M.entry(i, j)
-        if abs(v) > M.decay.bound(i, j) + slack:
+        if abs(v) > M.decay.bound(i, j) + DECAY_SLACK:
             raise CertificateError(
                 f"entry ({i}, {j}) = {v} violates bound {M.decay.bound(i, j)}")

@@ -25,9 +25,9 @@ import numpy as np
 from . import expr_dsl
 from .errors import SchemaError
 from .matrix_core import (DecayCertificate, DenseMatrix, Extent, INFINITE,
-                          MatrixSpec, banded_spec, diagonal_spec,
-                          entrywise_spec, extents_equal, finite_support_spec,
-                          is_finite_extent, spot_check_decay, transpose)
+                          MatrixSpec, banded_spec, entrywise_spec, extents_equal,
+                          finite_support_spec, is_finite_extent, spot_check_decay,
+                          transpose)
 
 _MATRIX_KINDS = ("dense", "expr", "banded", "diag", "finite-support")
 
@@ -78,10 +78,10 @@ def matrix_from_obj(obj, ctx="matrix spec") -> MatrixSpec:
             dm = DenseMatrix(data)
         except Exception as exc:
             raise SchemaError(f"{ctx}: bad dense data ({exc})") from exc
-        for axis, declared in (("rows", dm.m), ("cols", dm.n)):
+        for axis, declared in (("rows", dm.rows), ("cols", dm.cols)):
             if axis in obj and obj[axis] != declared:
                 raise SchemaError(f"{ctx}: {axis} = {obj[axis]} does not match "
-                                  f"data shape {dm.m}x{dm.n}")
+                                  f"data shape {dm.rows}x{dm.cols}")
         spec = dm
     else:
         rows = _parse_extent(_require(obj, "rows", ctx), f"{ctx}: rows")
@@ -93,12 +93,8 @@ def matrix_from_obj(obj, ctx="matrix spec") -> MatrixSpec:
             if not extents_equal(rows, cols):
                 raise SchemaError(f"{ctx}: a diag spec is square, but rows = "
                                   f"{obj['rows']!r} and cols = {obj['cols']!r}")
-            entry2 = expr_dsl.compile_entry(_require(obj, "expr", ctx))
-
-            def diag_fn(i, _e=entry2):
-                return _e(i, i)
-
-            spec = diagonal_spec(diag_fn, rows)
+            spec = banded_spec({0: expr_dsl.compile_entry(_require(obj, "expr", ctx))},
+                               rows, cols)
         elif kind == "banded":
             raw = _require(obj, "bands", ctx)
             if not isinstance(raw, dict) or not raw:
@@ -135,8 +131,8 @@ def matrix_from_obj(obj, ctx="matrix spec") -> MatrixSpec:
         except Exception as exc:
             raise SchemaError(f"{ctx}: bad decay certificate ({exc})") from exc
         # a new spec over the same oracles: a DenseMatrix is built from its array
-        spec = MatrixSpec(spec.rows, spec.cols, spec.entry, spec.structure, cert,
-                          spec.bandwidth, spec.support, spec.block)
+        spec = MatrixSpec(spec.rows, spec.cols, spec.entry, decay=cert,
+                          bandwidth=spec.bandwidth, support=spec.support, block=spec.block)
         spot_check_decay(spec, samples=32, rng=np.random.default_rng(12345))
     return spec
 

@@ -50,11 +50,13 @@ def _shifted(t: np.ndarray, lam: float) -> np.ndarray:
     """
     out = np.array(t)
     diag = np.arange(out.shape[0])
-    out[diag, diag] += -lam
+    with np.errstate(over="ignore"):  # an overflowed sum raises below
+        out[diag, diag] += -lam
     bad = np.flatnonzero(~np.isfinite(out[diag, diag]))
     if bad.size:
         i = int(bad[0]) + 1
-        raise OracleValueError(f"oracle returned non-finite value at ({i}, {i})",
+        raise OracleValueError(f"diagonal entry ({i}, {i}) overflowed when shifted by "
+                               f"lambda = {float(lam)!r}",
                                index=(i, i), value=float(out[i - 1, i - 1]))
     return out
 
@@ -104,7 +106,8 @@ def _grid_values(t: np.ndarray, xs: np.ndarray, policy: ConvergencePolicy) -> li
     evaluated one at a time in grid order, so an error is raised at the
     grid point, and with the type and message, of the one-at-a-time scan.
     """
-    diag = np.diagonal(t) + -xs[:, None]
+    with np.errstate(over="ignore"):  # an overflowed lane is left to _shifted
+        diag = np.diagonal(t) + -xs[:, None]
     lanes = np.all(np.isfinite(diag), axis=1) & ~log_series_may_apply(diag)
     values = np.zeros(xs.size)
     if lanes.any():

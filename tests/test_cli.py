@@ -280,6 +280,18 @@ def test_eig_finite_dense_spec(tmp_path, capsys):
     assert [round(r["lambda"], 9) for r in doc["result"]["roots"]] == [1.0, 3.0]
 
 
+def test_eig_shift_that_overflows_is_an_oracle_error_with_no_warning(tmp_path):
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({"kind": "dense", "data": [[-1e308, 1, 0], [1, -1.5e308, 1],
+                                                          [0, 1, 2]]}))
+    proc = run_cli("eig", spec, "--interval", 0, 1e308, "--grid", 16)
+    assert proc.returncode == 1 and proc.stderr == b""
+    assert json.loads(proc.stdout)["error"] == {
+        "code": "oracle-error",
+        "message": "diagonal entry (2, 2) overflowed when shifted by "
+                   "lambda = 3.333333333333333e+307"}
+
+
 def test_solve_check_compat_flag(capsys):
     code, out = run_main(capsys, "solve", SPECS / "perturbed_system.json",
                          "--check-compat", "--max-size", 64, "--quiet")
