@@ -14,6 +14,11 @@ Calls: ``if(c, t, e)`` (t when c != 0), ``delta(a, b)`` (1 when a == b),
 ``min``, ``max``.  Comparisons yield the scalars 0/1; there is no
 boolean type.
 
+A formula's tree is at most :data:`MAX_DEPTH` levels deep, and so is its
+nesting as parsed, where a pair of parentheses is a level too.  A deeper
+formula is a :class:`ParseError`, so that parsing and evaluation stay
+within Python's recursion limit.
+
 One tree walker evaluates a parsed formula over one of two operation
 tables.  :func:`eval_ast` walks it with the scalar table for one cell;
 :func:`compile_block` walks it with the block table over whole index
@@ -89,6 +94,11 @@ _VARS = ("i", "j", "k")
 _BP = {"==": 10, "+": 20, "-": 20, "*": 30, "/": 30, "^": 50}
 _UNARY_BP = 40
 
+# the deepest formula accepted; the walk of an ``if`` takes two Python
+# frames a level, so a formula this deep evaluates well within the
+# default recursion limit of 1000
+MAX_DEPTH = 300
+
 _TOKEN = re.compile(
     r"(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -117,6 +127,7 @@ class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.idx = 0
+        self.level = 0
 
     def peek(self):
         return self.tokens[self.idx]
@@ -137,13 +148,21 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(pos, "end of input", text)
+        depth = _depth(node)
+        if depth > MAX_DEPTH:
+            raise ParseError(0, f"at most {MAX_DEPTH} levels of nesting", f"{depth} levels")
         return node
 
     def expression(self, rbp):
+        if self.level == MAX_DEPTH:
+            kind, text, pos = self.peek()
+            raise ParseError(pos, f"at most {MAX_DEPTH} levels of nesting", text)
+        self.level += 1
         node = self.prefix()
         while True:
             kind, text, pos = self.peek()
             if kind != "op" or text not in _BP or _BP[text] <= rbp:
+                self.level -= 1
                 return node
             self.advance()
             node = self.infix(text, node, pos)
@@ -197,6 +216,19 @@ class _Parser:
 def parse(src: str) -> ExprAst:
     """Parse expression text; raises :class:`ParseError` with a position."""
     return _Parser(src).parse()
+
+
+def _depth(node: ExprAst) -> int:
+    """The number of levels of a tree, counted without recursion."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        children = ((node.operand,) if isinstance(node, Neg) else
+                    (node.left, node.right) if isinstance(node, BinOp) else
+                    node.args if isinstance(node, Call) else ())
+        stack.extend((child, level + 1) for child in children)
+    return deepest
 
 
 def eval_ast(node: ExprAst, i: int | None = None, j: int | None = None,

@@ -32,14 +32,16 @@ stops at its own first firing step, with no loop over steps.  Series
 summed together (a :class:`SeriesBatch`, as ``matmul`` sums its probe,
 and the Gram entries ``orthogonalize`` reads as entries of the product A
 Aᵀ) come with term runs read from the block oracle and advance through
-shared, doubling chunks of terms.  A value drawn one at a time (a series
-with no runs, or one whose run is declined or holds a non-finite term,
-and every sequence of :func:`limit_of_sequence` and
-:func:`stabilize_vector`) takes the same rule as a chunk of one step of
-one sequence, on plain floats, so no term or value past the stop is ever
-asked for and a step costs well under a microsecond.  The partial sums
-are the same bits either way, so every report, and any error raised
-before the stop, are those of the scalar sum.
+shared, doubling chunks of terms.  A series whose chunk of runs is
+declined or holds a non-finite term is given back by the batch and summed
+again from index 1, one term at a time.  A value drawn one at a time (a
+series with no runs or given back, and every sequence of
+:func:`limit_of_sequence` and :func:`stabilize_vector`) takes the same
+rule as a chunk of one step of one sequence, on plain floats, so no term
+or value past the stop is ever asked for and a step costs well under a
+microsecond.  The partial sums are the same bits either way, so every
+report, and any error raised before the stop, are those of the scalar
+sum.
 
 A limit over the sections of a matrix decides here, and only here, how
 it visits them (:func:`section_limit`, :func:`section_limit_vector`): a
@@ -141,19 +143,6 @@ _GOING, _NON_FINITE, _CERTIFIED, _BLOWUP, _QUIET, _CAP = range(6)
 BATCH_CELLS = 8_192
 
 
-@dataclass(frozen=True)
-class _Start:
-    """Where a sequence stands for the stopping rule: the steps taken, the
-    last value (``None`` before the first) and its magnitude, and the kind
-    (0 neither, 1 growing, 2 quiet) and length of the streak ending there."""
-
-    steps: int = 0
-    last: object = None
-    mag: float = math.nan
-    kind: int = 0
-    run: int = 0
-
-
 def _report(why, terms, value, before, delta, bound) -> ConvergenceReport:
     """The report of a sequence the rule stopped at ``value``, its
     ``terms``-th, for the reason ``why``; ``before`` is the value before it
@@ -167,24 +156,24 @@ def _report(why, terms, value, before, delta, bound) -> ConvergenceReport:
     return ConvergenceReport(value, status, terms, float(delta), False)
 
 
-def _draw(values: Iterator, policy: ConvergencePolicy, start: _Start = _Start(),
+def _draw(values: Iterator, policy: ConvergencePolicy,
           remainder: Callable[[int], float] | None = None,
           norm: Callable = abs) -> ConvergenceReport:
     """The stopping rule over estimates drawn one at a time from ``values``.
 
     This is :meth:`_Rule.feed` for one sequence and a chunk of one step,
     on plain floats: a chunk of one through numpy costs about 18 µs, the
-    step below well under one.  The sequence goes on from ``start``;
-    ``remainder(count)`` is its certificate's bound, and ``norm``
-    measures an estimate and a step between two (``abs`` for scalars, the
-    max-abs entry for vectors).  The first value never counts toward a
-    streak (there is no previous value to compare to).  No value is drawn
-    past the stop, and an error raised while drawing one propagates.
+    step below well under one.  ``remainder(count)`` is the sequence's
+    certificate bound, and ``norm`` measures an estimate and a step
+    between two (``abs`` for scalars, the max-abs entry for vectors).  The
+    first value never counts toward a streak (there is no previous value
+    to compare to).  No value is drawn past the stop, and an error raised
+    while drawing one propagates.
     """
     tol, window, cap = policy.tol, policy.window, policy.max_terms
     blowup = 1.0 / tol
-    steps, before, mag, kind, run = start.steps, start.last, start.mag, start.kind, start.run
-    estimate = math.nan if before is None else before
+    steps, before, mag, kind, run = 0, None, math.nan, 0, 0
+    estimate = math.nan
     delta = bound = math.inf
     for value in values:
         steps += 1
@@ -222,10 +211,11 @@ class _Rule:
     """The stopping rule, for a batch of sequences fed chunks of steps.
 
     Per sequence it keeps, as a column, the steps taken, the magnitude of
-    the last value, and the kind and length of the streak of steps that
-    ends there (see :class:`_Start`).  :meth:`feed` takes a chunk of steps
-    as arrays and finds where each sequence stops, with no loop over
-    steps; :func:`_draw` is the same rule on one value of one sequence.
+    the last value, and the kind (0 neither, 1 growing, 2 quiet) and
+    length of the streak of steps that ends there.  :meth:`feed` takes a
+    chunk of steps as arrays and finds where each sequence stops, with no
+    loop over steps; :func:`_draw` is the same rule on one value of one
+    sequence.
     """
 
     _STATE = ("quiet_counts", "steps", "mag", "kind", "run")
@@ -247,12 +237,6 @@ class _Rule:
         for name in _Rule._STATE:
             setattr(other, name, getattr(self, name)[rows])
         return other
-
-    def start(self, r: int, last: float) -> _Start:
-        """Where sequence ``r`` stands, ``last`` being its last value."""
-        steps = int(self.steps[r, 0])
-        return _Start(steps, last if steps else None, float(self.mag[r, 0]),
-                      int(self.kind[r, 0]), int(self.run[r, 0]))
 
     def feed(self, mag, delta, bound):
         """Advance every sequence through one chunk of n steps.
@@ -296,10 +280,10 @@ class _Rule:
         return at, why, used
 
 
-def _partials(term: Callable[[int], float], start: _Start) -> Iterator[float]:
-    """The partial sums of ``term`` from ``start`` on, one at a time; nan
-    from the first non-finite term on."""
-    s, k = (0.0 if start.last is None else start.last), start.steps + 1
+def _partials(term: Callable[[int], float]) -> Iterator[float]:
+    """The partial sums of ``term``, one at a time; nan from the first
+    non-finite term on."""
+    s, k = 0.0, 1
     while True:
         t = term(k)
         s = s + t if math.isfinite(t) else math.nan
@@ -320,12 +304,13 @@ class SeriesBatch:
     ``np.add.accumulate`` seeded with the running sums, the same bits as
     adding term by term, and one pass of :meth:`_Rule.feed` stops each
     series at its own first firing step.  A series whose chunk is declined
-    or holds a non-finite term leaves the batch where it stands.  Runs may
-    reach up to about twice as far as a stop.
+    or holds a non-finite term is given back: the batch drops it and has
+    no report for it.  Runs may reach up to about twice as far as a stop.
 
     The batch never calls a term.  It is summed the first time
     :func:`sum_series` asks for the report of one of its series, and
-    ``sum_series`` sums on, through its ``term``, a series that left it.
+    ``sum_series`` sums a series given back again from index 1, through
+    its ``term``.
     """
 
     def __init__(self, tails, policy: ConvergencePolicy,
@@ -335,15 +320,15 @@ class SeriesBatch:
         self._runs = runs
         self._outcome = None
 
-    def outcome(self, k: int) -> "ConvergenceReport | _Start":
-        """The report of series ``k``, or where it left the batch."""
+    def outcome(self, k: int) -> "ConvergenceReport | None":
+        """The report of series ``k``, or ``None`` if it was given back."""
         if self._outcome is None:
             self._outcome = self._sum()
         return self._outcome[k]
 
     def _sum(self) -> list:
         policy, runs = self.policy, self._runs
-        outcome: list = [_Start()] * len(self.tails)
+        outcome: list = [None] * len(self.tails)
         rule = _Rule(policy, [tail is not None for tail in self.tails])
         rows = np.arange(len(self.tails))  # the series still in the batch
         sums = np.zeros(rows.size)          # and their running sums
@@ -351,15 +336,12 @@ class SeriesBatch:
         while rows.size:
             k1 = min(k0 + min(size, max(1, BATCH_CELLS // rows.size)), policy.max_terms + 1)
             run = runs(k0, k1, rows)
-            stay = (np.all(np.isfinite(run), axis=1) if run is not None
-                    else np.zeros(rows.size, dtype=bool))
-            if not stay.all():
-                for r in np.flatnonzero(~stay).tolist():
-                    outcome[rows[r]] = rule.start(r, float(sums[r]))
-                rule, rows, sums = rule.take(stay), rows[stay], sums[stay]
-                if not rows.size:
-                    break
-                run = run[stay]
+            # a declined chunk, or a row of it with a non-finite term, is given back
+            stay = np.all(np.isfinite(run), axis=1) if run is not None else False
+            if not np.any(stay):
+                break
+            if not np.all(stay):
+                rule, rows, sums, run = rule.take(stay), rows[stay], sums[stay], run[stay]
             with np.errstate(over="ignore", invalid="ignore"):  # inf, as a float sum overflows
                 partial = np.add.accumulate(np.concatenate((sums[:, None], run), axis=1), axis=1)
                 delta = np.abs(np.diff(partial, axis=1))
@@ -394,20 +376,18 @@ def sum_series(term: Callable[[int], float],
     ``batch``, optional, is ``(group, k)``: this series, with this
     ``tail`` and ``policy``, is series ``k`` of the :class:`SeriesBatch`
     ``group``, which sums it through term runs.  Its report is the
-    group's, or, if it left the group, the sum goes on through ``term``
-    from where it left, one index at a time.  Either way the report, and
-    any error ``term`` raises before the stop, are those of the sum
-    without the batch, and ``term`` is never asked past the stop.
+    group's, or, if the group gave it back, the series is summed again
+    from index 1 through ``term``, one index at a time.  Either way the
+    report, and any error ``term`` raises before the stop, are those of
+    the sum without the batch, and ``term`` is never asked past the stop.
     """
     policy = policy or ConvergencePolicy()
-    start = _Start()
     if batch is not None:
         group, k = batch
-        start = group.outcome(k)
-        if isinstance(start, ConvergenceReport):
-            return start
-    return _draw(_partials(term, start), policy, start,
-                 tail.remainder if tail is not None else None)
+        report = group.outcome(k)
+        if report is not None:
+            return report
+    return _draw(_partials(term), policy, tail.remainder if tail is not None else None)
 
 
 def _sizes_of(schedule) -> list[int]:

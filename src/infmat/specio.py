@@ -54,9 +54,18 @@ def _require(obj, key, ctx):
     return obj[key]
 
 
-def _formula_oracles(text):
-    """The scalar ``(i, j)`` oracle and the block oracle of one formula."""
-    ast = expr_dsl.parse(text)
+def _formula(obj, key, ctx):
+    """The parsed formula of the field ``key`` of ``obj``, which must be a
+    string."""
+    text = _require(obj, key, ctx)
+    if not isinstance(text, str):
+        raise SchemaError(f"{ctx}: {key!r} must be a formula string, got {json.dumps(text)}")
+    return expr_dsl.parse(text)
+
+
+def _formula_oracles(ast):
+    """The scalar ``(i, j)`` oracle and the block oracle of one parsed
+    formula."""
     fill = expr_dsl.compile_block(ast)
 
     def block(rows, cols, _fill=fill):
@@ -87,25 +96,28 @@ def matrix_from_obj(obj, ctx="matrix spec") -> MatrixSpec:
         rows = _parse_extent(_require(obj, "rows", ctx), f"{ctx}: rows")
         cols = _parse_extent(_require(obj, "cols", ctx), f"{ctx}: cols")
         if kind == "expr":
-            oracle, block = _formula_oracles(_require(obj, "expr", ctx))
+            oracle, block = _formula_oracles(_formula(obj, "expr", ctx))
             spec = dataclasses.replace(entrywise_spec(oracle, rows, cols), block=block)
         elif kind == "diag":
             if not extents_equal(rows, cols):
                 raise SchemaError(f"{ctx}: a diag spec is square, but rows = "
                                   f"{obj['rows']!r} and cols = {obj['cols']!r}")
-            spec = banded_spec({0: expr_dsl.compile_entry(_require(obj, "expr", ctx))},
+            spec = banded_spec({0: expr_dsl.compile_entry(_formula(obj, "expr", ctx))},
                                rows, cols)
         elif kind == "banded":
             raw = _require(obj, "bands", ctx)
             if not isinstance(raw, dict) or not raw:
                 raise SchemaError(f"{ctx}: bands must be a non-empty object")
-            bands = {}
-            for off_text, formula in raw.items():
+            bands, keys = {}, {}
+            for off_text in raw:
                 try:
                     off = int(off_text)
                 except ValueError:
                     raise SchemaError(f"{ctx}: band offset {off_text!r} is not an integer")
-                bands[off] = expr_dsl.compile_entry(formula)
+                if keys.setdefault(off, off_text) != off_text:
+                    raise SchemaError(f"{ctx}: band offsets {keys[off]!r} and {off_text!r} "
+                                      f"both name offset {off}")
+                bands[off] = expr_dsl.compile_entry(_formula(raw, off_text, f"{ctx}: bands"))
             spec = banded_spec(bands, rows, cols)
         else:  # finite-support
             sup = _require(obj, "support", ctx)
@@ -116,7 +128,7 @@ def matrix_from_obj(obj, ctx="matrix spec") -> MatrixSpec:
                 if not isinstance(size, int) or isinstance(size, bool) or size < 1:
                     raise SchemaError(f"{ctx}: support {axis} must be a positive "
                                       f"integer, got {size!r}")
-            oracle, block = _formula_oracles(_require(obj, "expr", ctx))
+            oracle, block = _formula_oracles(_formula(obj, "expr", ctx))
             spec = dataclasses.replace(
                 finite_support_spec(oracle, sup["rows"], sup["cols"], rows, cols),
                 block=block)
@@ -163,7 +175,7 @@ def vector_from_obj(obj, extent: Extent, ctx="vector spec") -> MatrixSpec:
             raise SchemaError(f"{ctx}: expected {extent} entries, got {column.rows}")
         return column
     if kind == "expr":
-        ast = expr_dsl.parse(_require(obj, "expr", ctx))
+        ast = _formula(obj, "expr", ctx)
 
         def entry(i, j, _ast=ast):
             return expr_dsl.eval_ast(_ast, i=i)

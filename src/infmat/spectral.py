@@ -17,7 +17,7 @@ from ._dense import lu_det_shifts, norm_inf, null_vector
 from .determinant import det_section, log_series_may_apply
 from .errors import ExtentMismatchError, OracleValueError, SingularSystemError
 from .matrix_core import (DenseMatrix, MatrixSpec, Sections, TruncationSchedule,
-                          clip_extent, truncate)
+                          clip_extent, is_finite_extent, truncate)
 from .series import ConvergencePolicy, limit_sizes
 
 BISECT_WIDTH = 1e-10
@@ -125,18 +125,23 @@ def _root_in(f, a, b, fa, fb):
     if fa == 0.0:
         return a
     if fb != 0.0 and (fa < 0) != (fb < 0):
-        return _bisect(f, a, b, fa, fb)
+        return _bisect(f, a, b, fa)
     return None
 
 
-def _bisect(f, lo, hi, flo, fhi):
+def _bisect(f, lo, hi, flo):
+    """Bisect ``[lo, hi]`` to width :data:`BISECT_WIDTH`, or until no float
+    lies between its ends (past about 1e6 in magnitude the spacing of
+    floats is wider than the width)."""
     while hi - lo > BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         fmid = f(mid)
         if fmid == 0.0:
             return mid
         if (flo < 0) != (fmid < 0):
-            hi, fhi = mid, fmid
+            hi = mid
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
@@ -151,10 +156,13 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
 
     Scans ``grid_points`` evenly spaced arguments at the largest
     scheduled truncation size, bisects each bracket to width 1e-10, and
-    re-checks each root at the previous size; roots moving more than
-    1e-6 between the two sizes are flagged unstable.  A grid point whose
-    value is exactly 0 is itself a root, reported once.  A finite spec's
-    schedule is its one full size, so its roots are exact and stable.  An
+    re-checks each root at the previous size over its bracket; roots
+    moving more than 1e-6 between the two sizes are flagged unstable.  A
+    grid point whose value is exactly 0 is itself a root, reported once;
+    the trailing endpoint is checked over the last bracket.  A finite
+    spec's schedule is its one full size, so its roots are exact and
+    stable; an infinite spec whose schedule has one size gives no
+    evidence across sizes, so its roots are unstable.  An
     interval with no sign change yields an empty list, not an error; a
     non-finite or empty interval, or ``grid_points`` or ``max_roots``
     below 1, raises :class:`ValueError`.
@@ -182,13 +190,25 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
 
     sizes = limit_sizes(spec.rows, schedule)
     n_final = sizes[-1]
-    n_prev = sizes[-2] if len(sizes) >= 2 else n_final
 
     sections = Sections(spec)
     top = sections(n_final)
 
     def f_at(size):
         return lambda x: det_section(_shifted(sections(size), x), policy)
+
+    def persists(root, a, b):
+        """Whether the previous size has a root within the stability
+        tolerance of ``root`` in the bracket ``[a, b]``; its value at ``b``
+        counts only for the trailing endpoint ``root == b``."""
+        if is_finite_extent(spec.rows):
+            return True  # the one full size is exact
+        if len(sizes) < 2:
+            return False  # one size, nothing to compare with
+        g = f_at(sizes[-2])
+        ga, gb = g(a), g(b)
+        prev_root = b if root == b and gb == 0.0 else _root_in(g, a, b, ga, gb)
+        return prev_root is not None and abs(prev_root - root) <= ROOT_STABILITY_TOL
 
     def eigenpair(root, stable, char_at=None):
         shifted = _shifted(top, root)
@@ -207,16 +227,12 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
             break
         a, b = float(xs[t]), float(xs[t + 1])
         root = _root_in(f, a, b, fx[t], fx[t + 1])
-        if root is None:
-            continue
-        stable = True
-        if n_prev != n_final:
-            g = f_at(n_prev)
-            prev_root = _root_in(g, a, b, g(a), g(b))
-            stable = prev_root is not None and abs(prev_root - root) <= ROOT_STABILITY_TOL
-        pairs.append(eigenpair(root, stable, f))
-    # trailing endpoint that is itself a root
+        if root is not None:
+            pairs.append(eigenpair(root, persists(root, a, b), f))
+    # trailing endpoint that is itself a root, checked over the last bracket
     if len(pairs) < max_roots and fx[-1] == 0.0:
-        pairs.append(eigenpair(float(xs[-1]), True))
+        b = float(xs[-1])
+        a = float(xs[-2]) if len(xs) > 1 else b
+        pairs.append(eigenpair(b, persists(b, a, b)))
     pairs.sort(key=lambda p: p.lam)
     return pairs

@@ -1,9 +1,10 @@
+import json
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from infmat.expr_dsl import (BinOp, Call, EvalError, Neg, Num, ParseError, Var,
+from infmat.expr_dsl import (MAX_DEPTH, BinOp, Call, EvalError, Neg, Num, ParseError, Var,
                              eval_ast, parse, pretty)
 
 
@@ -62,6 +63,42 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as err:
         parse("1 + $")
     assert err.value.position == 4
+
+
+_NESTED = {
+    "parentheses": lambda n: "(" * (n - 1) + "1" + ")" * (n - 1),
+    "unary-minus": lambda n: "-" * (n - 1) + "1",
+    "power-chain": lambda n: "^".join(["1"] * n),
+    "flat-sum": lambda n: "+".join(["1"] * n),
+}
+
+
+@pytest.mark.parametrize("nested", _NESTED.values(), ids=_NESTED)
+def test_nesting_is_bounded_by_max_depth(nested):
+    assert math.isfinite(ev(nested(MAX_DEPTH)))
+    for n in (MAX_DEPTH + 1, 3000):
+        with pytest.raises(ParseError, match=f"at most {MAX_DEPTH} levels of nesting"):
+            parse(nested(n))
+
+
+def test_a_formula_at_max_depth_evaluates_in_a_product_block(tmp_path, capsys):
+    # the deepest walk: mul reads rows and columns of A through the block
+    # oracle, and each ``if`` takes two frames, both branches on each line
+    from infmat.cli import main
+
+    def nested_if(depth):
+        formula = "1/(i+j)^2"  # 4 levels
+        for _ in range(depth - 4):
+            formula = f"if(j-1, {formula}, 0)"
+        return formula
+
+    for depth, code in ((MAX_DEPTH, 0), (MAX_DEPTH + 1, 1)):
+        path = tmp_path / f"a{depth}.json"
+        path.write_text(json.dumps({"rows": "inf", "cols": "inf", "kind": "expr",
+                                    "expr": nested_if(depth)}))
+        assert main(["mul", str(path), str(path), "--tol", "1e-6", "--quiet"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "ok" if code == 0 else doc["error"]["code"] == "parse-error"
 
 
 # --- evaluation ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -176,3 +177,40 @@ def test_bad_shape_is_a_schema_error_naming_the_file(obj, tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["code"] == "schema-error"
     assert str(path) in err["message"]
+
+
+_INF = {"rows": "inf", "cols": "inf"}
+
+
+@pytest.mark.parametrize("command, obj, field", [
+    ("truncate", dict(_INF, kind="expr", expr=5), "'expr' must be a formula string, got 5"),
+    ("truncate", dict(_INF, kind="banded", bands={"0": 5}), "bands: '0' must be a formula"),
+    ("truncate", dict(_INF, kind="diag", expr=None), "'expr' must be a formula string, got null"),
+    ("truncate", dict(_INF, kind="finite-support", expr=["i"], support={"rows": 2, "cols": 2}),
+     "'expr' must be a formula string, got [\"i\"]"),
+    ("solve", {"A": dict(_INF, kind="diag", expr="1"), "b": {"kind": "expr", "expr": 7}},
+     "b: 'expr' must be a formula string, got 7"),
+    ("transition", {"count": 2, "vectors": {"kind": "expr", "expr": [1]}},
+     "vectors: 'expr' must be a formula string, got [1]"),
+], ids=["expr", "band", "diag", "finite-support", "system-b", "family-vectors"])
+def test_a_formula_that_is_not_a_string_is_a_schema_error(command, obj, field, tmp_path, capsys):
+    from infmat.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    argv = {"truncate": [str(path), "--n", "2"], "solve": [str(path)],
+            "transition": [str(path), str(path), "--n", "2"]}[command]
+    assert main([command, *argv, "--quiet"]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == "schema-error"
+    assert err["message"].startswith(str(path)) and field in err["message"]
+
+
+@pytest.mark.parametrize("bands, keys", [
+    ({"1": "1", "+1": "5", "0": "2"}, "'1' and '+1'"),
+    ({"0": "1", "00": "2"}, "'0' and '00'"),
+    ({"-1": "1", "0": "2", "-01": "3"}, "'-1' and '-01'"),
+])
+def test_two_band_keys_naming_one_offset_are_a_schema_error(bands, keys):
+    with pytest.raises(SchemaError, match=re.escape(f"band offsets {keys} both name offset")):
+        matrix_from_obj(dict(_INF, kind="banded", bands=bands))

@@ -214,3 +214,37 @@ def test_grid_scan_raises_where_the_scalar_scan_raises(monkeypatch, data, interv
         find_eigenvalues(DenseMatrix(data), interval, policy=policy, grid_points=16)
     assert str(info.value) == str(err)
     assert seen[-1] == x_err
+
+
+def test_trailing_endpoint_root_is_checked_at_the_previous_size():
+    # -1/64 is a root of the 64-section of diag(-1/i) but not of the 32-section;
+    # 1/3 is a root of both sections of diag(1/i)
+    pairs = find_eigenvalues(diagonal_spec(lambda i: -1.0 / i), (-0.02, -0.015625), SCHED,
+                             grid_points=2)
+    assert [(p.lam, p.stable) for p in pairs] == [(-0.02, False), (-0.015625, False)]
+    pairs = find_eigenvalues(diagonal_spec(lambda i: 1.0 / i), (0.3, 1.0 / 3.0), SCHED,
+                             grid_points=2)
+    assert [(p.lam, p.stable) for p in pairs] == [(1.0 / 3.0, True)]
+
+
+def test_roots_of_an_infinite_spec_on_a_one_size_schedule_are_unstable():
+    # the free Laplacian's 8-section has a root near 1.879; the 16-section's
+    # roots lie elsewhere, so one size is no evidence of a limit
+    def entry(i, j):
+        return 1.0 if abs(i - j) == 1 else 0.0
+
+    spec = MatrixSpec(INFINITE, INFINITE, entry, bandwidth=1)
+    pairs = find_eigenvalues(spec, (1.8, 3.0), TruncationSchedule(8, 2, 8), grid_points=64)
+    assert [p.lam for p in pairs] == pytest.approx([2 * np.cos(np.pi / 9)])
+    assert not any(p.stable for p in pairs)
+    # a finite spec's one size is exact
+    pairs = find_eigenvalues(MatrixSpec(8, 8, entry, bandwidth=1), (1.8, 3.0), grid_points=64)
+    assert len(pairs) == 1 and pairs[0].stable
+
+
+def test_bisection_ends_where_floats_are_wider_than_its_width():
+    # near 1e6 neighbouring floats are 1.2e-10 apart, wider than BISECT_WIDTH
+    pairs = find_eigenvalues(DenseMatrix([[1e6, 1.0], [1.0, 1e6 + 1.0]]), (999998.0, 1000003.0),
+                             grid_points=7)
+    want = 1e6 + 0.5 + np.array([-1.0, 1.0]) * np.sqrt(1.25)
+    assert [p.lam for p in pairs] == pytest.approx(want, abs=1e-9)

@@ -5,10 +5,11 @@ scalar sum.
 :class:`SeriesBatch` ``group``, must give the report of
 ``sum_series(term, policy, tail)`` bit for bit, or raise what it raises:
 the stopping rule sees the same partial sums, and a series whose chunk the
-runs decline, or whose chunk holds a non-finite term, is summed on through
-``term``.  ``matmul`` and ``orthogonalize`` feed runs from the leading
-entries of rows and columns read through the block oracle
-(``matrix_core.Lines``); with the block removed every term is scalar.
+runs decline, or whose chunk holds a non-finite term, is given back and
+summed again from index 1 through ``term``.  ``matmul`` and
+``orthogonalize`` feed runs from the leading entries of rows and columns
+read through the block oracle (``matrix_core.Lines``); with the block
+removed every term is scalar.
 """
 
 import contextlib
@@ -154,6 +155,40 @@ def test_declined_and_non_finite_chunks_match_the_scalar_sum(table, window, max_
     # term is asked only up to the stop (or the index that raised)
     stop = want[1][3] if want[0] == "ok" else int(want[2].split()[1])
     assert all(k <= stop for k in evaluated)
+
+
+@given(st.lists(st.floats(1.0, 1e3), min_size=7, max_size=80), st.integers(1, 5),
+       st.integers(0, 80), st.sampled_from(["declined", "inf"]))
+def test_a_series_given_back_is_summed_again_from_index_1(table, window, at, how):
+    # the chunk holding index ``at`` starts past index 1; every term before
+    # ``at`` is at least 1, so no series stops before that chunk, and zeros
+    # follow the table, so it stops soon after
+    policy = ConvergencePolicy(tol=1e-10, window=window, max_terms=200)
+    at = window + 2 + at % (len(table) - window - 1)
+    asked = []
+
+    def value(k):
+        if how == "inf" and k == at:
+            return math.inf
+        return table[k - 1] if k <= len(table) else 0.0
+
+    def term(k):
+        asked.append(k)
+        return value(k)
+
+    def runs(k0, k1, rows):
+        if how == "declined" and k0 <= at < k1:
+            return None
+        return np.array([[value(k) for k in range(k0, k1)]])
+
+    want = sum_series(term, policy)
+    stop = want.terms_used
+    asked.clear()
+    group = SeriesBatch([None], policy, runs)
+    got = sum_series(term, policy, None, (group, 0))
+    assert bits(got) == bits(want)
+    assert asked == list(range(1, stop + 1))
+    assert group.outcome(0) is None
 
 
 _entries = st.one_of(
