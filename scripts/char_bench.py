@@ -8,8 +8,8 @@ entries.  The grid is ``GRID`` points over ``INTERVAL``, where no
 diagonal admits the log series, so every value is an elimination.  Each
 grid is evaluated two ways:
 
-* scalar loop: ``det_section`` of a shifted copy of the section, one grid
-  point after another, as each bisection step evaluates its value;
+* scalar loop: ``spectral.char_value(t, x, policy)`` at one grid point
+  after another, which is what each bisection step calls;
 * batched grid: ``spectral._grid_values``, one elimination whose lanes
   are the grid points, as ``find_eigenvalues`` scans its grid.
 
@@ -29,9 +29,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from infmat.determinant import det_section  # noqa: E402  (from src/, put on the path above)
-from infmat.series import ConvergencePolicy  # noqa: E402
-from infmat.spectral import _grid_values, _shifted  # noqa: E402
+from infmat.series import ConvergencePolicy  # noqa: E402  (from src/, put on the path above)
+from infmat.spectral import _grid_values, char_value  # noqa: E402
 
 SIZES = (128, 512, 1024)
 BANDS = (0, 1, 2)          # bl = bu
@@ -52,7 +51,7 @@ def section(n: int, band: int) -> np.ndarray:
 
 
 def scalar_loop(t, xs, policy):
-    return [det_section(_shifted(t, x), policy) for x in xs]
+    return [char_value(t, x, policy) for x in xs]
 
 
 def batched_grid(t, xs, policy):

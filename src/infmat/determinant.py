@@ -21,7 +21,6 @@ from .matrix_core import (DenseMatrix, MatrixSpec, Sections, TruncationSchedule,
 from .series import (ConvergencePolicy, ConvergenceReport, section_limit,
                      sum_series)
 
-ROUTE_LU = "lu-oracle"
 ROUTE_LOG_SERIES = "log-series"
 ROUTE_LIMIT = "truncation-limit"
 
@@ -90,30 +89,19 @@ def log_series_may_apply(diag: np.ndarray) -> np.ndarray:
     return ~(np.max(np.abs(diag - 1.0), axis=-1, initial=0.0) >= 1.0)
 
 
-def det_section(t: np.ndarray, policy: ConvergencePolicy, route: str = "auto") -> float:
-    """Determinant of a square section array by the selected route.
+def det_truncation(t: np.ndarray, policy: ConvergencePolicy | None = None) -> float:
+    """Determinant of the square section array ``t``.
 
-    ``auto`` takes the log-series whenever the norm precondition it
-    measures, ``norm_inf(t - I) < 1``, holds, and elimination otherwise;
-    it attempts no series that :func:`log_series_may_apply` rules out.
+    The log series is taken whenever the norm precondition it measures,
+    ``norm_inf(t - I) < 1``, holds, and elimination otherwise; no series
+    that :func:`log_series_may_apply` rules out is attempted.
     """
-    if route == ROUTE_LOG_SERIES:
-        return _log_series(t, policy).value
-    if route == "auto":
-        if log_series_may_apply(np.diagonal(t)):
-            try:
-                return _log_series(t, policy).value
-            except PreconditionError:
-                pass
-    elif route != ROUTE_LU:
-        raise ValueError(f"unknown route {route!r}")
+    if log_series_may_apply(np.diagonal(t)):
+        try:
+            return _log_series(t, policy or ConvergencePolicy()).value
+        except PreconditionError:
+            pass
     return lu_det(t)
-
-
-def det_truncation(M: MatrixSpec, n: int, policy: ConvergencePolicy | None = None,
-                   route: str = "auto") -> float:
-    """Determinant of the n-by-n truncation by the selected route."""
-    return det_section(truncate(M, n, n).data, policy or ConvergencePolicy(), route)
 
 
 def det_infinite(M: MatrixSpec, schedule: TruncationSchedule | None = None,
@@ -129,9 +117,10 @@ def det_infinite(M: MatrixSpec, schedule: TruncationSchedule | None = None,
     if not M.is_square:
         raise ExtentMismatchError(f"determinant of non-square {M.rows}x{M.cols}")
     # a finite matrix is its own one section: eliminated, as det_oracle does
-    route = ROUTE_LU if is_finite_extent(M.rows) else "auto"
+    finite = is_finite_extent(M.rows)
     sections = Sections(M)
-    rep = section_limit(lambda n: det_section(sections(n), policy, route),
+    rep = section_limit(lambda n: lu_det(sections(n)) if finite
+                        else det_truncation(sections(n), policy),
                         M.rows, schedule, policy)
     return DetReport(rep.estimate, ROUTE_LIMIT, report=rep)
 

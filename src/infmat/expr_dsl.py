@@ -16,8 +16,9 @@ boolean type.
 
 A formula's tree is at most :data:`MAX_DEPTH` levels deep, and so is its
 nesting as parsed, where a pair of parentheses is a level too.  A deeper
-formula is a :class:`ParseError`, so that parsing and evaluation stay
-within Python's recursion limit.
+formula is a :class:`ParseError` at the offset of the token where it
+passes the bound, so that parsing and evaluation stay within Python's
+recursion limit.
 
 One tree walker evaluates a parsed formula over one of two operation
 tables.  :func:`eval_ast` walks it with the scalar table for one cell;
@@ -144,15 +145,22 @@ class _Parser:
         return self.advance()
 
     def parse(self):
-        node = self.expression(0)
+        node, _ = self.expression(0)
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(pos, "end of input", text)
-        depth = _depth(node)
-        if depth > MAX_DEPTH:
-            raise ParseError(0, f"at most {MAX_DEPTH} levels of nesting", f"{depth} levels")
         return node
 
+    def build(self, pos, text, make, *children):
+        """``(make(*trees), depth)`` for the ``(tree, depth)`` pairs
+        ``children``; past :data:`MAX_DEPTH` levels it raises at the token
+        ``text`` at ``pos``, which builds the node."""
+        depth = 1 + max(d for _, d in children)
+        if depth > MAX_DEPTH:
+            raise ParseError(pos, f"at most {MAX_DEPTH} levels of nesting", text)
+        return make(*(tree for tree, _ in children)), depth
+
+    # expression, prefix and infix return (tree, depth) pairs
     def expression(self, rbp):
         if self.level == MAX_DEPTH:
             kind, text, pos = self.peek()
@@ -170,7 +178,7 @@ class _Parser:
     def prefix(self):
         kind, text, pos = self.advance()
         if kind == "num":
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == "name":
             if text in _ARITY:
                 self.expect_op("(")
@@ -186,16 +194,16 @@ class _Parser:
                 if len(args) != _ARITY[text]:
                     raise ParseError(pos, f"{_ARITY[text]} argument(s) to {text}",
                                      f"{len(args)} argument(s)")
-                return Call(text, tuple(args))
+                return self.build(pos, text, lambda *a: Call(text, a), *args)
             if text in _VARS:
-                return Var(text)
+                return Var(text), 1
             raise ParseError(pos, "a variable (i, j, k) or function", text)
         if kind == "op" and text == "(":
             node = self.expression(0)
             self.expect_op(")")
             return node
         if kind == "op" and text == "-":
-            return Neg(self.expression(_UNARY_BP))
+            return self.build(pos, text, Neg, self.expression(_UNARY_BP))
         raise ParseError(pos, "a value", text or "end of input")
 
     def infix(self, op, left, pos):
@@ -204,31 +212,17 @@ class _Parser:
             kind, text, next_pos = self.peek()
             if kind == "op" and text == "==":
                 raise ParseError(next_pos, "a non-chained comparison", text)
-            return BinOp(op, left, right)
-        if op == "^":
+        elif op == "^":
             # right-associative
             right = self.expression(_BP[op] - 1)
-            return BinOp(op, left, right)
-        right = self.expression(_BP[op])
-        return BinOp(op, left, right)
+        else:
+            right = self.expression(_BP[op])
+        return self.build(pos, op, lambda a, b: BinOp(op, a, b), left, right)
 
 
 def parse(src: str) -> ExprAst:
     """Parse expression text; raises :class:`ParseError` with a position."""
     return _Parser(src).parse()
-
-
-def _depth(node: ExprAst) -> int:
-    """The number of levels of a tree, counted without recursion."""
-    deepest, stack = 0, [(node, 1)]
-    while stack:
-        node, level = stack.pop()
-        deepest = max(deepest, level)
-        children = ((node.operand,) if isinstance(node, Neg) else
-                    (node.left, node.right) if isinstance(node, BinOp) else
-                    node.args if isinstance(node, Call) else ())
-        stack.extend((child, level + 1) for child in children)
-    return deepest
 
 
 def eval_ast(node: ExprAst, i: int | None = None, j: int | None = None,

@@ -33,9 +33,17 @@ _MATRIX_KINDS = ("dense", "expr", "banded", "diag", "finite-support")
 
 
 def _load_json(path):
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise SchemaError(f"{path}: key {key!r} repeated in one object")
+            obj[key] = value
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 

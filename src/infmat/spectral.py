@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dense import lu_det_shifts, norm_inf, null_vector
-from .determinant import det_section, log_series_may_apply
+from .determinant import det_truncation, log_series_may_apply
 from .errors import ExtentMismatchError, OracleValueError, SingularSystemError
 from .matrix_core import (DenseMatrix, MatrixSpec, Sections, TruncationSchedule,
-                          clip_extent, is_finite_extent, truncate)
+                          is_finite_extent)
 from .series import ConvergencePolicy, limit_sizes
 
 BISECT_WIDTH = 1e-10
@@ -61,45 +61,32 @@ def _shifted(t: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
-def _square_spec(A: MatrixSpec) -> MatrixSpec:
-    if not A.is_square:
-        raise ExtentMismatchError(f"square matrix required, got {A.rows}x{A.cols}")
-    return A
+def char_value(t: np.ndarray, lam: float, policy: ConvergencePolicy | None = None) -> float:
+    """``det(t - lam*I)`` of the square section array ``t``, by
+    :func:`~infmat.determinant.det_truncation`."""
+    return det_truncation(_shifted(t, lam), policy)
 
 
-def char_value(A: MatrixSpec, lam: float, n: int,
-               route: str = "auto",
-               policy: ConvergencePolicy | None = None) -> float:
-    """det of the n-by-n truncation of A - lam*I by the chosen route."""
-    policy = policy or ConvergencePolicy()
-    t = truncate(_square_spec(A), n, n).data
-    return det_section(_shifted(t, lam), policy, route)
+def eigenvector_for(t: np.ndarray, lam: float) -> DenseMatrix:
+    """Nonzero null vector of ``t - lam*I`` for the square section array
+    ``t``, one column, scaled so its largest-magnitude entry is 1.
 
-
-def _null_direction(shifted: np.ndarray, lam: float) -> DenseMatrix:
-    n = shifted.shape[0]
+    Elimination pivots below ``1e-8 * (1 + norm)`` mark a free column;
+    the first free column is set to 1 and later free columns to 0.
+    Raises :class:`SingularSystemError` when the section is numerically
+    full rank, i.e. ``lam`` is not an eigenvalue at this size.
+    """
+    shifted = _shifted(t, lam)
     v = null_vector(shifted, NULL_PIVOT_SCALE * (1.0 + norm_inf(shifted)))
     if v is None:
-        raise SingularSystemError(
-            f"no null direction at size {n}: {lam} may not be an eigenvalue here")
+        raise SingularSystemError(f"no null direction at size {t.shape[0]}: "
+                                  f"{lam} may not be an eigenvalue here")
     top = int(np.argmax(np.abs(v)))
     return DenseMatrix((v / v[top])[:, None])
 
 
-def eigenvector_for(A: MatrixSpec, lam: float, n: int) -> DenseMatrix:
-    """Nonzero null vector of the n-truncation of A - lam*I, one column.
-
-    Elimination pivots below ``1e-8 * (1 + norm)`` mark a free column;
-    the first free column is set to 1 and later free columns to 0.
-    Raises :class:`SingularSystemError` when the truncation is
-    numerically full rank, i.e. ``lam`` is not an eigenvalue at this size.
-    """
-    n = clip_extent(A.rows, n)
-    return _null_direction(_shifted(truncate(A, n, n).data, lam), lam)
-
-
 def _grid_values(t: np.ndarray, xs: np.ndarray, policy: ConvergencePolicy) -> list:
-    """``det_section(_shifted(t, x), policy)`` for each grid point x.
+    """``char_value(t, x, policy)`` for each grid point x.
 
     Every x whose shifted diagonal is finite and rules out the log series
     is one lane of :func:`~infmat._dense.lu_det_shifts`.  The others are
@@ -114,7 +101,7 @@ def _grid_values(t: np.ndarray, xs: np.ndarray, policy: ConvergencePolicy) -> li
         values[lanes] = lu_det_shifts(t, xs[lanes])
     out = values.tolist()
     for i in np.flatnonzero(~lanes):
-        out[i] = det_section(_shifted(t, xs[i]), policy)
+        out[i] = char_value(t, xs[i], policy)
     return out
 
 
@@ -171,9 +158,10 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
     previous size is a view of its corner, so the oracle cost does not grow
     with ``grid_points`` or the number of bisection steps.  The grid's
     values come from one elimination whose lanes are the grid points
-    (``_grid_values``), which copies no section.  Each bisection step,
-    eigenvector and residual works on a copy of one of the two sections
-    with the diagonal shifted.
+    (``_grid_values``), which copies no section.  Each bisection step is
+    one :func:`char_value`, and each root's eigenvector one
+    :func:`eigenvector_for`; these, and the root's residual, work on a
+    copy of one of the two sections with the diagonal shifted.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -186,22 +174,23 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
         raise ValueError(f"max_roots must be >= 1, got {max_roots}")
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
-    spec = _square_spec(A)
+    if not A.is_square:
+        raise ExtentMismatchError(f"square matrix required, got {A.rows}x{A.cols}")
 
-    sizes = limit_sizes(spec.rows, schedule)
+    sizes = limit_sizes(A.rows, schedule)
     n_final = sizes[-1]
 
-    sections = Sections(spec)
+    sections = Sections(A)
     top = sections(n_final)
 
     def f_at(size):
-        return lambda x: det_section(_shifted(sections(size), x), policy)
+        return lambda x: char_value(sections(size), x, policy)
 
     def persists(root, a, b):
         """Whether the previous size has a root within the stability
         tolerance of ``root`` in the bracket ``[a, b]``; its value at ``b``
         counts only for the trailing endpoint ``root == b``."""
-        if is_finite_extent(spec.rows):
+        if is_finite_extent(A.rows):
             return True  # the one full size is exact
         if len(sizes) < 2:
             return False  # one size, nothing to compare with
@@ -211,9 +200,8 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
         return prev_root is not None and abs(prev_root - root) <= ROOT_STABILITY_TOL
 
     def eigenpair(root, stable, char_at=None):
-        shifted = _shifted(top, root)
-        vec = _null_direction(shifted, root)
-        vec_res = float(np.max(np.abs(shifted @ vec.data[:, 0])))
+        vec = eigenvector_for(top, root)
+        vec_res = float(np.max(np.abs(_shifted(top, root) @ vec.data[:, 0])))
         char_residual = 0.0 if char_at is None else abs(char_at(root))
         return EigenPair(root, vec, char_residual, vec_res, stable)
 

@@ -184,6 +184,39 @@ def test_eig_reciprocal_diagonal(capsys):
     assert root["vector"][1] == 1
 
 
+def test_det_and_eig_run_the_public_section_steps(capsys, monkeypatch):
+    # counting wrappers bound over the module attributes, as the benchmark's
+    # layer tracer binds its own, so a step the pipeline does not call
+    # counts nothing
+    from infmat import determinant, spectral
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, modules in (("det_truncation", (determinant, spectral)),
+                          ("char_value", (spectral,)), ("eigenvector_for", (spectral,))):
+        wrapper = counting(name, getattr(modules[0], name))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
+
+    code, _ = run_main(capsys, "det", SPECS / "perturbation.json", "--quiet")
+    assert code == 0
+    assert calls["det_truncation"] > 0
+    calls.clear()
+    code, _ = run_main(capsys, "eig", SPECS / "harmonic_diag.json",
+                       "--interval", 0.4, 0.6, "--max-size", 64, "--quiet")
+    assert code == 0
+    assert calls["char_value"] > 0
+    assert calls["eigenvector_for"] == 1
+    assert calls["det_truncation"] == calls["char_value"]
+
+
 def test_eig_empty_interval_ok(capsys):
     code, out = run_main(capsys, "eig", SPECS / "identity.json",
                          "--interval", 2.0, 3.0, "--max-size", 16, "--quiet")

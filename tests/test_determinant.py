@@ -8,12 +8,13 @@ from oracles import cofactor_det, counting, section_cells
 from infmat import determinant
 from infmat._dense import lu_det
 from infmat.determinant import (cauchy_binet, cauchy_binet_infinite, det_infinite,
-                                det_log_series, det_oracle, det_section, det_truncation,
+                                det_log_series, det_oracle, det_truncation,
                                 log_series_may_apply)
 from infmat.errors import OracleValueError, PreconditionError
 from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE,
                                 MatrixSpec, TruncationSchedule, diagonal_spec,
-                                entrywise_spec, identity_spec, transpose)
+                                entrywise_spec, identity_spec, transpose,
+                                truncate)
 from infmat.series import ConvergencePolicy
 
 
@@ -140,11 +141,11 @@ def test_det_infinite_oscillating_diagonal_undetermined():
 
 def test_det_truncation_route_fallback():
     # diagonal 3 breaks the norm precondition, elimination takes over
-    spec = diagonal_spec(lambda i: 3.0)
-    assert det_truncation(spec, 3) == pytest.approx(27.0)
+    section = truncate(diagonal_spec(lambda i: 3.0), 3, 3)
+    assert det_truncation(section.data) == pytest.approx(27.0)
     with pytest.raises(PreconditionError):
-        det_truncation(spec, 3, route="log-series")
-    assert det_truncation(spec, 3, route="lu-oracle") == pytest.approx(27.0)
+        det_log_series(section)
+    assert det_oracle(section) == pytest.approx(27.0)
 
 
 def test_auto_route_attempts_no_series_a_diagonal_entry_rules_out(monkeypatch):
@@ -156,11 +157,11 @@ def test_auto_route_attempts_no_series_a_diagonal_entry_rules_out(monkeypatch):
                         lambda t, policy: attempts.append(t) or series(t, policy))
     policy = ConvergencePolicy()
     t = np.array([[1.2, 0.1], [0.3, 0.9]])
-    det_section(t, policy)
+    det_truncation(t, policy)
     assert len(attempts) == 1
     for diag in ([1.2, 2.0], [1.2, 0.0], [-0.5, 1.0]):
         t[np.diag_indices(2)] = diag
-        assert det_section(t, policy) == lu_det(t)
+        assert det_truncation(t, policy) == lu_det(t)
     assert len(attempts) == 1
     # a NaN diagonal entry leaves the test to the series, as its norm does
     assert log_series_may_apply(np.array([np.nan, 5.0]))

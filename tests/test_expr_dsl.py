@@ -81,6 +81,20 @@ def test_nesting_is_bounded_by_max_depth(nested):
             parse(nested(n))
 
 
+@pytest.mark.parametrize("src, offset", [
+    # the 300th '+' builds the sum of depth 301
+    ("+".join(["1"] * (MAX_DEPTH + 1)), 2 * MAX_DEPTH - 1),
+    # a sum of depth 52 under MAX_DEPTH - 50 ifs: the second if, at offset 8,
+    # is the node of depth MAX_DEPTH + 1
+    ("if(j-1, " * (MAX_DEPTH - 50) + "+".join(["1"] * 52) + ", 0)" * (MAX_DEPTH - 50), 8),
+], ids=["flat-sum", "if-chain"])
+def test_a_tree_past_max_depth_is_an_error_at_the_token_that_builds_it(src, offset):
+    with pytest.raises(ParseError, match=f"at most {MAX_DEPTH} levels of nesting") as err:
+        parse(src)
+    assert err.value.position == offset
+    assert src[offset:].startswith(err.value.found)
+
+
 def test_a_formula_at_max_depth_evaluates_in_a_product_block(tmp_path, capsys):
     # the deepest walk: mul reads rows and columns of A through the block
     # oracle, and each ``if`` takes two frames, both branches on each line

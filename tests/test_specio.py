@@ -214,3 +214,18 @@ def test_a_formula_that_is_not_a_string_is_a_schema_error(command, obj, field, t
 def test_two_band_keys_naming_one_offset_are_a_schema_error(bands, keys):
     with pytest.raises(SchemaError, match=re.escape(f"band offsets {keys} both name offset")):
         matrix_from_obj(dict(_INF, kind="banded", bands=bands))
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"rows": 3, "cols": 3, "kind": "banded", "bands": {"1": "1", "1": "5", "0": "2"}}', "'1'"),
+    ('{"rows": 3, "cols": 3, "kind": "expr", "expr": "i", "expr": "j"}', "'expr'"),
+], ids=["band", "expr"])
+def test_a_repeated_json_key_is_a_schema_error(text, key, tmp_path, capsys):
+    from infmat.cli import main
+
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    assert main(["truncate", str(path), "--n", "3", "--format", "csv", "--quiet"]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"code": "schema-error",
+                   "message": f"{path}: key {key} repeated in one object"}

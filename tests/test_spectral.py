@@ -6,43 +6,51 @@ import pytest
 from oracles import charpoly_roots
 
 from infmat import spectral
-from infmat.determinant import det_section
+from infmat.determinant import det_log_series, det_oracle
 from infmat.errors import (ConvergenceFailureError, InfmatError, OracleValueError,
                            PreconditionError, SingularSystemError)
 from infmat.matrix_core import (BANDED, INFINITE, DenseMatrix, MatrixSpec,
-                                TruncationSchedule, diagonal_spec, identity_spec)
+                                TruncationSchedule, diagonal_spec, identity_spec,
+                                truncate)
 from infmat.series import ConvergencePolicy
 from infmat.spectral import char_value, eigenvector_for, find_eigenvalues
 
 SCHED = TruncationSchedule(8, 2, 64)
 
 
+def section(A, n):
+    """The n-by-n section array of A."""
+    return truncate(A, n, n).data
+
+
 def test_char_value_diagonal_hits_zero():
     spec = diagonal_spec(lambda i: 1.0 / i)
-    assert char_value(spec, 0.5, 4) == 0.0
+    assert char_value(section(spec, 4), 0.5) == 0.0
 
 
 def test_char_value_identity():
-    assert char_value(identity_spec(), 0.0, 5) == pytest.approx(1.0)
-    assert char_value(identity_spec(), 0.0, 9) == pytest.approx(1.0)
+    assert char_value(section(identity_spec(), 5), 0.0) == pytest.approx(1.0)
+    assert char_value(section(identity_spec(), 9), 0.0) == pytest.approx(1.0)
 
 
 def test_char_value_symmetric_eigenvalue():
     a = DenseMatrix([[2.0, 1.0], [1.0, 2.0]])
-    assert char_value(a, 1.0, 2) == pytest.approx(0.0, abs=1e-12)
+    assert char_value(a.data, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_char_value_routes_agree_when_log_series_applies():
     a = DenseMatrix([[1.2, 0.1], [0.05, 0.9]])
     lam = 0.2
-    lu = char_value(a, lam, 2, route="lu-oracle")
-    log = char_value(a, lam, 2, route="log-series")
+    shifted = DenseMatrix(spectral._shifted(a.data, lam))
+    lu = det_oracle(shifted)
+    log = det_log_series(shifted).value
     assert log == pytest.approx(lu, abs=1e-8)
+    assert char_value(a.data, lam) == log
 
 
 def test_char_value_forced_log_series_precondition():
     with pytest.raises(PreconditionError):
-        char_value(identity_spec(), 5.0, 4, route="log-series")
+        det_log_series(DenseMatrix(spectral._shifted(section(identity_spec(), 4), 5.0)))
 
 
 def test_find_eigenvalues_two_by_two():
@@ -104,28 +112,28 @@ def test_eigenvalue_scaling_invariance():
 
 def test_eigenvector_for_shared_eigenvalue():
     a = DenseMatrix([[2.0, 1.0], [1.0, 2.0]])
-    v = eigenvector_for(a, 3.0, 2).data[:, 0]
+    v = eigenvector_for(a.data, 3.0).data[:, 0]
     assert v.tolist() == pytest.approx([1.0, 1.0], abs=1e-10)
-    w = eigenvector_for(a, 1.0, 2).data[:, 0]
+    w = eigenvector_for(a.data, 1.0).data[:, 0]
     assert abs(w[0] + w[1]) <= 1e-10
 
 
 def test_eigenvector_diagonal_basis_vector():
     spec = diagonal_spec(lambda i: 1.0 / i)
-    v = eigenvector_for(spec, 1.0 / 3.0, 6).data[:, 0]
+    v = eigenvector_for(section(spec, 6), 1.0 / 3.0).data[:, 0]
     want = np.zeros(6)
     want[2] = 1.0
     assert np.max(np.abs(v - want)) <= 1e-12
 
 
 def test_eigenvector_identity_first_free_convention():
-    v = eigenvector_for(identity_spec(), 1.0, 4).data[:, 0]
+    v = eigenvector_for(section(identity_spec(), 4), 1.0).data[:, 0]
     assert v.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_eigenvector_rejects_non_eigenvalue():
     with pytest.raises(SingularSystemError):
-        eigenvector_for(DenseMatrix([[2.0, 0.0], [0.0, 3.0]]), 1.0, 2)
+        eigenvector_for(np.array([[2.0, 0.0], [0.0, 3.0]]), 1.0)
 
 
 def test_eigenpair_residual_invariant():
@@ -188,7 +196,7 @@ def _first_scalar_error(t, xs, policy):
     """The grid point and error at which the one-at-a-time scan stops."""
     for x in xs:
         try:
-            det_section(spectral._shifted(t, x), policy)
+            char_value(t, x, policy)
         except InfmatError as exc:
             return x, exc
     raise AssertionError("the scan raises nothing")
