@@ -1,37 +1,45 @@
 """Dense numpy kernels: elimination, determinants, solves, products.
 
-Elimination is hand-rolled (vectorized row updates) rather than deferred
-to LAPACK so pivot thresholds stay explicit and sign tracking across row
-swaps is visible to tests.
+Elimination is hand-rolled rather than deferred to LAPACK so pivot
+thresholds stay explicit and sign tracking across row swaps is visible
+to tests.
 
-One sweep, :func:`_sweep`, eliminates for ``echelon``, ``null_vector``,
-``gauss_solve`` (on ``[a | b]``) and ``lu_det``.  It confines each step
-to the window that can still be nonzero.  The window comes from the
-array: its band ``(bl, bu)`` is measured once from the nonzero pattern,
-and partial pivoting keeps the pivot column nonzero only in the ``bl``
-rows below the pivot and the pivot row only up to ``bl + bu`` columns
-right of the pivot column (Golub & Van Loan, *Matrix Computations*, sec.
-4.3).  Every update left out is ``x - f*0`` or ``x - 0*y``, so pivots,
-signs and returned values are bit-identical to the full dense sweep; for
+One sweep by partial pivoting eliminates for ``echelon``,
+``null_vector``, ``gauss_solve`` (on ``[a | b]``) and ``lu_det``.  It
+confines each step to the window that can still be nonzero.  The window
+comes from the band ``(bl, bu)``: the caller's, for a section of a spec
+that declares a bandwidth, else measured once from the array's nonzero
+pattern.  Partial pivoting keeps the pivot column nonzero only in the
+``bl`` rows below the pivot and the pivot row only up to ``bl + bu``
+columns right of the pivot column (Golub & Van Loan, *Matrix
+Computations*, sec. 4.3).  Every update left out is ``x - f*0`` or ``x -
+0*y``, so pivots, signs and returned values are bit-identical to the
+full dense sweep, for any band at least as wide as the true one; for
 dense input the window is the whole matrix.  An update of that kind can
-only turn a ``-0.0`` into ``+0.0``, so the sweep runs densely when its
-input holds a negative zero.  ``lu_det`` runs the same arithmetic on
-Python floats when the window is small (``_lu_det_narrow``).
+only turn a ``-0.0`` into ``+0.0``, so a sweep that returns its reduced
+array runs densely when a cell of the band (every cell, for a measured
+band) holds a negative zero; a determinant does not depend on the signs
+of zeros, so ``lu_det`` skips that check.
+
+A narrow window, at most :data:`NARROW_WINDOW` cells per step, is swept
+on Python floats, one list per row (:func:`_sweep_rows`), and a wider one
+in numpy (:func:`_sweep`).  Both do the same arithmetic entry by entry.
 
 ``lu_det_shifts`` runs that arithmetic once for a whole grid of diagonal
 shifts, with the shifts as the lanes of numpy arrays, as ``eig`` scans
 its grid.  Each of its steps costs numpy's per-call overhead whatever the
 number of lanes, so one value at a time (a bisection step, a ``det``
-schedule) stays on ``_lu_det_narrow``.
+schedule) stays on the Python-float sweep.
 """
 
 import math
+from itertools import chain
 
 import numpy as np
 
 from .errors import SingularSystemError
 
-# lu_det runs on Python floats when a step's update window, ``bl`` rows
+# a sweep runs on Python floats when a step's update window, ``bl`` rows
 # by ``bl + bu`` columns, has at most this many cells: below it numpy's
 # per-call overhead costs more than the arithmetic
 NARROW_WINDOW = 64
@@ -55,98 +63,96 @@ def _band(a: np.ndarray) -> tuple[int, int]:
     return max(0, -int(offsets.min())), max(0, int(offsets.max()))
 
 
-def lu_det(a: np.ndarray) -> float:
-    """Determinant via partially pivoted elimination, sign tracked on swaps."""
+def band_of(a: np.ndarray, band: tuple[int, int] | None = None) -> tuple[int, int]:
+    """The band ``(bl, bu)`` of ``a``: ``band``, clipped to the array, when
+    given, else measured from the nonzero pattern."""
+    if band is None:
+        return _band(a)
+    rows, cols = a.shape
+    return min(band[0], max(rows - 1, 0)), min(band[1], max(cols - 1, 0))
+
+
+def is_narrow(band: tuple[int, int]) -> bool:
+    """Whether a sweep within ``band`` runs on Python floats."""
+    bl, bu = band
+    return bl * (bl + bu) <= NARROW_WINDOW
+
+
+def _band_cells(a: np.ndarray, lower: int, upper: int) -> np.ndarray:
+    """Row i's entries in columns ``i - lower`` to ``i + upper``, 0.0 for
+    the columns outside the array."""
+    rows, cols = a.shape
+    idx = np.arange(rows)[:, None] + np.arange(-lower, upper + 1)
+    if cols == 0:
+        return np.zeros(idx.shape)
+    inside = (idx >= 0) & (idx < cols)
+    return np.where(inside, a[np.arange(rows)[:, None], idx.clip(0, cols - 1)], 0.0)
+
+
+def _sweep_window(a: np.ndarray, band: tuple[int, int] | None) -> tuple[int, int]:
+    """:func:`band_of` for a sweep that returns its reduced array: the
+    whole array when a cell that the band leaves to the sweep holds -0.0
+    (any cell, for a measured band)."""
+    window = band_of(a, band)
+    cells = a if band is None else _band_cells(a, *window)
+    if np.signbit(cells[cells == 0.0]).any():
+        return max(a.shape[0] - 1, 0), max(a.shape[1] - 1, 0)
+    return window
+
+
+def lu_det(a: np.ndarray, band: tuple[int, int] | None = None) -> float:
+    """Determinant via partially pivoted elimination, sign tracked on swaps;
+    ``band`` is the caller's band of ``a``, measured when not given."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("square matrix required")
-    bl, bu = _band(a)
-    if bl * (bl + bu) <= NARROW_WINDOW:
-        return _lu_det_narrow(a, bl, bu)
-    u, pivots, sign = _sweep(a, 0.0)
-    # the pivots' product in column order; 0 when a column has none
-    return sign * math.prod(np.diag(u)) if len(pivots) == n else 0.0
+    window = band_of(a, band)
+    if is_narrow(window):
+        rows, start, pivots, sign = _sweep_rows(a, 0.0, window)
+        diag = [rows[r][c - start[r]] for r, c in enumerate(pivots)]
+    else:
+        u, pivots, sign = _sweep(a, 0.0, window)
+        diag = np.diag(u)
+    # the pivots' product in column order, a numpy scalar: dividing by a
+    # determinant that underflowed to 0 gives inf, not ZeroDivisionError.
+    # 0 when a column has no pivot
+    return sign * np.float64(math.prod(diag)) if len(pivots) == n else 0.0
 
 
-def _lu_det_narrow(a: np.ndarray, bl: int, bu: int) -> float:
-    """:func:`lu_det` on Python floats, for bands whose window is small.
-
-    Physical row ``i`` is a list covering columns ``start[i]`` to at least
-    ``i + bl + bu``; a row pushed down by a swap is padded with the zeros
-    it holds there.  The arithmetic is the windowed sweep's, entry by
-    entry, without numpy's per-call overhead.
-    """
-    n = a.shape[0]
-    cols = np.arange(n)[:, None] + np.arange(-bl, bl + bu + 1)
-    inside = (cols >= 0) & (cols < n)
-    rows = np.where(inside, a[np.arange(n)[:, None], cols.clip(0, n - 1)], 0.0).tolist()
-    start = list(range(-bl, n - bl))
-    sign = 1.0
-    # a numpy scalar, as the numpy path returns: dividing by a determinant
-    # that underflowed to 0 gives inf there, not ZeroDivisionError
-    det = np.float64(1.0)
-    for k in range(n):
-        below = min(n, k + bl + 1)
-        p, best = k, -1.0
-        for i in range(k, below):
-            v = abs(rows[i][k - start[i]])
-            if v > best:
-                p, best = i, v
-        if best == 0.0:
-            return 0.0
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            start[k], start[p] = start[p], start[k]
-            rows[p].extend([0.0] * (p - k))
-            sign = -sign
-        top, s0 = rows[k], start[k]
-        pivot = top[k - s0]
-        det *= pivot
-        right = min(n, k + bl + bu + 1)
-        for i in range(k + 1, below):
-            row, si = rows[i], start[i]
-            x = row[k - si]
-            if x == 0.0:
-                continue
-            f = x / pivot
-            for j in range(k + 1, right):
-                row[j - si] -= f * top[j - s0]
-    return sign * det
-
-
-def lu_det_shifts(t: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+def lu_det_shifts(t: np.ndarray, shifts: np.ndarray,
+                  band: tuple[int, int] | None = None) -> np.ndarray:
     """``lu_det(t - x*I)`` for each shift ``x``, bit for bit.
 
     The diagonal is ``t_ii + -x``, as a shifted copy holds it.  A shift
     leaves the band of ``t`` as it is, since the band counts the diagonal
-    anyway, so it is measured once.  For a narrow band, one elimination
-    runs :func:`_lu_det_narrow`'s arithmetic with the shifts as lanes: a
-    lane holds a sliding window of the ``bl + 1`` rows and ``bl + bu + 1``
-    columns that step k can touch, takes the first row with the strictly
-    largest ``|x|`` as pivot (never a NaN, unless all are), skips rows
-    whose ``x`` is 0, and is 0.0 from a step whose best pivot is 0.  The
-    cost per step is numpy's call overhead whatever the lane count, so
-    this pays off for a grid of shifts, not for one value.  A wide band
-    takes :func:`lu_det` once per shift.
+    anyway, so it is taken once, from ``band`` or measured.  For a narrow
+    band, one elimination runs the sweep's arithmetic with the shifts as
+    lanes: a lane holds a sliding window of the ``bl + 1`` rows and ``bl +
+    bu + 1`` columns that step k can touch, takes the first row with the
+    largest ``|x|`` as pivot (a NaN before any number), and is 0.0 from a
+    step whose best pivot is 0.  The cost per step is numpy's call
+    overhead whatever the lane count, so this pays off for a grid of
+    shifts, not for one value.  A wide band takes :func:`lu_det` once per
+    shift.
     """
     t = np.asarray(t, dtype=float)
     shifts = np.asarray(shifts, dtype=float)
     n = t.shape[0]
     with np.errstate(all="ignore"):
         diag = np.diagonal(t) + -shifts[:, None]
-    bl, bu = _band(t)
-    if bl * (bl + bu) > NARROW_WINDOW:
+    band = band_of(t, band)
+    bl, bu = band
+    if not is_narrow(band):
         out = []
         for d in diag:
             a = np.array(t)
             a[np.diag_indices(n)] = d
-            out.append(lu_det(a))
+            out.append(lu_det(a, band))
         return np.array(out, dtype=float)
     lanes, width = np.arange(shifts.size), bl + bu + 1
     # row i's entries in columns i - bl .. i + bu, the diagonal at bl
-    cols = np.arange(n)[:, None] + np.arange(-bl, bu + 1)
-    band = np.where((cols >= 0) & (cols < n), t[np.arange(n)[:, None], cols.clip(0, n - 1)], 0.0)
+    cells = _band_cells(t, bl, bu)
 
     # window[:, r, c] holds the entry (k + r, k + c) at step k
     window = np.zeros((shifts.size, bl + 1, width))
@@ -154,7 +160,7 @@ def lu_det_shifts(t: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     def enter(r, i):
         """Row i into window row r, at step i - r <= 0 (the first rows)
         or i - bl (a row entering from below)."""
-        window[:, r, :bu + r + 1] = band[i, bl - r:]
+        window[:, r, :bu + r + 1] = cells[i, bl - r:]
         window[:, r, r] = diag[:, i]
 
     for r in range(min(n, bl + 1)):
@@ -167,7 +173,6 @@ def lu_det_shifts(t: np.ndarray, shifts: np.ndarray) -> np.ndarray:
             m, right = min(bl + 1, n - k), min(width, n - k)
             if m > 1:
                 mag = np.abs(window[:, :m, 0])
-                mag[np.isnan(mag)] = -1.0
                 p = np.argmax(mag, axis=1)
                 dead |= mag[lanes, p] == 0.0
                 top = window[lanes, p]
@@ -179,10 +184,8 @@ def lu_det_shifts(t: np.ndarray, shifts: np.ndarray) -> np.ndarray:
             pivot = window[:, 0, 0]
             det *= pivot
             if m > 1:
-                x = window[:, 1:m, :1]
-                rest = window[:, 1:m, 1:right]
-                rest[...] = np.where(x == 0.0, rest, rest - x / pivot[:, None, None]
-                                     * window[:, :1, 1:right])
+                window[:, 1:m, 1:right] -= (window[:, 1:m, :1] / pivot[:, None, None]
+                                            * window[:, :1, 1:right])
             window[:, :-1, :-1] = window[:, 1:, 1:]
             window[:, :-1, -1] = 0.0
             if k + bl + 1 < n:
@@ -192,19 +195,19 @@ def lu_det_shifts(t: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return np.where(dead, 0.0, sign * det)
 
 
-def _sweep(a: np.ndarray, pivot_tol: float) -> tuple[np.ndarray, list[int], float]:
-    """Row echelon form of a copy of ``a`` by the windowed sweep.
+def _sweep(a: np.ndarray, pivot_tol: float,
+           window: tuple[int, int] | None = None) -> tuple[np.ndarray, list[int], float]:
+    """Row echelon form of a copy of ``a`` by the windowed sweep, in numpy.
 
     Returns the reduced array, the pivot column indices (0-based) and the
     sign of the row permutation.  Columns whose best remaining pivot is
-    <= ``pivot_tol`` in magnitude are skipped.
+    <= ``pivot_tol`` in magnitude are skipped.  ``window`` is the band to
+    sweep within; when not given it is measured, negative zeros included
+    (:func:`_sweep_window`).
     """
     u = np.array(a, dtype=float)
     rows, cols = u.shape
-    if np.signbit(u[u == 0.0]).any():
-        bl, bu = rows - 1, cols - 1
-    else:
-        bl, bu = _band(u)
+    bl, bu = _sweep_window(u, None) if window is None else window
     # rows below the current one are zero in every earlier pivot column, so
     # left of ``c`` the pivot row can be nonzero only from the first
     # skipped column on
@@ -233,23 +236,117 @@ def _sweep(a: np.ndarray, pivot_tol: float) -> tuple[np.ndarray, list[int], floa
     return u, pivots, sign
 
 
-def echelon(a: np.ndarray, pivot_tol: float) -> tuple[np.ndarray, list[int]]:
+def _sweep_rows(a: np.ndarray, pivot_tol: float, window: tuple[int, int]):
+    """:func:`_sweep` of ``a`` within the band ``window`` on Python floats,
+    for a narrow window: the rows, their start columns, the pivot columns
+    and the sign.
+
+    Physical row i is the list ``rows[i]`` of its entries in columns
+    ``start[i]`` onwards.  It holds every column in which it can be
+    nonzero, and is padded with zeros when an update reaches past either
+    end.  Each step updates the cells :func:`_sweep` updates, except left
+    of the pivot row's first held column, where the pivot row is 0.
+    """
+    rows_n, cols = a.shape
+    bl, bu = window
+    reach = bl + bu + 1
+    # room for the fill of a pivot row, up to bl + bu columns right of it
+    rows = _band_cells(a, bl, bl + bu).tolist()
+    start = list(range(-bl, rows_n - bl))
+    left = cols
+    pivots = []
+    sign = 1.0
+    r = 0
+    for c in range(cols):
+        if r == rows_n:
+            break
+        # comparisons, not min() and max(): this loop runs once per column
+        below = c + bl + 1
+        if below > rows_n:
+            below = rows_n
+        # np.argmax of |x|: the first largest, or the first NaN
+        p, best = r, -1.0
+        for i in range(r, below):
+            row, k = rows[i], c - start[i]
+            v = abs(row[k]) if k < len(row) else 0.0
+            if v > best:
+                p, best = i, v
+            elif v != v:
+                p, best = i, v
+                break
+        if best <= pivot_tol:
+            if c < left:
+                left = c
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            start[r], start[p] = start[p], start[r]
+            sign = -sign
+        top, s0 = rows[r], start[r]
+        pivot = top[c - s0]
+        lo = c if c < left else left
+        if lo < s0:
+            lo = s0
+        hi = c + reach
+        if hi > cols:
+            hi = cols
+        if hi - s0 > len(top):
+            top.extend([0.0] * (hi - s0 - len(top)))
+        for i in range(r + 1, below):
+            row, si = rows[i], start[i]
+            if lo < si:
+                row[:0] = [0.0] * (si - lo)
+                start[i] = si = lo
+            if hi - si > len(row):
+                row.extend([0.0] * (hi - si - len(row)))
+            f = row[c - si] / pivot
+            d = si - s0
+            for j in range(lo - si, hi - si):
+                row[j] -= f * top[j + d]
+            row[c - si] = 0.0
+        pivots.append(c)
+        r += 1
+    return rows, start, pivots, sign
+
+
+def _reduced(rows: list, start: list, shape: tuple[int, int]) -> np.ndarray:
+    """The array that the lists of :func:`_sweep_rows` hold, 0.0 elsewhere."""
+    lengths = np.array([len(row) for row in rows], dtype=int)
+    values = np.fromiter(chain.from_iterable(rows), float, lengths.sum())
+    at = np.repeat(np.arange(shape[0]), lengths)
+    # column of each value: its row's start plus its place in the row
+    first = np.cumsum(lengths) - lengths
+    col = np.arange(values.size) + np.repeat(np.asarray(start, dtype=int) - first, lengths)
+    keep = (col >= 0) & (col < shape[1])
+    u = np.zeros(shape)
+    u[at[keep], col[keep]] = values[keep]
+    return u
+
+
+def echelon(a: np.ndarray, pivot_tol: float,
+            band: tuple[int, int] | None = None) -> tuple[np.ndarray, list[int]]:
     """Row echelon form with partial pivoting: the reduced array and the
-    pivot column indices of :func:`_sweep`."""
-    return _sweep(a, pivot_tol)[:2]
+    pivot column indices of the sweep, within ``band`` when given."""
+    a = np.asarray(a, dtype=float)
+    window = _sweep_window(a, band)
+    if is_narrow(window):
+        rows, start, pivots, _ = _sweep_rows(a, pivot_tol, window)
+        return _reduced(rows, start, a.shape), pivots
+    return _sweep(a, pivot_tol, window)[:2]
 
 
-def rank_of_array(a: np.ndarray, pivot_tol: float) -> int:
-    return len(echelon(a, pivot_tol)[1])
+def rank_of_array(a: np.ndarray, pivot_tol: float, band: tuple[int, int] | None = None) -> int:
+    return len(echelon(a, pivot_tol, band)[1])
 
 
-def null_vector(a: np.ndarray, pivot_tol: float) -> np.ndarray | None:
+def null_vector(a: np.ndarray, pivot_tol: float,
+                band: tuple[int, int] | None = None) -> np.ndarray | None:
     """One null-space vector, or None if the array is full column rank.
 
     Convention: the first pivot-free column gets value 1, all later free
     columns 0; pivot variables come from back-substitution.
     """
-    u, pivots = echelon(a, pivot_tol)
+    u, pivots = echelon(a, pivot_tol, band)
     cols = u.shape[1]
     pivot_set = set(pivots)
     free = next((c for c in range(cols) if c not in pivot_set), None)

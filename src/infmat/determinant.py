@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._dense import lu_det, norm_inf
+from ._dense import band_of, is_narrow, lu_det, norm_inf
 from .algebra import matmul
 from .errors import ConvergenceFailureError, ExtentMismatchError, PreconditionError
 from .matrix_core import (DenseMatrix, MatrixSpec, Sections, TruncationSchedule,
@@ -89,19 +89,24 @@ def log_series_may_apply(diag: np.ndarray) -> np.ndarray:
     return ~(np.max(np.abs(diag - 1.0), axis=-1, initial=0.0) >= 1.0)
 
 
-def det_truncation(t: np.ndarray, policy: ConvergencePolicy | None = None) -> float:
-    """Determinant of the square section array ``t``.
+def det_truncation(t: np.ndarray, policy: ConvergencePolicy | None = None,
+                   band: tuple[int, int] | None = None) -> float:
+    """Determinant of the square section array ``t``, whose band is
+    ``band`` (a section of a spec that declares a bandwidth) or measured.
 
-    The log series is taken whenever the norm precondition it measures,
+    A narrow band (:func:`~infmat._dense.is_narrow`) is eliminated: there
+    elimination costs less than one dense power of the log series.  A wide
+    one takes the log series whenever the norm precondition it measures,
     ``norm_inf(t - I) < 1``, holds, and elimination otherwise; no series
     that :func:`log_series_may_apply` rules out is attempted.
     """
-    if log_series_may_apply(np.diagonal(t)):
+    band = band_of(t, band)
+    if not is_narrow(band) and log_series_may_apply(np.diagonal(t)):
         try:
             return _log_series(t, policy or ConvergencePolicy()).value
         except PreconditionError:
             pass
-    return lu_det(t)
+    return lu_det(t, band)
 
 
 def det_infinite(M: MatrixSpec, schedule: TruncationSchedule | None = None,
@@ -119,8 +124,8 @@ def det_infinite(M: MatrixSpec, schedule: TruncationSchedule | None = None,
     # a finite matrix is its own one section: eliminated, as det_oracle does
     finite = is_finite_extent(M.rows)
     sections = Sections(M)
-    rep = section_limit(lambda n: lu_det(sections(n)) if finite
-                        else det_truncation(sections(n), policy),
+    rep = section_limit(lambda n: lu_det(sections(n), sections.band) if finite
+                        else det_truncation(sections(n), policy, sections.band),
                         M.rows, schedule, policy)
     return DetReport(rep.estimate, ROUTE_LIMIT, report=rep)
 

@@ -348,10 +348,8 @@ def _math_map(fn, *args):
                 line = _math_map(fn, *[np.concatenate((c[0], c[1:, -1])) for c in cells])
                 return sliding_window_view(line, shape[1])[rows]
     try:
-        try:
-            out = np.frompyfunc(fn, len(args), 1)(*args)
-        except OverflowError:
-            out = np.frompyfunc(_saturating(fn), len(args), 1)(*args)
+        # one pass: an overflowing cell is inf where it stands
+        out = np.frompyfunc(_saturating(fn), len(args), 1)(*args)
     except ValueError:
         raise _Flagged from None
     return np.asarray(out, dtype=float)

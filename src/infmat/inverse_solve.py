@@ -194,9 +194,9 @@ def neumann_inverse(A: MatrixSpec,
     return InverseReport(lazy, norm, terms, residual, _block=block)
 
 
-def _dense_rank(arr: np.ndarray) -> float:
+def _dense_rank(arr: np.ndarray, band: tuple[int, int] | None = None) -> float:
     """Rank with pivots compared against ``1e-10`` times the array norm."""
-    return float(rank_of_array(arr, RANK_PIVOT_SCALE * norm_inf(arr)))
+    return float(rank_of_array(arr, RANK_PIVOT_SCALE * norm_inf(arr), band))
 
 
 def _section_extent(M: MatrixSpec):
@@ -238,7 +238,7 @@ def rank_of(M: MatrixSpec,
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
     sections = Sections(M)
-    return section_limit(lambda n: _dense_rank(sections(n)),
+    return section_limit(lambda n: _dense_rank(sections(n), sections.band),
                          _section_extent(M), schedule, policy)
 
 
@@ -264,7 +264,8 @@ def _compare_ranks(A, sections, rhs, schedule, policy) -> SolveReport:
         return np.column_stack([a, rhs(a.shape[0])])
 
     extent = _section_extent(A)
-    ra = section_limit(lambda n: _dense_rank(sections(n)), extent, schedule, policy)
+    ra = section_limit(lambda n: _dense_rank(sections(n), sections.band), extent, schedule,
+                       policy)
     rab = section_limit(lambda n: _dense_rank(augmented(n)), extent, schedule, policy)
     ok = ra.converged and rab.converged and ra.estimate == rab.estimate
     return SolveReport(compatible=ok, rank_A=ra, rank_Ab=rab, unknowns={},

@@ -323,6 +323,13 @@ class Sections:
         self._M = M
         self._known = np.zeros((0, 0))
 
+    @property
+    def band(self) -> tuple[int, int] | None:
+        """``(bandwidth, bandwidth)`` of a spec that declares a bandwidth,
+        the band of every section, for the kernels; None otherwise."""
+        width = self._M.bandwidth
+        return None if width is None else (width, width)
+
     def __call__(self, n: int) -> np.ndarray:
         if n < 1:
             raise ValueError("section sizes must be >= 1")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dense import lu_det_shifts, norm_inf, null_vector
+from ._dense import band_of, is_narrow, lu_det_shifts, norm_inf, null_vector
 from .determinant import det_truncation, log_series_may_apply
 from .errors import ExtentMismatchError, OracleValueError, SingularSystemError
 from .matrix_core import (DenseMatrix, MatrixSpec, Sections, TruncationSchedule,
@@ -61,15 +61,18 @@ def _shifted(t: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
-def char_value(t: np.ndarray, lam: float, policy: ConvergencePolicy | None = None) -> float:
-    """``det(t - lam*I)`` of the square section array ``t``, by
-    :func:`~infmat.determinant.det_truncation`."""
-    return det_truncation(_shifted(t, lam), policy)
+def char_value(t: np.ndarray, lam: float, policy: ConvergencePolicy | None = None,
+               band: tuple[int, int] | None = None) -> float:
+    """``det(t - lam*I)`` of the square section array ``t``, whose band is
+    ``band`` or measured, by :func:`~infmat.determinant.det_truncation`."""
+    return det_truncation(_shifted(t, lam), policy, band)
 
 
-def eigenvector_for(t: np.ndarray, lam: float) -> DenseMatrix:
+def eigenvector_for(t: np.ndarray, lam: float,
+                    band: tuple[int, int] | None = None) -> DenseMatrix:
     """Nonzero null vector of ``t - lam*I`` for the square section array
-    ``t``, one column, scaled so its largest-magnitude entry is 1.
+    ``t``, whose band is ``band`` or measured, one column, scaled so its
+    largest-magnitude entry is 1.
 
     Elimination pivots below ``1e-8 * (1 + norm)`` mark a free column;
     the first free column is set to 1 and later free columns to 0.
@@ -77,7 +80,7 @@ def eigenvector_for(t: np.ndarray, lam: float) -> DenseMatrix:
     full rank, i.e. ``lam`` is not an eigenvalue at this size.
     """
     shifted = _shifted(t, lam)
-    v = null_vector(shifted, NULL_PIVOT_SCALE * (1.0 + norm_inf(shifted)))
+    v = null_vector(shifted, NULL_PIVOT_SCALE * (1.0 + norm_inf(shifted)), band)
     if v is None:
         raise SingularSystemError(f"no null direction at size {t.shape[0]}: "
                                   f"{lam} may not be an eigenvalue here")
@@ -85,23 +88,29 @@ def eigenvector_for(t: np.ndarray, lam: float) -> DenseMatrix:
     return DenseMatrix((v / v[top])[:, None])
 
 
-def _grid_values(t: np.ndarray, xs: np.ndarray, policy: ConvergencePolicy) -> list:
-    """``char_value(t, x, policy)`` for each grid point x.
+def _grid_values(t: np.ndarray, xs: np.ndarray, policy: ConvergencePolicy,
+                 band: tuple[int, int] | None = None) -> list:
+    """``char_value(t, x, policy, band)`` for each grid point x.
 
-    Every x whose shifted diagonal is finite and rules out the log series
-    is one lane of :func:`~infmat._dense.lu_det_shifts`.  The others are
-    evaluated one at a time in grid order, so an error is raised at the
-    grid point, and with the type and message, of the one-at-a-time scan.
+    Every x whose shifted diagonal is finite is one lane of
+    :func:`~infmat._dense.lu_det_shifts` when the band is narrow, since
+    there ``char_value`` eliminates; for a wide band, only those whose
+    diagonal also rules out the log series.  The others are evaluated one
+    at a time in grid order, so an error is raised at the grid point, and
+    with the type and message, of the one-at-a-time scan.
     """
+    band = band_of(t, band)
     with np.errstate(over="ignore"):  # an overflowed lane is left to _shifted
         diag = np.diagonal(t) + -xs[:, None]
-    lanes = np.all(np.isfinite(diag), axis=1) & ~log_series_may_apply(diag)
+    lanes = np.all(np.isfinite(diag), axis=1)
+    if not is_narrow(band):
+        lanes &= ~log_series_may_apply(diag)
     values = np.zeros(xs.size)
     if lanes.any():
-        values[lanes] = lu_det_shifts(t, xs[lanes])
+        values[lanes] = lu_det_shifts(t, xs[lanes], band)
     out = values.tolist()
     for i in np.flatnonzero(~lanes):
-        out[i] = char_value(t, xs[i], policy)
+        out[i] = char_value(t, xs[i], policy, band)
     return out
 
 
@@ -161,7 +170,9 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
     (``_grid_values``), which copies no section.  Each bisection step is
     one :func:`char_value`, and each root's eigenvector one
     :func:`eigenvector_for`; these, and the root's residual, work on a
-    copy of one of the two sections with the diagonal shifted.
+    copy of one of the two sections with the diagonal shifted.  Every one
+    of these is given the spec's band, when it declares a bandwidth, so
+    no kernel measures it.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -181,10 +192,10 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
     n_final = sizes[-1]
 
     sections = Sections(A)
-    top = sections(n_final)
+    top, band = sections(n_final), sections.band
 
     def f_at(size):
-        return lambda x: char_value(sections(size), x, policy)
+        return lambda x: char_value(sections(size), x, policy, band)
 
     def persists(root, a, b):
         """Whether the previous size has a root within the stability
@@ -200,14 +211,14 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
         return prev_root is not None and abs(prev_root - root) <= ROOT_STABILITY_TOL
 
     def eigenpair(root, stable, char_at=None):
-        vec = eigenvector_for(top, root)
+        vec = eigenvector_for(top, root, band)
         vec_res = float(np.max(np.abs(_shifted(top, root) @ vec.data[:, 0])))
         char_residual = 0.0 if char_at is None else abs(char_at(root))
         return EigenPair(root, vec, char_residual, vec_res, stable)
 
     f = f_at(n_final)
     xs = np.linspace(lo, hi, grid_points)
-    fx = _grid_values(top, xs, policy)
+    fx = _grid_values(top, xs, policy, band)
 
     pairs: list[EigenPair] = []
     for t in range(len(xs) - 1):

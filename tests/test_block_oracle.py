@@ -299,6 +299,18 @@ def test_ln_of_a_line_with_a_non_positive_value_declines():
     assert_sections_agree(expr_spec("ln(i+j-5)"), [2, 4, 8])
 
 
+def test_a_block_that_overflows_is_mapped_in_one_pass():
+    # 2^(i*j), constant along no line, overflows from i*j = 1024 on: each
+    # cell is mapped once, the overflowing ones to inf as in the scalar path
+    I, J = np.arange(1.0, 65)[:, None], np.arange(1.0, 65)[None, :]
+    pow_, calls = counting(math.pow)
+    with np.errstate(over="ignore"):  # as compile_block maps it
+        got = expr_dsl._math_map(pow_, 2.0, I * J)
+        want = cell_map(expr_dsl._pow, 2.0, I * J)
+    assert len(calls) == 64 * 64
+    assert np.isinf(want).any() and got.tobytes() == want.tobytes()
+
+
 def test_overflow_saturates_over_the_line_only(monkeypatch):
     # 1/2^(i+j) overflows past i + j = 1023: the saturating rerun maps the
     # 1023 values of one line, not the 512 * 512 cells

@@ -36,6 +36,29 @@ def test_det_perturbation_converges_exit_zero():
     assert doc["result"]["report"]["status"] == "converged"
 
 
+def test_det_of_a_narrow_band_is_eliminated_exactly(capsys):
+    # I + 0.5 e_1 e_1^T: every section is diagonal, so elimination gives 1.5
+    # exactly, where the log series gave 1.5000000000073508
+    code, out = run_main(capsys, "det", SPECS / "perturbation.json", "--max-size", 64,
+                         "--quiet")
+    assert code == 0
+    assert json.loads(out)["result"]["value"] == 1.5
+
+
+def test_eig_at_the_lower_gershgorin_bound_of_a_tridiagonal_spec_takes_no_series(
+        tmp_path, capsys):
+    # at the bound -0.4, norm(T - lam*I - I) nears 1, where the log series
+    # ran into --max-terms; a narrow band is eliminated instead
+    spec = tmp_path / "tri.json"
+    spec.write_text(json.dumps({"rows": "inf", "cols": "inf", "kind": "banded",
+                                "bands": {"-1": "0.2", "0": "1/i", "1": "0.2"}}))
+    code, out = run_main(capsys, "eig", spec, "--max-size", 128, "--grid", 64,
+                         "--max-terms", 500, "--interval", -0.4, -0.391, "--quiet")
+    doc = json.loads(out)
+    assert code == 0 and doc["status"] == "ok"
+    assert doc["result"]["count"] == 0
+
+
 def test_byte_identical_reports():
     first = run_cli("det", SPECS / "perturbation.json", "--max-size", "64")
     second = run_cli("det", SPECS / "perturbation.json", "--max-size", "64")

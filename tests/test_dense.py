@@ -1,4 +1,8 @@
-"""The windowed elimination kernels against a full dense sweep, bit for bit."""
+"""The windowed elimination kernels against a full dense sweep, and the
+Python-float sweep of narrow windows against the numpy one, bit for bit."""
+
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -72,8 +76,8 @@ def same_bits(x, y) -> bool:
 def test_lu_det_bit_identical_to_dense_sweep(a, wide):
     expected = sweep_lu_det(a)
     assert same_bits(lu_det(a), expected)
-    # the narrow path, whichever one the band selects
-    assert same_bits(_dense._lu_det_narrow(a, *_dense._band(a)), expected)
+    # a band passed wider than the true one
+    assert same_bits(lu_det(a, tuple(w + 1 for w in _dense._band(a))), expected)
     # the numpy path, through lu_det on a window too wide for the narrow one
     assert same_bits(lu_det(wide), sweep_lu_det(wide))
 
@@ -94,6 +98,64 @@ def test_null_vector_bit_identical_to_dense_sweep(a, tol):
     assert (v is None) == (ref is None)
     if v is not None:
         assert same_bits(v, ref)
+
+
+# special values: exact zeros of both signs, entries under the pivot
+# tolerances, ties
+NARROW_SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0, 1e-12])
+
+
+@st.composite
+def narrow_cases(draw):
+    """A banded array of up to 40 rows and columns, with bl and bu at most 3,
+    and the band passed for it: None (measured), the true one, or wider."""
+    rows = draw(st.integers(1, 40))
+    cols = rows if draw(st.booleans()) else draw(st.integers(1, 40))
+    bl, bu = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    special = rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.3, 0.7]))
+    a = np.where(special, rng.choice(NARROW_SPECIAL, (rows, cols)),
+                 rng.uniform(-4.0, 4.0, (rows, cols)))
+    i, j = np.indices((rows, cols))
+    a = np.where((j - i <= bu) & (i - j <= bl), a, 0.0)
+    if draw(st.booleans()):
+        a = np.where(i > j, 16.0 * a, a)  # pivoting swaps rows
+    for column in draw(st.lists(st.integers(0, cols - 1), max_size=3)):
+        a[:, column] *= draw(st.sampled_from([0.0, 1e-13]))  # skipped columns
+    band = draw(st.sampled_from([None, (bl, bu), (bl + 1, bu), (bl, bu + 2), (bl + 2, bu + 1)]))
+    return a, band
+
+
+def numpy_sweep_echelon(a, tol, band=None):
+    """:func:`echelon` by the numpy sweep, whatever the window."""
+    return _dense._sweep(a, tol)[:2]
+
+
+@settings(max_examples=300)
+@given(narrow_cases(), PIVOT_TOLS)
+def test_python_float_sweep_bit_identical_to_numpy_sweep(case, tol):
+    a, band = case
+    ref_u, ref_pivots, ref_sign = _dense._sweep(a, tol)
+    # the Python-float sweep on the window echelon chooses, narrow or not
+    window = _dense._sweep_window(a, band)
+    rows, start, pivots, sign = _dense._sweep_rows(a, tol, window)
+    assert (pivots, sign) == (ref_pivots, ref_sign)
+    assert np.array_equal(_dense._reduced(rows, start, a.shape).view(np.int64),
+                          ref_u.view(np.int64))
+    u, pivots = echelon(a, tol, band)
+    assert pivots == ref_pivots
+    assert np.array_equal(u.view(np.int64), ref_u.view(np.int64))
+    v = null_vector(a, tol, band)
+    with mock.patch.object(_dense, "echelon", numpy_sweep_echelon):
+        ref = null_vector(a, tol)
+    assert (v is None) == (ref is None)
+    if v is not None:
+        assert np.array_equal(v.view(np.int64), ref.view(np.int64))
+    if a.shape[0] == a.shape[1]:
+        det_u, det_pivots, det_sign = _dense._sweep(a, 0.0)
+        want = (det_sign * np.float64(math.prod(np.diag(det_u)))
+                if len(det_pivots) == a.shape[0] else 0.0)
+        assert np.float64(lu_det(a, band)).view(np.int64) == np.float64(want).view(np.int64)
 
 
 def test_tridiagonal_fill_stays_in_window():

@@ -148,6 +148,13 @@ def test_det_truncation_route_fallback():
     assert det_oracle(section) == pytest.approx(27.0)
 
 
+def _wide_near_identity(n=8):
+    """An n-by-n dense array within 0.2 of I in norm_inf: its band, (n - 1,
+    n - 1), is wide for n >= 7, so the auto route may take the log series."""
+    i, j = np.indices((n, n))
+    return np.eye(n) + 0.02 / (i + j + 1.0)
+
+
 def test_auto_route_attempts_no_series_a_diagonal_entry_rules_out(monkeypatch):
     # |t_ii - 1| >= 1 on one diagonal entry puts norm_inf(t - I) at >= 1,
     # so the auto route goes straight to elimination
@@ -156,17 +163,40 @@ def test_auto_route_attempts_no_series_a_diagonal_entry_rules_out(monkeypatch):
     monkeypatch.setattr(determinant, "_log_series",
                         lambda t, policy: attempts.append(t) or series(t, policy))
     policy = ConvergencePolicy()
-    t = np.array([[1.2, 0.1], [0.3, 0.9]])
+    t = _wide_near_identity()
     det_truncation(t, policy)
     assert len(attempts) == 1
-    for diag in ([1.2, 2.0], [1.2, 0.0], [-0.5, 1.0]):
-        t[np.diag_indices(2)] = diag
+    for entry in (2.0, 0.0, -0.5):
+        t[3, 3] = entry
         assert det_truncation(t, policy) == lu_det(t)
     assert len(attempts) == 1
     # a NaN diagonal entry leaves the test to the series, as its norm does
     assert log_series_may_apply(np.array([np.nan, 5.0]))
     assert list(log_series_may_apply(np.array([[0.5, 1.9], [0.5, 2.0], [0.0, 1.0]]))) == [
         True, False, False]
+
+
+def test_narrow_section_is_eliminated_with_no_series(monkeypatch):
+    # within 0.2 of I, where a wide section takes the series; a tridiagonal
+    # band, given or measured, and a 6-by-6 dense one are eliminated
+    attempts = []
+    monkeypatch.setattr(determinant, "_log_series",
+                        lambda t, policy: attempts.append(t))
+    t = _wide_near_identity(6)
+    assert det_truncation(t) == lu_det(t)
+    tri = np.triu(np.tril(_wide_near_identity(), 1), -1)
+    for band in (None, (1, 1), (2, 3)):
+        assert det_truncation(tri, band=band) == lu_det(tri)
+    assert attempts == []
+
+
+def test_det_truncation_of_a_diagonal_section_is_the_product_of_its_diagonal():
+    # harmonic_diag's 8-section: elimination multiplies the pivots in order,
+    # where the log series is 5e-9 relative off 1/8!
+    diag = [1.0 / i for i in range(1, 9)]
+    t = truncate(diagonal_spec(lambda i: 1.0 / i), 8, 8).data
+    assert det_truncation(t) == math.prod(diag)
+    assert det_truncation(t, band=(0, 0)) == math.prod(diag)
 
 
 # --- minor expansion ----------------------------------------------------------

@@ -39,7 +39,9 @@ def test_char_value_symmetric_eigenvalue():
 
 
 def test_char_value_routes_agree_when_log_series_applies():
-    a = DenseMatrix([[1.2, 0.1], [0.05, 0.9]])
+    # a dense 8-by-8 section has a wide band, so the log series is tried
+    i, j = np.indices((8, 8))
+    a = DenseMatrix(np.diag(np.linspace(1.2, 0.9, 8)) + 0.01 / (i + j + 1.0))
     lam = 0.2
     shifted = DenseMatrix(spectral._shifted(a.data, lam))
     lu = det_oracle(shifted)
@@ -206,8 +208,9 @@ def _first_scalar_error(t, xs, policy):
     # the shifted diagonal overflows at entry (2, 2) part way along the grid
     ([[-1e308, 1.0, 0.0], [1.0, -1.5e308, 1.0], [0.0, 1.0, 2.0]], (0.0, 1e308),
      ConvergencePolicy(), OracleValueError),
-    # the first grid points take the log series (norm 0.982) and hit its cap
-    ([[0.02, 0.001, 0.0], [0.001, 0.02, 0.001], [0.0, 0.001, 0.02]], (0.0, 0.5),
+    # the first grid points take the log series (norm 0.987) and hit its cap;
+    # the section is dense, so its band is wide and the series is tried
+    (np.full((8, 8), 0.001) + np.diag(np.full(8, 0.019)), (0.0, 0.5),
      ConvergencePolicy(max_terms=20), ConvergenceFailureError),
 ], ids=["non-finite-shift", "series-cap"])
 def test_grid_scan_raises_where_the_scalar_scan_raises(monkeypatch, data, interval, policy,
