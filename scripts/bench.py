@@ -1,0 +1,236 @@
+#!/usr/bin/env python3
+"""Layer timing: each faster way of a layer against the way it must
+match bit for bit.
+
+Every case of a layer is computed by two or three ways; the first is the
+reference, and each way's result must have its bits.  A line gives the
+fastest of ``REPEAT`` runs, in seconds and in microseconds per unit of
+the result (a cell, a term, a step of the stopping rule, a value, a
+pivot).
+
+* oracle: the top-left section, up to 256² and 512², of each formula of
+  :func:`formulas`, filled cell by cell through the scalar oracle and as
+  blocks (``truncate``); and row 1 times column 1 of the golden ``mul``
+  factors, summed term by term through the scalar oracles and as a batch
+  of one fed term runs read through the block oracles (``Lines``), as
+  ``matmul`` does, the oracle inside the timed run.
+* series: the 64 probe series of that product at ``max_terms=4096``, their
+  terms read into a table first, so the stopping rule and its feeding are
+  timed, not the oracle: summed one at a time on plain floats, each as a
+  batch of one fed term runs, and as one ``SeriesBatch`` of all 64.
+* kernel: banded sections (diagonal ``1/i`` plus seeded entries, bands
+  (0,0), (1,1) and (2,2), n = 128, 512 and 1024).  ``eig``'s 64-point grid
+  of characteristic values, as a loop of ``char_value`` and as one batched
+  ``_grid_values``, both given the band; and ``rank``'s echelon form, by
+  the numpy sweep ``_sweep`` and by ``echelon`` given the band.
+
+The last line is one JSON object: the checkout's revision, the machine
+facts of ``perfbench/run.py``, numpy's version and every row.  The script
+exits with status 1 if any way differs from its reference.
+
+    python scripts/bench.py
+"""
+
+import dataclasses
+import json
+import math
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+# from src/ and the checkout, put on the path above
+from infmat._dense import _sweep, echelon, norm_inf  # noqa: E402
+from infmat.algebra import _line_product  # noqa: E402
+from infmat.inverse_solve import RANK_PIVOT_SCALE  # noqa: E402
+from infmat.matrix_core import Lines, MatrixSpec, clip_extent, truncate  # noqa: E402
+from infmat.series import ConvergencePolicy, SeriesBatch, sum_series  # noqa: E402
+from infmat.specio import matrix_from_obj  # noqa: E402
+from infmat.spectral import _grid_values, char_value  # noqa: E402
+from perfbench.run import machine_facts  # noqa: E402
+
+REPEAT = 3  # runs per way; the fastest one counts
+# the dense formula and the two factors of mul in tests/test_golden_cli.py
+DENSE_EXPR = "delta(i,j) + 0.3/(i+j+1)^2.5"
+MUL_FACTORS = ("1.02/(i+j+0.37)^1.6", "0.95/(i+j+0.81)^1.61")
+
+
+def fastest(run, repeat=REPEAT):
+    """The fastest of ``repeat`` runs of ``run()``, and its last result."""
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        result = run()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def bits(x):
+    """``x`` with each float as its bits: an array as its shape and int64
+    view, a report field by field, a tuple or list item by item."""
+    if isinstance(x, np.ndarray):
+        return x.shape, x.view(np.int64).tobytes()
+    if isinstance(x, float):
+        return int(np.float64(x).view(np.int64))
+    if dataclasses.is_dataclass(x):
+        return bits(dataclasses.astuple(x))
+    if isinstance(x, (tuple, list)):
+        return tuple(bits(item) for item in x)
+    return x
+
+
+def mul_factors():
+    return [matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "expr", "expr": e})
+            for e in MUL_FACTORS]
+
+
+def formulas():
+    golden = {"rows": "inf", "cols": "inf", "kind": "expr", "expr": DENSE_EXPR}
+    yield "golden DENSE_EXPR", golden
+    yield "finite-support 384x384", {**golden, "kind": "finite-support",
+                                     "support": {"rows": 384, "cols": 384}}
+    yield "dense 512x512", {"kind": "dense", "data": truncate(
+        matrix_from_obj(golden), 512, 512).data.tolist()}
+    # constant along diagonals, so ^ and exp are mapped once per line; and
+    # series-sums' geometric family, constant along no line: one call a cell
+    yield "toeplitz exp(-0.1*(i-j)^2)", {**golden, "expr": "exp(-0.1*(i-j)^2)"}
+    yield "cell path 0.9^(i*j)", {**golden, "expr": "0.9^(i*j)"}
+    for path in sorted((ROOT / "specs").glob("*.json")):
+        obj = json.loads(path.read_text())
+        if obj.get("kind") == "expr":
+            yield f"specs/{path.name}", obj
+
+
+def scalar_twin(spec):
+    """``spec`` without its block oracle: every cell through ``entry``."""
+    return MatrixSpec(spec.rows, spec.cols, spec.entry, decay=spec.decay,
+                      bandwidth=spec.bandwidth, support=spec.support)
+
+
+def oracle_cases(sizes=(256, 512), policy=ConvergencePolicy(max_terms=20000)):
+    for name, obj in formulas():
+        spec = matrix_from_obj(obj)
+        scalar = scalar_twin(spec)
+        for size in sizes:
+            m, n = clip_extent(spec.rows, size), clip_extent(spec.cols, size)
+            yield f"{name} {m}x{n}", "cell", np.size, [
+                ("scalar", lambda: truncate(scalar, m, n).data),
+                ("block", lambda: truncate(spec, m, n).data)]
+    A, B = mul_factors()
+
+    def term(l):
+        return A.entry(1, l) * B.entry(l, 1)
+
+    def term_runs():
+        runs = _line_product(Lines(A, [1], 0), Lines(B, [1], 1), [(0, 0)])
+        return sum_series(term, policy, None, (SeriesBatch([None], policy, runs), 0))
+
+    yield "c/(i+j+a)^p row x column", "term", lambda rep: rep.terms_used, [
+        ("scalar", lambda: sum_series(term, policy)), ("term runs", term_runs)]
+
+
+def series_cases(side=8, policy=ConvergencePolicy(max_terms=4096)):
+    A, B = mul_factors()
+    probe = range(1, side + 1)
+    rows, cols = Lines(A, probe, 0)(policy.max_terms), Lines(B, probe, 1)(policy.max_terms)
+    # the first max_terms terms of each probe entry's series, in row-major order
+    table = (rows[:, None, :] * cols[None, :, :]).reshape(side * side, policy.max_terms)
+
+    def fed(batch_of):
+        """Each series through its scalar term, and ``batch_of(s)`` for series s."""
+        lines = table.tolist()
+        return [sum_series(lambda k, line=line: line[k - 1], policy, None, batch_of(s))
+                for s, line in enumerate(lines)]
+
+    def runs_of(s):
+        return SeriesBatch([None], policy, lambda k0, k1, rows: table[s:s + 1, k0 - 1:k1 - 1])
+
+    def batch():
+        group = SeriesBatch([None] * len(table), policy,
+                            lambda k0, k1, rows: table[rows, k0 - 1:k1 - 1])
+        return fed(lambda s: (group, s))
+
+    yield f"{side}x{side} probe of mul", "step", lambda reps: sum(r.terms_used for r in reps), [
+        ("one at a time", lambda: fed(lambda s: None)),
+        ("term runs", lambda: fed(lambda s: (runs_of(s), 0))), ("batch", batch)]
+
+
+def section(n, band):
+    """The n-by-n section: diagonal 1/i, seeded entries on the other
+    diagonals of the band."""
+    rng = np.random.default_rng([n, band])
+    i, j = np.indices((n, n))
+    t = np.where(np.abs(i - j) <= band, rng.uniform(-0.5, 0.5, (n, n)), 0.0)
+    t[np.diag_indices(n)] = 1.0 / np.arange(1, n + 1)
+    return t
+
+
+def kernel_cases(sizes=(128, 512, 1024), bands=(0, 1, 2), grid=64):
+    xs, policy = np.linspace(0.4, 0.6, grid), ConvergencePolicy()
+    for n in sizes:
+        for band in bands:
+            t, banded = section(n, band), (band, band)
+            yield f"char n={n} ({band},{band})", "value", len, [
+                ("scalar loop", lambda: [char_value(t, x, policy, banded) for x in xs]),
+                ("batched grid", lambda: _grid_values(t, xs, policy, banded))]
+            tol = RANK_PIVOT_SCALE * norm_inf(t)
+            yield f"echelon n={n} ({band},{band})", "pivot", lambda form: len(form[1]), [
+                ("numpy sweep", lambda: _sweep(t, tol)[:2]),
+                ("band sweep", lambda: echelon(t, tol, banded))]
+
+
+def layers():
+    return [("oracle", oracle_cases()), ("series", series_cases()), ("kernel", kernel_cases())]
+
+
+def measure(layers, repeat=REPEAT):
+    """A row and a result per layer, case and way, as each is timed.
+
+    ``layers`` holds ``(layer, cases)``; a case is ``(name, unit, count,
+    ways)``, where ``count(result)`` is the number of units in a result,
+    and a way is ``(name, run)``, the first the reference.  The cases are
+    made one at a time, and a case's ways run before the next is made, so
+    a way may read the variables of the loop that made it."""
+    for layer, cases in layers:
+        for case, unit, count, ways in cases:
+            want = None
+            for way, run in ways:
+                seconds, result = fastest(run, repeat)
+                got, units = bits(result), count(result)
+                want = got if want is None else want
+                yield {"layer": layer, "case": case, "way": way, "units": units, "unit": unit,
+                       "seconds": seconds, "us_per_unit": 1e6 * seconds / units,
+                       "bits": "identical" if got == want else "DIFFER"}, result
+
+
+def revision():
+    """The checkout's commit, ``-dirty`` when its tracked files differ."""
+    try:
+        return subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40",
+                               "--exclude=*"], cwd=ROOT, capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def main():
+    print(f"{'layer':<7} {'case':<34} {'way':<13} {'units':>13} {'seconds':>9} "
+          f"{'us/unit':>10}  bits")
+    rows = []
+    for row, _ in measure(layers()):
+        rows.append(row)
+        print(f"{row['layer']:<7} {row['case']:<34} {row['way']:<13} {row['units']:>7} "
+              f"{row['unit']:<5} {row['seconds']:>9.4f} {row['us_per_unit']:>10.3f}  "
+              f"{row['bits']}")
+    print(json.dumps({"revision": revision(), "machine": machine_facts(),
+                      "numpy": np.__version__, "rows": rows}))
+    return 0 if all(row["bits"] == "identical" for row in rows) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

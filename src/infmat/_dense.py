@@ -26,10 +26,10 @@ on Python floats, one list per row (:func:`_sweep_rows`), and a wider one
 in numpy (:func:`_sweep`).  Both do the same arithmetic entry by entry.
 
 ``lu_det_shifts`` runs that arithmetic once for a whole grid of diagonal
-shifts, with the shifts as the lanes of numpy arrays, as ``eig`` scans
-its grid.  Each of its steps costs numpy's per-call overhead whatever the
-number of lanes, so one value at a time (a bisection step, a ``det``
-schedule) stays on the Python-float sweep.
+shifts of a narrow band, with the shifts as the lanes of numpy arrays, as
+``eig`` scans its grid.  Each step costs numpy's per-call overhead
+whatever the number of lanes, so one value at a time (a bisection step, a
+``det`` schedule) stays on the Python-float sweep.
 """
 
 import math
@@ -107,17 +107,11 @@ def lu_det(a: np.ndarray, band: tuple[int, int] | None = None) -> float:
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("square matrix required")
-    window = band_of(a, band)
-    if is_narrow(window):
-        rows, start, pivots, sign = _sweep_rows(a, 0.0, window)
-        diag = [rows[r][c - start[r]] for r, c in enumerate(pivots)]
-    else:
-        u, pivots, sign = _sweep(a, 0.0, window)
-        diag = np.diag(u)
+    pivots, values, sign, _ = _eliminate(a, 0.0, band_of(a, band))
     # the pivots' product in column order, a numpy scalar: dividing by a
     # determinant that underflowed to 0 gives inf, not ZeroDivisionError.
     # 0 when a column has no pivot
-    return sign * np.float64(math.prod(diag)) if len(pivots) == n else 0.0
+    return sign * np.float64(math.prod(values)) if len(pivots) == n else 0.0
 
 
 def lu_det_shifts(t: np.ndarray, shifts: np.ndarray,
@@ -133,8 +127,7 @@ def lu_det_shifts(t: np.ndarray, shifts: np.ndarray,
     largest ``|x|`` as pivot (a NaN before any number), and is 0.0 from a
     step whose best pivot is 0.  The cost per step is numpy's call
     overhead whatever the lane count, so this pays off for a grid of
-    shifts, not for one value.  A wide band takes :func:`lu_det` once per
-    shift.
+    shifts, not for one value.  A wide band raises :class:`ValueError`.
     """
     t = np.asarray(t, dtype=float)
     shifts = np.asarray(shifts, dtype=float)
@@ -142,14 +135,9 @@ def lu_det_shifts(t: np.ndarray, shifts: np.ndarray,
     with np.errstate(all="ignore"):
         diag = np.diagonal(t) + -shifts[:, None]
     band = band_of(t, band)
-    bl, bu = band
     if not is_narrow(band):
-        out = []
-        for d in diag:
-            a = np.array(t)
-            a[np.diag_indices(n)] = d
-            out.append(lu_det(a, band))
-        return np.array(out, dtype=float)
+        raise ValueError(f"band {band} is too wide for lanes of shifts")
+    bl, bu = band
     lanes, width = np.arange(shifts.size), bl + bu + 1
     # row i's entries in columns i - bl .. i + bu, the diagonal at bl
     cells = _band_cells(t, bl, bu)
@@ -323,20 +311,31 @@ def _reduced(rows: list, start: list, shape: tuple[int, int]) -> np.ndarray:
     return u
 
 
+def _eliminate(a: np.ndarray, pivot_tol: float, window: tuple[int, int]):
+    """The sweep of ``a`` within the band ``window``, on Python floats when
+    it is narrow: the pivot columns, the pivot values in row order, the
+    sign of the row permutation and a function building the reduced array."""
+    if is_narrow(window):
+        rows, start, pivots, sign = _sweep_rows(a, pivot_tol, window)
+        values = [rows[r][c - start[r]] for r, c in enumerate(pivots)]
+        return pivots, values, sign, lambda: _reduced(rows, start, a.shape)
+    u, pivots, sign = _sweep(a, pivot_tol, window)
+    return pivots, u[np.arange(len(pivots)), pivots], sign, lambda: u
+
+
 def echelon(a: np.ndarray, pivot_tol: float,
             band: tuple[int, int] | None = None) -> tuple[np.ndarray, list[int]]:
     """Row echelon form with partial pivoting: the reduced array and the
     pivot column indices of the sweep, within ``band`` when given."""
     a = np.asarray(a, dtype=float)
-    window = _sweep_window(a, band)
-    if is_narrow(window):
-        rows, start, pivots, _ = _sweep_rows(a, pivot_tol, window)
-        return _reduced(rows, start, a.shape), pivots
-    return _sweep(a, pivot_tol, window)[:2]
+    pivots, _, _, reduced = _eliminate(a, pivot_tol, _sweep_window(a, band))
+    return reduced(), pivots
 
 
 def rank_of_array(a: np.ndarray, pivot_tol: float, band: tuple[int, int] | None = None) -> int:
-    return len(echelon(a, pivot_tol, band)[1])
+    """The pivot count of :func:`echelon`, which the signs of zeros do not change."""
+    a = np.asarray(a, dtype=float)
+    return len(_eliminate(a, pivot_tol, band_of(a, band))[0])
 
 
 def null_vector(a: np.ndarray, pivot_tol: float,

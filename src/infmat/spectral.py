@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dense import band_of, is_narrow, lu_det_shifts, norm_inf, null_vector
-from .determinant import det_truncation, log_series_may_apply
+from .determinant import det_truncation
 from .errors import ExtentMismatchError, OracleValueError, SingularSystemError
 from .matrix_core import (DenseMatrix, MatrixSpec, Sections, TruncationSchedule,
                           is_finite_extent)
@@ -92,19 +92,17 @@ def _grid_values(t: np.ndarray, xs: np.ndarray, policy: ConvergencePolicy,
                  band: tuple[int, int] | None = None) -> list:
     """``char_value(t, x, policy, band)`` for each grid point x.
 
-    Every x whose shifted diagonal is finite is one lane of
-    :func:`~infmat._dense.lu_det_shifts` when the band is narrow, since
-    there ``char_value`` eliminates; for a wide band, only those whose
-    diagonal also rules out the log series.  The others are evaluated one
-    at a time in grid order, so an error is raised at the grid point, and
-    with the type and message, of the one-at-a-time scan.
+    For a narrow band, where ``char_value`` eliminates, every x whose
+    shifted diagonal is finite is one lane of
+    :func:`~infmat._dense.lu_det_shifts`.  The others, and every x of a
+    wide band, are evaluated one at a time in grid order, so an error is
+    raised at the grid point, and with the type and message, of the
+    one-at-a-time scan.
     """
     band = band_of(t, band)
     with np.errstate(over="ignore"):  # an overflowed lane is left to _shifted
         diag = np.diagonal(t) + -xs[:, None]
-    lanes = np.all(np.isfinite(diag), axis=1)
-    if not is_narrow(band):
-        lanes &= ~log_series_may_apply(diag)
+    lanes = np.all(np.isfinite(diag), axis=1) & is_narrow(band)
     values = np.zeros(xs.size)
     if lanes.any():
         values[lanes] = lu_det_shifts(t, xs[lanes], band)
@@ -130,7 +128,7 @@ def _bisect(f, lo, hi, flo):
     lies between its ends (past about 1e6 in magnitude the spacing of
     floats is wider than the width)."""
     while hi - lo > BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi can overflow
         if not lo < mid < hi:
             break
         fmid = f(mid)
@@ -140,7 +138,7 @@ def _bisect(f, lo, hi, flo):
             hi = mid
         else:
             lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
@@ -160,8 +158,8 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
     stable; an infinite spec whose schedule has one size gives no
     evidence across sizes, so its roots are unstable.  An
     interval with no sign change yields an empty list, not an error; a
-    non-finite or empty interval, or ``grid_points`` or ``max_roots``
-    below 1, raises :class:`ValueError`.
+    non-finite or empty interval, one whose width overflows, or
+    ``grid_points`` or ``max_roots`` below 1, raises :class:`ValueError`.
 
     One :class:`Sections` of the spec is grown to the largest size; the
     previous size is a view of its corner, so the oracle cost does not grow
@@ -179,6 +177,8 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
         raise ValueError(f"interval endpoints must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"interval [{lo}, {hi}] is wider than the largest float")
     if grid_points < 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     if max_roots < 1:

@@ -1,0 +1,128 @@
+"""``scripts/bench.py`` computes each case of a layer two or three ways,
+and every way must give its reference's bits.  The script is loaded from
+its file, as ``python scripts/bench.py`` runs it, and measured at small
+sizes."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from infmat.matrix_core import clip_extent, truncate
+from infmat.series import ConvergencePolicy, ConvergenceReport
+from infmat.specio import matrix_from_obj
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
+_spec = importlib.util.spec_from_file_location("bench", SCRIPT)
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+BANDS = (0, 1, 2)
+
+
+def measured(layer, cases):
+    """The ``(row, result)`` pairs of one run of each way."""
+    return list(bench.measure([(layer, cases)], repeat=1))
+
+
+def pairs(rows, kind):
+    """The two ways of each case whose name starts with ``kind``."""
+    rows = [pair for pair in rows if pair[0]["case"].startswith(kind)]
+    return [rows[k:k + 2] for k in range(0, len(rows), 2)]
+
+
+def test_two_ways_give_the_same_values():
+    rows = pairs(measured("kernel", bench.kernel_cases(sizes=(1, 7, 20), grid=9)), "char")
+    assert len(rows) == 3 * len(BANDS)
+    for (scalar, want), (batched, got) in rows:
+        assert (scalar["way"], batched["way"]) == ("scalar loop", "batched grid")
+        assert scalar["case"] == batched["case"] and batched["seconds"] > 0
+        assert len(want) == len(got) == scalar["units"] == 9
+        assert bench.bits(got) == bench.bits(want) and batched["bits"] == "identical"
+        assert np.any(np.array(want) != 0.0)
+
+
+def test_echelon_two_ways_give_the_same_form():
+    rows = pairs(measured("kernel", bench.kernel_cases(sizes=(1, 7, 20), grid=9)), "echelon")
+    assert len(rows) == 3 * len(BANDS)
+    for (numpy_way, (want_u, want_p)), (band_way, (u, p)) in rows:
+        assert (numpy_way["way"], band_way["way"]) == ("numpy sweep", "band sweep")
+        assert numpy_way["case"] == band_way["case"] and band_way["seconds"] > 0
+        n = int(band_way["case"].split()[1][2:])
+        assert p == want_p and len(p) == n == band_way["units"]
+        assert np.array_equal(u.view(np.int64), want_u.view(np.int64))
+        assert band_way["bits"] == "identical"
+    # a difference in bits is one
+    assert bench.bits((u, p)) != bench.bits((u, p[:-1]))
+    assert bench.bits((u, p)) != bench.bits((np.where(u == 0.0, -0.0, u), p))
+
+
+def test_three_ways_give_the_same_reports():
+    # a cap below the quiet window's stop: every series ends at the cap,
+    # part way through a chunk of the batch
+    for policy in (ConvergencePolicy(max_terms=300), ConvergencePolicy(max_terms=3000)):
+        rows = measured("series", bench.series_cases(side=3, policy=policy))
+        assert [row["way"] for row, _ in rows] == ["one at a time", "term runs", "batch"]
+        want = [bench.bits(rep) for rep in rows[0][1]]
+        assert len(want) == 9
+        for row, reports in rows:
+            assert [bench.bits(rep) for rep in reports] == want, row["way"]
+            assert row["units"] == sum(bits[2] for bits in want) and row["seconds"] > 0
+            assert row["bits"] == "identical"
+    statuses = {bits[1] for bits in want}
+    assert statuses == {"converged"}
+
+
+def test_scalar_twin_of_every_timed_formula():
+    names = []
+    for name, obj in bench.formulas():
+        spec = matrix_from_obj(obj)
+        twin = bench.scalar_twin(spec)
+        assert spec.block is not None and twin.block is None, name
+        assert twin.entry is spec.entry, name
+        m, n = clip_extent(spec.rows, 24), clip_extent(spec.cols, 24)
+        assert np.array_equal(truncate(twin, m, n).data.view(np.int64),
+                              truncate(spec, m, n).data.view(np.int64)), name
+        names.append(name)
+    assert names[:3] == ["golden DENSE_EXPR", "finite-support 384x384", "dense 512x512"]
+
+
+def test_main_reports_identical_values(capsys, monkeypatch):
+    monkeypatch.setattr(bench, "layers", lambda: [
+        ("oracle", bench.oracle_cases(sizes=(6,))),
+        ("series", bench.series_cases(side=2, policy=ConvergencePolicy(max_terms=500))),
+        ("kernel", bench.kernel_cases(sizes=(6,), grid=5))])
+    assert bench.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    cases = len(list(bench.formulas())) + 1 + 2 * len(BANDS)
+    ways = 2 * cases + 3
+    assert len(lines) == 2 + ways
+    body = lines[1:-1]
+    assert [line.split()[0] for line in body] == (
+        ["oracle"] * 2 * (cases - 2 * len(BANDS)) + ["series"] * 3 + ["kernel"] * 4 * len(BANDS))
+    assert sum(line.split()[1] == "echelon" for line in body) == 2 * len(BANDS)
+    assert all(line.endswith("identical") for line in body)
+    record = json.loads(lines[-1])
+    assert set(record) == {"revision", "machine", "numpy", "rows"}
+    assert record["numpy"] == np.__version__ and len(record["rows"]) == ways
+    assert {"layer", "case", "way", "seconds", "us_per_unit", "bits"} <= set(record["rows"][0])
+
+
+FORM = bench.echelon(bench.section(6, 1), 1e-10, (1, 1))
+
+
+@pytest.mark.parametrize("want, got", [
+    (np.array([0.0, 1.0]), np.array([-0.0, 1.0])),
+    (ConvergenceReport(0.5, "converged", 40, 0.0), ConvergenceReport(0.5, "converged", 40, -0.0)),
+    (FORM, (FORM[0], FORM[1][:-1])),
+], ids=["array", "report", "echelon"])
+def test_main_exits_1_on_a_difference(capsys, monkeypatch, want, got):
+    monkeypatch.setattr(bench, "layers", lambda: [("planted", [
+        ("one case", "item", lambda result: 1,
+         [("reference", lambda: want), ("other", lambda: got)])])])
+    assert bench.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith("identical") and lines[-2].endswith("DIFFER")
+    assert [row["bits"] for row in json.loads(lines[-1])["rows"]] == ["identical", "DIFFER"]

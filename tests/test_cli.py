@@ -59,6 +59,26 @@ def test_eig_at_the_lower_gershgorin_bound_of_a_tridiagonal_spec_takes_no_series
     assert doc["result"]["count"] == 0
 
 
+def test_eig_of_an_interval_wider_than_the_largest_float_is_a_config_error(tmp_path, capsys):
+    # its grid held nan and inf
+    spec = tmp_path / "a.json"
+    spec.write_text(json.dumps({"kind": "dense", "data": [[1, 2], [3, 4]]}))
+    code, out = run_main(capsys, "eig", spec, "--interval", -1e308, 1e308, "--grid", 4)
+    assert code == 1
+    assert json.loads(out) == {"error": {
+        "code": "config-error",
+        "message": "interval [-1e+308, 1e+308] is wider than the largest float"}}
+
+
+def test_eig_bisects_a_bracket_whose_ends_sum_past_the_largest_float(tmp_path, capsys):
+    spec = tmp_path / "b.json"
+    spec.write_text(json.dumps({"kind": "dense", "data": [[1.5e308]]}))
+    code, out = run_main(capsys, "eig", spec, "--interval", 1e308, 1.7e308, "--grid", 2,
+                         "--quiet")
+    assert code == 0
+    assert [root["lambda"] for root in json.loads(out)["result"]["roots"]] == [1.5e308]
+
+
 def test_byte_identical_reports():
     first = run_cli("det", SPECS / "perturbation.json", "--max-size", "64")
     second = run_cli("det", SPECS / "perturbation.json", "--max-size", "64")

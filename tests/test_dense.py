@@ -2,6 +2,7 @@
 Python-float sweep of narrow windows against the numpy one, bit for bit."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from oracles import sweep_echelon, sweep_gauss_solve, sweep_lu_det, sweep_null_v
 
 from infmat import _dense
 from infmat._dense import (NARROW_WINDOW, echelon, gauss_solve, lu_det, lu_det_shifts,
-                           null_vector)
+                           null_vector, rank_of_array)
 from infmat.errors import SingularSystemError
 
 # exact zeros of both signs, ties and cancellations, tiny pivots
@@ -88,6 +89,7 @@ def test_echelon_bit_identical_to_dense_sweep(a, tol):
     u, pivots = echelon(a, tol)
     ref_u, ref_pivots = sweep_echelon(a, tol)
     assert pivots == ref_pivots
+    assert rank_of_array(a, tol) == len(ref_pivots)
     assert same_bits(u, ref_u)
 
 
@@ -241,8 +243,22 @@ def test_lu_det_shifts_bit_identical_to_lu_det(case):
     assert np.array_equal(got.view(np.int64), lu_dets_of_copies(t, shifts).view(np.int64))
 
 
-def test_lu_det_shifts_of_a_wide_band_is_lu_det():
+def test_lu_det_shifts_of_a_wide_band_raises():
     t = np.random.default_rng(3).standard_normal((14, 14))
-    shifts = np.array([0.0, t[2, 2], -1.5])
-    got = lu_det_shifts(t, shifts)
-    assert np.array_equal(got.view(np.int64), lu_dets_of_copies(t, shifts).view(np.int64))
+    with pytest.raises(ValueError, match="too wide"):
+        lu_det_shifts(t, np.array([0.0, t[2, 2], -1.5]))
+
+
+def test_rank_of_a_tridiagonal_section_builds_no_reduced_array():
+    n = 1024
+    a = (np.diag(1.0 / np.arange(1, n + 1)) + np.diag(np.full(n - 1, 0.5), 1)
+         + np.diag(np.full(n - 1, -0.25), -1))
+    a[n // 2] = 0.0
+    tracemalloc.start()
+    try:
+        rank = rank_of_array(a, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # the reduced array alone takes 8 MB
+    assert rank == len(echelon(a, 1e-10)[1]) == n - 1

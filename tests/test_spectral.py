@@ -2,6 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import charpoly_roots
 
@@ -225,6 +226,38 @@ def test_grid_scan_raises_where_the_scalar_scan_raises(monkeypatch, data, interv
         find_eigenvalues(DenseMatrix(data), interval, policy=policy, grid_points=16)
     assert str(info.value) == str(err)
     assert seen[-1] == x_err
+
+
+@st.composite
+def grid_scans(draw):
+    """A section near the identity, narrow or wide, its band or None, and
+    a grid; near the identity a wide band's log series applies, and with
+    a low term cap it can fail."""
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bl, bu = draw(st.sampled_from([(0, 0), (1, 1), (2, 1), (1, 3), (n, n)]))
+    i, j = np.indices((n, n))
+    scale = draw(st.sampled_from([0.01, 0.1, 1.0]))
+    t = np.eye(n) + np.where((j - i <= bu) & (i - j <= bl),
+                             rng.uniform(-scale, scale, (n, n)), 0.0)
+    xs = np.linspace(*sorted(rng.uniform(-1.0, 1.0, 2)), draw(st.integers(1, 12)))
+    return t, xs, draw(st.sampled_from([None, (bl, bu)]))
+
+
+def _values_or_error(run):
+    try:
+        return np.array(run(), dtype=float).view(np.int64).tolist()
+    except InfmatError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_scans())
+def test_grid_values_are_the_scalar_scan_bit_for_bit(case):
+    t, xs, band = case
+    policy = ConvergencePolicy(max_terms=200)
+    want = _values_or_error(lambda: [char_value(t, x, policy, band) for x in xs])
+    assert _values_or_error(lambda: spectral._grid_values(t, xs, policy, band)) == want
 
 
 def test_trailing_endpoint_root_is_checked_at_the_previous_size():
