@@ -233,9 +233,10 @@ def grid_scans(draw):
     """A section near the identity, narrow or wide, its band or None, and
     a grid; near the identity a wide band's log series applies, and with
     a low term cap it can fail."""
-    n = draw(st.integers(1, 24))
+    wide = draw(st.booleans())
+    n = draw(st.integers(7, 24) if wide else st.integers(1, 24))
+    bl, bu = (n, n) if wide else draw(st.sampled_from([(0, 0), (1, 1), (2, 1), (1, 3)]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    bl, bu = draw(st.sampled_from([(0, 0), (1, 1), (2, 1), (1, 3), (n, n)]))
     i, j = np.indices((n, n))
     scale = draw(st.sampled_from([0.01, 0.1, 1.0]))
     t = np.eye(n) + np.where((j - i <= bu) & (i - j <= bl),
