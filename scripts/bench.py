@@ -13,7 +13,13 @@ pivot).
   blocks (``truncate``); and row 1 times column 1 of the golden ``mul``
   factors, summed term by term through the scalar oracles and as a batch
   of one fed term runs read through the block oracles (``Lines``), as
-  ``matmul`` does, the oracle inside the timed run.
+  ``matmul`` does, the oracle inside the timed run.  The transformed rows
+  A′ that ``orth`` gives of the golden four rows, over twice the largest
+  size in columns, read cell by cell through ``entry``, by block through
+  ``truncate`` and as one ``section``.  And the 8×8 block that ``mul``
+  shows of a dense matrix of the largest size squared: the whole product
+  by ``product_ascending``, sliced, and the lazy product through
+  ``truncate``.
 * series: the 64 probe series of that product at ``max_terms=4096``, their
   terms read into a table first, so the stopping rule and its feeding are
   timed, not the oracle: summed one at a time on plain floats, each as a
@@ -45,19 +51,22 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 # from src/ and the checkout, put on the path above
-from infmat._dense import _sweep, echelon, norm_inf  # noqa: E402
-from infmat.algebra import _line_product  # noqa: E402
+from infmat._dense import _sweep, echelon, norm_inf, product_ascending  # noqa: E402
+from infmat.algebra import PROBE_SIDE, _line_product, matmul  # noqa: E402
+from infmat.bases_orth import orthogonalize  # noqa: E402
 from infmat.inverse_solve import RANK_PIVOT_SCALE  # noqa: E402
-from infmat.matrix_core import Lines, MatrixSpec, clip_extent, truncate  # noqa: E402
+from infmat.matrix_core import DenseMatrix, Lines, MatrixSpec, clip_extent, truncate  # noqa: E402
 from infmat.series import ConvergencePolicy, SeriesBatch, sum_series  # noqa: E402
 from infmat.specio import matrix_from_obj  # noqa: E402
 from infmat.spectral import _grid_values, char_value  # noqa: E402
 from perfbench.run import machine_facts  # noqa: E402
 
 REPEAT = 3  # runs per way; the fastest one counts
-# the dense formula and the two factors of mul in tests/test_golden_cli.py
+# the dense formula, the two factors of mul and the rows of orth in
+# tests/test_golden_cli.py
 DENSE_EXPR = "delta(i,j) + 0.3/(i+j+1)^2.5"
 MUL_FACTORS = ("1.02/(i+j+0.37)^1.6", "0.95/(i+j+0.81)^1.61")
+POLY_ROWS4 = {"rows": 4, "cols": "inf", "kind": "expr", "expr": "1.01/(i+j+0.42)^1.3"}
 
 
 def fastest(run, repeat=REPEAT):
@@ -132,6 +141,24 @@ def oracle_cases(sizes=(256, 512), policy=ConvergencePolicy(max_terms=20000)):
 
     yield "c/(i+j+a)^p row x column", "term", lambda rep: rep.terms_used, [
         ("scalar", lambda: sum_series(term, policy)), ("term runs", term_runs)]
+
+    # the block reads the source rows through the Lines that orth's Gram
+    # series grew, as orth's check does
+    a_prime = orthogonalize(matrix_from_obj(POLY_ROWS4), policy).A_prime
+    rows, cols = a_prime.rows, 2 * max(sizes)
+    yield f"orth A' of POLY_ROWS4 {rows}x{cols}", "cell", np.size, [
+        ("entry", lambda: np.array([[a_prime.entry(p, j) for j in range(1, cols + 1)]
+                                    for p in range(1, rows + 1)])),
+        ("block", lambda: truncate(a_prime, rows, cols).data),
+        ("section", lambda: a_prime.section(cols).data)]
+
+    side = max(sizes)
+    dense = DenseMatrix(truncate(matrix_from_obj(
+        {"rows": "inf", "cols": "inf", "kind": "expr", "expr": DENSE_EXPR}), side, side).data)
+    shown = min(side, PROBE_SIDE)
+    yield f"mul {shown}x{shown} of dense {side}x{side} squared", "cell", np.size, [
+        ("whole product", lambda: product_ascending(dense.data, dense.data)[:shown, :shown]),
+        ("lazy product", lambda: truncate(matmul(dense, dense).matrix, shown, shown).data)]
 
 
 def series_cases(side=8, policy=ConvergencePolicy(max_terms=4096)):

@@ -37,7 +37,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import SingularSystemError
+from .errors import OracleValueError, SingularSystemError
 
 # a sweep runs on Python floats when a step's update window, ``bl`` rows
 # by ``bl + bu`` columns, has at most this many cells: below it numpy's
@@ -46,12 +46,24 @@ NARROW_WINDOW = 64
 
 
 def norm_inf(a: np.ndarray) -> float:
-    """Induced max-absolute-row-sum norm; 0 for an empty array."""
+    """Induced max-absolute-row-sum norm; 0 for an empty array, inf when a
+    row sum overflows."""
     if a.size == 0:
         return 0.0
     if a.ndim == 1:
         return float(np.max(np.abs(a)))
-    return float(np.max(np.sum(np.abs(a), axis=1)))
+    with np.errstate(over="ignore"):
+        return float(np.max(np.sum(np.abs(a), axis=1)))
+
+
+def pivot_norm(a: np.ndarray) -> float:
+    """:func:`norm_inf` of ``a`` for a pivot threshold, which must not be
+    inf: an overflowed norm raises :class:`OracleValueError`."""
+    norm = norm_inf(a)
+    if norm == math.inf:
+        raise OracleValueError(f"a row sum of the {a.shape[0]}x{a.shape[1]} array overflows, "
+                               "so its pivot threshold is not finite", value=norm)
+    return norm
 
 
 def _band(a: np.ndarray) -> tuple[int, int]:
@@ -386,13 +398,15 @@ def product_ascending(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product accumulated strictly in ascending inner index order.
 
     Matches a naive triple loop bit for bit, which keeps lazy-entry and
-    dense code paths byte-deterministic with each other.
+    dense code paths byte-deterministic with each other; non-finite
+    values come out as that loop gives them, with no warning.
     """
     m, inner = a.shape
     inner2, n = b.shape
     if inner != inner2:
         raise ValueError("inner dimensions differ")
     out = np.zeros((m, n))
-    for l in range(inner):
-        out += np.outer(a[:, l], b[l, :])
+    with np.errstate(all="ignore"):
+        for l in range(inner):
+            out += np.outer(a[:, l], b[l, :])
     return out

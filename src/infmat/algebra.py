@@ -1,22 +1,22 @@
 """Sums, scalar multiples, products and traces of oracle-backed matrices.
 
-Products with an infinite inner dimension are the delicate part: each
-requested entry is the sum of a series, evaluated in ascending index
-order and convergence-checked.  When both operands declare bounded
-structure (bands, finite support, a diagonal) the inner index set is
-finite and entries are computed exactly instead.  A product over an
-infinite inner dimension is returned lazily with a sampled certification
-pass over a fixed index probe; whatever the probe finds, entries keep
-their individual reports available on demand.  The probe is summed as
-one batch of series (:class:`~infmat.series.SeriesBatch`); the terms of
-every series entry come from the leading entries of its row of the left
-factor and its column of the right one, each read once by block for the
-whole product.  One function, :func:`_product_entries`, gives the
-probe, every later entry, and the entries of ``A Aᵀ`` and ``A′A′ᵀ`` that
+Every product, finite or infinite, is returned lazily: an entry whose
+inner index set is finite (a finite inner dimension, or bands, finite
+support, a diagonal) is its exact sum in ascending index order, and any
+other the sum of a series, in ascending index order and convergence-
+checked.  A sampled certification pass over a fixed index probe runs at
+construction; whatever it finds, entries keep their individual reports
+available on demand.  The probe is summed as one batch of series
+(:class:`~infmat.series.SeriesBatch`); the terms of every series entry
+come from the leading entries of its row of the left factor and its
+column of the right one, each read once by block for the whole product.
+One function, :func:`_product_entries`, gives the probe, every later
+entry, and the entries of ``A Aᵀ`` and ``A′A′ᵀ`` that
 :func:`~infmat.bases_orth.orthogonalize` reads (Gram block, check): an
 inner product of rows is a product entry.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import count
@@ -24,10 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._dense import product_ascending
 from .errors import ExtentMismatchError
-from .matrix_core import (DenseMatrix, DecayCertificate, Lines, MatrixSpec, clip_extent,
-                          extents_equal, is_finite_extent, truncate)
+from .matrix_core import (DecayCertificate, Lines, MatrixSpec, clip_extent, extents_equal,
+                          is_finite_extent)
 from .series import (CONVERGED, DIVERGED, ConvergencePolicy, ConvergenceReport,
                      GeometricTail, SeriesBatch, exact_report, sum_series)
 
@@ -42,21 +41,18 @@ STATUS_FAILED = "failed"
 class ProductResult:
     """A product plus the evidence that its entries exist.
 
-    ``per_entry_reports`` holds the probe sample for infinite inner
-    dimensions; ``entry_report`` gives the report for any index of the
-    matrix, and raises :class:`IndexError` outside it, as ``at`` does.
+    ``per_entry_reports`` holds the probe sample, the leading entries;
+    ``entry_report`` gives the report for any index of the matrix, and
+    raises :class:`IndexError` outside it, as ``at`` does.
     """
 
     matrix: MatrixSpec
     per_entry_reports: dict[tuple[int, int], ConvergenceReport]
     overall_status: str
-    _reporter: Callable[[int, int], ConvergenceReport] | None = field(
-        default=None, repr=False, compare=False)
+    _reporter: Callable[[int, int], ConvergenceReport] = field(repr=False, compare=False)
 
     def entry_report(self, i: int, j: int) -> ConvergenceReport:
         self.matrix.check_index(i, j)
-        if self._reporter is None:
-            return exact_report(self.matrix.entry(i, j), 1)
         return self._reporter(i, j)
 
 
@@ -167,11 +163,15 @@ def _line_product(left, right, pairs):
 def _exact_sum(term: Callable[[int], float],
                span: tuple[int, int]) -> ConvergenceReport:
     """Exact report of ``term(lo) + ... + term(hi)``, summed in ascending
-    order; an empty span (``lo > hi``) sums to 0 with no terms."""
+    order; an empty span (``lo > hi``) sums to 0 with no terms.  A sum
+    turning non-finite at term k is, as a series would be, ``diverged``
+    after k terms, ``last_delta`` inf; its estimate stays non-finite."""
     lo, hi = span
     s = 0.0
-    for l in range(lo, hi + 1):
+    for k, l in enumerate(range(lo, hi + 1), 1):
         s += term(l)
+        if not math.isfinite(s):
+            return ConvergenceReport(s, DIVERGED, k, math.inf)
     return exact_report(s, max(0, hi - lo + 1))
 
 
@@ -196,25 +196,17 @@ def _product_entries(A, B, wanted, left, right, policy, tail):
 
 def matmul(A: MatrixSpec, B: MatrixSpec,
            policy: ConvergencePolicy | None = None) -> ProductResult:
-    """Product of two oracle matrices.
+    """Product of two oracle matrices, finite or infinite, as a lazy result.
 
-    Finite inner dimensions give exact ascending-order sums.  Infinite
-    inner dimensions give a lazy result whose entries are series sums; a
-    fixed probe over the leading indices certifies a sample of entries at
-    construction, and any diverging probe entry marks the whole product
-    ``failed`` (data remains available for inspection).
+    Entries with a finite inner span are exact ascending-order sums, the
+    others series sums; a fixed probe over the leading indices certifies
+    a sample of entries at construction, and any diverging probe entry
+    marks the whole product ``failed`` (data remains available for
+    inspection).  Two banded factors give a band of their summed width.
     """
     policy = policy or ConvergencePolicy()
     if not extents_equal(A.cols, B.rows):
         raise ExtentMismatchError(f"inner extents differ: {A.cols} vs {B.rows}")
-    inner = A.cols
-
-    if (is_finite_extent(inner) and is_finite_extent(A.rows)
-            and is_finite_extent(B.cols)):
-        da = truncate(A, A.rows, inner).data
-        db = truncate(B, B.rows, B.cols).data
-        return ProductResult(DenseMatrix(product_ascending(da, db)), {},
-                             STATUS_CONVERGED)
 
     # one reader per row of A and per column of B for the whole product,
     # each grown once for all the entries that share it: the probe's rows
@@ -241,7 +233,7 @@ def matmul(A: MatrixSpec, B: MatrixSpec,
     bands = (A.bandwidth, B.bandwidth)
     bandwidth = None if None in bands else sum(bands)
     decay = None
-    if A.decay is not None and B.decay is not None and not is_finite_extent(inner):
+    if A.decay is not None and B.decay is not None and not is_finite_extent(A.cols):
         ra, rb = A.decay.r, B.decay.r
         decay = DecayCertificate(A.decay.C * B.decay.C * ra * rb / (1 - ra * rb),
                                  max(ra, rb))
@@ -262,12 +254,10 @@ def matvec(A: MatrixSpec, x: MatrixSpec,
            policy: ConvergencePolicy | None = None
            ) -> tuple[MatrixSpec, dict[int, ConvergenceReport]]:
     """``A x`` for a vector ``x``, a spec with one column: the one-column
-    :func:`matmul`, with the reports of its first ``PROBE_SIDE`` entries
-    by row index."""
+    :func:`matmul`, with the reports of its probe, the first ``PROBE_SIDE``
+    entries, by row index."""
     product = matmul(A, x, policy)
-    reports = {i: product.entry_report(i, 1)
-               for i in range(1, clip_extent(A.rows, PROBE_SIDE) + 1)}
-    return product.matrix, reports
+    return product.matrix, {i: rep for (i, _), rep in product.per_entry_reports.items()}
 
 
 def trace_partial(A: MatrixSpec,

@@ -8,8 +8,9 @@ orthogonality of the transformed right block, so they are deliberately
 unavailable; a zero pivot therefore means dependent rows.  A Gram entry
 is an entry of the product A Aᵀ, summed by :mod:`infmat.algebra`'s one
 product-entry path: exact for finitely many columns, else a convergence-
-checked series; the transformed rows A′ then stay a lazy spec, and the
-orthogonality check sums entries of A′A′ᵀ through the same path.
+checked series; the transformed rows A′ are a lazy spec for any column
+extent, and the orthogonality check sums entries of A′A′ᵀ through the
+same path.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from functools import cache
 
 import numpy as np
 
-from ._dense import gauss_solve, norm_inf
+from ._dense import gauss_solve, pivot_norm, product_ascending
 from .algebra import _product_entries, _product_tail
 from .errors import (DependentRowsError, ExtentMismatchError,
                      GramConvergenceError)
@@ -33,8 +34,10 @@ PIVOT_SCALE = 1e-10
 @dataclass(frozen=True, init=False, repr=False)
 class OrthogonalRows(MatrixSpec):
     """Lazy transformed rows, explicit combinations of the source rows: the
-    ``expr`` spec whose column j is the product ``coefficients @ column_j``,
-    its block read through ``_lines``, a :class:`Lines` of all source rows."""
+    ``expr`` spec whose values are ``product_ascending(coefficients, rows)``
+    for the source rows at the columns asked for, bit for bit the same by
+    ``entry``, by ``block`` (read through ``_lines``, a :class:`Lines` of
+    all source rows) and by ``section``."""
 
     def __init__(self, coefficients: np.ndarray, source: MatrixSpec, _lines: Lines | None = None):
         coeff = np.array(coefficients, dtype=float)
@@ -43,17 +46,13 @@ class OrthogonalRows(MatrixSpec):
 
         def entry(p, j):
             source.check_index(p, j)
-            return float((coeff @ np.array([source.entry(t, j) for t in range(1, m + 1)]))[p - 1])
+            column = np.array([[source.entry(t, j)] for t in range(1, m + 1)])
+            return float(product_ascending(coeff[p - 1:p], column)[0, 0])
 
         def block(rows, cols):
             values = lines(int(cols.max()))
-            if values is None:
-                return None
-            out = np.empty((m, cols.size))
-            with np.errstate(all="ignore"):  # non-finite values, as entry gives them
-                for c, j in enumerate(cols.tolist()):
-                    out[:, c] = coeff @ np.array(values[:, j - 1])
-            return out if np.array_equal(rows, np.arange(1, m + 1)) else out[rows - 1]
+            return None if values is None else product_ascending(coeff[rows - 1],
+                                                                 values[:, cols - 1])
 
         super().__init__(m, source.cols, entry, block=block)
         object.__setattr__(self, "coefficients", coeff)
@@ -61,7 +60,7 @@ class OrthogonalRows(MatrixSpec):
 
     def section(self, cols: int) -> DenseMatrix:
         base = truncate(self.source, self.rows, cols).data
-        return DenseMatrix(self.coefficients @ base)
+        return DenseMatrix(product_ascending(self.coefficients, base))
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ def orthogonalize(A: MatrixSpec,
     Requires finitely many rows, declared linearly independent.  The
     returned rows are orthogonal but not normalized.  The largest
     pairwise inner product among transformed rows is re-measured
-    independently (exact dots for finite columns, checked series
+    independently (exact sums for finite columns, checked series
     otherwise) and reported as ``max_offdiag_dot``.
     """
     policy = policy or ConvergencePolicy()
@@ -122,7 +121,7 @@ def orthogonalize(A: MatrixSpec,
 
     g = np.array(gram)
     coeff = np.eye(m)
-    pivot_floor = PIVOT_SCALE * max(1.0, norm_inf(gram))
+    pivot_floor = PIVOT_SCALE * max(1.0, pivot_norm(gram))
     for k in range(m):
         if abs(g[k, k]) <= pivot_floor:
             raise DependentRowsError(
@@ -134,36 +133,31 @@ def orthogonalize(A: MatrixSpec,
                 coeff[l, :] -= factor * coeff[k, :]
             g[l, k] = 0.0
 
-    finite_cols = is_finite_extent(A.cols)
-    if finite_cols:
-        rows = coeff @ truncate(A, m, int(A.cols)).data
-        a_prime: DenseMatrix | OrthogonalRows = DenseMatrix(rows)
-        prods = rows @ rows.T
-        off = prods - np.diag(np.diag(prods))
-        max_off = float(np.max(np.abs(off))) if m > 1 else 0.0
-    else:
-        a_prime = OrthogonalRows(coeff, A, lines)
-        amp = None
-        if A.decay is not None:
-            C, r = A.decay.C, A.decay.r
-            amp = np.array([C * sum(abs(coeff[p, q]) * r ** (q + 1)
-                                    for q in range(m)) for p in range(m)])
+    a_prime = OrthogonalRows(coeff, A, lines)
+    if is_finite_extent(A.cols):  # read once, as the dense rows reported
+        a_prime = a_prime.section(int(A.cols))
+    amp = None
+    if A.decay is not None:
+        C, r = A.decay.C, A.decay.r
+        amp = np.array([C * sum(abs(coeff[p, q]) * r ** (q + 1)
+                                for q in range(m)) for p in range(m)])
 
-        def tail(p, q):
-            # |A'_p(j)| <= amp_p * r^j, so the term is <= amp_p amp_q (r^2)^j
-            return None if amp is None else GeometricTail(float(amp[p - 1] * amp[q - 1]), r * r)
+    def tail(p, q):
+        # |A'_p(j)| <= amp_p * r^j, so the term is <= amp_p amp_q (r^2)^j
+        return None if amp is None else GeometricTail(float(amp[p - 1] * amp[q - 1]), r * r)
 
-        # the check sums the entries p < q of A'A'ᵀ, the rows of A' read by block
-        pairs = [(p, q) for p in range(1, m + 1) for q in range(p + 1, m + 1)]
-        prime_lines = Lines(a_prime, range(1, m + 1))
-        max_off = 0.0
-        for (p, q), rep in zip(pairs, _product_entries(
-                a_prime, transpose(a_prime), [(p, q, p - 1, q - 1) for p, q in pairs],
-                prime_lines, prime_lines, policy, tail)):
-            if not rep.converged:
-                raise GramConvergenceError(f"orthogonality check for rows {p}, {q} {rep.status}",
-                                           pair=(p, q), status=rep.status)
-            max_off = max(max_off, abs(rep.estimate))
+    # the check sums the entries p < q of A'A'ᵀ, the rows of A' read by block:
+    # exact spans for finitely many columns, series otherwise
+    pairs = [(p, q) for p in range(1, m + 1) for q in range(p + 1, m + 1)]
+    prime_lines = Lines(a_prime, range(1, m + 1))
+    max_off = 0.0
+    for (p, q), rep in zip(pairs, _product_entries(
+            a_prime, transpose(a_prime), [(p, q, p - 1, q - 1) for p, q in pairs],
+            prime_lines, prime_lines, policy, tail)):
+        if not rep.converged:
+            raise GramConvergenceError(f"orthogonality check for rows {p}, {q} {rep.status}",
+                                       pair=(p, q), status=rep.status)
+        max_off = max(max_off, abs(rep.estimate))
     return OrthReport(DenseMatrix(g), a_prime, max_off, gram_dm)
 
 
@@ -208,7 +202,7 @@ def transition_matrix(B: MatrixSpec, B_prime: MatrixSpec, count: int,
     def solve_at(n):
         # the coordinates of all ``count`` vectors from one elimination
         v_mat = old(n)
-        return gauss_solve(v_mat, new(n), PIVOT_SCALE * max(1.0, norm_inf(v_mat)))
+        return gauss_solve(v_mat, new(n), PIVOT_SCALE * max(1.0, pivot_norm(v_mat)))
 
     def column(i):
         return section_limit_vector(lambda n: solve_at(n)[:count, i - 1], extent,

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._dense import gauss_solve, norm_inf, rank_of_array
+from ._dense import gauss_solve, norm_inf, pivot_norm, rank_of_array
 from .errors import (ConvergenceFailureError, ExtentMismatchError,
                      OracleValueError, PreconditionError)
 from .matrix_core import (INFINITE, DenseMatrix, MatrixSpec, Sections,
@@ -196,7 +196,7 @@ def neumann_inverse(A: MatrixSpec,
 
 def _dense_rank(arr: np.ndarray, band: tuple[int, int] | None = None) -> float:
     """Rank with pivots compared against ``1e-10`` times the array norm."""
-    return float(rank_of_array(arr, RANK_PIVOT_SCALE * norm_inf(arr), band))
+    return float(rank_of_array(arr, RANK_PIVOT_SCALE * pivot_norm(arr), band))
 
 
 def _section_extent(M: MatrixSpec):
@@ -302,7 +302,7 @@ def _section_solve(A: MatrixSpec, b: MatrixSpec, wanted, schedule, policy,
         if n not in solutions:
             a, bv = sections(n), rhs(n)
             solutions[n] = (_apply_series(a, bv, policy) if route == ROUTE_INVERSE else
-                            gauss_solve(a, bv, RANK_PIVOT_SCALE * max(1.0, norm_inf(a))))
+                            gauss_solve(a, bv, RANK_PIVOT_SCALE * max(1.0, pivot_norm(a))))
         return solutions[n]
 
     top = max(idx)

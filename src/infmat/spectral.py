@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dense import band_of, is_narrow, lu_det_shifts, norm_inf, null_vector
+from ._dense import band_of, is_narrow, lu_det_shifts, null_vector, pivot_norm
 from .determinant import det_truncation
 from .errors import ExtentMismatchError, OracleValueError, SingularSystemError
 from .matrix_core import (DenseMatrix, MatrixSpec, Sections, TruncationSchedule,
@@ -80,7 +80,7 @@ def eigenvector_for(t: np.ndarray, lam: float,
     full rank, i.e. ``lam`` is not an eigenvalue at this size.
     """
     shifted = _shifted(t, lam)
-    v = null_vector(shifted, NULL_PIVOT_SCALE * (1.0 + norm_inf(shifted)), band)
+    v = null_vector(shifted, NULL_PIVOT_SCALE * (1.0 + pivot_norm(shifted)), band)
     if v is None:
         raise SingularSystemError(f"no null direction at size {t.shape[0]}: "
                                   f"{lam} may not be an eigenvalue here")

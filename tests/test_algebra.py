@@ -7,11 +7,12 @@ from oracles import triple_loop_product
 
 from infmat.algebra import (add, matmul, matvec, scale, shift_diagonal,
                             trace_partial)
-from infmat.errors import ExtentMismatchError
+from infmat.errors import ExtentMismatchError, OracleValueError
 from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE,
                                 MatrixSpec, banded_spec, diagonal_spec, entrywise_spec,
-                                identity_spec, transpose, truncate, zero_spec)
-from infmat.series import CONVERGED, ConvergencePolicy
+                                finite_support_spec, identity_spec, transpose, truncate,
+                                zero_spec)
+from infmat.series import CONVERGED, ConvergencePolicy, ConvergenceReport
 from infmat.specio import matrix_from_obj
 
 
@@ -110,8 +111,46 @@ def test_matmul_finite_matches_triple_loop_exactly():
         m, inner, n = rng.integers(1, 7, size=3)
         a = rng.uniform(-2, 2, (m, inner))
         b = rng.uniform(-2, 2, (inner, n))
-        got = matmul(DenseMatrix(a), DenseMatrix(b)).matrix
+        got = truncate(matmul(DenseMatrix(a), DenseMatrix(b)).matrix, m, n)
         assert np.array_equal(got.data, triple_loop_product(a, b))
+
+
+def test_exact_entry_that_overflows_gets_the_series_verdict():
+    # the partial sums 1e308, inf: diverged at the second term, as the series
+    # rule reports a sum that turns non-finite; the product fails, and a
+    # section through the entry raises as on any non-finite value
+    prod = matmul(DenseMatrix([[1e308, 1e308], [1.0, 1.0]]), DenseMatrix([[1.0], [1.0]]))
+    assert prod.overall_status == "failed"
+    assert prod.per_entry_reports[(1, 1)] == ConvergenceReport(math.inf, "diverged", 2, math.inf)
+    assert prod.per_entry_reports[(2, 1)] == ConvergenceReport(2.0, "converged", 2, 0.0)
+    with pytest.raises(OracleValueError):
+        truncate(prod.matrix, 2, 1)
+    # a one-term span that overflows: diagonal 2^(150 i) squared at i = 4
+    big = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "banded",
+                           "bands": {"0": "2^(150*i)"}})
+    prod = matmul(big, big)
+    assert prod.overall_status == "failed"
+    assert prod.entry_report(4, 4) == ConvergenceReport(math.inf, "diverged", 1, math.inf)
+    assert prod.entry_report(3, 3) == ConvergenceReport(2.0 ** 900, "converged", 1, 0.0)
+
+
+def test_finite_product_is_the_infinite_one_with_the_same_entries():
+    # a DenseMatrix and the same entries as an infinite finite-support spec
+    # take one path: the same section, bit for bit, and the same reports
+    rng = np.random.default_rng(28)
+    for _ in range(100):
+        m, inner, n = rng.integers(1, 5), rng.integers(1, 12), rng.integers(1, 5)
+        a, b = rng.uniform(-2, 2, (m, inner)), rng.uniform(-2, 2, (inner, n))
+        finite = matmul(DenseMatrix(a), DenseMatrix(b))
+        infinite = matmul(finite_support_spec(lambda i, j, a=a: a[i - 1, j - 1], m, inner),
+                          finite_support_spec(lambda i, j, b=b: b[i - 1, j - 1], inner, n))
+        got, want = (truncate(p.matrix, m, n).data for p in (finite, infinite))
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert got.view(np.int64).tolist() == triple_loop_product(a, b).view(np.int64).tolist()
+        assert finite.per_entry_reports == {
+            (i, j): infinite.per_entry_reports[(i, j)]
+            for i in range(1, m + 1) for j in range(1, n + 1)}
+        assert finite.overall_status == infinite.overall_status == "converged"
 
 
 def test_matmul_extent_mismatch():
@@ -124,8 +163,8 @@ def test_matmul_transpose_antihomomorphism():
     for _ in range(20):
         a = rng.uniform(-1, 1, (4, 5))
         b = rng.uniform(-1, 1, (5, 3))
-        ab_t = matmul(DenseMatrix(a), DenseMatrix(b)).matrix.transpose()
-        bt_at = matmul(DenseMatrix(b.T), DenseMatrix(a.T)).matrix
+        ab_t = truncate(transpose(matmul(DenseMatrix(a), DenseMatrix(b)).matrix), 3, 4)
+        bt_at = truncate(matmul(DenseMatrix(b.T), DenseMatrix(a.T)).matrix, 3, 4)
         assert np.max(np.abs(ab_t.data - bt_at.data)) <= 1e-12
 
 
@@ -191,7 +230,7 @@ def test_matvec_identity_and_zero():
 def test_matvec_finite():
     a = DenseMatrix([[2, 0], [0, 3]])
     out, _ = matvec(a, DenseMatrix([[1], [1]]))
-    assert out.tolist() == [[2.0], [3.0]]
+    assert truncate(out, 2, 1).tolist() == [[2.0], [3.0]]
 
 
 def _counted(fn):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import gram_schmidt_rows
+from oracles import gram_schmidt_rows, triple_loop_product
 
 from infmat import bases_orth
 from infmat.algebra import matmul
@@ -16,7 +16,7 @@ from infmat.errors import (DependentRowsError, GramConvergenceError,
                            OracleValueError)
 from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE, Lines,
                                 MatrixSpec, TruncationSchedule, entrywise_spec,
-                                transpose)
+                                finite_support_spec, transpose, truncate)
 from infmat.series import ConvergencePolicy, sum_series
 from infmat.specio import load_family_file, matrix_from_obj
 
@@ -180,20 +180,51 @@ def test_gram_entries_are_the_product_entries(spec):
 
 @given(gram_rows())
 def test_transformed_rows_are_a_spec_whose_block_reads_its_entries(spec):
-    # column j of A' is the one product coefficients @ column_j, through
-    # entry and through the block that Lines reads, bit for bit
+    # A' is the product coefficients @ rows summed in ascending order, the
+    # naive triple loop, through entry, section, the block that truncate
+    # reads and the block that Lines reads, bit for bit
     rows = orthogonalize(spec, ConvergencePolicy(max_terms=20000)).A_prime
     m, n = spec.rows, 12
-    columns = [[spec.entry(t, j) for t in range(1, m + 1)] for j in range(1, n + 1)]
-    want = np.array([rows.coefficients @ np.array(col) for col in columns]).T
+    source = np.array([[spec.entry(t, j) for j in range(1, n + 1)] for t in range(1, m + 1)])
+    want = triple_loop_product(rows.coefficients, source)
     got = np.array([[rows.entry(p, j) for j in range(1, n + 1)] for p in range(1, m + 1)])
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    for section in (rows.section(n), truncate(rows, m, n)):
+        assert section.data.view(np.int64).tolist() == want.view(np.int64).tolist()
     for order in (range(1, m + 1), range(m, 0, -1)):
         read = Lines(rows, order)(n)
         assert (read is None) == (spec.block is None or spec.structure != "expr")
         if read is not None:
             picked = want[np.array(order) - 1]
             assert read.view(np.int64).tolist() == picked.view(np.int64).tolist()
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+def test_finite_rows_are_the_infinite_ones_with_the_same_entries():
+    # a DenseMatrix and the same entries as rows of infinitely many columns
+    # of finite support take one path: G, gram, A' and the check, bit for bit
+    rng = np.random.default_rng(28)
+    for _ in range(100):
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(m, 12))
+        a = rng.uniform(-2, 2, (m, n))
+        finite = orthogonalize(DenseMatrix(a))
+        infinite = orthogonalize(finite_support_spec(lambda i, j, a=a: a[i - 1, j - 1],
+                                                     m, n, m, INFINITE))
+        assert isinstance(finite.A_prime, DenseMatrix)
+        assert _bits(finite.A_prime.data) == _bits(infinite.A_prime.section(n).data)
+        assert _bits(finite.G.data) == _bits(infinite.G.data)
+        assert _bits(finite.gram.data) == _bits(infinite.gram.data)
+        assert _bits(finite.max_offdiag_dot) == _bits(infinite.max_offdiag_dot)
+
+
+def test_gram_block_whose_row_sums_overflow_is_an_oracle_error():
+    # Gram entries 1e308, 0.9e308 and 0.97e308 are finite; a row sum is not
+    with pytest.raises(OracleValueError, match="2x2 array overflows"):
+        orthogonalize(DenseMatrix([[1e154, 0.0], [0.9e154, 0.4e154]]))
 
 
 # --- transition matrices --------------------------------------------------------
@@ -295,6 +326,12 @@ def test_transition_non_finite_coordinate_names_its_cell(old):
     with pytest.raises(OracleValueError) as err:
         transition_matrix(*args, 4, SCHED)
     assert err.value.index == (3, 2)
+
+
+def test_transition_whose_row_sums_overflow_is_an_oracle_error():
+    huge = transpose(DenseMatrix([[1e308, 1e308, 0.0], [1e308, -1e308, 0.0], [0.0, 0.0, 1.0]]))
+    with pytest.raises(OracleValueError, match="3x3 array overflows"):
+        transition_matrix(huge, DenseMatrix(np.eye(3)), 3)
 
 
 def test_transformation_matrix_identity_map():

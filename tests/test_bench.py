@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import triple_loop_product
 
 from infmat.matrix_core import clip_extent, truncate
 from infmat.series import ConvergencePolicy, ConvergenceReport
@@ -75,6 +76,24 @@ def test_three_ways_give_the_same_reports():
     assert statuses == {"converged"}
 
 
+def test_orth_and_mul_ways_give_the_same_values():
+    cases = (case for case in bench.oracle_cases(sizes=(6,))
+             if case[0].startswith(("orth", "mul")))
+    rows = measured("oracle", cases)
+    orth, mul = "orth A' of POLY_ROWS4 4x12", "mul 6x6 of dense 6x6 squared"
+    assert [(row["case"], row["way"]) for row, _ in rows] == [
+        (orth, "entry"), (orth, "block"), (orth, "section"),
+        (mul, "whole product"), (mul, "lazy product")]
+    for row, result in rows:
+        assert result.shape == ((4, 12) if row["case"] == orth else (6, 6))
+        assert row["units"] == result.size and row["bits"] == "identical"
+        assert bench.bits(result) == bench.bits(rows[0 if row["case"] == orth else 3][1])
+    # the reference is the naive triple loop of the dense factor
+    dense = truncate(matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "expr",
+                                      "expr": bench.DENSE_EXPR}), 6, 6).data
+    assert bench.bits(rows[3][1]) == bench.bits(triple_loop_product(dense, dense))
+
+
 def test_scalar_twin_of_every_timed_formula():
     names = []
     for name, obj in bench.formulas():
@@ -96,12 +115,14 @@ def test_main_reports_identical_values(capsys, monkeypatch):
         ("kernel", bench.kernel_cases(sizes=(6,), grid=5))])
     assert bench.main() == 0
     lines = capsys.readouterr().out.splitlines()
+    # two ways per formula, term case and kernel case; three for A', two for mul
     cases = len(list(bench.formulas())) + 1 + 2 * len(BANDS)
-    ways = 2 * cases + 3
+    ways = 2 * cases + 3 + 3 + 2
     assert len(lines) == 2 + ways
     body = lines[1:-1]
     assert [line.split()[0] for line in body] == (
-        ["oracle"] * 2 * (cases - 2 * len(BANDS)) + ["series"] * 3 + ["kernel"] * 4 * len(BANDS))
+        ["oracle"] * (2 * (cases - 2 * len(BANDS)) + 5) + ["series"] * 3
+        + ["kernel"] * 4 * len(BANDS))
     assert sum(line.split()[1] == "echelon" for line in body) == 2 * len(BANDS)
     assert all(line.endswith("identical") for line in body)
     record = json.loads(lines[-1])

@@ -96,6 +96,44 @@ def test_mul_divergent_ones_exit_one():
     assert sample["status"] == "diverged"
 
 
+def test_mul_whose_exact_entry_overflows_fails(tmp_path):
+    # entry (4, 4) is the one-term sum 2^600 * 2^600, which overflows: the
+    # series rule's verdict, so the product fails and exits 1
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({"rows": "inf", "cols": "inf", "kind": "banded",
+                                "bands": {"0": "2^(150*i)"}}))
+    proc = run_cli("mul", spec, spec, "--n", 3, "--quiet")
+    assert proc.returncode == 1 and proc.stderr == b""
+    doc = json.loads(proc.stdout)
+    assert doc["result"]["overall_status"] == "failed" and "matrix" not in doc["result"]
+    assert doc["result"]["per_entry_reports"]["4,4"] == {
+        "certified": False, "estimate": "inf", "last_delta": "inf", "status": "diverged",
+        "terms_used": 1}
+    assert doc["result"]["per_entry_reports"]["3,3"]["status"] == "converged"
+
+
+# row sums of 1e308 entries overflow, so no pivot threshold is finite
+HUGE = [[1e308, 1e308, 0], [1e308, -1e308, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("data, command", [
+    (HUGE, ["rank"]),
+    (HUGE, ["solve", "--route", "cramer"]),
+    ([[1e308, 1e308, 0], [1e308, 1e308, 0], [0, 0, 1]],
+     ["eig", "--interval", -1, 1, "--grid", 4])])
+def test_a_pivot_threshold_that_overflows_is_an_oracle_error_with_no_warning(
+        tmp_path, data, command):
+    spec = tmp_path / "huge.json"
+    matrix = {"kind": "dense", "data": data}
+    spec.write_text(json.dumps(matrix if command[0] != "solve" else
+                               {"A": matrix, "b": {"kind": "dense", "data": [1, 1, 1]}}))
+    proc = run_cli(command[0], spec, *command[1:])
+    assert proc.returncode == 1 and proc.stderr == b""
+    assert json.loads(proc.stdout)["error"] == {
+        "code": "oracle-error",
+        "message": "a row sum of the 3x3 array overflows, so its pivot threshold is not finite"}
+
+
 def test_rank_identity_undetermined_exit_two():
     proc = run_cli("rank", SPECS / "identity.json", "--max-size", "64", "--quiet")
     assert proc.returncode == 2
