@@ -233,7 +233,7 @@ def matmul(A: MatrixSpec, B: MatrixSpec,
     bands = (A.bandwidth, B.bandwidth)
     bandwidth = None if None in bands else sum(bands)
     decay = None
-    if A.decay is not None and B.decay is not None and not is_finite_extent(A.cols):
+    if A.decay is not None and B.decay is not None:  # a finite inner sum is bounded by the series
         ra, rb = A.decay.r, B.decay.r
         decay = DecayCertificate(A.decay.C * B.decay.C * ra * rb / (1 - ra * rb),
                                  max(ra, rb))

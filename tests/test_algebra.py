@@ -189,10 +189,15 @@ def test_matmul_banded_times_banded_is_exact_banded():
 
 def test_product_certificate_derivation():
     prod = matmul(geometric_spec(), geometric_spec())
-    cert = prod.matrix.decay
-    assert cert is not None
-    for i, j in [(1, 1), (3, 2), (5, 5)]:
-        assert abs(prod.matrix.entry(i, j)) <= cert.bound(i, j) + 1e-15
+    # a finite inner sum is a partial sum of the bounding series
+    cert_a = DecayCertificate(1.0, 0.5)
+    finite = matmul(entrywise_spec(lambda i, j: 0.5 ** (i + j), INFINITE, 5, cert_a),
+                    entrywise_spec(lambda i, j: 0.5 ** (i + j), 5, INFINITE, cert_a))
+    for product in (prod, finite):
+        cert = product.matrix.decay
+        assert cert is not None
+        for i, j in [(1, 1), (3, 2), (5, 5)]:
+            assert abs(product.matrix.entry(i, j)) <= cert.bound(i, j) + 1e-15
 
 
 def test_ring_axioms_on_truncations_sample():
