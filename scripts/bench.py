@@ -20,6 +20,10 @@ pivot).
   shows of a dense matrix of the largest size squared: the whole product
   by ``product_ascending``, sliced, and the lazy product through
   ``truncate``.
+* truncation: the band rows of a tridiagonal and a pentadiagonal JSON
+  ``banded`` spec, with bands as banded-spectral draws them, at n = 128
+  and 1024, filled cell by cell through the scalar oracle and one band at
+  a time through the block oracle (``Sections``).
 * series: the 64 probe series of that product at ``max_terms=4096``, their
   terms read into a table first, so the stopping rule and its feeding are
   timed, not the oracle: summed one at a time on plain floats, each as a
@@ -27,8 +31,9 @@ pivot).
 * kernel: banded sections (diagonal ``1/i`` plus seeded entries, bands
   (0,0), (1,1) and (2,2), n = 128, 512 and 1024).  ``eig``'s 64-point grid
   of characteristic values, as a loop of ``char_value`` and as one batched
-  ``_grid_values``, both given the band; and ``rank``'s echelon form, by
-  the numpy sweep ``_sweep`` and by ``echelon`` given the band.
+  ``_grid_values``, both fed band rows; and ``rank``'s echelon form, by
+  the numpy sweep ``_sweep`` on the array and by ``echelon`` fed band
+  rows.
 
 The last line is one JSON object: the checkout's revision, the machine
 facts of ``perfbench/run.py``, numpy's version and every row.  The script
@@ -51,11 +56,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 # from src/ and the checkout, put on the path above
-from infmat._dense import _sweep, echelon, norm_inf, product_ascending  # noqa: E402
+from infmat._dense import _sweep, band_rows, echelon, norm_inf, product_ascending  # noqa: E402
 from infmat.algebra import PROBE_SIDE, _line_product, matmul  # noqa: E402
 from infmat.bases_orth import orthogonalize  # noqa: E402
 from infmat.inverse_solve import RANK_PIVOT_SCALE  # noqa: E402
-from infmat.matrix_core import DenseMatrix, Lines, MatrixSpec, clip_extent, truncate  # noqa: E402
+from infmat.matrix_core import (DenseMatrix, Lines, MatrixSpec, Sections,  # noqa: E402
+                                clip_extent, truncate)
 from infmat.series import ConvergencePolicy, SeriesBatch, sum_series  # noqa: E402
 from infmat.specio import matrix_from_obj  # noqa: E402
 from infmat.spectral import _grid_values, char_value  # noqa: E402
@@ -67,6 +73,10 @@ REPEAT = 3  # runs per way; the fastest one counts
 DENSE_EXPR = "delta(i,j) + 0.3/(i+j+1)^2.5"
 MUL_FACTORS = ("1.02/(i+j+0.37)^1.6", "0.95/(i+j+0.81)^1.61")
 POLY_ROWS4 = {"rows": 4, "cols": "inf", "kind": "expr", "expr": "1.01/(i+j+0.42)^1.3"}
+# bands as perfbench's banded-spectral draws them: s + c/i^p on the
+# diagonal, e on the first off-diagonals and f on the second
+TRI_BANDS = {"-1": "0.21", "0": "0.05 + 0.9/i^1.2", "1": "0.21"}
+PENTA_BANDS = {**TRI_BANDS, "-2": "0.06", "2": "0.06"}
 
 
 def fastest(run, repeat=REPEAT):
@@ -161,6 +171,16 @@ def oracle_cases(sizes=(256, 512), policy=ConvergencePolicy(max_terms=20000)):
         ("lazy product", lambda: truncate(matmul(dense, dense).matrix, shown, shown).data)]
 
 
+def truncation_cases(sizes=(128, 1024)):
+    for name, bands in (("tridiagonal", TRI_BANDS), ("pentadiagonal", PENTA_BANDS)):
+        spec = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "banded", "bands": bands})
+        scalar = scalar_twin(spec)
+        for n in sizes:
+            yield f"{name} band rows n={n}", "cell", np.size, [
+                ("scalar", lambda: Sections(scalar)(n).cells),
+                ("band fill", lambda: Sections(spec)(n).cells)]
+
+
 def series_cases(side=8, policy=ConvergencePolicy(max_terms=4096)):
     A, B = mul_factors()
     probe = range(1, side + 1)
@@ -201,18 +221,20 @@ def kernel_cases(sizes=(128, 512, 1024), bands=(0, 1, 2), grid=64):
     xs, policy = np.linspace(0.4, 0.6, grid), ConvergencePolicy()
     for n in sizes:
         for band in bands:
-            t, banded = section(n, band), (band, band)
+            t = section(n, band)
+            rows = band_rows(t, (band, band))
             yield f"char n={n} ({band},{band})", "value", len, [
-                ("scalar loop", lambda: [char_value(t, x, policy, banded) for x in xs]),
-                ("batched grid", lambda: _grid_values(t, xs, policy, banded))]
+                ("scalar loop", lambda: [char_value(rows, x, policy) for x in xs]),
+                ("batched grid", lambda: _grid_values(rows, xs, policy))]
             tol = RANK_PIVOT_SCALE * norm_inf(t)
             yield f"echelon n={n} ({band},{band})", "pivot", lambda form: len(form[1]), [
                 ("numpy sweep", lambda: _sweep(t, tol)[:2]),
-                ("band sweep", lambda: echelon(t, tol, banded))]
+                ("band sweep", lambda: echelon(rows, tol))]
 
 
 def layers():
-    return [("oracle", oracle_cases()), ("series", series_cases()), ("kernel", kernel_cases())]
+    return [("oracle", oracle_cases()), ("truncation", truncation_cases()),
+            ("series", series_cases()), ("kernel", kernel_cases())]
 
 
 def measure(layers, repeat=REPEAT):
@@ -246,12 +268,12 @@ def revision():
 
 
 def main():
-    print(f"{'layer':<7} {'case':<34} {'way':<13} {'units':>13} {'seconds':>9} "
+    print(f"{'layer':<10} {'case':<34} {'way':<13} {'units':>13} {'seconds':>9} "
           f"{'us/unit':>10}  bits")
     rows = []
     for row, _ in measure(layers()):
         rows.append(row)
-        print(f"{row['layer']:<7} {row['case']:<34} {row['way']:<13} {row['units']:>7} "
+        print(f"{row['layer']:<10} {row['case']:<34} {row['way']:<13} {row['units']:>7} "
               f"{row['unit']:<5} {row['seconds']:>9.4f} {row['us_per_unit']:>10.3f}  "
               f"{row['bits']}")
     print(json.dumps({"revision": revision(), "machine": machine_facts(),

@@ -4,26 +4,33 @@ Elimination is hand-rolled rather than deferred to LAPACK so pivot
 thresholds stay explicit and sign tracking across row swaps is visible
 to tests.
 
+A matrix reaches the elimination kernels as an array, or as band rows
+(:class:`Band`): row i of an ``n x (bl + bu + 1)`` array holds its
+columns ``i - bl`` to ``i + bu``, in the layout of LAPACK's ``dgbtrf`` by
+rows (Golub & Van Loan, *Matrix Computations*, sec. 4.3).  The sections
+of a spec that declares a bandwidth come as band rows; an array's band
+is measured once from its nonzero pattern.
+
 One sweep by partial pivoting eliminates for ``echelon``,
 ``null_vector``, ``gauss_solve`` (on ``[a | b]``) and ``lu_det``.  It
-confines each step to the window that can still be nonzero.  The window
-comes from the band ``(bl, bu)``: the caller's, for a section of a spec
-that declares a bandwidth, else measured once from the array's nonzero
-pattern.  Partial pivoting keeps the pivot column nonzero only in the
-``bl`` rows below the pivot and the pivot row only up to ``bl + bu``
-columns right of the pivot column (Golub & Van Loan, *Matrix
-Computations*, sec. 4.3).  Every update left out is ``x - f*0`` or ``x -
-0*y``, so pivots, signs and returned values are bit-identical to the
-full dense sweep, for any band at least as wide as the true one; for
-dense input the window is the whole matrix.  An update of that kind can
-only turn a ``-0.0`` into ``+0.0``, so a sweep that returns its reduced
-array runs densely when a cell of the band (every cell, for a measured
-band) holds a negative zero; a determinant does not depend on the signs
-of zeros, so ``lu_det`` skips that check.
+confines each step to the window that can still be nonzero, which comes
+from the band ``(bl, bu)``.  Partial pivoting keeps the pivot column
+nonzero only in the ``bl`` rows below the pivot and the pivot row only up
+to ``bl + bu`` columns right of the pivot column.  Every update left out
+is ``x - f*0`` or ``x - 0*y``, so pivots, signs and returned values are
+bit-identical to the full dense sweep, for any band at least as wide as
+the true one; for dense input the window is the whole matrix.  An update
+of that kind can only turn a ``-0.0`` into ``+0.0``, so a sweep that
+returns its reduced array runs densely when a cell of the band (every
+cell, for a measured band) holds a negative zero; a determinant does not
+depend on the signs of zeros, so ``lu_det`` skips that check.
 
 A narrow window, at most :data:`NARROW_WINDOW` cells per step, is swept
-on Python floats, one list per row (:func:`_sweep_rows`), and a wider one
-in numpy (:func:`_sweep`).  Both do the same arithmetic entry by entry.
+on Python floats, one list per row, filled from the band cells
+(:func:`_sweep_rows`), and a wider one in numpy on the array
+(:func:`_sweep`).  Both do the same arithmetic entry by entry.  So there
+is one narrow path, whether the matrix came as an array or as band rows,
+and only a wide band is ever made an array.
 
 ``lu_det_shifts`` runs that arithmetic once for a whole grid of diagonal
 shifts of a narrow band, with the shifts as the lanes of numpy arrays, as
@@ -33,6 +40,7 @@ whatever the number of lanes, so one value at a time (a bisection step, a
 """
 
 import math
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -45,9 +53,49 @@ from .errors import OracleValueError, SingularSystemError
 NARROW_WINDOW = 64
 
 
-def norm_inf(a: np.ndarray) -> float:
+@dataclass(frozen=True)
+class Band:
+    """The matrix of ``shape`` held as band rows: ``cells[i, c]`` is its
+    entry ``(i, i - lower + c)``, 0-based, and 0.0 where that column lies
+    outside the matrix.  Every entry outside the band is 0."""
+
+    cells: np.ndarray
+    lower: int
+    upper: int
+    shape: tuple[int, int]
+
+    def array(self) -> np.ndarray:
+        """The matrix as an array, the cells' bits in their places."""
+        rows, cols = self.shape
+        i = np.arange(rows)[:, None]
+        j = i + np.arange(-self.lower, self.upper + 1)
+        inside = (j >= 0) & (j < cols)
+        out = np.zeros(self.shape)
+        out[np.broadcast_to(i, j.shape)[inside], j[inside]] = self.cells[inside]
+        return out
+
+
+def as_array(a: np.ndarray | Band) -> np.ndarray:
+    """``a`` as an array: a :class:`Band`'s :meth:`Band.array`, else ``a``."""
+    return a.array() if isinstance(a, Band) else np.asarray(a, dtype=float)
+
+
+def _operand(a: np.ndarray | Band) -> np.ndarray | Band:
+    """A kernel's matrix argument: a :class:`Band` as it is, else a float array."""
+    return a if isinstance(a, Band) else np.asarray(a, dtype=float)
+
+
+def diagonal(a: np.ndarray | Band) -> np.ndarray:
+    """The main diagonal of the square matrix ``a``, a view."""
+    return a.cells[:, a.lower] if isinstance(a, Band) else np.diagonal(a)
+
+
+def norm_inf(a: np.ndarray | Band) -> float:
     """Induced max-absolute-row-sum norm; 0 for an empty array, inf when a
-    row sum overflows."""
+    row sum overflows.  A :class:`Band`'s rows are summed over its cells,
+    which can differ in the last bit from a sum over the whole row."""
+    if isinstance(a, Band):
+        a = a.cells
     if a.size == 0:
         return 0.0
     if a.ndim == 1:
@@ -56,7 +104,7 @@ def norm_inf(a: np.ndarray) -> float:
         return float(np.max(np.sum(np.abs(a), axis=1)))
 
 
-def pivot_norm(a: np.ndarray) -> float:
+def pivot_norm(a: np.ndarray | Band) -> float:
     """:func:`norm_inf` of ``a`` for a pivot threshold, which must not be
     inf: an overflowed norm raises :class:`OracleValueError`."""
     norm = norm_inf(a)
@@ -75,13 +123,25 @@ def _band(a: np.ndarray) -> tuple[int, int]:
     return max(0, -int(offsets.min())), max(0, int(offsets.max()))
 
 
-def band_of(a: np.ndarray, band: tuple[int, int] | None = None) -> tuple[int, int]:
-    """The band ``(bl, bu)`` of ``a``: ``band``, clipped to the array, when
-    given, else measured from the nonzero pattern."""
-    if band is None:
-        return _band(a)
-    rows, cols = a.shape
+def _clip(band: tuple[int, int], shape: tuple[int, int]) -> tuple[int, int]:
+    """``band`` clipped to the diagonals of an array of ``shape``."""
+    rows, cols = shape
     return min(band[0], max(rows - 1, 0)), min(band[1], max(cols - 1, 0))
+
+
+def band_of(a: np.ndarray | Band) -> tuple[int, int]:
+    """The band ``(bl, bu)`` of ``a``: a :class:`Band`'s own, clipped to its
+    shape, or an array's, measured from its nonzero pattern."""
+    return _clip((a.lower, a.upper), a.shape) if isinstance(a, Band) else _band(a)
+
+
+def band_rows(a: np.ndarray, band: tuple[int, int] | None = None) -> Band:
+    """The array ``a`` as band rows within ``band``, clipped to the array,
+    which must hold every nonzero of ``a``; within its measured band when
+    ``band`` is not given."""
+    a = np.asarray(a, dtype=float)
+    lower, upper = _band(a) if band is None else _clip(band, a.shape)
+    return Band(_band_cells(a, lower, upper), lower, upper, a.shape)
 
 
 def is_narrow(band: tuple[int, int]) -> bool:
@@ -101,38 +161,49 @@ def _band_cells(a: np.ndarray, lower: int, upper: int) -> np.ndarray:
     return np.where(inside, a[np.arange(rows)[:, None], idx.clip(0, cols - 1)], 0.0)
 
 
-def _sweep_window(a: np.ndarray, band: tuple[int, int] | None) -> tuple[int, int]:
+def _cells(a: np.ndarray | Band, lower: int, upper: int) -> np.ndarray:
+    """:func:`_band_cells` of ``a``, an array or band rows whose band lies
+    within ``(lower, upper)`` on the diagonals of the matrix."""
+    if not isinstance(a, Band):
+        return _band_cells(a, lower, upper)
+    out = np.zeros((a.shape[0], lower + upper + 1))
+    first, last = -min(lower, a.lower), min(upper, a.upper)  # the offsets both hold
+    out[:, first + lower:last + lower + 1] = a.cells[:, first + a.lower:last + a.lower + 1]
+    return out
+
+
+def _sweep_window(a: np.ndarray | Band) -> tuple[int, int]:
     """:func:`band_of` for a sweep that returns its reduced array: the
     whole array when a cell that the band leaves to the sweep holds -0.0
-    (any cell, for a measured band)."""
-    window = band_of(a, band)
-    cells = a if band is None else _band_cells(a, *window)
+    (a band cell of band rows, any cell of an array)."""
+    window = band_of(a)
+    cells = a.cells if isinstance(a, Band) else a
     if np.signbit(cells[cells == 0.0]).any():
         return max(a.shape[0] - 1, 0), max(a.shape[1] - 1, 0)
     return window
 
 
-def lu_det(a: np.ndarray, band: tuple[int, int] | None = None) -> float:
-    """Determinant via partially pivoted elimination, sign tracked on swaps;
-    ``band`` is the caller's band of ``a``, measured when not given."""
-    a = np.asarray(a, dtype=float)
+def lu_det(a: np.ndarray | Band) -> float:
+    """Determinant via partially pivoted elimination, sign tracked on swaps,
+    of an array or band rows."""
+    a = _operand(a)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("square matrix required")
-    pivots, values, sign, _ = _eliminate(a, 0.0, band_of(a, band))
+    pivots, values, sign, _ = _eliminate(a, 0.0, band_of(a))
     # the pivots' product in column order, a numpy scalar: dividing by a
     # determinant that underflowed to 0 gives inf, not ZeroDivisionError.
     # 0 when a column has no pivot
     return sign * np.float64(math.prod(values)) if len(pivots) == n else 0.0
 
 
-def lu_det_shifts(t: np.ndarray, shifts: np.ndarray,
-                  band: tuple[int, int] | None = None) -> np.ndarray:
-    """``lu_det(t - x*I)`` for each shift ``x``, bit for bit.
+def lu_det_shifts(t: np.ndarray | Band, shifts: np.ndarray) -> np.ndarray:
+    """``lu_det(t - x*I)`` for each shift ``x``, bit for bit, of an array or
+    band rows ``t``.
 
     The diagonal is ``t_ii + -x``, as a shifted copy holds it.  A shift
     leaves the band of ``t`` as it is, since the band counts the diagonal
-    anyway, so it is taken once, from ``band`` or measured.  For a narrow
+    anyway, so it is taken once.  For a narrow
     band, one elimination runs the sweep's arithmetic with the shifts as
     lanes: a lane holds a sliding window of the ``bl + 1`` rows and ``bl +
     bu + 1`` columns that step k can touch, takes the first row with the
@@ -141,18 +212,18 @@ def lu_det_shifts(t: np.ndarray, shifts: np.ndarray,
     overhead whatever the lane count, so this pays off for a grid of
     shifts, not for one value.  A wide band raises :class:`ValueError`.
     """
-    t = np.asarray(t, dtype=float)
+    t = _operand(t)
     shifts = np.asarray(shifts, dtype=float)
     n = t.shape[0]
     with np.errstate(all="ignore"):
-        diag = np.diagonal(t) + -shifts[:, None]
-    band = band_of(t, band)
+        diag = diagonal(t) + -shifts[:, None]
+    band = band_of(t)
     if not is_narrow(band):
         raise ValueError(f"band {band} is too wide for lanes of shifts")
     bl, bu = band
     lanes, width = np.arange(shifts.size), bl + bu + 1
     # row i's entries in columns i - bl .. i + bu, the diagonal at bl
-    cells = _band_cells(t, bl, bu)
+    cells = _cells(t, bl, bu)
 
     # window[:, r, c] holds the entry (k + r, k + c) at step k
     window = np.zeros((shifts.size, bl + 1, width))
@@ -207,7 +278,7 @@ def _sweep(a: np.ndarray, pivot_tol: float,
     """
     u = np.array(a, dtype=float)
     rows, cols = u.shape
-    bl, bu = _sweep_window(u, None) if window is None else window
+    bl, bu = _sweep_window(u) if window is None else window
     # rows below the current one are zero in every earlier pivot column, so
     # left of ``c`` the pivot row can be nonzero only from the first
     # skipped column on
@@ -236,10 +307,10 @@ def _sweep(a: np.ndarray, pivot_tol: float,
     return u, pivots, sign
 
 
-def _sweep_rows(a: np.ndarray, pivot_tol: float, window: tuple[int, int]):
-    """:func:`_sweep` of ``a`` within the band ``window`` on Python floats,
-    for a narrow window: the rows, their start columns, the pivot columns
-    and the sign.
+def _sweep_rows(a: np.ndarray | Band, pivot_tol: float, window: tuple[int, int]):
+    """:func:`_sweep` of ``a``, an array or band rows, within the band
+    ``window`` on Python floats, for a narrow window: the rows, their start
+    columns, the pivot columns and the sign.
 
     Physical row i is the list ``rows[i]`` of its entries in columns
     ``start[i]`` onwards.  It holds every column in which it can be
@@ -251,7 +322,7 @@ def _sweep_rows(a: np.ndarray, pivot_tol: float, window: tuple[int, int]):
     bl, bu = window
     reach = bl + bu + 1
     # room for the fill of a pivot row, up to bl + bu columns right of it
-    rows = _band_cells(a, bl, bl + bu).tolist()
+    rows = _cells(a, bl, bl + bu).tolist()
     start = list(range(-bl, rows_n - bl))
     left = cols
     pivots = []
@@ -323,41 +394,41 @@ def _reduced(rows: list, start: list, shape: tuple[int, int]) -> np.ndarray:
     return u
 
 
-def _eliminate(a: np.ndarray, pivot_tol: float, window: tuple[int, int]):
+def _eliminate(a: np.ndarray | Band, pivot_tol: float, window: tuple[int, int]):
     """The sweep of ``a`` within the band ``window``, on Python floats when
-    it is narrow: the pivot columns, the pivot values in row order, the
-    sign of the row permutation and a function building the reduced array."""
+    it is narrow, else in numpy on ``a`` as an array: the pivot columns,
+    the pivot values in row order, the sign of the row permutation and a
+    function building the reduced array."""
     if is_narrow(window):
         rows, start, pivots, sign = _sweep_rows(a, pivot_tol, window)
         values = [rows[r][c - start[r]] for r, c in enumerate(pivots)]
         return pivots, values, sign, lambda: _reduced(rows, start, a.shape)
-    u, pivots, sign = _sweep(a, pivot_tol, window)
+    u, pivots, sign = _sweep(as_array(a), pivot_tol, window)
     return pivots, u[np.arange(len(pivots)), pivots], sign, lambda: u
 
 
-def echelon(a: np.ndarray, pivot_tol: float,
-            band: tuple[int, int] | None = None) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form with partial pivoting: the reduced array and the
-    pivot column indices of the sweep, within ``band`` when given."""
-    a = np.asarray(a, dtype=float)
-    pivots, _, _, reduced = _eliminate(a, pivot_tol, _sweep_window(a, band))
+def echelon(a: np.ndarray | Band, pivot_tol: float) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form with partial pivoting of an array or band rows: the
+    reduced array and the pivot column indices of the sweep."""
+    a = _operand(a)
+    pivots, _, _, reduced = _eliminate(a, pivot_tol, _sweep_window(a))
     return reduced(), pivots
 
 
-def rank_of_array(a: np.ndarray, pivot_tol: float, band: tuple[int, int] | None = None) -> int:
+def rank_of_array(a: np.ndarray | Band, pivot_tol: float) -> int:
     """The pivot count of :func:`echelon`, which the signs of zeros do not change."""
-    a = np.asarray(a, dtype=float)
-    return len(_eliminate(a, pivot_tol, band_of(a, band))[0])
+    a = _operand(a)
+    return len(_eliminate(a, pivot_tol, band_of(a))[0])
 
 
-def null_vector(a: np.ndarray, pivot_tol: float,
-                band: tuple[int, int] | None = None) -> np.ndarray | None:
-    """One null-space vector, or None if the array is full column rank.
+def null_vector(a: np.ndarray | Band, pivot_tol: float) -> np.ndarray | None:
+    """One null-space vector of an array or band rows, or None if it is
+    full column rank.
 
     Convention: the first pivot-free column gets value 1, all later free
     columns 0; pivot variables come from back-substitution.
     """
-    u, pivots = echelon(a, pivot_tol, band)
+    u, pivots = echelon(a, pivot_tol)
     cols = u.shape[1]
     pivot_set = set(pivots)
     free = next((c for c in range(cols) if c not in pivot_set), None)

@@ -50,6 +50,9 @@ class OrthogonalRows(MatrixSpec):
             return float(product_ascending(coeff[p - 1:p], column)[0, 0])
 
         def block(rows, cols):
+            if rows.ndim != 2 or rows.shape[1] != 1 or cols.ndim != 2 or cols.shape[0] != 1:
+                return None  # one product gives a rectangle, rows[:, None] by cols[None, :]
+            rows, cols = rows[:, 0], cols[0]
             values = lines(int(cols.max()))
             return None if values is None else product_ascending(coeff[rows - 1],
                                                                  values[:, cols - 1])
@@ -201,8 +204,8 @@ def transition_matrix(B: MatrixSpec, B_prime: MatrixSpec, count: int,
     @cache
     def solve_at(n):
         # the coordinates of all ``count`` vectors from one elimination
-        v_mat = old(n)
-        return gauss_solve(v_mat, new(n), PIVOT_SCALE * max(1.0, pivot_norm(v_mat)))
+        v_mat = old.array(n)
+        return gauss_solve(v_mat, new.array(n), PIVOT_SCALE * max(1.0, pivot_norm(v_mat)))
 
     def column(i):
         return section_limit_vector(lambda n: solve_at(n)[:count, i - 1], extent,

@@ -261,11 +261,18 @@ def _cmd_mul(args, policy, schedule, config):
               "per_entry_reports": reports}
     section = None
     if product.overall_status != "failed":
-        section = truncate(product.matrix, clip_extent(product.matrix.rows, args.n),
-                           clip_extent(product.matrix.cols, args.n))
+        m, n = clip_extent(product.matrix.rows, args.n), clip_extent(product.matrix.cols, args.n)
+        section = truncate(product.matrix, m, n)
         result["matrix"] = _matrix_doc(section)
+        # every shown entry's report, read when the section was, bounds the verdict
+        shown = _worst_status({product.entry_report(i, j).status
+                               for i in range(1, m + 1) for j in range(1, n + 1)})
+        if shown == "diverged":
+            result["overall_status"] = "failed"
+        elif shown == "undetermined" and product.overall_status == "converged":
+            result["overall_status"] = "partial"
     exit_code = {"converged": EXIT_OK, "partial": EXIT_UNDETERMINED,
-                 "failed": EXIT_ERROR}[product.overall_status]
+                 "failed": EXIT_ERROR}[result["overall_status"]]
     return result, section, exit_code
 
 

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._dense import band_of, is_narrow, lu_det, norm_inf
+from ._dense import Band, as_array, band_of, diagonal, is_narrow, lu_det, norm_inf
 from .algebra import matmul
 from .errors import ConvergenceFailureError, ExtentMismatchError, PreconditionError
 from .matrix_core import (DenseMatrix, MatrixSpec, Sections, TruncationSchedule,
@@ -89,24 +89,23 @@ def log_series_may_apply(diag: np.ndarray) -> np.ndarray:
     return ~(np.max(np.abs(diag - 1.0), axis=-1, initial=0.0) >= 1.0)
 
 
-def det_truncation(t: np.ndarray, policy: ConvergencePolicy | None = None,
-                   band: tuple[int, int] | None = None) -> float:
-    """Determinant of the square section array ``t``, whose band is
-    ``band`` (a section of a spec that declares a bandwidth) or measured.
+def det_truncation(t: np.ndarray | Band, policy: ConvergencePolicy | None = None) -> float:
+    """Determinant of the square section ``t``, an array (whose band is
+    measured) or band rows (a section of a spec that declares a bandwidth).
 
     A narrow band (:func:`~infmat._dense.is_narrow`) is eliminated: there
     elimination costs less than one dense power of the log series.  A wide
-    one takes the log series whenever the norm precondition it measures,
-    ``norm_inf(t - I) < 1``, holds, and elimination otherwise; no series
-    that :func:`log_series_may_apply` rules out is attempted.
+    one takes the log series, on ``t`` as an array, whenever the norm
+    precondition it measures, ``norm_inf(t - I) < 1``, holds, and
+    elimination otherwise; no series that :func:`log_series_may_apply`
+    rules out is attempted.
     """
-    band = band_of(t, band)
-    if not is_narrow(band) and log_series_may_apply(np.diagonal(t)):
+    if not is_narrow(band_of(t)) and log_series_may_apply(diagonal(t)):
         try:
-            return _log_series(t, policy or ConvergencePolicy()).value
+            return _log_series(as_array(t), policy or ConvergencePolicy()).value
         except PreconditionError:
             pass
-    return lu_det(t, band)
+    return lu_det(t)
 
 
 def det_infinite(M: MatrixSpec, schedule: TruncationSchedule | None = None,
@@ -124,8 +123,8 @@ def det_infinite(M: MatrixSpec, schedule: TruncationSchedule | None = None,
     # a finite matrix is its own one section: eliminated, as det_oracle does
     finite = is_finite_extent(M.rows)
     sections = Sections(M)
-    rep = section_limit(lambda n: lu_det(sections(n), sections.band) if finite
-                        else det_truncation(sections(n), policy, sections.band),
+    rep = section_limit(lambda n: lu_det(sections(n)) if finite
+                        else det_truncation(sections(n), policy),
                         M.rows, schedule, policy)
     return DetReport(rep.estimate, ROUTE_LIMIT, report=rep)
 
@@ -199,7 +198,7 @@ def cauchy_binet_infinite(A: MatrixSpec, B: MatrixSpec,
 
     def term(q):
         t = m + q - 1  # largest column index of all selections in this term
-        a, b = a_sections(t), b_sections(t)
+        a, b = a_sections.array(t), b_sections.array(t)
         if m == 1:
             return float(a[0, t - 1] * b[t - 1, 0])
         total = 0.0

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._dense import gauss_solve, norm_inf, pivot_norm, rank_of_array
+from ._dense import Band, gauss_solve, norm_inf, pivot_norm, rank_of_array
 from .errors import (ConvergenceFailureError, ExtentMismatchError,
                      OracleValueError, PreconditionError)
 from .matrix_core import (INFINITE, DenseMatrix, MatrixSpec, Sections,
@@ -127,7 +127,8 @@ def _norm_check(t: np.ndarray, perturbation: MatrixSpec | None) -> float:
     raises :class:`PreconditionError` unless it is below 1."""
     size = t.shape[0]
     x = np.eye(size) - t
-    row_sums = np.sum(np.abs(x), axis=1)
+    with np.errstate(over="ignore"):  # an overflowed sum is a norm >= 1, raised below
+        row_sums = np.sum(np.abs(x), axis=1)
     if perturbation is not None and perturbation.decay is not None:
         C, r = perturbation.decay.C, perturbation.decay.r
         tails = C * r ** np.arange(1, size + 1) * r ** (size + 1) / (1 - r)
@@ -162,14 +163,14 @@ def neumann_inverse(A: MatrixSpec,
     sections = Sections(A)
     # a finite A is seen whole, so it has no unseen tail
     tail = None if is_finite_extent(A.rows) else perturbation
-    norm = _norm_check(sections(sizes[-1]), tail)
+    norm = _norm_check(sections.array(sizes[-1]), tail)
 
     sums: dict[int, tuple[np.ndarray, int]] = {}
 
     def section(n):
         hit = sums.get(n)
         if hit is None:
-            hit = _neumann_sum(sections(n), policy)
+            hit = _neumann_sum(sections.array(n), policy)
             sums[n] = hit
         return hit
 
@@ -190,13 +191,14 @@ def neumann_inverse(A: MatrixSpec,
     block(sizes[0], sizes[0])
     probed = max(sums)
     smat, terms = section(probed)
-    residual = norm_inf(sections(probed) @ smat - np.eye(probed))
+    residual = norm_inf(sections.array(probed) @ smat - np.eye(probed))
     return InverseReport(lazy, norm, terms, residual, _block=block)
 
 
-def _dense_rank(arr: np.ndarray, band: tuple[int, int] | None = None) -> float:
-    """Rank with pivots compared against ``1e-10`` times the array norm."""
-    return float(rank_of_array(arr, RANK_PIVOT_SCALE * pivot_norm(arr), band))
+def _dense_rank(a: np.ndarray | Band) -> float:
+    """Rank of an array or band rows, with pivots compared against
+    ``1e-10`` times its norm."""
+    return float(rank_of_array(a, RANK_PIVOT_SCALE * pivot_norm(a)))
 
 
 def _section_extent(M: MatrixSpec):
@@ -238,8 +240,8 @@ def rank_of(M: MatrixSpec,
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
     sections = Sections(M)
-    return section_limit(lambda n: _dense_rank(sections(n), sections.band),
-                         _section_extent(M), schedule, policy)
+    return section_limit(lambda n: _dense_rank(sections(n)), _section_extent(M), schedule,
+                         policy)
 
 
 def check_compatibility(A: MatrixSpec, b: MatrixSpec,
@@ -260,12 +262,11 @@ def check_compatibility(A: MatrixSpec, b: MatrixSpec,
 def _compare_ranks(A, sections, rhs, schedule, policy) -> SolveReport:
     """:func:`check_compatibility` over a section store and prefix of ``b``."""
     def augmented(n):
-        a = sections(n)
+        a = sections.array(n)
         return np.column_stack([a, rhs(a.shape[0])])
 
     extent = _section_extent(A)
-    ra = section_limit(lambda n: _dense_rank(sections(n), sections.band), extent, schedule,
-                       policy)
+    ra = section_limit(lambda n: _dense_rank(sections(n)), extent, schedule, policy)
     rab = section_limit(lambda n: _dense_rank(augmented(n)), extent, schedule, policy)
     ok = ra.converged and rab.converged and ra.estimate == rab.estimate
     return SolveReport(compatible=ok, rank_A=ra, rank_Ab=rab, unknowns={},
@@ -295,12 +296,12 @@ def _section_solve(A: MatrixSpec, b: MatrixSpec, wanted, schedule, policy,
         raise ValueError("wanted must name at least one unknown")
     sections, rhs = Sections(A), _rhs_prefix(b)
     if route == ROUTE_INVERSE:
-        _norm_check(sections(sizes[-1]), None)
+        _norm_check(sections.array(sizes[-1]), None)
     solutions: dict[int, np.ndarray] = {}
 
     def solution_at(n):
         if n not in solutions:
-            a, bv = sections(n), rhs(n)
+            a, bv = sections.array(n), rhs(n)
             solutions[n] = (_apply_series(a, bv, policy) if route == ROUTE_INVERSE else
                             gauss_solve(a, bv, RANK_PIVOT_SCALE * max(1.0, pivot_norm(a))))
         return solutions[n]
@@ -311,12 +312,12 @@ def _section_solve(A: MatrixSpec, b: MatrixSpec, wanted, schedule, policy,
         unknowns[i] = section_limit(lambda n, _i=i: float(solution_at(n)[_i - 1]),
                                     A.rows, schedule, policy, least=top)
     final = max(solutions)
-    residual = float(np.max(np.abs(sections(final) @ solution_at(final)
+    residual = float(np.max(np.abs(sections.array(final) @ solution_at(final)
                                    - rhs(final))))
     condition = None
     if route == ROUTE_CRAMER:
         grown = [n for n in sizes if n <= final]
-        condition = section_limit(lambda n: float(np.abs(sections(n) - np.eye(n)).sum()),
+        condition = section_limit(lambda n: float(np.abs(sections.array(n) - np.eye(n)).sum()),
                                   A.rows, grown, policy)
     return SolveReport(compatible=True, rank_A=None, rank_Ab=None,
                        unknowns=unknowns, route=route, residual=residual,

@@ -7,9 +7,12 @@ arrays are no separate kind: :class:`DenseMatrix` is the spec whose
 oracle reads a frozen array.  Every infinite computation in the package
 factors through :func:`truncate`, which materializes a top-left section
 as a :class:`DenseMatrix`, or :class:`Sections`, which grows one section
-along a limit's schedule and hands out read-only arrays, the one store
-of sections for every truncation limit; :class:`Lines` grows the leading
-entries of single rows or columns for series along an infinite index.
+along a limit's schedule and hands out read-only views of it, the one
+store of sections for every truncation limit: band rows
+(:class:`~infmat._dense.Band`) for a spec that declares a bandwidth, so
+that no banded section is ever held as an n-by-n array, else arrays;
+:class:`Lines` grows the leading entries of single rows or columns for
+series along an infinite index.
 
 Extents are either a positive ``int`` or the distinguished token
 :data:`INFINITE`; operations must branch explicitly on finiteness, no
@@ -22,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._dense import Band, as_array
 from .errors import CertificateError, ExtentMismatchError, OracleValueError
 
 # structure labels, read off a spec's pattern
@@ -107,12 +111,15 @@ class MatrixSpec:
     is not this label (as ``dataclasses.replace`` passes the old label
     with a new pattern) raises :class:`ValueError`.
 
-    ``block``, optional and used by ``EXPR`` and ``FINITE_SUPPORT``
-    sections and by ``EXPR`` :class:`Lines`, maps 1-based index arrays
-    ``rows`` and ``cols`` to the values of ``entry`` on ``rows x cols``
-    (any array that broadcasts to that shape), bit for bit, or to
-    ``None`` when those cells must be evaluated one by one through
-    ``entry``.  It is only asked for cells inside the declared pattern.
+    ``block``, optional, maps 1-based index arrays ``rows`` and ``cols``
+    that broadcast together to the values of ``entry`` on the cells
+    ``(rows, cols)`` (any array that broadcasts to their common shape),
+    bit for bit, or to ``None`` when those cells must be evaluated one by
+    one through ``entry``.  It is only asked for cells inside the declared
+    pattern: by :class:`Sections` and :func:`truncate` for a rectangle
+    (``rows[:, None]``, ``cols[None, :]``) of an ``EXPR`` or
+    ``FINITE_SUPPORT`` spec or one band ``(i, i + d)`` of a ``BANDED``
+    one, and by ``EXPR`` :class:`Lines` for a rectangle.
     """
 
     rows: Extent
@@ -202,7 +209,7 @@ class DenseMatrix(MatrixSpec):
             return float(_data[i - 1, j - 1])
 
         def block(rows, cols, _data=arr):
-            return _data[np.ix_(rows - 1, cols - 1)]
+            return _data[rows - 1, cols - 1]
 
         super().__init__(arr.shape[0], arr.shape[1], entry, block=block)
         object.__setattr__(self, "data", arr)
@@ -251,34 +258,62 @@ def _checked(value, i, j) -> float:
     return v
 
 
+def _block_values(M: MatrixSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
+    """``M.block`` of the cells ``(rows, cols)`` at their common shape, or
+    None when it declines them or gives a non-finite value, so that the
+    caller redoes the fill cell by cell and raises what the scalar path
+    raises."""
+    values = M.block(rows, cols)
+    if values is None:
+        return None
+    values = np.broadcast_to(values, np.broadcast_shapes(rows.shape, cols.shape))
+    return values if np.all(np.isfinite(values)) else None
+
+
 def _fill_blocks(M: MatrixSpec, out: np.ndarray, km: int, kn: int) -> bool:
     """Fill the cells of ``out`` outside its known km-by-kn corner and
     inside the declared pattern through ``M.block``: the strip right of
-    the corner, then the rows below it.  False when the block declines a
-    rectangle or gives a non-finite value, so that the caller redoes the
-    fill cell by cell and raises what the scalar path raises."""
+    the corner, then the rows below it.  False when a rectangle has no
+    :func:`_block_values`."""
     m, n = out.shape
-    if M.bandwidth is not None:
-        return False
     if M.support is not None:
         m, n = min(m, M.support[0]), min(n, M.support[1])
     for r0, r1, c0 in ((0, min(km, m), kn), (km, m, 0)):
         if r1 <= r0 or n <= c0:
             continue
-        values = M.block(np.arange(r0 + 1, r1 + 1), np.arange(c0 + 1, n + 1))
+        values = _block_values(M, np.arange(r0 + 1, r1 + 1)[:, None],
+                               np.arange(c0 + 1, n + 1)[None, :])
         if values is None:
-            return False
-        values = np.broadcast_to(values, (r1 - r0, n - c0))
-        if not np.all(np.isfinite(values)):
             return False
         out[r0:r1, c0:n] = values
     return True
 
 
+def _fill_bands(M: MatrixSpec, out: np.ndarray, km: int, kk: int, k: int) -> bool:
+    """Fill the band rows ``out`` of ``M``'s m-by-k section outside the
+    known km-by-kk corner through ``M.block``, one band ``(i, i + d)`` at a
+    time.  False when a band has no :func:`_block_values`."""
+    m, width = out.shape
+    w = width // 2
+    for c in range(width):
+        d = c - w
+        # 0-based rows whose cell (i, i + d) is in the section and new
+        i0, i1 = max(0, -d, min(km, kk - d)), min(m, k - d)
+        if i1 <= i0:
+            continue
+        rows = np.arange(i0 + 1, i1 + 1)
+        values = _block_values(M, rows, rows + d)
+        if values is None:
+            return False
+        out[i0:i1, c] = values
+    return True
+
+
 def _grow(M: MatrixSpec, known: np.ndarray, m: int, n: int) -> np.ndarray:
-    """``M``'s top-left m-by-n section; evaluates only the cells outside the
-    ``known`` corner, inside the declared nonzero pattern: as blocks when
-    ``M`` has a block oracle that accepts them, else row by row."""
+    """``M``'s top-left m-by-n section, for a spec with no bandwidth;
+    evaluates only the cells outside the ``known`` corner, inside the
+    declared nonzero pattern: as blocks when ``M`` has a block oracle that
+    accepts them, else row by row."""
     out = np.zeros((m, n))
     km, kn = known.shape
     out[:km, :kn] = known
@@ -290,6 +325,28 @@ def _grow(M: MatrixSpec, known: np.ndarray, m: int, n: int) -> np.ndarray:
             lo = max(lo, kn + 1)
         for j in range(lo, min(hi, n) + 1):
             out[i - 1, j - 1] = _checked(M.entry(i, j), i, j)
+    return out
+
+
+def _grow_band(M: MatrixSpec, known: np.ndarray, kk: int, m: int, k: int) -> np.ndarray:
+    """The band rows of ``M``'s top-left m-by-k section, for a spec of
+    bandwidth w: row i holds columns i - w .. i + w, 0.0 outside the
+    section.  ``known`` holds those of the km-by-kk corner, and only the
+    cells outside it are evaluated: one band at a time when ``M`` has a
+    block oracle that gives them all, finite, else row by row, the cells
+    and the order of :func:`_grow`."""
+    w = M.bandwidth
+    km = known.shape[0]
+    out = np.zeros((m, 2 * w + 1))
+    out[:km] = known
+    if M.block is not None and _fill_bands(M, out, km, kk, k):
+        return out
+    for i in range(1, m + 1):
+        lo, hi = max(1, i - w), min(k, i + w)
+        if i <= km:
+            lo = max(lo, kk + 1)
+        for j in range(lo, hi + 1):
+            out[i - 1, j - i + w] = _checked(M.entry(i, j), i, j)
     return out
 
 
@@ -306,38 +363,54 @@ def truncate(M: MatrixSpec, m: int, n: int) -> DenseMatrix:
         raise ExtentMismatchError(f"requested {m} rows from extent {M.rows}")
     if is_finite_extent(M.cols) and n > M.cols:
         raise ExtentMismatchError(f"requested {n} cols from extent {M.cols}")
-    return DenseMatrix(_grow(M, np.zeros((0, 0)), m, n))
+    w = M.bandwidth
+    if w is None:
+        return DenseMatrix(_grow(M, np.zeros((0, 0)), m, n))
+    return DenseMatrix(Band(_grow_band(M, np.zeros((0, 2 * w + 1)), 0, m, n), w, w,
+                            (m, n)).array())
 
 
 class Sections:
     """The nested top-left sections of one spec, for one limit computation.
 
     ``sections(n)`` returns (or raises) bit for bit the values of
-    :func:`truncate` at the n-by-n shape clipped to the spec's extents, as
-    a plain array.  The largest section so far is kept, grown on demand,
-    and every section is a read-only view of it, so no cell is evaluated
-    or checked twice and no smaller section is copied.
+    :func:`truncate` at the n-by-n shape clipped to the spec's extents:
+    as band rows, a :class:`~infmat._dense.Band` of the spec's bandwidth
+    w, for a spec that declares one, else as a plain array, the forms the
+    kernels take; ``sections.array(n)`` gives it as an array either way.
+    The largest section so far is kept, grown on demand (band rows by
+    appending rows), and every section is a read-only view of it, so no
+    cell is evaluated or checked twice.  No smaller section is copied,
+    except band rows whose last w rows are cut at the section's columns.
     """
 
     def __init__(self, M: MatrixSpec):
         self._M = M
-        self._known = np.zeros((0, 0))
+        w = M.bandwidth
+        self._known = np.zeros((0, 0) if w is None else (0, 2 * w + 1))
+        self._cols = 0
 
-    @property
-    def band(self) -> tuple[int, int] | None:
-        """``(bandwidth, bandwidth)`` of a spec that declares a bandwidth,
-        the band of every section, for the kernels; None otherwise."""
-        width = self._M.bandwidth
-        return None if width is None else (width, width)
-
-    def __call__(self, n: int) -> np.ndarray:
+    def __call__(self, n: int) -> np.ndarray | Band:
         if n < 1:
             raise ValueError("section sizes must be >= 1")
-        m, k = clip_extent(self._M.rows, n), clip_extent(self._M.cols, n)
-        if m > self._known.shape[0] or k > self._known.shape[1]:  # both rise with n
-            self._known = _grow(self._M, self._known, m, k)
+        M, w = self._M, self._M.bandwidth
+        m, k = clip_extent(M.rows, n), clip_extent(M.cols, n)
+        if m > self._known.shape[0] or k > self._cols:  # both rise with n
+            self._known = (_grow(M, self._known, m, k) if w is None
+                           else _grow_band(M, self._known, self._cols, m, k))
+            self._cols = k
             self._known.setflags(write=False)
-        return self._known[:m, :k]
+        if w is None:
+            return self._known[:m, :k]
+        cells = self._known[:m]
+        if k < self._cols:  # the cells right of the section read 0.0
+            cells = np.where(np.arange(m)[:, None] + np.arange(-w, w + 1) < k, cells, 0.0)
+            cells.setflags(write=False)
+        return Band(cells, w, w, (m, k))
+
+    def array(self, n: int) -> np.ndarray:
+        """``sections(n)`` as an array, built anew from band rows."""
+        return as_array(self(n))
 
 
 class Lines:
@@ -368,7 +441,7 @@ class Lines:
         if n > k:
             new = np.arange(k + 1, n + 1)
             rows, cols = (self._indices, new) if self._axis == 0 else (new, self._indices)
-            values = self._M.block(rows, cols)
+            values = self._M.block(rows[:, None], cols[None, :])
             if values is None:
                 self._declined = True
                 return None
@@ -391,10 +464,7 @@ def transpose(M: MatrixSpec) -> MatrixSpec:
     block = None
     if M.block is not None:
         def block(rows, cols, _block=M.block):
-            values = _block(cols, rows)
-            if values is None:
-                return None
-            return np.broadcast_to(values, (len(cols), len(rows))).T
+            return _block(cols, rows)
 
     support = None if M.support is None else M.support[::-1]
     return MatrixSpec(M.cols, M.rows, flipped, decay=M.decay, bandwidth=M.bandwidth,
@@ -418,9 +488,12 @@ def diagonal_spec(diag: Callable[[int], float], extent: Extent = INFINITE) -> Ma
 
 
 def banded_spec(bands: dict[int, Callable[[int, int], float]],
-                rows: Extent = INFINITE, cols: Extent = INFINITE) -> MatrixSpec:
+                rows: Extent = INFINITE, cols: Extent = INFINITE,
+                blocks: dict[int, Callable] | None = None) -> MatrixSpec:
     """Matrix whose entry at offset ``j - i`` comes from ``bands[offset]``,
-    and is 0 off the given bands; no bands is the zero matrix."""
+    and is 0 off the given bands; no bands is the zero matrix.  ``blocks``,
+    when given, holds each band's block oracle (as ``MatrixSpec.block``),
+    and the spec's block reads every band from it."""
     bands = dict(bands)
     bandwidth = max((abs(off) for off in bands), default=0)
 
@@ -428,7 +501,22 @@ def banded_spec(bands: dict[int, Callable[[int, int], float]],
         fn = _bands.get(j - i)
         return float(fn(i, j)) if fn is not None else 0.0
 
-    return MatrixSpec(rows, cols, entry, bandwidth=bandwidth)
+    block = None
+    if blocks is not None:
+        def block(rows, cols, _blocks=dict(blocks)):
+            rows, cols = np.broadcast_arrays(rows, cols)
+            offsets = cols - rows
+            out = np.zeros(rows.shape)
+            for off, fill in _blocks.items():
+                at = offsets == off
+                if at.any():
+                    values = fill(rows[at], cols[at])
+                    if values is None:
+                        return None
+                    out[at] = values
+            return out
+
+    return MatrixSpec(rows, cols, entry, bandwidth=bandwidth, block=block)
 
 
 def finite_support_spec(fn: Callable[[int, int], float], box_rows: int, box_cols: int,

@@ -77,7 +77,7 @@ def _formula_oracles(ast):
     fill = expr_dsl.compile_block(ast)
 
     def block(rows, cols, _fill=fill):
-        return _fill(rows[:, None].astype(float), cols[None, :].astype(float))
+        return _fill(rows.astype(float), cols.astype(float))
 
     return expr_dsl.compile_entry(ast), block
 
@@ -110,13 +110,13 @@ def matrix_from_obj(obj, ctx="matrix spec") -> MatrixSpec:
             if not extents_equal(rows, cols):
                 raise SchemaError(f"{ctx}: a diag spec is square, but rows = "
                                   f"{obj['rows']!r} and cols = {obj['cols']!r}")
-            spec = banded_spec({0: expr_dsl.compile_entry(_formula(obj, "expr", ctx))},
-                               rows, cols)
+            oracle, block = _formula_oracles(_formula(obj, "expr", ctx))
+            spec = banded_spec({0: oracle}, rows, cols, {0: block})
         elif kind == "banded":
             raw = _require(obj, "bands", ctx)
             if not isinstance(raw, dict) or not raw:
                 raise SchemaError(f"{ctx}: bands must be a non-empty object")
-            bands, keys = {}, {}
+            bands, blocks, keys = {}, {}, {}
             for off_text in raw:
                 try:
                     off = int(off_text)
@@ -125,8 +125,9 @@ def matrix_from_obj(obj, ctx="matrix spec") -> MatrixSpec:
                 if keys.setdefault(off, off_text) != off_text:
                     raise SchemaError(f"{ctx}: band offsets {keys[off]!r} and {off_text!r} "
                                       f"both name offset {off}")
-                bands[off] = expr_dsl.compile_entry(_formula(raw, off_text, f"{ctx}: bands"))
-            spec = banded_spec(bands, rows, cols)
+                bands[off], blocks[off] = _formula_oracles(
+                    _formula(raw, off_text, f"{ctx}: bands"))
+            spec = banded_spec(bands, rows, cols, blocks)
         else:  # finite-support
             sup = _require(obj, "support", ctx)
             if not (isinstance(sup, dict) and "rows" in sup and "cols" in sup):
@@ -189,7 +190,7 @@ def vector_from_obj(obj, extent: Extent, ctx="vector spec") -> MatrixSpec:
             return expr_dsl.eval_ast(_ast, i=i)
 
         def block(rows, cols, _fill=expr_dsl.compile_block(ast)):
-            return _fill(rows[:, None].astype(float), None)
+            return _fill(rows.astype(float), None)
 
         return MatrixSpec(extent, 1, entry, block=block)
     raise SchemaError(f"{ctx}: unknown vector kind {kind!r}")

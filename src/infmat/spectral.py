@@ -8,12 +8,14 @@ infinite matrix but no claim beyond stabilization is made.  Double roots
 produce no sign change and are missed by design.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._dense import band_of, is_narrow, lu_det_shifts, null_vector, pivot_norm
+from ._dense import (Band, as_array, band_of, diagonal, is_narrow, lu_det_shifts, null_vector,
+                     pivot_norm)
 from .determinant import det_truncation
 from .errors import ExtentMismatchError, OracleValueError, SingularSystemError
 from .matrix_core import (DenseMatrix, MatrixSpec, Sections, TruncationSchedule,
@@ -42,37 +44,39 @@ class EigenPair:
     stable: bool = True
 
 
-def _shifted(t: np.ndarray, lam: float) -> np.ndarray:
-    """``t - lam*I``, a new array, for a section array ``t``.
+def _shifted(t: np.ndarray | Band, lam: float) -> np.ndarray | Band:
+    """``t - lam*I`` for a square section ``t``, in its form: a new array,
+    or new band rows whose diagonal column is shifted.
 
     The diagonal gets ``+= -lam``, the same IEEE sum that
     :func:`~infmat.algebra.shift_diagonal`'s oracle forms entry by entry.
     """
-    out = np.array(t)
-    diag = np.arange(out.shape[0])
+    band = isinstance(t, Band)
+    cells = np.array(t.cells if band else t, order="C")
+    # a view of the diagonal: a column of band rows, every (n+1)th cell of an array
+    diag = cells[:, t.lower] if band else cells.reshape(-1)[::cells.shape[0] + 1]
     with np.errstate(over="ignore"):  # an overflowed sum raises below
-        out[diag, diag] += -lam
-    bad = np.flatnonzero(~np.isfinite(out[diag, diag]))
+        diag += -lam
+    bad = np.flatnonzero(~np.isfinite(diag))
     if bad.size:
         i = int(bad[0]) + 1
         raise OracleValueError(f"diagonal entry ({i}, {i}) overflowed when shifted by "
                                f"lambda = {float(lam)!r}",
-                               index=(i, i), value=float(out[i - 1, i - 1]))
-    return out
+                               index=(i, i), value=float(diag[i - 1]))
+    return dataclasses.replace(t, cells=cells) if band else cells
 
 
-def char_value(t: np.ndarray, lam: float, policy: ConvergencePolicy | None = None,
-               band: tuple[int, int] | None = None) -> float:
-    """``det(t - lam*I)`` of the square section array ``t``, whose band is
-    ``band`` or measured, by :func:`~infmat.determinant.det_truncation`."""
-    return det_truncation(_shifted(t, lam), policy, band)
+def char_value(t: np.ndarray | Band, lam: float,
+               policy: ConvergencePolicy | None = None) -> float:
+    """``det(t - lam*I)`` of the square section ``t``, an array or band
+    rows, by :func:`~infmat.determinant.det_truncation`."""
+    return det_truncation(_shifted(t, lam), policy)
 
 
-def eigenvector_for(t: np.ndarray, lam: float,
-                    band: tuple[int, int] | None = None) -> DenseMatrix:
-    """Nonzero null vector of ``t - lam*I`` for the square section array
-    ``t``, whose band is ``band`` or measured, one column, scaled so its
-    largest-magnitude entry is 1.
+def eigenvector_for(t: np.ndarray | Band, lam: float) -> DenseMatrix:
+    """Nonzero null vector of ``t - lam*I`` for the square section ``t``,
+    an array or band rows, one column, scaled so its largest-magnitude
+    entry is 1.
 
     Elimination pivots below ``1e-8 * (1 + norm)`` mark a free column;
     the first free column is set to 1 and later free columns to 0.
@@ -80,7 +84,7 @@ def eigenvector_for(t: np.ndarray, lam: float,
     full rank, i.e. ``lam`` is not an eigenvalue at this size.
     """
     shifted = _shifted(t, lam)
-    v = null_vector(shifted, NULL_PIVOT_SCALE * (1.0 + pivot_norm(shifted)), band)
+    v = null_vector(shifted, NULL_PIVOT_SCALE * (1.0 + pivot_norm(shifted)))
     if v is None:
         raise SingularSystemError(f"no null direction at size {t.shape[0]}: "
                                   f"{lam} may not be an eigenvalue here")
@@ -88,9 +92,8 @@ def eigenvector_for(t: np.ndarray, lam: float,
     return DenseMatrix((v / v[top])[:, None])
 
 
-def _grid_values(t: np.ndarray, xs: np.ndarray, policy: ConvergencePolicy,
-                 band: tuple[int, int] | None = None) -> list:
-    """``char_value(t, x, policy, band)`` for each grid point x.
+def _grid_values(t: np.ndarray | Band, xs: np.ndarray, policy: ConvergencePolicy) -> list:
+    """``char_value(t, x, policy)`` for each grid point x.
 
     For a narrow band, where ``char_value`` eliminates, every x whose
     shifted diagonal is finite is one lane of
@@ -99,16 +102,15 @@ def _grid_values(t: np.ndarray, xs: np.ndarray, policy: ConvergencePolicy,
     raised at the grid point, and with the type and message, of the
     one-at-a-time scan.
     """
-    band = band_of(t, band)
     with np.errstate(over="ignore"):  # an overflowed lane is left to _shifted
-        diag = np.diagonal(t) + -xs[:, None]
-    lanes = np.all(np.isfinite(diag), axis=1) & is_narrow(band)
+        diag = diagonal(t) + -xs[:, None]
+    lanes = np.all(np.isfinite(diag), axis=1) & is_narrow(band_of(t))
     values = np.zeros(xs.size)
     if lanes.any():
-        values[lanes] = lu_det_shifts(t, xs[lanes], band)
+        values[lanes] = lu_det_shifts(t, xs[lanes])
     out = values.tolist()
     for i in np.flatnonzero(~lanes):
-        out[i] = char_value(t, xs[i], policy, band)
+        out[i] = char_value(t, xs[i], policy)
     return out
 
 
@@ -162,15 +164,17 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
     ``grid_points`` or ``max_roots`` below 1, raises :class:`ValueError`.
 
     One :class:`Sections` of the spec is grown to the largest size; the
-    previous size is a view of its corner, so the oracle cost does not grow
-    with ``grid_points`` or the number of bisection steps.  The grid's
-    values come from one elimination whose lanes are the grid points
-    (``_grid_values``), which copies no section.  Each bisection step is
-    one :func:`char_value`, and each root's eigenvector one
-    :func:`eigenvector_for`; these, and the root's residual, work on a
-    copy of one of the two sections with the diagonal shifted.  Every one
-    of these is given the spec's band, when it declares a bandwidth, so
-    no kernel measures it.
+    previous size is read from its corner, so the oracle cost does not
+    grow with ``grid_points`` or the number of bisection steps.  The
+    grid's values come from one elimination whose lanes are the grid
+    points (``_grid_values``), which copies no section.  Each bisection
+    step is one :func:`char_value`, and each root's eigenvector one
+    :func:`eigenvector_for`; these work on a copy of one of the two
+    sections with the diagonal shifted, band rows for a spec that
+    declares a bandwidth, so no kernel measures its band and no
+    bisection step copies an n-by-n array.  A root's eigenvector is read
+    off the reduced array of one elimination, and its residual is one
+    product with the shifted section as an array.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -192,10 +196,10 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
     n_final = sizes[-1]
 
     sections = Sections(A)
-    top, band = sections(n_final), sections.band
+    top = sections(n_final)
 
     def f_at(size):
-        return lambda x: char_value(sections(size), x, policy, band)
+        return lambda x: char_value(sections(size), x, policy)
 
     def persists(root, a, b):
         """Whether the previous size has a root within the stability
@@ -211,14 +215,14 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
         return prev_root is not None and abs(prev_root - root) <= ROOT_STABILITY_TOL
 
     def eigenpair(root, stable, char_at=None):
-        vec = eigenvector_for(top, root, band)
-        vec_res = float(np.max(np.abs(_shifted(top, root) @ vec.data[:, 0])))
+        vec = eigenvector_for(top, root)
+        vec_res = float(np.max(np.abs(as_array(_shifted(top, root)) @ vec.data[:, 0])))
         char_residual = 0.0 if char_at is None else abs(char_at(root))
         return EigenPair(root, vec, char_residual, vec_res, stable)
 
     f = f_at(n_final)
     xs = np.linspace(lo, hi, grid_points)
-    fx = _grid_values(top, xs, policy, band)
+    fx = _grid_values(top, xs, policy)
 
     pairs: list[EigenPair] = []
     for t in range(len(xs) - 1):

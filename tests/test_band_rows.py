@@ -1,0 +1,145 @@
+"""Sections of specs that declare a bandwidth are band rows.
+
+A JSON ``banded`` or ``diag`` spec is filled one band at a time through
+its block oracle; the band rows, and the array built from them, hold the
+bits of the scalar path at every size, or raise its error.  No cell of
+such a section is evaluated by the scalar oracle, and ``det``, ``rank``
+and ``eig``'s grid on one keep no n-by-n array; ``eig`` keeps one at a
+time for a root.
+"""
+
+import tracemalloc
+
+import pytest
+from hypothesis import given, strategies as st
+
+from test_block_oracle import outcome, scalar
+
+from infmat import expr_dsl
+from infmat._dense import Band
+from infmat.determinant import det_infinite
+from infmat.errors import OracleValueError
+from infmat.expr_dsl import EvalError
+from infmat.inverse_solve import rank_of
+from infmat.matrix_core import Sections, TruncationSchedule, clip_extent, truncate
+from infmat.specio import matrix_from_obj
+from infmat.spectral import find_eigenvalues
+
+# plain formulas, signed zeros among them, and three that fail on some
+# cells: a domain error, a zero divisor and an overflow to inf
+FORMULAS = ["1/i", "0.25", "i - j", "(i + j)^0.5", "exp(-0.1*i)*j", "-0*i", "delta(i, 7)",
+            "if(i - 4, 1, -0.5)", "ln(i-3)", "1/(i-5)", "2^(150*i)"]
+EXTENTS = st.sampled_from(["inf", 1, 2, 5, 9, 20])
+
+
+@st.composite
+def banded_objs(draw):
+    """A JSON ``diag`` spec, or a ``banded`` one of bandwidth up to 3."""
+    rows = draw(EXTENTS)
+    if draw(st.booleans()):
+        return {"rows": rows, "cols": rows, "kind": "diag", "expr": draw(st.sampled_from(FORMULAS))}
+    offsets = draw(st.sets(st.integers(-3, 3), min_size=1))
+    return {"rows": rows, "cols": draw(EXTENTS), "kind": "banded",
+            "bands": {str(off): draw(st.sampled_from(FORMULAS)) for off in sorted(offsets)}}
+
+
+@given(banded_objs(), st.lists(st.integers(1, 24), min_size=1, max_size=6))
+def test_band_rows_hold_the_scalar_path_s_bits(obj, sizes):
+    spec = matrix_from_obj(obj)
+    assert spec.block is not None
+    twin = scalar(spec)
+    with_block, without = Sections(spec), Sections(twin)
+    for n in sizes:
+        m, k = clip_extent(spec.rows, n), clip_extent(spec.cols, n)
+        want = outcome(lambda: truncate(twin, m, k))
+        assert outcome(lambda: truncate(spec, m, k)) == want, n
+        assert outcome(lambda: with_block.array(n)) == want, n
+        assert outcome(lambda: without.array(n)) == want, n
+        assert outcome(lambda: with_block(n).cells) == outcome(lambda: without(n).cells), n
+        if want[0] == "ok":
+            rows = with_block(n)
+            w = spec.bandwidth
+            assert isinstance(rows, Band) and (rows.lower, rows.upper) == (w, w)
+            assert rows.shape == (m, k) and rows.cells.shape == (m, 2 * w + 1)
+
+
+@pytest.mark.parametrize("bands, error, index", [
+    ({"0": "2^(150*i)"}, OracleValueError, (7, 7)),  # 2^1050 is inf
+    ({"0": "1", "-1": "1/(i-5)"}, EvalError, None),
+    ({"1": "1", "-1": "ln(5-i)"}, EvalError, None)])
+def test_a_failing_cell_raises_what_the_scalar_path_raises(bands, error, index):
+    spec = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "banded", "bands": bands})
+    sections = Sections(spec)
+    small = sections(4).cells
+    for _ in range(2):
+        got = outcome(lambda: sections(8))
+        assert got == outcome(lambda: truncate(scalar(spec), 8, 8))
+        assert got[:2] == ("raised", error) and got[3] == index
+        # the store keeps what it held
+        assert sections(4).cells.tobytes() == small.tobytes()
+
+
+# banded-spectral's three families
+SPECTRAL = [{"rows": "inf", "cols": "inf", "kind": "diag", "expr": "0.1 + 0.9/i^1.2"},
+            {"rows": "inf", "cols": "inf", "kind": "banded",
+             "bands": {"-1": "0.2", "0": "0.1 + 0.9/i^1.2", "1": "0.2"}},
+            {"rows": "inf", "cols": "inf", "kind": "banded",
+             "bands": {"-2": "0.05", "-1": "0.2", "0": "0.1 + 0.9/i^1.2", "1": "0.2",
+                       "2": "0.05"}}]
+
+
+@pytest.mark.parametrize("obj", SPECTRAL, ids=["diag", "tri", "penta"])
+def test_section_fill_makes_no_scalar_evaluation(obj, monkeypatch):
+    calls = []
+    scalar_eval = expr_dsl.eval_ast
+    monkeypatch.setattr(expr_dsl, "eval_ast", lambda *a, **k: calls.append(a) or scalar_eval(*a, **k))
+    spec = matrix_from_obj(obj)
+    sections = Sections(spec)
+    for n in (8, 128, 1024):
+        sections(n)
+    truncate(spec, 40, 40)
+    assert calls == []
+    # the scalar oracle is still the one a point read takes
+    assert spec.entry(3, 3) == scalar_eval(expr_dsl.parse(obj.get("expr") or obj["bands"]["0"]),
+                                           i=3, j=3)
+    assert len(calls) == 1
+
+
+def peak_bytes(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+N = 1024
+SQUARE = 8 * N * N  # bytes of one n-by-n array
+
+
+@pytest.mark.parametrize("obj", SPECTRAL[1:], ids=["tri", "penta"])
+def test_det_rank_and_eig_at_1024_keep_no_square_array(obj):
+    spec = matrix_from_obj({**obj, "bands": {**obj["bands"], "0": "1 + 1/i"}})
+    schedule = TruncationSchedule(max_size=N)
+    peak, rep = peak_bytes(lambda: det_infinite(spec, schedule))
+    assert peak < SQUARE / 8 and rep.report.status == "undetermined"  # det ~ n grows
+    peak, rep = peak_bytes(lambda: rank_of(spec, schedule))
+    assert peak < SQUARE / 8 and rep.estimate == N
+    # no root in the interval: the grid alone
+    peak, pairs = peak_bytes(lambda: find_eigenvalues(spec, (5.0, 6.0), schedule, grid_points=16))
+    assert peak < SQUARE / 8 and pairs == []
+
+
+def test_eig_at_1024_keeps_one_square_array_at_a_time():
+    # a root's eigenvector is read off one reduced array and its residual is
+    # one product with the shifted section as an array, one after the
+    # other; the grid and the bisections keep none.  The root 1 is
+    # isolated, and the other diagonal entries, 2 + 1/i, keep the
+    # determinant far from underflow
+    spec = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "diag",
+                            "expr": "if(i-1, 2 + 1/i, 1)"})
+    peak, pairs = peak_bytes(lambda: find_eigenvalues(
+        spec, (0.9, 1.1), TruncationSchedule(max_size=N), grid_points=32))
+    assert [(p.lam, p.stable) for p in pairs] == [(1.0, True)]
+    assert peak < 1.25 * SQUARE

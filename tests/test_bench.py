@@ -94,6 +94,23 @@ def test_orth_and_mul_ways_give_the_same_values():
     assert bench.bits(rows[3][1]) == bench.bits(triple_loop_product(dense, dense))
 
 
+def test_band_fill_gives_the_scalar_cells():
+    rows = measured("truncation", bench.truncation_cases(sizes=(1, 5, 40)))
+    assert [(row["case"], row["way"]) for row, _ in rows] == [
+        (f"{name} band rows n={n}", way) for name in ("tridiagonal", "pentadiagonal")
+        for n in (1, 5, 40) for way in ("scalar", "band fill")]
+    for (scalar, want), (fill, got) in zip(rows[::2], rows[1::2]):
+        width = 3 if scalar["case"].startswith("tri") else 5
+        n = int(scalar["case"].split("=")[1])
+        assert got.shape == want.shape == (n, width) and fill["units"] == n * width
+        assert bench.bits(got) == bench.bits(want) and fill["bits"] == "identical"
+        assert fill["seconds"] > 0
+    # the cells inside the section hold the bands' values, the others 0.0
+    tri = rows[5][1]
+    assert tri[0, 0] == 0.0 and tri[-1, -1] == 0.0 and tri[1, 0] == 0.21
+    assert tri[0, 1] == 0.05 + 0.9
+
+
 def test_scalar_twin_of_every_timed_formula():
     names = []
     for name, obj in bench.formulas():
@@ -111,18 +128,20 @@ def test_scalar_twin_of_every_timed_formula():
 def test_main_reports_identical_values(capsys, monkeypatch):
     monkeypatch.setattr(bench, "layers", lambda: [
         ("oracle", bench.oracle_cases(sizes=(6,))),
+        ("truncation", bench.truncation_cases(sizes=(6,))),
         ("series", bench.series_cases(side=2, policy=ConvergencePolicy(max_terms=500))),
         ("kernel", bench.kernel_cases(sizes=(6,), grid=5))])
     assert bench.main() == 0
     lines = capsys.readouterr().out.splitlines()
-    # two ways per formula, term case and kernel case; three for A', two for mul
-    cases = len(list(bench.formulas())) + 1 + 2 * len(BANDS)
+    # two ways per formula, term case, banded spec and kernel case; three
+    # for A', two for mul
+    cases = len(list(bench.formulas())) + 1 + 2 + 2 * len(BANDS)
     ways = 2 * cases + 3 + 3 + 2
     assert len(lines) == 2 + ways
     body = lines[1:-1]
     assert [line.split()[0] for line in body] == (
-        ["oracle"] * (2 * (cases - 2 * len(BANDS)) + 5) + ["series"] * 3
-        + ["kernel"] * 4 * len(BANDS))
+        ["oracle"] * (2 * (cases - 2 - 2 * len(BANDS)) + 5) + ["truncation"] * 4
+        + ["series"] * 3 + ["kernel"] * 4 * len(BANDS))
     assert sum(line.split()[1] == "echelon" for line in body) == 2 * len(BANDS)
     assert all(line.endswith("identical") for line in body)
     record = json.loads(lines[-1])
@@ -131,7 +150,7 @@ def test_main_reports_identical_values(capsys, monkeypatch):
     assert {"layer", "case", "way", "seconds", "us_per_unit", "bits"} <= set(record["rows"][0])
 
 
-FORM = bench.echelon(bench.section(6, 1), 1e-10, (1, 1))
+FORM = bench.echelon(bench.band_rows(bench.section(6, 1), (1, 1)), 1e-10)
 
 
 @pytest.mark.parametrize("want, got", [

@@ -144,7 +144,7 @@ def test_fact_past_the_table_fills_by_block_as_the_scalar_value():
 
 def test_untaken_branch_is_never_evaluated():
     spec = expr_spec("if(i==j, 1, 1/(i-j))")
-    rows, cols = np.arange(1, 9), np.arange(1, 9)
+    rows, cols = np.arange(1, 9)[:, None], np.arange(1, 9)[None, :]
     assert spec.block(rows, cols) is not None
     assert_sections_agree(spec, [8, 16, 32])
     assert compile_block(parse("if(i==j, 1/(i-j), 2)"))(

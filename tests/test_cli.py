@@ -658,3 +658,35 @@ def test_mul_n_below_one_is_a_config_error(tmp_path, capsys, spec, n):
     assert code == 1
     assert json.loads(out)["error"] == {"code": "config-error",
                                         "message": f"--n must be >= 1, got {n}"}
+
+
+# a product whose rows (columns) past the probe hold 1 (or 1e307): entry
+# (9, 9) and its neighbours are undetermined at the term cap (or diverge)
+PAST_PROBE = "if(max(0, {}-8), {}, 0.5^(i+j))"
+
+
+@pytest.mark.parametrize("row_value, n, code, overall", [
+    ("1", 8, 0, "converged"), ("1", 10, 2, "partial"),
+    ("1e307", 8, 0, "converged"), ("1e307", 10, 1, "failed")])
+def test_mul_verdict_covers_every_shown_entry(tmp_path, capsys, row_value, n, code, overall):
+    paths = []
+    for name, index, value in (("a", "i", row_value), ("b", "j", "1")):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"rows": "inf", "cols": "inf", "kind": "expr",
+                                         "expr": PAST_PROBE.format(index, value)}))
+    got, out = run_main(capsys, "mul", *paths, "--n", n, "--max-terms", 2000, "--quiet")
+    result = json.loads(out)["result"]
+    assert (got, result["overall_status"]) == (code, overall)
+    assert len(result["matrix"]) == n and len(result["per_entry_reports"]) == 64
+
+
+def test_inv_of_an_overflowing_norm_warns_of_nothing(tmp_path, capsys):
+    # the norm of I - A overflows to inf; the error says so, with no numpy
+    # warning (an error under this suite's warning filter)
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"kind": "dense", "data": [[1e308, 1e308, 0],
+                                                          [1e308, -1e308, 0], [0, 0, 1]]}))
+    code, out = run_main(capsys, "inv", spec, "--quiet")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "precondition-error" and error["measured"] == "inf"

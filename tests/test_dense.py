@@ -1,5 +1,6 @@
-"""The windowed elimination kernels against a full dense sweep, and the
-Python-float sweep of narrow windows against the numpy one, bit for bit."""
+"""The windowed elimination kernels against a full dense sweep, the
+Python-float sweep of narrow windows against the numpy one, and each
+kernel fed band rows against the same kernel fed the array, bit for bit."""
 
 import math
 import tracemalloc
@@ -12,9 +13,11 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import sweep_echelon, sweep_gauss_solve, sweep_lu_det, sweep_null_vector
 
 from infmat import _dense
-from infmat._dense import (NARROW_WINDOW, echelon, gauss_solve, lu_det, lu_det_shifts,
-                           null_vector, rank_of_array)
-from infmat.errors import SingularSystemError
+from infmat._dense import (NARROW_WINDOW, Band, band_rows, echelon, gauss_solve, lu_det,
+                           lu_det_shifts, null_vector, pivot_norm, rank_of_array)
+from infmat.errors import InfmatError, SingularSystemError
+from infmat.series import ConvergencePolicy
+from infmat.spectral import char_value
 
 # exact zeros of both signs, ties and cancellations, tiny pivots
 VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0, 1e-12]),
@@ -77,8 +80,8 @@ def same_bits(x, y) -> bool:
 def test_lu_det_bit_identical_to_dense_sweep(a, wide):
     expected = sweep_lu_det(a)
     assert same_bits(lu_det(a), expected)
-    # a band passed wider than the true one
-    assert same_bits(lu_det(a, tuple(w + 1 for w in _dense._band(a))), expected)
+    # band rows wider than the true band
+    assert same_bits(lu_det(band_rows(a, tuple(w + 1 for w in _dense._band(a)))), expected)
     # the numpy path, through lu_det on a window too wide for the narrow one
     assert same_bits(lu_det(wide), sweep_lu_det(wide))
 
@@ -110,7 +113,8 @@ NARROW_SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0, 1e-12])
 @st.composite
 def narrow_cases(draw):
     """A banded array of up to 40 rows and columns, with bl and bu at most 3,
-    and the band passed for it: None (measured), the true one, or wider."""
+    and the band of its band rows: None (the array itself, its band
+    measured), the true one, or wider."""
     rows = draw(st.integers(1, 40))
     cols = rows if draw(st.booleans()) else draw(st.integers(1, 40))
     bl, bu = draw(st.integers(0, 3)), draw(st.integers(0, 3))
@@ -133,21 +137,28 @@ def numpy_sweep_echelon(a, tol, band=None):
     return _dense._sweep(a, tol)[:2]
 
 
+def given_band(a, band):
+    """``a`` as the kernels are fed it: the array for None, else band rows."""
+    return a if band is None else band_rows(a, band)
+
+
 @settings(max_examples=300)
 @given(narrow_cases(), PIVOT_TOLS)
 def test_python_float_sweep_bit_identical_to_numpy_sweep(case, tol):
     a, band = case
+    fed = given_band(a, band)
     ref_u, ref_pivots, ref_sign = _dense._sweep(a, tol)
     # the Python-float sweep on the window echelon chooses, narrow or not
-    window = _dense._sweep_window(a, band)
-    rows, start, pivots, sign = _dense._sweep_rows(a, tol, window)
+    window = _dense._sweep_window(fed)
+    rows, start, pivots, sign = _dense._sweep_rows(fed, tol, window)
     assert (pivots, sign) == (ref_pivots, ref_sign)
     assert np.array_equal(_dense._reduced(rows, start, a.shape).view(np.int64),
                           ref_u.view(np.int64))
-    u, pivots = echelon(a, tol, band)
+    u, pivots = echelon(fed, tol)
     assert pivots == ref_pivots
     assert np.array_equal(u.view(np.int64), ref_u.view(np.int64))
-    v = null_vector(a, tol, band)
+    assert rank_of_array(fed, tol) == len(ref_pivots)
+    v = null_vector(fed, tol)
     with mock.patch.object(_dense, "echelon", numpy_sweep_echelon):
         ref = null_vector(a, tol)
     assert (v is None) == (ref is None)
@@ -157,7 +168,7 @@ def test_python_float_sweep_bit_identical_to_numpy_sweep(case, tol):
         det_u, det_pivots, det_sign = _dense._sweep(a, 0.0)
         want = (det_sign * np.float64(math.prod(np.diag(det_u)))
                 if len(det_pivots) == a.shape[0] else 0.0)
-        assert np.float64(lu_det(a, band)).view(np.int64) == np.float64(want).view(np.int64)
+        assert np.float64(lu_det(fed)).view(np.int64) == np.float64(want).view(np.int64)
 
 
 def test_tridiagonal_fill_stays_in_window():
@@ -235,6 +246,15 @@ def lu_dets_of_copies(t, shifts):
     return np.array(want, dtype=float)
 
 
+def value_or_error(run):
+    """The bits of ``run()``, or the class and message of the library error
+    it raised (a shift whose diagonal overflows)."""
+    try:
+        return int(np.float64(run()).view(np.int64))
+    except InfmatError as exc:
+        return type(exc), str(exc)
+
+
 @settings(max_examples=120)
 @given(shifted_sections())
 def test_lu_det_shifts_bit_identical_to_lu_det(case):
@@ -262,3 +282,53 @@ def test_rank_of_a_tridiagonal_section_builds_no_reduced_array():
         tracemalloc.stop()
     assert peak < 2 ** 20  # the reduced array alone takes 8 MB
     assert rank == len(echelon(a, 1e-10)[1]) == n - 1
+
+
+@settings(max_examples=150)
+@given(narrow_cases(), PIVOT_TOLS)
+def test_band_rows_give_the_array_s_values(case, tol):
+    a, band = case
+    band = band or _dense._band(a)
+    rows = band_rows(a, band)
+    assert isinstance(rows, Band) and rows.shape == a.shape
+    # a -0.0 outside the band is a zero that band rows do not hold
+    i, j = np.indices(a.shape)
+    held = np.where((j - i <= band[1]) & (i - j <= band[0]), a, 0.0)
+    assert same_bits(rows.array(), held)
+    if a.shape[0] == a.shape[1]:
+        assert same_bits(lu_det(rows), lu_det(a))
+    assert rank_of_array(rows, tol) == rank_of_array(a, tol)
+    v, want = null_vector(rows, tol), null_vector(a, tol)
+    assert (v is None) == (want is None)
+    if v is not None:
+        assert same_bits(v, want)
+    # a window wider or narrower than the rows' own band, down to the true one
+    wider = _dense._cells(rows, band[0] + 2, band[1] + 1)
+    assert same_bits(wider, _dense._band_cells(held, band[0] + 2, band[1] + 1))
+    true = _dense._band(a)
+    assert same_bits(_dense._cells(rows, *true), _dense._band_cells(held, *true))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shifted_sections())
+def test_shifts_of_band_rows_give_the_array_s_values(case):
+    # within the measured band: a wider one may turn an overflowed x - inf*0
+    # into NaN where the array's sweep leaves x
+    t, shifts = case
+    rows = band_rows(t)
+    assert same_bits(lu_det_shifts(rows, shifts), lu_det_shifts(t, shifts))
+    policy = ConvergencePolicy()
+    for x in shifts:
+        assert (value_or_error(lambda: char_value(rows, x, policy))
+                == value_or_error(lambda: char_value(t, x, policy)))
+
+
+def test_pivot_norm_of_band_rows_sums_the_band():
+    # a sum of three terms in another order than numpy's pairwise sum over
+    # the whole row: the two differ by at most two rounding errors
+    rng = np.random.default_rng(5)
+    n = 300
+    a = (np.diag(rng.uniform(-1, 1, n)) + np.diag(rng.uniform(-1, 1, n - 1), 1)
+         + np.diag(rng.uniform(-1, 1, n - 2), -2))
+    got, want = pivot_norm(band_rows(a, (2, 1))), pivot_norm(a)
+    assert got == pytest.approx(want, rel=2 * np.finfo(float).eps, abs=0.0)

@@ -126,7 +126,7 @@ def test_sections_match_truncate_bit_for_bit(spec, sizes):
         return truncate(spec, clip_extent(spec.rows, n), clip_extent(spec.cols, n)).data
 
     for n in sizes:
-        assert _outcome(sections, n) == _outcome(fresh, n)
+        assert _outcome(sections.array, n) == _outcome(fresh, n)
 
 
 def test_sections_name_the_cell_truncate_names_and_stay_usable():

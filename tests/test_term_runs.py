@@ -387,9 +387,8 @@ def counted(spec):
     block = spec.block
 
     def counted_block(rows, cols):
-        for i in rows.tolist():
-            for j in cols.tolist():
-                block_counts[(i, j)] = block_counts.get((i, j), 0) + 1
+        for i, j in np.broadcast(rows, cols):
+            block_counts[(int(i), int(j))] = block_counts.get((int(i), int(j)), 0) + 1
         return block(rows, cols)
 
     return (dataclasses.replace(spec, entry=entry, block=counted_block),
