@@ -23,7 +23,10 @@ pivot).
 * truncation: the band rows of a tridiagonal and a pentadiagonal JSON
   ``banded`` spec, with bands as banded-spectral draws them, at n = 128
   and 1024, filled cell by cell through the scalar oracle and one band at
-  a time through the block oracle (``Sections``).
+  a time through the block oracle (``Sections``); and the sections of the
+  first two formulas of :func:`formulas` (an ``expr`` and a
+  ``finite-support`` spec), grown through one ``Sections`` along n = 8,
+  16, ..., 512, cell by cell and as blocks.
 * series: the 64 probe series of that product at ``max_terms=4096``, their
   terms read into a table first, so the stopping rule and its feeding are
   timed, not the oracle: summed one at a time on plain floats, each as a
@@ -43,6 +46,7 @@ exits with status 1 if any way differs from its reference.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import subprocess
@@ -181,6 +185,22 @@ def truncation_cases(sizes=(128, 1024)):
                 ("band fill", lambda: Sections(spec)(n).cells)]
 
 
+def grown(spec, steps):
+    """The last section of one ``Sections`` of ``spec`` grown along ``steps``."""
+    sections = Sections(spec)
+    for n in steps:
+        section = sections(n)
+    return section
+
+
+def growth_cases(steps=(8, 16, 32, 64, 128, 256, 512)):
+    for name, obj in itertools.islice(formulas(), 2):
+        spec = matrix_from_obj(obj)
+        scalar = scalar_twin(spec)
+        yield f"{name} n={steps[0]}..{steps[-1]}", "cell", np.size, [
+            ("scalar", lambda: grown(scalar, steps)), ("block fill", lambda: grown(spec, steps))]
+
+
 def series_cases(side=8, policy=ConvergencePolicy(max_terms=4096)):
     A, B = mul_factors()
     probe = range(1, side + 1)
@@ -234,7 +254,8 @@ def kernel_cases(sizes=(128, 512, 1024), bands=(0, 1, 2), grid=64):
 
 def layers():
     return [("oracle", oracle_cases()), ("truncation", truncation_cases()),
-            ("series", series_cases()), ("kernel", kernel_cases())]
+            ("truncation", growth_cases()), ("series", series_cases()),
+            ("kernel", kernel_cases())]
 
 
 def measure(layers, repeat=REPEAT):

@@ -19,8 +19,10 @@ nonzero only in the ``bl`` rows below the pivot and the pivot row only up
 to ``bl + bu`` columns right of the pivot column.  Every update left out
 is ``x - f*0`` or ``x - 0*y``, so pivots, signs and returned values are
 bit-identical to the full dense sweep, for any band at least as wide as
-the true one; for dense input the window is the whole matrix.  An update
-of that kind can only turn a ``-0.0`` into ``+0.0``, so a sweep that
+the true one, while no multiplier or update overflows: ``x - inf*0`` is
+NaN, so past an overflow the window can give ±inf where the full sweep
+gives NaN.  For dense input the window is the whole matrix.  A finite
+update can only turn a ``-0.0`` into ``+0.0``, so a sweep that
 returns its reduced array runs densely when a cell of the band (every
 cell, for a measured band) holds a negative zero; a determinant does not
 depend on the signs of zeros, so ``lu_det`` skips that check.

@@ -144,9 +144,13 @@ def cauchy_binet(A: DenseMatrix, B: DenseMatrix) -> float:
         warnings.warn("more rows than columns: det(AB) = 0 by rank deficiency",
                       stacklevel=2)
         return 0.0
-    a, b = A.data, B.data
+    return _minor_sum(A.data, B.data, combinations(range(n), m))
+
+
+def _minor_sum(a: np.ndarray, b: np.ndarray, selections) -> float:
+    """Sum from 0.0, in order, of det a[:, sel] * det b[sel, :] over ``selections``."""
     total = 0.0
-    for sel in combinations(range(n), m):
+    for sel in selections:
         cols = list(sel)
         total += lu_det(a[:, cols]) * lu_det(b[cols, :])
     return total
@@ -201,11 +205,7 @@ def cauchy_binet_infinite(A: MatrixSpec, B: MatrixSpec,
         a, b = a_sections.array(t), b_sections.array(t)
         if m == 1:
             return float(a[0, t - 1] * b[t - 1, 0])
-        total = 0.0
-        for head in combinations(range(t - 1), m - 1):
-            sel = list(head) + [t - 1]
-            total += lu_det(a[:, sel]) * lu_det(b[sel, :])
-        return total
+        return _minor_sum(a, b, (head + (t - 1,) for head in combinations(range(t - 1), m - 1)))
 
     capped = ConvergencePolicy(tol=policy.tol, window=policy.window,
                                max_terms=min(policy.max_terms, cap - m + 1))

@@ -10,7 +10,10 @@ as a :class:`DenseMatrix`, or :class:`Sections`, which grows one section
 along a limit's schedule and hands out read-only views of it, the one
 store of sections for every truncation limit: band rows
 (:class:`~infmat._dense.Band`) for a spec that declares a bandwidth, so
-that no banded section is ever held as an n-by-n array, else arrays;
+that no banded section is ever held as an n-by-n array, else arrays.
+Both grow by one fill of the new cells inside the declared pattern: through
+the block oracle, a band or a rectangle at a time, or, when it declines
+one, row by row through the scalar oracle, whose error names the bad cell.
 :class:`Lines` grows the leading entries of single rows or columns for
 series along an infinite index.
 
@@ -116,10 +119,10 @@ class MatrixSpec:
     ``(rows, cols)`` (any array that broadcasts to their common shape),
     bit for bit, or to ``None`` when those cells must be evaluated one by
     one through ``entry``.  It is only asked for cells inside the declared
-    pattern: by :class:`Sections` and :func:`truncate` for a rectangle
-    (``rows[:, None]``, ``cols[None, :]``) of an ``EXPR`` or
-    ``FINITE_SUPPORT`` spec or one band ``(i, i + d)`` of a ``BANDED``
-    one, and by ``EXPR`` :class:`Lines` for a rectangle.
+    pattern: by the one section fill (:class:`Sections`, :func:`truncate`)
+    for a section's new cells, one band ``(i, i + d)`` of a ``BANDED`` spec
+    or one rectangle (``rows[:, None]``, ``cols[None, :]``) of another at a
+    time, until it declines one; by ``EXPR`` :class:`Lines` for a rectangle.
     """
 
     rows: Extent
@@ -270,83 +273,53 @@ def _block_values(M: MatrixSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
     return values if np.all(np.isfinite(values)) else None
 
 
-def _fill_blocks(M: MatrixSpec, out: np.ndarray, km: int, kn: int) -> bool:
-    """Fill the cells of ``out`` outside its known km-by-kn corner and
-    inside the declared pattern through ``M.block``: the strip right of
-    the corner, then the rows below it.  False when a rectangle has no
-    :func:`_block_values`."""
-    m, n = out.shape
-    if M.support is not None:
-        m, n = min(m, M.support[0]), min(n, M.support[1])
-    for r0, r1, c0 in ((0, min(km, m), kn), (km, m, 0)):
-        if r1 <= r0 or n <= c0:
-            continue
-        values = _block_values(M, np.arange(r0 + 1, r1 + 1)[:, None],
-                               np.arange(c0 + 1, n + 1)[None, :])
-        if values is None:
-            return False
-        out[r0:r1, c0:n] = values
-    return True
-
-
-def _fill_bands(M: MatrixSpec, out: np.ndarray, km: int, kk: int, k: int) -> bool:
-    """Fill the band rows ``out`` of ``M``'s m-by-k section outside the
-    known km-by-kk corner through ``M.block``, one band ``(i, i + d)`` at a
-    time.  False when a band has no :func:`_block_values`."""
-    m, width = out.shape
-    w = width // 2
-    for c in range(width):
-        d = c - w
-        # 0-based rows whose cell (i, i + d) is in the section and new
-        i0, i1 = max(0, -d, min(km, kk - d)), min(m, k - d)
-        if i1 <= i0:
-            continue
-        rows = np.arange(i0 + 1, i1 + 1)
-        values = _block_values(M, rows, rows + d)
-        if values is None:
-            return False
-        out[i0:i1, c] = values
-    return True
-
-
-def _grow(M: MatrixSpec, known: np.ndarray, m: int, n: int) -> np.ndarray:
-    """``M``'s top-left m-by-n section, for a spec with no bandwidth;
-    evaluates only the cells outside the ``known`` corner, inside the
-    declared nonzero pattern: as blocks when ``M`` has a block oracle that
-    accepts them, else row by row."""
-    out = np.zeros((m, n))
-    km, kn = known.shape
-    out[:km, :kn] = known
-    if M.block is not None and _fill_blocks(M, out, km, kn):
-        return out
-    for i in range(1, m + 1):
-        lo, hi = M.row_support(i) or (1, n)
-        if i <= km:
-            lo = max(lo, kn + 1)
-        for j in range(lo, min(hi, n) + 1):
-            out[i - 1, j - 1] = _checked(M.entry(i, j), i, j)
-    return out
-
-
-def _grow_band(M: MatrixSpec, known: np.ndarray, kk: int, m: int, k: int) -> np.ndarray:
-    """The band rows of ``M``'s top-left m-by-k section, for a spec of
-    bandwidth w: row i holds columns i - w .. i + w, 0.0 outside the
-    section.  ``known`` holds those of the km-by-kk corner, and only the
-    cells outside it are evaluated: one band at a time when ``M`` has a
-    block oracle that gives them all, finite, else row by row, the cells
-    and the order of :func:`_grow`."""
+def _pieces(M: MatrixSpec, km: int, kk: int, m: int, k: int):
+    """The new cells of ``M``'s m-by-k section, outside the known km-by-kk
+    corner and inside the pattern, as pieces ``(rows, cols, place)``: index
+    arrays and their place in :func:`_grow`'s store.  One band ``(i, i + d)``
+    each, or the strip right of the corner and the rows below it, clipped."""
     w = M.bandwidth
-    km = known.shape[0]
-    out = np.zeros((m, 2 * w + 1))
-    out[:km] = known
-    if M.block is not None and _fill_bands(M, out, km, kk, k):
-        return out
+    if w is not None:
+        for d in range(-w, w + 1):
+            # 0-based rows whose cell (i, i + d) is in the section and new
+            i0, i1 = max(0, -d, min(km, kk - d)), min(m, k - d)
+            if i0 < i1:
+                rows = np.arange(i0 + 1, i1 + 1)
+                yield rows, rows + d, (slice(i0, i1), d + w)
+        return
+    if M.support is not None:
+        m, k = min(m, M.support[0]), min(k, M.support[1])
+    for r0, r1, c0 in ((0, min(km, m), kk), (km, m, 0)):
+        if r0 < r1 and c0 < k:
+            yield (np.arange(r0 + 1, r1 + 1)[:, None], np.arange(c0 + 1, k + 1)[None, :],
+                   (slice(r0, r1), slice(c0, k)))
+
+
+def _grow(M: MatrixSpec, known: np.ndarray, kk: int, m: int, k: int) -> np.ndarray:
+    """``M``'s m-by-k section in the spec's store: band rows (row i holds
+    columns i - w .. i + w, 0.0 outside the section) for a bandwidth w, else
+    an array.  Only the cells outside ``known``, the km-by-kk corner's store,
+    are evaluated: by :func:`_pieces` if the block oracle gives each finite,
+    else row by row through ``entry``, which raises on the first bad cell."""
+    w, km = M.bandwidth, known.shape[0]
+    out = np.zeros((m, k if w is None else 2 * w + 1))
+    out[:km, :known.shape[1]] = known
+    if M.block is not None:
+        for rows, cols, place in _pieces(M, km, kk, m, k):
+            values = _block_values(M, rows, cols)
+            if values is None:
+                break
+            out[place] = values
+        else:
+            return out
+    entry, support = M.entry, M.row_support
     for i in range(1, m + 1):
-        lo, hi = max(1, i - w), min(k, i + w)
+        lo, hi = support(i) or (1, k)
         if i <= km:
             lo = max(lo, kk + 1)
-        for j in range(lo, hi + 1):
-            out[i - 1, j - i + w] = _checked(M.entry(i, j), i, j)
+        row, at = out[i - 1], 1 if w is None else i - w  # row[0] holds column at
+        for j in range(lo, min(hi, k) + 1):
+            row[j - at] = _checked(entry(i, j), i, j)
     return out
 
 
@@ -364,10 +337,8 @@ def truncate(M: MatrixSpec, m: int, n: int) -> DenseMatrix:
     if is_finite_extent(M.cols) and n > M.cols:
         raise ExtentMismatchError(f"requested {n} cols from extent {M.cols}")
     w = M.bandwidth
-    if w is None:
-        return DenseMatrix(_grow(M, np.zeros((0, 0)), m, n))
-    return DenseMatrix(Band(_grow_band(M, np.zeros((0, 2 * w + 1)), 0, m, n), w, w,
-                            (m, n)).array())
+    cells = _grow(M, np.zeros((0, 0 if w is None else 2 * w + 1)), 0, m, n)
+    return DenseMatrix(cells if w is None else Band(cells, w, w, (m, n)).array())
 
 
 class Sections:
@@ -396,8 +367,7 @@ class Sections:
         M, w = self._M, self._M.bandwidth
         m, k = clip_extent(M.rows, n), clip_extent(M.cols, n)
         if m > self._known.shape[0] or k > self._cols:  # both rise with n
-            self._known = (_grow(M, self._known, m, k) if w is None
-                           else _grow_band(M, self._known, self._cols, m, k))
+            self._known = _grow(M, self._known, self._cols, m, k)
             self._cols = k
             self._known.setflags(write=False)
         if w is None:

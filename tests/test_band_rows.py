@@ -1,15 +1,21 @@
-"""Sections of specs that declare a bandwidth are band rows.
+"""Sections of every store are filled by one grower, bit for bit with the
+scalar path.
 
-A JSON ``banded`` or ``diag`` spec is filled one band at a time through
-its block oracle; the band rows, and the array built from them, hold the
-bits of the scalar path at every size, or raise its error.  No cell of
-such a section is evaluated by the scalar oracle, and ``det``, ``rank``
-and ``eig``'s grid on one keep no n-by-n array; ``eig`` keeps one at a
-time for a root.
+A spec that declares a bandwidth keeps its sections as band rows, any
+other as an array; both grow through ``matrix_core._grow``, one block per
+piece (a band, or a rectangle) through the block oracle, and back to the
+scalar loop when a piece declines.  The store, and the array built from
+it, hold the bits of the scalar path at every size, or raise its error.
+No cell of a JSON ``banded`` or ``diag`` section is evaluated by the
+scalar oracle, and ``det``, ``rank`` and ``eig``'s grid on one keep no
+n-by-n array; ``eig`` keeps one at a time for a root.
 """
 
+import dataclasses
 import tracemalloc
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,34 +39,54 @@ EXTENTS = st.sampled_from(["inf", 1, 2, 5, 9, 20])
 
 
 @st.composite
-def banded_objs(draw):
-    """A JSON ``diag`` spec, or a ``banded`` one of bandwidth up to 3."""
-    rows = draw(EXTENTS)
-    if draw(st.booleans()):
-        return {"rows": rows, "cols": rows, "kind": "diag", "expr": draw(st.sampled_from(FORMULAS))}
-    offsets = draw(st.sets(st.integers(-3, 3), min_size=1))
-    return {"rows": rows, "cols": draw(EXTENTS), "kind": "banded",
-            "bands": {str(off): draw(st.sampled_from(FORMULAS)) for off in sorted(offsets)}}
+def section_objs(draw):
+    """A JSON ``diag`` spec, a ``banded`` one of bandwidth up to 3, an
+    ``expr`` one or a ``finite-support`` one."""
+    rows, cols = draw(EXTENTS), draw(EXTENTS)
+    kind = draw(st.sampled_from(["diag", "banded", "expr", "finite-support"]))
+    if kind == "banded":
+        offsets = draw(st.sets(st.integers(-3, 3), min_size=1))
+        return {"rows": rows, "cols": cols, "kind": kind,
+                "bands": {str(off): draw(st.sampled_from(FORMULAS)) for off in sorted(offsets)}}
+    obj = {"rows": rows, "cols": rows if kind == "diag" else cols, "kind": kind,
+           "expr": draw(st.sampled_from(FORMULAS))}
+    if kind == "finite-support":
+        obj["support"] = {"rows": draw(st.integers(1, 12)), "cols": draw(st.integers(1, 12))}
+    return obj
 
 
-@given(banded_objs(), st.lists(st.integers(1, 24), min_size=1, max_size=6))
+def store(section):
+    """The cells a section holds: its band rows, or the array itself."""
+    return section.cells if isinstance(section, Band) else section
+
+
+@given(section_objs(), st.lists(st.integers(1, 24), min_size=1, max_size=6))
 def test_band_rows_hold_the_scalar_path_s_bits(obj, sizes):
     spec = matrix_from_obj(obj)
     assert spec.block is not None
     twin = scalar(spec)
-    with_block, without = Sections(spec), Sections(twin)
+    counts = Counter()
+    with_block = Sections(spec)
+    without = Sections(scalar(dataclasses.replace(
+        spec, entry=lambda i, j: counts.update([(i, j)]) or spec.entry(i, j))))
+    raised = False
     for n in sizes:
         m, k = clip_extent(spec.rows, n), clip_extent(spec.cols, n)
         want = outcome(lambda: truncate(twin, m, k))
         assert outcome(lambda: truncate(spec, m, k)) == want, n
         assert outcome(lambda: with_block.array(n)) == want, n
         assert outcome(lambda: without.array(n)) == want, n
-        assert outcome(lambda: with_block(n).cells) == outcome(lambda: without(n).cells), n
+        assert outcome(lambda: store(with_block(n))) == outcome(lambda: store(without(n))), n
+        raised |= want[0] == "raised"
         if want[0] == "ok":
-            rows = with_block(n)
-            w = spec.bandwidth
-            assert isinstance(rows, Band) and (rows.lower, rows.upper) == (w, w)
-            assert rows.shape == (m, k) and rows.cells.shape == (m, 2 * w + 1)
+            section, w = with_block(n), spec.bandwidth
+            if w is None:
+                assert isinstance(section, np.ndarray) and section.shape == (m, k)
+            else:
+                assert isinstance(section, Band) and (section.lower, section.upper) == (w, w)
+                assert section.shape == (m, k) and section.cells.shape == (m, 2 * w + 1)
+    # a store that never failed to grow evaluated no cell twice
+    assert raised or max(counts.values(), default=0) <= 1
 
 
 @pytest.mark.parametrize("bands, error, index", [
@@ -77,6 +103,34 @@ def test_a_failing_cell_raises_what_the_scalar_path_raises(bands, error, index):
         assert got[:2] == ("raised", error) and got[3] == index
         # the store keeps what it held
         assert sections(4).cells.tobytes() == small.tobytes()
+
+
+@pytest.mark.parametrize("obj, pieces", [
+    # the strip right of the known corner fills; the rows below it hold the
+    # zero divisor of row 9
+    ({"kind": "expr", "expr": "1/(i-9)"}, [((1, 8), (9, 16), True), ((9, 16), (1, 16), False)]),
+    # bands -1 and 0 fill; band 1 holds it at (9, 10)
+    ({"kind": "banded", "bands": {"0": "1", "1": "1/(i-9)"}},
+     [((9, 16), (8, 15), True), ((9, 16), (9, 16), True), ((8, 15), (9, 16), False)]),
+], ids=["expr", "banded"])
+def test_a_piece_that_declines_after_one_that_filled_takes_the_scalar_path(obj, pieces):
+    spec = matrix_from_obj({"rows": "inf", "cols": "inf", **obj})
+    asked = []
+
+    def block(rows, cols):
+        values = spec.block(rows, cols)
+        asked.append(((rows.min(), rows.max()), (cols.min(), cols.max()),
+                      values is not None and bool(np.all(np.isfinite(values)))))
+        return values
+
+    sections = Sections(dataclasses.replace(spec, block=block))
+    small = store(sections(8)).copy()
+    asked.clear()
+    got = outcome(lambda: sections(16))
+    assert asked == pieces
+    assert got == outcome(lambda: truncate(scalar(spec), 16, 16))
+    assert got[:2] == ("raised", EvalError)
+    assert store(sections(8)).tobytes() == small.tobytes()
 
 
 # banded-spectral's three families

@@ -111,6 +111,21 @@ def test_band_fill_gives_the_scalar_cells():
     assert tri[0, 1] == 0.05 + 0.9
 
 
+def test_block_fill_grows_the_scalar_sections():
+    rows = measured("truncation", bench.growth_cases(steps=(1, 3, 8, 20)))
+    assert [(row["case"], row["way"]) for row, _ in rows] == [
+        (f"{name} n=1..20", way) for name in ("golden DENSE_EXPR", "finite-support 384x384")
+        for way in ("scalar", "block fill")]
+    for (scalar, want), (fill, got) in zip(rows[::2], rows[1::2]):
+        assert got.shape == want.shape == (20, 20) and fill["units"] == 400
+        assert bench.bits(got) == bench.bits(want) and fill["bits"] == "identical"
+        assert fill["seconds"] > 0
+    # the grown section is the one truncate fills at once
+    golden = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "expr",
+                              "expr": bench.DENSE_EXPR})
+    assert bench.bits(rows[1][1]) == bench.bits(truncate(golden, 20, 20).data)
+
+
 def test_scalar_twin_of_every_timed_formula():
     names = []
     for name, obj in bench.formulas():
@@ -129,18 +144,19 @@ def test_main_reports_identical_values(capsys, monkeypatch):
     monkeypatch.setattr(bench, "layers", lambda: [
         ("oracle", bench.oracle_cases(sizes=(6,))),
         ("truncation", bench.truncation_cases(sizes=(6,))),
+        ("truncation", bench.growth_cases(steps=(2, 6))),
         ("series", bench.series_cases(side=2, policy=ConvergencePolicy(max_terms=500))),
         ("kernel", bench.kernel_cases(sizes=(6,), grid=5))])
     assert bench.main() == 0
     lines = capsys.readouterr().out.splitlines()
-    # two ways per formula, term case, banded spec and kernel case; three
-    # for A', two for mul
-    cases = len(list(bench.formulas())) + 1 + 2 + 2 * len(BANDS)
+    # two ways per formula, term case, banded spec, grown spec and kernel
+    # case; three for A', two for mul
+    cases = len(list(bench.formulas())) + 1 + 2 + 2 + 2 * len(BANDS)
     ways = 2 * cases + 3 + 3 + 2
     assert len(lines) == 2 + ways
     body = lines[1:-1]
     assert [line.split()[0] for line in body] == (
-        ["oracle"] * (2 * (cases - 2 - 2 * len(BANDS)) + 5) + ["truncation"] * 4
+        ["oracle"] * (2 * (cases - 4 - 2 * len(BANDS)) + 5) + ["truncation"] * 8
         + ["series"] * 3 + ["kernel"] * 4 * len(BANDS))
     assert sum(line.split()[1] == "echelon" for line in body) == 2 * len(BANDS)
     assert all(line.endswith("identical") for line in body)

@@ -457,9 +457,9 @@ def test_finite_spec_is_one_exact_section(run, monkeypatch):
     grown = []
     grow = core._grow
 
-    def recording(M, known, m, n):
+    def recording(M, known, kk, m, n):
         grown.append((known.shape, m, n))
-        return grow(M, known, m, n)
+        return grow(M, known, kk, m, n)
 
     monkeypatch.setattr(core, "_grow", recording)
     A, counts = finite_contraction()
