@@ -2,11 +2,12 @@
 """Layer timing: each faster way of a layer against the way it must
 match bit for bit.
 
-Every case of a layer is computed by two or three ways; the first is the
-reference, and each way's result must have its bits.  A line gives the
-fastest of ``REPEAT`` runs, in seconds and in microseconds per unit of
-the result (a cell, a term, a step of the stopping rule, a value, a
-pivot).
+Every case of a layer is computed by one, two or three ways; the first
+is the reference, and each way's result must have its bits.  A line gives
+the fastest of ``REPEAT`` runs, in seconds and in microseconds per unit
+of the result (a cell, a term, a step of the stopping rule, a value, a
+pivot), and is marked ``noisy`` when a run lies more than 10% from the
+median of the runs.
 
 * oracle: the top-left section, up to 256² and 512², of each formula of
   :func:`formulas`, filled cell by cell through the scalar oracle and as
@@ -36,7 +37,9 @@ pivot).
   of characteristic values, as a loop of ``char_value`` and as one batched
   ``_grid_values``, both fed band rows; and ``rank``'s echelon form, by
   the numpy sweep ``_sweep`` on the array and by ``echelon`` fed band
-  rows.
+  rows.  And the log-series determinant of the section of the golden
+  ``DENSE_EXPR`` at n = 128, 256, 512 and 1024, in µs per term of the
+  series: one way, as no second way of the series gives its bits.
 
 The last line is one JSON object: the checkout's revision, the machine
 facts of ``perfbench/run.py``, numpy's version and every row.  The script
@@ -48,7 +51,7 @@ exits with status 1 if any way differs from its reference.
 import dataclasses
 import itertools
 import json
-import math
+import statistics
 import subprocess
 import sys
 import time
@@ -63,6 +66,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from infmat._dense import _sweep, band_rows, echelon, norm_inf, product_ascending  # noqa: E402
 from infmat.algebra import PROBE_SIDE, _line_product, matmul  # noqa: E402
 from infmat.bases_orth import orthogonalize  # noqa: E402
+from infmat.determinant import det_log_series  # noqa: E402
 from infmat.inverse_solve import RANK_PIVOT_SCALE  # noqa: E402
 from infmat.matrix_core import (DenseMatrix, Lines, MatrixSpec, Sections,  # noqa: E402
                                 clip_extent, truncate)
@@ -83,14 +87,14 @@ TRI_BANDS = {"-1": "0.21", "0": "0.05 + 0.9/i^1.2", "1": "0.21"}
 PENTA_BANDS = {**TRI_BANDS, "-2": "0.06", "2": "0.06"}
 
 
-def fastest(run, repeat=REPEAT):
-    """The fastest of ``repeat`` runs of ``run()``, and its last result."""
-    best = math.inf
+def timed(run, repeat=REPEAT):
+    """The seconds of each of ``repeat`` runs of ``run()``, and its last result."""
+    seconds = []
     for _ in range(repeat):
         start = time.perf_counter()
         result = run()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        seconds.append(time.perf_counter() - start)
+    return seconds, result
 
 
 def bits(x):
@@ -252,10 +256,18 @@ def kernel_cases(sizes=(128, 512, 1024), bands=(0, 1, 2), grid=64):
                 ("band sweep", lambda: echelon(rows, tol))]
 
 
+def log_series_cases(sizes=(128, 256, 512, 1024)):
+    golden = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "expr", "expr": DENSE_EXPR})
+    for n in sizes:
+        section = truncate(golden, n, n)
+        yield f"log-series det n={n}", "term", lambda rep: rep.log_terms_used, [
+            ("paired powers", lambda: det_log_series(section))]
+
+
 def layers():
     return [("oracle", oracle_cases()), ("truncation", truncation_cases()),
             ("truncation", growth_cases()), ("series", series_cases()),
-            ("kernel", kernel_cases())]
+            ("kernel", kernel_cases()), ("kernel", log_series_cases())]
 
 
 def measure(layers, repeat=REPEAT):
@@ -270,11 +282,13 @@ def measure(layers, repeat=REPEAT):
         for case, unit, count, ways in cases:
             want = None
             for way, run in ways:
-                seconds, result = fastest(run, repeat)
+                runs, result = timed(run, repeat)
+                seconds, middle = min(runs), statistics.median(runs)
                 got, units = bits(result), count(result)
                 want = got if want is None else want
                 yield {"layer": layer, "case": case, "way": way, "units": units, "unit": unit,
                        "seconds": seconds, "us_per_unit": 1e6 * seconds / units,
+                       "noisy": any(abs(t - middle) > 0.1 * middle for t in runs),
                        "bits": "identical" if got == want else "DIFFER"}, result
 
 
@@ -290,13 +304,13 @@ def revision():
 
 def main():
     print(f"{'layer':<10} {'case':<34} {'way':<13} {'units':>13} {'seconds':>9} "
-          f"{'us/unit':>10}  bits")
+          f"{'us/unit':>10} {'':<5}  bits")
     rows = []
     for row, _ in measure(layers()):
         rows.append(row)
         print(f"{row['layer']:<10} {row['case']:<34} {row['way']:<13} {row['units']:>7} "
-              f"{row['unit']:<5} {row['seconds']:>9.4f} {row['us_per_unit']:>10.3f}  "
-              f"{row['bits']}")
+              f"{row['unit']:<5} {row['seconds']:>9.4f} {row['us_per_unit']:>10.3f} "
+              f"{'noisy' if row['noisy'] else '':<5}  {row['bits']}")
     print(json.dumps({"revision": revision(), "machine": machine_facts(),
                       "numpy": np.__version__, "rows": rows}))
     return 0 if all(row["bits"] == "identical" for row in rows) else 1

@@ -117,12 +117,23 @@ def pivot_norm(a: np.ndarray | Band) -> float:
 
 
 def _band(a: np.ndarray) -> tuple[int, int]:
-    """Lower and upper bandwidth of the nonzero pattern of ``a``."""
-    i, j = np.nonzero(a)
-    if i.size == 0:
-        return 0, 0
-    offsets = j - i
-    return max(0, -int(offsets.min())), max(0, int(offsets.max()))
+    """Lower and upper bandwidth of the nonzero pattern of ``a`` (NaN is
+    nonzero, -0.0 is not): the largest ``i - j`` and ``j - i`` over its
+    nonzeros, at least 0.  Blocks of rows, about 64 KB of flags each, are
+    scanned for each row's first and last nonzero."""
+    rows, cols = a.shape
+    lower = upper = 0
+    step = max(1, 2 ** 16 // max(cols, 1))
+    for start in range(0, rows, step):
+        flags = a[start:start + step] != 0
+        held = flags.any(axis=1)
+        if held.any():
+            i = np.arange(start, start + len(flags))[held]
+            first = flags.argmax(axis=1)[held]
+            last = cols - 1 - flags[:, ::-1].argmax(axis=1)[held]
+            lower = max(lower, int(np.max(i - first)))
+            upper = max(upper, int(np.max(last - i)))
+    return lower, upper
 
 
 def _clip(band: tuple[int, int], shape: tuple[int, int]) -> tuple[int, int]:

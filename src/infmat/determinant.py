@@ -4,7 +4,10 @@ expansion of det(AB) over increasing column selections.
 
 The series route writes ``det M = exp(tr(log M))`` with ``log`` expanded
 about the identity: ``log M = sum_k (-1)^(k+1) (M - I)^k / k``, valid for
-``max-row-sum norm of (M - I) < 1``.
+``max-row-sum norm of (M - I) < 1``.  The trace of the k-th power is read
+from two powers of half its degree, ``tr(B^k) = tr(B^⌊k/2⌋ B^⌈k/2⌉)``, an
+O(n²) sum of entry products, so K terms form only ⌊(K−1)/2⌋ matrix
+products where one power per term would form K.
 """
 
 import warnings
@@ -53,7 +56,15 @@ def det_log_series(M: DenseMatrix, policy: ConvergencePolicy | None = None) -> D
 
 
 def _log_series(t: np.ndarray, policy: ConvergencePolicy) -> DetReport:
-    """:func:`det_log_series` of the square array ``t``."""
+    """:func:`det_log_series` of the square array ``t``.
+
+    Term k, ``(-1)^(k+1) tr(B^k) / k`` with ``B = t - I``, reads the trace
+    as ``tr(B^⌊k/2⌋ B^⌈k/2⌉)``, the sum of ``(B^⌊k/2⌋)_ij (B^⌈k/2⌉)_ji``
+    over i and j, which forms no n×n array.  Only an odd k > 1 forms a
+    power, ``B^⌈k/2⌉ = B^⌊k/2⌋ B``; an even k reuses ``B^(k/2)``.  So K
+    terms cost ⌊(K−1)/2⌋ products of n×n arrays, and two powers are held
+    however long the series runs.
+    """
     base = t - np.eye(t.shape[0])
     norm = norm_inf(base)
     if norm >= 1.0:
@@ -61,14 +72,21 @@ def _log_series(t: np.ndarray, policy: ConvergencePolicy) -> DetReport:
             f"max-row-sum norm of the series base is {norm:.6g} >= 1",
             measured=norm)
 
-    # sum_series asks for the terms in ascending order, one power each
-    power = np.eye(t.shape[0])
+    # term k > 1 steps low and high on from term k - 1's to B^⌊k/2⌋ and
+    # B^⌈k/2⌉, which holds because sum_series asks for the terms 1, 2,
+    # 3, ... in order, one at a time (series._partials)
+    low = high = base
 
     def term(k):
-        nonlocal power
-        power = power @ base
+        nonlocal low, high
+        if k == 1:
+            return float(np.trace(base))
+        if k % 2 == 0:
+            low = high
+        else:
+            high = high @ base
         sign = 1.0 if k % 2 == 1 else -1.0
-        return sign * float(np.trace(power)) / k
+        return sign * float(np.einsum("ij,ji->", low, high)) / k
 
     rep = sum_series(term, policy)
     if not rep.converged:

@@ -89,18 +89,17 @@ class SolveReport:
         return "compatible" if self.compatible else "incompatible"
 
 
-def _power_sum(first: np.ndarray, step: Callable[[np.ndarray], np.ndarray],
+def _power_sum(first: np.ndarray, term: np.ndarray, step: Callable[[np.ndarray], np.ndarray],
                policy: ConvergencePolicy) -> tuple[np.ndarray, int]:
-    """``first + step(first) + step(step(first)) + ...`` and its term count.
+    """``first + term + step(term) + step(step(term)) + ...`` and the number
+    of terms summed after ``first``.
 
     Stops once ``window`` successive terms have ``norm_inf <= tol``, or at
     the first exactly zero term.
     """
     total = np.array(first, dtype=float)
-    term = first
     quiet = 0
     for k in range(1, policy.max_terms + 1):
-        term = step(term)
         total += term
         tn = norm_inf(term)
         if tn == 0.0:
@@ -111,15 +110,21 @@ def _power_sum(first: np.ndarray, step: Callable[[np.ndarray], np.ndarray],
                 return total, k
         else:
             quiet = 0
+        term = step(term)
     raise ConvergenceFailureError(
         f"power series still moving after {policy.max_terms} terms")
 
 
 def _neumann_sum(a: np.ndarray, policy: ConvergencePolicy) -> tuple[np.ndarray, int]:
-    """Sum of powers of (I - a) until the power norm stays under tol."""
-    eye = np.eye(a.shape[0])
-    x = eye - a
-    return _power_sum(eye, lambda p: p @ x, policy)
+    """Sum of powers of x = I - a until the power norm stays under tol.
+
+    The powers start at x itself, not at ``I @ x``: for a finite x the
+    two differ at most in the signs of zeros, and the sum, which starts
+    from I's +0.0 and 1.0, holds no -0.0, so its bits and term count are
+    those of the sum from I.  The first product formed is x @ x.
+    """
+    x = np.eye(a.shape[0]) - a
+    return _power_sum(np.eye(a.shape[0]), x, lambda p: p @ x, policy)
 
 
 def _norm_check(t: np.ndarray, perturbation: MatrixSpec | None) -> float:
@@ -350,7 +355,8 @@ def cramer_solve(A: MatrixSpec, b: MatrixSpec,
 def _apply_series(a: np.ndarray, bv: np.ndarray, policy: ConvergencePolicy) -> np.ndarray:
     """x = sum_k (I - a)^k b without materializing the inverse."""
     eye_minus = np.eye(a.shape[0]) - a
-    return _power_sum(np.asarray(bv, dtype=float), lambda w: eye_minus @ w, policy)[0]
+    bv = np.asarray(bv, dtype=float)
+    return _power_sum(bv, eye_minus @ bv, lambda w: eye_minus @ w, policy)[0]
 
 
 def solve_via_inverse(A: MatrixSpec, b: MatrixSpec,

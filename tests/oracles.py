@@ -4,10 +4,12 @@ Each oracle deliberately takes a different route than the library code it
 checks: cofactor expansion against pivoted elimination, exact rational
 elimination against floating-point rank, classical Gram-Schmidt against
 the Gram-block elimination, an exact characteristic polynomial
-against root bracketing, and the stopping rule as a loop over steps
-against the rule over arrays of steps.
+against root bracketing, the stopping rule as a loop over steps
+against the rule over arrays of steps, and one power per term of the
+log series against the traces read from paired powers.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -281,3 +283,22 @@ def stopping_rule(values, tol, window, max_terms, remainder=None):
         if count >= max_terms:
             break
     return estimate, "undetermined", count, last_delta, False
+
+
+def log_series_det(a, tol, window, max_terms):
+    """``exp`` of the traced logarithm series of ``a``, one power of
+    ``B = a - I`` per term: term k is ``(-1)^(k+1) tr(B^k) / k`` with
+    ``B^k = B^(k-1) @ B`` from ``B^0 = I``, its partial sums stepped
+    through :func:`stopping_rule`.  Returns ``(log det, terms_used,
+    status)``."""
+    base = np.array(a, dtype=float) - np.eye(len(a))
+
+    def partials():
+        power, total = np.eye(len(base)), 0.0
+        for k in itertools.count(1):
+            power = power @ base
+            total = total + (1.0 if k % 2 == 1 else -1.0) * float(np.trace(power)) / k
+            yield total
+
+    estimate, status, terms, _, _ = stopping_rule(partials(), tol, window, max_terms)
+    return estimate, terms, status

@@ -6,6 +6,7 @@ sizes."""
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -182,3 +183,47 @@ def test_main_exits_1_on_a_difference(capsys, monkeypatch, want, got):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].endswith("identical") and lines[-2].endswith("DIFFER")
     assert [row["bits"] for row in json.loads(lines[-1])["rows"]] == ["identical", "DIFFER"]
+
+
+def test_log_series_rows_count_the_terms_of_the_golden_sections():
+    rows = measured("kernel", bench.log_series_cases(sizes=(1, 8, 30)))
+    assert [(row["case"], row["way"]) for row, _ in rows] == [
+        (f"log-series det n={n}", "paired powers") for n in (1, 8, 30)]
+    golden = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "expr",
+                              "expr": bench.DENSE_EXPR})
+    for (row, rep), n in zip(rows, (1, 8, 30)):
+        assert rep.route == "log-series" and rep.report.converged
+        assert row["unit"] == "term" and row["units"] == rep.log_terms_used > 1
+        assert row["us_per_unit"] == 1e6 * row["seconds"] / row["units"] > 0
+        assert row["bits"] == "identical" and row["noisy"] in (False, True)
+        assert rep.value == pytest.approx(np.linalg.det(truncate(golden, n, n).data),
+                                          rel=1e-12)
+
+
+@pytest.mark.parametrize("ticks, noisy", [
+    ([0.0, 1.0, 1.0, 2.05, 2.05, 3.0], False),  # runs 1.0, 1.05, 0.95
+    ([0.0, 1.0, 1.0, 2.0, 2.0, 3.11], True),  # a run 11% above the median
+    ([0.0, 1.0, 1.0, 1.85, 1.85, 2.85], True),  # a run 15% below it
+], ids=["steady", "slow run", "fast run"])
+def test_a_row_is_noisy_when_a_run_strays_from_the_median(monkeypatch, ticks, noisy):
+    clock = iter(ticks)
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    (row, result), = bench.measure([("planted", [
+        ("one case", "item", lambda result: 2, [("only", lambda: 7.0)])])], repeat=3)
+    assert result == 7.0 and row["noisy"] is noisy
+    assert row["seconds"] == min(b - a for a, b in zip(ticks[::2], ticks[1::2]))
+    assert row["bits"] == "identical"
+
+
+def test_main_lists_the_log_series_rows(capsys, monkeypatch):
+    monkeypatch.setattr(bench, "layers", lambda: [
+        ("kernel", bench.kernel_cases(sizes=(6,), grid=5)),
+        ("kernel", bench.log_series_cases(sizes=(4, 9)))])
+    assert bench.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 + 4 * len(BANDS) + 2
+    assert [line.split()[1:3] for line in lines[-3:-1]] == [["log-series", "det"]] * 2
+    record = json.loads(lines[-1])
+    assert [row["case"] for row in record["rows"][-2:]] == [
+        "log-series det n=4", "log-series det n=9"]
+    assert all(isinstance(row["noisy"], bool) for row in record["rows"])

@@ -284,6 +284,29 @@ def test_rank_of_a_tridiagonal_section_builds_no_reduced_array():
     assert rank == len(echelon(a, 1e-10)[1]) == n - 1
 
 
+@st.composite
+def patterns(draw):
+    """Arrays of zeros of one sign with a few entries placed: small ones of
+    any shape, empty ones, and ones of several 64 KB blocks of flags."""
+    rows, cols = draw(st.tuples(st.integers(0, 12), st.integers(0, 12))
+                      | st.tuples(st.integers(0, 700), st.integers(0, 700))
+                      | st.sampled_from([(3, 70000), (70000, 2), (0, 9), (9, 0)]))
+    a = np.full((rows, cols), draw(st.sampled_from([0.0, -0.0])))
+    if a.size:
+        for _ in range(draw(st.integers(0, 6))):
+            i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+            a[i, j] = draw(st.sampled_from([math.nan, math.inf, -2.5, 1.0, 5e-324, -0.0]))
+    return a
+
+
+@settings(max_examples=150)
+@given(patterns())
+def test_band_is_the_extreme_offsets_of_the_nonzeros(a):
+    i, j = np.nonzero(a)
+    want = (0, 0) if i.size == 0 else (max(0, int(np.max(i - j))), max(0, int(np.max(j - i))))
+    assert _dense._band(a) == want
+
+
 @settings(max_examples=150)
 @given(narrow_cases(), PIVOT_TOLS)
 def test_band_rows_give_the_array_s_values(case, tol):

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from oracles import cofactor_det, counting, section_cells
+from oracles import cofactor_det, counting, log_series_det, section_cells
 
 from infmat import determinant
 from infmat._dense import band_rows, lu_det
@@ -82,6 +84,68 @@ def test_log_series_agrees_with_oracle_bulk():
         want = det_oracle(m)
         got = det_log_series(m).value
         assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+
+
+def near_identity(seed, n, norm, positive):
+    """``I + B`` with ``norm_inf(B) = norm``; a positive B has spectral
+    radius ``norm`` too, so its series runs long as the norm nears 1."""
+    x = np.random.default_rng(seed).uniform(0.0 if positive else -1.0, 1.0, (n, n))
+    return np.eye(n) + x * (norm / max(np.max(np.sum(np.abs(x), axis=1)), 1e-300))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+       st.floats(0.01, 0.99) | st.sampled_from([0.95, 0.99]), st.booleans())
+def test_log_series_gives_the_one_power_per_term_series(seed, n, norm, positive):
+    t = near_identity(seed, n, norm, positive)
+    policy = ConvergencePolicy()
+    want, terms, status = log_series_det(t, policy.tol, policy.window, policy.max_terms)
+    rep = determinant._log_series(t, policy)
+    assert status == rep.report.status == "converged"
+    assert rep.log_terms_used == rep.report.terms_used == terms
+    eps = np.finfo(float).eps
+    assert abs(rep.report.estimate - want) <= 4 * eps * max(1.0, abs(want))
+
+
+class Counted(np.ndarray):
+    """An array that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        Counted.products += 1
+        return super().__matmul__(other)
+
+    def __rmatmul__(self, other):
+        Counted.products += 1
+        return super().__rmatmul__(other)
+
+
+def test_log_series_forms_one_product_per_two_terms():
+    terms = set()
+    for norm in (0.0, 1e-6, 0.02, 0.1, 0.3, 0.6, 0.9):
+        for n in (1, 5, 12):
+            t = near_identity(n, n, norm, True).view(Counted)
+            Counted.products = 0
+            rep = determinant._log_series(t, ConvergencePolicy())
+            # term 1 reads tr(B), term 2 tr(B B), and each odd term after
+            # them forms the next power
+            assert Counted.products == (rep.log_terms_used - 1) // 2
+            terms.add(rep.log_terms_used)
+    assert {k % 2 for k in terms} == {0, 1} and max(terms) > 100
+
+
+def test_a_long_512_series_holds_three_n_by_n_arrays():
+    # the base B and the powers B^m and B^(m+1); the one-power-per-term
+    # loop held B, B^k and the B^(k+1) it formed
+    t = near_identity(0, 512, 0.9, True)
+    tracemalloc.start()
+    try:
+        rep = determinant._log_series(t, ConvergencePolicy())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.log_terms_used > 100
+    assert peak < 3 * t.nbytes + 2 ** 16
 
 
 # --- infinite determinants ---------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import counting, fraction_rank, section_cells
 
 from infmat.determinant import det_infinite
+from infmat.inverse_solve import _neumann_sum
 from infmat.errors import (ExtentMismatchError, OracleValueError,
                            PreconditionError, SingularSystemError)
 from infmat.inverse_solve import (check_compatibility, cramer_solve,
@@ -77,6 +78,41 @@ def test_neumann_boundary_norm_rejected():
     with pytest.raises(PreconditionError) as err:
         neumann_inverse(DenseMatrix([[2.0, 0.0], [0.0, 2.0]]))
     assert err.value.measured == pytest.approx(1.0)
+
+
+def old_neumann_sum(a, policy):
+    """The Neumann sum as the one-power-per-step loop from ``I`` took it:
+    each power ``p @ (I - a)``, starting from ``p = I``."""
+    eye = np.eye(a.shape[0])
+    x, total, power, quiet = eye - a, eye.copy(), eye, 0
+    for k in range(1, policy.max_terms + 1):
+        power = power @ x
+        total += power
+        norm = float(np.max(np.sum(np.abs(power), axis=1)))
+        if norm == 0.0:
+            return total, k
+        quiet = quiet + 1 if norm <= policy.tol else 0
+        if quiet >= policy.window:
+            return total, k
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.floats(0.0, 0.95),
+       st.sampled_from(["dense", "zeros", "triangular"]))
+def test_neumann_sum_gives_the_bits_of_the_sum_from_the_identity(seed, n, norm, kind):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (n, n))
+    if kind == "zeros":  # exact zeros of both signs, and rows of them
+        x = np.where(rng.uniform(size=(n, n)) < 0.5, x, rng.choice([0.0, -0.0], (n, n)))
+        x[rng.integers(n)] = -0.0
+    elif kind == "triangular":  # nilpotent: the sum ends at a zero power
+        x = np.triu(x, 1)
+    x *= norm / max(np.max(np.sum(np.abs(x), axis=1)), 1e-300)
+    a = np.eye(n) - x
+    policy = ConvergencePolicy()
+    total, terms = _neumann_sum(a, policy)
+    want, want_terms = old_neumann_sum(a, policy)
+    assert terms == want_terms
+    assert total.tobytes() == want.tobytes()
 
 
 def test_neumann_random_contractions_residual():
