@@ -39,18 +39,27 @@ median of the runs.
   the numpy sweep ``_sweep`` on the array and by ``echelon`` fed band
   rows.  And the log-series determinant of the section of the golden
   ``DENSE_EXPR`` at n = 128, 256, 512 and 1024, in µs per term of the
-  series: one way, as no second way of the series gives its bits.
+  series: one way, as no second way of the series gives its bits.  And
+  the dense kernels of that section at the same sizes, in µs per pivot,
+  one way each: ``lu_det`` (with its relative gap to
+  ``np.linalg.slogdet``), ``echelon`` at ``rank``'s pivot threshold and
+  ``gauss_solve`` of the golden dense system, b = 1/i².
 
-The last line is one JSON object: the checkout's revision, the machine
-facts of ``perfbench/run.py``, numpy's version and every row.  The script
-exits with status 1 if any way differs from its reference.
+The last line is one JSON object: the timed checkout's revision, the
+machine facts of ``perfbench/run.py``, numpy's version and every row.
+The script exits with status 1 if any way differs from its reference.
 
-    python scripts/bench.py
+    python scripts/bench.py [CHECKOUT]
+
+``CHECKOUT``, another checkout of the repository, times that checkout's
+``src/`` with this script's cases, so that a parent and its head are
+timed by one script on one host.
 """
 
 import dataclasses
 import itertools
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -60,10 +69,23 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-# from src/ and the checkout, put on the path above
-from infmat._dense import _sweep, band_rows, echelon, norm_inf, product_ascending  # noqa: E402
+
+def source_root(args):
+    """The checkout whose ``src/`` is timed: the one command-line argument,
+    else this script's own."""
+    source = Path(args[0]).resolve() if args else ROOT
+    if not (source / "src" / "infmat").is_dir():
+        sys.exit(f"{args[0]}: no src/infmat to time")
+    return source
+
+
+SOURCE = source_root(sys.argv[1:]) if __name__ == "__main__" else ROOT
+sys.path[:0] = [str(SOURCE / "src"), str(ROOT)]
+
+# from the timed src/ and this checkout, put on the path above
+from infmat._dense import (_sweep, band_rows, echelon, gauss_solve, lu_det,  # noqa: E402
+                           norm_inf, product_ascending)
 from infmat.algebra import PROBE_SIDE, _line_product, matmul  # noqa: E402
 from infmat.bases_orth import orthogonalize  # noqa: E402
 from infmat.determinant import det_log_series  # noqa: E402
@@ -264,10 +286,26 @@ def log_series_cases(sizes=(128, 256, 512, 1024)):
             ("paired powers", lambda: det_log_series(section))]
 
 
+def dense_kernel_cases(sizes=(128, 256, 512, 1024)):
+    golden = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "expr", "expr": DENSE_EXPR})
+    for n in sizes:
+        a = truncate(golden, n, n).data
+        sign, logdet = np.linalg.slogdet(a)
+        want = sign * math.exp(logdet)
+        yield f"dense lu_det n={n}", "pivot", lambda det: n, [("sweep", lambda: lu_det(a))], (
+            lambda det: {"slogdet_gap": float(abs(det - want) / abs(want))})
+        tol = RANK_PIVOT_SCALE * norm_inf(a)
+        yield f"dense echelon n={n}", "pivot", lambda form: len(form[1]), [
+            ("sweep", lambda: echelon(a, tol))]
+        b = 1.0 / np.arange(1, n + 1) ** 2
+        yield f"dense gauss_solve n={n}", "pivot", len, [("sweep", lambda: gauss_solve(a, b))]
+
+
 def layers():
     return [("oracle", oracle_cases()), ("truncation", truncation_cases()),
             ("truncation", growth_cases()), ("series", series_cases()),
-            ("kernel", kernel_cases()), ("kernel", log_series_cases())]
+            ("kernel", kernel_cases()), ("kernel", log_series_cases()),
+            ("kernel", dense_kernel_cases())]
 
 
 def measure(layers, repeat=REPEAT):
@@ -275,28 +313,33 @@ def measure(layers, repeat=REPEAT):
 
     ``layers`` holds ``(layer, cases)``; a case is ``(name, unit, count,
     ways)``, where ``count(result)`` is the number of units in a result,
-    and a way is ``(name, run)``, the first the reference.  The cases are
-    made one at a time, and a case's ways run before the next is made, so
-    a way may read the variables of the loop that made it."""
+    and a way is ``(name, run)``, the first the reference.  A fifth item
+    ``facts(result)``, when given, adds its fields to each of the case's
+    rows.  The cases are made one at a time, and a case's ways run before
+    the next is made, so a way may read the variables of the loop that
+    made it."""
     for layer, cases in layers:
-        for case, unit, count, ways in cases:
+        for case, unit, count, ways, *facts in cases:
             want = None
             for way, run in ways:
                 runs, result = timed(run, repeat)
                 seconds, middle = min(runs), statistics.median(runs)
                 got, units = bits(result), count(result)
                 want = got if want is None else want
-                yield {"layer": layer, "case": case, "way": way, "units": units, "unit": unit,
+                row = {"layer": layer, "case": case, "way": way, "units": units, "unit": unit,
                        "seconds": seconds, "us_per_unit": 1e6 * seconds / units,
                        "noisy": any(abs(t - middle) > 0.1 * middle for t in runs),
-                       "bits": "identical" if got == want else "DIFFER"}, result
+                       "bits": "identical" if got == want else "DIFFER"}
+                for fact in facts:
+                    row.update(fact(result))
+                yield row, result
 
 
-def revision():
-    """The checkout's commit, ``-dirty`` when its tracked files differ."""
+def revision(checkout=ROOT):
+    """The commit of ``checkout``, ``-dirty`` when its tracked files differ."""
     try:
         return subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40",
-                               "--exclude=*"], cwd=ROOT, capture_output=True, text=True,
+                               "--exclude=*"], cwd=checkout, capture_output=True, text=True,
                               check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
@@ -311,7 +354,7 @@ def main():
         print(f"{row['layer']:<10} {row['case']:<34} {row['way']:<13} {row['units']:>7} "
               f"{row['unit']:<5} {row['seconds']:>9.4f} {row['us_per_unit']:>10.3f} "
               f"{'noisy' if row['noisy'] else '':<5}  {row['bits']}")
-    print(json.dumps({"revision": revision(), "machine": machine_facts(),
+    print(json.dumps({"revision": revision(SOURCE), "machine": machine_facts(),
                       "numpy": np.__version__, "rows": rows}))
     return 0 if all(row["bits"] == "identical" for row in rows) else 1
 

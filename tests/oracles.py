@@ -150,9 +150,15 @@ def sweep_lu_det(a) -> float:
 
 def sweep_echelon(a, pivot_tol):
     """Row echelon form, every row below the pivot updated in every column."""
+    return sweep_echelon_signed(a, pivot_tol)[:2]
+
+
+def sweep_echelon_signed(a, pivot_tol):
+    """:func:`sweep_echelon` and the sign of its row permutation."""
     u = [list(map(float, row)) for row in a]
     rows, cols = len(u), len(u[0])
     pivots = []
+    sign = 1.0
     r = 0
     for c in range(cols):
         if r == rows:
@@ -160,6 +166,8 @@ def sweep_echelon(a, pivot_tol):
         p = _pivot_row(u, c, r)
         if abs(u[p][c]) <= pivot_tol:
             continue
+        if p != r:
+            sign = -sign
         u[r], u[p] = u[p], u[r]
         for i in range(r + 1, rows):
             f = u[i][c] / u[r][c]
@@ -168,7 +176,7 @@ def sweep_echelon(a, pivot_tol):
             u[i][c] = 0.0
         pivots.append(c)
         r += 1
-    return np.array(u, dtype=float).reshape(rows, cols), pivots
+    return np.array(u, dtype=float).reshape(rows, cols), pivots, sign
 
 
 def sweep_null_vector(a, pivot_tol):

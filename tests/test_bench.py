@@ -5,6 +5,8 @@ sizes."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -227,3 +229,36 @@ def test_main_lists_the_log_series_rows(capsys, monkeypatch):
     assert [row["case"] for row in record["rows"][-2:]] == [
         "log-series det n=4", "log-series det n=9"]
     assert all(isinstance(row["noisy"], bool) for row in record["rows"])
+
+
+def test_dense_kernel_rows_time_the_golden_sections():
+    sizes = (1, 8, 70)
+    rows = measured("kernel", bench.dense_kernel_cases(sizes=sizes))
+    assert [(row["case"], row["way"]) for row, _ in rows] == [
+        (f"dense {kernel} n={n}", "sweep") for n in sizes
+        for kernel in ("lu_det", "echelon", "gauss_solve")]
+    golden = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "expr",
+                              "expr": bench.DENSE_EXPR})
+    for (det_row, det), (form_row, (u, pivots)), (solve_row, x) in zip(*[iter(rows)] * 3):
+        n = det_row["units"]
+        a = truncate(golden, n, n).data
+        for row in (det_row, form_row, solve_row):
+            assert row["unit"] == "pivot" and row["units"] == n and row["bits"] == "identical"
+            assert row["us_per_unit"] == 1e6 * row["seconds"] / n > 0
+        # only the determinant's rows carry its gap to slogdet
+        assert det == pytest.approx(np.linalg.det(a), rel=1e-12)
+        assert 0.0 <= det_row["slogdet_gap"] <= 1e-12 and "slogdet_gap" not in form_row
+        assert pivots == list(range(n)) and u.shape == (n, n)
+        assert np.allclose(a @ x, 1.0 / np.arange(1, n + 1) ** 2, rtol=0.0, atol=1e-14)
+
+
+def test_the_timed_checkout_is_the_argument(tmp_path):
+    root = SCRIPT.parent.parent
+    assert bench.SOURCE == bench.source_root([]) == root
+    assert bench.source_root([str(root)]) == root
+    with pytest.raises(SystemExit, match="no src/infmat"):
+        bench.source_root([str(tmp_path)])
+    # a command-line run reads its argument before it imports the package
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and "no src/infmat" in proc.stderr and not proc.stdout

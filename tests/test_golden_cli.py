@@ -1,10 +1,10 @@
 """Golden CLI bytes: stdout and exit code of a fixed command list.
 
-``golden/cli.json`` holds the expected bytes, recorded from the plain
-dense-sweep elimination kernels.  Kernel and caching work must leave
-every byte in place; a change that moves output bits on purpose
-re-records the file with ``python tests/test_golden_cli.py`` and lists
-each difference in CHANGES.md.
+``golden/cli.json`` holds the expected bytes, recorded from the
+elimination kernels.  Kernel and caching work must leave every byte in
+place; a change that moves output bits on purpose re-records the file
+with ``python tests/test_golden_cli.py`` and lists each difference in
+CHANGES.md.
 """
 
 import contextlib
