@@ -31,7 +31,11 @@ median of the runs.
 * series: the 64 probe series of that product at ``max_terms=4096``, their
   terms read into a table first, so the stopping rule and its feeding are
   timed, not the oracle: summed one at a time on plain floats, each as a
-  batch of one fed term runs, and as one ``SeriesBatch`` of all 64.
+  batch of one fed term runs, and as one ``SeriesBatch`` of all 64.  And
+  the same 64 series as ``matmul`` reads them: one at a time through the
+  scalar oracles, and as one ``SeriesBatch`` fed by ``_line_product`` from
+  two fresh ``Lines`` of the probe rows and columns, the reads inside the
+  timed run.
 * kernel: banded sections (diagonal ``1/i`` plus seeded entries, bands
   (0,0), (1,1) and (2,2), n = 128, 512 and 1024).  ``eig``'s 64-point grid
   of characteristic values, as a loop of ``char_value`` and as one batched
@@ -253,6 +257,29 @@ def series_cases(side=8, policy=ConvergencePolicy(max_terms=4096)):
         ("term runs", lambda: fed(lambda s: (runs_of(s), 0))), ("batch", batch)]
 
 
+def block_series_cases(side=8, policy=ConvergencePolicy(max_terms=4096)):
+    A, B = mul_factors()
+    probe = range(1, side + 1)
+    pairs = [(i, j) for i in probe for j in probe]
+
+    def summed(group):
+        """Each probe series through its scalar term, and as series s of
+        ``group``, when given."""
+        return [sum_series(lambda l, i=i, j=j: A.entry(i, l) * B.entry(l, j), policy, None,
+                           None if group is None else (group, s))
+                for s, (i, j) in enumerate(pairs)]
+
+    def batch():
+        # fresh readers, as each matmul grows its own
+        runs = _line_product(Lines(A, probe, 0), Lines(B, probe, 1),
+                             [(i - 1, j - 1) for i, j in pairs])
+        return SeriesBatch([None] * len(pairs), policy, runs)
+
+    yield f"{side}x{side} probe of mul, block reads", "step", (
+        lambda reps: sum(r.terms_used for r in reps)), [
+        ("one at a time", lambda: summed(None)), ("batch", lambda: summed(batch()))]
+
+
 def section(n, band):
     """The n-by-n section: diagonal 1/i, seeded entries on the other
     diagonals of the band."""
@@ -304,6 +331,7 @@ def dense_kernel_cases(sizes=(128, 256, 512, 1024)):
 def layers():
     return [("oracle", oracle_cases()), ("truncation", truncation_cases()),
             ("truncation", growth_cases()), ("series", series_cases()),
+            ("series", block_series_cases()),
             ("kernel", kernel_cases()), ("kernel", log_series_cases()),
             ("kernel", dense_kernel_cases())]
 

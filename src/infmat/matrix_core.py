@@ -392,22 +392,25 @@ class Lines:
     the first n entries of each line as a ``len(indices)``-by-n array, bit
     for bit what ``M.entry`` gives, non-finite values included.  The
     prefix is grown on demand, as one block per request, so each cell is
-    read once; the array is handed out uncopied.  ``None`` is returned
-    when ``M`` has no block oracle for its structure, and from the first
-    request the block declines on.
+    read once; the array is handed out uncopied, a view of a buffer whose
+    width doubles, or grows to n if that is more, when a request outgrows
+    it, so each cell is copied about once on average however many requests
+    grow the prefix.  ``None`` is returned when ``M`` has no block oracle for its structure,
+    and from the first request the block declines on.
     """
 
     def __init__(self, M: MatrixSpec, indices, axis: int = 0):
         self._M = M
         self._indices = np.asarray(indices, dtype=int)
         self._axis = axis
-        self._known = np.zeros((len(self._indices), 0))
+        self._buffer = np.zeros((len(self._indices), 0))
+        self._known = 0
         self._declined = M.block is None or M.structure != EXPR
 
     def __call__(self, n: int) -> np.ndarray | None:
         if self._declined:
             return None
-        k = self._known.shape[1]
+        k = self._known
         if n > k:
             new = np.arange(k + 1, n + 1)
             rows, cols = (self._indices, new) if self._axis == 0 else (new, self._indices)
@@ -416,9 +419,13 @@ class Lines:
                 self._declined = True
                 return None
             values = np.broadcast_to(values, (rows.size, cols.size))
-            self._known = np.concatenate((self._known, values.T if self._axis else values),
-                                         axis=1)
-        return self._known[:, :n]
+            if n > self._buffer.shape[1]:
+                grown = np.empty((self._indices.size, max(n, 2 * self._buffer.shape[1])))
+                grown[:, :k] = self._buffer[:, :k]
+                self._buffer = grown
+            self._buffer[:, k:n] = values.T if self._axis else values
+            self._known = n
+        return self._buffer[:, :n]
 
 
 def transpose(M: MatrixSpec) -> MatrixSpec:

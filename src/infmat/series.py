@@ -32,16 +32,17 @@ stops at its own first firing step, with no loop over steps.  Series
 summed together (a :class:`SeriesBatch`, as ``matmul`` sums its probe,
 and the Gram entries ``orthogonalize`` reads as entries of the product A
 Aᵀ) come with term runs read from the block oracle and advance through
-shared, doubling chunks of terms.  A series whose chunk of runs is
-declined or holds a non-finite term is given back by the batch and summed
-again from index 1, one term at a time.  A value drawn one at a time (a
-series with no runs or given back, and every sequence of
-:func:`limit_of_sequence` and :func:`stabilize_vector`) takes the same
-rule as a chunk of one step of one sequence, on plain floats, so no term
-or value past the stop is ever asked for and a step costs well under a
-microsecond.  The partial sums are the same bits either way, so every
-report, and any error raised before the stop, are those of the scalar
-sum.
+shared chunks of terms: :data:`FIRST_TERMS` per series at first, twice as
+many each time after, up to :data:`BATCH_CELLS` cells a chunk.  A series
+whose chunk of runs is declined or holds a non-finite term is given back
+by the batch and summed again from index 1, one term at a time.  A value
+drawn one at a time (the runs of a batch of one, a series with no runs or
+given back, and every sequence of :func:`limit_of_sequence` and
+:func:`stabilize_vector`) takes the same rule as a chunk of one step of
+one sequence, on plain floats, so no term or value past the stop is ever
+asked for and a step costs well under a microsecond.  The partial sums
+are the same bits either way, so every report, and any error raised
+before the stop, are those of the scalar sum.
 
 A limit over the sections of a matrix decides here, and only here, how
 it visits them (:func:`section_limit`, :func:`section_limit_vector`): a
@@ -139,8 +140,13 @@ def exact_report(value: float, terms: int) -> ConvergenceReport:
 # why the rule stopped a sequence, or that it did not (_GOING)
 _GOING, _NON_FINITE, _CERTIFIED, _BLOWUP, _QUIET, _CAP = range(6)
 
-# most cells a batch's chunk of terms holds, so that its arrays stay small
-BATCH_CELLS = 8_192
+# A batch's chunks of terms: FIRST_TERMS per series in the first, twice as
+# many in each one after, and never more than BATCH_CELLS cells, so that
+# its arrays stay small.  A chunk pays some 50 µs of fixed numpy work: the
+# 64-series probe of a product starts at 4,096 cells a chunk and holds
+# 16,384 from the third on.
+FIRST_TERMS = 64
+BATCH_CELLS = 16_384
 
 
 def _report(why, terms, value, before, delta, bound) -> ConvergenceReport:
@@ -238,42 +244,55 @@ class _Rule:
             setattr(other, name, getattr(self, name)[rows])
         return other
 
-    def feed(self, mag, delta, bound):
+    def feed(self, mag, delta, bound=None):
         """Advance every sequence through one chunk of n steps.
 
         ``mag``, ``delta`` and ``bound`` are (sequences, n) arrays: the
         magnitude of each value, its step from the value before (``inf``
         at a sequence's first value) and the certificate's bound on the
-        remainder (``inf`` without one).  Returns ``(at, why, used)`` per
-        sequence: the position in the chunk of the step it stopped at, why
-        (``_GOING``, at the last position, where it did not stop), and the
-        steps it had taken by then.
+        remainder (``inf`` without one; ``bound`` is ``None`` when no
+        sequence has one).  Returns ``(at, why, used)`` per sequence: the
+        position in the chunk of the step it stopped at, why (``_GOING``,
+        at the last position, where it did not stop), and the steps it had
+        taken by then.  A test that no step of the chunk can pass (a value
+        past the blowup threshold, a certificate, the term cap) is skipped.
         """
         p = self.policy
         n = mag.shape[1]
         pos = np.arange(n)
         before = np.concatenate((self.mag, mag[:, :-1]), axis=1)
-        # the divergence heuristic outranks the quiet rule: past the blowup
-        # threshold a still-growing sequence is never accepted as converged
-        grow = (mag > 1.0 / p.tol) & (mag > before)
-        quiet = np.greater((delta <= p.tol * np.maximum(1.0, before)) & self.quiet_counts, grow)
-        kind = (quiet.view(np.uint8) << 1) | grow.view(np.uint8)
+        quiet = (delta <= p.tol * np.maximum(1.0, before)) & self.quiet_counts
+        kind = quiet.view(np.uint8) << 1
+        big = mag > 1.0 / p.tol
+        if big.any():
+            # the divergence heuristic outranks the quiet rule: past the blowup
+            # threshold a still-growing sequence is never accepted as converged
+            grow = big & (mag > before)
+            kind = np.where(grow, np.uint8(1), kind)
         fresh = kind != np.concatenate((self.kind, kind[:, :-1]), axis=1)
         # a streak starts where the kind changes; the carried one at -run
         run = pos + 1 - np.maximum.accumulate(np.where(fresh, pos, -self.run), axis=1)
         streak = (run >= p.window) & (kind > 0)
         bad = ~np.isfinite(mag)
-        certified = bound <= p.tol * np.maximum(1.0, mag)
-        stop = streak | bad | certified
+        stop = streak | bad
+        certified = None
+        if bound is not None:
+            certified = bound <= p.tol * np.maximum(1.0, mag)
+            stop |= certified
         if self.steps.max() + n >= p.max_terms:
             stop |= self.steps + pos >= p.max_terms - 1
         hit = stop.any(axis=1)
         at = np.where(hit, np.argmax(stop, axis=1), n - 1)
-        cell = (np.arange(at.size), at)
-        # the reasons in order of precedence; a streak's kind + 2 is
-        # _BLOWUP or _QUIET
-        why = np.select([~hit, bad[cell], certified[cell], streak[cell]],
-                        [_GOING, _NON_FINITE, _CERTIFIED, kind[cell].astype(np.int64) + 2], _CAP)
+        why = np.full(at.size, _GOING)
+        if hit.any():
+            # the reasons, each outranking the one before; a streak's kind +
+            # 2 is _BLOWUP or _QUIET
+            r = np.flatnonzero(hit)
+            cell = (r, at[r])
+            why[r] = np.where(streak[cell], kind[cell].astype(np.int64) + 2, _CAP)
+            if certified is not None:
+                why[r] = np.where(certified[cell], _CERTIFIED, why[r])
+            why[r] = np.where(bad[cell], _NON_FINITE, why[r])
         used = self.steps[:, 0] + at + 1
         self.steps = self.steps + n
         self.mag, self.kind, self.run = mag[:, -1:], kind[:, -1:], run[:, -1:]
@@ -298,14 +317,18 @@ class SeriesBatch:
     ``runs(k0, k1, rows)`` returns the terms ``k0`` ... ``k1 - 1`` of the
     series at positions ``rows`` (an index array) as a
     ``len(rows)``-by-``(k1 - k0)`` float64 array, bit for bit what their
-    terms give, or ``None``.  The batch asks for chunks of ``window + 1``
-    terms, then twice as many each time, clipped at ``max_terms`` and at
-    :data:`BATCH_CELLS` cells: a chunk's partial sums are
-    ``np.add.accumulate`` seeded with the running sums, the same bits as
-    adding term by term, and one pass of :meth:`_Rule.feed` stops each
-    series at its own first firing step.  A series whose chunk is declined
-    or holds a non-finite term is given back: the batch drops it and has
-    no report for it.  Runs may reach up to about twice as far as a stop.
+    terms give, or ``None``.  The batch asks for chunks of
+    :data:`FIRST_TERMS` terms, then twice as many each time, clipped at
+    ``max_terms`` and at :data:`BATCH_CELLS` cells: a chunk's partial sums
+    are ``np.add.accumulate`` seeded with the running sums, the same bits
+    as adding term by term, and one pass of :meth:`_Rule.feed` stops each
+    series at its own first firing step.  A batch of one series draws its
+    partial sums, added term by term, through :func:`_draw` instead, which
+    costs less than a pass of ``feed`` over its one row.  A series whose
+    chunk is declined, or holds a non-finite term (in a batch of one, a
+    term up to its stop), is given back: the batch drops it and has no
+    report for it.  Runs may reach up to ``FIRST_TERMS`` terms, or about
+    twice as far as a stop.  The chunk boundaries change no report.
 
     The batch never calls a term.  It is summed the first time
     :func:`sum_series` asks for the report of one of its series, and
@@ -323,8 +346,43 @@ class SeriesBatch:
     def outcome(self, k: int) -> "ConvergenceReport | None":
         """The report of series ``k``, or ``None`` if it was given back."""
         if self._outcome is None:
-            self._outcome = self._sum()
+            self._outcome = [self._lone()] if len(self.tails) == 1 else self._sum()
         return self._outcome[k]
+
+    def _end(self, k0: int, size: int, series: int) -> int:
+        """Where the chunk from ``k0`` ends: ``size`` terms a series, clipped
+        at :data:`BATCH_CELLS` cells for ``series`` series and at
+        ``max_terms``."""
+        return min(k0 + min(size, max(1, BATCH_CELLS // series)), self.policy.max_terms + 1)
+
+    def _lone(self) -> "ConvergenceReport | None":
+        """The report of a batch of one, its runs added term by term and
+        drawn through :func:`_draw`, or ``None`` if it was given back."""
+        given_back = False
+
+        def partials():
+            nonlocal given_back
+            rows = np.zeros(1, dtype=int)
+            s, k0, size = 0.0, 1, FIRST_TERMS
+            while k0 <= self.policy.max_terms:
+                k1 = self._end(k0, size, 1)
+                run = self._runs(k0, k1, rows)
+                if run is None:
+                    given_back = True
+                    return
+                finite = np.isfinite(run[0])
+                whole = finite.all()
+                for t in (run[0] if whole else run[0, :np.argmin(finite)]).tolist():
+                    s += t
+                    yield s
+                if not whole:
+                    given_back = True
+                    return
+                k0, size = k1, 2 * size
+
+        tail = self.tails[0]
+        report = _draw(partials(), self.policy, tail.remainder if tail is not None else None)
+        return None if given_back else report
 
     def _sum(self) -> list:
         policy, runs = self.policy, self._runs
@@ -332,9 +390,9 @@ class SeriesBatch:
         rule = _Rule(policy, [tail is not None for tail in self.tails])
         rows = np.arange(len(self.tails))  # the series still in the batch
         sums = np.zeros(rows.size)          # and their running sums
-        k0, size = 1, policy.window + 1
+        k0, size = 1, FIRST_TERMS
         while rows.size:
-            k1 = min(k0 + min(size, max(1, BATCH_CELLS // rows.size)), policy.max_terms + 1)
+            k1 = self._end(k0, size, rows.size)
             run = runs(k0, k1, rows)
             # a declined chunk, or a row of it with a non-finite term, is given back
             stay = np.all(np.isfinite(run), axis=1) if run is not None else False
@@ -347,15 +405,26 @@ class SeriesBatch:
                 delta = np.abs(np.diff(partial, axis=1))
             if k0 == 1:
                 delta[:, 0] = math.inf
-            bound = np.full(run.shape, math.inf)
-            for r in np.flatnonzero(~rule.quiet_counts[:, 0]).tolist():
-                bound[r] = [self.tails[rows[r]].remainder(k) for k in range(k0, k1)]
-            at, why, used = rule.feed(np.abs(partial[:, 1:]), delta, bound)
+            mag, bound = np.abs(partial[:, 1:]), None
+            certified = np.flatnonzero(~rule.quiet_counts[:, 0]).tolist()
+            if certified:
+                # each certified series' bound up to the first step it
+                # certifies, the test of _Rule.feed; no later step can stop it
+                bound = np.full(run.shape, math.inf)
+                for r in certified:
+                    remainder, row = self.tails[rows[r]].remainder, []
+                    for k, limit in zip(range(k0, k1),
+                                        (policy.tol * np.maximum(1.0, mag[r])).tolist()):
+                        row.append(remainder(k))
+                        if row[-1] <= limit:
+                            break
+                    bound[r, :len(row)] = row
+            at, why, used = rule.feed(mag, delta, bound)
             for r in np.flatnonzero(why != _GOING).tolist():
                 a = at[r]
                 before = float(partial[r, a]) if k0 + a > 1 else math.nan
                 outcome[rows[r]] = _report(why[r], used[r], float(partial[r, a + 1]), before,
-                                           delta[r, a], bound[r, a])
+                                           delta[r, a], math.inf if bound is None else bound[r, a])
             going = why == _GOING
             rule, rows, sums = rule.take(going), rows[going], partial[going, -1]
             k0, size = k1, 2 * size

@@ -79,6 +79,25 @@ def test_three_ways_give_the_same_reports():
     assert statuses == {"converged"}
 
 
+def test_block_read_batch_gives_the_scalar_reports():
+    # the probe's series read as matmul reads them, against their scalar
+    # terms; each run of the batch grows fresh readers
+    policy = ConvergencePolicy(max_terms=3000)
+    (case, _, count, ways), = bench.block_series_cases(side=3, policy=policy)
+    assert case == "3x3 probe of mul, block reads" and [w for w, _ in ways] == [
+        "one at a time", "batch"]
+    rows = measured("series", iter([(case, "step", count, ways)]))
+    want = [bench.bits(rep) for rep in rows[0][1]]
+    assert len(want) == 9 and {bits[1] for bits in want} == {"converged"}
+    for row, reports in rows:
+        assert [bench.bits(rep) for rep in reports] == want, row["way"]
+        assert row["units"] == sum(bits[2] for bits in want) and row["bits"] == "identical"
+    # the product's own probe gives the same reports
+    A, B = bench.mul_factors()
+    probe = bench.matmul(A, B, policy).per_entry_reports
+    assert [bench.bits(probe[(i, j)]) for i in range(1, 4) for j in range(1, 4)] == want
+
+
 def test_orth_and_mul_ways_give_the_same_values():
     cases = (case for case in bench.oracle_cases(sizes=(6,))
              if case[0].startswith(("orth", "mul")))
@@ -149,18 +168,20 @@ def test_main_reports_identical_values(capsys, monkeypatch):
         ("truncation", bench.truncation_cases(sizes=(6,))),
         ("truncation", bench.growth_cases(steps=(2, 6))),
         ("series", bench.series_cases(side=2, policy=ConvergencePolicy(max_terms=500))),
+        ("series", bench.block_series_cases(side=2, policy=ConvergencePolicy(max_terms=500))),
         ("kernel", bench.kernel_cases(sizes=(6,), grid=5))])
     assert bench.main() == 0
     lines = capsys.readouterr().out.splitlines()
-    # two ways per formula, term case, banded spec, grown spec and kernel
-    # case; three for A', two for mul
-    cases = len(list(bench.formulas())) + 1 + 2 + 2 + 2 * len(BANDS)
+    # two ways per formula, term case, banded spec, grown spec, block-read
+    # series case and kernel case; three for A' and the table-fed series,
+    # two for mul
+    cases = len(list(bench.formulas())) + 1 + 2 + 2 + 1 + 2 * len(BANDS)
     ways = 2 * cases + 3 + 3 + 2
     assert len(lines) == 2 + ways
     body = lines[1:-1]
     assert [line.split()[0] for line in body] == (
-        ["oracle"] * (2 * (cases - 4 - 2 * len(BANDS)) + 5) + ["truncation"] * 8
-        + ["series"] * 3 + ["kernel"] * 4 * len(BANDS))
+        ["oracle"] * (2 * (cases - 5 - 2 * len(BANDS)) + 5) + ["truncation"] * 8
+        + ["series"] * 5 + ["kernel"] * 4 * len(BANDS))
     assert sum(line.split()[1] == "echelon" for line in body) == 2 * len(BANDS)
     assert all(line.endswith("identical") for line in body)
     record = json.loads(lines[-1])

@@ -17,6 +17,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,14 +28,14 @@ from test_block_oracle import expr_spec, scalar
 from test_expr_dsl import _asts
 from test_golden_cli import GEO_ROWS3, POLY_A, POLY_B, POLY_ROWS4
 
-from infmat import specio
+from infmat import algebra, specio
 from infmat.algebra import _line_product, matmul
 from infmat.bases_orth import orthogonalize
 from infmat.cli import main
 from infmat.expr_dsl import EvalError, pretty
 from infmat.matrix_core import Lines, truncate
-from infmat.series import (ConvergencePolicy, ConvergenceReport, GeometricTail, SeriesBatch,
-                           sum_series)
+from infmat.series import (BATCH_CELLS, FIRST_TERMS, ConvergencePolicy, ConvergenceReport,
+                           GeometricTail, SeriesBatch, sum_series)
 from infmat.specio import matrix_from_obj
 
 
@@ -297,7 +298,149 @@ def test_chunks_double_from_window_plus_one():
         return np.ones(k1 - k0)
 
     summed(lambda k: 1.0, ConvergencePolicy(window=2, max_terms=40), None, run)
-    assert asked == [(1, 4), (4, 10), (10, 22), (22, 41)]
+    # the first chunk holds FIRST_TERMS = 64 terms, clipped at the cap
+    assert asked == [(1, 41)]
+
+
+def test_chunks_hold_first_terms_then_double_up_to_the_cell_cap():
+    asked = []
+
+    def runs(k0, k1, rows):
+        asked.append((k0, k1, rows.size))
+        return np.ones((rows.size, k1 - k0))
+
+    # series of ones never stop before the cap; 100 series fit 163 terms
+    # in BATCH_CELLS cells
+    group = SeriesBatch([None] * 100, ConvergencePolicy(window=2, max_terms=500), runs)
+    assert group.outcome(0).terms_used == 500
+    assert (FIRST_TERMS, BATCH_CELLS // 100) == (64, 163)
+    assert asked == [(1, 65, 100), (65, 193, 100), (193, 356, 100), (356, 501, 100)]
+
+
+def stops_early():
+    """The window, and tables of 200 terms with their tails: series that
+    stop at step 1 (a certificate), at ``window + 1`` (a quiet streak from
+    step 2) and one step later, inside the first chunk of FIRST_TERMS
+    terms, and one that stops in the second chunk."""
+    window = 3
+    heads = [([0.5, 0.25], GeometricTail(1e-20, 0.5)), ([1.0], None), ([1.0, 2.0], None),
+             ([1.0] * 70, None)]
+    return window, [(head + [0.0] * (200 - len(head)), tail) for head, tail in heads]
+
+
+@pytest.mark.parametrize("alone", [True, False], ids=["batch of one", "batch"])
+def test_stops_inside_the_first_chunk_are_the_scalar_reports(alone):
+    window, drawn = stops_early()
+    policy = ConvergencePolicy(tol=1e-10, window=window, max_terms=1000)
+    tables = np.array([table for table, _ in drawn])
+
+    def runs_of(offset):
+        return lambda k0, k1, rows: tables[rows + offset, k0 - 1:k1 - 1]
+
+    want = [sum_series(lambda k, t=table: t[k - 1], policy, tail) for table, tail in drawn]
+    assert [rep.terms_used for rep in want] == [1, window + 1, window + 2, 70 + window]
+    assert [rep.certified for rep in want] == [True, False, False, False]
+    if alone:
+        groups = [(SeriesBatch([tail], policy, runs_of(s)), 0) for s, (_, tail) in enumerate(drawn)]
+    else:
+        group = SeriesBatch([tail for _, tail in drawn], policy, runs_of(0))
+        groups = [(group, s) for s in range(len(drawn))]
+    for (group, s), rep in zip(groups, want):
+        got = group.outcome(s)
+        assert got is not None and bits(got) == bits(rep)
+
+
+@pytest.mark.parametrize("how", ["declined", "non-finite"])
+def test_a_chunk_failing_past_the_stop_gives_the_series_back(how):
+    # a series stops at step 5, in the first chunk; the chunk declines, or
+    # holds a nan at index 40, past the stop
+    policy = ConvergencePolicy(tol=1e-10, window=3, max_terms=1000)
+    table = [1.0, 2.0] + [0.0] * 200
+    asked, chunks = [], []
+
+    def term(k):
+        asked.append(k)
+        return table[k - 1]
+
+    def runs(k0, k1, rows):
+        chunks.append((k0, k1))
+        if how == "declined":
+            return None
+        run = np.array([table[k0 - 1:k1 - 1]] * rows.size)
+        run[:, 40 - k0] = math.nan
+        return run
+
+    want = sum_series(term, policy)
+    assert want.terms_used == 5 and want.converged
+    asked.clear()
+    # a second, equal series makes the batch run the rule over arrays
+    group = SeriesBatch([None, None], policy, runs)
+    got = sum_series(term, policy, None, (group, 0))
+    assert group.outcome(0) is None and group.outcome(1) is None
+    assert chunks == [(1, 1 + FIRST_TERMS)]
+    # summed again from index 1, to its stop
+    assert asked == [1, 2, 3, 4, 5]
+    assert bits(got) == bits(want)
+    # a batch of one reads its run only up to its stop, so that only a
+    # declined run gives it back
+    alone = SeriesBatch([None], policy, runs).outcome(0)
+    assert alone is None if how == "declined" else bits(alone) == bits(want)
+
+
+def test_probe_product_runs_in_few_chunks_and_little_memory():
+    # the 64 probe series of 1/(i+j+0.5)^1.6 squared stop after 1328-1335
+    # terms: the doubling chunks from window + 1 of 128 terms at most took
+    # 15 runs calls
+    A = expr_spec("1/(i+j+0.5)^1.6")
+    policy = ConvergencePolicy(max_terms=20000)
+    calls = []
+
+    def counted_product(left, right, pairs):
+        runs = _line_product(left, right, pairs)
+
+        def counted(k0, k1, rows):
+            calls.append((k0, k1, rows.size))
+            return runs(k0, k1, rows)
+
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "_line_product", counted_product)
+        tracemalloc.start()
+        try:
+            product = matmul(A, A, policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    used = [rep.terms_used for rep in product.per_entry_reports.values()]
+    assert len(used) == 64 and 1300 < min(used) and max(used) < 1400
+    assert len(calls) <= 8
+    assert calls[0] == (1, 1 + FIRST_TERMS, 64)
+    # the batch's arrays, of BATCH_CELLS cells at most, and the readers
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_lines_grown_by_any_requests_read_each_cell_once(axis):
+    # rising, repeated and smaller requests, then one whose block declines
+    # (0/(j-30) on rows, 0/(i-30) on columns), and every one after it
+    where = "j" if axis == 0 else "i"
+    spec, entries, cells = counted(expr_spec(f"1/(i+j)^1.5 + 0/({where}-30)"))
+    lines = Lines(spec, [2, 5, 3], axis)
+    for n in [1, 4, 4, 9, 2, 9, 17, 16, 29]:
+        got = lines(n)
+        want = np.array([[spec.entry(*((p, l) if axis == 0 else (l, p)))
+                          for l in range(1, n + 1)] for p in (2, 5, 3)])
+        assert got.shape == (3, n) and got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    # each cell of the 29 read by block once
+    assert set(cells.values()) == {1} and len(cells) == 3 * 29
+    read = dict(cells)
+    for n in [31, 5, 29, 40]:
+        assert lines(n) is None
+    # the declined block was asked once, for columns 30 and 31, no more
+    assert {cell for cell in cells if cell not in read} == {
+        ((p, l) if axis == 0 else (l, p)) for p in (2, 5, 3) for l in (30, 31)}
+    assert set(cells.values()) == {1}
 
 
 # --- errors keep their order ----------------------------------------------
