@@ -48,6 +48,10 @@ median of the runs.
   one way each: ``lu_det`` (with its relative gap to
   ``np.linalg.slogdet``), ``echelon`` at ``rank``'s pivot threshold and
   ``gauss_solve`` of the golden dense system, b = 1/i².
+* solve: the compatibility ranks of ``solve --check-compat`` on the
+  golden dense system, b = 1/i², wanted 1..3: ``cramer_solve(...)
+  .compatibility()`` at max-size 128, 256, 512 and 1024, in µs per size
+  of the schedule, one way, with the verdict and the rank of [A | b].
 
 The last line is one JSON object: the timed checkout's revision, the
 machine facts of ``perfbench/run.py``, numpy's version and every row.
@@ -93,11 +97,11 @@ from infmat._dense import (_sweep, band_rows, echelon, gauss_solve, lu_det,  # n
 from infmat.algebra import PROBE_SIDE, _line_product, matmul  # noqa: E402
 from infmat.bases_orth import orthogonalize  # noqa: E402
 from infmat.determinant import det_log_series  # noqa: E402
-from infmat.inverse_solve import RANK_PIVOT_SCALE  # noqa: E402
-from infmat.matrix_core import (DenseMatrix, Lines, MatrixSpec, Sections,  # noqa: E402
-                                clip_extent, truncate)
+from infmat.inverse_solve import RANK_PIVOT_SCALE, cramer_solve  # noqa: E402
+from infmat.matrix_core import (INFINITE, DenseMatrix, Lines, MatrixSpec,  # noqa: E402
+                                Sections, TruncationSchedule, clip_extent, truncate)
 from infmat.series import ConvergencePolicy, SeriesBatch, sum_series  # noqa: E402
-from infmat.specio import matrix_from_obj  # noqa: E402
+from infmat.specio import matrix_from_obj, vector_from_obj  # noqa: E402
 from infmat.spectral import _grid_values, char_value  # noqa: E402
 from perfbench.run import machine_facts  # noqa: E402
 
@@ -328,12 +332,26 @@ def dense_kernel_cases(sizes=(128, 256, 512, 1024)):
         yield f"dense gauss_solve n={n}", "pivot", len, [("sweep", lambda: gauss_solve(a, b))]
 
 
+def compat_cases(sizes=(128, 256, 512, 1024)):
+    golden = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "expr", "expr": DENSE_EXPR})
+    b = vector_from_obj({"kind": "expr", "expr": "1/i^2"}, INFINITE)
+    for n in sizes:
+        schedule = TruncationSchedule(max_size=n)
+
+        def ranks():
+            return cramer_solve(golden, b, [1, 2, 3], schedule).compatibility()
+
+        yield f"cramer compatibility max-size={n}", "size", lambda rep: rep.rank_Ab.terms_used, [
+            ("solve + ranks", ranks)], (
+            lambda rep: {"verdict": rep.verdict, "rank_Ab": rep.rank_Ab.estimate})
+
+
 def layers():
     return [("oracle", oracle_cases()), ("truncation", truncation_cases()),
             ("truncation", growth_cases()), ("series", series_cases()),
             ("series", block_series_cases()),
             ("kernel", kernel_cases()), ("kernel", log_series_cases()),
-            ("kernel", dense_kernel_cases())]
+            ("kernel", dense_kernel_cases()), ("solve", compat_cases())]
 
 
 def measure(layers, repeat=REPEAT):

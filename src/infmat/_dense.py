@@ -11,8 +11,11 @@ rows (Golub & Van Loan, *Matrix Computations*, sec. 4.3).  The sections
 of a spec that declares a bandwidth come as band rows; an array's band
 is measured once from its nonzero pattern.
 
-One sweep by partial pivoting eliminates for ``echelon``,
-``null_vector``, ``gauss_solve`` (on ``[a | b]``) and ``lu_det``.  It
+A matrix is eliminated once, by :func:`factor`, a sweep by partial
+pivoting, and the kernels read the :class:`Factor` it returns: its pivot
+count is the rank, ``lu_det`` the product of its pivots, ``echelon`` its
+reduced rows, and ``null_vector`` and ``gauss_solve`` (on ``[a | b]``)
+one back-substitution against its rows.  The sweep
 confines each step to the window that can still be nonzero, which comes
 from the band ``(bl, bu)``.  Partial pivoting keeps the pivot column
 nonzero only in the ``bl`` rows below the pivot and the pivot row only up
@@ -61,6 +64,7 @@ whatever the number of lanes, so one value at a time (a bisection step, a
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -221,14 +225,9 @@ def lu_det(a: np.ndarray | Band) -> float:
     """Determinant via partially pivoted elimination, sign tracked on swaps,
     of an array or band rows."""
     a = _operand(a)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    if a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
-    pivots, values, sign, _ = _eliminate(a, 0.0)
-    # the pivots' product in column order, a numpy scalar: dividing by a
-    # determinant that underflowed to 0 gives inf, not ZeroDivisionError.
-    # 0 when a column has no pivot
-    return sign * np.float64(math.prod(values)) if len(pivots) == n else 0.0
+    return factor(a, 0.0).det()
 
 
 def lu_det_shifts(t: np.ndarray | Band, shifts: np.ndarray) -> np.ndarray:
@@ -474,34 +473,82 @@ def _reduced(rows: list, start: list, shape: tuple[int, int]) -> np.ndarray:
     return u
 
 
-def _eliminate(a: np.ndarray | Band, pivot_tol: float, zero_signs: bool = False):
-    """The sweep of ``a`` within its band, or within :func:`_sweep_window`
-    when the signs of zeros in the reduced array matter (``zero_signs``),
-    on Python floats when that window is narrow, else in numpy on ``a`` as
-    an array: the pivot columns, the pivot values in row order, the sign
-    of the row permutation and a function building the reduced array."""
+@dataclass(frozen=True, eq=False)
+class Factor:
+    """One sweep of a matrix by :func:`factor`: its pivot columns and values
+    in row order, the sign of its row permutation, its pivot threshold, its
+    shape, and its reduced rows, the array of :func:`_sweep` or the lists
+    and start columns of :func:`_sweep_rows`."""
+
+    pivots: list[int]
+    values: list[float] | np.ndarray
+    sign: float
+    tol: float
+    shape: tuple[int, int]
+    rows: np.ndarray | tuple[list, list]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def det(self) -> float:
+        """The pivots' product in column order times the sign, a numpy
+        scalar: dividing by a determinant that underflowed to 0 gives inf,
+        not ZeroDivisionError.  0 when a column has no pivot."""
+        if self.rank < self.shape[0]:
+            return 0.0
+        return self.sign * np.float64(math.prod(self.values))
+
+    @cached_property
+    def reduced(self) -> np.ndarray:
+        """The reduced array, built from the lists on first use."""
+        return self.rows if isinstance(self.rows, np.ndarray) else _reduced(*self.rows, self.shape)
+
+    def back_substitute(self, x: np.ndarray, rhs) -> np.ndarray:
+        """``x`` with its pivot entries set from the last pivot row up: row r,
+        pivot column p, sets ``x[p] = (rhs[r] - u[r, p+1:len(x)] @ x[p+1:])
+        / u[r, p]`` for the reduced array u."""
+        u = self.reduced
+        for r in range(self.rank - 1, -1, -1):
+            p = self.pivots[r]
+            x[p] = (rhs[r] - float(u[r, p + 1:len(x)] @ x[p + 1:])) / u[r, p]
+        return x
+
+    def solve(self, n: int) -> np.ndarray:
+        """x with ``a[:, :n] x = a[:, n:]`` for the swept square system
+        ``a``, one column per right-hand side; :class:`SingularSystemError`
+        when one of the first n columns has no pivot."""
+        missing = set(range(n)).difference(self.pivots)
+        if missing:
+            raise SingularSystemError(f"no pivot above {self.tol} at column {min(missing) + 1}")
+        x = np.zeros((self.shape[1] - n, n))  # one contiguous row per right-hand side
+        for c, row in enumerate(x):
+            self.back_substitute(row, self.reduced[:, n + c])
+        return x.T
+
+
+def factor(a: np.ndarray | Band, pivot_tol: float, zero_signs: bool = False) -> Factor:
+    """The sweep of ``a``, an array or band rows, within its band, or within
+    :func:`_sweep_window` when the signs of zeros in the reduced rows matter
+    (``zero_signs``), on Python floats when that window is narrow, else in
+    numpy on ``a`` as an array.  Columns whose best remaining pivot is <=
+    ``pivot_tol`` in magnitude are skipped."""
+    a = _operand(a)
     band = band_of(a)
     window = _sweep_window(a, band) if zero_signs else band
     if is_narrow(window):
         rows, start, pivots, sign = _sweep_rows(a, pivot_tol, window)
         values = [rows[r][c - start[r]] for r, c in enumerate(pivots)]
-        return pivots, values, sign, lambda: _reduced(rows, start, a.shape)
+        return Factor(pivots, values, sign, pivot_tol, a.shape, (rows, start))
     u, pivots, sign = _sweep(as_array(a), pivot_tol, window, band)
-    return pivots, u[np.arange(len(pivots)), pivots], sign, lambda: u
+    return Factor(pivots, u[np.arange(len(pivots)), pivots], sign, pivot_tol, a.shape, u)
 
 
 def echelon(a: np.ndarray | Band, pivot_tol: float) -> tuple[np.ndarray, list[int]]:
     """Row echelon form with partial pivoting of an array or band rows: the
     reduced array and the pivot column indices of the sweep."""
-    a = _operand(a)
-    pivots, _, _, reduced = _eliminate(a, pivot_tol, zero_signs=True)
-    return reduced(), pivots
-
-
-def rank_of_array(a: np.ndarray | Band, pivot_tol: float) -> int:
-    """The pivot count of :func:`echelon`, which the signs of zeros do not change."""
-    a = _operand(a)
-    return len(_eliminate(a, pivot_tol)[0])
+    f = factor(a, pivot_tol, zero_signs=True)
+    return f.reduced, f.pivots
 
 
 def null_vector(a: np.ndarray | Band, pivot_tol: float) -> np.ndarray | None:
@@ -509,21 +556,17 @@ def null_vector(a: np.ndarray | Band, pivot_tol: float) -> np.ndarray | None:
     full column rank.
 
     Convention: the first pivot-free column gets value 1, all later free
-    columns 0; pivot variables come from back-substitution.
+    columns 0; pivot variables come from back-substitution against a
+    right-hand side of -0.0, which gives ``-s / pivot`` for the sum ``s``.
     """
-    u, pivots = echelon(a, pivot_tol)
-    cols = u.shape[1]
-    pivot_set = set(pivots)
-    free = next((c for c in range(cols) if c not in pivot_set), None)
+    f = factor(a, pivot_tol, zero_signs=True)
+    cols = f.shape[1]
+    free = min(set(range(cols)).difference(f.pivots), default=None)
     if free is None:
         return None
     v = np.zeros(cols)
     v[free] = 1.0
-    for row in range(len(pivots) - 1, -1, -1):
-        pc = pivots[row]
-        s = float(u[row, pc + 1:] @ v[pc + 1:])
-        v[pc] = -s / u[row, pc]
-    return v
+    return f.back_substitute(v, [-0.0] * f.rank)
 
 
 def gauss_solve(a: np.ndarray, b: np.ndarray, pivot_tol: float = 0.0) -> np.ndarray:
@@ -537,15 +580,7 @@ def gauss_solve(a: np.ndarray, b: np.ndarray, pivot_tol: float = 0.0) -> np.ndar
     n = a.shape[0]
     if a.shape != (n, n) or b.shape[0] != n:
         raise ValueError("square system required")
-    u, pivots, _ = _sweep(np.column_stack((a, b)), pivot_tol)
-    missing = set(range(n)).difference(pivots)
-    if missing:
-        raise SingularSystemError(f"no pivot above {pivot_tol} at column {min(missing) + 1}")
-    x = np.zeros((u.shape[1] - n, n))  # one contiguous row per right-hand side
-    for c, row in enumerate(x):
-        for k in range(n - 1, -1, -1):
-            row[k] = (u[k, n + c] - float(u[k, k + 1:n] @ row[k + 1:])) / u[k, k]
-    return x.T.reshape(b.shape)
+    return factor(np.column_stack((a, b)), pivot_tol, zero_signs=True).solve(n).reshape(b.shape)
 
 
 def product_ascending(a: np.ndarray, b: np.ndarray) -> np.ndarray:

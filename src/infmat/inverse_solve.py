@@ -2,6 +2,13 @@
 rule by elimination, or the inverse series applied to the right-hand
 side), numerical rank, and rank-comparison compatibility verdicts.
 
+Each section is eliminated once, under one pivot threshold, ``1e-10``
+times ``norm_inf(A_n)``: the rank of ``A_n`` is the pivot count of its
+sweep, and one sweep of ``[A_n | b_n]`` gives rank ``A_n`` (its pivots
+left of b's column), rank ``[A_n | b_n]`` and Cramer's solution
+``x_n``.  A solve keeps only the ranks and solution of each section,
+and its compatibility check reads them.
+
 Infinite systems are never solved "at infinity": every quantity is the
 stabilized limit of finite truncations under a schedule, and each
 reported number carries its convergence report.
@@ -14,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._dense import Band, gauss_solve, norm_inf, pivot_norm, rank_of_array
+from ._dense import Band, Factor, as_array, factor, norm_inf, pivot_norm
 from .errors import (ConvergenceFailureError, ExtentMismatchError,
                      OracleValueError, PreconditionError)
 from .matrix_core import (INFINITE, DenseMatrix, MatrixSpec, Sections,
@@ -76,7 +83,8 @@ class SolveReport:
 
     def compatibility(self) -> "SolveReport":
         """:func:`check_compatibility` of the solved system, read from the
-        sections of ``A`` and prefix of ``b`` the solve holds; a report of
+        sections of ``A`` and prefix of ``b`` the solve holds and from the
+        ranks of the sections Cramer's route swept; a report of
         :func:`check_compatibility` returns itself."""
         return self if self._compat is None else self._compat()
 
@@ -200,10 +208,15 @@ def neumann_inverse(A: MatrixSpec,
     return InverseReport(lazy, norm, terms, residual, _block=block)
 
 
-def _dense_rank(a: np.ndarray | Band) -> float:
-    """Rank of an array or band rows, with pivots compared against
-    ``1e-10`` times its norm."""
-    return float(rank_of_array(a, RANK_PIVOT_SCALE * pivot_norm(a)))
+def _factor(a: np.ndarray | Band, rhs: np.ndarray | None = None) -> Factor:
+    """The sweep of the section ``a``, or of ``[a | rhs]`` with the signs of
+    zeros that Cramer's solution reads, with pivots compared against
+    ``1e-10`` times ``norm_inf(a)``: the one threshold of rank,
+    compatibility and Cramer's solve."""
+    tol = RANK_PIVOT_SCALE * pivot_norm(a)
+    if rhs is None:
+        return factor(a, tol)
+    return factor(np.column_stack((as_array(a), rhs)), tol, zero_signs=True)
 
 
 def _section_extent(M: MatrixSpec):
@@ -245,8 +258,8 @@ def rank_of(M: MatrixSpec,
     policy = policy or ConvergencePolicy()
     schedule = schedule or TruncationSchedule()
     sections = Sections(M)
-    return section_limit(lambda n: _dense_rank(sections(n)), _section_extent(M), schedule,
-                         policy)
+    return section_limit(lambda n: float(_factor(sections(n)).rank), _section_extent(M),
+                         schedule, policy)
 
 
 def check_compatibility(A: MatrixSpec, b: MatrixSpec,
@@ -261,18 +274,30 @@ def check_compatibility(A: MatrixSpec, b: MatrixSpec,
     schedule = schedule or TruncationSchedule()
     if not extents_equal(A.rows, b.rows):
         raise ExtentMismatchError(f"rows {A.rows} vs right-hand side {b.rows}")
-    return _compare_ranks(A, Sections(A), _rhs_prefix(b), schedule, policy)
+    return _compare_ranks(A, Sections(A), _rhs_prefix(b), schedule, policy, {})
 
 
-def _compare_ranks(A, sections, rhs, schedule, policy) -> SolveReport:
-    """:func:`check_compatibility` over a section store and prefix of ``b``."""
-    def augmented(n):
-        a = sections.array(n)
-        return np.column_stack([a, rhs(a.shape[0])])
+def _sweep_system(sections: Sections, rhs, ranks: dict, n: int) -> Factor:
+    """The one sweep of ``[A_n | b_n]``; records ``ranks[n]``, the ranks of
+    ``A_n`` (the pivots left of b's column) and of ``[A_n | b_n]``."""
+    a = sections(n)
+    f = _factor(a, rhs(a.shape[0]))
+    ranks[n] = (sum(p < a.shape[1] for p in f.pivots), f.rank)
+    return f
+
+
+def _compare_ranks(A, sections, rhs, schedule, policy, ranks) -> SolveReport:
+    """:func:`check_compatibility` over a section store and prefix of ``b``,
+    reading the ranks of each size from ``ranks`` and sweeping the sizes
+    it does not hold."""
+    def rank(n, k):
+        if n not in ranks:
+            _sweep_system(sections, rhs, ranks, n)
+        return float(ranks[n][k])
 
     extent = _section_extent(A)
-    ra = section_limit(lambda n: _dense_rank(sections(n)), extent, schedule, policy)
-    rab = section_limit(lambda n: _dense_rank(augmented(n)), extent, schedule, policy)
+    ra = section_limit(lambda n: rank(n, 0), extent, schedule, policy)
+    rab = section_limit(lambda n: rank(n, 1), extent, schedule, policy)
     ok = ra.converged and rab.converged and ra.estimate == rab.estimate
     return SolveReport(compatible=ok, rank_A=ra, rank_Ab=rab, unknowns={},
                        route=None)
@@ -285,10 +310,11 @@ def _section_solve(A: MatrixSpec, b: MatrixSpec, wanted, schedule, policy,
     Each section the limits visit is solved whole, ``A_n x_n = b_n``: on
     the Cramer route by one elimination of ``[A_n | b_n]``, which raises
     :class:`SingularSystemError` on a section with no pivot above ``1e-10``
-    times its norm; on the inverse route by the inverse series applied to
-    ``b_n``, after its norm precondition is checked on the largest section.
-    The requested unknowns (by default the indices of the first section)
-    are stabilized over the sections that hold the largest of them; the
+    times ``norm_inf(A_n)``, and whose ranks the compatibility check reads;
+    on the inverse route by the inverse series applied to ``b_n``, after
+    its norm precondition is checked on the largest section.  The
+    requested unknowns (by default the indices of the first section) are
+    stabilized over the sections that hold the largest of them; the
     residual is ``norm_inf(A_n x_n - b_n)`` on the last section solved.
     """
     if not A.is_square:
@@ -303,12 +329,13 @@ def _section_solve(A: MatrixSpec, b: MatrixSpec, wanted, schedule, policy,
     if route == ROUTE_INVERSE:
         _norm_check(sections.array(sizes[-1]), None)
     solutions: dict[int, np.ndarray] = {}
+    ranks: dict[int, tuple[int, int]] = {}
 
     def solution_at(n):
         if n not in solutions:
-            a, bv = sections.array(n), rhs(n)
-            solutions[n] = (_apply_series(a, bv, policy) if route == ROUTE_INVERSE else
-                            gauss_solve(a, bv, RANK_PIVOT_SCALE * max(1.0, pivot_norm(a))))
+            solutions[n] = (_apply_series(sections.array(n), rhs(n), policy)
+                            if route == ROUTE_INVERSE else
+                            _sweep_system(sections, rhs, ranks, n).solve(n)[:, 0])
         return solutions[n]
 
     top = max(idx)
@@ -327,7 +354,7 @@ def _section_solve(A: MatrixSpec, b: MatrixSpec, wanted, schedule, policy,
     return SolveReport(compatible=True, rank_A=None, rank_Ab=None,
                        unknowns=unknowns, route=route, residual=residual,
                        condition=condition,
-                       _compat=lambda: _compare_ranks(A, sections, rhs, schedule, policy))
+                       _compat=lambda: _compare_ranks(A, sections, rhs, schedule, policy, ranks))
 
 
 def cramer_solve(A: MatrixSpec, b: MatrixSpec,

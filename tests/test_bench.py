@@ -283,3 +283,17 @@ def test_the_timed_checkout_is_the_argument(tmp_path):
     proc = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1 and "no src/infmat" in proc.stderr and not proc.stdout
+
+
+def test_compat_rows_time_the_ranks_of_the_golden_system():
+    sizes = (8, 16)
+    rows = measured("solve", bench.compat_cases(sizes=sizes))
+    assert [(row["case"], row["way"]) for row, _ in rows] == [
+        (f"cramer compatibility max-size={n}", "solve + ranks") for n in sizes]
+    for (row, rep), n in zip(rows, sizes):
+        # the golden section is full rank at every size, so no rank settles
+        assert rep.verdict == row["verdict"] == "undetermined"
+        assert rep.rank_A.estimate == rep.rank_Ab.estimate == row["rank_Ab"] == n
+        assert row["unit"] == "size"
+        assert row["units"] == len(bench.TruncationSchedule(max_size=n).sizes())
+        assert row["bits"] == "identical" and row["us_per_unit"] > 0

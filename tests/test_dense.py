@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import sweep_echelon, sweep_gauss_solve, sweep_lu_det, sweep_null_vector
 
 from infmat import _dense
-from infmat._dense import (NARROW_WINDOW, Band, band_rows, echelon, gauss_solve, lu_det,
-                           lu_det_shifts, null_vector, pivot_norm, rank_of_array)
+from infmat._dense import (NARROW_WINDOW, Band, band_rows, echelon, factor, gauss_solve, lu_det,
+                           lu_det_shifts, null_vector, pivot_norm)
 from infmat.errors import InfmatError, SingularSystemError
 from infmat.series import ConvergencePolicy
 from infmat.spectral import char_value
@@ -92,7 +92,7 @@ def test_echelon_bit_identical_to_dense_sweep(a, tol):
     u, pivots = echelon(a, tol)
     ref_u, ref_pivots = sweep_echelon(a, tol)
     assert pivots == ref_pivots
-    assert rank_of_array(a, tol) == len(ref_pivots)
+    assert factor(a, tol).rank == len(ref_pivots)
     assert same_bits(u, ref_u)
 
 
@@ -132,11 +132,6 @@ def narrow_cases(draw):
     return a, band
 
 
-def numpy_sweep_echelon(a, tol, band=None):
-    """:func:`echelon` by the numpy sweep, whatever the window."""
-    return _dense._sweep(a, tol)[:2]
-
-
 def given_band(a, band):
     """``a`` as the kernels are fed it: the array for None, else band rows."""
     return a if band is None else band_rows(a, band)
@@ -157,9 +152,9 @@ def test_python_float_sweep_bit_identical_to_numpy_sweep(case, tol):
     u, pivots = echelon(fed, tol)
     assert pivots == ref_pivots
     assert np.array_equal(u.view(np.int64), ref_u.view(np.int64))
-    assert rank_of_array(fed, tol) == len(ref_pivots)
+    assert factor(fed, tol).rank == len(ref_pivots)
     v = null_vector(fed, tol)
-    with mock.patch.object(_dense, "echelon", numpy_sweep_echelon):
+    with mock.patch.object(_dense, "is_narrow", lambda band: False):  # the numpy sweep
         ref = null_vector(a, tol)
     assert (v is None) == (ref is None)
     if v is not None:
@@ -276,7 +271,7 @@ def test_rank_of_a_tridiagonal_section_builds_no_reduced_array():
     a[n // 2] = 0.0
     tracemalloc.start()
     try:
-        rank = rank_of_array(a, 1e-10)
+        rank = factor(a, 1e-10).rank
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -320,7 +315,7 @@ def test_band_rows_give_the_array_s_values(case, tol):
     assert same_bits(rows.array(), held)
     if a.shape[0] == a.shape[1]:
         assert same_bits(lu_det(rows), lu_det(a))
-    assert rank_of_array(rows, tol) == rank_of_array(a, tol)
+    assert factor(rows, tol).rank == factor(a, tol).rank
     v, want = null_vector(rows, tol), null_vector(a, tol)
     assert (v is None) == (want is None)
     if v is not None:

@@ -1,4 +1,8 @@
+import contextlib
+import io
+import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import counting, fraction_rank, section_cells
 
+from infmat import _dense
+from infmat.cli import main
 from infmat.determinant import det_infinite
 from infmat.inverse_solve import _neumann_sum
 from infmat.errors import (ExtentMismatchError, OracleValueError,
@@ -17,7 +23,7 @@ from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE,
                                 MatrixSpec, TruncationSchedule, diagonal_spec,
                                 entrywise_spec, identity_spec, truncate)
 from infmat.series import ConvergencePolicy
-from infmat.specio import vector_from_obj
+from infmat.specio import matrix_from_obj, vector_from_obj
 from infmat.spectral import find_eigenvalues
 
 SCHED = TruncationSchedule(8, 2, 64)
@@ -218,6 +224,7 @@ def test_compatibility_matches_fraction_oracle():
         spec = MatrixSpec(m, n, lambda i, j, _a=a: float(_a[i - 1, j - 1]))
         got = check_compatibility(spec, DenseMatrix(b[:, None]))
         assert got.compatible == want
+        assert got.rank_A.estimate <= got.rank_Ab.estimate
         agree += 1
     assert agree == 200
 
@@ -230,6 +237,94 @@ def test_compatibility_infinite_rank_one():
     outside = MatrixSpec(INFINITE, 1, lambda i, _: 1.0 if i == 1 else 0.0)
     rep2 = check_compatibility(spec, outside, SCHED)
     assert not rep2.compatible and rep2.verdict == "incompatible"
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 6), st.integers(0, 6), st.sampled_from([1e-14, 1e-12, 1e-6, 1.0, 1e6]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_rank_Ab_is_at_least_rank_A_at_any_scale(n, k, scale, inside, seed):
+    # both ranks are read from one sweep of [A_n | b_n] under one threshold
+    rng = np.random.default_rng(seed)
+    a = scale * (rng.standard_normal((n, k)) @ rng.standard_normal((k, n)))
+    b = a @ rng.standard_normal(n) if inside else rng.standard_normal(n)
+    rep = check_compatibility(DenseMatrix(a), DenseMatrix(b[:, None]))
+    assert rep.rank_A.estimate <= rep.rank_Ab.estimate
+
+
+def test_a_scaled_identity_is_compatible_and_solved():
+    # every pivot of 1e-12 I is above 1e-10 times its norm
+    A, b = DenseMatrix(1e-12 * np.eye(3)), DenseMatrix(np.ones((3, 1)))
+    rep = check_compatibility(A, b)
+    assert rep.verdict == "compatible"
+    assert rep.rank_A.estimate == rep.rank_Ab.estimate == 3.0
+    solved = cramer_solve(A, b)
+    assert [solved.unknowns[i].estimate for i in (1, 2, 3)] == [1.0 / 1e-12] * 3
+    assert solved.compatibility() == rep
+
+
+def counted_sweeps(monkeypatch):
+    """The shape of the matrix of each sweep from now on, numpy or Python-float."""
+    shapes = []
+    for name in ("_sweep", "_sweep_rows"):
+        def sweep(a, *args, _real=getattr(_dense, name), **kwargs):
+            shapes.append(a.shape)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(_dense, name, sweep)
+    return shapes
+
+
+def test_check_compat_of_the_golden_system_sweeps_each_section_once(monkeypatch, tmp_path):
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({
+        "A": {"rows": "inf", "cols": "inf", "kind": "expr",
+              "expr": "delta(i,j) + 0.3/(i+j+1)^2.5"},
+        "b": {"kind": "expr", "expr": "1/i^2"}, "wanted": [1, 2, 3]}))
+    shapes = counted_sweeps(monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["solve", str(system), "--route", "cramer", "--check-compat",
+              "--max-size", "1024", "--quiet"])
+    assert '"compatibility"' in out.getvalue()
+    assert shapes == [(n, n + 1) for n in TruncationSchedule().sizes()]
+
+
+@pytest.mark.parametrize("fn,bandwidth", LOW_RANK + CONTRACTIONS,
+                         ids=["low dense", "low banded", "dense", "banded"])
+def test_check_compatibility_sweeps_each_size_once(fn, bandwidth, monkeypatch):
+    A, _ = counted_spec(fn, bandwidth)
+    shapes = counted_sweeps(monkeypatch)
+    rep = check_compatibility(A, MatrixSpec(INFINITE, 1, lambda i, _: 2.0 ** -i), LONG)
+    used = max(rep.rank_A.terms_used, rep.rank_Ab.terms_used)
+    assert shapes == [(n, n + 1) for n in LONG.sizes()[:used]]
+
+
+@pytest.mark.parametrize("route", ["cramer", "inverse"])
+def test_a_solve_and_its_compatibility_sweep_each_size_once(route, monkeypatch):
+    # the inverse route sweeps only for the ranks; Cramer's ranks reuse its sweeps
+    A = MatrixSpec(INFINITE, INFINITE, CONTRACTIONS[0][0])
+    b = MatrixSpec(INFINITE, 1, lambda i, _: 1.0 / i ** 2)
+    shapes = counted_sweeps(monkeypatch)
+    solved = SOLVERS[route](A, b, wanted=[1])
+    solved_sizes = 0 if route == "inverse" else solved.unknowns[1].terms_used
+    assert shapes == [(n, n + 1) for n in SCHED.sizes()[:solved_sizes]]
+    rep = solved.compatibility()
+    used = max(rep.rank_A.terms_used, rep.rank_Ab.terms_used)
+    assert shapes == [(n, n + 1) for n in SCHED.sizes()[:max(used, solved_sizes)]]
+
+
+def test_cramer_solve_and_compatibility_at_1024_peak_under_33_mib():
+    # a solve keeps each size's ranks and solution, not its reduced array
+    A = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "expr",
+                         "expr": "delta(i,j) + 0.3/(i+j+1)^2.5"})
+    b = vector_from_obj({"kind": "expr", "expr": "1/i^2"}, INFINITE)
+    tracemalloc.start()
+    try:
+        cramer_solve(A, b, wanted=[1, 2, 3], schedule=TruncationSchedule()).compatibility()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 33 * 2 ** 20
 
 
 # --- solving -------------------------------------------------------------------

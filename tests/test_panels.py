@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import sweep_echelon, sweep_echelon_signed, sweep_gauss_solve, sweep_lu_det
 
 from infmat import _dense
-from infmat._dense import PANEL, band_of, echelon, gauss_solve, lu_det, norm_inf, rank_of_array
+from infmat._dense import (PANEL, band_of, band_rows, echelon, factor, gauss_solve, lu_det,
+                           norm_inf)
 
 EPS = np.finfo(float).eps
 
@@ -68,7 +69,7 @@ def test_panelled_pivots_and_sign_are_the_dense_sweep_s(shape, skipped):
     u, pivots, sign = _dense._sweep(a, tol)
     assert (pivots, sign) == (ref_pivots, ref_sign)
     assert len(pivots) == min(shape[0], shape[1] - len(skipped))
-    assert echelon(a, tol)[1] == ref_pivots and rank_of_array(a, tol) == len(ref_pivots)
+    assert echelon(a, tol)[1] == ref_pivots and factor(a, tol).rank == len(ref_pivots)
     assert np.allclose(u, ref_u, rtol=0.0, atol=1e-12 * np.max(np.abs(ref_u)))
 
 
@@ -143,3 +144,33 @@ def test_one_trailing_product_per_panel_after_the_first(n):
     assert Products.count == -(-n // PANEL) - 1
     want_u, want_pivots, want_sign = _dense._sweep(a, 0.0)
     assert (pivots, sign) == (want_pivots, want_sign) and same_bits(u, want_u)
+
+
+@st.composite
+def sections_with_rhs(draw):
+    """A square section on the narrow, windowed or panelled path, as an
+    array or as band rows, with skipped columns, and a right-hand side."""
+    path = draw(st.sampled_from(["narrow", "windowed", "panelled"]))
+    n = draw(st.integers(PANEL + 1, 3 * PANEL))
+    bl, bu = {"narrow": (draw(st.integers(0, 3)), draw(st.integers(0, 3))),
+              "windowed": (draw(st.integers(9, PANEL - 1)), draw(st.integers(0, 20))),
+              "panelled": (n, n)}[path]
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    i, j = np.indices((n, n))
+    a = np.where((i - j <= bl) & (j - i <= bu), with_swaps((n, n), seed), 0.0)
+    for c in draw(st.lists(st.integers(2, n - 1), max_size=4)):
+        # a zero column, or one that is the sum of the two before it
+        a[:, c] = 0.0 if draw(st.booleans()) else a[:, c - 1] + a[:, c - 2]
+    b = seeded((n,), seed + 1)
+    fed = band_rows(a) if draw(st.booleans()) else a
+    return fed, a, b, draw(st.sampled_from([0.0, 1e-10 * norm_inf(a)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sections_with_rhs())
+def test_b_s_column_changes_no_pivot_of_a(case):
+    # rank A_n is read from the sweep of [A_n | b_n]: b's column rides in
+    # each panel's product, and the pivots left of it are A_n's own
+    fed, a, b, tol = case
+    pivots = factor(np.column_stack((a, b)), tol, zero_signs=True).pivots
+    assert [p for p in pivots if p < a.shape[1]] == echelon(fed, tol)[1]
