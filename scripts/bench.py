@@ -52,6 +52,11 @@ median of the runs.
   golden dense system, b = 1/i², wanted 1..3: ``cramer_solve(...)
   .compatibility()`` at max-size 128, 256, 512 and 1024, in µs per size
   of the schedule, one way, with the verdict and the rank of [A | b].
+* eig: ``find_eigenvalues`` on the tridiagonal and pentadiagonal specs
+  of the truncation layer, at max-size 128 with a 64-point grid, on an
+  interval above their bands that holds isolated roots, in µs per
+  operation, one way, with the verdict (``ok``, or the error raised) and
+  the roots and their ``stable`` flags.
 
 The last line is one JSON object: the timed checkout's revision, the
 machine facts of ``perfbench/run.py``, numpy's version and every row.
@@ -97,12 +102,13 @@ from infmat._dense import (_sweep, band_rows, echelon, gauss_solve, lu_det,  # n
 from infmat.algebra import PROBE_SIDE, _line_product, matmul  # noqa: E402
 from infmat.bases_orth import orthogonalize  # noqa: E402
 from infmat.determinant import det_log_series  # noqa: E402
+from infmat.errors import InfmatError  # noqa: E402
 from infmat.inverse_solve import RANK_PIVOT_SCALE, cramer_solve  # noqa: E402
 from infmat.matrix_core import (INFINITE, DenseMatrix, Lines, MatrixSpec,  # noqa: E402
                                 Sections, TruncationSchedule, clip_extent, truncate)
 from infmat.series import ConvergencePolicy, SeriesBatch, sum_series  # noqa: E402
 from infmat.specio import matrix_from_obj, vector_from_obj  # noqa: E402
-from infmat.spectral import _grid_values, char_value  # noqa: E402
+from infmat.spectral import _grid_values, char_value, find_eigenvalues  # noqa: E402
 from perfbench.run import machine_facts  # noqa: E402
 
 REPEAT = 3  # runs per way; the fastest one counts
@@ -346,12 +352,35 @@ def compat_cases(sizes=(128, 256, 512, 1024)):
             lambda rep: {"verdict": rep.verdict, "rank_Ab": rep.rank_Ab.estimate})
 
 
+def eig_verdict(result):
+    """The verdict of an eig run, its roots and their stable flags."""
+    if isinstance(result, InfmatError):
+        return {"verdict": f"{type(result).__name__}: {result}", "roots": [], "stable": []}
+    return {"verdict": "ok", "roots": [p.lam for p in result],
+            "stable": [p.stable for p in result]}
+
+
+def eig_cases(max_size=128, grid=64, interval=(0.6, 1.5)):
+    schedule = TruncationSchedule(max_size=max_size)
+    for name, bands in (("tridiagonal", TRI_BANDS), ("pentadiagonal", PENTA_BANDS)):
+        spec = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "banded", "bands": bands})
+
+        def roots():
+            try:
+                return find_eigenvalues(spec, interval, schedule, grid_points=grid)
+            except InfmatError as exc:  # the verdict, so a failed run is not read as fast
+                return exc
+
+        yield f"{name} eig max-size={max_size}", "op", lambda result: 1, [
+            ("find_eigenvalues", roots)], eig_verdict
+
+
 def layers():
     return [("oracle", oracle_cases()), ("truncation", truncation_cases()),
             ("truncation", growth_cases()), ("series", series_cases()),
             ("series", block_series_cases()),
             ("kernel", kernel_cases()), ("kernel", log_series_cases()),
-            ("kernel", dense_kernel_cases()), ("solve", compat_cases())]
+            ("kernel", dense_kernel_cases()), ("solve", compat_cases()), ("eig", eig_cases())]
 
 
 def measure(layers, repeat=REPEAT):

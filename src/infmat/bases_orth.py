@@ -94,11 +94,13 @@ def orthogonalize(A: MatrixSpec,
                   policy: ConvergencePolicy | None = None) -> OrthReport:
     """Bring [Gram | A] to [G | A'] by lower eliminations only.
 
-    Requires finitely many rows, declared linearly independent.  The
-    returned rows are orthogonal but not normalized.  The largest
-    pairwise inner product among transformed rows is re-measured
-    independently (exact sums for finite columns, checked series
-    otherwise) and reported as ``max_offdiag_dot``.
+    Requires finitely many rows, declared linearly independent: a Gram
+    pivot at or below ``1e-10 * max(1, norm(G))``, negative ones
+    included, raises :class:`DependentRowsError`.  The returned rows are
+    orthogonal but not normalized.  The largest pairwise inner product
+    among transformed rows is re-measured independently (exact sums for
+    finite columns, checked series otherwise) and reported as
+    ``max_offdiag_dot``.
     """
     policy = policy or ConvergencePolicy()
     if not is_finite_extent(A.rows):
@@ -126,7 +128,7 @@ def orthogonalize(A: MatrixSpec,
     coeff = np.eye(m)
     pivot_floor = PIVOT_SCALE * max(1.0, pivot_norm(gram))
     for k in range(m):
-        if abs(g[k, k]) <= pivot_floor:
+        if g[k, k] <= pivot_floor:  # a squared residual norm: negative means dependent
             raise DependentRowsError(
                 f"zero pivot at row {k + 1}: rows are not independent", row=k + 1)
         for l in range(k + 1, m):
@@ -172,7 +174,8 @@ def transition_matrix(B: MatrixSpec, B_prime: MatrixSpec, count: int,
     A basis is the matrix whose column c holds the coordinates of vector
     c.  Column i of the result holds the coordinates of vector i of
     ``B_prime`` with respect to ``B`` (entry (j, i) is the j-th
-    coordinate), obtained by solving the column system on truncations;
+    coordinate), obtained by solving the column system on truncations,
+    under the pivot threshold ``1e-10 * norm_inf(V_n)`` of ``rank``;
     for infinite ambient coordinates each column is stabilized over the
     schedule sizes of at least ``count`` and flagged if it fails to
     settle, and finite ones are solved once, exactly, at the full
@@ -205,7 +208,7 @@ def transition_matrix(B: MatrixSpec, B_prime: MatrixSpec, count: int,
     def solve_at(n):
         # the coordinates of all ``count`` vectors from one elimination
         v_mat = old.array(n)
-        return gauss_solve(v_mat, new.array(n), PIVOT_SCALE * max(1.0, pivot_norm(v_mat)))
+        return gauss_solve(v_mat, new.array(n), PIVOT_SCALE * pivot_norm(v_mat))
 
     def column(i):
         return section_limit_vector(lambda n: solve_at(n)[:count, i - 1], extent,

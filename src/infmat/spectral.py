@@ -1,11 +1,13 @@
 """Eigenvalue search on truncations via the characteristic determinant.
 
 The characteristic value det(A - lambda*I) is only ever evaluated on
-finite sections; a root found by grid scan plus bisection at the largest
-scheduled size is accepted when it reappears (within 1e-6) at the
-previous size.  Roots of truncations approximate spectrum points of the
-infinite matrix but no claim beyond stabilization is made.  Double roots
-produce no sign change and are missed by design.
+finite sections.  Roots are found in one pass of a grid at the largest
+scheduled size, a sign change bisected; a root is stable when the
+previous size's characteristic value is 0 at it, or is 0 at or changes
+sign between the points 1e-6 either side of it.  Roots of truncations
+approximate spectrum points of the infinite matrix but no claim beyond
+stabilization is made.  Double roots produce no sign change and are
+missed by design.
 """
 
 import dataclasses
@@ -114,17 +116,6 @@ def _grid_values(t: np.ndarray | Band, xs: np.ndarray, policy: ConvergencePolicy
     return out
 
 
-def _root_in(f, a, b, fa, fb):
-    """The root of ``f`` bracketed by ``[a, b]``: ``a`` when ``f(a)`` is 0,
-    bisected on a sign change, else None.  A bracket with ``f(b)`` 0 is
-    left to the next one, or to the trailing endpoint, which report b."""
-    if fa == 0.0:
-        return a
-    if fb != 0.0 and (fa < 0) != (fb < 0):
-        return _bisect(f, a, b, fa)
-    return None
-
-
 def _bisect(f, lo, hi, flo):
     """Bisect ``[lo, hi]`` to width :data:`BISECT_WIDTH`, or until no float
     lies between its ends (past about 1e6 in magnitude the spacing of
@@ -148,33 +139,33 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
                      policy: ConvergencePolicy | None = None,
                      max_roots: int = 32,
                      grid_points: int = 256) -> list[EigenPair]:
-    """Bracket and bisect sign changes of the characteristic value.
+    """Roots of the characteristic value, in one pass over a grid.
 
     Scans ``grid_points`` evenly spaced arguments at the largest
-    scheduled truncation size, bisects each bracket to width 1e-10, and
-    re-checks each root at the previous size over its bracket; roots
-    moving more than 1e-6 between the two sizes are flagged unstable.  A
-    grid point whose value is exactly 0 is itself a root, reported once;
-    the trailing endpoint is checked over the last bracket.  A finite
-    spec's schedule is its one full size, so its roots are exact and
-    stable; an infinite spec whose schedule has one size gives no
-    evidence across sizes, so its roots are unstable.  An
-    interval with no sign change yields an empty list, not an error; a
-    non-finite or empty interval, one whose width overflows, or
-    ``grid_points`` or ``max_roots`` below 1, raises :class:`ValueError`.
+    scheduled truncation size.  A grid point whose value is exactly 0 is
+    a root; a sign change between two nonzero neighbours is bisected to
+    width 1e-10.  Roots come out in grid order, at most ``max_roots`` of
+    them.  A root is stable when the previous size's characteristic value
+    is 0 at it, or is 0 at or changes sign between the two points 1e-6
+    either side of it (clipped to the interval), so that the previous
+    section has a root within 1e-6.  A finite spec's schedule is its one
+    full size, so its roots are exact and stable; an infinite spec whose
+    schedule has one size gives no evidence across sizes, so its roots
+    are unstable.  An interval with no sign change yields an empty list,
+    not an error; a non-finite or empty interval, one whose width
+    overflows, or ``grid_points`` or ``max_roots`` below 1, raises
+    :class:`ValueError`.
 
-    One :class:`Sections` of the spec is grown to the largest size; the
-    previous size is read from its corner, so the oracle cost does not
-    grow with ``grid_points`` or the number of bisection steps.  The
-    grid's values come from one elimination whose lanes are the grid
-    points (``_grid_values``), which copies no section.  Each bisection
-    step is one :func:`char_value`, and each root's eigenvector one
-    :func:`eigenvector_for`; these work on a copy of one of the two
-    sections with the diagonal shifted, band rows for a spec that
-    declares a bandwidth, so no kernel measures its band and no
-    bisection step copies an n-by-n array.  A root's eigenvector is read
-    off the reduced array of one elimination, and its residual is one
-    product with the shifted section as an array.
+    One :class:`Sections` of the spec is grown to the largest size and
+    read once at it and once at the previous size (its corner), so the
+    oracle cost does not grow with ``grid_points`` or the number of
+    bisection steps.  The grid's values are the lanes of one elimination
+    (``_grid_values``), which copies no section.  Each bisection step,
+    stability value and residual is one :func:`char_value`, and each
+    eigenvector one :func:`eigenvector_for`, on a copy of a section with
+    its diagonal shifted (band rows for a spec that declares a
+    bandwidth).  A root's stability is read before its eigenvector, and
+    its pair is built before the next bracket is bisected.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -193,49 +184,37 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
         raise ExtentMismatchError(f"square matrix required, got {A.rows}x{A.cols}")
 
     sizes = limit_sizes(A.rows, schedule)
-    n_final = sizes[-1]
-
     sections = Sections(A)
-    top = sections(n_final)
+    top = sections(sizes[-1])
+    prev = sections(sizes[-2]) if len(sizes) > 1 else None
 
-    def f_at(size):
-        return lambda x: char_value(sections(size), x, policy)
+    def f(x):
+        return char_value(top, x, policy)
 
-    def persists(root, a, b):
+    def persists(root):
         """Whether the previous size has a root within the stability
-        tolerance of ``root`` in the bracket ``[a, b]``; its value at ``b``
-        counts only for the trailing endpoint ``root == b``."""
-        if is_finite_extent(A.rows):
-            return True  # the one full size is exact
-        if len(sizes) < 2:
-            return False  # one size, nothing to compare with
-        g = f_at(sizes[-2])
-        ga, gb = g(a), g(b)
-        prev_root = b if root == b and gb == 0.0 else _root_in(g, a, b, ga, gb)
-        return prev_root is not None and abs(prev_root - root) <= ROOT_STABILITY_TOL
+        tolerance of ``root``: its values either side, then at ``root``."""
+        if prev is None:  # a finite spec's one full size is exact
+            return is_finite_extent(A.rows)
+        left = char_value(prev, max(lo, root - ROOT_STABILITY_TOL), policy)
+        right = char_value(prev, min(hi, root + ROOT_STABILITY_TOL), policy)
+        return bool(left == 0.0 or right == 0.0 or (left < 0) != (right < 0)
+                    or char_value(prev, root, policy) == 0.0)
 
-    def eigenpair(root, stable, char_at=None):
-        vec = eigenvector_for(top, root)
-        vec_res = float(np.max(np.abs(as_array(_shifted(top, root)) @ vec.data[:, 0])))
-        char_residual = 0.0 if char_at is None else abs(char_at(root))
-        return EigenPair(root, vec, char_residual, vec_res, stable)
-
-    f = f_at(n_final)
     xs = np.linspace(lo, hi, grid_points)
     fx = _grid_values(top, xs, policy)
-
     pairs: list[EigenPair] = []
-    for t in range(len(xs) - 1):
+    for t, x in enumerate(xs.tolist()):
         if len(pairs) >= max_roots:
             break
-        a, b = float(xs[t]), float(xs[t + 1])
-        root = _root_in(f, a, b, fx[t], fx[t + 1])
-        if root is not None:
-            pairs.append(eigenpair(root, persists(root, a, b), f))
-    # trailing endpoint that is itself a root, checked over the last bracket
-    if len(pairs) < max_roots and fx[-1] == 0.0:
-        b = float(xs[-1])
-        a = float(xs[-2]) if len(xs) > 1 else b
-        pairs.append(eigenpair(b, persists(b, a, b)))
-    pairs.sort(key=lambda p: p.lam)
+        if fx[t] == 0.0:
+            root = x
+        elif t + 1 < len(xs) and fx[t + 1] != 0.0 and (fx[t] < 0) != (fx[t + 1] < 0):
+            root = _bisect(f, x, float(xs[t + 1]), fx[t])
+        else:
+            continue
+        stable = persists(root)
+        vec = eigenvector_for(top, root)
+        vec_res = float(np.max(np.abs(as_array(_shifted(top, root)) @ vec.data[:, 0])))
+        pairs.append(EigenPair(root, vec, abs(f(root)), vec_res, stable))
     return pairs

@@ -18,7 +18,7 @@ from infmat.matrix_core import (DecayCertificate, DenseMatrix, INFINITE, Lines,
                                 MatrixSpec, TruncationSchedule, entrywise_spec,
                                 finite_support_spec, transpose, truncate)
 from infmat.series import ConvergencePolicy, sum_series
-from infmat.specio import load_family_file, matrix_from_obj
+from infmat.specio import family_from_obj, load_family_file, matrix_from_obj
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -107,6 +107,15 @@ def test_orthogonalize_certified_rows_report():
     with pytest.raises(DependentRowsError):
         # geometric rows are proportional: dependent
         orthogonalize(spec)
+
+
+def test_orthogonalize_negative_pivot_is_a_dependent_row():
+    # row 2 is twice row 1; the Gram series' stopping error leaves the
+    # second pivot slightly negative, a squared residual norm below 0
+    spec = matrix_from_obj({"rows": 2, "cols": "inf", "kind": "expr", "expr": "i/(j+1)^1.5"})
+    with pytest.raises(DependentRowsError, match="zero pivot at row 2") as err:
+        orthogonalize(spec)
+    assert err.value.row == 2
 
 
 def test_orthogonalize_divergent_gram_entry():
@@ -255,6 +264,17 @@ def test_transition_inverse_relation():
         ab = transition_matrix(B, Bp, 4).matrix.data
         ba = transition_matrix(Bp, B, 4).matrix.data
         assert np.max(np.abs(ab @ ba - np.eye(4))) <= 1e-8
+
+
+def test_transition_of_a_scaled_basis_is_solved():
+    # the pivot threshold scales with the basis: 1e-12 I is no singular basis
+    B = family_from_obj({"count": 3, "vectors": {"kind": "dense",
+                                                "data": (1e-12 * np.eye(3)).tolist()}})
+    identity = family_from_obj({"count": 3, "vectors": {"kind": "dense",
+                                                       "data": np.eye(3).tolist()}})
+    res = transition_matrix(B, identity, 3)
+    assert res.matrix.tolist() == (1e12 * np.eye(3)).tolist()
+    assert set(res.column_status.values()) == {"converged"}
 
 
 def shifted_basis():

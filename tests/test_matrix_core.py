@@ -218,6 +218,17 @@ def test_decay_spot_check_rejects_violation():
         spot_check_decay(spec, samples=200)
 
 
+def test_decay_spot_check_slack_is_relative():
+    # a bound that holds with equality passes up to rounding; an entry a
+    # little over a tiny bound fails, however small both are
+    C, r = 3.0e-20, 0.5
+    spot_check_decay(entrywise_spec(lambda i, j: C * r ** (i + j) * (1 + 1e-15),
+                                    decay=DecayCertificate(C, r)), samples=200)
+    with pytest.raises(CertificateError):
+        spot_check_decay(entrywise_spec(lambda i, j: C * r ** (i + j) * (1 + 1e-9),
+                                        decay=DecayCertificate(C, r)), samples=200)
+
+
 def test_certificate_validation():
     with pytest.raises(CertificateError):
         DecayCertificate(1.0, 1.5)

@@ -79,6 +79,15 @@ def test_decay_violation_caught_at_load():
                                                 "C": 1.0, "r": 0.5}})
 
 
+def test_decay_violation_by_tiny_entries_caught_at_load():
+    # every entry is below 1e-15 but far above its claimed bound, which an
+    # absolute slack of 1e-15 let through
+    with pytest.raises(CertificateError, match="violates bound"):
+        matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "expr",
+                         "expr": "1e-16*0.9^(i+j)", "decay": {"kind": "geometric",
+                                                             "C": 1e-30, "r": 0.5}})
+
+
 def test_bad_json_is_schema_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -274,6 +274,56 @@ def test_trailing_endpoint_root_is_checked_at_the_previous_size():
     assert [(p.lam, p.stable) for p in pairs] == [(1.0 / 3.0, True)]
 
 
+def test_a_root_of_the_previous_section_away_from_the_bracket_ends_is_stable():
+    # the 16-section's bracket [0, 0.5] is bisected to its root 0.45; the
+    # 8-section has 0.45 too, but bisecting the same bracket at that size
+    # lands on its root 0.05
+    values = [0.35, 0.6, 0.75, 0.9, 0.45, 0.05, 0.7, 0.55,
+              0.85, 0.45, 0.35, 0.1, 0.45, 0.65, 0.75, 0.85]
+    pairs = find_eigenvalues(diagonal_spec(lambda i: values[i - 1]), (0.0, 1.0),
+                             TruncationSchedule(8, 2, 16), grid_points=3)
+    assert [p.lam for p in pairs] == pytest.approx([0.45, 0.75], abs=1e-9)
+    assert [p.stable for p in pairs] == [True, True]
+
+
+def test_find_eigenvalues_reads_each_section_once(monkeypatch):
+    # one section per size read, the largest and the previous, and at most
+    # three characteristic values of the previous one per root
+    reads, values = Counter(), Counter()
+    call = spectral.Sections.__call__
+    monkeypatch.setattr(spectral.Sections, "__call__",
+                        lambda self, n: reads.update([n]) or call(self, n))
+    monkeypatch.setattr(spectral, "char_value",
+                        lambda t, x, policy=None: values.update([t.shape[0]]) or char_value(
+                            t, x, policy))
+    pairs = find_eigenvalues(diagonal_spec(lambda i: 1.0 / i), (0.02, 0.6), SCHED,
+                             grid_points=64)
+    # 1/2 .. 1/11 and 1/21 are roots of the 32-section too, 1/50 is not
+    assert [(round(1.0 / p.lam), p.stable) for p in pairs] == [(50, False), (21, True)] + [
+        (i, True) for i in range(11, 1, -1)]
+    assert reads == {64: 1, 32: 1}
+    assert 0 < values[32] <= 3 * len(pairs)
+
+
+@st.composite
+def repeated_diagonals(draw):
+    """16 diagonal values, repeats likely, a few of them 4e-7 or 3e-6 from
+    another: inside and outside the stability tolerance, clear of it."""
+    pool = [k / 20 + off for k in range(1, 20) for off in (0.0, 4e-7, 3e-6)]
+    return draw(st.lists(st.sampled_from(pool), min_size=16, max_size=16))
+
+
+@settings(max_examples=80, deadline=None)
+@given(repeated_diagonals(), st.integers(2, 24))
+def test_a_stable_root_has_a_root_of_the_previous_section_within_the_tolerance(values, grid):
+    pairs = find_eigenvalues(diagonal_spec(lambda i: values[i - 1]), (0.0, 1.0),
+                             TruncationSchedule(8, 2, 16), grid_points=grid)
+    for p in pairs:
+        assert min(abs(v - p.lam) for v in values) <= 1e-9
+        if p.stable:
+            assert min(abs(v - p.lam) for v in values[:8]) <= spectral.ROOT_STABILITY_TOL
+
+
 def test_roots_of_an_infinite_spec_on_a_one_size_schedule_are_unstable():
     # the free Laplacian's 8-section has a root near 1.879; the 16-section's
     # roots lie elsewhere, so one size is no evidence of a limit
