@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from oracles import triple_loop_product
 
+from infmat.errors import SingularSystemError
 from infmat.matrix_core import clip_extent, truncate
 from infmat.series import ConvergencePolicy, ConvergenceReport
 from infmat.specio import matrix_from_obj
@@ -302,26 +303,23 @@ def test_compat_rows_time_the_ranks_of_the_golden_system():
 def test_eig_rows_record_the_verdict_roots_and_stable_flags():
     # at max-size 8 the tridiagonal spec's isolated root has no null
     # direction, and the pentadiagonal spec's roots are found
-    interval = (0.5, 1.5)
+    interval, schedule = (0.5, 1.5), bench.TruncationSchedule(max_size=8)
     rows = measured("eig", bench.eig_cases(max_size=8, grid=64, interval=interval))
     assert [(row["case"], row["way"]) for row, _ in rows] == [
         (f"{name} eig max-size=8", "find_eigenvalues") for name in ("tridiagonal",
                                                                    "pentadiagonal")]
-    for (row, result), bands in zip(rows, (bench.TRI_BANDS, bench.PENTA_BANDS)):
+    for row, _ in rows:
         assert row["unit"] == "op" and row["units"] == 1 and row["bits"] == "identical"
         assert row["us_per_unit"] == 1e6 * row["seconds"] > 0
-        spec = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "banded", "bands": bands})
-        try:
-            pairs = bench.find_eigenvalues(spec, interval, bench.TruncationSchedule(max_size=8),
-                                           grid_points=64)
-        except bench.InfmatError as exc:
-            assert type(result) is type(exc) and str(result) == str(exc)
-            assert row["verdict"] == f"{type(exc).__name__}: {exc}"
-            assert row["roots"] == row["stable"] == []
-        else:
-            assert row["verdict"] == "ok" and len(pairs) >= 1
-            assert row["roots"] == [p.lam for p in pairs]
-            assert row["stable"] == [p.stable for p in pairs]
-    assert rows[0][0]["verdict"].startswith("SingularSystemError: no null direction")
-    assert rows[1][0]["verdict"] == "ok"
+    (tri, error), (penta, pairs) = rows
+    assert isinstance(error, SingularSystemError)
+    assert tri["verdict"] == f"SingularSystemError: {error}"
+    assert error.args[0].startswith("no null direction at size 8")
+    assert tri["roots"] == tri["stable"] == []
+    spec = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "banded",
+                            "bands": bench.PENTA_BANDS})
+    want = bench.find_eigenvalues(spec, interval, schedule, grid_points=64)
+    assert penta["verdict"] == "ok" and len(want) >= 1
+    assert penta["roots"] == [p.lam for p in pairs] == [p.lam for p in want]
+    assert penta["stable"] == [p.stable for p in want]
     json.dumps([row for row, _ in rows])
