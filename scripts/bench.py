@@ -56,7 +56,10 @@ median of the runs.
   of the truncation layer, at max-size 128 with a 64-point grid, on an
   interval above their bands that holds isolated roots, in µs per
   operation, one way, with the verdict (``ok``, or the error raised) and
-  the roots and their ``stable`` flags.
+  the roots and their ``stable`` flags.  And the refinement of each sign
+  change of that grid at max-size 128 (``_refine``; a checkout from before
+  it bisects), in µs per characteristic value, with the roots and the
+  values read per root.
 
 The last line is one JSON object: the timed checkout's revision, the
 machine facts of ``perfbench/run.py``, numpy's version and every row.
@@ -109,6 +112,13 @@ from infmat.matrix_core import (INFINITE, DenseMatrix, Lines, MatrixSpec,  # noq
 from infmat.series import ConvergencePolicy, SeriesBatch, sum_series  # noqa: E402
 from infmat.specio import matrix_from_obj, vector_from_obj  # noqa: E402
 from infmat.spectral import _grid_values, char_value, find_eigenvalues  # noqa: E402
+try:
+    from infmat.spectral import _refine  # noqa: E402
+except ImportError:  # a checkout from before the ITP refinement bisects
+    from infmat.spectral import _bisect  # noqa: E402
+
+    def _refine(f, lo, hi, flo, fhi):
+        return _bisect(f, lo, hi, flo)
 from perfbench.run import machine_facts  # noqa: E402
 
 REPEAT = 3  # runs per way; the fastest one counts
@@ -373,6 +383,28 @@ def eig_cases(max_size=128, grid=64, interval=(0.6, 1.5)):
 
         yield f"{name} eig max-size={max_size}", "op", lambda result: 1, [
             ("find_eigenvalues", roots)], eig_verdict
+
+        # the sign changes of the grid at the largest size, as eig reads them
+        top, policy = Sections(spec)(max_size), ConvergencePolicy()
+        xs = np.linspace(*interval, grid)
+        fx = _grid_values(top, xs, policy)
+        xs = xs.tolist()
+        brackets = [(lo, hi, flo, fhi) for lo, hi, flo, fhi in zip(xs, xs[1:], fx, fx[1:])
+                    if flo != 0.0 and fhi != 0.0 and (flo < 0) != (fhi < 0)]
+
+        def refined():
+            """The roots of the grid's sign changes and the values read."""
+            read = []
+
+            def f(x):
+                read.append(x)
+                return char_value(top, x, policy)
+
+            return [_refine(f, *bracket) for bracket in brackets], len(read)
+
+        yield f"{name} refine max-size={max_size}", "value", lambda result: result[1], [
+            ("refine", refined)], lambda result: {
+            "roots": result[0], "values_per_root": result[1] / max(len(result[0]), 1)}
 
 
 def layers():

@@ -56,10 +56,12 @@ panel (the Python-float sweep and the windowed numpy one), and a window
 widened to the whole array only because a cell holds -0.0.
 
 ``lu_det_shifts`` runs that arithmetic once for a whole grid of diagonal
-shifts of a narrow band, with the shifts as the lanes of numpy arrays, as
-``eig`` scans its grid.  Each step costs numpy's per-call overhead
-whatever the number of lanes, so one value at a time (a bisection step, a
-``det`` schedule) stays on the Python-float sweep.
+shifts of a narrow band, with the shifts as the last axis of numpy
+arrays, as ``eig`` scans its grid.  Each step costs numpy's per-call
+overhead whatever the number of lanes, so one value at a time (a step of
+``eig``'s root refinement, a ``det`` schedule) stays on the Python-float
+sweep; the refinement makes few of them, as it interpolates between the
+values at its bracket's ends.
 """
 
 import math
@@ -236,67 +238,80 @@ def lu_det_shifts(t: np.ndarray | Band, shifts: np.ndarray) -> np.ndarray:
 
     The diagonal is ``t_ii + -x``, as a shifted copy holds it.  A shift
     leaves the band of ``t`` as it is, since the band counts the diagonal
-    anyway, so it is taken once.  For a narrow
-    band, one elimination runs the sweep's arithmetic with the shifts as
-    lanes: a lane holds a sliding window of the ``bl + 1`` rows and ``bl +
-    bu + 1`` columns that step k can touch, takes the first row with the
-    largest ``|x|`` as pivot (a NaN before any number), and is 0.0 from a
-    step whose best pivot is 0.  The cost per step is numpy's call
-    overhead whatever the lane count, so this pays off for a grid of
-    shifts, not for one value.  A wide band raises :class:`ValueError`.
+    anyway, so it is taken once.  For a narrow band, one elimination runs
+    the sweep's arithmetic with the shifts as lanes, the last axis of its
+    arrays (:func:`_eliminate_lanes`), and records each step's pivot and
+    whether it swapped rows.  The sign, the lanes with a zero pivot (whose
+    value is 0.0) and the product of the pivots, multiplied in step order
+    as the sweep multiplies them, are folded once at the end.  With no
+    band below the diagonal the matrix is triangular and its pivots are
+    its shifted diagonal, so there is no elimination.  The cost per step
+    is numpy's call overhead whatever the lane count, so this pays off for
+    a grid of shifts, not for one value.  A wide band raises
+    :class:`ValueError`.
     """
     t = _operand(t)
     shifts = np.asarray(shifts, dtype=float)
     n = t.shape[0]
-    with np.errstate(all="ignore"):
-        diag = diagonal(t) + -shifts[:, None]
     band = band_of(t)
     if not is_narrow(band):
         raise ValueError(f"band {band} is too wide for lanes of shifts")
     bl, bu = band
-    lanes, width = np.arange(shifts.size), bl + bu + 1
-    # row i's entries in columns i - bl .. i + bu, the diagonal at bl
-    cells = _cells(t, bl, bu)
+    with np.errstate(all="ignore"):
+        # the shifted diagonal, row i overwritten by step i's pivot once row
+        # i has entered the window
+        pivots = diagonal(t)[:, None] + -shifts
+    swaps = np.zeros(pivots.shape, dtype=bool)
+    if bl:  # else the matrix is triangular and its pivots are its diagonal
+        _eliminate_lanes(_cells(t, bl, bu), bl, pivots, swaps)
+    with np.errstate(all="ignore"):
+        # in step order, from 1.0, as the sweep's det multiplies them
+        det = np.multiply.reduce(pivots, axis=0, initial=1.0)
+    sign = np.where(np.logical_xor.reduce(swaps, axis=0), -1.0, 1.0)
+    return np.where((pivots == 0.0).any(axis=0), 0.0, sign * det)
 
-    # window[:, r, c] holds the entry (k + r, k + c) at step k
-    window = np.zeros((shifts.size, bl + 1, width))
 
-    def enter(r, i):
-        """Row i into window row r, at step i - r <= 0 (the first rows)
-        or i - bl (a row entering from below)."""
-        window[:, r, :bu + r + 1] = cells[i, bl - r:]
-        window[:, r, r] = diag[:, i]
+def _eliminate_lanes(cells: np.ndarray, bl: int, pivots: np.ndarray, swaps: np.ndarray) -> None:
+    """The sweep of :func:`lu_det_shifts` with the lanes as the last axis:
+    row k of ``pivots`` (the shifted diagonal on entry) and ``swaps`` get
+    step k's pivot and whether it swapped rows, in each lane.
 
+    At step k a window of ``bl + 1`` rows by the ``width`` columns of the
+    band holds the entries ``(k + r, k + c)``.  The step takes the first
+    row with the largest ``|x|`` (a NaN before any number) as pivot and
+    writes the eliminated rows below it straight into the other window,
+    shifted one row up and one column left, where the row that enters
+    from below is then filled in.  A lane whose pivot is 0 goes on with
+    infinities and NaNs, unread.
+    """
+    n, width = cells.shape
+    lanes = pivots.shape[1]
+    window, after = np.zeros((bl + 1, width, lanes)), np.zeros((bl + 1, width, lanes))
     for r in range(min(n, bl + 1)):
-        enter(r, r)
-    sign = np.ones(shifts.size)
-    det = np.ones(shifts.size)
-    dead = np.zeros(shifts.size, dtype=bool)
-    with np.errstate(all="ignore"):  # lanes go on past a zero pivot, unread
-        for k in range(n):
+        window[r, :width - bl + r] = cells[r, bl - r:, None]
+        window[r, r] = pivots[r]
+    below = np.arange(1, bl + 1)[:, None]
+    with np.errstate(all="ignore"):
+        for k in range(n - 1):
             m, right = min(bl + 1, n - k), min(width, n - k)
-            if m > 1:
-                mag = np.abs(window[:, :m, 0])
-                p = np.argmax(mag, axis=1)
-                dead |= mag[lanes, p] == 0.0
-                top = window[lanes, p]
-                window[lanes, p] = window[:, 0]
-                window[:, 0] = top
-                sign[p != 0] *= -1.0
+            p = np.abs(window[:m, 0]).argmax(axis=0)
+            if m == 2:  # p is 0 or 1
+                top = np.where(p, window[1, :right], window[0, :right])
+                rows = np.where(p, window[0, :right], window[1:2, :right])
             else:
-                dead |= window[:, 0, 0] == 0.0
-            pivot = window[:, 0, 0]
-            det *= pivot
-            if m > 1:
-                window[:, 1:m, 1:right] -= (window[:, 1:m, :1] / pivot[:, None, None]
-                                            * window[:, :1, 1:right])
-            window[:, :-1, :-1] = window[:, 1:, 1:]
-            window[:, :-1, -1] = 0.0
+                top = p.choose(window[:m, :right])
+                rows = np.where((p == below[:m - 1])[:, None], window[0, :right],
+                                window[1:m, :right])
+            pivots[k] = top[0]
+            swaps[k] = p
+            np.subtract(rows[:, 1:], rows[:, :1] / top[0] * top[1:],
+                        out=after[:m - 1, :right - 1])
+            after[:bl, -1] = 0.0
             if k + bl + 1 < n:
-                enter(bl, k + bl + 1)
-            else:
-                window[:, -1] = 0.0
-    return np.where(dead, 0.0, sign * det)
+                after[bl] = cells[k + bl + 1, :, None]
+                after[bl, bl] = pivots[k + bl + 1]
+            window, after = after, window
+        pivots[n - 1] = window[0, 0]
 
 
 def _sweep(a: np.ndarray, pivot_tol: float, window: tuple[int, int] | None = None,
@@ -507,11 +522,24 @@ class Factor:
     def back_substitute(self, x: np.ndarray, rhs) -> np.ndarray:
         """``x`` with its pivot entries set from the last pivot row up: row r,
         pivot column p, sets ``x[p] = (rhs[r] - u[r, p+1:len(x)] @ x[p+1:])
-        / u[r, p]`` for the reduced array u."""
-        u = self.reduced
+        / u[r, p]`` for the reduced array u.  Reduced rows held as lists are
+        read one at a time into a row of zeros, so no array of the matrix's
+        size is built, and each dot product has the reduced array's
+        operands."""
+        if isinstance(self.rows, np.ndarray):
+            u = self.rows
+            for r in range(self.rank - 1, -1, -1):
+                p = self.pivots[r]
+                x[p] = (rhs[r] - float(u[r, p + 1:len(x)] @ x[p + 1:])) / u[r, p]
+            return x
+        rows, start = self.rows
+        line = np.zeros(len(x))
         for r in range(self.rank - 1, -1, -1):
-            p = self.pivots[r]
-            x[p] = (rhs[r] - float(u[r, p + 1:len(x)] @ x[p + 1:])) / u[r, p]
+            p, row, s = self.pivots[r], rows[r], start[r]
+            end = min(len(x), s + len(row))
+            line[p + 1:end] = row[p + 1 - s:end - s]
+            x[p] = (rhs[r] - float(line[p + 1:] @ x[p + 1:])) / row[p - s]
+            line[p + 1:end] = 0.0
         return x
 
     def solve(self, n: int) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 The characteristic value det(A - lambda*I) is only ever evaluated on
 finite sections.  Roots are found in one pass of a grid at the largest
-scheduled size, a sign change bisected; a root is stable when the
-previous size's characteristic value is 0 at it, or is 0 at or changes
-sign between the points 1e-6 either side of it.  Roots of truncations
+scheduled size, each sign change refined by the ITP method (``_refine``)
+to a bracket at most 1e-10 wide, in at most one value more than
+bisection takes; a root is stable when the previous size's
+characteristic value is 0 at it, or is 0 at or changes sign between the
+points 1e-6 either side of it.  Roots of truncations
 approximate spectrum points of the infinite matrix but no claim beyond
 stabilization is made.  Double roots produce no sign change and are
 missed by design.
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dense import (Band, as_array, band_of, diagonal, is_narrow, lu_det_shifts, null_vector,
+from ._dense import (Band, band_of, diagonal, is_narrow, lu_det_shifts, null_vector,
                      pivot_norm)
 from .determinant import det_truncation
 from .errors import ExtentMismatchError, OracleValueError, SingularSystemError
@@ -68,6 +70,21 @@ def _shifted(t: np.ndarray | Band, lam: float) -> np.ndarray | Band:
     return dataclasses.replace(t, cells=cells) if band else cells
 
 
+def _apply(a: np.ndarray | Band, v: np.ndarray) -> np.ndarray:
+    """``a @ v`` for an array; for band rows, the sum over the band's
+    offsets in order of each cell times its entry of ``v``, with no array
+    built."""
+    if not isinstance(a, Band):
+        return a @ v
+    n, width = a.cells.shape
+    # v with room for the columns left and right of the matrix
+    padded = np.concatenate((np.zeros(a.lower), v, np.zeros(a.upper)))
+    out = a.cells[:, 0] * padded[:n]
+    for c in range(1, width):
+        out += a.cells[:, c] * padded[c:c + n]
+    return out
+
+
 def char_value(t: np.ndarray | Band, lam: float,
                policy: ConvergencePolicy | None = None) -> float:
     """``det(t - lam*I)`` of the square section ``t``, an array or band
@@ -116,22 +133,65 @@ def _grid_values(t: np.ndarray | Band, xs: np.ndarray, policy: ConvergencePolicy
     return out
 
 
-def _bisect(f, lo, hi, flo):
-    """Bisect ``[lo, hi]`` to width :data:`BISECT_WIDTH`, or until no float
-    lies between its ends (past about 1e6 in magnitude the spacing of
-    floats is wider than the width)."""
-    while hi - lo > BISECT_WIDTH:
-        mid = 0.5 * lo + 0.5 * hi  # lo + hi can overflow
-        if not lo < mid < hi:
-            break
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) != (fmid < 0):
-            hi = mid
+def _refine(f, lo, hi, flo, fhi):
+    """A root of ``f`` in the sign change ``[lo, hi]``, whose end values
+    ``flo`` and ``fhi`` are nonzero and of opposite signs, by the ITP method
+    (Oliveira & Takahashi 2020, *ACM TOMS* 47(1):5).
+
+    The bracket shrinks until it is at most :data:`BISECT_WIDTH` wide, or
+    no float lies between its ends (past about 1e6 in magnitude the
+    spacing of floats is wider than the width); a point where ``f`` is
+    exactly 0 is returned at once.  The first point is the midpoint, as
+    bisection's.  Each later one is the regula falsi point of the
+    bracket's end values, moved ``0.2 w² / w₀`` towards the midpoint (for
+    width w, first width w₀), then drawn towards the midpoint as far as it
+    takes for the bracket to stay within the width bisection had one step
+    before, ``w₀ / 2^(j-1)`` after j values (ITP's ``n₀ = 1``).  So ``f``
+    is called at most once more than bisection would call it, and on a
+    smooth ``f`` about a third as often.  The result is the regula falsi
+    point of the final bracket, which lies in it.
+    """
+    flo, fhi = float(flo), float(fhi)
+    first = bound = hi - lo
+    mid = 0.5 * lo + 0.5 * hi  # lo + hi can overflow
+    x = mid
+    while hi - lo > BISECT_WIDTH and lo < mid < hi:
+        fx = float(f(x))
+        if fx == 0.0:
+            return x
+        if (flo < 0) != (fx < 0):
+            hi, fhi = x, fx
         else:
-            lo, flo = mid, fmid
-    return 0.5 * lo + 0.5 * hi
+            lo, flo = x, fx
+        bound *= 0.5  # halved exactly
+        mid = 0.5 * lo + 0.5 * hi
+        x = _itp_point(lo, hi, flo, fhi, mid, first, bound)
+    falsi = _falsi(lo, hi, flo, fhi)
+    return falsi if lo <= falsi <= hi else mid
+
+
+def _falsi(lo, hi, flo, fhi):
+    """Where the line through ``(lo, flo)`` and ``(hi, fhi)`` crosses 0;
+    NaN when both values are infinite."""
+    # fhi / flo is negative, so the denominator does not cancel
+    return lo + (hi - lo) / (1.0 - fhi / flo)
+
+
+def _itp_point(lo, hi, flo, fhi, mid, first, bound):
+    """The next ITP point of ``[lo, hi]``: the regula falsi point moved
+    towards ``mid``, then to within ``bound - w/2`` of it, so that either
+    part of the bracket is at most ``bound`` wide; ``mid`` when that point
+    is not a float strictly inside."""
+    w, falsi = hi - lo, _falsi(lo, hi, flo, fhi)
+    if not lo < falsi < hi:
+        return mid
+    toward = 1.0 if mid > falsi else -1.0
+    shift = 0.2 * w * (w / first)
+    point = falsi + toward * shift if shift <= abs(mid - falsi) else mid
+    reach = max(bound - 0.5 * w, 0.0)
+    if abs(point - mid) > reach:
+        point = mid - toward * reach
+    return point if lo < point < hi else mid
 
 
 def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
@@ -143,8 +203,12 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
 
     Scans ``grid_points`` evenly spaced arguments at the largest
     scheduled truncation size.  A grid point whose value is exactly 0 is
-    a root; a sign change between two nonzero neighbours is bisected to
-    width 1e-10.  Roots come out in grid order, at most ``max_roots`` of
+    a root; a sign change between two nonzero neighbours is refined by
+    the ITP method from both neighbours' values until its bracket is at
+    most 1e-10 wide (or holds no float between its ends, or a value is
+    exactly 0), in at most one value more than bisection takes, and the
+    root is the regula falsi point of the final bracket (``_refine``).
+    Roots come out in grid order, at most ``max_roots`` of
     them.  A root is stable when the previous size's characteristic value
     is 0 at it, or is 0 at or changes sign between the two points 1e-6
     either side of it (clipped to the interval), so that the previous
@@ -159,13 +223,15 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
     One :class:`Sections` of the spec is grown to the largest size and
     read once at it and once at the previous size (its corner), so the
     oracle cost does not grow with ``grid_points`` or the number of
-    bisection steps.  The grid's values are the lanes of one elimination
-    (``_grid_values``), which copies no section.  Each bisection step,
+    refinement steps.  The grid's values are the lanes of one elimination
+    (``_grid_values``), which copies no section.  Each refinement step,
     stability value and residual is one :func:`char_value`, and each
     eigenvector one :func:`eigenvector_for`, on a copy of a section with
     its diagonal shifted (band rows for a spec that declares a
-    bandwidth).  A root's stability is read before its eigenvector, and
-    its pair is built before the next bracket is bisected.
+    bandwidth).  The vector's residual ``(T - lambda*I) v`` is summed over
+    the band's offsets of band rows (``_apply``), so a banded section is
+    never made an array.  A root's stability is read before its
+    eigenvector, and its pair is built before the next bracket is refined.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -210,11 +276,11 @@ def find_eigenvalues(A: MatrixSpec, interval: tuple[float, float],
         if fx[t] == 0.0:
             root = x
         elif t + 1 < len(xs) and fx[t + 1] != 0.0 and (fx[t] < 0) != (fx[t + 1] < 0):
-            root = _bisect(f, x, float(xs[t + 1]), fx[t])
+            root = _refine(f, x, float(xs[t + 1]), fx[t], fx[t + 1])
         else:
             continue
         stable = persists(root)
         vec = eigenvector_for(top, root)
-        vec_res = float(np.max(np.abs(as_array(_shifted(top, root)) @ vec.data[:, 0])))
+        vec_res = float(np.max(np.abs(_apply(_shifted(top, root), vec.data[:, 0]))))
         pairs.append(EigenPair(root, vec, abs(f(root)), vec_res, stable))
     return pairs

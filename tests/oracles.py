@@ -5,8 +5,9 @@ checks: cofactor expansion against pivoted elimination, exact rational
 elimination against floating-point rank, classical Gram-Schmidt against
 the Gram-block elimination, an exact characteristic polynomial
 against root bracketing, the stopping rule as a loop over steps
-against the rule over arrays of steps, and one power per term of the
-log series against the traces read from paired powers.
+against the rule over arrays of steps, one power per term of the
+log series against the traces read from paired powers, and bisection's
+worst-case count of steps against the ITP refinement's.
 """
 
 import itertools
@@ -230,6 +231,24 @@ def sweep_gauss_solve(a, b, pivot_tol):
             x[k] = (rhs[k][c] - float(np.array(a[k][k + 1:]) @ x[k + 1:])) / a[k][k]
         out[:, c] = x
     return out[:, 0] if one else out
+
+
+def bisection_steps(lo, hi, width) -> int:
+    """Values that bisection of ``[lo, hi]`` computes in the worst case:
+    one per halving, each keeping the wider half, until the bracket is at
+    most ``width`` wide or no float lies strictly between its ends.  No
+    value is read, so no exact zero ends it early."""
+    steps = 0
+    while hi - lo > width:
+        mid = lo / 2 + hi / 2
+        if not lo < mid < hi:
+            break
+        steps += 1
+        if mid - lo >= hi - mid:
+            hi = mid
+        else:
+            lo = mid
+    return steps
 
 
 def counting(fn):

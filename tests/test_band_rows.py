@@ -7,8 +7,8 @@ piece (a band, or a rectangle) through the block oracle, and back to the
 scalar loop when a piece declines.  The store, and the array built from
 it, hold the bits of the scalar path at every size, or raise its error.
 No cell of a JSON ``banded`` or ``diag`` section is evaluated by the
-scalar oracle, and ``det``, ``rank`` and ``eig``'s grid on one keep no
-n-by-n array; ``eig`` keeps one at a time for a root.
+scalar oracle, and ``det``, ``rank`` and ``eig`` on one keep no n-by-n
+array, a root's eigenvector and residual included.
 """
 
 import dataclasses
@@ -197,3 +197,18 @@ def test_eig_at_1024_keeps_one_square_array_at_a_time():
         spec, (0.9, 1.1), TruncationSchedule(max_size=N), grid_points=32))
     assert [(p.lam, p.stable) for p in pairs] == [(1.0, True)]
     assert peak < 1.25 * SQUARE
+
+
+@pytest.mark.parametrize("bands", [{"-1": "1", "0": "0", "1": "1"},
+                                   {"-2": "0.25", "-1": "1", "0": "0", "1": "1", "2": "0.25"}],
+                         ids=["tri", "penta"])
+def test_banded_eig_at_1024_keeps_no_square_array(bands):
+    # a root's eigenvector is back-substituted against the reduced band
+    # rows one row at a time, and its residual is summed over the band's
+    # offsets.  The eigenvectors of these Toeplitz sections spread over
+    # every row, so the null direction shows as a small last pivot
+    spec = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "banded", "bands": bands})
+    peak, pairs = peak_bytes(lambda: find_eigenvalues(
+        spec, (0.999, 1.004), TruncationSchedule(max_size=N), grid_points=32))
+    assert len(pairs) == 1 and pairs[0].vec_residual < 1e-12
+    assert peak < SQUARE / 8

@@ -301,25 +301,28 @@ def test_compat_rows_time_the_ranks_of_the_golden_system():
 
 
 def test_eig_rows_record_the_verdict_roots_and_stable_flags():
-    # at max-size 8 the tridiagonal spec's isolated root has no null
-    # direction, and the pentadiagonal spec's roots are found
+    # at max-size 8 both specs' roots are found, and each refine row reads
+    # the roots of eig's sign changes off the same grid
     interval, schedule = (0.5, 1.5), bench.TruncationSchedule(max_size=8)
     rows = measured("eig", bench.eig_cases(max_size=8, grid=64, interval=interval))
     assert [(row["case"], row["way"]) for row, _ in rows] == [
-        (f"{name} eig max-size=8", "find_eigenvalues") for name in ("tridiagonal",
-                                                                   "pentadiagonal")]
-    for row, _ in rows:
+        (f"{name} {kind} max-size=8", way) for name in ("tridiagonal", "pentadiagonal")
+        for kind, way in (("eig", "find_eigenvalues"), ("refine", "refine"))]
+    for (row, pairs), (refine, (roots, values)), bands in zip(
+            rows[::2], rows[1::2], (bench.TRI_BANDS, bench.PENTA_BANDS)):
         assert row["unit"] == "op" and row["units"] == 1 and row["bits"] == "identical"
         assert row["us_per_unit"] == 1e6 * row["seconds"] > 0
-    (tri, error), (penta, pairs) = rows
-    assert isinstance(error, SingularSystemError)
-    assert tri["verdict"] == f"SingularSystemError: {error}"
-    assert error.args[0].startswith("no null direction at size 8")
-    assert tri["roots"] == tri["stable"] == []
-    spec = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "banded",
-                            "bands": bench.PENTA_BANDS})
-    want = bench.find_eigenvalues(spec, interval, schedule, grid_points=64)
-    assert penta["verdict"] == "ok" and len(want) >= 1
-    assert penta["roots"] == [p.lam for p in pairs] == [p.lam for p in want]
-    assert penta["stable"] == [p.stable for p in want]
+        spec = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "banded", "bands": bands})
+        want = bench.find_eigenvalues(spec, interval, schedule, grid_points=64)
+        assert row["verdict"] == "ok" and len(want) >= 2
+        assert row["roots"] == [p.lam for p in pairs] == [p.lam for p in want]
+        assert row["stable"] == [p.stable for p in want]
+        # no grid value is 0, so every root is a refined sign change
+        assert refine["roots"] == roots == row["roots"]
+        assert refine["unit"] == "value" and refine["units"] == values > len(roots)
+        assert refine["values_per_root"] == values / len(roots)
+        assert refine["us_per_unit"] == 1e6 * refine["seconds"] / values
+    error = SingularSystemError("no null direction at size 8")
+    assert bench.eig_verdict(error) == {
+        "verdict": f"SingularSystemError: {error}", "roots": [], "stable": []}
     json.dumps([row for row, _ in rows])

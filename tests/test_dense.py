@@ -214,19 +214,26 @@ NARROW_BANDS = [(bl, bu) for bl in range(9) for bu in range(64)
 SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 1e-12, 1e300, 1.5e308, -1.5e308])
 
 
+# shifts past which a diagonal cell of SPECIAL overflows to +-inf, and
+# shifts that make it +-inf or NaN
+OVERFLOWING = [1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+
+
 @st.composite
 def shifted_sections(draw):
-    """A banded section of special and random entries, and shifts among
-    which some equal a diagonal entry, so that a lane's pivot is 0."""
+    """A banded section of special and random entries, the diagonal (0, 0)
+    one time in four, and shifts among which some equal a diagonal entry,
+    so that a lane's pivot is 0, and some overflow a diagonal cell."""
     n = draw(st.integers(1, 150))
-    bl, bu = draw(st.sampled_from(NARROW_BANDS))
+    bl, bu = draw(st.sampled_from([(0, 0)] * (len(NARROW_BANDS) // 3) + NARROW_BANDS))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     i, j = np.indices((n, n))
     special = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
     t = np.where(special, rng.choice(SPECIAL, (n, n)), rng.standard_normal((n, n)))
     t = np.where((j - i <= bu) & (i - j <= bl), t, 0.0)
     shifts = [0.0, -0.0, *np.diagonal(t)[rng.integers(0, n, 3)],
-              *(rng.standard_normal(3) * draw(st.sampled_from([1.0, 1e-3, 1e300])))]
+              *(rng.standard_normal(3) * draw(st.sampled_from([1.0, 1e-3, 1e300]))),
+              *draw(st.lists(st.sampled_from(OVERFLOWING), max_size=3))]
     return t, np.array(shifts)
 
 
@@ -262,6 +269,26 @@ def test_lu_det_shifts_of_a_wide_band_raises():
     t = np.random.default_rng(3).standard_normal((14, 14))
     with pytest.raises(ValueError, match="too wide"):
         lu_det_shifts(t, np.array([0.0, t[2, 2], -1.5]))
+
+
+def test_lu_det_shifts_builds_no_array_of_a_window_per_row_and_lane():
+    # a (4, 4) band at n = 1024 and 256 lanes: an array holding each row's
+    # band cells in each lane would take 8 * 1024 * 9 * 256 bytes, 18.9 MB
+    n, lanes = 1024, 256
+    rng = np.random.default_rng(7)
+    i, j = np.indices((n, n))
+    t = np.where(np.abs(i - j) <= 4, rng.uniform(-0.5, 0.5, (n, n)), 0.0)
+    rows = band_rows(t, (4, 4))
+    shifts = np.linspace(-1.0, 1.0, lanes)
+    tracemalloc.start()
+    try:
+        got = lu_det_shifts(rows, shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * 9 * lanes / 4
+    picked = [0, 77, lanes - 1]
+    assert same_bits(got[picked], lu_dets_of_copies(t, shifts[picked]))
 
 
 def test_rank_of_a_tridiagonal_section_builds_no_reduced_array():

@@ -1,10 +1,12 @@
 from collections import Counter
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import charpoly_roots
+from oracles import bisection_steps, charpoly_roots
 
 from infmat import spectral
 from infmat._dense import band_rows
@@ -345,3 +347,90 @@ def test_bisection_ends_where_floats_are_wider_than_its_width():
                              grid_points=7)
     want = 1e6 + 0.5 + np.array([-1.0, 1.0]) * np.sqrt(1.25)
     assert [p.lam for p in pairs] == pytest.approx(want, abs=1e-9)
+
+
+def refined_in_a_final_bracket(f, lo, hi):
+    """Refine the sign change ``[lo, hi]`` of ``f``, and check the result:
+    ``f`` is exactly 0 there, or it lies in the bracket of the values read
+    nearest it on either side, whose signs are those of ``f(lo)`` and
+    ``f(hi)`` and which is at most ``BISECT_WIDTH`` wide, or holds no float
+    between its ends; and at most bisection's count plus one values are
+    read.  Returns the result."""
+    flo, fhi = f(lo), f(hi)
+    read = []
+
+    def counted(x):
+        read.append((x, f(x)))
+        return read[-1][1]
+
+    root = spectral._refine(counted, lo, hi, flo, fhi)
+    assert len(read) <= bisection_steps(lo, hi, spectral.BISECT_WIDTH) + 1
+    if (root, 0.0) in read:
+        return root
+    assert all(v != 0.0 for _, v in read)
+    points = [(lo, flo), (hi, fhi), *read]
+    left = max(x for x, v in points if x <= root and (v < 0) == (flo < 0))
+    right = min(x for x, v in points if x >= root and (v < 0) == (fhi < 0))
+    assert left <= root <= right
+    assert not any(left < x < right for x, _ in points)
+    assert right - left <= spectral.BISECT_WIDTH or np.nextafter(left, math.inf) == right
+    return root
+
+
+@st.composite
+def polynomial_brackets(draw):
+    """A polynomial with simple roots, as a product of ``x - r`` so that
+    its sign is exact, and a bracket around one root that holds no other."""
+    roots = sorted(draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6, unique=True)))
+    assume(np.all(np.diff(roots) > 1e-3))
+    scale = draw(st.sampled_from([1.0, -1.0, 1e-200, -3e150]))
+    k = draw(st.integers(0, len(roots) - 1))
+    below = roots[k - 1] if k else roots[k] - 5.0
+    above = roots[k + 1] if k + 1 < len(roots) else roots[k] + 5.0
+    lo = roots[k] - draw(st.floats(0.0, 0.999, exclude_min=True)) * (roots[k] - below)
+    hi = roots[k] + draw(st.floats(0.0, 0.999, exclude_min=True)) * (above - roots[k])
+    assume(lo < hi)
+    return roots, scale, lo, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_brackets())
+def test_refinement_of_a_polynomial_root(case):
+    roots, scale, lo, hi = case
+
+    def f(x):
+        return scale * math.prod(x - r for r in roots)
+
+    assume(f(lo) != 0.0 and f(hi) != 0.0)
+    root = refined_in_a_final_bracket(f, lo, hi)
+    assert min(abs(root - r) for r in roots) <= spectral.BISECT_WIDTH
+
+
+@st.composite
+def symmetric_sections(draw):
+    """A random symmetric tri- or pentadiagonal section as band rows."""
+    n, band = draw(st.integers(2, 12)), draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    i, j = np.indices((n, n))
+    a = np.where(np.abs(i - j) <= band, a + a.T, 0.0)
+    return a, draw(st.integers(4, 40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_sections())
+def test_refinement_of_characteristic_values(case):
+    # every sign change of a grid over the spectrum, which may hold
+    # several roots
+    a, grid = case
+    rows, eigs = band_rows(a), np.linalg.eigvalsh(a)
+    xs = np.linspace(eigs[0] - 0.5, eigs[-1] + 0.5, grid).tolist()
+
+    def f(x):
+        return char_value(rows, x)
+
+    values = [f(x) for x in xs]
+    for lo, hi, flo, fhi in zip(xs, xs[1:], values, values[1:]):
+        if flo != 0.0 and fhi != 0.0 and (flo < 0) != (fhi < 0):
+            root = refined_in_a_final_bracket(f, lo, hi)
+            assert min(abs(root - eigs)) <= 1e-8
