@@ -434,3 +434,17 @@ def test_refinement_of_characteristic_values(case):
         if flo != 0.0 and fhi != 0.0 and (flo < 0) != (fhi < 0):
             root = refined_in_a_final_bracket(f, lo, hi)
             assert min(abs(root - eigs)) <= 1e-8
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_residual_of_band_rows_is_the_array_product(n, bl, bu, seed):
+    # summed over the band's offsets rather than along each row: within
+    # the rounding of a sum of bl + bu + 1 products
+    rng = np.random.default_rng(seed)
+    i, j = np.indices((n, n))
+    a = np.where((j - i <= bu) & (i - j <= bl), rng.uniform(-2.0, 2.0, (n, n)), 0.0)
+    v = rng.uniform(-1.0, 1.0, n)
+    got, want = spectral._apply(band_rows(a, (bl, bu)), v), a @ v
+    slack = (bl + bu + 1) * np.finfo(float).eps * (np.abs(a) @ np.abs(v))
+    assert np.all(np.abs(got - want) <= slack)
