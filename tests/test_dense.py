@@ -214,8 +214,8 @@ NARROW_BANDS = [(bl, bu) for bl in range(9) for bu in range(64)
 SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 1e-12, 1e300, 1.5e308, -1.5e308])
 
 
-# shifts past which a diagonal cell of SPECIAL overflows to +-inf, and
-# shifts that make it +-inf or NaN
+# shifts that overflow a diagonal cell of +-1.5e308 to +-inf, and shifts
+# that make every diagonal cell +-inf or NaN
 OVERFLOWING = [1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
 
 
