@@ -60,8 +60,10 @@ shifts of a narrow band, with the shifts as the last axis of numpy
 arrays, as ``eig`` scans its grid.  Each step costs numpy's per-call
 overhead whatever the number of lanes, so one value at a time (a step of
 ``eig``'s root refinement, a ``det`` schedule) stays on the Python-float
-sweep; the refinement makes few of them, as it interpolates between the
-values at its bracket's ends.
+sweep.  The refinement (ITP, ``spectral._refine``) makes few of them: it
+interpolates between the values at its bracket's ends until the bracket
+is at most 1e-10 wide, holds no float between its ends or meets an
+exact 0, in at most one value more than bisection would take.
 """
 
 import math

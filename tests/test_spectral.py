@@ -408,7 +408,7 @@ def test_refinement_of_a_polynomial_root(case):
 
 @st.composite
 def symmetric_sections(draw):
-    """A random symmetric tri- or pentadiagonal section as band rows."""
+    """A random symmetric tri- or pentadiagonal section, and a grid size."""
     n, band = draw(st.integers(2, 12)), draw(st.sampled_from([1, 2]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     a = rng.uniform(-1.0, 1.0, (n, n))
