@@ -297,7 +297,7 @@ def _eliminate_lanes(cells: np.ndarray, bl: int, pivots: np.ndarray, swaps: np.n
         for k in range(n - 1):
             m, right = min(bl + 1, n - k), min(width, n - k)
             p = np.abs(window[:m, 0]).argmax(axis=0)
-            if m == 2:  # p is 0 or 1
+            if m == 2:  # p is 0 or 1; where is faster than choose on two rows
                 top = np.where(p, window[1, :right], window[0, :right])
                 rows = np.where(p, window[0, :right], window[1:2, :right])
             else:

@@ -8,7 +8,9 @@ scalar loop when a piece declines.  The store, and the array built from
 it, hold the bits of the scalar path at every size, or raise its error.
 No cell of a JSON ``banded`` or ``diag`` section is evaluated by the
 scalar oracle, and ``det``, ``rank`` and ``eig`` on one keep no n-by-n
-array, a root's eigenvector and residual included.
+array, a root's eigenvector and residual included, as long as every
+column of the shifted section has a pivot: rows below a column without
+one are padded to the full width.
 """
 
 import dataclasses
@@ -186,11 +188,10 @@ def test_det_rank_and_eig_at_1024_keep_no_square_array(obj):
 
 
 def test_eig_at_1024_keeps_one_square_array_at_a_time():
-    # a root's eigenvector is read off one reduced array and its residual is
-    # one product with the shifted section as an array, one after the
-    # other; the grid and the bisections keep none.  The root 1 is
-    # isolated, and the other diagonal entries, 2 + 1/i, keep the
-    # determinant far from underflow
+    # the grid, the refinement, the eigenvector and the residual all read
+    # the band rows of the diagonal, so the peak stays far below this
+    # bound of one array.  The root 1 is isolated, and the other diagonal
+    # entries, 2 + 1/i, keep the determinant far from underflow
     spec = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "diag",
                             "expr": "if(i-1, 2 + 1/i, 1)"})
     peak, pairs = peak_bytes(lambda: find_eigenvalues(

@@ -220,12 +220,12 @@ OVERFLOWING = [1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
 
 
 @st.composite
-def shifted_sections(draw):
-    """A banded section of special and random entries, the diagonal (0, 0)
-    one time in four, and shifts among which some equal a diagonal entry,
-    so that a lane's pivot is 0, and some overflow a diagonal cell."""
+def shifted_sections(draw, bands=NARROW_BANDS):
+    """A section of special and random entries with one of ``bands``, and
+    shifts among which some equal a diagonal entry, so that a lane's pivot
+    is 0, and some overflow a diagonal cell."""
     n = draw(st.integers(1, 150))
-    bl, bu = draw(st.sampled_from([(0, 0)] * (len(NARROW_BANDS) // 3) + NARROW_BANDS))
+    bl, bu = draw(st.sampled_from(bands))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     i, j = np.indices((n, n))
     special = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
@@ -260,6 +260,15 @@ def value_or_error(run):
 @settings(max_examples=120)
 @given(shifted_sections())
 def test_lu_det_shifts_bit_identical_to_lu_det(case):
+    t, shifts = case
+    got = lu_det_shifts(t, shifts)
+    assert np.array_equal(got.view(np.int64), lu_dets_of_copies(t, shifts).view(np.int64))
+
+
+@settings(max_examples=40)
+@given(shifted_sections(bands=[(0, 0)]))
+def test_lu_det_shifts_of_a_diagonal_bit_identical_to_lu_det(case):
+    # no elimination: the product of the shifted diagonal
     t, shifts = case
     got = lu_det_shifts(t, shifts)
     assert np.array_equal(got.view(np.int64), lu_dets_of_copies(t, shifts).view(np.int64))
