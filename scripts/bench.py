@@ -47,7 +47,12 @@ median of the runs.
   the dense kernels of that section at the same sizes, in µs per pivot,
   one way each: ``lu_det`` (with its relative gap to
   ``np.linalg.slogdet``), ``echelon`` at ``rank``'s pivot threshold and
-  ``gauss_solve`` of the golden dense system, b = 1/i².
+  ``gauss_solve`` of the golden dense system, b = 1/i².  And two cases
+  whose first column has no pivot, each next to one where it has: at
+  n = 1024, ``echelon`` of the golden section at ``rank``'s pivot
+  threshold with its first column zeroed and intact, and ``char_value``
+  of the banded :data:`SKIPPED_BANDS` at its root 1, where its first
+  column is zero, and at 1 + 1e-9.
 * solve: the compatibility ranks of ``solve --check-compat`` on the
   golden dense system, b = 1/i², wanted 1..3: ``cramer_solve(...)
   .compatibility()`` at max-size 128, 256, 512 and 1024, in µs per size
@@ -131,6 +136,8 @@ POLY_ROWS4 = {"rows": 4, "cols": "inf", "kind": "expr", "expr": "1.01/(i+j+0.42)
 # diagonal, e on the first off-diagonals and f on the second
 TRI_BANDS = {"-1": "0.21", "0": "0.05 + 0.9/i^1.2", "1": "0.21"}
 PENTA_BANDS = {**TRI_BANDS, "-2": "0.06", "2": "0.06"}
+# the first column of this spec's sections is zero at its root 1
+SKIPPED_BANDS = {"-1": "if(j-1, 0.2, 0)", "0": "if(i-1, 2 + 1/i, 1)", "1": "if(i-1, 0.2, 0)"}
 
 
 def timed(run, repeat=REPEAT):
@@ -348,6 +355,22 @@ def dense_kernel_cases(sizes=(128, 256, 512, 1024)):
         yield f"dense gauss_solve n={n}", "pivot", len, [("sweep", lambda: gauss_solve(a, b))]
 
 
+def skipped_column_cases(n=1024):
+    golden = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "expr", "expr": DENSE_EXPR})
+    intact = truncate(golden, n, n).data
+    zeroed = intact.copy()
+    zeroed[:, 0] = 0.0
+    for name, a in (("intact", intact), ("col 1 zero", zeroed)):
+        tol = RANK_PIVOT_SCALE * norm_inf(a)
+        yield f"dense echelon n={n} {name}", "pivot", lambda form: len(form[1]), [
+            ("sweep", lambda: echelon(a, tol))]
+    t = Sections(matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "banded",
+                                  "bands": SKIPPED_BANDS}))(n)
+    for x in (1.0, 1.0 + 1e-9):
+        yield f"col-1 char n={n} x={x!r}", "value", lambda value: 1, [
+            ("char_value", lambda: char_value(t, x))]
+
+
 def compat_cases(sizes=(128, 256, 512, 1024)):
     golden = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "expr", "expr": DENSE_EXPR})
     b = vector_from_obj({"kind": "expr", "expr": "1/i^2"}, INFINITE)
@@ -412,7 +435,8 @@ def layers():
             ("truncation", growth_cases()), ("series", series_cases()),
             ("series", block_series_cases()),
             ("kernel", kernel_cases()), ("kernel", log_series_cases()),
-            ("kernel", dense_kernel_cases()), ("solve", compat_cases()), ("eig", eig_cases())]
+            ("kernel", dense_kernel_cases()), ("kernel", skipped_column_cases()),
+            ("solve", compat_cases()), ("eig", eig_cases())]
 
 
 def measure(layers, repeat=REPEAT):

@@ -15,17 +15,23 @@ A matrix is eliminated once, by :func:`factor`, a sweep by partial
 pivoting, and the kernels read the :class:`Factor` it returns: its pivot
 count is the rank, ``lu_det`` the product of its pivots, ``echelon`` its
 reduced rows, and ``null_vector`` and ``gauss_solve`` (on ``[a | b]``)
-one back-substitution against its rows.  The sweep
-confines each step to the window that can still be nonzero, which comes
-from the band ``(bl, bu)``.  Partial pivoting keeps the pivot column
-nonzero only in the ``bl`` rows below the pivot and the pivot row only up
-to ``bl + bu`` columns right of the pivot column.  Every update left out
-is ``x - f*0`` or ``x - 0*y``, so the pivots, signs and returned values
-of a sweep that updates column by column are bit-identical to the full
-dense sweep, for any band at least as wide as the true one, while no
-multiplier or update overflows: ``x - inf*0`` is NaN, so past an
-overflow the window can give ±inf where the full sweep gives NaN.  For
-dense input the window is the whole matrix.  A finite update can only
+one back-substitution against its rows.  Each step updates the rows
+below the pivot from the pivot column rightwards, as LAPACK's ``dgetf2``
+does: no reader looks left of it, so a column without a pivot keeps the
+values it held when it was skipped.  The sweep confines each step to the
+window that can still be nonzero, which comes from the band ``(bl,
+bu)``.  Partial pivoting keeps the pivot column nonzero only in the
+``bl`` rows below the pivot and the pivot row only up to ``bl + bu``
+columns right of the pivot column.  Every update left out is ``x - f*0``
+or ``x - 0*y``, so the pivots, signs and returned values of a sweep that
+updates column by column are bit-identical to the full dense sweep, for
+any band at least as wide as the true one, while no multiplier or update
+overflows: ``x - inf*0`` is NaN, so past an overflow the window can give
+±inf where the full sweep gives NaN.  A sweep that also updated the
+columns left of the pivot would give the same pivots, signs,
+determinants, null vectors and solutions, and the same reduced rows
+except in the columns without a pivot.  For dense input the window is
+the whole matrix.  A finite update can only
 turn a ``-0.0`` into ``+0.0``, so a sweep that returns its reduced array
 runs densely when a cell of the band (every cell, for a measured band)
 holds a negative zero; a determinant does not depend on the signs of
@@ -322,10 +328,11 @@ def _sweep(a: np.ndarray, pivot_tol: float, window: tuple[int, int] | None = Non
 
     Returns the reduced array, the pivot column indices (0-based) and the
     sign of the row permutation.  Columns whose best remaining pivot is
-    <= ``pivot_tol`` in magnitude are skipped.  ``window`` is the band to
-    sweep within and ``band`` the measured band, ``window`` when not
-    given; when neither is given both are measured, the window with
-    negative zeros (:func:`_sweep_window`).
+    <= ``pivot_tol`` in magnitude are skipped, and keep the values they
+    hold then: each step updates from its pivot column rightwards.
+    ``window`` is the band to sweep within and ``band`` the measured band,
+    ``window`` when not given; when neither is given both are measured,
+    the window with negative zeros (:func:`_sweep_window`).
 
     A band that reaches :data:`PANEL` rows below the diagonal is swept in
     panels of ``PANEL`` columns, any other in one panel.  Each panel's
@@ -343,10 +350,6 @@ def _sweep(a: np.ndarray, pivot_tol: float, window: tuple[int, int] | None = Non
         window = _sweep_window(u, band)
     bl, bu = window
     width = PANEL if (band or window)[0] >= PANEL else max(cols, 1)
-    # rows below the current one are zero in every earlier pivot column, so
-    # left of ``c`` the pivot row can be nonzero only from the first
-    # skipped column on
-    left = cols
     pivots = []
     sign = 1.0
     for k0 in range(0, cols, width):
@@ -365,7 +368,6 @@ def _sweep(a: np.ndarray, pivot_tol: float, window: tuple[int, int] | None = Non
             below = min(rows, c + bl + 1)
             p = r + int(np.abs(u[r:below, c]).argmax())
             if abs(u[p, c]) <= pivot_tol:
-                left = min(left, c)
                 continue
             if p != r:
                 _swap(u, r, p)
@@ -373,9 +375,9 @@ def _sweep(a: np.ndarray, pivot_tol: float, window: tuple[int, int] | None = Non
                     _swap(lower, r - r0, p - r0)
                 sign = -sign
             if r + 1 < below:
-                lo, hi = min(left, c), min(k1, c + bl + bu + 1)
+                hi = min(k1, c + bl + bu + 1)
                 f = u[r + 1:below, c] / u[r, c]
-                u[r + 1:below, lo:hi] -= f[:, None] * u[r, lo:hi]
+                u[r + 1:below, c:hi] -= f[:, None] * u[r, c:hi]
                 u[r + 1:below, c] = 0.0
                 if lower is not None:
                     lower[r + 1 - r0:below - r0, r - r0] = f
@@ -410,9 +412,9 @@ def _sweep_rows(a: np.ndarray | Band, pivot_tol: float, window: tuple[int, int])
 
     Physical row i is the list ``rows[i]`` of its entries in columns
     ``start[i]`` onwards.  It holds every column in which it can be
-    nonzero, and is padded with zeros when an update reaches past either
-    end.  Each step updates the cells :func:`_sweep` updates, except left
-    of the pivot row's first held column, where the pivot row is 0.
+    nonzero, and is padded with zeros when an update reaches past its
+    end.  Each step updates the cells :func:`_sweep` updates: every row
+    below the pivot starts at or left of the pivot column.
     """
     rows_n, cols = a.shape
     bl, bu = window
@@ -420,7 +422,6 @@ def _sweep_rows(a: np.ndarray | Band, pivot_tol: float, window: tuple[int, int])
     # room for the fill of a pivot row, up to bl + bu columns right of it
     rows = _cells(a, bl, bl + bu).tolist()
     start = list(range(-bl, rows_n - bl))
-    left = cols
     pivots = []
     sign = 1.0
     r = 0
@@ -442,8 +443,6 @@ def _sweep_rows(a: np.ndarray | Band, pivot_tol: float, window: tuple[int, int])
                 p, best = i, v
                 break
         if best <= pivot_tol:
-            if c < left:
-                left = c
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
@@ -451,9 +450,6 @@ def _sweep_rows(a: np.ndarray | Band, pivot_tol: float, window: tuple[int, int])
             sign = -sign
         top, s0 = rows[r], start[r]
         pivot = top[c - s0]
-        lo = c if c < left else left
-        if lo < s0:
-            lo = s0
         hi = c + reach
         if hi > cols:
             hi = cols
@@ -461,14 +457,11 @@ def _sweep_rows(a: np.ndarray | Band, pivot_tol: float, window: tuple[int, int])
             top.extend([0.0] * (hi - s0 - len(top)))
         for i in range(r + 1, below):
             row, si = rows[i], start[i]
-            if lo < si:
-                row[:0] = [0.0] * (si - lo)
-                start[i] = si = lo
             if hi - si > len(row):
                 row.extend([0.0] * (hi - si - len(row)))
             f = row[c - si] / pivot
             d = si - s0
-            for j in range(lo - si, hi - si):
+            for j in range(c - si, hi - si):
                 row[j] -= f * top[j + d]
             row[c - si] = 0.0
         pivots.append(c)

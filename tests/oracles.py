@@ -150,12 +150,15 @@ def sweep_lu_det(a) -> float:
 
 
 def sweep_echelon(a, pivot_tol):
-    """Row echelon form, every row below the pivot updated in every column."""
+    """Row echelon form, every row below the pivot updated from the pivot
+    column rightwards."""
     return sweep_echelon_signed(a, pivot_tol)[:2]
 
 
 def sweep_echelon_signed(a, pivot_tol):
-    """:func:`sweep_echelon` and the sign of its row permutation."""
+    """:func:`sweep_echelon` and the sign of its row permutation.  A column
+    without a pivot keeps the values it held when it was skipped, moved by
+    row swaps only."""
     u = [list(map(float, row)) for row in a]
     rows, cols = len(u), len(u[0])
     pivots = []
@@ -172,7 +175,7 @@ def sweep_echelon_signed(a, pivot_tol):
         u[r], u[p] = u[p], u[r]
         for i in range(r + 1, rows):
             f = u[i][c] / u[r][c]
-            for j in range(cols):
+            for j in range(c, cols):
                 u[i][j] = u[i][j] - f * u[r][j]
             u[i][c] = 0.0
         pivots.append(c)

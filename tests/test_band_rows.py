@@ -8,9 +8,7 @@ scalar loop when a piece declines.  The store, and the array built from
 it, hold the bits of the scalar path at every size, or raise its error.
 No cell of a JSON ``banded`` or ``diag`` section is evaluated by the
 scalar oracle, and ``det``, ``rank`` and ``eig`` on one keep no n-by-n
-array, a root's eigenvector and residual included, as long as every
-column of the shifted section has a pivot: rows below a column without
-one are padded to the full width.
+array, a root's eigenvector and residual included.
 """
 
 import dataclasses
@@ -31,7 +29,7 @@ from infmat.expr_dsl import EvalError
 from infmat.inverse_solve import rank_of
 from infmat.matrix_core import Sections, TruncationSchedule, clip_extent, truncate
 from infmat.specio import matrix_from_obj
-from infmat.spectral import find_eigenvalues
+from infmat.spectral import char_value, eigenvector_for, find_eigenvalues
 
 # plain formulas, signed zeros among them, and three that fail on some
 # cells: a domain error, a zero divisor and an overflow to inf
@@ -213,3 +211,16 @@ def test_banded_eig_at_1024_keeps_no_square_array(bands):
         spec, (0.999, 1.004), TruncationSchedule(max_size=N), grid_points=32))
     assert len(pairs) == 1 and pairs[0].vec_residual < 1e-12
     assert peak < SQUARE / 8
+
+
+def test_a_column_without_a_pivot_keeps_no_square_array():
+    # at the root 1 the shifted section's first column is zero, so the
+    # sweep skips it and every later column has a pivot
+    spec = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "banded",
+                            "bands": {"-1": "if(j-1, 0.2, 0)", "0": "if(i-1, 2 + 1/i, 1)",
+                                      "1": "if(i-1, 0.2, 0)"}})
+    section = Sections(spec)(N)
+    peak, value = peak_bytes(lambda: char_value(section, 1.0))
+    assert peak < SQUARE / 8 and value == 0.0
+    peak, v = peak_bytes(lambda: eigenvector_for(section, 1.0))
+    assert peak < SQUARE / 8 and v.data[0, 0] == 1.0

@@ -274,6 +274,18 @@ def test_dense_kernel_rows_time_the_golden_sections():
         assert np.allclose(a @ x, 1.0 / np.arange(1, n + 1) ** 2, rtol=0.0, atol=1e-14)
 
 
+def test_skipped_column_rows_pair_each_case_with_one_that_pivots():
+    rows = measured("kernel", bench.skipped_column_cases(n=70))
+    assert [(row["case"], row["way"]) for row, _ in rows] == [
+        ("dense echelon n=70 intact", "sweep"), ("dense echelon n=70 col 1 zero", "sweep"),
+        ("col-1 char n=70 x=1.0", "char_value"), ("col-1 char n=70 x=1.000000001", "char_value")]
+    (intact, (_, pivots)), (zeroed, (u, skipped)), (root, at), (near, off) = rows
+    assert pivots == list(range(70)) and skipped == list(range(1, 70))
+    assert (intact["units"], zeroed["units"]) == (70, 69) and not u[:, 0].any()
+    assert at == 0.0 and off != 0.0 and root["units"] == near["units"] == 1
+    assert all(row["bits"] == "identical" for row, _ in rows)
+
+
 def test_the_timed_checkout_is_the_argument(tmp_path):
     root = SCRIPT.parent.parent
     assert bench.SOURCE == bench.source_root([]) == root
