@@ -31,11 +31,11 @@ overflows: ``x - inf*0`` is NaN, so past an overflow the window can give
 columns left of the pivot would give the same pivots, signs,
 determinants, null vectors and solutions, and the same reduced rows
 except in the columns without a pivot.  For dense input the window is
-the whole matrix.  A finite update can only
-turn a ``-0.0`` into ``+0.0``, so a sweep that returns its reduced array
-runs densely when a cell of the band (every cell, for a measured band)
-holds a negative zero; a determinant does not depend on the signs of
-zeros, so ``lu_det`` skips that check.
+the whole matrix.  A finite update can only turn a ``-0.0`` into
+``+0.0``, so a sweep that returns its reduced array runs densely when a
+cell of the band (every cell, for a measured band) holds a negative
+zero; a determinant does not depend on the signs of zeros, so ``lu_det``
+skips that check.
 
 A narrow window, at most :data:`NARROW_WINDOW` cells per step, is swept
 on Python floats, one list per row, filled from the band cells
