@@ -36,20 +36,21 @@ shared chunks of terms: :data:`FIRST_TERMS` per series at first, twice as
 many each time after, up to :data:`BATCH_CELLS` cells a chunk.  A series
 whose chunk of runs is declined or holds a non-finite term is given back
 by the batch and summed again from index 1, one term at a time.  A value
-drawn one at a time (the runs of a batch of one, a series with no runs or
-given back, and every sequence of :func:`limit_of_sequence` and
-:func:`stabilize_vector`) takes the same rule as a chunk of one step of
-one sequence, on plain floats, so no term or value past the stop is ever
+drawn one at a time (a series with no runs or given back, and every
+section limit) takes the same rule as a chunk of one step of one
+sequence, on plain floats, so no term or value past the stop is ever
 asked for and a step costs well under a microsecond.  The partial sums
 are the same bits either way, so every report, and any error raised
 before the stop, are those of the scalar sum.
 
 A limit over the sections of a matrix decides here, and only here, how
 it visits them (:func:`section_limit`, :func:`section_limit_vector`): a
-finite extent N is the one-size schedule ``[N]``, whose value is exact
-(``converged``, one term, ``last_delta`` 0); an infinite extent runs the
-stopping rule over the schedule sizes at least as large as the largest
-index the caller reads.
+finite extent N is the one-size schedule ``[N]``, whose finite value is
+exact (``converged``, one term, ``last_delta`` 0) and whose non-finite
+value is ``diverged``, as at the first size of any schedule; an infinite
+extent runs the stopping rule over the schedule sizes at least as large
+as the largest index the caller reads.  Scalar and vector limits, over a
+finite or an infinite extent, run one body.
 """
 
 import logging
@@ -322,13 +323,11 @@ class SeriesBatch:
     ``max_terms`` and at :data:`BATCH_CELLS` cells: a chunk's partial sums
     are ``np.add.accumulate`` seeded with the running sums, the same bits
     as adding term by term, and one pass of :meth:`_Rule.feed` stops each
-    series at its own first firing step.  A batch of one series draws its
-    partial sums, added term by term, through :func:`_draw` instead, which
-    costs less than a pass of ``feed`` over its one row.  A series whose
-    chunk is declined, or holds a non-finite term (in a batch of one, a
-    term up to its stop), is given back: the batch drops it and has no
-    report for it.  Runs may reach up to ``FIRST_TERMS`` terms, or about
-    twice as far as a stop.  The chunk boundaries change no report.
+    series at its own first firing step.  A series whose chunk is
+    declined, or holds a non-finite term, is given back: the batch drops
+    it and has no report for it.  Runs may reach up to ``FIRST_TERMS``
+    terms, or about twice as far as a stop.  The chunk boundaries change
+    no report.
 
     The batch never calls a term.  It is summed the first time
     :func:`sum_series` asks for the report of one of its series, and
@@ -346,7 +345,7 @@ class SeriesBatch:
     def outcome(self, k: int) -> "ConvergenceReport | None":
         """The report of series ``k``, or ``None`` if it was given back."""
         if self._outcome is None:
-            self._outcome = [self._lone()] if len(self.tails) == 1 else self._sum()
+            self._outcome = self._sum()
         return self._outcome[k]
 
     def _end(self, k0: int, size: int, series: int) -> int:
@@ -354,35 +353,6 @@ class SeriesBatch:
         at :data:`BATCH_CELLS` cells for ``series`` series and at
         ``max_terms``."""
         return min(k0 + min(size, max(1, BATCH_CELLS // series)), self.policy.max_terms + 1)
-
-    def _lone(self) -> "ConvergenceReport | None":
-        """The report of a batch of one, its runs added term by term and
-        drawn through :func:`_draw`, or ``None`` if it was given back."""
-        given_back = False
-
-        def partials():
-            nonlocal given_back
-            rows = np.zeros(1, dtype=int)
-            s, k0, size = 0.0, 1, FIRST_TERMS
-            while k0 <= self.policy.max_terms:
-                k1 = self._end(k0, size, 1)
-                run = self._runs(k0, k1, rows)
-                if run is None:
-                    given_back = True
-                    return
-                finite = np.isfinite(run[0])
-                whole = finite.all()
-                for t in (run[0] if whole else run[0, :np.argmin(finite)]).tolist():
-                    s += t
-                    yield s
-                if not whole:
-                    given_back = True
-                    return
-                k0, size = k1, 2 * size
-
-        tail = self.tails[0]
-        report = _draw(partials(), self.policy, tail.remainder if tail is not None else None)
-        return None if given_back else report
 
     def _sum(self) -> list:
         policy, runs = self.policy, self._runs
@@ -465,14 +435,42 @@ def _sizes_of(schedule) -> list[int]:
     return list(sizes()) if callable(sizes) else [int(n) for n in schedule]
 
 
-def _schedule_sizes(schedule, policy: ConvergencePolicy) -> list[int]:
-    """The sizes of ``schedule``; warns when they are too few to converge."""
-    sizes = _sizes_of(schedule)
-    if len(sizes) < policy.window + 1:
+def _limit(value_at: Callable, sizes: list[int], policy: ConvergencePolicy | None,
+           vector: bool, exact: bool = False):
+    """The stopping rule over ``value_at(n)`` for ``n`` in ``sizes``: the one
+    body of every limit over sections.
+
+    A scalar is measured by ``abs``; a vector is a float array measured by
+    its max-abs entry, and its report's ``estimate`` is the max-abs entry
+    of the last finite vector.  ``exact`` marks the one size of a finite
+    extent, which logs no step and is never too short: its finite value is
+    exact, and a non-finite one stops the rule as at any first size.
+    Returns the report, or for a vector the last vector computed and the
+    report.
+    """
+    policy = policy or ConvergencePolicy()
+    if not exact and len(sizes) < policy.window + 1:
         logger.warning("schedule has %d sizes but the stopping rule needs "
                        "window + 1 = %d; the result cannot converge",
                        len(sizes), policy.window + 1)
-    return sizes
+    step = f"schedule step: size=%d {'block-max' if vector else 'value'}=%.12g"
+    last = None
+
+    def values():
+        nonlocal last
+        for n in sizes:
+            last = np.asarray(value_at(n), dtype=float) if vector else value_at(n)
+            if not exact:
+                logger.info(step, n, norm_inf(last) if vector else last)
+            yield last
+
+    rep = _draw(values(), policy, norm=norm_inf if vector else abs)
+    # a vector's estimate is the last finite vector, or nan when none came
+    if vector and isinstance(rep.estimate, np.ndarray):
+        rep = replace(rep, estimate=norm_inf(rep.estimate))
+    if exact and rep.status == UNDETERMINED:
+        rep = exact_report(rep.estimate, 1)
+    return (last, rep) if vector else rep
 
 
 def limit_of_sequence(value_at: Callable[[int], float], schedule,
@@ -483,16 +481,7 @@ def limit_of_sequence(value_at: Callable[[int], float], schedule,
     sizes.  Stopping semantics are those of :func:`sum_series` applied to
     the sequence of values.
     """
-    policy = policy or ConvergencePolicy()
-    sizes = _schedule_sizes(schedule, policy)
-
-    def values():
-        for n in sizes:
-            v = value_at(n)
-            logger.info("schedule step: size=%d value=%.12g", n, v)
-            yield v
-
-    return _draw(values(), policy)
+    return _limit(value_at, _sizes_of(schedule), policy, vector=False)
 
 
 def stabilize_vector(value_at: Callable[[int], "np.ndarray"], schedule,
@@ -505,22 +494,7 @@ def stabilize_vector(value_at: Callable[[int], "np.ndarray"], schedule,
     ``abs``.  Returns the last vector computed together with a report
     whose ``estimate`` is the max-abs entry of the last finite vector.
     """
-    policy = policy or ConvergencePolicy()
-    sizes = _schedule_sizes(schedule, policy)
-    last = None
-
-    def values():
-        nonlocal last
-        for n in sizes:
-            last = np.asarray(value_at(n), dtype=float)
-            logger.info("schedule step: size=%d block-max=%.12g", n, norm_inf(last))
-            yield last
-
-    rep = _draw(values(), policy, norm=norm_inf)
-    # the rule's estimate is the last finite vector, or nan when none came
-    if isinstance(rep.estimate, np.ndarray):
-        rep = replace(rep, estimate=norm_inf(rep.estimate))
-    return last, rep
+    return _limit(value_at, _sizes_of(schedule), policy, vector=True)
 
 
 def limit_sizes(extent: Extent, schedule, least: int = 1) -> list[int]:
@@ -546,15 +520,13 @@ def limit_sizes(extent: Extent, schedule, least: int = 1) -> list[int]:
 def section_limit(value_at: Callable[[int], float], extent: Extent, schedule,
                   policy: ConvergencePolicy | None = None,
                   least: int = 1) -> ConvergenceReport:
-    """Limit of ``value_at(n)`` over the sections :func:`limit_sizes` gives.
+    """Limit of ``value_at(n)`` over the sections :func:`limit_sizes` gives,
+    by the rule of :func:`limit_of_sequence`.
 
-    At a finite extent the one value is exact; otherwise the stopping rule
-    of :func:`limit_of_sequence` decides.
+    At a finite extent the one value is exact if it is finite.
     """
-    sizes = limit_sizes(extent, schedule, least)
-    if is_finite_extent(extent):
-        return exact_report(value_at(sizes[0]), 1)
-    return limit_of_sequence(value_at, sizes, policy)
+    return _limit(value_at, limit_sizes(extent, schedule, least), policy, vector=False,
+                  exact=is_finite_extent(extent))
 
 
 def section_limit_vector(value_at: Callable[[int], "np.ndarray"], extent: Extent,
@@ -564,8 +536,5 @@ def section_limit_vector(value_at: Callable[[int], "np.ndarray"], extent: Extent
 
     An exact vector's report carries its max-abs entry as ``estimate``.
     """
-    sizes = limit_sizes(extent, schedule, least)
-    if is_finite_extent(extent):
-        value = np.asarray(value_at(sizes[0]), dtype=float)
-        return value, exact_report(norm_inf(value), 1)
-    return stabilize_vector(value_at, sizes, policy)
+    return _limit(value_at, limit_sizes(extent, schedule, least), policy, vector=True,
+                  exact=is_finite_extent(extent))

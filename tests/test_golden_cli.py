@@ -67,6 +67,11 @@ TRI141_SYSTEM = {"A": {"rows": "inf", "cols": "inf", "kind": "banded",
                  "b": {"kind": "expr", "expr": "1/i"}, "wanted": [1, 2, 3]}
 HARMONIC_SYSTEM = {"A": {"rows": "inf", "cols": "inf", "kind": "diag", "expr": "1 + 1/i"},
                    "b": {"kind": "expr", "expr": "delta(i,1)"}}
+# finite sections whose one exact value overflows: det = 1e400 and x = 1e310
+# are inf, which is diverged, as at the first size of an infinite schedule
+BIG_DIAG3 = {"kind": "dense", "data": [[1e200, 0, 0], [0, 1e200, 0], [0, 0, 1]]}
+TINY_SYSTEM = {"A": {"kind": "dense", "data": [[1e-300]]},
+               "b": {"kind": "dense", "data": [1e10]}}
 WRITTEN = {"tridiag.json": TRIDIAG, "fin20.json": FIN20, "dense.json": DENSE, "dense6.json": DENSE6,
            "dense_system.json": {"A": DENSE, "b": {"kind": "expr", "expr": "1/i^2"}},
            "dense6_system.json": {"A": DENSE6, "b": {"kind": "expr", "expr": "1/i^2"}},
@@ -76,7 +81,8 @@ WRITTEN = {"tridiag.json": TRIDIAG, "fin20.json": FIN20, "dense.json": DENSE, "d
            "harmonic_system.json": HARMONIC_SYSTEM, "rising.json": RISING,
            "recip_col.json": RECIP_COL, "nan_rows.json": NAN_ROWS,
            "slow_rows2.json": SLOW_ROWS2, "tri141_system.json": TRI141_SYSTEM,
-           "banded_rows3.json": BANDED_ROWS3, "finsup_rows3.json": FINSUP_ROWS3}
+           "banded_rows3.json": BANDED_ROWS3, "finsup_rows3.json": FINSUP_ROWS3,
+           "big_diag3.json": BIG_DIAG3, "tiny_system.json": TINY_SYSTEM}
 
 _SPECS = ("harmonic_diag", "identity", "perturbation", "derivative")
 _EIG_INTERVALS = {"harmonic_diag": ("0.15", "0.6"), "identity": ("0.5", "1.5"),
@@ -149,7 +155,9 @@ COMMANDS = (
        ("tmp", ["orth", "slow_rows2.json", "--max-terms", "2000"]),
        ("tmp", ["solve", "tri141_system.json", "--route", "cramer", "--max-size", "1024"]),
        ("tmp", ["orth", "banded_rows3.json"]),
-       ("tmp", ["orth", "finsup_rows3.json"])]
+       ("tmp", ["orth", "finsup_rows3.json"]),
+       ("tmp", ["det", "big_diag3.json"]),
+       ("tmp", ["solve", "tiny_system.json"])]
 )
 
 

@@ -222,6 +222,14 @@ def test_section_limit_finite_extent_is_one_exact_size():
     vec, rep = section_limit_vector(lambda n: [-2.0 * n, 1.0], 12, sched)
     assert vec.tolist() == [-24.0, 1.0] and rep == exact_report(24.0, 1)
     assert seen == [12]
+    # a non-finite value is diverged at the one size, as at an infinite
+    # extent's first size
+    for bad in (math.inf, -math.inf, math.nan):
+        for extent in (12, INFINITE):
+            for rep in (section_limit(lambda n: bad, extent, sched),
+                        section_limit_vector(lambda n: [1.0, bad], extent, sched)[1]):
+                assert rep.status == DIVERGED and rep.terms_used == 1
+                assert rep.last_delta == math.inf and math.isnan(rep.estimate)
 
 
 def test_section_limit_infinite_extent_visits_sizes_holding_the_index():

@@ -381,10 +381,10 @@ def test_a_chunk_failing_past_the_stop_gives_the_series_back(how):
     # summed again from index 1, to its stop
     assert asked == [1, 2, 3, 4, 5]
     assert bits(got) == bits(want)
-    # a batch of one reads its run only up to its stop, so that only a
-    # declined run gives it back
-    alone = SeriesBatch([None], policy, runs).outcome(0)
-    assert alone is None if how == "declined" else bits(alone) == bits(want)
+    # a batch of one is a batch: given back too, and summed again the same
+    alone = SeriesBatch([None], policy, runs)
+    assert alone.outcome(0) is None
+    assert bits(sum_series(term, policy, None, (alone, 0))) == bits(want)
 
 
 def test_probe_product_runs_in_few_chunks_and_little_memory():
