@@ -20,7 +20,11 @@ median of the runs.
   ``truncate`` and as one ``section``.  And the 8×8 block that ``mul``
   shows of a dense matrix of the largest size squared: the whole product
   by ``product_ascending``, sliced, and the lazy product through
-  ``truncate``.
+  ``truncate``.  And the block reads that series-sums' term runs make
+  (``Lines``), cell by cell through ``entry`` and as one block: 8 probe
+  rows of the first ``mul`` factor by 256 terms from term 700, 256 terms
+  of 8 probe columns of the second, and the four rows of ``orth``'s
+  golden rows by 1,638 terms.
 * truncation: the band rows of a tridiagonal and a pentadiagonal JSON
   ``banded`` spec, with bands as banded-spectral draws them, at n = 128
   and 1024, filled cell by cell through the scalar oracle and one band at
@@ -232,6 +236,24 @@ def oracle_cases(sizes=(256, 512), policy=ConvergencePolicy(max_terms=20000)):
         ("lazy product", lambda: truncate(matmul(dense, dense).matrix, shown, shown).data)]
 
 
+def probe_read_cases(side=8, along=256, first=700, orth_cols=1638):
+    """The block reads that series-sums' ``Lines`` make: ``side`` probe
+    rows of A, and columns of B, by ``along`` terms from term ``first``,
+    and the rows of POLY_ROWS4 by ``orth_cols`` terms from term 1."""
+    A, B = mul_factors()
+    probe, terms = np.arange(1, side + 1), np.arange(first, first + along)
+    rows4 = matrix_from_obj(POLY_ROWS4)
+    for name, spec, rows, cols in (
+            (f"probe {side}x{along} of A from {first}", A, probe, terms),
+            (f"probe {along}x{side} of B from {first}", B, terms, probe),
+            (f"POLY_ROWS4 {rows4.rows}x{orth_cols} read", rows4, np.arange(1, rows4.rows + 1),
+             np.arange(1, orth_cols + 1))):
+        yield name, "cell", np.size, [
+            ("scalar", lambda: np.array([[spec.entry(i, j) for j in cols.tolist()]
+                                         for i in rows.tolist()])),
+            ("block", lambda: spec.block(rows[:, None], cols[None, :]))]
+
+
 def truncation_cases(sizes=(128, 1024)):
     for name, bands in (("tridiagonal", TRI_BANDS), ("pentadiagonal", PENTA_BANDS)):
         spec = matrix_from_obj({"rows": "inf", "cols": "inf", "kind": "banded", "bands": bands})
@@ -431,7 +453,8 @@ def eig_cases(max_size=128, grid=64, interval=(0.6, 1.5)):
 
 
 def layers():
-    return [("oracle", oracle_cases()), ("truncation", truncation_cases()),
+    return [("oracle", oracle_cases()), ("oracle", probe_read_cases()),
+            ("truncation", truncation_cases()),
             ("truncation", growth_cases()), ("series", series_cases()),
             ("series", block_series_cases()),
             ("kernel", kernel_cases()), ("kernel", log_series_cases()),

@@ -521,21 +521,24 @@ class Factor:
         read one at a time into a row of zeros, so no array of the matrix's
         size is built, and each dot product has the reduced array's
         operands."""
-        if isinstance(self.rows, np.ndarray):
-            u = self.rows
+        # an unknown that overflows is inf, which the stopping rule reports
+        # as diverged, with no warning
+        with np.errstate(all="ignore"):
+            if isinstance(self.rows, np.ndarray):
+                u = self.rows
+                for r in range(self.rank - 1, -1, -1):
+                    p = self.pivots[r]
+                    x[p] = (rhs[r] - float(u[r, p + 1:len(x)] @ x[p + 1:])) / u[r, p]
+                return x
+            rows, start = self.rows
+            line = np.zeros(len(x))
             for r in range(self.rank - 1, -1, -1):
-                p = self.pivots[r]
-                x[p] = (rhs[r] - float(u[r, p + 1:len(x)] @ x[p + 1:])) / u[r, p]
+                p, row, s = self.pivots[r], rows[r], start[r]
+                end = min(len(x), s + len(row))
+                line[p + 1:end] = row[p + 1 - s:end - s]
+                x[p] = (rhs[r] - float(line[p + 1:] @ x[p + 1:])) / row[p - s]
+                line[p + 1:end] = 0.0
             return x
-        rows, start = self.rows
-        line = np.zeros(len(x))
-        for r in range(self.rank - 1, -1, -1):
-            p, row, s = self.pivots[r], rows[r], start[r]
-            end = min(len(x), s + len(row))
-            line[p + 1:end] = row[p + 1 - s:end - s]
-            x[p] = (rhs[r] - float(line[p + 1:] @ x[p + 1:])) / row[p - s]
-            line[p + 1:end] = 0.0
-        return x
 
     def solve(self, n: int) -> np.ndarray:
         """x with ``a[:, :n] x = a[:, n:]`` for the swept square system

@@ -31,15 +31,23 @@ as the scalar one, and it raises nothing: a cell the scalar path could
 reject makes the block function return ``None``, and the caller then
 evaluates that fill cell by cell, so every error is raised by the scalar
 path.
+
+The block table maps ``^``, ``exp`` and ``ln`` from :mod:`math`, whose
+bits numpy's own functions do not always give, with ``map`` over the
+cells as Python floats: no Python call of ours runs per cell, and each
+cell is mapped once, an overflowing one to ``inf`` where it stands.  A
+block whose arguments are constant along its anti-diagonals (Hankel,
+``i+j``) or its diagonals (Toeplitz, ``i-j``) is mapped once per line,
+and the block is a read-only strided view of that line, with no copy.
 """
 
+import itertools
 import math
 import operator
 import re
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InfmatError
 
@@ -325,34 +333,66 @@ def _math_map(fn, *args):
     """``fn`` from :mod:`math` over the broadcast cells of ``args``.
 
     numpy's own ``**``, ``exp`` and ``log`` differ from :mod:`math` in
-    the last bit on some cells, so the scalar functions are mapped.
-    Overflow gives ``inf`` as in :func:`eval_ast`; a domain error flags
-    the block.
+    the last bit on some cells, so the scalar functions are mapped: by
+    ``map`` over the cells as Python floats, with no Python call of our
+    own per cell, in one pass.  An overflowing cell is ``inf`` where it
+    stands, as in :func:`eval_ast`, and the map goes on past it; a
+    domain error flags the block.
 
     A 2-d block of at least 2 rows and 2 columns whose every argument is
     constant, bit for bit, along each anti-diagonal (a Hankel block, such
     as ``i+j``) or along each diagonal (Toeplitz, such as ``i-j``) is
-    mapped once per line: ``fn`` runs over the n + m - 1 argument values
-    of its first row and last column (of the block upside down, for
-    Toeplitz), and the block is a read-only strided view of that line.
-    The line holds exactly the block's argument values, so it raises a
-    domain error exactly when the block would.
+    mapped once per line: ``fn`` runs over the m + n - 1 argument values
+    of its first row and last column (its first column bottom up and its
+    first row, for Toeplitz), and the block is a read-only strided view
+    of that line, with no copy.  The line holds exactly the block's
+    argument values, so it raises a domain error exactly when the block
+    would.
     """
-    shape = np.broadcast_shapes(*map(np.shape, args))
+    shape = np.broadcast(*args).shape
+    # each argument a float, or an array of the block's shape
+    cells = [float(a) if isinstance(a, float) or a.ndim == 0 else a if a.shape == shape
+             else np.broadcast_to(a, shape) for a in args]
     if len(shape) == 2 and min(shape) >= 2:
-        # a Toeplitz block is a Hankel block upside down
-        for rows in (slice(None), slice(None, None, -1)):
-            cells = [np.broadcast_to(a, shape)[rows] for a in args]
-            bits = [c.view(np.int64) for c in cells if c.strides != (0, 0)]
-            if all(np.array_equal(b[1:, :-1], b[:-1, 1:]) for b in bits):
-                line = _math_map(fn, *[np.concatenate((c[0], c[1:, -1])) for c in cells])
-                return sliding_window_view(line, shape[1])[rows]
-    try:
-        # one pass: an overflowing cell is inf where it stands
-        out = np.frompyfunc(_saturating(fn), len(args), 1)(*args)
-    except ValueError:
-        raise _Flagged from None
-    return np.asarray(out, dtype=float)
+        bits = [c.view(np.int64) for c in cells if not isinstance(c, float)]
+        if all((b[1:, :-1] == b[:-1, 1:]).all() for b in bits):
+            # Hankel: cell (r, c) is line[r + c]
+            line = [c if isinstance(c, float) else np.concatenate((c[0], c[1:, -1]))
+                    for c in cells]
+            start, row_step = 0, 1
+        elif all((b[1:, 1:] == b[:-1, :-1]).all() for b in bits):
+            # Toeplitz: cell (r, c) is line[m - 1 - r + c]
+            line = [c if isinstance(c, float) else np.concatenate((c[::-1, 0], c[0, 1:]))
+                    for c in cells]
+            start, row_step = shape[0] - 1, -1
+        else:
+            line = None
+        if line is not None:
+            values = _map_cells(fn, (sum(shape) - 1,), line)
+            values.flags.writeable = False
+            return np.ndarray(shape, float, values, 8 * start, (8 * row_step, 8))
+    return _map_cells(fn, shape, cells)
+
+
+def _map_cells(fn, shape, cells):
+    """``fn`` over the cells of ``shape``, its arguments ``cells``, each a
+    float or an array of that shape: one pass of ``map`` over Python
+    floats."""
+    size = math.prod(shape)
+    mapped = map(fn, *[itertools.repeat(c, size) if isinstance(c, float)
+                       else c.ravel().tolist() for c in cells])
+    values = []
+    while True:
+        try:
+            # an exception leaves the values before it in the list, and
+            # the map goes on from the cell after it
+            values += mapped
+            break
+        except OverflowError:
+            values.append(math.inf)
+        except ValueError:
+            raise _Flagged from None
+    return np.fromiter(values, float, size).reshape(shape)
 
 
 def _flag_if(bad):
@@ -455,9 +495,11 @@ def compile_block(node: ExprAst):
     together (``rows[:, None]``, ``cols[None, :]``).  The result
     broadcasts to their common shape and equals :func:`eval_ast` bit for
     bit on every cell.  ``if`` evaluates each branch only on the cells
-    that take it.  ``^``, ``exp`` and ``ln`` call :mod:`math` once per
-    diagonal line of a Hankel or Toeplitz block (``i+j``, ``i-j``), else
-    once per cell.  ``None`` is returned, instead of any value, when a
+    that take it.  ``^``, ``exp`` and ``ln`` map :mod:`math` through
+    ``map`` (:func:`_math_map`) once per diagonal line of a Hankel or
+    Toeplitz block (``i+j``, ``i-j``), whose value is then a read-only
+    strided view of the line, else once per cell; an overflowing cell is
+    ``inf``.  ``None`` is returned, instead of any value, when a
     cell may be an error of the scalar path: a zero divisor, ``ln`` of a
     value <= 0, a domain error of ``^``, a bad ``fact`` argument, the
     variable ``k``, or ``j`` when ``J`` is ``None`` (a vector's formula).

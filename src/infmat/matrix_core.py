@@ -418,12 +418,11 @@ class Lines:
             if values is None:
                 self._declined = True
                 return None
-            values = np.broadcast_to(values, (rows.size, cols.size))
             if n > self._buffer.shape[1]:
                 grown = np.empty((self._indices.size, max(n, 2 * self._buffer.shape[1])))
                 grown[:, :k] = self._buffer[:, :k]
                 self._buffer = grown
-            self._buffer[:, k:n] = values.T if self._axis else values
+            self._buffer[:, k:n] = np.transpose(values) if self._axis else values
             self._known = n
         return self._buffer[:, :n]
 

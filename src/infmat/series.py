@@ -143,7 +143,7 @@ _GOING, _NON_FINITE, _CERTIFIED, _BLOWUP, _QUIET, _CAP = range(6)
 
 # A batch's chunks of terms: FIRST_TERMS per series in the first, twice as
 # many in each one after, and never more than BATCH_CELLS cells, so that
-# its arrays stay small.  A chunk pays some 50 µs of fixed numpy work: the
+# its arrays stay small.  A chunk pays a fixed cost of numpy calls: the
 # 64-series probe of a product starts at 4,096 cells a chunk and holds
 # 16,384 from the third on.
 FIRST_TERMS = 64

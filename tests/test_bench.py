@@ -117,6 +117,20 @@ def test_orth_and_mul_ways_give_the_same_values():
     assert bench.bits(rows[3][1]) == bench.bits(triple_loop_product(dense, dense))
 
 
+
+def test_probe_reads_give_the_scalar_cells():
+    rows = measured("oracle", bench.probe_read_cases(side=3, along=5, first=700, orth_cols=7))
+    assert [(row["case"], row["way"]) for row, _ in rows] == [
+        (case, way) for case in ("probe 3x5 of A from 700", "probe 5x3 of B from 700",
+                                 "POLY_ROWS4 4x7 read") for way in ("scalar", "block")]
+    A, B = bench.mul_factors()
+    for (scalar, want), (block, got), shape, (i, j), spec in zip(
+            rows[::2], rows[1::2], ((3, 5), (5, 3), (4, 7)), ((1, 700), (700, 1), (1, 1)),
+            (A, B, matrix_from_obj(bench.POLY_ROWS4))):
+        assert want.shape == shape and block["units"] == want.size
+        assert bench.bits(np.ascontiguousarray(got)) == bench.bits(want)
+        assert block["bits"] == "identical" and want[0, 0] == spec.entry(i, j)
+
 def test_band_fill_gives_the_scalar_cells():
     rows = measured("truncation", bench.truncation_cases(sizes=(1, 5, 40)))
     assert [(row["case"], row["way"]) for row, _ in rows] == [

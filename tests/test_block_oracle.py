@@ -312,19 +312,48 @@ def test_a_block_that_overflows_is_mapped_in_one_pass():
 
 
 def test_overflow_saturates_over_the_line_only(monkeypatch):
-    # 1/2^(i+j) overflows past i + j = 1023: the saturating rerun maps the
-    # 1023 values of one line, not the 512 * 512 cells
+    # 1/2^(i+j) overflows past i + j = 1023: the map goes on past the
+    # overflowing value, over the 1023 values of one line, not the
+    # 512 * 512 cells
     spec = load_matrix_file(SPECS / "geometric.json")
-    saturating, wrapped = expr_dsl._saturating, []
-
-    def counted_saturating(fn):
-        cell, calls = counting(saturating(fn))
-        wrapped.append(calls)
-        return cell
-
-    monkeypatch.setattr(expr_dsl, "_saturating", counted_saturating)
+    pow_, calls = counting(math.pow)
+    monkeypatch.setattr(math, "pow", pow_)
     by_block = truncate(spec, 512, 512).data
-    assert [len(calls) for calls in wrapped] == [512 + 512 - 1]
+    assert len(calls) == 512 + 512 - 1
     monkeypatch.undo()
     assert by_block.tobytes() == truncate(scalar(spec), 512, 512).data.tobytes()
     assert by_block[-1, -1] == 0.0
+
+
+# probe-shaped reads, as Lines makes them: R probe rows of A (axis 0) or
+# columns of B (axis 1) by C cells along the line, far from index 1; each
+# formula's edge (overflow from, or domain error up to, where the argument
+# is s) lies at a drawn cell, within the block or next to it
+PROBE_ARGS = {"i+j": lambda i, j: i + j, "i-j": lambda i, j: i - j,
+              "j-i": lambda i, j: j - i, "i*j": lambda i, j: i * j}
+PROBE_FORMULAS = ("1.02/({a}+0.37)^1.6",
+                  "2^({a}-{s}+1024)",      # inf from a = s on
+                  "exp({a}-{s}+710)",      # inf from a = s on
+                  "ln({a}-{s})",           # an error up to a = s
+                  "({a}-{s})^0.5 + 0.9^({a}/1000)")  # an error below a = s
+
+
+@given(st.sampled_from(PROBE_FORMULAS), st.sampled_from(sorted(PROBE_ARGS)),
+       st.integers(1, 9), st.integers(1, 300), st.integers(1, 20000), st.integers(1, 20000),
+       st.sampled_from((0, 1)), st.data())
+def test_probe_reads_are_the_scalar_bits(template, arg, R, C, first_probe, first_term,
+                                         axis, data):
+    probe, along = np.arange(first_probe, first_probe + R), np.arange(first_term, first_term + C)
+    rows, cols = (probe, along) if axis == 0 else (along, probe)
+    edge_i = int(rows[0]) + data.draw(st.integers(-1, len(rows)))
+    edge_j = int(cols[0]) + data.draw(st.integers(-1, len(cols)))
+    ast = parse(template.format(a=f"({arg})", s=f"({PROBE_ARGS[arg](edge_i, edge_j)})"))
+    got = compile_block(ast)(rows[:, None].astype(float), cols[None, :].astype(float))
+    try:
+        want = np.array([[eval_ast(ast, i=i, j=j) for j in cols.tolist()] for i in rows.tolist()])
+    except InfmatError:
+        assert got is None
+    else:
+        assert got is not None
+        got = np.broadcast_to(got, want.shape)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()

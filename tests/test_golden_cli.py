@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,18 @@ def test_cli_bytes_match_golden(where, argv, golden, tmp_path):
     assert code == expected["exit"]
     assert stdout == expected["stdout"]
 
+
+
+def test_an_overflowing_unknown_warns_nothing(golden, tmp_path):
+    # A = [[1e-300]], b = [1e10]: the unknown overflows to inf, which the
+    # rule reports as diverged, with no numpy warning on stderr
+    _write_specs(tmp_path)
+    argv = ["solve", "tiny_system.json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stdout, code = _run_in("tmp", argv, tmp_path)
+    assert code == golden[" ".join(argv)]["exit"] == 1
+    assert stdout == golden[" ".join(argv)]["stdout"]
 
 if __name__ == "__main__":
     import tempfile
