@@ -70,24 +70,43 @@ median of the runs.
   it bisects), in µs per characteristic value, with the roots and the
   values read per root.
 
+* render: the documents of the CLI, rendered by ``tests/oracles.py``'s
+  ``render_reference`` (one recursive call per value) and by
+  ``render_document``, whose bytes must match: a ``mul`` document of the
+  golden factors with its 64 per-entry reports, in µs per report, and
+  ``truncate`` documents of ``1/(i+j-1)^2 + delta(i,j)`` at 256² and
+  1024², in µs per cell, each with the whole command's time (``main``,
+  output to a string) and the share of it that ``render_document`` takes;
+  and ``render_csv`` of the 256² section against ``render_csv_reference``.
+
 The last line is one JSON object: the timed checkout's revision, the
 machine facts of ``perfbench/run.py``, numpy's version and every row.
 The script exits with status 1 if any way differs from its reference.
 
-    python scripts/bench.py [CHECKOUT]
+    python scripts/bench.py [CHECKOUT] [--layer LAYER ...]
+    python scripts/bench.py --parent PARENT [--rounds N] [--layer LAYER ...]
 
 ``CHECKOUT``, another checkout of the repository, times that checkout's
-``src/`` with this script's cases, so that a parent and its head are
-timed by one script on one host.
+``src/`` with this script's cases.  ``--layer`` times only the named
+layers.  ``--parent`` compares: it runs the script on ``PARENT``'s
+``src/`` and on this checkout's in ``N`` rounds (5 by default), each run
+a subprocess and the order swapped every round, and prints each row's
+fastest and median seconds on both sides and the ratio of the medians
+(this / parent), so that both sides see the same spells of the host.
 """
 
+import argparse
+import contextlib
 import dataclasses
+import functools
+import io
 import itertools
 import json
 import math
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -105,10 +124,22 @@ def source_root(args):
     return source
 
 
-SOURCE = source_root(sys.argv[1:]) if __name__ == "__main__" else ROOT
-sys.path[:0] = [str(SOURCE / "src"), str(ROOT)]
+def options(args):
+    """The command line: the checkout to time and the parent comparison."""
+    parser = argparse.ArgumentParser(description="time each layer of infmat's pipeline")
+    parser.add_argument("checkout", nargs="?", help="another checkout, whose src/ is timed")
+    parser.add_argument("--parent", help="compare PARENT's src/ with this checkout's")
+    parser.add_argument("--rounds", type=int, default=5, help="alternating rounds of --parent")
+    parser.add_argument("--layer", action="append", dest="layers", help="time only this layer")
+    return parser.parse_args(args)
+
+
+OPTIONS = options(sys.argv[1:] if __name__ == "__main__" else [])
+SOURCE = source_root([OPTIONS.checkout] if OPTIONS.checkout else [])
+sys.path[:0] = [str(SOURCE / "src"), str(ROOT), str(ROOT / "tests")]
 
 # from the timed src/ and this checkout, put on the path above
+from infmat import cli  # noqa: E402
 from infmat._dense import (_sweep, band_rows, echelon, gauss_solve, lu_det,  # noqa: E402
                            norm_inf, product_ascending)
 from infmat.algebra import PROBE_SIDE, _line_product, matmul  # noqa: E402
@@ -128,6 +159,7 @@ except ImportError:  # a checkout from before the ITP refinement bisects
 
     def _refine(f, lo, hi, flo, fhi):
         return _bisect(f, lo, hi, flo)
+from oracles import render_csv_reference, render_reference  # noqa: E402
 from perfbench.run import machine_facts  # noqa: E402
 
 REPEAT = 3  # runs per way; the fastest one counts
@@ -136,6 +168,8 @@ REPEAT = 3  # runs per way; the fastest one counts
 DENSE_EXPR = "delta(i,j) + 0.3/(i+j+1)^2.5"
 MUL_FACTORS = ("1.02/(i+j+0.37)^1.6", "0.95/(i+j+0.81)^1.61")
 POLY_ROWS4 = {"rows": 4, "cols": "inf", "kind": "expr", "expr": "1.01/(i+j+0.42)^1.3"}
+# the dense formula of the render layer's truncate documents
+HILBERT_DELTA = "1/(i+j-1)^2 + delta(i,j)"
 # bands as perfbench's banded-spectral draws them: s + c/i^p on the
 # diagonal, e on the first off-diagonals and f on the second
 TRI_BANDS = {"-1": "0.21", "0": "0.05 + 0.9/i^1.2", "1": "0.21"}
@@ -452,6 +486,64 @@ def eig_cases(max_size=128, grid=64, interval=(0.6, 1.5)):
             "roots": result[0], "values_per_root": result[1] / max(len(result[0]), 1)}
 
 
+def traced_cli(argv):
+    """Run ``infmat`` on ``argv`` in this process: the document its ``main``
+    rendered, the command's seconds and the seconds ``render_document``
+    took within them."""
+    seen, real = [], cli.render_document
+
+    def render(doc):
+        start = time.perf_counter()
+        text = real(doc)
+        seen.append((doc, time.perf_counter() - start))
+        return text
+
+    cli.render_document = render
+    try:
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main([*argv, "--quiet"])
+        seconds = time.perf_counter() - start
+    finally:
+        cli.render_document = real
+    doc, render_s = seen[-1]
+    return doc, seconds, render_s
+
+
+def render_cases(sizes=(256, 1024), csv_size=256):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, expr in zip(("A", "B", "H"), (*MUL_FACTORS, HILBERT_DELTA)):
+            paths.append(str(Path(tmp) / f"{name}.json"))
+            Path(paths[-1]).write_text(json.dumps(
+                {"rows": "inf", "cols": "inf", "kind": "expr", "expr": expr}))
+        doc = traced_cli(["mul", *paths[:2]])[0]
+        reports = len(doc["result"]["per_entry_reports"])
+        yield f"mul document {reports} reports", "report", lambda text: reports, [
+            ("reference", lambda: render_reference(doc) + "\n"),
+            ("render_document", lambda: cli.render_document(doc))]
+        for n in sizes:
+            argv = ["truncate", paths[2], "--n", str(n)]
+            doc = traced_cli(argv)[0]
+
+            @functools.cache
+            def command():
+                """The command's fastest run, and the share of it that
+                render_document took."""
+                seconds, render = min(traced_cli(argv)[1:] for _ in range(REPEAT))
+                return {"command_s": seconds, "render_share": render / seconds}
+
+            yield f"truncate {n}x{n} document", "cell", lambda text: n * n, [
+                ("reference", lambda: render_reference(doc) + "\n"),
+                ("render_document", lambda: cli.render_document(doc))], (
+                lambda text: command())
+        section = truncate(matrix_from_obj(json.loads(Path(paths[2]).read_text())),
+                           csv_size, csv_size)
+        yield f"csv {csv_size}x{csv_size} section", "cell", lambda text: csv_size ** 2, [
+            ("reference", lambda: render_csv_reference(section.data)),
+            ("render_csv", lambda: cli.render_csv(section))]
+
+
 def layers():
     return [("oracle", oracle_cases()), ("oracle", probe_read_cases()),
             ("truncation", truncation_cases()),
@@ -459,7 +551,7 @@ def layers():
             ("series", block_series_cases()),
             ("kernel", kernel_cases()), ("kernel", log_series_cases()),
             ("kernel", dense_kernel_cases()), ("kernel", skipped_column_cases()),
-            ("solve", compat_cases()), ("eig", eig_cases())]
+            ("solve", compat_cases()), ("eig", eig_cases()), ("render", render_cases())]
 
 
 def measure(layers, repeat=REPEAT):
@@ -499,11 +591,62 @@ def revision(checkout=ROOT):
         return "unknown"
 
 
-def main():
+def run_round(checkout, names):
+    """The rows of one subprocess of this script timing ``checkout``'s
+    ``src/``, with only the layers ``names`` (all when ``None``)."""
+    argv = [sys.executable, str(Path(__file__).resolve()), str(checkout)]
+    for name in names or ():
+        argv += ["--layer", name]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):
+        sys.exit(f"{checkout}: exit {proc.returncode}\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])["rows"]
+
+
+def compare(parent, rounds, names=None, run=run_round):
+    """Time ``parent``'s ``src/`` and :data:`SOURCE`'s in ``rounds``
+    rounds, each side one ``run(checkout, names)`` a round and the order
+    swapped every round; print each row's fastest and median seconds on
+    both sides and the ratio of the medians, this side over the parent's.
+    Returns the exit status: 1 if a way differed from its reference in
+    any run."""
+    sides = [("parent", Path(parent).resolve()), ("this", SOURCE)]
+    times, bits = {}, {}
+    for r in range(rounds):
+        for side, checkout in sides if r % 2 == 0 else sides[::-1]:
+            for row in run(checkout, names):
+                key = row["layer"], row["case"], row["way"]
+                times.setdefault(key, {"parent": [], "this": []})[side].append(row["seconds"])
+                bits[key] = "DIFFER" if "DIFFER" in (bits.get(key), row["bits"]) else row["bits"]
+    print(f"{'layer':<10} {'case':<34} {'way':<15} {'parent min':>10} {'median':>9} "
+          f"{'this min':>9} {'median':>9} {'ratio':>6}  bits")
+    rows = []
+    for (layer, case, way), seconds in times.items():
+        row = {"layer": layer, "case": case, "way": way}
+        for side in ("parent", "this"):
+            row[f"{side}_min"] = min(seconds[side])
+            row[f"{side}_median"] = statistics.median(seconds[side])
+        row["ratio"] = row["this_median"] / row["parent_median"]
+        row["bits"] = bits[layer, case, way]
+        rows.append(row)
+        print(f"{layer:<10} {case:<34} {way:<15} {row['parent_min']:>10.4f} "
+              f"{row['parent_median']:>9.4f} {row['this_min']:>9.4f} {row['this_median']:>9.4f} "
+              f"{row['ratio']:>6.3f}  {row['bits']}")
+    print(json.dumps({"revision": revision(SOURCE), "parent": revision(sides[0][1]),
+                      "rounds": rounds, "machine": machine_facts(), "numpy": np.__version__,
+                      "rows": rows}))
+    return 0 if all(row["bits"] == "identical" for row in rows) else 1
+
+
+def main(opts=OPTIONS):
+    if opts.parent:
+        return compare(opts.parent, opts.rounds, opts.layers)
     print(f"{'layer':<10} {'case':<34} {'way':<13} {'units':>13} {'seconds':>9} "
           f"{'us/unit':>10} {'':<5}  bits")
     rows = []
-    for row, _ in measure(layers()):
+    chosen = [(layer, cases) for layer, cases in layers()
+              if not opts.layers or layer in opts.layers]
+    for row, _ in measure(chosen):
         rows.append(row)
         print(f"{row['layer']:<10} {row['case']:<34} {row['way']:<13} {row['units']:>7} "
               f"{row['unit']:<5} {row['seconds']:>9.4f} {row['us_per_unit']:>10.3f} "

@@ -12,8 +12,9 @@ diverged / precondition failure.
 import argparse
 import functools
 import json
+import json.encoder
 import logging
-import math
+import operator
 import re
 import sys
 
@@ -60,38 +61,118 @@ _ERROR_CODES = [
 # ---------------------------------------------------------------------------
 # deterministic rendering
 
+_QUOTED = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
+_quote = json.encoder.encode_basestring_ascii  # json.dumps of a str
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _number(v) -> str:
+    text = "%.17g" % v
+    return _QUOTED.get(text, text)
+
+
+@functools.cache
+def _row_format(n: int, sep: str) -> str:
+    """The ``%`` template of ``n`` numbers joined by ``sep``."""
+    return sep.join(["%.17g"] * n)
+
+
+def _floats(values, sep: str) -> "str | None":
+    """Python floats joined by ``sep`` through one ``%`` template, or
+    ``None`` when one is non-finite (it must be quoted)."""
+    text = _row_format(len(values), sep) % tuple(values)
+    return None if "n" in text else text
+
+
+def _float_column(values) -> list:
+    text = _floats(values, "\n")
+    return list(map(_number, values)) if text is None else text.split("\n")
+
+
+# the texts of leaves of one exact type, a column at a time
+_COLUMNS = {float: _float_column, int: lambda col: list(map(str, col)),
+            str: lambda col: list(map(_quote, col)),
+            bool: lambda col: list(map(("false", "true").__getitem__, col)),
+            type(None): lambda col: ["null"] * len(col)}
+# any other leaf (a numpy scalar, a subclass) is rendered as the first of
+# these types it is an instance of
+_KINDS = ((bool, lambda v: "true" if v else "false"), ((int, np.integer), lambda v: str(int(v))),
+          ((float, np.floating), lambda v: _number(float(v))), (str, _quote))
+
+
+@functools.cache
+def _dict_heads(names: tuple, indent: int) -> tuple:
+    """Where the keys whose ``str`` are ``names`` go when their dict is
+    rendered at ``indent``: the order of their values, sorted by name (a
+    stable sort), and the text before each value."""
+    order = tuple(sorted(range(len(names)), key=names.__getitem__))
+    pad = "  " * (indent + 1)
+    return order, tuple(f"{pad}{_quote(names[k])}: " for k in order)
+
+
+def _table(children: list, indent: int) -> "list | None":
+    """The texts of ``children`` at ``indent`` when they are dicts with one
+    order of str keys whose values under each key share a leaf type,
+    rendered a column at a time and put together by one template; else
+    ``None``."""
+    keys = tuple(children[0])
+    if not keys or any(type(key) is not str for key in keys) or any(
+            type(child) is not dict or tuple(child) != keys for child in children):
+        return None
+    order, heads = _dict_heads(keys, indent)
+    columns = []
+    for k in order:
+        column = list(map(operator.itemgetter(keys[k]), children))
+        kinds = set(map(type, column))
+        texts = _COLUMNS.get(kinds.pop()) if len(kinds) == 1 else None
+        if texts is None:
+            return None
+        columns.append(texts(column))
+    template = ("{\n" + ",\n".join(head.replace("%", "%%") + "%s" for head in heads)
+                + "\n" + "  " * indent + "}")
+    return [template % row for row in zip(*columns)]
+
+
 def _render(value, indent=0):
+    """JSON text of ``value`` at ``indent``: keys sorted by ``str``, floats
+    to 17 significant digits, a non-finite float as the string ``"nan"``,
+    ``"inf"`` or ``"-inf"``, and a list of numbers on one line.  Values go
+    by rows, not one call each: a list of leaves of one type, and the
+    dicts of a dict or list that share their keys and the leaf type under
+    each (the per-entry reports), are rendered a column at a time, and a
+    dict's key order and key texts are kept per key set and depth."""
+    texts = _COLUMNS.get(type(value))
+    if texts is not None:
+        return texts([value])[0]
     pad = "  " * indent
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v):
-            return '"nan"'
-        if math.isinf(v):
-            return '"inf"' if v > 0 else '"-inf"'
-        return f"{v:.17g}"
-    if isinstance(value, str):
-        return json.dumps(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
-        rows = [f'{pad}  {json.dumps(str(k))}: {_render(v, indent + 1)}'
-                for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+        order, heads = _dict_heads(tuple(map(str, value)), indent)
+        texts = _items(list(value.values()), indent + 1)
+        return "{\n" + ",\n".join([head + texts[k] for head, k in zip(heads, order)]) + (
+            "\n" + pad + "}")
     if isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
+        if not value:
             return "[]"
-        if all(isinstance(x, (int, float, np.integer, np.floating)) for x in items):
-            return "[" + ", ".join(_render(x) for x in items) + "]"
-        rows = [f"{pad}  {_render(x, indent + 1)}" for x in items]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+        kinds = set(map(type, value))
+        if kinds == {float} and (text := _floats(value, ", ")) is not None:
+            return "[" + text + "]"
+        if all(issubclass(kind, _NUMBERS) for kind in kinds):
+            column = _COLUMNS.get(next(iter(kinds))) if len(kinds) == 1 else None
+            return "[" + ", ".join(column(value) if column else map(_render, value)) + "]"
+        return "[\n" + ",\n".join([pad + "  " + text for text in _items(value, indent + 1)]) + (
+            "\n" + pad + "]")
+    for kinds, text in _KINDS:
+        if isinstance(value, kinds):
+            return text(value)
     raise TypeError(f"cannot render {type(value)!r}")
+
+
+def _items(values, indent: int) -> list:
+    """The texts of the values of a dict or the items of a list."""
+    table = _table(values, indent) if type(values[0]) is dict else None
+    return table if table is not None else [_render(v, indent) for v in values]
 
 
 def render_document(doc) -> str:
@@ -99,10 +180,8 @@ def render_document(doc) -> str:
 
 
 def render_csv(matrix: DenseMatrix) -> str:
-    lines = []
-    for row in matrix.data:
-        lines.append(",".join(f"{float(v):.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    rows = np.asarray(matrix.data, dtype=float).tolist()
+    return "\n".join(_row_format(len(row), ",") % tuple(row) for row in rows) + "\n"
 
 
 def _report_doc(rep: ConvergenceReport) -> dict:
@@ -112,7 +191,7 @@ def _report_doc(rep: ConvergenceReport) -> dict:
 
 
 def _matrix_doc(dm: DenseMatrix) -> list:
-    return [list(map(float, row)) for row in dm.data]
+    return dm.data.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,15 @@ summed together (a :class:`SeriesBatch`, as ``matmul`` sums its probe,
 and the Gram entries ``orthogonalize`` reads as entries of the product A
 Aᵀ) come with term runs read from the block oracle and advance through
 shared chunks of terms: :data:`FIRST_TERMS` per series at first, twice as
-many each time after, up to :data:`BATCH_CELLS` cells a chunk.  A series
-whose chunk of runs is declined or holds a non-finite term is given back
+many each time after, up to :data:`BATCH_CELLS` cells a chunk.  A chunk
+costs about what its terms cost: from its smallest |term| and largest
+|partial sum| the rule proves, with a margin for rounding, which series
+no step of the chunk can stop (:meth:`_Rule.coast`), and those take the
+chunk's steps at once, as steps that start no streak and fire no stop;
+only the others go through the rule's passes over every step.  It is
+the one rule either way: the passes would stop a calm series at no step
+of the chunk and would leave it in the same state.  A series whose chunk
+of runs is declined or holds a non-finite term is given back
 by the batch and summed again from index 1, one term at a time.  A value
 drawn one at a time (a series with no runs or given back, and every
 section limit) takes the same rule as a chunk of one step of one
@@ -53,6 +60,7 @@ as the largest index the caller reads.  Scalar and vector limits, over a
 finite or an infinite extent, run one body.
 """
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -131,6 +139,14 @@ class GeometricTail:
     def remainder(self, terms: int) -> float:
         """Bound on the absolute tail after ``terms`` terms were summed."""
         return self.C * self.r ** (terms + 1) / (1.0 - self.r)
+
+    def remainders(self, k0: int, k1: int) -> np.ndarray:
+        """``remainder(k)`` for ``k0 <= k < k1``, as an array, bit for bit:
+        a float to an int power is libm's ``pow``, as ``math.pow`` is."""
+        powers = np.fromiter(map(math.pow, itertools.repeat(self.r), range(k0 + 1, k1 + 1)),
+                             float, k1 - k0)
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python's float * and /
+            return self.C * powers / (1.0 - self.r)
 
 
 def exact_report(value: float, terms: int) -> ConvergenceReport:
@@ -221,8 +237,9 @@ class _Rule:
     the last value, and the kind (0 neither, 1 growing, 2 quiet) and
     length of the streak of steps that ends there.  :meth:`feed` takes a
     chunk of steps as arrays and finds where each sequence stops, with no
-    loop over steps; :func:`_draw` is the same rule on one value of one
-    sequence.
+    loop over steps; :meth:`coast` first advances, whole, the sequences
+    that no step of a chunk of partial sums can stop; :func:`_draw` is the
+    same rule on one value of one sequence.
     """
 
     _STATE = ("quiet_counts", "steps", "mag", "kind", "run")
@@ -245,10 +262,50 @@ class _Rule:
             setattr(other, name, getattr(self, name)[rows])
         return other
 
-    def feed(self, mag, delta, bound=None):
-        """Advance every sequence through one chunk of n steps.
+    def coast(self, terms, partial):
+        """Advance the sequences that no step of a chunk can stop, and
+        return the positions of the others, an index array.
 
-        ``mag``, ``delta`` and ``bound`` are (sequences, n) arrays: the
+        ``terms`` is the chunk, (sequences, n), and ``partial`` its partial
+        sums, (sequences, n + 1), the sum carried into it first.  A sequence
+        is calm when it has no certificate, the chunk stays short of
+        ``max_terms``, its largest |sum| is at most ``1/tol`` (so every sum
+        is finite and none passes the blowup threshold) and its smallest
+        |term| exceeds 2·tol·X, X = max(1, largest |sum|).  Then no step is
+        quiet.  With u = 2⁻⁵³, a sum S_k = fl(S_{k-1} + t_k) is off by at
+        most u|S_k|, so its step fl(S_k - S_{k-1}) is at least
+        (1 - u)(|t_k| - uX), while the quiet test's fl(tol·max(1, |S_{k-1}|))
+        is at most (1 + u)·tol·X; and |t_k| > fl(2·tol·X) >= 2(1 - u)·tol·X
+        makes the step the larger whenever tol >= 4u.  A smaller ``tol``
+        leaves every sequence to :meth:`feed`.  The last term and sum are
+        tested first, as a chunk in which a series converges fails there.
+        A calm sequence takes n steps of kind 0: its streak grows by n, or
+        is n after a quiet or growing one, and its magnitude is its last
+        |sum|; the state is what :meth:`feed` leaves.  The caller ignores
+        overflow, as 2·tol·X may overflow to inf.
+        """
+        p = self.policy
+        n = terms.shape[1]
+        if p.tol < 2 * np.finfo(float).eps or self.steps.max() + n >= p.max_terms:
+            return np.arange(len(terms))
+        last = np.abs(partial[:, -1])
+        calm = (np.abs(terms[:, -1]) > 2 * p.tol * np.maximum(1.0, last)) & self.quiet_counts[:, 0]
+        if calm.any():
+            largest = np.maximum(partial.max(axis=1), -partial.min(axis=1))
+            calm &= (np.abs(terms).min(axis=1) > 2 * p.tol * np.maximum(1.0, largest)) & (
+                largest <= 1.0 / p.tol)
+            c = calm[:, None]
+            self.steps = np.where(c, self.steps + n, self.steps)
+            self.mag = np.where(c, last[:, None], self.mag)
+            self.run = np.where(c, np.where(self.kind, 0, self.run) + n, self.run)
+            self.kind = np.where(c, np.uint8(0), self.kind)
+        return np.nonzero(~calm)[0]
+
+    def feed(self, rows, mag, delta, bound):
+        """Advance the sequences at ``rows``, an index array, through one
+        chunk of n steps.
+
+        ``mag``, ``delta`` and ``bound`` are (len(rows), n) arrays: the
         magnitude of each value, its step from the value before (``inf``
         at a sequence's first value) and the certificate's bound on the
         remainder (``inf`` without one; ``bound`` is ``None`` when no
@@ -261,8 +318,10 @@ class _Rule:
         p = self.policy
         n = mag.shape[1]
         pos = np.arange(n)
-        before = np.concatenate((self.mag, mag[:, :-1]), axis=1)
-        quiet = (delta <= p.tol * np.maximum(1.0, before)) & self.quiet_counts
+        steps, last, kind0, run0 = (self.steps[rows], self.mag[rows], self.kind[rows],
+                                    self.run[rows])
+        before = np.concatenate((last, mag[:, :-1]), axis=1)
+        quiet = (delta <= p.tol * np.maximum(1.0, before)) & self.quiet_counts[rows]
         kind = quiet.view(np.uint8) << 1
         big = mag > 1.0 / p.tol
         if big.any():
@@ -270,18 +329,21 @@ class _Rule:
             # threshold a still-growing sequence is never accepted as converged
             grow = big & (mag > before)
             kind = np.where(grow, np.uint8(1), kind)
-        fresh = kind != np.concatenate((self.kind, kind[:, :-1]), axis=1)
-        # a streak starts where the kind changes; the carried one at -run
-        run = pos + 1 - np.maximum.accumulate(np.where(fresh, pos, -self.run), axis=1)
-        streak = (run >= p.window) & (kind > 0)
+        if kind.any():
+            fresh = kind != np.concatenate((kind0, kind[:, :-1]), axis=1)
+            # a streak starts where the kind changes; the carried one at -run
+            run = pos + 1 - np.maximum.accumulate(np.where(fresh, pos, -run0), axis=1)
+            streak, run = (run >= p.window) & (kind > 0), run[:, -1:]
+        else:  # no step is quiet or growing: the streak of kind 0 runs on
+            streak, run = np.broadcast_to(False, kind.shape), np.where(kind0, 0, run0) + n
         bad = ~np.isfinite(mag)
         stop = streak | bad
         certified = None
         if bound is not None:
             certified = bound <= p.tol * np.maximum(1.0, mag)
             stop |= certified
-        if self.steps.max() + n >= p.max_terms:
-            stop |= self.steps + pos >= p.max_terms - 1
+        if steps.max() + n >= p.max_terms:
+            stop |= steps + pos >= p.max_terms - 1
         hit = stop.any(axis=1)
         at = np.where(hit, np.argmax(stop, axis=1), n - 1)
         why = np.full(at.size, _GOING)
@@ -294,9 +356,9 @@ class _Rule:
             if certified is not None:
                 why[r] = np.where(certified[cell], _CERTIFIED, why[r])
             why[r] = np.where(bad[cell], _NON_FINITE, why[r])
-        used = self.steps[:, 0] + at + 1
-        self.steps = self.steps + n
-        self.mag, self.kind, self.run = mag[:, -1:], kind[:, -1:], run[:, -1:]
+        used = steps[:, 0] + at + 1
+        self.steps[rows] = steps + n
+        self.mag[rows], self.kind[rows], self.run[rows] = mag[:, -1:], kind[:, -1:], run
         return at, why, used
 
 
@@ -322,8 +384,9 @@ class SeriesBatch:
     :data:`FIRST_TERMS` terms, then twice as many each time, clipped at
     ``max_terms`` and at :data:`BATCH_CELLS` cells: a chunk's partial sums
     are ``np.add.accumulate`` seeded with the running sums, the same bits
-    as adding term by term, and one pass of :meth:`_Rule.feed` stops each
-    series at its own first firing step.  A series whose chunk is
+    as adding term by term; :meth:`_Rule.coast` advances the series no
+    step of the chunk can stop, and one pass of :meth:`_Rule.feed` stops
+    each of the others at its own first firing step.  A series whose chunk is
     declined, or holds a non-finite term, is given back: the batch drops
     it and has no report for it.  Runs may reach up to ``FIRST_TERMS``
     terms, or about twice as far as a stop.  The chunk boundaries change
@@ -364,39 +427,44 @@ class SeriesBatch:
         while rows.size:
             k1 = self._end(k0, size, rows.size)
             run = runs(k0, k1, rows)
-            # a declined chunk, or a row of it with a non-finite term, is given back
-            stay = np.all(np.isfinite(run), axis=1) if run is not None else False
-            if not np.any(stay):
+            if run is None:
                 break
-            if not np.all(stay):
-                rule, rows, sums, run = rule.take(stay), rows[stay], sums[stay], run[stay]
             with np.errstate(over="ignore", invalid="ignore"):  # inf, as a float sum overflows
                 partial = np.add.accumulate(np.concatenate((sums[:, None], run), axis=1), axis=1)
-                delta = np.abs(np.diff(partial, axis=1))
-            if k0 == 1:
-                delta[:, 0] = math.inf
-            mag, bound = np.abs(partial[:, 1:]), None
-            certified = np.flatnonzero(~rule.quiet_counts[:, 0]).tolist()
-            if certified:
-                # each certified series' bound up to the first step it
-                # certifies, the test of _Rule.feed; no later step can stop it
-                bound = np.full(run.shape, math.inf)
-                for r in certified:
-                    remainder, row = self.tails[rows[r]].remainder, []
-                    for k, limit in zip(range(k0, k1),
-                                        (policy.tol * np.maximum(1.0, mag[r])).tolist()):
-                        row.append(remainder(k))
-                        if row[-1] <= limit:
-                            break
-                    bound[r, :len(row)] = row
-            at, why, used = rule.feed(mag, delta, bound)
-            for r in np.flatnonzero(why != _GOING).tolist():
-                a = at[r]
-                before = float(partial[r, a]) if k0 + a > 1 else math.nan
-                outcome[rows[r]] = _report(why[r], used[r], float(partial[r, a + 1]), before,
-                                           delta[r, a], math.inf if bound is None else bound[r, a])
-            going = why == _GOING
-            rule, rows, sums = rule.take(going), rows[going], partial[going, -1]
+                # a declined chunk, or a row of it with a non-finite term, is
+                # given back; a finite last sum shows that a row has none
+                stay = np.isfinite(partial[:, -1])
+                if not stay.all():
+                    stay[~stay] = np.all(np.isfinite(run[~stay]), axis=1)
+                    if not stay.any():
+                        break
+                    rule, rows, run, partial = rule.take(stay), rows[stay], run[stay], partial[stay]
+                # the series no step of this chunk can stop take its n steps
+                # at once; the others (busy) go through the rule step by step
+                busy = rule.coast(run, partial)
+                part = partial[busy] if busy.size < rows.size else partial
+                delta = np.abs(np.diff(part, axis=1))
+            going = np.ones(rows.size, dtype=bool)
+            if busy.size:
+                if k0 == 1:
+                    delta[:, 0] = math.inf
+                mag, bound = np.abs(part[:, 1:]), None
+                certified = np.flatnonzero(~rule.quiet_counts[busy, 0])
+                if certified.size:
+                    bound = np.full(mag.shape, math.inf)
+                    for r in certified.tolist():
+                        bound[r] = self.tails[rows[busy[r]]].remainders(k0, k1)
+                at, why, used = rule.feed(busy, mag, delta, bound)
+                for r in np.flatnonzero(why != _GOING).tolist():
+                    a = at[r]
+                    before = float(part[r, a]) if k0 + a > 1 else math.nan
+                    outcome[rows[busy[r]]] = _report(
+                        why[r], used[r], float(part[r, a + 1]), before, delta[r, a],
+                        math.inf if bound is None else bound[r, a])
+                going[busy] = why == _GOING
+            if not going.all():
+                rule, rows = rule.take(going), rows[going]
+            sums = partial[going, -1]
             k0, size = k1, 2 * size
         return outcome
 

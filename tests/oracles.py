@@ -6,11 +6,14 @@ elimination against floating-point rank, classical Gram-Schmidt against
 the Gram-block elimination, an exact characteristic polynomial
 against root bracketing, the stopping rule as a loop over steps
 against the rule over arrays of steps, one power per term of the
-log series against the traces read from paired powers, and bisection's
-worst-case count of steps against the ITP refinement's.
+log series against the traces read from paired powers, bisection's
+worst-case count of steps against the ITP refinement's, and a renderer
+with one recursive call per value against the CLI's row and key-set
+paths.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -332,3 +335,48 @@ def log_series_det(a, tol, window, max_terms):
 
     estimate, status, terms, _, _ = stopping_rule(partials(), tol, window, max_terms)
     return estimate, terms, status
+
+
+def render_reference(value, indent=0):
+    """JSON text of a report tree, one recursive call per value: the
+    renderer the CLI's row and key-set paths must match byte for byte.
+    Keys sorted by ``str``, floats to 17 significant digits, a non-finite
+    float as ``"nan"``, ``"inf"`` or ``"-inf"``, a list of numbers on one
+    line."""
+    pad = "  " * indent
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        if math.isnan(v):
+            return '"nan"'
+        if math.isinf(v):
+            return '"inf"' if v > 0 else '"-inf"'
+        return f"{v:.17g}"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        rows = [f'{pad}  {json.dumps(str(k))}: {render_reference(v, indent + 1)}'
+                for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))]
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        items = list(value)
+        if not items:
+            return "[]"
+        if all(isinstance(x, (int, float, np.integer, np.floating)) for x in items):
+            return "[" + ", ".join(render_reference(x) for x in items) + "]"
+        rows = [f"{pad}  {render_reference(x, indent + 1)}" for x in items]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    raise TypeError(f"cannot render {type(value)!r}")
+
+
+def render_csv_reference(data) -> str:
+    """CSV text of a 2-d array, value by value: a row per line, floats to
+    17 significant digits."""
+    return "\n".join(",".join(f"{float(v):.17g}" for v in row) for row in data) + "\n"

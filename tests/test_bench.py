@@ -352,3 +352,58 @@ def test_eig_rows_record_the_verdict_roots_and_stable_flags():
     assert bench.eig_verdict(error) == {
         "verdict": f"SingularSystemError: {error}", "roots": [], "stable": []}
     json.dumps([row for row, _ in rows])
+
+
+def test_parent_comparison_alternates_rounds_and_reads_both_sides(capsys, tmp_path):
+    # a stub layer whose seconds name the side and the round: each round
+    # runs both sides, the order swapped every round
+    calls = []
+
+    def run(checkout, names):
+        calls.append(checkout)
+        side = 1.0 if checkout == tmp_path else 2.0
+        rows = [{"layer": "stub", "case": "one case", "way": way, "seconds": side * len(calls),
+                 "bits": "identical"} for way in ("reference", "other")]
+        if len(calls) == 6 and checkout != tmp_path:
+            rows[1]["bits"] = "DIFFER"
+        return rows
+
+    assert bench.compare(tmp_path, 3, ["stub"], run=run) == 1
+    this = bench.SOURCE
+    assert calls == [tmp_path, this, this, tmp_path, tmp_path, this]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[1].split()[:4] == ["stub", "one", "case", "reference"]
+    record = json.loads(lines[-1])
+    assert record["rounds"] == 3 and {"revision", "parent", "machine", "rows"} <= set(record)
+    reference, other = record["rows"]
+    # parent runs were calls 1, 4 and 5; this side's 2, 3 and 6, at twice the seconds
+    assert (reference["parent_min"], reference["parent_median"]) == (1.0, 4.0)
+    assert (reference["this_min"], reference["this_median"]) == (4.0, 6.0)
+    assert reference["ratio"] == 1.5 and reference["bits"] == "identical"
+    assert other["bits"] == "DIFFER" and lines[2].endswith("DIFFER")
+
+
+def test_layers_can_be_chosen_and_parsed():
+    opts = bench.options(["--parent", "p", "--rounds", "4", "--layer", "series",
+                          "--layer", "render"])
+    assert (opts.parent, opts.rounds, opts.layers, opts.checkout) == (
+        "p", 4, ["series", "render"], None)
+    assert bench.options([]).layers is None and bench.options(["x"]).checkout == "x"
+    assert "render" in [layer for layer, _ in bench.layers()]
+
+
+def test_render_rows_give_the_reference_bytes():
+    rows = measured("render", bench.render_cases(sizes=(3, 5), csv_size=4))
+    assert [(row["case"], row["way"]) for row, _ in rows] == [
+        (case, way) for case, ways in (
+            ("mul document 64 reports", ("reference", "render_document")),
+            ("truncate 3x3 document", ("reference", "render_document")),
+            ("truncate 5x5 document", ("reference", "render_document")),
+            ("csv 4x4 section", ("reference", "render_csv"))) for way in ways]
+    assert all(row["bits"] == "identical" for row, _ in rows)
+    (_, mul), (_, text) = rows[0], rows[2]
+    assert json.loads(mul)["result"]["overall_status"] == "converged"
+    assert json.loads(text)["result"]["matrix"][0][0] == 2.0  # 1 + delta(1, 1)
+    for row, _ in rows[2:6]:
+        assert 0.0 < row["render_share"] < 1.0 and row["command_s"] > 0.0
+    assert rows[6][1].count("\n") == 4 and rows[6][0]["units"] == 16

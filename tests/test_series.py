@@ -30,6 +30,18 @@ def test_geometric_quarter_ratio():
     assert rep.estimate == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
+@given(st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, 5e-324, 1e300, 1.7e308, math.inf])),
+       st.floats(1e-9, 1.0, exclude_max=True), st.integers(1, 20_000), st.integers(0, 200))
+def test_chunk_bounds_are_the_remainders_bit_for_bit(C, r, k0, width):
+    # a chunk's certificate bounds in one pass against one remainder call a
+    # term, into underflow, overflow and C = inf (nan where the power is 0)
+    tail = GeometricTail(C, r)
+    got = tail.remainders(k0, k0 + width)
+    want = np.array([tail.remainder(k) for k in range(k0, k0 + width)])
+    assert got.shape == (width,) and got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_zero_series_converges_in_window_plus_one():
     rep = sum_series(lambda k: 0.0)
     assert rep.status == CONVERGED

@@ -18,6 +18,7 @@ import io
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from infmat.cli import main
 from infmat.expr_dsl import EvalError, pretty
 from infmat.matrix_core import Lines, truncate
 from infmat.series import (BATCH_CELLS, FIRST_TERMS, ConvergencePolicy, ConvergenceReport,
-                           GeometricTail, SeriesBatch, sum_series)
+                           GeometricTail, SeriesBatch, _Rule, sum_series)
 from infmat.specio import matrix_from_obj
 
 
@@ -270,6 +271,91 @@ def test_sum_matches_the_rule_stepped_one_term_at_a_time(table, tol, window, max
     want = stopping_rule(partials(), policy.tol, policy.window, policy.max_terms,
                          tail.remainder if tail is not None else None)
     assert bits(rep) == bits(ConvergenceReport(*want))
+
+
+def calm_edge_table(rng, count, width, tol, window, ends):
+    """``count`` series of ``width`` terms at :meth:`_Rule.coast`'s edges.
+
+    Each starts at a level (1/2, 1, 37, or near ``1/tol``, either side)
+    and then alternates in sign, so its sums stay within one term of the
+    level, with terms a few ulps either side of the calm threshold
+    2·tol·X or of the quiet threshold tol·X, X = max(1, largest sum).  Now
+    and then a series takes a quiet stretch of tiny terms, ends its first
+    chunk (``ends`` holds the last term of each chunk) on a quiet streak
+    too short to stop it, ends each chunk on a term three times as large
+    that brings its sum down, grows past the blowup threshold, or holds a
+    non-finite term (it is given back)."""
+    level = rng.choice([0.5, 1.0, 37.0, (1 - 1e-12) / tol, 1 / tol, (1 + 1e-12) / tol], count)
+    edge = rng.choice([2.0, 1.0], count) * tol
+    base = edge * np.maximum(1.0, level) / np.where(level > 1.0, 1.0 - edge, 1.0)
+    ulps = rng.integers(-4, 5, (count, 1)) + rng.integers(0, 3, (count, width))
+    signs = np.where(np.arange(width) % 2 == 0, 1.0, -1.0) * rng.choice([1.0, -1.0], (count, 1))
+    table = (base[:, None] * (1.0 + ulps * 2.0 ** -52)) * signs
+    table[:, 0] = level
+    for s in range(count):
+        at = int(rng.integers(1, width))
+        kind = rng.integers(8)
+        if kind == 0:  # a quiet stretch: the series stops there
+            table[s, at:at + window + 1] = rng.choice([0.0, 1e-3 * base[s]])
+        elif kind == 1:  # growing past the blowup threshold
+            table[s, at:] = np.abs(table[s, at:]) + 1.0 / tol
+        elif kind == 2:  # given back
+            table[s, at] = rng.choice([math.inf, math.nan])
+        elif kind == 3 and window > 1:  # a quiet streak carried into the next chunk
+            table[s, ends[0] - int(rng.integers(1, window)):ends[0]] = 0.0
+        elif kind == 4:  # a large last term, so that only the smallest one shows the edge
+            for end in ends:
+                if table[s, end - 2] > 0:
+                    table[s, end - 1] = -3 * table[s, end - 2]
+    return table
+
+
+def _chunk_ends(count, policy, chunks):
+    """The last term of the ``chunks``-th chunk of a batch of ``count``."""
+    group, k0, size = SeriesBatch([None] * count, policy, None), 1, FIRST_TERMS
+    for _ in range(chunks):
+        k0, size = group._end(k0, size, count), 2 * size
+    return k0 - 1
+
+
+@given(st.integers(1, 70), st.floats(1e-15, 1e-3), st.integers(1, 5), st.integers(1, 3),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_calm_chunks_leave_every_bit_of_the_full_path(count, tol, window, chunks, on_cap, seed):
+    # a batch with calm chunks, and the same batch with every series fed
+    # through _Rule.feed: the same reports, the same series given back and
+    # the same rule state at the end of every chunk, bit for bit
+    rng = np.random.default_rng(seed)
+    policy = ConvergencePolicy(tol, window, 10 ** 6)
+    cap = _chunk_ends(count, policy, chunks)
+    policy = ConvergencePolicy(tol, window, max(window + 1, cap if on_cap else cap + 37))
+    table = calm_edge_table(rng, count, policy.max_terms, tol, window,
+                            [_chunk_ends(count, policy, c) for c in range(1, chunks + 1)])
+    tails = [GeometricTail(float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.05, 0.95)))
+             if rng.random() < 0.2 else None for _ in range(count)]
+
+    def run(full):
+        # the rule's state as each chunk starts and whenever series leave
+        states, take, coast = [], _Rule.take, _Rule.coast
+
+        def record(rule):
+            states.append([(getattr(rule, name).dtype.str, getattr(rule, name).tobytes())
+                           for name in _Rule._STATE])
+
+        def recorded_take(rule, rows):
+            record(rule)
+            return take(rule, rows)
+
+        def recorded_coast(rule, terms, partial):
+            record(rule)
+            return np.arange(rule.steps.size) if full else coast(rule, terms, partial)
+
+        with mock.patch.object(_Rule, "take", recorded_take), \
+                mock.patch.object(_Rule, "coast", recorded_coast):
+            group = SeriesBatch(tails, policy, lambda k0, k1, rows: table[rows, k0 - 1:k1 - 1])
+            reports = [group.outcome(s) for s in range(count)]
+        return [None if rep is None else bits(rep) for rep in reports], states
+
+    assert run(full=False) == run(full=True)
 
 
 def test_runs_replace_every_term_call():
