@@ -291,7 +291,7 @@ class _Rule:
         last = np.abs(partial[:, -1])
         calm = (np.abs(terms[:, -1]) > 2 * p.tol * np.maximum(1.0, last)) & self.quiet_counts[:, 0]
         if calm.any():
-            largest = np.maximum(partial.max(axis=1), -partial.min(axis=1))
+            largest = np.abs(partial).max(axis=1)
             calm &= (np.abs(terms).min(axis=1) > 2 * p.tol * np.maximum(1.0, largest)) & (
                 largest <= 1.0 / p.tol)
             c = calm[:, None]
@@ -438,7 +438,8 @@ class SeriesBatch:
                     stay[~stay] = np.all(np.isfinite(run[~stay]), axis=1)
                     if not stay.any():
                         break
-                    rule, rows, run, partial = rule.take(stay), rows[stay], run[stay], partial[stay]
+                    rule, rows = rule.take(stay), rows[stay]
+                    run, partial = run[stay], partial[stay]
                 # the series no step of this chunk can stop take its n steps
                 # at once; the others (busy) go through the rule step by step
                 busy = rule.coast(run, partial)

@@ -30,13 +30,12 @@ keys = st.one_of(st.text(max_size=6), st.integers(-3, 3), st.booleans(), st.none
 def tables(draw, children):
     """A dict or list of dicts with one key order, each key's values drawn
     from one strategy (so most columns share a type, and some mix bools
-    and ints or floats and ints), and now and then
-    a child with its keys in another order, one key swapped for another,
-    or a key of its own."""
+    and ints or floats and ints), and now and then a child with its keys
+    in another order, one key swapped for another, or a key of its own."""
     names = draw(st.lists(st.text(max_size=5), min_size=1, max_size=5, unique=True))
+    mixed = [st.one_of(st.booleans(), st.integers(0, 1)), st.one_of(edge_floats, st.integers())]
     columns = [draw(st.sampled_from([edge_floats, st.integers(), st.booleans(), st.none(),
-                                     st.text(max_size=4), st.one_of(st.booleans(), st.integers(0, 1)),
-                                     st.one_of(edge_floats, st.integers()), leaves, children]))
+                                     st.text(max_size=4), *mixed, leaves, children]))
                for _ in names]
     rows = draw(st.lists(st.tuples(*columns), min_size=1, max_size=6))
     dicts = [dict(zip(names, row)) for row in rows]
